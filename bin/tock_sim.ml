@@ -271,9 +271,9 @@ let fleet_cmd boards domains group_size cycles batch seed park park_min_quanta
       let oc = open_out path in
       output_string oc json;
       close_out oc;
+      let dlanes, blanes = result.Tock_fleet.Fleet.fr_trace_lanes in
       Printf.printf "trace: %d domain lane(s) + %d board lane(s) -> %s\n"
-        (min domains (Tock_fleet.Fleet.group_count cfg))
-        (min boards trace_boards) path
+        dlanes blanes path
   | _ -> ());
   List.iter
     (fun (path, a) ->

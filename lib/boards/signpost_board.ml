@@ -6,8 +6,9 @@ type t = {
   nodes : node list;
 }
 
-let create ?(seed = 0x5169_0A0BL) ?(loss_prob = 0.0) ~nodes:n () =
-  let sim = Tock_hw.Sim.create ~seed () in
+let create ?(seed = 0x5169_0A0BL) ?(loss_prob = 0.0) ?(trace_capacity = 0)
+    ~nodes:n () =
+  let sim = Tock_hw.Sim.create ~seed ~trace_capacity () in
   let ether = Tock_hw.Radio.Ether.create sim ~loss_prob () in
   let nodes =
     List.init n (fun i ->
@@ -25,33 +26,12 @@ let drain_node n =
   let k = b.Board.kernel in
   let worked = ref false in
   let rec drain budget =
-    if budget > 0 then
-      let chip = b.Board.chip in
-      let has_irq = Tock_hw.Irq.has_pending chip.Tock_hw.Chip.irq in
-      let has_deferred =
-        Tock.Deferred_call.has_pending (Tock.Kernel.deferred k)
-      in
-      let has_proc =
-        List.exists
-          (fun p ->
-            match Tock.Process.state p with
-            | Tock.Process.Runnable -> true
-            | Tock.Process.Yielded -> Tock.Process.has_pending_upcalls p
-            | Tock.Process.Yielded_for w ->
-                Tock.Process.has_upcall_for p ~driver:w.driver
-                  ~subscribe_num:w.subscribe_num
-            | Tock.Process.Blocked_command w ->
-                Tock.Process.has_upcall_for p ~driver:w.driver
-                  ~subscribe_num:w.subscribe_num
-            | _ -> false)
-          (Tock.Kernel.processes k)
-      in
-      if has_irq || has_deferred || has_proc then begin
-        (match Tock.Kernel.step k ~cap:b.Board.main_cap with
-        | `Worked -> worked := true
-        | `Slept | `Stalled -> ());
-        drain (budget - 1)
-      end
+    if budget > 0 && Tock.Kernel.has_work k then begin
+      (match Tock.Kernel.step k ~cap:b.Board.main_cap with
+      | `Worked -> worked := true
+      | `Slept | `Stalled -> ());
+      drain (budget - 1)
+    end
   in
   drain 1000;
   !worked

@@ -14,8 +14,12 @@ type t = {
   nodes : node list;
 }
 
-val create : ?seed:int64 -> ?loss_prob:float -> nodes:int -> unit -> t
-(** Node radio addresses are 0x100, 0x101, ... *)
+val create :
+  ?seed:int64 -> ?loss_prob:float -> ?trace_capacity:int -> nodes:int ->
+  unit -> t
+(** Node radio addresses are 0x100, 0x101, ... [trace_capacity] sizes
+    the shared clock's trace ring ({!Tock_hw.Sim.create}); the default
+    0 records nothing. *)
 
 val run_all : t -> max_cycles:int -> unit
 (** Multi-board stepping: round-robin the kernels; the clock advances to

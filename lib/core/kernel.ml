@@ -682,6 +682,11 @@ let deliverable pe =
   | Process.Stopped _ ->
       false
 
+let has_work t =
+  Tock_hw.Irq.has_pending t.k_chip.Tock_hw.Chip.irq
+  || Deferred_call.has_pending t.k_deferred
+  || Array.exists deliverable t.table
+
 let run_slice t pe timeslice =
   let proc = pe.proc in
   let pid = Process.id proc in

@@ -273,6 +273,12 @@ val process_name_of : t -> Process.id -> string option
 
 (** {2 The main loop} *)
 
+val has_work : t -> bool
+(** A pending interrupt, a pending deferred call, or a process the
+    scheduler could run now — the same runnable test {!step} applies.
+    Allocation-free, so a multi-kernel stepper can probe every kernel
+    before letting a shared clock sleep. *)
+
 val step : t -> cap:Capability.main_loop -> [ `Worked | `Slept | `Stalled ]
 (** One iteration: interrupts, deferred calls, then either run one
     process slice, sleep to the next hardware event, or report [`Stalled]

@@ -1,8 +1,9 @@
 (* The cross-board deadline calendar: a 4-ary min-heap of payloads
    keyed by absolute simulated-cycle deadlines. Each domain owns one,
-   holding its live groups keyed by the group's next interesting time
-   (its own clock when runnable, its next wake when parked asleep), so
-   a dispatch always picks the least-advanced / soonest-waking group —
+   holding its live group keyed by the group's next interesting time
+   (its own clock when runnable, its next wake when asleep) beside any
+   boards parked to witnesses, keyed by their wake, so a dispatch
+   always picks the least-advanced / soonest-waking slot —
    earliest-deadline-first over the whole local fleet.
 
    Ties break on insertion order (a monotonically increasing sequence

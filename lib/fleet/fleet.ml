@@ -7,26 +7,31 @@
    (group_size = 1) or a small radio network (group_size > 1, the
    Signpost deployment shape).
 
-   Scheduling is a cross-board deadline calendar, not a run-to-
-   completion round-robin:
+   Scheduling is depth-first over a per-domain deadline calendar:
 
-   - Each domain owns a {!Calendar} (4-ary min-heap) of its live groups
-     keyed by the group's next interesting time — its own clock while
-     runnable, its next hardware-event deadline while parked asleep.
-     Dispatch always picks the earliest key, i.e. the least-advanced or
-     soonest-waking group, and steps it one [batch]-cycle quantum via
+   - Each domain runs one live group at a time ([max_live_groups])
+     until it finishes or parks, then materializes the next. Groups are
+     independent, so interleaving them buys nothing; it only keeps
+     several groups' young state alive across every minor collection,
+     which promotes all of it (see DESIGN.md, lib/fleet).
+   - The domain's {!Calendar} (4-ary min-heap) orders what remains: the
+     live group, keyed by its own clock while runnable or by its next
+     hardware-event deadline while asleep, and any boards parked to
+     byte witnesses, keyed by their wake. Dispatch picks the earliest
+     key and steps that group one [batch]-cycle quantum via
      [Kernel.run_to_deadline].
    - A group that goes idle with its next wake at or beyond the quantum
-     is *parked*: re-queued at its wake deadline with the clock unmoved,
-     an O(1) skip of the whole gap. If the wake lies beyond the cycle
-     budget the group is *fast-forwarded* — one metered [sleep_to] to
-     the budget end — instead of being walked event-by-event.
+     defers the sleep: it is re-queued at its wake deadline with the
+     clock unmoved, an O(1) skip of the whole gap. If the wake lies
+     beyond the cycle budget the group is *fast-forwarded* — one
+     metered [sleep_to] to the budget end — instead of being walked
+     event-by-event.
    - Group ids are handed out through per-domain Chase–Lev deques
      ({!Ws_deque}): each domain seeds from a contiguous shard and, once
      drained, steals unstarted groups from the tail of other shards, so
      heterogeneous workloads no longer stall on straggler domains.
      Boards are only materialized when first dispatched and released
-     when finished, bounding live memory to a small window per domain.
+     when finished.
 
    Results still merge in board-index order and each group's execution
    depends only on its own clock, batch quantum, and budget — never on
@@ -45,9 +50,10 @@ type config = {
   seed : int64;
   park : bool;
       (* serialize long-sleeping single boards to byte witnesses,
-         freeing their live-window slot; resumed by direct thaw (or
-         deterministic replay when thaw declines). Changes memory/
-         wall-time shape only, never results. *)
+         freeing the domain's live slot so it starts the next group
+         while they sleep; resumed by direct thaw (or deterministic
+         replay when thaw declines). Changes memory/wall-time shape
+         only, never results. *)
   park_min_quanta : int;
       (* park only when the board sleeps through at least this many
          dispatch quanta: below that the deferred-sleep park (gr_wake)
@@ -128,9 +134,11 @@ let default =
 let flight_ring = 256
 
 (* Live groups per domain: new work is only materialized once the
-   calendar drops below this, so a 100k-group fleet never holds more
-   than [domains * max_live_groups] boards in memory at once. *)
-let max_live_groups = 8
+   calendar drops below this. One means depth-first: a domain finishes
+   (or parks) its group before building the next, so a minor collection
+   only ever promotes one group's young state. A resumed parked board
+   joins the live window transiently, above this bound. *)
+let max_live_groups = 1
 
 (* Per-domain GC tuning for board churn: construction allocates a burst
    of long-lived structures per group, which at the default 256k-word
@@ -307,14 +315,18 @@ let materialize_single cfg workloads ~g =
   rt
 
 (* A radio group: one shared clock and medium, first board is the
-   gateway sink, the rest are beacons (the Signpost deployment). *)
+   gateway sink, the rest are beacons (the Signpost deployment). Radio
+   groups export no board lanes, so their clock traces only for the
+   flight recorder. *)
 let materialize_radio cfg ~g =
   let lo = g * cfg.group_size in
   let hi = min cfg.boards ((g + 1) * cfg.group_size) in
   let n = hi - lo in
   let seed = group_seed cfg.seed lo in
+  let trace_capacity = if cfg.flight_dir <> None then flight_ring else 0 in
   let net =
-    Tock_boards.Signpost_board.create ~seed ~loss_prob:0.02 ~nodes:n ()
+    Tock_boards.Signpost_board.create ~seed ~loss_prob:0.02 ~trace_capacity
+      ~nodes:n ()
   in
   let gateway, sensors =
     match net.Tock_boards.Signpost_board.nodes with
@@ -381,12 +393,15 @@ let group_stats rt =
 
 (* ---- park/resume ----
 
-   A single board fully asleep with a far-off wake can trade its
-   live-window slot for a compact byte witness ([Kernel.freeze]: sparse
-   RAM + process table + event schedule + component sections +
+   A single board fully asleep with a far-off wake can trade the
+   domain's live slot for a compact byte witness ([Kernel.freeze]:
+   sparse RAM + process table + event schedule + component sections +
    registries — a few kB vs the full Sim/kernel/capsule/continuation
-   graph). Resume rebuilds the board from the same deterministic recipe
-   and *thaws* it — [Kernel.thaw] materializes the frozen state
+   graph). The domain then builds and runs the next group while the
+   witness waits in the calendar at its wake deadline; a witness that
+   comes due is resumed beside whatever group is live, the only way a
+   domain holds more than one. Resume rebuilds the board from the same
+   deterministic recipe and *thaws* it — [Kernel.thaw] materializes the frozen state
    directly, O(state) instead of O(elapsed cycles), which is what keeps
    resume cost flat as fleets run longer. When thaw declines (a
    non-resumable app was live at park, or any consistency check fails)
@@ -792,6 +807,7 @@ type fleet_result = {
   fr_sched : Tock_obs.Metrics.snapshot;
   fr_health : Rollup.report option;
   fr_trace_json : string option;
+  fr_trace_lanes : int * int; (* domain lanes, board lanes in fr_trace_json *)
   fr_flights : (string * Flight.artifact) list;
 }
 
@@ -937,8 +953,8 @@ let run_fleet cfg =
             (path, a))
           artifacts
   in
-  let fr_trace_json =
-    if cfg.trace_capacity <= 0 then None
+  let fr_trace_json, fr_trace_lanes =
+    if cfg.trace_capacity <= 0 then (None, (0, 0))
     else
       let dlanes = List.filter_map (fun o -> o.do_lane) shards in
       let blanes =
@@ -948,7 +964,8 @@ let run_fleet cfg =
           (List.concat_map (fun o -> o.do_board_lanes) shards)
       in
       let clock_hz = Tock_hw.Sim.clock_hz (Tock_hw.Sim.create ()) in
-      Some (Tock_obs.Trace.to_chrome_json_lanes ~clock_hz (dlanes @ blanes))
+      ( Some (Tock_obs.Trace.to_chrome_json_lanes ~clock_hz (dlanes @ blanes)),
+        (List.length dlanes, List.length blanes) )
   in
   {
     fr_stats = merged;
@@ -956,6 +973,7 @@ let run_fleet cfg =
     fr_sched = Tock_obs.Metrics.merge (List.map (fun o -> o.do_sched) shards);
     fr_health;
     fr_trace_json;
+    fr_trace_lanes;
     fr_flights;
   }
 

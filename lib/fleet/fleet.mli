@@ -7,17 +7,17 @@
     or a small Signpost-style radio network ([group_size > 1]). Groups
     share no mutable state with each other.
 
-    Scheduling is a {e cross-board deadline calendar} per domain: live
-    groups are keyed by their next interesting time (own clock while
-    runnable, next hardware-event deadline while parked asleep) and
-    dispatched earliest-first in [batch]-cycle quanta. Groups that go
-    idle are parked and fast-forwarded to their wake — or to the budget
-    end — in O(1) instead of being walked event-by-event. Group ids are
-    distributed through per-domain Chase–Lev work-stealing deques, so
-    straggler shards are drained by idle domains. Groups materialize
-    lazily (a bounded window of live boards per domain) and results
-    merge in board order — [run cfg] returns byte-identical stats for
-    every value of [cfg.domains] and [cfg.batch]. *)
+    Scheduling is {e depth-first} per domain: one live group at a time,
+    dispatched in [batch]-cycle quanta from a deadline calendar keyed by
+    its next interesting time (own clock while runnable, next
+    hardware-event deadline while asleep), beside any boards parked to
+    byte witnesses. Groups that go idle skip to their wake — or to the
+    budget end — in O(1) instead of being walked event-by-event. Group
+    ids are distributed through per-domain Chase–Lev work-stealing
+    deques, so straggler shards are drained by idle domains. Groups
+    materialize lazily and results merge in board order — [run cfg]
+    returns byte-identical stats for every value of [cfg.domains] and
+    [cfg.batch]. *)
 
 module Rollup = Tock_obs.Rollup
 (** Re-exported for callers holding an [fr_health] report. *)
@@ -32,8 +32,9 @@ type config = {
   seed : int64;      (** fleet seed; per-group seeds are derived purely *)
   park : bool;
       (** serialize single boards that sleep through several quanta into
-          compact byte witnesses ({!Tock.Kernel.freeze}), freeing their
-          live-window slot; they are resumed by rebuilding and thawing
+          compact byte witnesses ({!Tock.Kernel.freeze}), freeing the
+          domain's live slot so it can start the next group while they
+          sleep; they are resumed by rebuilding and thawing
           directly — O(state), not O(elapsed) — falling back to
           byte-verified replay ({!Tock.Kernel.restore}) when
           {!Tock.Kernel.thaw} declines. Changes the memory/wall-time
@@ -140,6 +141,10 @@ type fleet_result = {
   fr_trace_json : string option;
       (** with [config.trace_capacity > 0]: the merged multi-lane
           Chrome/Perfetto trace (domain lanes + sampled board lanes). *)
+  fr_trace_lanes : int * int;
+      (** [(domain lanes, board lanes)] exported in [fr_trace_json];
+          [(0, 0)] without it. Only single boards are sampled, so a
+          fleet of radio groups exports no board lanes. *)
   fr_flights : (string * Flight.artifact) list;
       (** with [config.flight_dir]: the [TCKFLT01] artifacts captured
           this run, as [(written_path, artifact)], in board order

@@ -128,6 +128,61 @@ let test_rot_board_defaults () =
   Alcotest.(check int) "pubkey length" 8
     (Bytes.length (Tock_boards.Rot_board.public_key_bytes rot))
 
+let trace_total sim = Tock_obs.Trace.total (Tock_hw.Sim.trace_events sim)
+
+(* Signpost groups and root-of-trust boards record no trace unless the
+   caller sizes a ring: fleets build thousands of them and read none. *)
+let test_board_trace_opt_in () =
+  let signpost trace_capacity =
+    let net = Tock_boards.Signpost_board.create ?trace_capacity ~nodes:2 () in
+    (match net.Tock_boards.Signpost_board.nodes with
+    | a :: _ ->
+        ignore
+          (add_app_exn a.Tock_boards.Signpost_board.node_board ~name:"hi"
+             Tock_userland.Apps.hello)
+    | [] -> assert false);
+    Tock_boards.Signpost_board.run_all net ~max_cycles:2_000_000;
+    net.Tock_boards.Signpost_board.sim
+  in
+  let rot trace_capacity =
+    let rot = Tock_boards.Rot_board.create ?trace_capacity () in
+    let board = rot.Tock_boards.Rot_board.board in
+    ignore (add_app_exn board ~name:"hi" Tock_userland.Apps.hello);
+    run_done board;
+    board.Tock_boards.Board.sim
+  in
+  List.iter
+    (fun (name, build) ->
+      let off = build None and on = build (Some 256) in
+      Alcotest.(check bool) (name ^ ": off by default") false
+        (Tock_hw.Sim.trace_enabled off);
+      Alcotest.(check int) (name ^ ": nothing recorded") 0 (trace_total off);
+      Alcotest.(check bool) (name ^ ": on with a ring") true
+        (Tock_hw.Sim.trace_enabled on);
+      Alcotest.(check bool) (name ^ ": events recorded") true
+        (trace_total on > 0))
+    [ ("signpost", signpost); ("rot", rot) ]
+
+(* GC hazard: [Array.make]/[Array.init] of more than 256 words with a
+   young initial value forces a minor collection, which promotes the
+   whole young generation. Board construction must not hit it: with a
+   minor heap big enough to hold a whole 8-node group, building the
+   group performs no minor collection at all. *)
+let test_signpost_build_no_forced_minor () =
+  let saved = Gc.get () in
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      Gc.set { saved with Gc.minor_heap_size = 1 lsl 20 };
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.minor_collections in
+      let net = Tock_boards.Signpost_board.create ~nodes:8 () in
+      let after = (Gc.quick_stat ()).Gc.minor_collections in
+      Alcotest.(check int) "minor collections while building" 0
+        (after - before);
+      Alcotest.(check int) "nodes" 8
+        (List.length net.Tock_boards.Signpost_board.nodes))
+
 let suite =
   [
     Alcotest.test_case "composition typed" `Quick test_composition_typed;
@@ -137,4 +192,7 @@ let suite =
     Alcotest.test_case "multi-board isolation" `Quick test_multi_board_isolation;
     Alcotest.test_case "energy: sleep dominates" `Quick test_energy_sleep_dominates;
     Alcotest.test_case "rot board defaults" `Quick test_rot_board_defaults;
+    Alcotest.test_case "board tracing is opt-in" `Quick test_board_trace_opt_in;
+    Alcotest.test_case "signpost build forces no minor GC" `Quick
+      test_signpost_build_no_forced_minor;
   ]

@@ -506,6 +506,63 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* A fresh flight-artifact directory, removed with its contents after. *)
+let with_flight_dir f =
+  let dir = Filename.temp_file "tock-flight" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* Radio groups trace only while the flight recorder is armed. Arming
+   it gives every group clock a ring, and that ring must be pure
+   observation: stats and merged metrics are byte-identical with it on
+   or off, for radio groups and the leftover single board alike, at 1
+   and 2 domains. *)
+let test_radio_flight_ring_identical () =
+  let cfg = small { Fleet.default with boards = 7; group_size = 3 } in
+  let plain = Fleet.run_fleet cfg in
+  let mm = Tock_obs.Metrics.render_json plain.Fleet.fr_metrics in
+  with_flight_dir @@ fun dir ->
+  List.iter
+    (fun domains ->
+      let armed = Fleet.run_fleet { cfg with domains; flight_dir = Some dir } in
+      check_identical
+        (Printf.sprintf "flight ring on/off @ %d domains" domains)
+        plain.Fleet.fr_stats armed.Fleet.fr_stats;
+      Alcotest.(check string)
+        (Printf.sprintf "merged metrics @ %d domains" domains)
+        mm
+        (Tock_obs.Metrics.render_json armed.Fleet.fr_metrics);
+      Alcotest.(check int) "fault-free run captures nothing" 0
+        (List.length armed.Fleet.fr_flights))
+    [ 1; 2 ];
+  (* Only single boards are sampled: board 6 is the leftover single but
+     lies past [trace_boards], so the export has no board lane. *)
+  let traced =
+    Fleet.run_fleet { cfg with trace_capacity = 1024; trace_boards = 2 }
+  in
+  check_identical "traced" plain.Fleet.fr_stats traced.Fleet.fr_stats;
+  Alcotest.(check (pair int int)) "lanes exported" (1, 0)
+    traced.Fleet.fr_trace_lanes
+
+(* Depth-first dispatch: without parking a domain never holds more than
+   one live group, however many groups it runs. *)
+let test_depth_first_live_window () =
+  let cfg = small { Fleet.default with boards = 9; group_size = 1 } in
+  let _, sched = Fleet.run_sched cfg in
+  (match List.assoc_opt "fleet.sched.live_groups_peak" sched with
+  | Some (Tock_obs.Metrics.Gauge v) ->
+      Alcotest.(check int) "live groups peak" 1 v
+  | _ -> Alcotest.fail "fleet.sched.live_groups_peak missing");
+  Alcotest.(check int) "every group ran" 9
+    (sched_counter sched "fleet.sched.groups_run")
+
 (* The fault flight recorder end to end: a deliberately faulting board
    produces a TCKFLT01 artifact on disk that decodes totally, whose
    postmortem timeline contains the fault event, and whose freeze
@@ -514,15 +571,7 @@ let read_file path =
    SLO-breach artifact that (carrying no witness) must refuse to
    thaw. *)
 let test_flight_recorder_artifact () =
-  let dir = Filename.temp_file "tock-flight" ".d" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o700;
-  Fun.protect ~finally:(fun () ->
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Sys.rmdir dir)
-  @@ fun () ->
+  with_flight_dir @@ fun dir ->
   (* the injector's delayed wild read lands around 227k cycles — give
      the budget comfortable headroom past it *)
   let cfg =
@@ -660,6 +709,10 @@ let suite =
       test_health_identical_across_domains;
     Alcotest.test_case "flight recorder: fault artifact decodes and thaws"
       `Quick test_flight_recorder_artifact;
+    Alcotest.test_case "radio flight ring byte-identical (1/2 domains)" `Quick
+      test_radio_flight_ring_identical;
+    Alcotest.test_case "depth-first: one live group per domain" `Quick
+      test_depth_first_live_window;
     Alcotest.test_case "group seeds are pure" `Quick
       test_seed_independent_of_grouping;
     Alcotest.test_case "bad configs rejected" `Quick test_bad_config_rejected;

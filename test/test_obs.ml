@@ -718,7 +718,9 @@ let test_fleet_trace_export () =
   Alcotest.(check bool) "domain lanes carry dispatch quanta" true
     (!domain_dispatches > 0);
   Alcotest.(check bool) "sampled board lanes carry events" true
-    (!board_events > 0)
+    (!board_events > 0);
+  Alcotest.(check (pair int int)) "lane count reported" (2, 2)
+    r.Fleet.fr_trace_lanes
 
 let suite =
   [
