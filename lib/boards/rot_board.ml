@@ -8,9 +8,9 @@ type t = {
   public_key : Tock_crypto.Schnorr.public_key;
 }
 
-let create ?(seed = 0x0071_5070L) ?(blocking_commands = false) ?policy
-    ?(trace_capacity = 0) () =
-  let sim = Tock_hw.Sim.create ~seed ~trace_capacity () in
+let create ?(seed = 0x0071_5070L) ?(blocking_commands = false) ?policy () =
+  (* No trace ring: nothing reads a root-of-trust board's trace. *)
+  let sim = Tock_hw.Sim.create ~seed ~trace_capacity:0 () in
   let chip = Tock_hw.Chip.rv32_like sim in
   let config =
     { (Tock.Kernel.default_config ()) with Tock.Kernel.blocking_commands }

@@ -21,12 +21,9 @@ val create :
   ?seed:int64 ->
   ?blocking_commands:bool ->
   ?policy:Tock_capsules.Signature_checker.policy ->
-  ?trace_capacity:int ->
   unit ->
   t
-(** Default policy: [`Require_signature [own public key]].
-    [trace_capacity] sizes the board's trace ring
-    ({!Tock_hw.Sim.create}); the default 0 records nothing. *)
+(** Default policy: [`Require_signature [own public key]]. *)
 
 val sign_app :
   t ->

@@ -317,13 +317,17 @@ let materialize_single cfg workloads ~g =
 (* A radio group: one shared clock and medium, first board is the
    gateway sink, the rest are beacons (the Signpost deployment). Radio
    groups export no board lanes, so their clock traces only for the
-   flight recorder. *)
+   flight recorder. Every node shares that ring, so it holds
+   [flight_ring] events per node: a radio board keeps as long a tail
+   as a single board. *)
 let materialize_radio cfg ~g =
   let lo = g * cfg.group_size in
   let hi = min cfg.boards ((g + 1) * cfg.group_size) in
   let n = hi - lo in
   let seed = group_seed cfg.seed lo in
-  let trace_capacity = if cfg.flight_dir <> None then flight_ring else 0 in
+  let trace_capacity =
+    if cfg.flight_dir <> None then flight_ring * n else 0
+  in
   let net =
     Tock_boards.Signpost_board.create ~seed ~loss_prob:0.02 ~trace_capacity
       ~nodes:n ()

@@ -126,12 +126,14 @@ let test_rot_board_defaults () =
   Alcotest.(check bool) "blocking commands off by default" false
     (Tock.Kernel.config board.Tock_boards.Board.kernel).Tock.Kernel.blocking_commands;
   Alcotest.(check int) "pubkey length" 8
-    (Bytes.length (Tock_boards.Rot_board.public_key_bytes rot))
+    (Bytes.length (Tock_boards.Rot_board.public_key_bytes rot));
+  Alcotest.(check bool) "no trace ring" false
+    (Tock_hw.Sim.trace_enabled board.Tock_boards.Board.sim)
 
 let trace_total sim = Tock_obs.Trace.total (Tock_hw.Sim.trace_events sim)
 
-(* Signpost groups and root-of-trust boards record no trace unless the
-   caller sizes a ring: fleets build thousands of them and read none. *)
+(* Signpost groups record no trace unless the caller sizes a ring:
+   fleets build thousands of them and read none. *)
 let test_board_trace_opt_in () =
   let signpost trace_capacity =
     let net = Tock_boards.Signpost_board.create ?trace_capacity ~nodes:2 () in
@@ -144,24 +146,11 @@ let test_board_trace_opt_in () =
     Tock_boards.Signpost_board.run_all net ~max_cycles:2_000_000;
     net.Tock_boards.Signpost_board.sim
   in
-  let rot trace_capacity =
-    let rot = Tock_boards.Rot_board.create ?trace_capacity () in
-    let board = rot.Tock_boards.Rot_board.board in
-    ignore (add_app_exn board ~name:"hi" Tock_userland.Apps.hello);
-    run_done board;
-    board.Tock_boards.Board.sim
-  in
-  List.iter
-    (fun (name, build) ->
-      let off = build None and on = build (Some 256) in
-      Alcotest.(check bool) (name ^ ": off by default") false
-        (Tock_hw.Sim.trace_enabled off);
-      Alcotest.(check int) (name ^ ": nothing recorded") 0 (trace_total off);
-      Alcotest.(check bool) (name ^ ": on with a ring") true
-        (Tock_hw.Sim.trace_enabled on);
-      Alcotest.(check bool) (name ^ ": events recorded") true
-        (trace_total on > 0))
-    [ ("signpost", signpost); ("rot", rot) ]
+  let off = signpost None and on = signpost (Some 256) in
+  Alcotest.(check bool) "off by default" false (Tock_hw.Sim.trace_enabled off);
+  Alcotest.(check int) "nothing recorded" 0 (trace_total off);
+  Alcotest.(check bool) "on with a ring" true (Tock_hw.Sim.trace_enabled on);
+  Alcotest.(check bool) "events recorded" true (trace_total on > 0)
 
 (* GC hazard: [Array.make]/[Array.init] of more than 256 words with a
    young initial value forces a minor collection, which promotes the
