@@ -13,9 +13,8 @@
         enough that boards sleeping through an alarm period actually
         freeze into byte witnesses and thaw back — the "can a 100k
         fleet fit AND keep its throughput" datapoint. Resumes are
-        O(state) ([Tock.Kernel.thaw]), not O(elapsed) replay, so the
-        sample carries the same cycles/s floor as the 10k one instead
-        of the pre-freeze 5.6e8 falloff;
+        O(state) ([Tock.Kernel.thaw]), so the sample carries the same
+        cycles/s floor as the 10k one;
      4. acceptance gates, reported as one summary line and a non-zero
         exit on any failure.
 
@@ -39,10 +38,9 @@ let gate_floor = 1.5e9
    to 1.39e9 cycles/s. Packed stats must hold 3e9+. *)
 let gate_floor_10k = 3.0e9
 
-(* The 100k-board park sample used to fall to 5.6e8 cycles/s: every
-   resume replayed the board from cycle 0, so wall time grew with
-   elapsed simulated time, not with state size. Direct freeze/thaw
-   must keep this sample at the same floor as the 10k one. *)
+(* Resume cost must grow with a board's state size, not with the
+   simulated time it slept through: the 100k-board park sample keeps
+   the same floor as the 10k one. *)
 let gate_floor_100k = 3.0e9
 
 (* Retained footprint ceiling for the 100k-board park sample. Packed
@@ -61,9 +59,8 @@ type sample = {
   s_bytes_per_board : int;  (* retained live heap growth / boards *)
   s_parks : int;
   s_resumes : int;
-  s_thaw_fallbacks : int;
-  s_resume_cycles : int;    (* simulated cycles skipped by thaw instead
-                               of replayed *)
+  s_resume_cycles : int;    (* simulated cycles parked boards slept
+                               through while frozen *)
   s_witness_bytes : int;    (* peak-free running total of frozen bytes *)
 }
 
@@ -116,7 +113,6 @@ let measure ?(park = false) ?batch ?park_min_quanta ~boards ~domains ~cycles ()
     s_bytes_per_board = bytes_per_board;
     s_parks = c "fleet.sched.board_parks";
     s_resumes = c "fleet.sched.board_resumes";
-    s_thaw_fallbacks = c "fleet.sched.thaw_fallbacks";
     s_resume_cycles = c "fleet.sched.resume_cycles";
     s_witness_bytes = c "fleet.sched.witness_bytes";
   }
@@ -130,10 +126,8 @@ let print_sample s =
     s.s_wall (throughput s) s.s_bytes_per_board;
   if s.s_park then
     Printf.printf
-      "          parks %d  resumes %d  thaw_fallbacks %d  resume_cycles %d  \
-       witness_bytes %d\n%!"
-      s.s_parks s.s_resumes s.s_thaw_fallbacks s.s_resume_cycles
-      s.s_witness_bytes
+      "          parks %d  resumes %d  resume_cycles %d  witness_bytes %d\n%!"
+      s.s_parks s.s_resumes s.s_resume_cycles s.s_witness_bytes
 
 let json_of_sample s =
   Printf.sprintf
@@ -141,10 +135,10 @@ let json_of_sample s =
      \"agg_cycles\": %d, \
      \"syscalls\": %d, \"wall_s\": %.4f, \"cycles_per_s\": %.4e, \
      \"bytes_per_board\": %d, \"parks\": %d, \"resumes\": %d, \
-     \"thaw_fallbacks\": %d, \"resume_cycles\": %d, \"witness_bytes\": %d}"
+     \"resume_cycles\": %d, \"witness_bytes\": %d}"
     s.s_boards s.s_domains s.s_park s.s_budget s.s_cycles s.s_syscalls s.s_wall
     (throughput s) s.s_bytes_per_board s.s_parks s.s_resumes
-    s.s_thaw_fallbacks s.s_resume_cycles s.s_witness_bytes
+    s.s_resume_cycles s.s_witness_bytes
 
 let run () =
   print_endline

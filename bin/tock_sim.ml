@@ -410,8 +410,9 @@ let quiet_arg =
 let park_arg =
   Arg.(value & flag & info [ "park" ]
        ~doc:"Park long-sleeping boards as compact byte witnesses and \
-             resume them by direct thaw (verified replay as fallback); \
-             results are byte-identical either way.")
+             resume them by direct thaw. Only boards whose live apps are \
+             all asleep at their checkpoint park; the rest stay live. \
+             Results are byte-identical either way.")
 
 let park_min_quanta_arg =
   Arg.(value & opt int Tock_fleet.Fleet.default.Tock_fleet.Fleet.park_min_quanta
@@ -422,7 +423,7 @@ let park_min_quanta_arg =
 let verify_park_arg =
   Arg.(value & flag & info [ "verify-park" ]
        ~doc:"Cross-check every park resume: re-freeze the thawed board \
-             against its witness and independently replay it. Slow; for \
+             and compare it with its witness byte for byte. For \
              debugging determinism.")
 
 let health_arg =

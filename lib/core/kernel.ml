@@ -125,6 +125,9 @@ type t = {
          records which named grants each process holds; thaw
          preallocates them so grant-region layout matches the witness. *)
   mutable k_freezers : (string * freezer) list; (* sorted by name *)
+  mutable k_clock_held : bool;
+      (* set only while [thaw] runs the resume prologues: [spend]
+         charges nothing, so no frozen event can come due under them *)
 }
 
 let create ?config:(cfg = default_config ()) chip =
@@ -174,6 +177,7 @@ let create ?config:(cfg = default_config ()) chip =
       trace_hook = None;
       k_grants = [];
       k_freezers = [];
+      k_clock_held = false;
     }
   in
   (* Per-process gauges, published when a snapshot is taken — never from
@@ -236,7 +240,10 @@ let set_syscall_trace t fn = t.trace_hook <- fn
 
 let timing t = t.k_chip.Tock_hw.Chip.timing
 
-let spend t n = Tock_hw.Sim.spend (sim t) n
+(* Inlined like [Sim.spend] behind it: every syscall and slice charges
+   through here. *)
+let[@inline] spend t n =
+  if not t.k_clock_held then Tock_hw.Sim.spend (sim t) n
 
 (* ---- drivers ---- *)
 
@@ -927,24 +934,18 @@ let run_to_completion t ~cap ?(max_cycles = 2_000_000_000) () =
    alarm order and arming, uart capture, dirty flash pages), and both
    packed metrics registries.
 
-   Two ways back from a witness:
+   The one way back from a witness is [thaw] (direct materialization):
+   rebuild the board, let each resumable app's factory fast-forward
+   through its checkpoint (re-entering the recorded sleep so the
+   continuation suspends in the frozen shape), then patch every other
+   observable back from the witness. O(state), independent of how long
+   the board ran. Only some freeze points can be rebuilt that way —
+   [unthawable] names them, and [resumable] asks it of a live board
+   before anyone parks it. [thaw] returns [Error] whenever anything
+   fails to line up (a freeze point [unthawable] rejects, upcall ids
+   that cannot be remapped, registry drift, corrupt bytes). *)
 
-   - [restore] (replay): rebuild the board from its deterministic
-     construction recipe and re-run it to the witness clock with the
-     same chopping-invariant primitives the fleet scheduler uses, then
-     check the re-taken witness byte-for-byte. O(elapsed cycles).
-
-   - [thaw] (direct materialization): rebuild the board, let each
-     resumable app's factory fast-forward through its checkpoint
-     (re-entering the recorded sleep so the continuation suspends in
-     the frozen shape), then patch every other observable back from the
-     witness. O(state), independent of how long the board ran. [thaw]
-     returns [Error] — and the caller falls back to replay — whenever
-     anything fails to line up (non-resumable app frozen live, frozen
-     in a non-[Yielded] suspension, upcall ids that cannot be remapped,
-     registry drift, corrupt bytes). *)
-
-let snapshot_magic = "TCKSNP02"
+let witness_magic = "TCKSNP02"
 
 (* The witness codec: 64-bit LE ints and length-prefixed strings, with
    a bounds-checked reader whose failures become [Error]s at the
@@ -977,7 +978,7 @@ module Witness = struct
     v
 
   let raw r n =
-    if n < 0 || r.pos + n > String.length r.w then
+    if n < 0 || n > String.length r.w - r.pos then
       corrupt "bad length %d at byte %d" n r.pos;
     let s = String.sub r.w r.pos n in
     r.pos <- r.pos + n;
@@ -1189,7 +1190,7 @@ let freeze ?buf t =
         b
     | None -> Buffer.create (16 * 1024)
   in
-  Buffer.add_string buf snapshot_magic;
+  Buffer.add_string buf witness_magic;
   add_i buf (Tock_hw.Sim.now s);
   add_i buf (Tock_hw.Sim.active_cycles s);
   add_i buf (Tock_hw.Sim.sleep_cycles s);
@@ -1220,18 +1221,6 @@ let freeze ?buf t =
     (Tock_obs.Metrics.packed_to_string
        (Tock_obs.Metrics.packed_of (Tock_hw.Sim.metrics s)));
   Buffer.contents buf
-
-let snapshot t = freeze t
-
-let snapshot_clock w =
-  if
-    String.length w < String.length snapshot_magic + 8
-    || not
-         (String.equal
-            (String.sub w 0 (String.length snapshot_magic))
-            snapshot_magic)
-  then Error "not a board snapshot (bad magic or truncated)"
-  else Ok (Int64.to_int (String.get_int64_le w (String.length snapshot_magic)))
 
 (* ---- witness decoding ---- *)
 
@@ -1337,7 +1326,7 @@ let decode_ram r =
   for _ = 1 to n do
     let off = Witness.int r in
     let rl = Witness.int r in
-    if off < 0 || rl < 0 || off + rl > len then
+    if off < 0 || rl < 0 || rl > len - off then
       Witness.corrupt "RAM run out of range (off=%d len=%d ram=%d)" off rl len;
     runs := (off, Witness.raw r rl) :: !runs
   done;
@@ -1474,10 +1463,10 @@ let decode_process r =
 let parse_witness w =
   Witness.guard (fun () ->
       let r = Witness.reader w in
-      let mlen = String.length snapshot_magic in
+      let mlen = String.length witness_magic in
       if
         String.length w < mlen
-        || not (String.equal (Witness.raw r mlen) snapshot_magic)
+        || not (String.equal (Witness.raw r mlen) witness_magic)
       then Witness.corrupt "not a board witness (bad magic)";
       let w_now = Witness.int r in
       let w_active = Witness.int r in
@@ -1520,54 +1509,35 @@ let parse_witness w =
         w_sreg;
       })
 
-(* ---- replay restore ---- *)
-
-let replay_to t ~cap target =
-  let rec go () =
-    if Tock_hw.Sim.now (sim t) < target then
-      match run_to_deadline t ~cap ~deadline:target with
-      | `Budget -> go ()
-      | `Stalled -> ()
-      | `Asleep wake ->
-          if wake >= target then sleep_to t ~cap target
-          else begin
-            sleep_to t ~cap wake;
-            go ()
-          end
-  in
-  go ()
-
-let restore t ~cap witness =
-  match snapshot_clock witness with
-  | Error e -> Error ("restore: " ^ e)
-  | Ok target -> (
-      (* Parse up front: a truncated or corrupt witness must fail with
-         a diagnostic before we spend the replay. *)
-      match parse_witness witness with
-      | Error e -> Error ("restore: corrupt witness: " ^ e)
-      | Ok _ ->
-          replay_to t ~cap target;
-          let got = snapshot t in
-          if String.equal got witness then Ok ()
-          else
-            Error
-              (Printf.sprintf
-                 "replayed board diverged from snapshot at clock %d (want %s \
-                  got %s)"
-                 target
-                 (Digest.to_hex (Digest.string witness))
-                 (Digest.to_hex (Digest.string got))))
-
 (* ---- direct materialization (thaw) ---- *)
 
-let is_live (s : Process.state) =
-  match s with
-  | Process.Runnable | Process.Yielded | Process.Yielded_for _
-  | Process.Blocked_command _ ->
-      true
-  | Process.Unstarted | Process.Faulted _ | Process.Terminated _
-  | Process.Stopped _ ->
-      false
+(* The freeze points [thaw] can rebuild, one process at a time: [None]
+   if it accepts a process frozen in [state] with checkpoint cursor
+   [ckpt] and at-sleep flag [at_sleep], else why not. A dead process
+   keeps its corpse. A live one must have checkpointed and sit in its
+   checkpoint sleep as plain [Yielded]: frozen at any other yield (I/O
+   wait, busy-retry nap), every witnessed byte could still match while
+   the rebuilt continuation sits elsewhere. [Stopped] and [Unstarted]
+   need a live execution the rebuild cannot recreate. *)
+let unthawable ~ckpt ~at_sleep (state : Process.state) =
+  match state with
+  | Process.Faulted _ | Process.Terminated _ -> None
+  | Process.Stopped _ -> Some "frozen stopped"
+  | Process.Unstarted -> Some "frozen unstarted"
+  | _ when ckpt = 0 -> Some "is live but never checkpointed"
+  | _ when not at_sleep -> Some "frozen outside its checkpoint sleep"
+  | Process.Yielded -> None
+  | Process.Runnable | Process.Yielded_for _ | Process.Blocked_command _ ->
+      Some "frozen in unresumable state"
+
+let resumable t =
+  Array.for_all
+    (fun pe ->
+      let p = pe.proc in
+      Option.is_none
+        (unthawable ~ckpt:(Process.checkpoint p)
+           ~at_sleep:(Process.at_sleep p) (Process.state p)))
+    t.table
 
 let thaw t ~cap witness =
   match parse_witness witness with
@@ -1611,46 +1581,32 @@ let thaw t ~cap witness =
                 | Error e -> fail "component %S: %s" name e)
             wt.w_components
         in
-        (* Phase 1: process dispositions and grant layout. Live
-           processes must be resumable (checkpointed, frozen in a plain
-           [Yielded]); dead ones lose their execution now so the
-           prologue pass never runs them. Grants are preallocated in
-           recorded order so kernel breaks land where the witness says
-           — the [`Pre] loads run first because the alarm section's
-           ordered allocation also installs the resume alarms. *)
+        (* Phase 1: process dispositions and grant layout. Every
+           process must sit at a freeze point [unthawable] accepts; a
+           live one is then [Yielded] in its checkpoint sleep, and dead
+           ones lose their execution now so the prologue pass never
+           runs them. Grants are preallocated in recorded order so
+           kernel breaks land where the witness says — the [`Pre] loads
+           run first because the alarm section's ordered allocation
+           also installs the resume alarms. *)
         load_phase `Pre;
         List.iter
           (fun (pe, wp) ->
             let p = pe.proc in
             Process.set_checkpoint p wp.wp_ckpt;
-            (if is_live wp.wp_state then begin
-               if wp.wp_ckpt = 0 then
-                 fail "process %s is live but never checkpointed" wp.wp_name;
-               (* Frozen at some other yield (I/O wait, busy-retry nap):
-                  every witnessed byte can still match after a thaw while
-                  the rebuilt continuation sits elsewhere — decline and
-                  let byte-verified replay carry it. *)
-               if not wp.wp_at_sleep then
-                 fail "process %s frozen outside its checkpoint sleep"
-                   wp.wp_name;
-               match wp.wp_state with
-               | Process.Yielded -> ()
-               | _ -> fail "process %s frozen in unresumable state" wp.wp_name
-             end
-             else
-               match wp.wp_state with
-               | Process.Stopped _ | Process.Unstarted ->
-                   (* Resuming a stopped process needs a live execution
-                      we cannot rebuild; replay handles these. *)
-                   fail "process %s frozen %s (not thawable)" wp.wp_name
-                     (match wp.wp_state with
-                     | Process.Stopped _ -> "stopped"
-                     | _ -> "unstarted")
-               | _ ->
-                   (* Dead: never run the factory, keep the corpse. *)
-                   Process.destroy_execution p;
-                   pe.pending_resume <- None;
-                   Process.set_state p wp.wp_state);
+            (match
+               unthawable ~ckpt:wp.wp_ckpt ~at_sleep:wp.wp_at_sleep
+                 wp.wp_state
+             with
+            | Some why -> fail "process %s %s" wp.wp_name why
+            | None -> ());
+            (match wp.wp_state with
+            | Process.Yielded -> ()
+            | _ ->
+                (* Dead: never run the factory, keep the corpse. *)
+                Process.destroy_execution p;
+                pe.pending_resume <- None;
+                Process.set_state p wp.wp_state);
             List.iter
               (fun gname ->
                 match
@@ -1665,13 +1621,17 @@ let thaw t ~cap witness =
               wp.wp_grants)
           pairs;
         (* Phase 2: warp to the frozen clock, then run the resume
-           prologues to quiescence. Warping first matters: alarm
-           re-arming math ([expired = now - reference >= dt],
-           wrapping) must see the frozen [now], or an unexpired frozen
-           deadline could look already-expired. The hw-timer invariant
-           (compare events land at tick-aligned (reference+dt)
-           regardless of when arming happens) then reproduces the
-           frozen event schedule exactly. *)
+           prologues to quiescence with the clock held. Warping first
+           matters: alarm re-arming math ([expired = now - reference >=
+           dt], wrapping) must see the frozen [now], or an unexpired
+           frozen deadline could look already-expired. The hw-timer
+           invariant (compare events land at tick-aligned
+           (reference+dt) regardless of when arming happens) then
+           reproduces the frozen event schedule exactly. Holding the
+           clock matters too: the prologues stand for no simulated
+           time, and the cycles they would charge could otherwise
+           carry the clock past a frozen event due just after the
+           freeze, firing it under them. *)
         Tock_hw.Sim.warp s ~now:wt.w_now ~active_cycles:wt.w_active
           ~sleep_cycles:wt.w_sleep ~rng_state:wt.w_rng;
         let guard = ref 0 in
@@ -1680,18 +1640,18 @@ let thaw t ~cap witness =
           if !guard > 1_000_000 then fail "thaw prologue did not settle";
           match step_work t ~cap with `Worked -> settle () | `Idle -> ()
         in
-        settle ();
-        (* The prologues spent simulated cycles; put the clock, cycle
-           split and PRNG stream back to the frozen instant. Event
-           deadlines are unaffected (see above). *)
+        t.k_clock_held <- true;
+        Fun.protect ~finally:(fun () -> t.k_clock_held <- false) settle;
+        (* The prologues may have drawn from the PRNG stream; put it
+           back to the frozen instant. *)
         Tock_hw.Sim.warp s ~now:wt.w_now ~active_cycles:wt.w_active
           ~sleep_cycles:wt.w_sleep ~rng_state:wt.w_rng;
         (* Phase 3: patch every process back to the frozen image. *)
         List.iter
           (fun (pe, wp) ->
             let p = pe.proc in
-            let live = is_live wp.wp_state in
-            if live then begin
+            (* Phase 1 left every live process [Yielded]. *)
+            if wp.wp_state = Process.Yielded then begin
               if not (Process.has_execution p) then
                 fail "process %s lost its execution in the prologue"
                   wp.wp_name;

@@ -146,8 +146,7 @@ val register_freezer :
     {!freeze} appends every registered component's [save] bytes;
     {!thaw} feeds them back — [`Pre] loads run before the resume
     prologues, [`Post] loads after the wholesale state patch. A [load]
-    returning [Error] aborts the thaw (the caller falls back to
-    replay). *)
+    returning [Error] makes {!thaw} return [Error]. *)
 
 (** Length-prefixed binary codec for {!register_freezer} sections (the
     same one the witness itself uses): 64-bit LE ints, length-prefixed
@@ -324,18 +323,14 @@ val run_to_completion : t -> cap:Capability.main_loop -> ?max_cycles:int -> unit
 
     Process executions are effect continuations and cannot be
     serialized, so a parked board is captured as a compact byte
-    {e witness} of its observable state. Two ways back:
-
-    - {!restore} ({e replay}): rebuild the board from its deterministic
-      construction recipe and re-run it to the witness clock using the
-      same chopping-invariant stepping the fleet scheduler uses (see
-      {!run_to_deadline}), then verify the re-taken witness
-      byte-for-byte. O(elapsed cycles).
-    - {!thaw} ({e direct materialization}): rebuild the board, let each
-      resumable app's factory fast-forward through its checkpoint
-      (re-entering the recorded sleep so the continuation suspends in
-      the frozen shape), then patch everything else back from the
-      witness bytes. O(state) — independent of how long the board ran.
+    {e witness} of its observable state. The one way back is {!thaw}
+    ({e direct materialization}): rebuild the board, let each resumable
+    app's factory fast-forward through its checkpoint (re-entering the
+    recorded sleep so the continuation suspends in the frozen shape),
+    then patch everything else back from the witness bytes. O(state) —
+    independent of how long the board ran. Only boards frozen at a
+    point thaw can rebuild come back: {!resumable} says whether a live
+    board is at one, so a caller parks a board only when it holds.
 
     Witness format (v2, magic "TCKSNP02", all ints 64-bit LE): header
     clock/active/sleep + raw root-PRNG state; sorted live event-queue
@@ -355,41 +350,30 @@ val freeze : ?buf:Buffer.t -> t -> string
     given, is cleared and used as the scratch encoder (the fleet pools
     one per domain to avoid re-growing a fresh buffer per park). *)
 
-val snapshot : t -> string
-(** [freeze] without a pooled buffer (historical name). *)
-
-val snapshot_clock : string -> (int, string) result
-(** The sim clock a witness was taken at; [Error] if the string does
-    not start with a witness header. *)
-
-val replay_to : t -> cap:Capability.main_loop -> int -> unit
-(** Drive the board to an absolute clock with [run_to_deadline] +
-    [sleep_to] (stops early only on [`Stalled]). By the chopping
-    invariance contract, the resulting state is byte-identical to any
-    other valid stepping that reaches the same clock. *)
-
-val restore : t -> cap:Capability.main_loop -> string -> (unit, string) result
-(** [restore t ~cap w] replays a freshly-built board [t] to
-    [snapshot_clock w] and verifies [snapshot t = w]. [Error] on a
-    corrupt or truncated witness (with a decoder diagnostic, before any
-    replay work), or on divergence (snapshot digests) — the latter
-    means the board was not rebuilt from the same recipe, or
-    determinism is broken. *)
+val resumable : t -> bool
+(** Whether {!thaw} accepts this board's freeze point: every live
+    process has checkpointed and sits in its checkpoint sleep
+    ([Libtock_sync.checkpoint_sleep]) as plain [Yielded], and no
+    process is [Stopped] or [Unstarted]. Faulted and terminated
+    processes do not matter. It is the same per-process test {!thaw}
+    applies to the witness, so a board frozen while this holds thaws
+    unless its witness is corrupt or the rebuild does not match its
+    recipe. Read-only. *)
 
 val thaw : t -> cap:Capability.main_loop -> string -> (unit, string) result
 (** [thaw t ~cap w] rehydrates a freshly-built board [t] directly from
-    the witness bytes, without replay: preallocate witnessed grants and
+    the witness bytes: preallocate witnessed grants and
     install resume alarms ([`Pre] freezer loads), warp the clock to the
     frozen instant, run each live process's factory prologue to
-    quiescence (resumable apps skip completed iterations and re-enter
-    the recorded sleep — see [Apps]), re-warp, patch processes
+    quiescence with the clock held (resumable apps skip completed
+    iterations and re-enter the recorded sleep — see [Apps]; no frozen
+    event can fire under them), restore the PRNG stream, patch processes
     wholesale (upcall-id remap, subscriptions, allows, pending upcalls,
     breaks, RAM, counters, emulator residue), run [`Post] freezer
     loads, verify the rebuilt event schedule against the witness, and
     overwrite both metrics registries. On success, [freeze t = w].
     [Error] — with the board left in an unspecified half-patched state
     that must be discarded — whenever anything fails to line up: a
-    corrupt witness, a live process that never checkpointed
-    (non-resumable app) or frozen in a non-[Yielded] suspension, an
-    upcall id that cannot be remapped, registry series drift. Callers
-    fall back to {!restore} on a fresh board. *)
+    corrupt witness, a process frozen where {!resumable} would have
+    been false, an upcall id that cannot be remapped, registry series
+    drift. *)

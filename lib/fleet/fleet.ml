@@ -17,8 +17,9 @@
    - The domain's {!Calendar} (4-ary min-heap) orders what remains: the
      live group, keyed by its own clock while runnable or by its next
      hardware-event deadline while asleep, and any boards parked to
-     byte witnesses, keyed by their wake. Dispatch picks the earliest
-     key and steps that group one [batch]-cycle quantum via
+     byte witnesses, keyed by their wake (only at freeze points
+     [Kernel.thaw] accepts; see park/resume below). Dispatch picks the
+     earliest key and steps that group one [batch]-cycle quantum via
      [Kernel.run_to_deadline].
    - A group that goes idle with its next wake at or beyond the quantum
      defers the sleep: it is re-queued at its wake deadline with the
@@ -51,19 +52,18 @@ type config = {
   park : bool;
       (* serialize long-sleeping single boards to byte witnesses,
          freeing the domain's live slot so it starts the next group
-         while they sleep; resumed by direct thaw (or deterministic
-         replay when thaw declines). Changes memory/wall-time shape
-         only, never results. *)
+         while they sleep; only boards [Kernel.resumable] accepts park,
+         and they come back by [Kernel.thaw]. Changes memory/wall-time
+         shape only, never results. *)
   park_min_quanta : int;
       (* park only when the board sleeps through at least this many
          dispatch quanta: below that the deferred-sleep park (gr_wake)
          already skips the gap for free. *)
   verify_park : bool;
       (* cross-check every thaw: freeze the thawed board and compare
-         byte-for-byte against the stored witness, then independently
-         replay a second board through Kernel.restore (which
-         byte-verifies itself). Failure is fatal — it means direct
-         materialization diverged from history. Debug/test mode. *)
+         byte-for-byte against the stored witness. Failure is fatal —
+         it means direct materialization lost part of the frozen
+         state. Debug/test mode. *)
   health : bool;
       (* fold every retiring board's packed metrics into per-cohort
          cross-board rollups and evaluate [default_slos] into an
@@ -71,9 +71,9 @@ type config = {
          byte-identical at any domain count. *)
   trace_capacity : int;
       (* > 0: give each scheduler domain a Trace ring of this many
-         events (dispatch quanta, steals, parks, resumes, thaw
-         fallbacks, fast-forwards) and export the merged multi-lane
-         Chrome JSON as fr_trace_json. *)
+         events (dispatch quanta, steals, parks, resumes,
+         fast-forwards) and export the merged multi-lane Chrome JSON
+         as fr_trace_json. *)
   trace_boards : int;
       (* sample the first N boards with full per-board rings of
          [trace_capacity] events, exported as extra lanes. Sampled
@@ -404,16 +404,15 @@ let group_stats rt =
    graph). The domain then builds and runs the next group while the
    witness waits in the calendar at its wake deadline; a witness that
    comes due is resumed beside whatever group is live, the only way a
-   domain holds more than one. Resume rebuilds the board from the same
-   deterministic recipe and *thaws* it — [Kernel.thaw] materializes the frozen state
-   directly, O(state) instead of O(elapsed cycles), which is what keeps
-   resume cost flat as fleets run longer. When thaw declines (a
-   non-resumable app was live at park, or any consistency check fails)
-   the fleet falls back to the replay path on a second fresh board:
-   [Kernel.restore] re-runs history and byte-verifies against the
-   witness, so park/resume can never silently diverge from the
-   keep-it-live path. [verify_park] runs both on every resume and
-   compares them. Only [Single] groups park — radio groups share a Sim
+   domain holds more than one. A board parks only when
+   [Kernel.resumable] holds — every live app asleep at its checkpoint —
+   and resumes by rebuilding it from the same deterministic recipe and
+   *thawing* it: [Kernel.thaw] materializes the frozen state directly,
+   O(state) instead of O(elapsed cycles), which keeps resume cost flat
+   as fleets run longer. A board that is not resumable stays live and
+   defers its sleep like any other group. A thaw [Error] is therefore a
+   bug: the run fails naming the board, and rerunning the same config
+   reproduces it. Only [Single] groups park — radio groups share a Sim
    across boards and stay live. *)
 
 type parked = {
@@ -426,62 +425,30 @@ type parked = {
 (* A calendar slot: a live group runtime, or a board parked to bytes. *)
 type slot = Live of group_rt | Parked of parked
 
-let replay_resume cfg workloads pk =
+let resume_parked cfg workloads pk =
   let rt = materialize cfg workloads ~g:pk.pk_g in
   (match rt.gr_kind with
-  | Single b -> (
-      match
-        Tock.Kernel.restore b.Tock_boards.Board.kernel
-          ~cap:b.Tock_boards.Board.main_cap pk.pk_witness
-      with
+  | Single b ->
+      let k = b.Tock_boards.Board.kernel in
+      (match
+         Tock.Kernel.thaw k ~cap:b.Tock_boards.Board.main_cap pk.pk_witness
+       with
       | Ok () -> ()
-      | Error e -> failwith ("Fleet: resume of board " ^ string_of_int pk.pk_g ^ ": " ^ e))
-  | Radio _ -> assert false);
-  rt
-
-let resume_parked cfg workloads ~on_thaw_fallback pk =
-  let rt = materialize cfg workloads ~g:pk.pk_g in
-  let thawed =
-    match rt.gr_kind with
-    | Single b -> (
-        match
-          Tock.Kernel.thaw b.Tock_boards.Board.kernel
-            ~cap:b.Tock_boards.Board.main_cap pk.pk_witness
-        with
-        | Ok () -> true
-        | Error e ->
-            on_thaw_fallback e;
-            false)
-    | Radio _ -> assert false
-  in
-  let rt =
-    if thawed then begin
+      | Error e ->
+          failwith (Printf.sprintf "Fleet: resume of board %d: %s" rt.gr_lo e));
       if cfg.verify_park then begin
-        (* Re-freezing the thawed board must reproduce the witness
-           bytes, and an independent replay (which byte-verifies
-           itself inside Kernel.restore) must succeed too. *)
-        let refrozen =
-          match rt.gr_kind with
-          | Single b -> Tock.Kernel.freeze b.Tock_boards.Board.kernel
-          | Radio _ -> assert false
-        in
+        (* Re-freezing the thawed board must reproduce the witness. *)
+        let refrozen = Tock.Kernel.freeze k in
         if not (String.equal refrozen pk.pk_witness) then
           failwith
             (Printf.sprintf
                "Fleet: verify_park: board %d thaw diverged from its witness \
                 (%s vs %s)"
-               pk.pk_g
+               rt.gr_lo
                (Digest.to_hex (Digest.string refrozen))
-               (Digest.to_hex (Digest.string pk.pk_witness)));
-        ignore (replay_resume cfg workloads pk)
-      end;
-      rt
-    end
-    else
-      (* The failed thaw may have half-patched the board: discard it
-         and replay on a fresh one. *)
-      replay_resume cfg workloads pk
-  in
+               (Digest.to_hex (Digest.string pk.pk_witness)))
+      end
+  | Radio _ -> assert false);
   rt.gr_wake <- pk.pk_wake;
   rt
 
@@ -527,7 +494,6 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
   let c_parked = Tock_obs.Metrics.counter reg "fleet.sched.parked_wakes" in
   let c_board_parks = Tock_obs.Metrics.counter reg "fleet.sched.board_parks" in
   let c_board_resumes = Tock_obs.Metrics.counter reg "fleet.sched.board_resumes" in
-  let c_thaw_fallbacks = Tock_obs.Metrics.counter reg "fleet.sched.thaw_fallbacks" in
   let c_resume_cycles = Tock_obs.Metrics.counter reg "fleet.sched.resume_cycles" in
   let c_witness_bytes = Tock_obs.Metrics.counter reg "fleet.sched.witness_bytes" in
   let c_groups = Tock_obs.Metrics.counter reg "fleet.sched.groups_run" in
@@ -665,9 +631,8 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
           match slot with
           | Live rt -> rt
           | Parked pk ->
-              (* Rebuild + thaw (replay fallback), then rejoin the live
-                 window (transiently allowed to exceed the refill
-                 bound). *)
+              (* Rebuild + thaw, then rejoin the live window
+                 (transiently allowed to exceed the refill bound). *)
               Tock_obs.Metrics.incr c_board_resumes;
               Tock_obs.Metrics.add c_resume_cycles (pk.pk_wake - pk.pk_clock);
               Tock_obs.Trace.emit dtr ~ts:!dvt ~tid:(-1) Tock_obs.Trace.Resume
@@ -677,12 +642,6 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
               incr live;
               Tock_obs.Metrics.set_max g_live_peak !live;
               resume_parked cfg workloads pk
-                ~on_thaw_fallback:(fun _e ->
-                  Tock_obs.Metrics.incr c_thaw_fallbacks;
-                  Tock_obs.Trace.emit dtr ~ts:!dvt ~tid:(-1)
-                    Tock_obs.Trace.Resume Tock_obs.Trace.Instant
-                    ~arg:(pk.pk_g * cfg.group_size)
-                    ~text:"thaw-fallback")
         in
         if rt.gr_wake >= 0 then begin
           (* Parked: take the skipped sleep now, in one hop. *)
@@ -730,9 +689,10 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
                 when cfg.park
                      && (not (sampled cfg rt.gr_lo))
                      && wake - group_now rt >= cfg.park_min_quanta * cfg.batch
-                ->
-                  (* Long sleep ahead: trade the live slot for a byte
-                     witness and let refill pull fresh work. *)
+                     && Tock.Kernel.resumable b.Tock_boards.Board.kernel ->
+                  (* Long sleep ahead at a freeze point thaw accepts:
+                     trade the live slot for a byte witness and let
+                     refill pull fresh work. *)
                   let pk =
                     {
                       (* The group id materialize was called with (for a

@@ -11,8 +11,9 @@
     dispatched in [batch]-cycle quanta from a deadline calendar keyed by
     its next interesting time (own clock while runnable, next
     hardware-event deadline while asleep), beside any boards parked to
-    byte witnesses. Groups that go idle skip to their wake — or to the
-    budget end — in O(1) instead of being walked event-by-event. Group
+    byte witnesses (with [park]; {!Tock.Kernel.thaw} is the only way
+    back). Groups that go idle skip to their wake — or to the budget
+    end — in O(1) instead of being walked event-by-event. Group
     ids are distributed through per-domain Chase–Lev work-stealing
     deques, so straggler shards are drained by idle domains. Groups
     materialize lazily and results merge in board order — [run cfg]
@@ -34,21 +35,21 @@ type config = {
       (** serialize single boards that sleep through several quanta into
           compact byte witnesses ({!Tock.Kernel.freeze}), freeing the
           domain's live slot so it can start the next group while they
-          sleep; they are resumed by rebuilding and thawing
-          directly — O(state), not O(elapsed) — falling back to
-          byte-verified replay ({!Tock.Kernel.restore}) when
-          {!Tock.Kernel.thaw} declines. Changes the memory/wall-time
-          shape only — results are byte-identical with parking on or
-          off. *)
+          sleep. A board parks only when {!Tock.Kernel.resumable} holds
+          (every live app asleep at its checkpoint); otherwise it stays
+          live and skips the gap in place. A parked board resumes by
+          rebuilding and thawing directly ({!Tock.Kernel.thaw}) —
+          O(state), not O(elapsed). A thaw [Error] raises [Failure]
+          naming the board. Changes the memory/wall-time shape only —
+          results are byte-identical with parking on or off. *)
   park_min_quanta : int;
       (** park only boards sleeping through at least this many [batch]
           quanta; shorter gaps are already skipped in O(1) by the
           deferred-sleep park. Must be positive. *)
   verify_park : bool;
       (** cross-check every resume: re-freeze the thawed board and
-          compare byte-for-byte against the stored witness, then
-          independently replay a second board (self-verifying). Fatal
-          [Failure] on divergence. Debug/test mode — expensive. *)
+          compare byte-for-byte against the stored witness. Fatal
+          [Failure] naming the board on divergence. Debug/test mode. *)
   health : bool;
       (** fold every retiring board's packed metrics into per-cohort
           cross-board rollups ({!Rollup}) and evaluate {!default_slos}
@@ -56,11 +57,10 @@ type config = {
           byte-identical at any domain count, batch, or park setting. *)
   trace_capacity : int;
       (** [> 0]: give each scheduler domain a trace ring of this many
-          events (dispatch quanta, steals, parks, resumes, thaw
-          fallbacks, fast-forward warps) and export the merged
-          multi-lane Chrome/Perfetto JSON as [fr_trace_json]. Domain
-          lanes use pid = domain index and a virtual time axis (cycles
-          dispatched so far). *)
+          events (dispatch quanta, steals, parks, resumes, fast-forward
+          warps) and export the merged multi-lane Chrome/Perfetto JSON
+          as [fr_trace_json]. Domain lanes use pid = domain index and a
+          virtual time axis (cycles dispatched so far). *)
   trace_boards : int;
       (** sample the first N boards with full per-board rings
           ([trace_capacity] events each), exported as extra lanes with
@@ -129,11 +129,11 @@ type fleet_result = {
           count, batch quantum, and park setting *)
   fr_sched : Tock_obs.Metrics.snapshot;
       (** merged scheduler metrics ([fleet.sched.*]: dispatches, steals,
-          parked wakes, fast-forwards, board parks/resumes, thaw
-          fallbacks, resume cycles skipped, witness bytes, groups run,
-          live-group peak, batch-cycle histogram). These {e do} depend
-          on domain count, batch, and park — they describe the
-          execution, not the simulation. *)
+          parked wakes, fast-forwards, board parks/resumes, resume
+          cycles skipped, witness bytes, groups run, live-group peak,
+          batch-cycle histogram). These {e do} depend on domain count,
+          batch, and park — they describe the execution, not the
+          simulation. *)
   fr_health : Rollup.report option;
       (** with [config.health]: per-cohort SLO checks, outlier boards,
           and the overall verdict. Byte-identical (via

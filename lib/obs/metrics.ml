@@ -379,7 +379,7 @@ let validate_packed p =
         | 'c' | 'g' -> ()
         | 'h' ->
             let off = blob_word p rank in
-            if off < n || off + 3 > words then
+            if off < n || off > words - 3 then
               bad :=
                 Some
                   (err "series %s: histogram offset %d out of range"
@@ -482,70 +482,29 @@ let packed_of_string s =
   | None -> err "truncated header (%d bytes)" len
   | Some n when n < 0 || n > len -> err "absurd series count %d" n
   | Some n -> (
-      let sc_names = Array.make (max n 1) "" in
-      let kinds = Bytes.make (max n 1) 'c' in
+      let sc_names = Array.make n "" in
+      let kinds = Bytes.make n 'c' in
       let pos = ref 8 in
-      let bad = ref None in
-      (try
-         for rank = 0 to n - 1 do
-           match word !pos with
-           | None -> raise Exit
-           | Some nl ->
-               if nl < 0 || !pos + 8 + nl + 1 > len then raise Exit;
-               sc_names.(rank) <- String.sub s (!pos + 8) nl;
-               let k = s.[!pos + 8 + nl] in
-               if k <> 'c' && k <> 'g' && k <> 'h' then begin
-                 bad := Some (err "series %s: unknown kind %C" sc_names.(rank) k);
-                 raise Exit
-               end;
-               Bytes.set kinds rank k;
-               pos := !pos + 8 + nl + 1
-         done
-       with Exit -> if !bad = None then bad := Some (err "truncated schema"));
-      match !bad with
-      | Some e -> e
-      | None ->
-          let blob = String.sub s !pos (len - !pos) in
-          let words = String.length blob / 8 in
-          if String.length blob mod 8 <> 0 || words < n then
-            err "blob is %d bytes for %d series" (String.length blob) n
-          else begin
-            (* Validate histogram records before accepting the image. *)
-            let bw i = Int64.to_int (String.get_int64_le blob (8 * i)) in
-            let hist_ok = ref (Ok ()) in
-            for rank = 0 to n - 1 do
-              if Bytes.get kinds rank = 'h' && !hist_ok = Ok () then begin
-                let off = bw rank in
-                if off < n || off + 3 > words then
-                  hist_ok := err "series %s: histogram offset %d out of range"
-                      sc_names.(rank) off
-                else
-                  let np = bw (off + 2) in
-                  if np < 0 || np > buckets || off + 3 + (2 * np) > words then
-                    hist_ok := err "series %s: %d histogram pairs out of range"
-                        sc_names.(rank) np
-                  else
-                    for k = 0 to np - 1 do
-                      let b = bw (off + 3 + (2 * k)) in
-                      if (b < 0 || b >= buckets) && !hist_ok = Ok () then
-                        hist_ok := err "series %s: bucket %d out of range"
-                            sc_names.(rank) b
-                    done
-              end
-            done;
-            match !hist_ok with
-            | Error _ as e -> e
-            | Ok () ->
-                Ok
-                  {
-                    p_schema =
-                      {
-                        sc_names = Array.sub sc_names 0 n;
-                        sc_kinds = Bytes.sub_string kinds 0 n;
-                      };
-                    p_blob = blob;
-                  }
-          end)
+      match
+        for rank = 0 to n - 1 do
+          match word !pos with
+          | Some nl when nl >= 0 && nl <= len - !pos - 9 ->
+              sc_names.(rank) <- String.sub s (!pos + 8) nl;
+              Bytes.set kinds rank s.[!pos + 8 + nl];
+              pos := !pos + 8 + nl + 1
+          | _ -> raise Exit
+        done
+      with
+      | exception Exit -> err "truncated schema"
+      | () -> (
+          (* Kinds, blob size and histogram records: [validate_packed]. *)
+          let p =
+            {
+              p_schema = { sc_names; sc_kinds = Bytes.to_string kinds };
+              p_blob = String.sub s !pos (len - !pos);
+            }
+          in
+          match validate_packed p with Ok () -> Ok p | Error e -> Error e))
 
 (* Overwrite a registry's values from a packed image: the thaw path of
    board freeze/thaw. Series missing from the registry are created

@@ -65,10 +65,10 @@ val resume_sleep : Emu.app -> unit
 val checkpoint_sleep : Emu.app -> cursor:int -> ticks:int -> unit
 (** Record the loop [cursor] ({!Emu.checkpoint}), then sleep [ticks]
     with the process marked at its protocol sleep — the one suspension
-    point {!Tock.Kernel.thaw} will accept for a live process (a freeze
-    that catches the app in any other wait falls back to replay).
-    Resumable apps must use this instead of a bare checkpoint +
-    {!sleep_ticks} pair. *)
+    point {!Tock.Kernel.thaw} will accept for a live process. While the
+    app waits anywhere else, {!Tock.Kernel.resumable} is false and a
+    fleet does not park its board. Resumable apps must use this instead
+    of a bare checkpoint + {!sleep_ticks} pair. *)
 
 val sleep_ms : Emu.app -> int -> unit
 

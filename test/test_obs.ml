@@ -407,6 +407,36 @@ let test_packed_rejects_corruption () =
       (Printf.sprintf "byte %d flipped" i)
       (fun () -> Metrics.packed_of_string (Bytes.to_string b))
   done;
+  (* Length and offset fields near [max_int]: a bound written as
+     [pos + n > len] wraps negative and lets the read through. The
+     first series-name length sits right after the series count; the
+     blob is the tail of the image, and a histogram's offset word is
+     its rank's slot there. *)
+  let set_word s at v =
+    let b = Bytes.of_string s in
+    Bytes.set_int64_le b at (Int64.of_int v);
+    Bytes.to_string b
+  in
+  let must_reject name s =
+    match Metrics.packed_of_string s with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+    | exception e ->
+        Alcotest.failf "%s: raised %s instead of Error" name
+          (Printexc.to_string e)
+  in
+  must_reject "series-name length max_int-5" (set_word good 8 (max_int - 5));
+  let blob_at = n - String.length p.Metrics.p_blob in
+  let hist_at =
+    blob_at + (8 * String.index p.Metrics.p_schema.Metrics.sc_kinds 'h')
+  in
+  must_reject "histogram offset max_int-2"
+    (set_word good hist_at (max_int - 2));
+  (* Offset [max_int] wraps the pair-count read round to blob word 1 (a
+     gauge here): over a zero there the record looked empty and
+     valid. *)
+  must_reject "histogram offset max_int"
+    (set_word (set_word good hist_at max_int) (blob_at + 8) 0);
   (* a typed-but-torn image: blob shorter than its schema demands *)
   let torn =
     { p with Metrics.p_blob = String.sub p.Metrics.p_blob 0 8 }
