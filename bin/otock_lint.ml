@@ -1,12 +1,12 @@
 (* otock-lint: architecture-conformance and trust-boundary checker.
 
-   Two passes share one CLI, one pragma grammar, one baseline format
-   and one report schema:
+   Two passes share one CLI, one compiler-libs front end, one pragma
+   grammar, one baseline format and one report schema:
 
-     otock_lint [lint]  — the syntactic pass: layering / capability /
+     otock_lint [lint]  — the architecture pass: layering / capability /
                           unsafe-analogue rules (Tock_analysis.Rules)
                           against lint_baseline.txt;
-     otock_lint check   — the AST-level pass: domain-safety and
+     otock_lint check   — the dataflow pass: domain-safety and
                           allow-window-escape dataflow analyses
                           (Tock_analysis.Check) against
                           check_baseline.txt.

@@ -1,20 +1,25 @@
-(* AST-level extraction via compiler-libs: the second-generation front
-   end behind otock-check.
+(* The one OCaml front end of both analysis passes. Every .ml/.mli file
+   is parsed once with compiler-libs ([Parse.implementation], or
+   [Parse.interface] for an .mli) and that parse is summarized for
+   otock-lint's rules and otock-check's dataflow analyses alike:
 
-   Where Extract is a token lexer (enough for layering rules), this
-   module parses real OCaml ASTs with [Parse.implementation] and
-   summarizes the facts the dataflow analyses need:
-
-   - the module-toplevel *mutable-state inventory*: refs, Hashtbl /
-     Buffer / Bytes / Array / Queue globals, records with mutable
-     fields, and their Atomic / Mutex counterparts;
-   - per-binding *value references* (every identifier a binding's body
-     names, with lines), the raw material for Domain_safety's
-     interprocedural reachability;
-   - *mutation witnesses*: identifiers passed to known in-place
-     mutators (Array.set, Bytes.blit, ...), so read-only lookup tables
-     (crypto T-tables) are not misreported as shared mutable state;
-   - structure- and expression-level opens, for reference resolution.
+   - every dotted path the file writes (values, constructors, record
+     fields and labels, types, module paths and module types), each
+     applied path with its first string-literal argument, plus the
+     unqualified Stdlib console writers;
+   - open / include declarations; [let open M in] and [M.(...)] are
+     flagged as expression-scoped;
+   - attributes with their source text (docstrings excluded);
+   - [otock-lint:] allowlist pragmas, read from the lexer's comment
+     list;
+   - for implementations, the module-toplevel *mutable-state
+     inventory* (refs, Hashtbl / Buffer / Bytes / Array / Queue
+     globals, records with mutable fields, and their Atomic / Mutex
+     counterparts), per-binding *value references* (the raw material
+     for Domain_safety's interprocedural reachability) and *mutation
+     witnesses* (identifiers passed to known in-place mutators, so
+     read-only lookup tables such as the crypto T-tables are not
+     misreported as shared mutable state).
 
    Parsing never raises: a file the compiler's parser rejects comes
    back with [a_parsed = false] and the caller reports it instead of
@@ -54,14 +59,40 @@ type value_ref = { r_path : string list; r_line : int }
 
 type binding = { b_name : string; b_line : int; b_refs : value_ref list }
 
+type reference = {
+  ref_modules : string list;
+  ref_member : string option;
+  ref_line : int;
+  ref_literal : string option;
+}
+
+type open_decl = {
+  open_modules : string list;
+  open_line : int;
+  open_scoped : bool;
+}
+
+type attribute = { attr_text : string; attr_line : int }
+
+type pragma = {
+  pragma_rule : string;
+  pragma_file_level : bool;
+  pragma_note : string;
+  pragma_line : int;
+}
+
 type t = {
   a_path : string;
   a_parsed : bool;
+  a_refs : reference list;
+  a_opens : open_decl list;
+  a_attributes : attribute list;
+  a_pragmas : pragma list;
   a_globals : global list;
   a_bindings : binding list;
-  a_opens : string list list;
   a_witnesses : value_ref list;
       (* identifier paths passed to a known in-place mutator *)
+  a_structure : Parsetree.structure option;
 }
 
 let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
@@ -182,19 +213,11 @@ let mutator_path path =
       true
   | _ -> false
 
-(* --- summary extraction ----------------------------------------------- *)
+(* --- mutable-state inventory ------------------------------------------- *)
 
-let parse ~path content =
-  let lexbuf = Lexing.from_string content in
-  Location.init lexbuf path;
-  match Parse.implementation lexbuf with
-  | st -> Some st
-  | exception _ -> None
-
-(* All value identifiers, opens, and mutation witnesses under [e]. *)
+(* All value identifiers and mutation witnesses under [e]. *)
 let scan_expr e =
   let refs = ref [] in
-  let opens = ref [] in
   let witnesses = ref [] in
   let iter =
     {
@@ -238,22 +261,17 @@ let scan_expr e =
                     }
                     :: !witnesses
               | _ -> ())
-          | Parsetree.Pexp_open (od, _) -> (
-              match od.Parsetree.popen_expr.Parsetree.pmod_desc with
-              | Parsetree.Pmod_ident lid ->
-                  opens := flatten lid.Location.txt :: !opens
-              | _ -> ())
           | _ -> ());
           Ast_iterator.default_iterator.Ast_iterator.expr self e);
     }
   in
   iter.Ast_iterator.expr iter e;
-  (List.rev !refs, List.rev !opens, List.rev !witnesses)
+  (List.rev !refs, List.rev !witnesses)
 
-let of_structure ~path st =
+(* Globals, bindings and mutation witnesses of an implementation. *)
+let inventory st =
   let globals = ref [] in
   let bindings = ref [] in
-  let opens = ref [] in
   let witnesses = ref [] in
   let mutable_labels = ref [] in
   (* [prefix] qualifies bindings inside nested modules
@@ -276,15 +294,10 @@ let of_structure ~path st =
                   labels
             | _ -> ())
           decls
-    | Parsetree.Pstr_open od -> (
-        match od.Parsetree.popen_expr.Parsetree.pmod_desc with
-        | Parsetree.Pmod_ident lid -> opens := flatten lid.Location.txt :: !opens
-        | _ -> ())
     | Parsetree.Pstr_value (_, vbs) ->
         List.iter
           (fun (vb : Parsetree.value_binding) ->
-            let refs, local_opens, wits = scan_expr vb.Parsetree.pvb_expr in
-            opens := List.rev_append local_opens !opens;
+            let refs, wits = scan_expr vb.Parsetree.pvb_expr in
             witnesses := List.rev_append wits !witnesses;
             let vars = pattern_vars vb.Parsetree.pvb_pat in
             List.iter
@@ -313,24 +326,251 @@ let of_structure ~path st =
     | _ -> ()
   in
   structure "" st;
-  {
-    a_path = path;
-    a_parsed = true;
-    a_globals = List.rev !globals;
-    a_bindings = List.rev !bindings;
-    a_opens = List.rev !opens;
-    a_witnesses = List.rev !witnesses;
-  }
+  (List.rev !globals, List.rev !bindings, List.rev !witnesses)
+
+(* --- references, opens, attributes ------------------------------------- *)
+
+let console_writers =
+  [
+    "print_string"; "print_endline"; "print_newline"; "print_char";
+    "print_int"; "prerr_string"; "prerr_endline"; "prerr_newline";
+  ]
+
+let is_module_name s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
+
+(* One walk over the parse ([walk] applies the iterator to the structure
+   or signature); each list comes back in source order. *)
+let references content walk =
+  let open Parsetree in
+  let refs = ref [] and opens = ref [] and attrs = ref [] in
+  let pos (loc : Location.t) = loc.loc_start.pos_cnum in
+  let add acc loc x = acc := (pos loc, x) :: !acc in
+  let reference ?literal loc mods member =
+    add refs loc
+      { ref_modules = mods; ref_member = member; ref_line = line_of loc;
+        ref_literal = literal }
+  in
+  (* Desugarings ([a.(i)] is [Array.get]) carry ghost locations: skip
+     them. Record labels are kept: a punned one is ghost too but written
+     in source. *)
+  let path ?literal ?(keep_ghost = false) (lid : Longident.t Location.loc) =
+    if keep_ghost || not lid.loc.loc_ghost then
+      match List.rev (flatten lid.txt) with
+      | last :: (_ :: _ as mods) when not (is_module_name last) ->
+          reference ?literal lid.loc (List.rev mods) (Some last)
+      | _ :: _ :: _ as mods -> reference ?literal lid.loc (List.rev mods) None
+      | _ -> ()
+  in
+  let value ?literal (lid : Longident.t Location.loc) =
+    match lid.txt with
+    | Lident x when List.mem x console_writers && not lid.loc.loc_ghost ->
+        reference ?literal lid.loc [ "Stdlib" ] (Some x)
+    | _ -> path ?literal lid
+  in
+  let open_ ~scoped (lid : Longident.t Location.loc) =
+    add opens lid.loc
+      { open_modules = flatten lid.txt; open_line = line_of lid.loc;
+        open_scoped = scoped }
+  in
+  let literal (_, a) =
+    match a.pexp_desc with
+    | Pexp_constant (Pconst_string (s, _, _)) -> Some s
+    | _ -> None
+  in
+  let default = Ast_iterator.default_iterator in
+  let iter =
+    {
+      default with
+      expr =
+        (fun self e ->
+          match e.pexp_desc with
+          | Pexp_apply ({ pexp_desc = Pexp_ident f; pexp_attributes = []; _ }, args)
+            ->
+              value ?literal:(List.find_map literal args) f;
+              List.iter (fun (_, a) -> self.expr self a) args;
+              self.attributes self e.pexp_attributes
+          | desc ->
+              (match desc with
+              | Pexp_ident lid -> value lid
+              | Pexp_construct (lid, _) | Pexp_field (_, lid)
+              | Pexp_setfield (_, lid, _) | Pexp_new lid ->
+                  path lid
+              | Pexp_record (fields, _) ->
+                  List.iter (fun (l, _) -> path ~keep_ghost:true l) fields
+              (* the default walk also records a dotted M.N as a
+                 reference, so M.N.(x) still names M.N *)
+              | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ }, _)
+                ->
+                  open_ ~scoped:true lid
+              | _ -> ());
+              default.expr self e);
+      pat =
+        (fun self p ->
+          (match p.ppat_desc with
+          | Ppat_construct (lid, _) | Ppat_type lid -> path lid
+          | Ppat_record (fields, _) ->
+              List.iter (fun (l, _) -> path ~keep_ghost:true l) fields
+          | Ppat_open (lid, _) ->
+              open_ ~scoped:true lid;
+              path lid
+          | _ -> ());
+          default.pat self p);
+      typ =
+        (fun self t ->
+          (match t.ptyp_desc with
+          | Ptyp_constr (lid, _) | Ptyp_class (lid, _) -> path lid
+          | Ptyp_package (lid, constraints) ->
+              List.iter path (lid :: List.map fst constraints)
+          | _ -> ());
+          default.typ self t);
+      module_expr =
+        (fun self m ->
+          (match m.pmod_desc with Pmod_ident lid -> path lid | _ -> ());
+          default.module_expr self m);
+      module_type =
+        (fun self m ->
+          (match m.pmty_desc with
+          | Pmty_ident lid | Pmty_alias lid -> path lid
+          | _ -> ());
+          default.module_type self m);
+      with_constraint =
+        (fun self c ->
+          (match c with
+          | Pwith_type (lid, _) | Pwith_typesubst (lid, _)
+          | Pwith_modtype (lid, _) | Pwith_modtypesubst (lid, _) ->
+              path lid
+          | Pwith_module (lid, lid') | Pwith_modsubst (lid, lid') ->
+              path lid;
+              path lid');
+          default.with_constraint self c);
+      module_substitution =
+        (fun self ms ->
+          path ms.pms_manifest;
+          default.module_substitution self ms);
+      type_extension =
+        (fun self te ->
+          path te.ptyext_path;
+          default.type_extension self te);
+      extension_constructor =
+        (fun self ec ->
+          (match ec.pext_kind with Pext_rebind lid -> path lid | _ -> ());
+          default.extension_constructor self ec);
+      (* A structure-level open or include is a declaration, not also a
+         reference. *)
+      structure_item =
+        (fun self si ->
+          match si.pstr_desc with
+          | Pstr_open
+              { popen_expr = { pmod_desc = Pmod_ident lid; _ };
+                popen_attributes = a; _ }
+          | Pstr_include
+              { pincl_mod = { pmod_desc = Pmod_ident lid; _ };
+                pincl_attributes = a; _ } ->
+              open_ ~scoped:false lid;
+              self.attributes self a
+          | _ -> default.structure_item self si);
+      signature_item =
+        (fun self si ->
+          match si.psig_desc with
+          | Psig_open { popen_expr = lid; popen_attributes = a; _ }
+          | Psig_include
+              { pincl_mod = { pmty_desc = Pmty_ident lid; _ };
+                pincl_attributes = a; _ } ->
+              open_ ~scoped:false lid;
+              self.attributes self a
+          | _ -> default.signature_item self si);
+      (* Payloads are metadata: not walked. *)
+      attribute =
+        (fun _ a ->
+          match a.attr_name.txt with
+          | "ocaml.doc" | "ocaml.text" -> ()
+          | _ ->
+              let l = a.attr_loc in
+              add attrs l
+                { attr_text = String.sub content (pos l) (l.loc_end.pos_cnum - pos l);
+                  attr_line = line_of l });
+    }
+  in
+  walk iter;
+  let in_order acc =
+    List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !acc))
+  in
+  (in_order refs, in_order opens, in_order attrs)
+
+(* --- pragmas ------------------------------------------------------------ *)
+
+(* Parse `otock-lint: allow <rule> <note>` / `allow-file <rule> <note>`
+   out of a comment body; the note runs to the end of the comment. *)
+let pragmas_of_comment ~line text =
+  let key = "otock-lint:" in
+  let tail s i = String.sub s i (String.length s - i) in
+  let word s =
+    match String.index_opt s ' ' with
+    | Some j -> (String.sub s 0 j, String.trim (tail s j))
+    | None -> (s, "")
+  in
+  (* Writers naturally separate rule from justification with a dash;
+     drop it from the note. *)
+  let drop p s =
+    if Taxonomy.starts_with p s then String.trim (tail s (String.length p))
+    else s
+  in
+  let rec find i acc =
+    if i + String.length key > String.length text then List.rev acc
+    else if String.sub text i (String.length key) <> key then find (i + 1) acc
+    else
+      let i = i + String.length key in
+      let verb, rest = word (String.trim (tail text i)) in
+      let rule, note = word rest in
+      if (verb = "allow" || verb = "allow-file") && rule <> "" then
+        find i
+          ({ pragma_rule = rule; pragma_file_level = verb = "allow-file";
+             pragma_note = drop "\xe2\x80\x94" (drop "--" (drop "- " note));
+             pragma_line = line }
+          :: acc)
+      else find i acc
+  in
+  find 0 []
+
+(* --- the one parse -------------------------------------------------------- *)
 
 let of_source ~path content =
-  match parse ~path content with
-  | Some st -> of_structure ~path st
-  | None ->
-      {
-        a_path = path;
-        a_parsed = false;
-        a_globals = [];
-        a_bindings = [];
-        a_opens = [];
-        a_witnesses = [];
-      }
+  let lexbuf = Lexing.from_string content in
+  Location.init lexbuf path;
+  let parse parser = try Some (parser lexbuf) with _ -> None in
+  let intf, impl =
+    if Filename.check_suffix path ".mli" then (parse Parse.interface, None)
+    else (None, parse Parse.implementation)
+  in
+  (* The comment list is global lexer state: read it before anything
+     else parses. Each pragma is anchored to its comment's closing line,
+     so a multi-line justification directly above the flagged code
+     still covers it (a line pragma suppresses its own line and the
+     next). *)
+  let pragmas =
+    List.concat_map
+      (fun (text, (loc : Location.t)) ->
+        pragmas_of_comment ~line:loc.Location.loc_end.Lexing.pos_lnum text)
+      (Lexer.comments ())
+  in
+  let a_refs, a_opens, a_attributes =
+    match (intf, impl) with
+    | Some sg, _ -> references content (fun it -> it.Ast_iterator.signature it sg)
+    | _, Some st -> references content (fun it -> it.Ast_iterator.structure it st)
+    | None, None -> ([], [], [])
+  in
+  let a_globals, a_bindings, a_witnesses =
+    match impl with Some st -> inventory st | None -> ([], [], [])
+  in
+  {
+    a_path = path;
+    a_parsed = intf <> None || impl <> None;
+    a_refs;
+    a_opens;
+    a_attributes;
+    a_pragmas = pragmas;
+    a_globals;
+    a_bindings;
+    a_witnesses;
+    a_structure = impl;
+  }

@@ -1,8 +1,9 @@
-(* otock-check: the AST-level companion to the syntactic linter.
+(* otock-check: the dataflow companion to the architecture linter.
 
-   Where otock-lint pattern-matches tokens, otock-check parses real
-   OCaml ASTs (compiler-libs [Parse] + [Ast_iterator]) and runs two
-   interprocedural dataflow passes over them:
+   Both passes read sources through one compiler-libs front end
+   ({!Ast_extract}). Where otock-lint checks the paths each file names,
+   otock-check runs two interprocedural dataflow passes over the
+   summaries and parse trees of the kernel-dir [.ml] files:
 
    - {!Domain_safety}: module-toplevel mutable state reachable from the
      fleet's per-domain shard entry points without Atomic/Mutex
@@ -75,8 +76,8 @@ let run ?entry_files (files : Source.file list) : Rules.result =
   in
   let escape_violations =
     List.concat_map
-      (fun ((f : Source.file), (a : Ast_extract.t)) ->
-        match Ast_extract.parse ~path:f.Source.path f.Source.content with
+      (fun (a : Ast_extract.t) ->
+        match a.Ast_extract.a_structure with
         | None -> []
         | Some st ->
             let global_names =
@@ -95,8 +96,8 @@ let run ?entry_files (files : Source.file list) : Rules.result =
                   v_line = e.Escape.f_line;
                   v_message = e.Escape.f_message;
                 })
-              (Escape.analyze ~path:f.Source.path ~global_names st))
-      (List.combine ml_files summaries)
+              (Escape.analyze ~path:a.Ast_extract.a_path ~global_names st))
+      summaries
   in
   let all =
     List.sort
@@ -109,14 +110,5 @@ let run ?entry_files (files : Source.file list) : Rules.result =
         | c -> c)
       (parse_violations @ safety_violations @ escape_violations)
   in
-  let pragma_table = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Source.file) ->
-      Hashtbl.replace pragma_table f.Source.path
-        (Extract.of_ml f.Source.content).Extract.pragmas)
-    ml_files;
-  let pragmas_for file =
-    Option.value ~default:[] (Hashtbl.find_opt pragma_table file)
-  in
-  let violations, suppressed = Rules.suppress ~pragmas_for all in
+  let violations, suppressed = Rules.suppress summaries all in
   { Rules.violations; suppressed }

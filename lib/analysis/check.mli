@@ -1,7 +1,7 @@
 (** otock-check orchestrator: parses every in-scope [.ml] file
     (kernel dirs) with compiler-libs and runs the {!Domain_safety} and
     {!Escape} dataflow analyses, folding findings into the same
-    {!Rules.result} shape — and pragma grammar — as the syntactic
+    {!Rules.result} shape — and pragma grammar — as the architecture
     linter, so {!Report}'s baseline ratchet applies unchanged.
 
     Rule ids emitted: [domain-safety], [allow-escape], and

@@ -1,5 +1,6 @@
-(* Module-reference graph: resolves the syntactic references Extract
-   found into edges between source files and otock libraries.
+(* Module-reference graph: resolves the paths and opens Ast_extract
+   found in each parsed file into edges between source files and otock
+   libraries.
 
    Resolution handles the three ways a foreign module gets named in this
    tree: fully qualified (`Tock_hw.Uart.write`), as a sibling inside the
@@ -20,7 +21,7 @@ type node = {
   node_path : string;
   node_lib : Taxonomy.library option;  (* owning library, if under lib/ *)
   node_category : Taxonomy.category option;
-  node_extract : Extract.t;
+  node_summary : Ast_extract.t;
   node_edges : edge list;
 }
 
@@ -52,7 +53,7 @@ let submodule_table files =
             (Taxonomy.library_of_path f.Source.path))
     files
 
-let resolve ~table ~own_lib ~(opens : Extract.open_decl list) mods member line =
+let resolve ~table ~own_lib ~(opens : Ast_extract.open_decl list) mods member line =
   let root = List.hd mods in
   let sub_of rest = match rest with [] -> None | s :: _ -> Some s in
   match Taxonomy.library_by_root_module root with
@@ -80,8 +81,8 @@ let resolve ~table ~own_lib ~(opens : Extract.open_decl list) mods member line =
             }
       | _ ->
           List.find_map
-            (fun (o : Extract.open_decl) ->
-              match o.Extract.open_modules with
+            (fun (o : Ast_extract.open_decl) ->
+              match o.Ast_extract.open_modules with
               | [ om ] -> (
                   match Taxonomy.library_by_root_module om with
                   | Some lib when in_lib lib.Taxonomy.lib_name ->
@@ -97,28 +98,28 @@ let resolve ~table ~own_lib ~(opens : Extract.open_decl list) mods member line =
               | _ -> None)
             opens)
 
-let edges_of_file ~table (f : Source.file) (ex : Extract.t) =
+let edges_of_file ~table (f : Source.file) (a : Ast_extract.t) =
   let own_lib = Taxonomy.library_of_path f.Source.path in
-  let opens = ex.Extract.opens in
-  let of_ref (r : Extract.reference) =
-    resolve ~table ~own_lib ~opens r.Extract.ref_modules r.Extract.ref_member
-      r.Extract.ref_line
+  let opens = a.Ast_extract.a_opens in
+  let of_ref (r : Ast_extract.reference) =
+    resolve ~table ~own_lib ~opens r.Ast_extract.ref_modules
+      r.Ast_extract.ref_member r.Ast_extract.ref_line
   in
   (* `open Tock_hw` (or `open Tock_hw.Uart`) is itself an edge. A
      scoped `let open M in` is not: its references are still resolved
      through it above, but the expression-local import is not the file
      declaring a wholesale dependency (the userland wholesale-open rule
      keys on exactly this distinction). *)
-  let of_open (o : Extract.open_decl) =
-    if o.Extract.open_scoped then None
+  let of_open (o : Ast_extract.open_decl) =
+    if o.Ast_extract.open_scoped then None
     else
-    match o.Extract.open_modules with
+    match o.Ast_extract.open_modules with
     | root :: rest -> (
         match Taxonomy.library_by_root_module root with
         | Some lib ->
             Some
               {
-                edge_line = o.Extract.open_line;
+                edge_line = o.Ast_extract.open_line;
                 edge_lib = lib;
                 edge_submodule = (match rest with [] -> None | s :: _ -> Some s);
                 edge_member = None;
@@ -127,8 +128,8 @@ let edges_of_file ~table (f : Source.file) (ex : Extract.t) =
         | None -> None)
     | [] -> None
   in
-  List.filter_map of_ref ex.Extract.refs
-  @ List.filter_map of_open ex.Extract.opens
+  List.filter_map of_ref a.Ast_extract.a_refs
+  @ List.filter_map of_open opens
 
 let build (files : Source.file list) =
   let table = submodule_table files in
@@ -138,14 +139,14 @@ let build (files : Source.file list) =
         match f.Source.kind with
         | Source.Dune -> None
         | _ ->
-            let ex = Extract.of_ml f.Source.content in
+            let a = Ast_extract.of_source ~path:f.Source.path f.Source.content in
             Some
               {
                 node_path = f.Source.path;
                 node_lib = Taxonomy.library_of_path f.Source.path;
                 node_category = Taxonomy.categorize f.Source.path;
-                node_extract = ex;
-                node_edges = edges_of_file ~table f ex;
+                node_summary = a;
+                node_edges = edges_of_file ~table f a;
               })
       files
   in

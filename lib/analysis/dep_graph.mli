@@ -1,6 +1,6 @@
-(** The module-reference graph: source files with their syntactic
-    extraction and resolved edges to otock libraries, plus the dune
-    stanza inventory. *)
+(** The module-reference graph: source files with their parsed
+    {!Ast_extract} summary and resolved edges to otock libraries, plus
+    the dune stanza inventory. *)
 
 type edge = {
   edge_line : int;
@@ -16,7 +16,7 @@ type node = {
   node_path : string;
   node_lib : Taxonomy.library option;
   node_category : Taxonomy.category option;
-  node_extract : Extract.t;
+  node_summary : Ast_extract.t;
   node_edges : edge list;
 }
 

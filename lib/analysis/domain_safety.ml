@@ -39,10 +39,14 @@ let build_universe (summaries : Ast_extract.t list) =
   let vertices = ref [] in
   let n = ref 0 in
   let by_key : (string, int) Hashtbl.t = Hashtbl.create 512 in
+  (* (file, last name component) -> vertex, for bare names defined
+     under a nested module of the same file *)
+  let by_last : (string * string, int) Hashtbl.t = Hashtbl.create 512 in
   (* key -> vertex; first registration wins so shadowing stays
-     deterministic (summaries arrive path-sorted) *)
-  let register key idx =
-    if not (Hashtbl.mem by_key key) then Hashtbl.add by_key key idx
+     deterministic (summaries arrive path-sorted, bindings in source
+     order) *)
+  let register tbl key idx =
+    if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key idx
   in
   List.iter
     (fun (a : Ast_extract.t) ->
@@ -60,19 +64,22 @@ let build_universe (summaries : Ast_extract.t list) =
             }
             :: !vertices;
           let qualified = modname ^ "." ^ b.Ast_extract.b_name in
-          register (a.Ast_extract.a_path ^ ":" ^ b.Ast_extract.b_name) idx;
-          register qualified idx;
+          register by_key (a.Ast_extract.a_path ^ ":" ^ b.Ast_extract.b_name) idx;
+          register by_key qualified idx;
           (match lib with
           | Some l ->
-              register (l.Taxonomy.lib_root_module ^ "." ^ qualified) idx
-          | None -> ()))
+              register by_key (l.Taxonomy.lib_root_module ^ "." ^ qualified) idx
+          | None -> ());
+          register by_last
+            (a.Ast_extract.a_path, last_component b.Ast_extract.b_name)
+            idx)
         a.Ast_extract.a_bindings)
     summaries;
-  (Array.of_list (List.rev !vertices), by_key)
+  (Array.of_list (List.rev !vertices), by_key, by_last)
 
 (* --- reference resolution --------------------------------------------- *)
 
-let resolve ~by_key ~(file : Ast_extract.t) (r : Ast_extract.value_ref) =
+let resolve ~by_key ~by_last ~(file : Ast_extract.t) (r : Ast_extract.value_ref) =
   let path = r.Ast_extract.r_path in
   let name = dotted path in
   let local key = Hashtbl.find_opt by_key (file.Ast_extract.a_path ^ ":" ^ key) in
@@ -90,7 +97,8 @@ let resolve ~by_key ~(file : Ast_extract.t) (r : Ast_extract.value_ref) =
         try_all
           (name
           :: List.map
-               (fun o -> dotted o ^ "." ^ name)
+               (fun (o : Ast_extract.open_decl) ->
+                 dotted o.Ast_extract.open_modules ^ "." ^ name)
                file.Ast_extract.a_opens)
       with
       | Some i -> Some i
@@ -98,17 +106,7 @@ let resolve ~by_key ~(file : Ast_extract.t) (r : Ast_extract.value_ref) =
           if List.length path = 1 then
             (* last resort: a bare name defined under a nested module of
                the same file *)
-            Hashtbl.fold
-              (fun k i acc ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                    if
-                      Taxonomy.starts_with (file.Ast_extract.a_path ^ ":") k
-                      && last_component k = name
-                    then Some i
-                    else None)
-              by_key None
+            Hashtbl.find_opt by_last (file.Ast_extract.a_path, name)
           else None)
 
 (* --- analysis --------------------------------------------------------- *)
@@ -121,7 +119,7 @@ let analyze ?(entry_files = Taxonomy.shard_entry_files)
         compare a.Ast_extract.a_path b.Ast_extract.a_path)
       summaries
   in
-  let vertices, by_key = build_universe summaries in
+  let vertices, by_key, by_last = build_universe summaries in
   let g = Dep_graph.Digraph.make (Array.length vertices) in
   (* first referencing site per vertex, for the finding message *)
   let ref_site = Array.make (Array.length vertices) None in
@@ -142,7 +140,7 @@ let analyze ?(entry_files = Taxonomy.shard_entry_files)
           | Some src ->
               List.iter
                 (fun (r : Ast_extract.value_ref) ->
-                  match resolve ~by_key ~file:a r with
+                  match resolve ~by_key ~by_last ~file:a r with
                   | Some dst when dst <> src ->
                       Dep_graph.Digraph.add_edge g src dst;
                       note_site dst ~src_file:a.Ast_extract.a_path
@@ -170,7 +168,7 @@ let analyze ?(entry_files = Taxonomy.shard_entry_files)
     (fun (a : Ast_extract.t) ->
       List.iter
         (fun (w : Ast_extract.value_ref) ->
-          match resolve ~by_key ~file:a w with
+          match resolve ~by_key ~by_last ~file:a w with
           | Some i -> Hashtbl.replace witnessed i ()
           | None -> ())
         a.Ast_extract.a_witnesses)

@@ -1,310 +1,7 @@
-(* Syntactic extraction from OCaml and dune sources.
-
-   This is a lexer, not a parser: it strips comments/strings with correct
-   line accounting and records (a) dotted module paths, (b) `open` /
-   `include` declarations, (c) attributes (for warning-suppression
-   scanning), and (d) `otock-lint:` allowlist pragmas found inside
-   comments. That is enough signal for architecture linting without
-   depending on compiler-libs. *)
-
-type reference = {
-  ref_modules : string list;  (* uppercase components, outermost first *)
-  ref_member : string option; (* trailing lowercase member, if any *)
-  ref_line : int;
-}
-
-type open_decl = {
-  open_modules : string list;
-  open_line : int;
-  open_scoped : bool;  (* `let open M in` — expression-scoped *)
-}
-
-type attribute = { attr_text : string; attr_line : int }
-
-type pragma = {
-  pragma_rule : string;
-  pragma_file_level : bool;
-  pragma_note : string;
-  pragma_line : int;
-}
-
-type t = {
-  refs : reference list;
-  opens : open_decl list;
-  attributes : attribute list;
-  pragmas : pragma list;
-}
-
-let is_upper c = c >= 'A' && c <= 'Z'
-let is_lower c = (c >= 'a' && c <= 'z') || c = '_'
-
-let is_ident_char c =
-  is_upper c || is_lower c || (c >= '0' && c <= '9') || c = '\''
-
-(* Parse `otock-lint: allow <rule> <note>` / `allow-file <rule> <note>`
-   out of a comment body. *)
-let pragmas_of_comment ~line text =
-  let key = "otock-lint:" in
-  let rec find i acc =
-    if i + String.length key > String.length text then List.rev acc
-    else if String.sub text i (String.length key) = key then (
-      let rest =
-        String.sub text
-          (i + String.length key)
-          (String.length text - i - String.length key)
-      in
-      let rest = String.trim rest in
-      let word s =
-        match String.index_opt s ' ' with
-        | Some j -> (String.sub s 0 j, String.trim (String.sub s j (String.length s - j)))
-        | None -> (s, "")
-      in
-      let verb, rest = word rest in
-      let p =
-        match verb with
-        | "allow" | "allow-file" ->
-            let rule, note = word rest in
-            (* Writers naturally separate rule from justification with a
-               dash; drop it from the note. *)
-            let note =
-              let drop p s =
-                if Taxonomy.starts_with p s then
-                  String.trim
-                    (String.sub s (String.length p)
-                       (String.length s - String.length p))
-                else s
-              in
-              drop "\xe2\x80\x94" (drop "--" (drop "- " note))
-            in
-            if rule = "" then None
-            else
-              Some
-                {
-                  pragma_rule = rule;
-                  pragma_file_level = verb = "allow-file";
-                  pragma_note = note;
-                  pragma_line = line;
-                }
-        | _ -> None
-      in
-      find (i + String.length key) (match p with Some p -> p :: acc | None -> acc))
-    else find (i + 1) acc
-  in
-  find 0 []
-
-let of_ml content =
-  let n = String.length content in
-  let refs = ref [] in
-  let opens = ref [] in
-  let attrs = ref [] in
-  let prags = ref [] in
-  let line = ref 1 in
-  let i = ref 0 in
-  let cur () = content.[!i] in
-  let bump () =
-    if cur () = '\n' then incr line;
-    incr i
-  in
-  (* Consume a string literal starting at the opening quote. *)
-  let skip_string () =
-    bump ();
-    let fin = ref false in
-    while (not !fin) && !i < n do
-      match cur () with
-      | '\\' ->
-          bump ();
-          if !i < n then bump ()
-      | '"' ->
-          bump ();
-          fin := true
-      | _ -> bump ()
-    done
-  in
-  (* {id|...|id} quoted string; [i] is on '{'. Returns false if this is
-     not actually a quoted-string opener. *)
-  let skip_quoted_string () =
-    let j = ref (!i + 1) in
-    while !j < n && (is_lower content.[!j] || content.[!j] = '_') do incr j done;
-    if !j < n && content.[!j] = '|' then (
-      let id = String.sub content (!i + 1) (!j - !i - 1) in
-      let close = "|" ^ id ^ "}" in
-      let cl = String.length close in
-      (* Step past the opening brace-id-pipe before searching for the
-         closer: scanning from the brace made a quoted string whose body
-         starts with a closing brace terminate one character early (the
-         opener's pipe plus that brace look like the closer), leaking
-         string bytes into the token stream. *)
-      for _ = 1 to String.length id + 2 do bump () done;
-      let fin = ref false in
-      while not !fin do
-        if !i + cl > n then (
-          i := n;
-          fin := true)
-        else if String.sub content !i cl = close then (
-          for _ = 1 to cl do bump () done;
-          fin := true)
-        else bump ()
-      done;
-      true)
-    else false
-  in
-  (* Comment starting at "(*": nested, newline-aware; body is scanned
-     for pragmas. *)
-  let skip_comment () =
-    let buf = Buffer.create 64 in
-    let depth = ref 0 in
-    let fin = ref false in
-    while (not !fin) && !i < n do
-      if !i + 1 < n && cur () = '(' && content.[!i + 1] = '*' then (
-        incr depth;
-        bump ();
-        bump ())
-      else if !i + 1 < n && cur () = '*' && content.[!i + 1] = ')' then (
-        decr depth;
-        bump ();
-        bump ();
-        if !depth = 0 then fin := true)
-      else (
-        Buffer.add_char buf (cur ());
-        bump ())
-    done;
-    (* Anchor pragmas to the comment's closing line so a multi-line
-       justification directly above the flagged code still covers it
-       (a line pragma suppresses its own line and the next). *)
-    prags := pragmas_of_comment ~line:!line (Buffer.contents buf) @ !prags
-  in
-  (* Attribute [@...]: capture bracketed text (strings handled). *)
-  let skip_attribute () =
-    let start_line = !line in
-    let buf = Buffer.create 32 in
-    let depth = ref 0 in
-    let fin = ref false in
-    while (not !fin) && !i < n do
-      match cur () with
-      | '[' ->
-          incr depth;
-          Buffer.add_char buf '[';
-          bump ()
-      | ']' ->
-          decr depth;
-          Buffer.add_char buf ']';
-          bump ();
-          if !depth = 0 then fin := true
-      | '"' ->
-          let s0 = !i in
-          skip_string ();
-          Buffer.add_string buf (String.sub content s0 (!i - s0))
-      | _ ->
-          Buffer.add_char buf (cur ());
-          bump ()
-    done;
-    attrs := { attr_text = Buffer.contents buf; attr_line = start_line } :: !attrs
-  in
-  let read_ident () =
-    let s = !i in
-    while !i < n && is_ident_char (cur ()) do bump () done;
-    String.sub content s (!i - s)
-  in
-  let skip_ws () =
-    while
-      !i < n && (cur () = ' ' || cur () = '\t' || cur () = '\n' || cur () = '\r')
-    do
-      bump ()
-    done
-  in
-  (* Dotted module path starting at an uppercase ident. *)
-  let read_module_path () =
-    let l0 = !line in
-    let rec loop mods =
-      let id = read_ident () in
-      let mods = mods @ [ id ] in
-      if !i < n && cur () = '.' && !i + 1 < n && is_upper content.[!i + 1] then (
-        bump ();
-        loop mods)
-      else if !i < n && cur () = '.' && !i + 1 < n && is_lower content.[!i + 1]
-      then (
-        bump ();
-        let m = read_ident () in
-        (mods, Some m, l0))
-      else (mods, None, l0)
-    in
-    loop []
-  in
-  (* True when the last identifier read was `let`: distinguishes the
-     expression-scoped `let open M in` from a structure-level `open M`.
-     Whitespace and comments between `let` and `open` keep the flag;
-     any other identifier clears it. *)
-  let prev_let = ref false in
-  while !i < n do
-    let c = cur () in
-    if !i + 1 < n && c = '(' && content.[!i + 1] = '*' then skip_comment ()
-    else if c = '"' then skip_string ()
-    else if c = '{' then if skip_quoted_string () then () else bump ()
-    else if !i + 1 < n && c = '[' && content.[!i + 1] = '@' then skip_attribute ()
-    else if c = '\'' then
-      (* Char literal or type variable. *)
-      if !i + 2 < n && content.[!i + 1] = '\\' then (
-        (* escaped char literal: skip to closing quote *)
-        bump ();
-        bump ();
-        while !i < n && cur () <> '\'' do bump () done;
-        if !i < n then bump ())
-      else if !i + 2 < n && content.[!i + 2] = '\'' then (
-        bump ();
-        bump ();
-        bump ())
-      else bump ()
-    else if is_upper c then (
-      prev_let := false;
-      let mods, member, l0 = read_module_path () in
-      if List.length mods > 1 || member <> None then
-        refs := { ref_modules = mods; ref_member = member; ref_line = l0 } :: !refs)
-    else if is_lower c then (
-      let kw_line = !line in
-      let kw = read_ident () in
-      let was_let = !prev_let in
-      prev_let := kw = "let";
-      (match kw with
-      | "print_string" | "print_endline" | "print_newline" | "print_char"
-      | "print_int" | "prerr_string" | "prerr_endline" | "prerr_newline" ->
-          (* Bare stdout/stderr writers: recorded as Stdlib references so
-             rules can police raw console output. "Stdlib" names no otock
-             library, so these never become dependency edges. *)
-          refs :=
-            { ref_modules = [ "Stdlib" ]; ref_member = Some kw;
-              ref_line = kw_line }
-            :: !refs
-      | _ -> ());
-      if kw = "open" || kw = "include" then (
-        let j = !i in
-        let saved_line = !line in
-        skip_ws ();
-        if !i < n && cur () = '!' then bump ();
-        skip_ws ();
-        if !i < n && is_upper (cur ()) then (
-          let mods, _member, l0 = read_module_path () in
-          opens :=
-            {
-              open_modules = mods;
-              open_line = l0;
-              open_scoped = was_let && kw = "open";
-            }
-            :: !opens)
-        else (
-          (* `include struct`, `open (val ...)`: rewind nothing, the
-             main loop continues from here. *)
-          i := j;
-          line := saved_line)))
-    else bump ()
-  done;
-  {
-    refs = List.rev !refs;
-    opens = List.rev !opens;
-    attributes = List.rev !attrs;
-    pragmas = List.rev !prags;
-  }
-
-(* --- dune files ------------------------------------------------------ *)
+(* Stanza extraction from dune files: a small s-expression reader with
+   line accounting, enough to recover each library/executable/test
+   stanza's names and declared [libraries]. OCaml sources go through
+   compiler-libs instead (Ast_extract). *)
 
 type sexp = Atom of string * int | List of sexp list * int
 

@@ -1,49 +1,5 @@
-(** Syntactic extraction of module references, opens, attributes and
-    allowlist pragmas from OCaml sources, and of stanzas from dune
-    files. Comment- and string-aware with exact line accounting. *)
-
-type reference = {
-  ref_modules : string list;
-      (** Uppercase path components, outermost first:
-          [Tock_crypto.Schnorr.keypair] gives
-          [\["Tock_crypto"; "Schnorr"\]]. *)
-  ref_member : string option;  (** Trailing lowercase member, if any. *)
-  ref_line : int;
-}
-
-type open_decl = {
-  open_modules : string list;
-  open_line : int;
-  open_scoped : bool;
-      (** [let open M in ...]: expression-scoped. Scoped opens still
-          resolve unqualified references, but are not themselves
-          wholesale-open edges (a [let open Tock in] inside one function
-          is not the file importing the kernel wholesale). *)
-}
-
-type attribute = { attr_text : string; attr_line : int }
-
-type pragma = {
-  pragma_rule : string;  (** Rule id, or ["*"] for all rules. *)
-  pragma_file_level : bool;
-      (** [allow-file] suppresses the rule for the whole file;
-          [allow] only for the pragma's line and the next. *)
-  pragma_note : string;  (** Justification text after the rule id. *)
-  pragma_line : int;
-}
-
-type t = {
-  refs : reference list;
-  opens : open_decl list;
-  attributes : attribute list;
-  pragmas : pragma list;
-}
-
-val of_ml : string -> t
-(** Lex an [.ml]/[.mli] source. Never raises on malformed input — this
-    runs over whatever is in the tree. *)
-
-val pragmas_of_comment : line:int -> string -> pragma list
+(** Stanzas of dune files, with line numbers, for the dune-level lint
+    rules. OCaml sources are read by {!Ast_extract}. *)
 
 type stanza = {
   stanza_kind : string;

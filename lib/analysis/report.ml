@@ -148,8 +148,9 @@ let text ?(tool = "otock-lint") ~(result : Rules.result) ~(d : diff) () =
         in
         let note =
           match sites with
-          | (_, (p : Extract.pragma)) :: _ when p.Extract.pragma_note <> "" ->
-              let n = p.Extract.pragma_note in
+          | (_, (p : Ast_extract.pragma)) :: _
+            when p.Ast_extract.pragma_note <> "" ->
+              let n = p.Ast_extract.pragma_note in
               let n =
                 match String.index_opt n '\n' with
                 | Some k -> String.sub n 0 k ^ " ..."

@@ -27,7 +27,7 @@ type violation = {
 
 type result = {
   violations : violation list;  (* not suppressed by a pragma *)
-  suppressed : (violation * Extract.pragma) list;
+  suppressed : (violation * Ast_extract.pragma) list;
 }
 
 let v rule file line fmt =
@@ -36,6 +36,8 @@ let v rule file line fmt =
     fmt
 
 let cat_of (n : Dep_graph.node) = n.Dep_graph.node_category
+
+let refs (n : Dep_graph.node) = n.Dep_graph.node_summary.Ast_extract.a_refs
 
 let edge_target_name (e : Dep_graph.edge) =
   let open Dep_graph in
@@ -136,15 +138,15 @@ let rule_mint_confinement (n : Dep_graph.node) =
   if mint_allowed n.Dep_graph.node_path then []
   else
     List.filter_map
-      (fun (r : Extract.reference) ->
-        if List.mem "Trusted_mint" r.Extract.ref_modules then
+      (fun (r : Ast_extract.reference) ->
+        if List.mem "Trusted_mint" r.Ast_extract.ref_modules then
           Some
-            (v "mint-confinement" n.Dep_graph.node_path r.Extract.ref_line
+            (v "mint-confinement" n.Dep_graph.node_path r.Ast_extract.ref_line
                "Trusted_mint referenced outside lib/boards and test/: \
                 capability tokens are forgeable from here (paper §4.4, \
                 Listing 1)")
         else None)
-      n.Dep_graph.node_extract.Extract.refs
+      (refs n)
 
 (* --- unsafe-analogue confinement -------------------------------------- *)
 
@@ -157,15 +159,15 @@ let rule_obj_magic (n : Dep_graph.node) =
   if trusted n then []
   else
     List.filter_map
-      (fun (r : Extract.reference) ->
-        if r.Extract.ref_modules = [ "Obj" ] then
+      (fun (r : Ast_extract.reference) ->
+        if r.Ast_extract.ref_modules = [ "Obj" ] then
           Some
-            (v "obj-magic" n.Dep_graph.node_path r.Extract.ref_line
+            (v "obj-magic" n.Dep_graph.node_path r.Ast_extract.ref_line
                "Obj.%s outside the trusted set: this is the unsafe-analogue \
                 and belongs in lib/hw or trusted lib/core only"
-               (Option.value ~default:"" r.Extract.ref_member))
+               (Option.value ~default:"" r.Ast_extract.ref_member))
         else None)
-      n.Dep_graph.node_extract.Extract.refs
+      (refs n)
 
 let suppression_attr text =
   (* [@warning "-..."], [@@@warning "-..."], [@ocaml.warning "-..."] *)
@@ -180,15 +182,16 @@ let rule_warning_suppression (n : Dep_graph.node) =
   if trusted n || tooling n then []
   else
     List.filter_map
-      (fun (a : Extract.attribute) ->
-        if suppression_attr a.Extract.attr_text then
+      (fun (a : Ast_extract.attribute) ->
+        if suppression_attr a.Ast_extract.attr_text then
           Some
-            (v "warning-suppression" n.Dep_graph.node_path a.Extract.attr_line
+            (v "warning-suppression" n.Dep_graph.node_path
+               a.Ast_extract.attr_line
                "warning suppression %s outside the trusted set hides exactly \
                 the diagnostics the Fig. 5 discipline depends on"
-               (String.trim a.Extract.attr_text))
+               (String.trim a.Ast_extract.attr_text))
         else None)
-      n.Dep_graph.node_extract.Extract.attributes
+      n.Dep_graph.node_summary.Ast_extract.a_attributes
 
 let rule_missing_mli (g : Dep_graph.t) =
   List.filter_map
@@ -210,16 +213,17 @@ let rule_subslice_escape (n : Dep_graph.node) =
   if trusted n || tooling n then []
   else
     List.filter_map
-      (fun (r : Extract.reference) ->
-        match (r.Extract.ref_modules, r.Extract.ref_member) with
+      (fun (r : Ast_extract.reference) ->
+        match (r.Ast_extract.ref_modules, r.Ast_extract.ref_member) with
         | mods, Some "underlying" when List.exists (( = ) "Subslice") mods ->
             Some
-              (v "subslice-escape" n.Dep_graph.node_path r.Extract.ref_line
+              (v "subslice-escape" n.Dep_graph.node_path
+                 r.Ast_extract.ref_line
                  "Subslice.underlying exposes the raw buffer behind the \
                   window; outside trusted DMA models use the checked \
                   window API (paper §4.2)")
         | _ -> None)
-      n.Dep_graph.node_extract.Extract.refs
+      (refs n)
 
 (* A capsule reaching for [Bytes.sub]/[Bytes.copy] is copying payload the
    allow-window discipline says it should window in place: the zero-copy
@@ -231,18 +235,18 @@ let rule_capsule_byte_copy (n : Dep_graph.node) =
   match cat_of n with
   | Some Taxonomy.Capsule ->
       List.filter_map
-        (fun (r : Extract.reference) ->
-          match (r.Extract.ref_modules, r.Extract.ref_member) with
+        (fun (r : Ast_extract.reference) ->
+          match (r.Ast_extract.ref_modules, r.Ast_extract.ref_member) with
           | [ "Bytes" ], Some (("sub" | "copy") as m) ->
               Some
                 (v "capsule-byte-copy" n.Dep_graph.node_path
-                   r.Extract.ref_line
+                   r.Ast_extract.ref_line
                    "Bytes.%s in a capsule: data-plane code operates on \
                     allow windows in place (Subslice); justify deliberate \
                     copies with a pragma"
                    m)
           | _ -> None)
-        n.Dep_graph.node_extract.Extract.refs
+        (refs n)
   | _ -> []
 
 (* A kernel or capsule module writing straight to the host's stdout is
@@ -253,28 +257,24 @@ let rule_capsule_byte_copy (n : Dep_graph.node) =
    deliberate cases carry a pragma. *)
 let raw_print_members = [ "printf"; "eprintf" ]
 
-let bare_print_idents =
-  [
-    "print_string"; "print_endline"; "print_newline"; "print_char";
-    "print_int"; "prerr_string"; "prerr_endline"; "prerr_newline";
-  ]
-
 let rule_capsule_raw_print (n : Dep_graph.node) =
   match cat_of n with
   | Some (Taxonomy.Core | Taxonomy.Capsule)
     when Taxonomy.module_base n.Dep_graph.node_path <> "debug_writer" ->
       List.filter_map
-        (fun (r : Extract.reference) ->
+        (fun (r : Ast_extract.reference) ->
           let flag what =
             Some
-              (v "capsule-raw-print" n.Dep_graph.node_path r.Extract.ref_line
+              (v "capsule-raw-print" n.Dep_graph.node_path
+                 r.Ast_extract.ref_line
                  "%s writes to the host console from kernel/capsule code; \
                   route debug output through Debug_writer or the Tock_obs \
                   trace (pragma deliberate cases)"
                  what)
           in
-          match (r.Extract.ref_modules, r.Extract.ref_member) with
-          | [ "Stdlib" ], Some m when List.mem m bare_print_idents -> flag m
+          match (r.Ast_extract.ref_modules, r.Ast_extract.ref_member) with
+          | [ "Stdlib" ], Some m when List.mem m Ast_extract.console_writers ->
+              flag m
           | mods, Some m
             when mods <> []
                  && List.mem (List.nth mods (List.length mods - 1))
@@ -283,21 +283,21 @@ let rule_capsule_raw_print (n : Dep_graph.node) =
               flag
                 (List.nth mods (List.length mods - 1) ^ "." ^ m)
           | _ -> None)
-        n.Dep_graph.node_extract.Extract.refs
+        (refs n)
   | _ -> []
 
 (* --- Take_cell discipline --------------------------------------------- *)
 
-let take_cell_ref member (r : Extract.reference) =
-  (match r.Extract.ref_modules with
+let take_cell_ref member (r : Ast_extract.reference) =
+  (match r.Ast_extract.ref_modules with
   | [] -> false
   | mods -> List.nth mods (List.length mods - 1) = "Take_cell")
-  && r.Extract.ref_member = Some member
+  && r.Ast_extract.ref_member = Some member
 
 let rule_take_without_restore (n : Dep_graph.node) =
   if tooling n then []
   else
-    let refs = n.Dep_graph.node_extract.Extract.refs in
+    let refs = refs n in
     let takes = List.filter (take_cell_ref "take") refs in
     let restores =
       List.exists (take_cell_ref "put") refs
@@ -306,8 +306,8 @@ let rule_take_without_restore (n : Dep_graph.node) =
     if takes = [] || restores then []
     else
       List.map
-        (fun (r : Extract.reference) ->
-          v "take-without-restore" n.Dep_graph.node_path r.Extract.ref_line
+        (fun (r : Ast_extract.reference) ->
+          v "take-without-restore" n.Dep_graph.node_path r.Ast_extract.ref_line
             "Take_cell.take with no put/replace anywhere in this file: the \
              buffer can be lost on every path (use Take_cell.map, or \
              restore explicitly)")
@@ -319,89 +319,44 @@ let rule_take_without_restore (n : Dep_graph.node) =
    prefix: fleet scheduler metrics and per-board kernel metrics meet in
    one merged snapshot (Fleet.fr_metrics), and a bare name registered
    from lib/fleet would collide with — or shadow — a board-side series.
-   Registration is a call like [Metrics.counter reg "fleet.sched.x"];
-   the name literal sits on the same line or, when formatted long, the
-   next one. Content-level scan (the extractor drops string literals),
-   with the usual pragma escape for deliberate exceptions. *)
+   Registration is a call like [Metrics.counter reg "fleet.sched.x"]:
+   the rule checks the call's first string-literal argument, with the
+   usual pragma escape for deliberate exceptions. *)
+let rule_fleet_metric_namespace (n : Dep_graph.node) =
+  let p = n.Dep_graph.node_path in
+  if not (Taxonomy.starts_with "lib/fleet/" p && Filename.check_suffix p ".ml")
+  then []
+  else
+    List.filter_map
+      (fun (r : Ast_extract.reference) ->
+        match
+          ( List.rev r.Ast_extract.ref_modules,
+            r.Ast_extract.ref_member,
+            r.Ast_extract.ref_literal )
+        with
+        | "Metrics" :: _, Some ("counter" | "gauge" | "histogram"), Some name
+          when not (Taxonomy.starts_with "fleet." name) ->
+            Some
+              (v "fleet-metric-namespace" p r.Ast_extract.ref_line
+                 "fleet code registers metric %S outside the fleet.* \
+                  namespace; fleet and per-board series share one merged \
+                  snapshot, so bare names collide"
+                 name)
+        | _ -> None)
+      (refs n)
 
-let registration_calls =
-  [ "Metrics.counter"; "Metrics.gauge"; "Metrics.histogram" ]
+(* --- unparsable files --------------------------------------------------- *)
 
-let find_from text pos sub =
-  let ls = String.length sub and lt = String.length text in
-  let rec go i =
-    if i + ls > lt then None
-    else if String.sub text i ls = sub then Some i
-    else go (i + 1)
-  in
-  go pos
-
-let string_literal_after line pos =
-  match String.index_from_opt line pos '"' with
-  | None -> None
-  | Some q -> (
-      match String.index_from_opt line (q + 1) '"' with
-      | None -> None
-      | Some e -> Some (String.sub line (q + 1) (e - q - 1)))
-
-let ident_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_' || c = '\''
-
-let rule_fleet_metric_namespace (files : Source.file list) =
-  List.concat_map
-    (fun (f : Source.file) ->
-      if
-        not
-          (Taxonomy.starts_with "lib/fleet/" f.Source.path
-          && f.Source.kind = Source.Ml)
-      then []
-      else
-        let lines = Array.of_list (String.split_on_char '\n' f.Source.content) in
-        let viols = ref [] in
-        Array.iteri
-          (fun i line ->
-            List.iter
-              (fun call ->
-                let rec scan pos =
-                  match find_from line pos call with
-                  | None -> ()
-                  | Some p ->
-                      let after = p + String.length call in
-                      (* skip partial-identifier matches (counter_value) *)
-                      if after < String.length line && ident_char line.[after]
-                      then scan after
-                      else begin
-                        let lit =
-                          match string_literal_after line after with
-                          | Some l -> Some l
-                          | None ->
-                              if i + 1 < Array.length lines then
-                                string_literal_after lines.(i + 1) 0
-                              else None
-                        in
-                        (match lit with
-                        | Some name
-                          when not (Taxonomy.starts_with "fleet." name) ->
-                            viols :=
-                              v "fleet-metric-namespace" f.Source.path (i + 1)
-                                "fleet code registers metric %S outside the \
-                                 fleet.* namespace; fleet and per-board \
-                                 series share one merged snapshot, so bare \
-                                 names collide"
-                                name
-                              :: !viols
-                        | _ -> ());
-                        scan after
-                      end
-                in
-                scan 0)
-              registration_calls)
-          lines;
-        List.rev !viols)
-    files
+(* A file compiler-libs rejects contributes no references, so every
+   rule above would pass it silently: report it instead. *)
+let rule_lint_parse (n : Dep_graph.node) =
+  if n.Dep_graph.node_summary.Ast_extract.a_parsed then []
+  else
+    [
+      v "lint-parse" n.Dep_graph.node_path 1
+        "file does not parse with compiler-libs: otock-lint cannot analyze \
+         it, so its findings are unknown";
+    ]
 
 (* --- dune-level rules -------------------------------------------------- *)
 
@@ -504,18 +459,27 @@ let all_rule_ids =
     "mint-confinement"; "obj-magic"; "warning-suppression"; "missing-mli";
     "subslice-escape"; "capsule-byte-copy"; "capsule-raw-print";
     "take-without-restore"; "fleet-metric-namespace"; "dune-layering";
-    "unused-lib-dep"; "undeclared-dep";
+    "unused-lib-dep"; "undeclared-dep"; "lint-parse";
   ]
 
 (* Shared with otock-check: one pragma grammar, one matching rule. *)
-let suppress ~pragmas_for violations =
+let suppress (summaries : Ast_extract.t list) violations =
+  let pragmas_for file =
+    match
+      List.find_opt (fun (a : Ast_extract.t) -> a.Ast_extract.a_path = file)
+        summaries
+    with
+    | Some a -> a.Ast_extract.a_pragmas
+    | None -> []
+  in
   let matching viol =
     List.find_opt
-      (fun (p : Extract.pragma) ->
-        (p.Extract.pragma_rule = viol.v_rule || p.Extract.pragma_rule = "*")
-        && (p.Extract.pragma_file_level
-           || viol.v_line = p.Extract.pragma_line
-           || viol.v_line = p.Extract.pragma_line + 1))
+      (fun (p : Ast_extract.pragma) ->
+        (p.Ast_extract.pragma_rule = viol.v_rule
+        || p.Ast_extract.pragma_rule = "*")
+        && (p.Ast_extract.pragma_file_level
+           || viol.v_line = p.Ast_extract.pragma_line
+           || viol.v_line = p.Ast_extract.pragma_line + 1))
       (pragmas_for viol.v_file)
   in
   List.partition_map
@@ -524,17 +488,6 @@ let suppress ~pragmas_for violations =
       | None -> Left viol
       | Some p -> Right (viol, p))
     violations
-
-let apply_pragmas (g : Dep_graph.t) violations =
-  let pragmas_for file =
-    match
-      List.find_opt (fun (n : Dep_graph.node) -> n.Dep_graph.node_path = file)
-        g.Dep_graph.nodes
-    with
-    | Some n -> n.Dep_graph.node_extract.Extract.pragmas
-    | None -> []
-  in
-  suppress ~pragmas_for violations
 
 let run (files : Source.file list) =
   let g = Dep_graph.build files in
@@ -545,7 +498,8 @@ let run (files : Source.file list) =
         @ rule_crypto_confinement n @ rule_mint_confinement n
         @ rule_obj_magic n @ rule_warning_suppression n
         @ rule_subslice_escape n @ rule_capsule_byte_copy n
-        @ rule_capsule_raw_print n @ rule_take_without_restore n)
+        @ rule_capsule_raw_print n @ rule_take_without_restore n
+        @ rule_fleet_metric_namespace n @ rule_lint_parse n)
       g.Dep_graph.nodes
   in
   let per_stanza =
@@ -558,10 +512,7 @@ let run (files : Source.file list) =
       (List.map (fun d -> d.Dep_graph.dune_dir) g.Dep_graph.stanzas)
   in
   let per_dir = List.concat_map (rule_undeclared_dep g) dirs in
-  let all =
-    per_node @ per_stanza @ per_dir @ rule_missing_mli g
-    @ rule_fleet_metric_namespace files
-  in
+  let all = per_node @ per_stanza @ per_dir @ rule_missing_mli g in
   let sorted =
     List.sort
       (fun a b ->
@@ -573,5 +524,10 @@ let run (files : Source.file list) =
         | c -> c)
       all
   in
-  let violations, suppressed = apply_pragmas g sorted in
+  let violations, suppressed =
+    suppress
+      (List.map (fun (n : Dep_graph.node) -> n.Dep_graph.node_summary)
+         g.Dep_graph.nodes)
+      sorted
+  in
   { violations; suppressed }

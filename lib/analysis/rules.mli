@@ -12,7 +12,7 @@ type violation = {
 
 type result = {
   violations : violation list;  (** Not suppressed by any pragma. *)
-  suppressed : (violation * Extract.pragma) list;
+  suppressed : (violation * Ast_extract.pragma) list;
       (** Allowlisted in-source, with the justifying pragma. *)
 }
 
@@ -21,10 +21,11 @@ val all_rule_ids : string list
 val run : Source.file list -> result
 
 val suppress :
-  pragmas_for:(string -> Extract.pragma list) ->
+  Ast_extract.t list ->
   violation list ->
-  violation list * (violation * Extract.pragma) list
-(** Partition violations by the shared pragma-matching rule
-    ([allow] covers its own line and the next, [allow-file] the whole
-    file, rule id ["*"] every rule). Used by both the syntactic linter
-    and otock-check so one grammar governs both tools. *)
+  violation list * (violation * Ast_extract.pragma) list
+(** Partition violations by the pragmas of the summary for their file,
+    with the shared matching rule ([allow] covers its own line and the
+    next, [allow-file] the whole file, rule id ["*"] every rule). Used
+    by both the architecture linter and otock-check so one grammar
+    governs both tools. *)

@@ -121,9 +121,9 @@ let scan_dirs =
    domain-safety analysis computes reachability from here. *)
 let shard_entry_files = [ "lib/fleet/fleet.ml" ]
 
-(* Rule ids otock-check (the AST-level pass) can emit, disjoint from
-   the syntactic linter's so one pragma never silences the other tool
-   by accident. *)
+(* Rule ids otock-check (the dataflow pass) can emit, disjoint from
+   the architecture linter's so one pragma never silences the other
+   tool by accident. *)
 let check_rule_ids = [ "domain-safety"; "allow-escape"; "check-parse" ]
 
 (* Layering matrix (paper Fig. 2, §4.1): which otock library may depend

@@ -5,8 +5,9 @@
 
 module Taxonomy = Tock_analysis.Taxonomy
 module Source = Tock_analysis.Source
-module Extract = Tock_analysis.Extract
+module Ast_extract = Tock_analysis.Ast_extract
 module Rules = Tock_analysis.Rules
+module Check = Tock_analysis.Check
 module Report = Tock_analysis.Report
 
 let file path content = Source.file ~path ~content
@@ -50,6 +51,22 @@ let test_layering_breach () =
   Alcotest.(check int) "qualified ref flagged" 1
     (count_rule "capsule-layering" files);
   Alcotest.(check int) "dune dep flagged" 1 (count_rule "dune-layering" files);
+  (* The same breach behind a local open, and after a comment quoting
+     the comment opener: neither may hide the reference. *)
+  let capsule body =
+    core_fixture
+    @ [
+        file "lib/capsules/bad.ml" body;
+        file "lib/capsules/bad.mli" "val go : unit -> unit\n";
+      ]
+  in
+  Alcotest.(check int) "local open flagged" 1
+    (count_rule "capsule-layering"
+       (capsule "let go () = Tock_hw.(Uart.write ())\n"));
+  Alcotest.(check int) "ref after a quoted comment opener flagged" 1
+    (count_rule "capsule-layering"
+       (capsule
+          "(* the opener is \"(*\" *)\nlet go () = Tock_hw.Uart.write ()\n"));
   (* The same capsule going through the HIL is clean. *)
   let ok =
     core_fixture
@@ -308,7 +325,7 @@ let test_pragma_allowlist () =
   (match r.Rules.suppressed with
   | [ (_, p) ] ->
       Alcotest.(check string) "justification kept"
-        "timing calibration needs the raw counter" p.Extract.pragma_note
+        "timing calibration needs the raw counter" p.Ast_extract.pragma_note
   | _ -> Alcotest.fail "expected exactly one suppression");
   (* dune deps cannot be pragma'd away *)
   Alcotest.(check int) "dune dep still flagged" 1
@@ -329,19 +346,26 @@ let test_comment_and_string_blindness () =
     (rules_of files)
 
 let test_scoped_open () =
-  (* `let open M in` is expression-scoped: it still resolves the
-     references under it, but it is not the file importing M wholesale.
-     Regression: the lexer used to record it as a file-wide open, so a
-     single scoped convenience open tripped the wholesale-open rules. *)
-  let e = Extract.of_ml "let f () =\n  let open Tock in\n  Syscall.yield ()\n" in
-  (match e.Extract.opens with
+  (* `let open M in` and `M.(...)` are expression-scoped: they still
+     resolve the references under them, but are not the file importing M
+     wholesale, so a scoped convenience open must not trip the
+     wholesale-open rules. *)
+  let opens src =
+    (Ast_extract.of_source ~path:"lib/userland/u.ml" src).Ast_extract.a_opens
+  in
+  (match opens "let f () =\n  let open Tock in\n  Syscall.yield ()\n" with
   | [ o ] ->
-      Alcotest.(check bool) "marked scoped" true o.Extract.open_scoped;
-      Alcotest.(check int) "on its line" 2 o.Extract.open_line
+      Alcotest.(check bool) "marked scoped" true o.Ast_extract.open_scoped;
+      Alcotest.(check int) "on its line" 2 o.Ast_extract.open_line
   | os -> Alcotest.failf "expected one open, got %d" (List.length os));
-  let e2 = Extract.of_ml "open Tock\nlet f () = Syscall.yield ()\n" in
-  (match e2.Extract.opens with
-  | [ o ] -> Alcotest.(check bool) "toplevel is not scoped" false o.Extract.open_scoped
+  (match opens "let f () = Tock.(Syscall.yield ())\n" with
+  | [ o ] ->
+      Alcotest.(check bool) "local open is scoped" true o.Ast_extract.open_scoped
+  | os -> Alcotest.failf "expected one open, got %d" (List.length os));
+  (match opens "open Tock\nlet f () = Syscall.yield ()\n" with
+  | [ o ] ->
+      Alcotest.(check bool) "toplevel is not scoped" false
+        o.Ast_extract.open_scoped
   | os -> Alcotest.failf "expected one open, got %d" (List.length os));
   (* through the rules: a scoped open of Tock inside userland code is
      not a wholesale import, a toplevel one still is *)
@@ -360,11 +384,113 @@ let test_scoped_open () =
     (count_rule "userland-kernel-internals"
        (with_open "open Tock\n\nlet f () = Syscall.yield ()\n"))
 
+(* Every position a path can be written in reaches the summary. With an
+   empty baseline a lost reference only means fewer violations, so this
+   pins what the front end extracts. *)
+let test_extraction_coverage () =
+  let show (a : Ast_extract.t) =
+    List.map
+      (fun (r : Ast_extract.reference) ->
+        Printf.sprintf "%d ref %s%s%s" r.Ast_extract.ref_line
+          (String.concat "." r.Ast_extract.ref_modules)
+          (match r.Ast_extract.ref_member with Some m -> "." ^ m | None -> "")
+          (match r.Ast_extract.ref_literal with
+          | Some l -> Printf.sprintf " %S" l
+          | None -> ""))
+      a.Ast_extract.a_refs
+    @ List.map
+        (fun (o : Ast_extract.open_decl) ->
+          Printf.sprintf "%d open %s%s" o.Ast_extract.open_line
+            (String.concat "." o.Ast_extract.open_modules)
+            (if o.Ast_extract.open_scoped then " scoped" else ""))
+        a.Ast_extract.a_opens
+    @ List.map
+        (fun (at : Ast_extract.attribute) ->
+          Printf.sprintf "%d attr %s" at.Ast_extract.attr_line
+            at.Ast_extract.attr_text)
+        a.Ast_extract.a_attributes
+    @ List.map
+        (fun (p : Ast_extract.pragma) ->
+          Printf.sprintf "%d pragma %s" p.Ast_extract.pragma_line
+            p.Ast_extract.pragma_rule)
+        a.Ast_extract.a_pragmas
+  in
+  let ml =
+    Ast_extract.of_source ~path:"lib/capsules/cover.ml"
+      "open A.Opened\n\
+       include B.Included\n\
+       module C = C1.Alias (C2.Arg)\n\
+       module type S = D.Sig\n\
+       type t = E.ty\n\
+       let v = F.value\n\
+       let c = G.Ctor\n\
+       let f r = r.H.field\n\
+       let p { I.punned } = punned\n\
+       let l = let open J.Local in x\n\
+       let m = K.(y)\n\
+       let a = 1 [@warning \"-32\"]\n\
+       let r = L.register reg \"name\"\n\
+       (** otock-lint: allow rule-x doc pragma *)\n\
+       let d = a.(0)\n\
+       exception E = V.Exn\n\
+       type W.ext += X\n\
+       module type S2 = X.S with module M = Y.Impl\n\
+       let o = new N.cls\n\
+       let pv = function #Pv.t -> 0\n"
+  in
+  Alcotest.(check (list string))
+    ".ml: every position, no desugared Array.get"
+    [
+      "3 ref C1.Alias"; "3 ref C2.Arg"; "4 ref D.Sig"; "5 ref E.ty";
+      "6 ref F.value"; "7 ref G.Ctor"; "8 ref H.field"; "9 ref I.punned";
+      "10 ref J.Local"; "13 ref L.register \"name\""; "16 ref V.Exn";
+      "17 ref W.ext"; "18 ref X.S"; "18 ref Y.Impl"; "19 ref N.cls";
+      "20 ref Pv.t"; "1 open A.Opened";
+      "2 open B.Included"; "10 open J.Local scoped"; "11 open K scoped";
+      "12 attr [@warning \"-32\"]"; "14 pragma rule-x";
+    ]
+    (show ml);
+  let mli =
+    Ast_extract.of_source ~path:"lib/capsules/cover.mli"
+      "open M.Opened\n\
+       include N.Sig\n\
+       type u = O.ty\n\
+       val v : P.t -> unit\n\
+       module Q : R.Sig\n\
+       module S = T.Alias\n\
+       (** otock-lint: allow rule-y doc pragma *)\n\
+       val w : int [@@warning \"-32\"]\n\
+       module Z := Q.Sub\n\
+       val pk : (module U.Sig)\n\
+       val ob : #Cl.ct\n"
+  in
+  Alcotest.(check (list string))
+    ".mli: every position"
+    [
+      "3 ref O.ty"; "4 ref P.t"; "5 ref R.Sig"; "6 ref T.Alias";
+      "9 ref Q.Sub"; "10 ref U.Sig"; "11 ref Cl.ct";
+      "1 open M.Opened"; "2 open N.Sig"; "8 attr [@@warning \"-32\"]";
+      "7 pragma rule-y";
+    ]
+    (show mli)
+
+let test_lint_parse () =
+  (* A file the parser rejects yields no references, so every rule
+     would pass it: the gate reports the file itself instead. *)
+  let files =
+    core_fixture
+    @ [
+        file "lib/capsules/broken.ml" "let f () = Tock_hw.Uart.write (\n";
+        file "lib/capsules/broken.mli" "val f : unit -> unit\n";
+      ]
+  in
+  Alcotest.(check (list string)) "one lint-parse finding" [ "lint-parse" ]
+    (rules_of files)
+
 let test_quoted_string_blindness () =
-  (* Quoted strings are opaque too — including the off-by-one the lexer
-     used to have when the body starts with `}`: the opener's pipe plus
-     that brace looked like the closer, leaking the body into the token
-     stream. *)
+  (* Quoted strings are opaque too, including one whose body starts
+     with `}` (the opener's pipe plus that brace must not read as the
+     closer). *)
   let files =
     core_fixture
     @ [
@@ -484,6 +610,56 @@ let test_live_repo_gate_trips () =
   Alcotest.(check bool) "forged mint trips the gate" true
     (List.mem "mint-confinement" new_rules)
 
+let test_no_stale_pragmas () =
+  (* Every pragma naming a rule must still suppress a finding of that
+     rule's pass: an allowlist entry whose violation is gone is a hole
+     waiting for the next one. *)
+  let root = live_root () in
+  let files = Source.scan ~root in
+  let pragmas =
+    List.concat_map
+      (fun (f : Source.file) ->
+        if f.Source.kind = Source.Dune then []
+        else
+          List.map
+            (fun p -> (f.Source.path, p))
+            (Ast_extract.of_source ~path:f.Source.path f.Source.content)
+              .Ast_extract.a_pragmas)
+      files
+  in
+  let stale ids (r : Rules.result) =
+    List.filter_map
+      (fun (file, (p : Ast_extract.pragma)) ->
+        if
+          List.mem p.Ast_extract.pragma_rule ids
+          && not
+               (List.exists
+                  (fun ((v : Rules.violation), q) ->
+                    v.Rules.v_file = file && q = p)
+                  r.Rules.suppressed)
+        then
+          Some
+            (Printf.sprintf "%s:%d allow %s" file p.Ast_extract.pragma_line
+               p.Ast_extract.pragma_rule)
+        else None)
+      pragmas
+  in
+  let named ids =
+    List.exists
+      (fun (_, (p : Ast_extract.pragma)) ->
+        List.mem p.Ast_extract.pragma_rule ids)
+      pragmas
+  in
+  Alcotest.(check bool) "the tree has lint and check pragmas" true
+    (named Rules.all_rule_ids && named Taxonomy.check_rule_ids);
+  Alcotest.(check (list string)) "every lint pragma suppresses a finding" []
+    (stale Rules.all_rule_ids (Rules.run files));
+  Alcotest.(check (list string)) "every check pragma suppresses a finding" []
+    (stale Taxonomy.check_rule_ids (Check.run files));
+  Alcotest.(check (list string)) "lint and check rule ids are disjoint" []
+    (List.filter (fun id -> List.mem id Taxonomy.check_rule_ids)
+       Rules.all_rule_ids)
+
 let test_fleet_metric_namespace () =
   (* Fleet code registering a metric outside fleet.* is flagged — the
      name literal may sit on the registration line or wrap to the next.
@@ -502,6 +678,24 @@ let test_fleet_metric_namespace () =
   in
   Alcotest.(check int) "bare names flagged (same + next line)" 2
     (count_rule "fleet-metric-namespace" bad);
+  (* The name is the call's string argument wherever it sits; mentions
+     in comments and strings are not registrations. *)
+  let fleet body =
+    core_fixture
+    @ [
+        file "lib/fleet/sched.ml" body;
+        file "lib/fleet/sched.mli" "val x : int\n";
+      ]
+  in
+  Alcotest.(check int) "literal two lines below the call flagged" 1
+    (count_rule "fleet-metric-namespace"
+       (fleet "let g =\n  Tock_obs.Metrics.gauge\n    reg\n    \"boards_live\"\n"));
+  Alcotest.(check int) "comment mention not flagged" 0
+    (count_rule "fleet-metric-namespace"
+       (fleet "(* Metrics.counter reg \"bare\" *)\nlet x = 1\n"));
+  Alcotest.(check int) "string mention not flagged" 0
+    (count_rule "fleet-metric-namespace"
+       (fleet "let x = {|Metrics.counter reg \"bare\"|}\n"));
   let pragmad =
     core_fixture
     @ [
@@ -557,6 +751,8 @@ let suite =
     Alcotest.test_case "comment/string blindness" `Quick
       test_comment_and_string_blindness;
     Alcotest.test_case "scoped open" `Quick test_scoped_open;
+    Alcotest.test_case "extraction coverage" `Quick test_extraction_coverage;
+    Alcotest.test_case "lint parse failure" `Quick test_lint_parse;
     Alcotest.test_case "quoted-string blindness" `Quick
       test_quoted_string_blindness;
     Alcotest.test_case "baseline ratchet" `Quick test_baseline_ratchet;
@@ -564,6 +760,7 @@ let suite =
       test_live_repo_matches_baseline;
     Alcotest.test_case "gate trips on injection" `Quick
       test_live_repo_gate_trips;
+    Alcotest.test_case "no stale pragmas" `Quick test_no_stale_pragmas;
     Alcotest.test_case "fleet metric namespace" `Quick
       test_fleet_metric_namespace;
     Alcotest.test_case "taxonomy shared with fig5" `Quick
