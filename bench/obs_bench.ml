@@ -11,6 +11,10 @@
    - the disabled-mode Trace.emit is truly free: zero minor-heap words
      per call (asserted in every mode), and in full mode both under a
      4.50 ns/op backstop and under 0.60x the enabled record cost;
+   - retiring a board allocates only its packed blob: packed_of on a
+     warm registry stays within the blob's words + 8, and
+     Accum.add_packed / Rollup.add_packed of an image whose schema was
+     seen before allocate nothing (asserted in every mode);
    - a 10k-board fleet with health rollups on keeps >= 90% of the
      no-rollup throughput (full mode; smoke folds a tiny fleet);
    - a board workload's syscall-class and IRQ dispatch latency
@@ -168,6 +172,60 @@ let assert_emit_disabled_allocfree () =
   if words > 0.0 then
     failwith "obs: disabled Trace.emit allocated on the minor heap"
 
+(* ---- retiring a board: pack, merge and roll up without allocating ---- *)
+
+(* A warm registry (its layout already sealed) packs into the blob and
+   its record alone; an image whose schema the accumulator or the
+   rollup cohort has seen before adds with no allocation at all.
+   Host-independent, so asserted in smoke mode too. Returns the words
+   per call of packed_of, its blob's words, then the words per call of
+   Accum.add_packed and Rollup.add_packed. *)
+let assert_retire_allocs () =
+  let sim = Tock_hw.Sim.create ~trace_capacity:0 () in
+  let board = Tock_boards.Board.build (Tock_hw.Chip.sam4l_like sim) in
+  ignore
+    (Tock_boards.Board.add_app board ~name:"counter"
+       (Tock_userland.Apps.counter ~n:8 ~period_ticks:200));
+  ignore
+    (Tock_boards.Board.add_app board ~name:"blink"
+       (Tock_userland.Apps.blink ~led:0 ~period_ticks:150 ~blinks:8));
+  ignore
+    (Tock_boards.Board.run_until board ~max_cycles:400_000 (fun () ->
+         Tock_boards.Board.all_processes_done board));
+  let reg = Tock.Kernel.metrics board.Tock_boards.Board.kernel in
+  let p = Metrics.packed_of reg in
+  let blob_words = String.length p.Metrics.p_blob / 8 in
+  let calls = 1_000 in
+  let words_per_call f =
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let pack_words =
+    words_per_call (fun () -> ignore (Sys.opaque_identity (Metrics.packed_of reg)))
+  in
+  let acc = Metrics.Accum.create () in
+  Metrics.Accum.add_packed acc p;
+  let accum_words = words_per_call (fun () -> Metrics.Accum.add_packed acc p) in
+  let roll = Tock_obs.Rollup.create ~cohorts:1 in
+  Tock_obs.Rollup.add_packed roll ~cohort:0 p;
+  let rollup_words =
+    words_per_call (fun () -> Tock_obs.Rollup.add_packed roll ~cohort:0 p)
+  in
+  Printf.printf
+    "   retire allocation: packed_of %.0f words (blob %d, gate <= %d), \
+     Accum.add_packed %.0f, Rollup.add_packed %.0f (gates 0)\n"
+    pack_words blob_words (blob_words + 8) accum_words rollup_words;
+  if pack_words > float_of_int (blob_words + 8) then
+    failwith "obs: packed_of on a warm registry allocated beyond its blob";
+  if accum_words > 0.0 then
+    failwith "obs: Accum.add_packed with a seen schema allocated";
+  if rollup_words > 0.0 then
+    failwith "obs: Rollup.add_packed with a seen schema allocated";
+  (pack_words, blob_words, accum_words, rollup_words)
+
 (* ---- fleet health rollups: throughput tax of folding every retiring
    board's packed metrics into cross-board distributions ---- *)
 
@@ -229,6 +287,9 @@ let run_mode ~scale ~assert_ratios ~write () =
 
   (* -- disabled-mode emit: allocation-free, and gated -- *)
   assert_emit_disabled_allocfree ();
+  let pack_words, blob_words, accum_words, rollup_words =
+    assert_retire_allocs ()
+  in
   let sample name =
     match List.find_opt (fun s -> s.s_name = name) !samples with
     | Some s -> s.s_ns
@@ -284,6 +345,12 @@ let run_mode ~scale ~assert_ratios ~write () =
        \"rollup_boards\": %d,\n  \
        \"rollup_throughput_ratio\": %.4f,\n  \
        \"rollup_throughput_gate\": 0.90,\n  \
+       \"packed_of_words\": %.0f,\n  \
+       \"packed_of_blob_words\": %d,\n  \
+       \"packed_of_gate_words\": %d,\n  \
+       \"accum_add_packed_words\": %.0f,\n  \
+       \"rollup_add_packed_words\": %.0f,\n  \
+       \"add_packed_gate_words\": 0,\n  \
        \"syscall_command_count\": %d,\n  \
        \"syscall_command_p50_cycles\": %d,\n  \
        \"syscall_command_p99_cycles\": %d,\n  \
@@ -293,6 +360,7 @@ let run_mode ~scale ~assert_ratios ~write () =
        \"trace_events\": %d,\n  \
        \"trace_dropped\": %d,\n  \"samples\": [\n%s\n  ]\n}\n"
       ratio emit_disabled_ns emit_ratio rollup_boards rollup_ratio
+      pack_words blob_words (blob_words + 8) accum_words rollup_words
       sys.Metrics.hs_count (q sys 0.5) (q sys 0.99)
       irq.Metrics.hs_count (q irq 0.5) (q irq 0.99) trace_total trace_dropped
       (String.concat ",\n" (List.rev_map json_of_sample !samples));

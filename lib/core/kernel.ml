@@ -86,6 +86,14 @@ type pentry = {
          it can issue the syscall that would overwrite it. *)
   c_cycles : Tock_obs.Metrics.counter;
       (* cycles attributed to this process's slices (app + syscall work) *)
+  (* [process.<name>.*] gauges, resolved at creation and set by the
+     registry's snapshot hook *)
+  g_syscalls : Tock_obs.Metrics.gauge;
+  g_grant_enters : Tock_obs.Metrics.gauge;
+  g_grant_bytes : Tock_obs.Metrics.gauge;
+  g_restarts : Tock_obs.Metrics.gauge;
+  g_mpu_scans : Tock_obs.Metrics.gauge;
+  g_upcalls_dropped : Tock_obs.Metrics.gauge;
 }
 
 (* Board-state components beyond the kernel's own reach (capsule and
@@ -181,24 +189,17 @@ let create ?config:(cfg = default_config ()) chip =
     }
   in
   (* Per-process gauges, published when a snapshot is taken — never from
-     the main loop. Gauge handles are looked up per snapshot (idempotent
-     by name), so restarts and late-created processes just work. *)
+     the main loop. *)
   Tock_obs.Metrics.on_snapshot reg (fun () ->
       Array.iter
         (fun pe ->
           let p = pe.proc in
-          let g suffix v =
-            Tock_obs.Metrics.set
-              (Tock_obs.Metrics.gauge reg
-                 ("process." ^ Process.name p ^ "." ^ suffix))
-              v
-          in
-          g "syscalls" (Process.syscall_count p);
-          g "grant_enters" (Process.grant_enter_count p);
-          g "grant_bytes" (Process.grant_bytes_used p);
-          g "restarts" (Process.restart_count p);
-          g "mpu_scans" (Process.mpu_scan_count p);
-          g "upcalls_dropped" (Process.upcalls_dropped p))
+          Tock_obs.Metrics.set pe.g_syscalls (Process.syscall_count p);
+          Tock_obs.Metrics.set pe.g_grant_enters (Process.grant_enter_count p);
+          Tock_obs.Metrics.set pe.g_grant_bytes (Process.grant_bytes_used p);
+          Tock_obs.Metrics.set pe.g_restarts (Process.restart_count p);
+          Tock_obs.Metrics.set pe.g_mpu_scans (Process.mpu_scan_count p);
+          Tock_obs.Metrics.set pe.g_upcalls_dropped (Process.upcalls_dropped p))
         t.table);
   t
 
@@ -325,14 +326,21 @@ let create_process t ~cap:_ ~name ~flash_base ~flash ~min_ram ?permissions
         let enabled = tbf_flags land Tock_tbf.Tbf.flag_enabled <> 0 in
         Process.set_state proc (if enabled then Process.Runnable else Process.Unstarted);
         Process.set_obs proc t.k_obs;
+        let series = "process." ^ name ^ "." in
+        let g stat = Tock_obs.Metrics.gauge t.k_reg (series ^ stat) in
         let pe =
           {
             proc;
             factory;
             pending_resume = Some Process.Rstart;
             ret_scratch = Array.make 4 0;
-            c_cycles =
-              Tock_obs.Metrics.counter t.k_reg ("process." ^ name ^ ".cycles");
+            c_cycles = Tock_obs.Metrics.counter t.k_reg (series ^ "cycles");
+            g_syscalls = g "syscalls";
+            g_grant_enters = g "grant_enters";
+            g_grant_bytes = g "grant_bytes";
+            g_restarts = g "restarts";
+            g_mpu_scans = g "mpu_scans";
+            g_upcalls_dropped = g "upcalls_dropped";
           }
         in
         t.table <- Array.append t.table [| pe |];
@@ -1215,11 +1223,14 @@ let freeze ?buf t =
       add_s buf name;
       add_s buf (Buffer.contents scratch))
     t.k_freezers;
-  add_s buf
-    (Tock_obs.Metrics.packed_to_string (Tock_obs.Metrics.packed_of t.k_reg));
-  add_s buf
-    (Tock_obs.Metrics.packed_to_string
-       (Tock_obs.Metrics.packed_of (Tock_hw.Sim.metrics s)));
+  (* Both registries as length-prefixed packed images, encoded in place. *)
+  let add_reg reg =
+    let p = Tock_obs.Metrics.packed_of reg in
+    add_i buf (Tock_obs.Metrics.packed_encoded_size p);
+    Tock_obs.Metrics.packed_to_buffer buf p
+  in
+  add_reg t.k_reg;
+  add_reg (Tock_hw.Sim.metrics s);
   Buffer.contents buf
 
 (* ---- witness decoding ---- *)

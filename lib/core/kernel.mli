@@ -85,8 +85,9 @@ val stats : t -> stats
     - [kernel.*] counters (syscalls, context_switches, faults, ...);
     - [kernel.syscall_cycles.<class>] latency histograms;
     - [driver.<name>.{commands,cycles}] per-driver attribution;
-    - [process.<name>.*] per-process cycles counter plus gauges
-      published at snapshot time. *)
+    - [process.<name>.*] per-process cycles counter plus gauges,
+      registered when the process is created and published at
+      snapshot time. *)
 
 val metrics : t -> Tock_obs.Metrics.t
 

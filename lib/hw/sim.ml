@@ -50,22 +50,18 @@ let create ?(seed = 0x70CC_2025L) ?(clock_hz = 16_000_000)
   in
   t.obs_ctx <-
     { Tock_obs.Ctx.trace = t.tr; metrics = reg; clock = (fun () -> t.now) };
-  (* Hardware-side gauges published at snapshot time, never from the
-     hot loop. *)
+  (* Hardware-side gauges, resolved once and published at snapshot
+     time, never from the hot loop. *)
+  let g = Tock_obs.Metrics.gauge reg in
+  let g_now = g "sim.now" and g_active = g "sim.active_cycles"
+  and g_sleep = g "sim.sleep_cycles" and g_events = g "sim.trace_events"
+  and g_dropped = g "sim.trace_dropped" in
   Tock_obs.Metrics.on_snapshot reg (fun () ->
-      Tock_obs.Metrics.set (Tock_obs.Metrics.gauge reg "sim.now") t.now;
-      Tock_obs.Metrics.set
-        (Tock_obs.Metrics.gauge reg "sim.active_cycles")
-        t.active_cycles;
-      Tock_obs.Metrics.set
-        (Tock_obs.Metrics.gauge reg "sim.sleep_cycles")
-        t.sleep_cycles;
-      Tock_obs.Metrics.set
-        (Tock_obs.Metrics.gauge reg "sim.trace_events")
-        (Tock_obs.Trace.total t.tr);
-      Tock_obs.Metrics.set
-        (Tock_obs.Metrics.gauge reg "sim.trace_dropped")
-        (Tock_obs.Trace.dropped t.tr));
+      Tock_obs.Metrics.set g_now t.now;
+      Tock_obs.Metrics.set g_active t.active_cycles;
+      Tock_obs.Metrics.set g_sleep t.sleep_cycles;
+      Tock_obs.Metrics.set g_events (Tock_obs.Trace.total t.tr);
+      Tock_obs.Metrics.set g_dropped (Tock_obs.Trace.dropped t.tr));
   t
 
 let now t = t.now

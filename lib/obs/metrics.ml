@@ -7,6 +7,10 @@
    - Registration is idempotent by name, so independent subsystems that
      agree on a name share one series (used deliberately: the two boards
      of a radio group share their sim-level hardware counters).
+   - Every registry always knows its *layout*: its series in
+     registration order, interned in a global trie (below). Snapshots,
+     packing and merging read the layout's sealed sorted order instead
+     of re-deriving it from the names.
    - Snapshots are deterministic: entries sorted by name, with values
      copied out, so a fleet of boards renders byte-identical output for
      identical work regardless of registration order or domain placement.
@@ -25,20 +29,174 @@ type histogram = {
   h_name : string;
   mutable h_count : int;
   mutable h_sum : int;
+  mutable h_top : int; (* every bucket above it is empty (-1: all are),
+                          so packing scans [0, h_top] only *)
   h_buckets : int array; (* length [buckets] *)
 }
 
 type metric = Mc of counter | Mg of gauge | Mh of histogram
 
-type t = {
-  by_name : (string, metric) Hashtbl.t;
-  mutable sync_hooks : (unit -> unit) list; (* run (in registration order)
-                                               before every snapshot *)
+type schema = {
+  sc_names : string array; (* sorted ascending *)
+  sc_kinds : string;       (* 'c' | 'g' | 'h' per sorted entry *)
 }
 
-let create () = { by_name = Hashtbl.create 64; sync_hooks = [] }
+(* ---- layouts ----
+
+   A layout is a registration sequence: the (name, kind) of every
+   series a registry has registered, in order. Layouts are interned in
+   one global trie whose nodes are keyed by (parent layout, next series),
+   so every registry that registers the same sequence walks the same
+   nodes — identical board recipes share one path however many boards,
+   domains or rebuilds there are.
+
+   - A registry steps to a child on each *new* registration. Children
+     are read lock-free (an [Atomic] list, [==] fast path on the name);
+     adding one takes [layout_mutex], as does sealing (below). Packing
+     a registry at a sealed layout takes no lock.
+   - A node's sorted schema and rank -> registration-index order are
+     *sealed* lazily, on the first snapshot or pack at that node (sealing
+     every node eagerly would store O(n^2) names per path). Sealed
+     schemas are interned by content, so equal series sets share one
+     physical schema whatever their registration order.
+   - [l_span] is the deepest layout ever reached below a node: it sizes
+     a registry's series array so a board built from a known recipe
+     grows it at most once.
+
+   The trie never shrinks: it holds one node per distinct registration
+   prefix, which a fleet of a few board recipes reaches in its first
+   groups. *)
+
+type sealed = {
+  s_schema : schema;
+  s_order : int array; (* s_order.(rank) = registration index *)
+}
+
+type layout = {
+  l_parent : layout option; (* [None] only at the root *)
+  l_name : string;          (* the series this step registered *)
+  l_kind : char;
+  l_depth : int;            (* series registered at this layout *)
+  l_children : layout list Atomic.t;
+  l_span : int Atomic.t;
+  l_sealed : sealed option Atomic.t;
+}
+
+let new_layout parent name kind depth =
+  {
+    l_parent = parent;
+    l_name = name;
+    l_kind = kind;
+    l_depth = depth;
+    l_children = Atomic.make [];
+    l_span = Atomic.make depth;
+    l_sealed = Atomic.make None;
+  }
+
+let root = new_layout None "" 'c' 0
+
+let layout_mutex = Mutex.create ()
+
+(* otock-lint: allow domain-safety the only access path is [seal], whose lookup/insert runs entirely under [Mutex.protect layout_mutex]; interned schemas are immutable once built *)
+let schemas : (schema, schema) Hashtbl.t = Hashtbl.create 16
+
+let rec child_in name kind = function
+  | [] -> raise_notrace Not_found
+  | c :: rest ->
+      if (c.l_name == name || String.equal c.l_name name) && c.l_kind = kind
+      then c
+      else child_in name kind rest
+
+let step lay name kind =
+  match child_in name kind (Atomic.get lay.l_children) with
+  | c -> c
+  | exception Not_found ->
+      Mutex.protect layout_mutex (fun () ->
+          let kids = Atomic.get lay.l_children in
+          match child_in name kind kids with
+          | c -> c
+          | exception Not_found ->
+              let depth = lay.l_depth + 1 in
+              let c = new_layout (Some lay) name kind depth in
+              Atomic.set lay.l_children (c :: kids);
+              let rec widen = function
+                | Some a when Atomic.get a.l_span < depth ->
+                    Atomic.set a.l_span depth;
+                    widen a.l_parent
+                | _ -> ()
+              in
+              widen (Some lay);
+              c)
+
+let seal lay =
+  match Atomic.get lay.l_sealed with
+  | Some s -> s
+  | None ->
+      let n = lay.l_depth in
+      let names = Array.make n "" and kinds = Bytes.make n 'c' in
+      let rec fill l =
+        match l.l_parent with
+        | None -> ()
+        | Some p ->
+            names.(l.l_depth - 1) <- l.l_name;
+            Bytes.set kinds (l.l_depth - 1) l.l_kind;
+            fill p
+      in
+      fill lay;
+      let order = Array.init n Fun.id in
+      Array.sort (fun a b -> String.compare names.(a) names.(b)) order;
+      let sc =
+        {
+          sc_names = Array.map (fun i -> names.(i)) order;
+          sc_kinds = String.init n (fun rank -> Bytes.get kinds order.(rank));
+        }
+      in
+      Mutex.protect layout_mutex (fun () ->
+          match Atomic.get lay.l_sealed with
+          | Some s -> s
+          | None ->
+              let sc =
+                match Hashtbl.find_opt schemas sc with
+                | Some shared -> shared
+                | None ->
+                    Hashtbl.add schemas sc sc;
+                    sc
+              in
+              let s = { s_schema = sc; s_order = order } in
+              Atomic.set lay.l_sealed (Some s);
+              s)
+
+(* ---- registries ---- *)
+
+type t = {
+  by_name : (string, metric) Hashtbl.t;
+  mutable series : metric array;
+      (* registration order; entries [0, lay.l_depth) are live *)
+  mutable lay : layout;
+  mutable sync_hooks : (unit -> unit) list; (* run (in registration order)
+                                               before every snapshot/pack *)
+}
+
+let create () =
+  { by_name = Hashtbl.create 64; series = [||]; lay = root; sync_hooks = [] }
 
 let clash name = invalid_arg ("Metrics: " ^ name ^ " registered with another type")
+
+let kind_char = function Mc _ -> 'c' | Mg _ -> 'g' | Mh _ -> 'h'
+
+(* [name] is new to [t]: the callers looked it up first. *)
+let register t name m =
+  Hashtbl.add t.by_name name m;
+  let i = t.lay.l_depth in
+  let lay = step t.lay name (kind_char m) in
+  let cap = Array.length t.series in
+  if i = cap then begin
+    let grown = Array.make (max (2 * cap) (Atomic.get lay.l_span)) m in
+    Array.blit t.series 0 grown 0 cap;
+    t.series <- grown
+  end;
+  t.series.(i) <- m;
+  t.lay <- lay
 
 let counter t name =
   match Hashtbl.find_opt t.by_name name with
@@ -46,7 +204,7 @@ let counter t name =
   | Some _ -> clash name
   | None ->
       let c = { c_name = name; c_value = 0 } in
-      Hashtbl.replace t.by_name name (Mc c);
+      register t name (Mc c);
       c
 
 let gauge t name =
@@ -55,7 +213,7 @@ let gauge t name =
   | Some _ -> clash name
   | None ->
       let g = { g_name = name; g_value = 0 } in
-      Hashtbl.replace t.by_name name (Mg g);
+      register t name (Mg g);
       g
 
 let histogram t name =
@@ -64,9 +222,10 @@ let histogram t name =
   | Some _ -> clash name
   | None ->
       let h =
-        { h_name = name; h_count = 0; h_sum = 0; h_buckets = Array.make buckets 0 }
+        { h_name = name; h_count = 0; h_sum = 0; h_top = -1;
+          h_buckets = Array.make buckets 0 }
       in
-      Hashtbl.replace t.by_name name (Mh h);
+      register t name (Mh h);
       h
 
 let incr c = c.c_value <- c.c_value + 1
@@ -104,7 +263,8 @@ let observe h v =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;
   let b = bucket_index v in
-  h.h_buckets.(b) <- h.h_buckets.(b) + 1
+  h.h_buckets.(b) <- h.h_buckets.(b) + 1;
+  if b > h.h_top then h.h_top <- b
 
 let histogram_count h = h.h_count
 
@@ -113,6 +273,10 @@ let histogram_sum h = h.h_sum
 let histogram_name h = h.h_name
 
 let on_snapshot t hook = t.sync_hooks <- t.sync_hooks @ [ hook ]
+
+(* Hooks may register series, so a caller reads [t.lay] only after
+   this returns. *)
+let run_hooks t = List.iter (fun hook -> hook ()) t.sync_hooks
 
 (* ---- snapshots ---- *)
 
@@ -123,11 +287,14 @@ type value = Counter of int | Gauge of int | Histogram of hist_snapshot
 type snapshot = (string * value) list
 
 let snapshot t =
-  List.iter (fun hook -> hook ()) t.sync_hooks;
-  Hashtbl.fold
-    (fun name m acc ->
+  run_hooks t;
+  let s = seal t.lay in
+  let names = s.s_schema.sc_names in
+  let rec go rank acc =
+    if rank < 0 then acc
+    else
       let v =
-        match m with
+        match t.series.(s.s_order.(rank)) with
         | Mc c -> Counter c.c_value
         | Mg g -> Gauge g.g_value
         | Mh h ->
@@ -135,9 +302,9 @@ let snapshot t =
               { hs_count = h.h_count; hs_sum = h.h_sum;
                 hs_buckets = Array.copy h.h_buckets }
       in
-      (name, v) :: acc)
-    t.by_name []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+      go (rank - 1) ((names.(rank), v) :: acc)
+  in
+  go (Array.length names - 1) []
 
 let quantile hs q =
   (* Upper bound of the bucket holding the q-quantile observation: exact
@@ -179,18 +346,13 @@ let quantile hs q =
    (wall time at 40k boards dropped ~3x when the arrays became
    no-scan).
 
-   Schemas and the iteration-order pack plans are pooled in a global
-   mutex-guarded table: a fleet of identical boards shares one schema
-   object (the "registry name table", hoisted fleet-level) and pays the
-   name sort exactly once. Packing is therefore a cache hit plus two
-   array-fill passes per board. Equal registries pack to structurally
-   equal values whatever the domain interleaving: the layout is a pure
-   function of (sorted names, kinds, values). *)
-
-type schema = {
-  sc_names : string array; (* sorted ascending *)
-  sc_kinds : string;       (* 'c' | 'g' | 'h' per sorted entry *)
-}
+   [packed_of] reads the registry's sealed layout: the interned schema
+   and the rank -> registration-index order. Packing a board is the
+   sync hooks plus one pass to size the histogram area and one to write
+   the blob — no names, no key, no lock. Equal registries pack to
+   structurally equal values whatever the domain interleaving: the
+   layout is a pure function of (sorted names, kinds, values), and
+   nothing in [schema] or [packed] depends on intern order. *)
 
 type packed = {
   p_schema : schema;
@@ -204,150 +366,90 @@ type packed = {
 
 let blob_word p i = Int64.to_int (String.get_int64_le p.p_blob (8 * i))
 
-let kind_char = function Mc _ -> 'c' | Mg _ -> 'g' | Mh _ -> 'h'
+let set_word blob i v = Bytes.set_int64_le blob (8 * i) (Int64.of_int v)
 
-(* A pack plan: the schema plus the registry-iteration-order -> sorted
-   rank mapping, keyed by the names+kinds in iteration order. Identical
-   board recipes register identically, so a whole fleet resolves to a
-   handful of plans. The table is cross-domain shared state: guarded. *)
-type pack_plan = {
-  pl_schema : schema;
-  pl_order : int array; (* pl_order.(rank) = index in iteration order *)
-}
-
-let plans_mutex = Mutex.create ()
-
-(* otock-lint: allow domain-safety the only access path is [plan_for], whose lookup/insert runs entirely under [Mutex.protect plans_mutex]; stored plans are immutable once built *)
-let plans : (string, pack_plan) Hashtbl.t = Hashtbl.create 16
-
-let make_plan names kinds_it =
-  let n = Array.length names in
-  let order = Array.init n Fun.id in
-  Array.sort (fun a b -> compare names.(a) names.(b)) order;
-  let sc_names = Array.map (fun i -> names.(i)) order in
-  let sc_kinds = String.init n (fun rank -> kinds_it.(order.(rank))) in
-  { pl_schema = { sc_names; sc_kinds }; pl_order = order }
-
-let plan_for names kinds_it =
-  let key =
-    let b = Buffer.create 1024 in
-    Array.iteri
-      (fun i nm ->
-        Buffer.add_string b nm;
-        Buffer.add_char b kinds_it.(i);
-        Buffer.add_char b '\x00')
-      names;
-    Buffer.contents b
-  in
-  Mutex.protect plans_mutex (fun () ->
-      match Hashtbl.find_opt plans key with
-      | Some p -> p
-      | None ->
-          let p = make_plan names kinds_it in
-          Hashtbl.replace plans key p;
-          p)
-
-let hist_pairs h_buckets =
+(* Histogram records scan buckets [0, top]: a registry histogram's
+   [h_top], or the whole array for a snapshot's. *)
+let hist_pairs h_buckets ~top =
   let nz = ref 0 in
-  Array.iter (fun v -> if v <> 0 then Stdlib.incr nz) h_buckets;
+  for b = 0 to top do
+    if h_buckets.(b) <> 0 then Stdlib.incr nz
+  done;
   !nz
 
+let hist_words h_buckets ~top = 3 + (2 * hist_pairs h_buckets ~top)
+
+(* Write one histogram record at word [off]; returns the word after it. *)
+let write_hist blob off ~count ~sum ~top h_buckets =
+  set_word blob off count;
+  set_word blob (off + 1) sum;
+  let j = ref (off + 3) in
+  for b = 0 to top do
+    let v = h_buckets.(b) in
+    if v <> 0 then begin
+      set_word blob !j b;
+      set_word blob (!j + 1) v;
+      j := !j + 2
+    end
+  done;
+  set_word blob (off + 2) ((!j - off - 3) / 2);
+  !j
+
 let packed_of t =
-  List.iter (fun hook -> hook ()) t.sync_hooks;
-  let n = Hashtbl.length t.by_name in
-  let names = Array.make n "" in
-  let ms = Array.make n (Mc { c_name = ""; c_value = 0 }) in
-  let kinds_it = Array.make n 'c' in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun name m ->
-      names.(!i) <- name;
-      ms.(!i) <- m;
-      kinds_it.(!i) <- kind_char m;
-      Stdlib.incr i)
-    t.by_name;
-  let plan = plan_for names kinds_it in
-  let order = plan.pl_order in
+  run_hooks t;
+  let s = seal t.lay in
+  let order = s.s_order and series = t.series in
+  let n = Array.length order in
   (* Histogram area size, walking in rank order so offsets are a pure
      function of the sorted layout. *)
-  let hist_words = ref 0 in
-  Array.iter
-    (fun it ->
-      match ms.(it) with
-      | Mh h -> hist_words := !hist_words + 3 + (2 * hist_pairs h.h_buckets)
-      | _ -> ())
-    order;
-  let blob = Bytes.create (8 * (n + !hist_words)) in
-  let set i v = Bytes.set_int64_le blob (8 * i) (Int64.of_int v) in
+  let words = ref n in
+  for rank = 0 to n - 1 do
+    match series.(order.(rank)) with
+    | Mh h -> words := !words + hist_words h.h_buckets ~top:h.h_top
+    | Mc _ | Mg _ -> ()
+  done;
+  let blob = Bytes.create (8 * !words) in
   let cursor = ref n in
-  Array.iteri
-    (fun rank it ->
-      match ms.(it) with
-      | Mc c -> set rank c.c_value
-      | Mg g -> set rank g.g_value
-      | Mh h ->
-          let off = !cursor in
-          set rank off;
-          set off h.h_count;
-          set (off + 1) h.h_sum;
-          let np = ref 0 in
-          let j = ref (off + 3) in
-          Array.iteri
-            (fun b v ->
-              if v <> 0 then begin
-                set !j b;
-                set (!j + 1) v;
-                j := !j + 2;
-                Stdlib.incr np
-              end)
-            h.h_buckets;
-          set (off + 2) !np;
-          cursor := !j)
-    order;
-  { p_schema = plan.pl_schema; p_blob = Bytes.unsafe_to_string blob }
+  for rank = 0 to n - 1 do
+    match series.(order.(rank)) with
+    | Mc c -> set_word blob rank c.c_value
+    | Mg g -> set_word blob rank g.g_value
+    | Mh h ->
+        set_word blob rank !cursor;
+        cursor :=
+          write_hist blob !cursor ~count:h.h_count ~sum:h.h_sum ~top:h.h_top
+            h.h_buckets
+  done;
+  { p_schema = s.s_schema; p_blob = Bytes.unsafe_to_string blob }
 
 let pack snap =
   let n = List.length snap in
   let sc_names = Array.make n "" in
   let kinds = Bytes.make n 'c' in
-  let hist_words =
+  let words =
     List.fold_left
       (fun acc (_, v) ->
         match v with
-        | Histogram hs -> acc + 3 + (2 * hist_pairs hs.hs_buckets)
-        | _ -> acc)
-      0 snap
+        | Histogram hs -> acc + hist_words hs.hs_buckets ~top:(buckets - 1)
+        | Counter _ | Gauge _ -> acc)
+      n snap
   in
-  let blob = Bytes.create (8 * (n + hist_words)) in
-  let set i v = Bytes.set_int64_le blob (8 * i) (Int64.of_int v) in
+  let blob = Bytes.create (8 * words) in
   let cursor = ref n in
   List.iteri
     (fun rank (name, v) ->
       sc_names.(rank) <- name;
       match v with
-      | Counter c -> set rank c
+      | Counter c -> set_word blob rank c
       | Gauge g ->
           Bytes.set kinds rank 'g';
-          set rank g
+          set_word blob rank g
       | Histogram hs ->
           Bytes.set kinds rank 'h';
-          let off = !cursor in
-          set rank off;
-          set off hs.hs_count;
-          set (off + 1) hs.hs_sum;
-          let np = ref 0 in
-          let j = ref (off + 3) in
-          Array.iteri
-            (fun b n ->
-              if n <> 0 then begin
-                set !j b;
-                set (!j + 1) n;
-                j := !j + 2;
-                Stdlib.incr np
-              end)
-            hs.hs_buckets;
-          set (off + 2) !np;
-          cursor := !j)
+          set_word blob rank !cursor;
+          cursor :=
+            write_hist blob !cursor ~count:hs.hs_count ~sum:hs.hs_sum
+              ~top:(buckets - 1) hs.hs_buckets)
     snap;
   {
     p_schema = { sc_names; sc_kinds = Bytes.to_string kinds };
@@ -405,9 +507,9 @@ let validate_packed p =
     match !bad with Some e -> e | None -> Ok ()
   end
 
-(* Unchecked per-series fold over a validated image: the allocation-free
-   read path shared by the health-rollup engine. Histograms surface as
-   their (count, sum) pair — the per-board scalar shape the cross-board
+(* Unchecked per-series fold over a validated image. Histograms
+   surface as their (count, sum) pair; [packed_scalar] reads one entry's
+   per-board scalar, the shape the health rollup's cross-board
    distributions fold. *)
 let iter_packed p ~counter ~gauge ~hist =
   let sc = p.p_schema in
@@ -420,6 +522,10 @@ let iter_packed p ~counter ~gauge ~hist =
         let off = blob_word p rank in
         hist name ~count:(blob_word p off) ~sum:(blob_word p (off + 1))
   done
+
+let packed_scalar p rank =
+  let v = blob_word p rank in
+  match p.p_schema.sc_kinds.[rank] with 'c' | 'g' -> v | _ -> blob_word p v
 
 let unpack p =
   match validate_packed p with
@@ -453,19 +559,31 @@ let unpack p =
       in
       Ok (go (n - 1) [])
 
-let packed_to_string p =
-  let b = Buffer.create 1024 in
-  let int63 v = Buffer.add_int64_le b (Int64.of_int v) in
+(* The image: series count; per sorted entry, name length, name and
+   kind char; then the blob, which already is the canonical int64-LE
+   value image. *)
+let packed_encoded_size p =
+  let names = p.p_schema.sc_names in
+  let size = ref (8 + String.length p.p_blob) in
+  for rank = 0 to Array.length names - 1 do
+    size := !size + 9 + String.length names.(rank)
+  done;
+  !size
+
+let packed_to_buffer b p =
   let sc = p.p_schema in
   let n = Array.length sc.sc_names in
-  int63 n;
+  Buffer.add_int64_le b (Int64.of_int n);
   for rank = 0 to n - 1 do
-    int63 (String.length sc.sc_names.(rank));
+    Buffer.add_int64_le b (Int64.of_int (String.length sc.sc_names.(rank)));
     Buffer.add_string b sc.sc_names.(rank);
     Buffer.add_char b sc.sc_kinds.[rank]
   done;
-  (* The blob already is the canonical int64-LE value image. *)
-  Buffer.add_string b p.p_blob;
+  Buffer.add_string b p.p_blob
+
+let packed_to_string p =
+  let b = Buffer.create (packed_encoded_size p) in
+  packed_to_buffer b p;
   Buffer.contents b
 
 (* Decode a [packed_to_string] image. Every read is bounds-checked: the
@@ -508,9 +626,9 @@ let packed_of_string s =
 
 (* Overwrite a registry's values from a packed image: the thaw path of
    board freeze/thaw. Series missing from the registry are created
-   (snapshot hooks mint gauges lazily, so a freshly-built board has
-   fewer series than its frozen image); a registry series absent from
-   the image would keep a stale value, so that is an error. *)
+   (some series register on first use, so a freshly built board can
+   have fewer series than its frozen image); a registry series absent
+   from the image would keep a stale value, so that is an error. *)
 let restore_packed t p =
   match validate_packed p with
   | Error e -> Error e
@@ -540,10 +658,12 @@ let restore_packed t p =
           h.h_count <- blob_word p off;
           h.h_sum <- blob_word p (off + 1);
           Array.fill h.h_buckets 0 buckets 0;
+          h.h_top <- -1;
           let np = blob_word p (off + 2) in
           for k = 0 to np - 1 do
-            h.h_buckets.(blob_word p (off + 3 + (2 * k))) <-
-              blob_word p (off + 3 + (2 * k) + 1)
+            let b = blob_word p (off + 3 + (2 * k)) in
+            h.h_buckets.(b) <- blob_word p (off + 3 + (2 * k) + 1);
+            if b > h.h_top then h.h_top <- b
           done
       | _, Some _ ->
           bad :=
@@ -563,6 +683,38 @@ let restore_packed t p =
              (Hashtbl.length t.by_name) n)
       else Ok ()
 
+(* ---- per-schema plans ----
+
+   Consumers of packed images (the merge accumulator, the health
+   rollup) resolve each distinct schema to an array of per-entry cells
+   once, then walk images by rank with no name lookups. Schemas from
+   [packed_of] are interned, so a fleet shows a handful of physical
+   schemas and the cache keys on physical identity. [pack] and
+   [packed_of_string] mint a fresh schema per call, so the cache is
+   bounded: when full, it starts over. *)
+
+module Schema_cache = struct
+  type 'a t = { mutable entries : (schema * 'a) list; mutable size : int }
+
+  let capacity = 32
+
+  let create () = { entries = []; size = 0 }
+
+  let rec find_in s = function
+    | [] -> raise_notrace Not_found
+    | (k, v) :: rest -> if k == s then v else find_in s rest
+
+  let find c s = find_in s c.entries
+
+  let add c s v =
+    if c.size >= capacity then begin
+      c.entries <- [];
+      c.size <- 0
+    end;
+    c.entries <- (s, v) :: c.entries;
+    c.size <- c.size + 1
+end
+
 (* ---- incremental merge ----
 
    One merge kernel for everything: the pairwise [merge] below, the
@@ -580,18 +732,21 @@ module Accum = struct
     | Ag of { mutable av : int }
     | Ah of { mutable ah_count : int; mutable ah_sum : int; ah_buckets : int array }
 
-  type t = (string, acc) Hashtbl.t
+  type t = {
+    a_tbl : (string, acc) Hashtbl.t;
+    a_plans : acc array Schema_cache.t; (* schema -> cell per rank *)
+  }
 
-  let create () : t = Hashtbl.create 64
+  let create () = { a_tbl = Hashtbl.create 64; a_plans = Schema_cache.create () }
 
   let conflict name = invalid_arg ("Metrics.merge: " ^ name ^ " has conflicting types")
 
   let add_value t name v =
-    match (Hashtbl.find_opt t name, v) with
-    | None, Counter n -> Hashtbl.replace t name (Ac { av = n })
-    | None, Gauge n -> Hashtbl.replace t name (Ag { av = n })
+    match (Hashtbl.find_opt t.a_tbl name, v) with
+    | None, Counter n -> Hashtbl.replace t.a_tbl name (Ac { av = n })
+    | None, Gauge n -> Hashtbl.replace t.a_tbl name (Ag { av = n })
     | None, Histogram hs ->
-        Hashtbl.replace t name
+        Hashtbl.replace t.a_tbl name
           (Ah
              {
                ah_count = hs.hs_count;
@@ -610,34 +765,42 @@ module Accum = struct
 
   let add t snap = List.iter (fun (name, v) -> add_value t name v) snap
 
-  (* The packed fast path: no unpacking allocation on the hit path —
-     scalars add in place, histogram pairs add into the accumulated
-     bucket array. *)
+  (* The accumulator cell for a schema entry, created empty if absent:
+     adding an image into it then matches adding it by name. *)
+  let cell t sc rank =
+    let name = sc.sc_names.(rank) in
+    match (Hashtbl.find_opt t.a_tbl name, sc.sc_kinds.[rank]) with
+    | Some (Ac _ as a), 'c' | Some (Ag _ as a), 'g' -> a
+    | Some (Ah _ as a), k when k <> 'c' && k <> 'g' -> a
+    | Some _, _ -> conflict name
+    | None, k ->
+        let a =
+          match k with
+          | 'c' -> Ac { av = 0 }
+          | 'g' -> Ag { av = 0 }
+          | _ -> Ah { ah_count = 0; ah_sum = 0; ah_buckets = Array.make buckets 0 }
+        in
+        Hashtbl.replace t.a_tbl name a;
+        a
+
+  (* The packed fast path: each distinct schema resolves to its cells
+     once; after that, scalars add in place and histogram pairs add
+     into the accumulated bucket arrays — no lookups, no allocation. *)
   let add_packed t p =
     let sc = p.p_schema in
-    for rank = 0 to Array.length sc.sc_names - 1 do
-      let name = sc.sc_names.(rank) in
-      match (Hashtbl.find_opt t name, sc.sc_kinds.[rank]) with
-      | None, 'c' -> Hashtbl.replace t name (Ac { av = blob_word p rank })
-      | None, 'g' -> Hashtbl.replace t name (Ag { av = blob_word p rank })
-      | None, _ ->
-          let off = blob_word p rank in
-          let ah_buckets = Array.make buckets 0 in
-          let np = blob_word p (off + 2) in
-          for k = 0 to np - 1 do
-            ah_buckets.(blob_word p (off + 3 + (2 * k))) <-
-              blob_word p (off + 3 + (2 * k) + 1)
-          done;
-          Hashtbl.replace t name
-            (Ah
-               {
-                 ah_count = blob_word p off;
-                 ah_sum = blob_word p (off + 1);
-                 ah_buckets;
-               })
-      | Some (Ac a), 'c' -> a.av <- a.av + blob_word p rank
-      | Some (Ag a), 'g' -> a.av <- a.av + blob_word p rank
-      | Some (Ah a), 'h' ->
+    let plan =
+      match Schema_cache.find t.a_plans sc with
+      | plan -> plan
+      | exception Not_found ->
+          let plan = Array.init (Array.length sc.sc_names) (cell t sc) in
+          Schema_cache.add t.a_plans sc plan;
+          plan
+    in
+    for rank = 0 to Array.length plan - 1 do
+      match plan.(rank) with
+      | Ac a -> a.av <- a.av + blob_word p rank
+      | Ag a -> a.av <- a.av + blob_word p rank
+      | Ah a ->
           let off = blob_word p rank in
           a.ah_count <- a.ah_count + blob_word p off;
           a.ah_sum <- a.ah_sum + blob_word p (off + 1);
@@ -646,17 +809,16 @@ module Accum = struct
             let b = blob_word p (off + 3 + (2 * k)) in
             a.ah_buckets.(b) <- a.ah_buckets.(b) + blob_word p (off + 3 + (2 * k) + 1)
           done
-      | Some _, _ -> conflict name
     done
 
   let absorb ~into src =
     Hashtbl.iter
       (fun name acc ->
-        match (Hashtbl.find_opt into name, acc) with
-        | None, Ac a -> Hashtbl.replace into name (Ac { av = a.av })
-        | None, Ag a -> Hashtbl.replace into name (Ag { av = a.av })
+        match (Hashtbl.find_opt into.a_tbl name, acc) with
+        | None, Ac a -> Hashtbl.replace into.a_tbl name (Ac { av = a.av })
+        | None, Ag a -> Hashtbl.replace into.a_tbl name (Ag { av = a.av })
         | None, Ah a ->
-            Hashtbl.replace into name
+            Hashtbl.replace into.a_tbl name
               (Ah
                  {
                    ah_count = a.ah_count;
@@ -672,7 +834,7 @@ module Accum = struct
               d.ah_buckets.(i) <- d.ah_buckets.(i) + a.ah_buckets.(i)
             done
         | Some _, _ -> conflict name)
-      src
+      src.a_tbl
 
   let to_snapshot t =
     Hashtbl.fold
@@ -690,7 +852,7 @@ module Accum = struct
                 }
         in
         (name, v) :: l)
-      t []
+      t.a_tbl []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 end
 

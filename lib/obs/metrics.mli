@@ -7,6 +7,12 @@
     registering the same name share one series — and clashing on the
     metric type raises [Invalid_argument].
 
+    Each registry also tracks its {e layout}: the sequence of series it
+    registered, interned in a global trie shared by every registry (and
+    every domain) that registers the same sequence. The sorted order a
+    snapshot needs is sealed once per layout, so {!snapshot} and
+    {!packed_of} never sort or look up names.
+
     Snapshots are deterministic (sorted by name, values copied out), so
     fleets of identical boards render byte-identical output regardless
     of registration order or domain placement. *)
@@ -60,8 +66,10 @@ val bucket_lower_bound : int -> int
 
 val on_snapshot : t -> (unit -> unit) -> unit
 (** Register a sync hook run (in registration order) at the start of
-    every {!snapshot} — used to publish externally-held state (process
-    tables, ring drop counts) as gauges without touching hot paths. *)
+    every {!snapshot} and {!packed_of} — used to publish externally-held
+    state (process tables, ring drop counts) as gauges without touching
+    hot paths. Resolve the gauges when the state is created, not in the
+    hook: a hook that only sets values packs without a name lookup. *)
 
 (** {2 Snapshots} *)
 
@@ -98,14 +106,13 @@ val merge : snapshot list -> snapshot
     A [snapshot] assoc list costs ~10 kB of boxed heap per board; a
     100k-board fleet cannot afford to retain that. [packed] stores the
     same information as a shared immutable {!schema} (sorted names +
-    kinds — pooled globally, so every board built from the same recipe
-    physically shares one) plus one flat byte blob private to the
-    board. The blob is a string, so the major GC never scans retained
-    fleet stats — re-marking 100k boards' worth of boxed snapshots was
-    the dominant cost of large fleets. Equal registries pack to
-    structurally equal values regardless of domain placement: the
-    layout is a pure function of the sorted (name, kind, value)
-    sequence, never of global mutable ids. *)
+    kinds) plus one flat byte blob private to the board. The blob is a
+    string, so the major GC never scans retained fleet stats —
+    re-marking 100k boards' worth of boxed snapshots was the dominant
+    cost of large fleets. Equal registries pack to structurally equal
+    values regardless of domain placement: the layout is a pure
+    function of the sorted (name, kind, value) sequence, never of
+    global mutable ids. *)
 
 type schema = {
   sc_names : string array;  (** sorted ascending *)
@@ -124,9 +131,11 @@ type packed = {
 
 val packed_of : t -> packed
 (** Snapshot a registry directly into packed form (runs the same sync
-    hooks as {!snapshot}). [unpack (packed_of t) = snapshot t]. Sorting
-    cost is paid once per distinct registration sequence via a pooled
-    pack plan; subsequent boards pay two array fills. *)
+    hooks as {!snapshot}). [unpack (packed_of t) = snapshot t]. Reads
+    the registry's sealed layout, so packing allocates only the blob
+    and its record: no names, no key, no lock. The schema is interned:
+    registries holding the same series set, in any registration order,
+    on any domain, pack to one physical schema. *)
 
 val pack : snapshot -> packed
 
@@ -151,9 +160,21 @@ val iter_packed :
     holding images from external bytes run {!validate_packed} first —
     {!packed_of_string} already has. *)
 
+val packed_scalar : packed -> int -> int
+(** [packed_scalar p rank]: entry [rank]'s per-board scalar — the
+    counter or gauge value, or the histogram's observation count.
+    Unchecked and allocation-free, like {!iter_packed}. *)
+
 val packed_to_string : packed -> string
 (** Compact deterministic binary encoding (for digests / park
-    buffers). *)
+    buffers): [packed_to_buffer] into a fresh buffer. *)
+
+val packed_encoded_size : packed -> int
+(** Length in bytes of the {!packed_to_string} image. *)
+
+val packed_to_buffer : Buffer.t -> packed -> unit
+(** Append the {!packed_to_string} image — the one encoder; board
+    freeze writes it in place after a {!packed_encoded_size} prefix. *)
 
 val packed_of_string : string -> (packed, string) result
 (** Decode a {!packed_to_string} image. Total: truncated or corrupted
@@ -172,13 +193,33 @@ val merge_packed : packed list -> (snapshot, string) result
     {!validate_packed}-checked before any is folded: corrupt input
     yields [Error] with nothing half-merged. *)
 
+(** {2 Per-schema plans}
+
+    A bounded cache from physical {!schema} to a consumer's plan (one
+    cell per sorted entry), shared by {!Accum} and [Rollup]. Schemas
+    from {!packed_of} are interned, so a fleet sees a handful; {!pack}
+    and {!packed_of_string} mint a fresh one per call, which is why the
+    cache holds at most 32 and starts over when full. *)
+
+module Schema_cache : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val find : 'a t -> schema -> 'a
+  (** The plan cached for this physical schema. [Not_found] if none.
+      Allocation-free. *)
+
+  val add : 'a t -> schema -> 'a -> unit
+end
+
 (** {2 Streaming accumulation}
 
     The single merge kernel shared by pairwise {!merge}, the fleet's
     per-domain streaming accumulators, and cross-domain tree merges.
-    Steady-state [add_packed] into an existing accumulator allocates
-    nothing: scalars add in place and histogram pairs add into the
-    accumulated bucket arrays. *)
+    [add_packed] resolves each distinct schema to its accumulator
+    cells once ({!Schema_cache}); an image whose schema was seen before
+    adds by rank with no name lookups and allocates nothing. *)
 
 module Accum : sig
   type t

@@ -25,11 +25,10 @@ type dist = {
 type cohort = {
   mutable co_boards : int;
   co_dists : (string, dist) Hashtbl.t;
-  (* Fast path: the fleet pools packed schemas, so consecutive boards
-     nearly always share one physical schema — cache the resolved dist
-     plan (schema entry order) and skip the per-name hash lookups. *)
-  mutable co_plan_schema : Metrics.schema option;
-  mutable co_plan : dist array;
+  co_plans : dist array Metrics.Schema_cache.t;
+      (* schema -> dist per rank: every schema the cohort has seen
+         (radio groups retire one per node kind), so retiring a board
+         is an array walk with no name lookups *)
 }
 
 type t = { r_cohorts : cohort array }
@@ -40,7 +39,7 @@ let create ~cohorts =
     r_cohorts =
       Array.init cohorts (fun _ ->
           { co_boards = 0; co_dists = Hashtbl.create 64;
-            co_plan_schema = None; co_plan = [||] });
+            co_plans = Metrics.Schema_cache.create () });
   }
 
 let cohorts t = Array.length t.r_cohorts
@@ -66,36 +65,27 @@ let observe_dist d v =
   let b = Metrics.bucket_index v in
   d.d_buckets.(b) <- d.d_buckets.(b) + 1
 
-(* The cohort's dist plan for a packed schema, entry for entry. Cache
-   keyed by physical schema equality: rebuilding is rare (a fleet pools
-   one schema per workload recipe), hitting is an array read. *)
+(* The cohort's dist for each rank of a schema, resolved by name once. *)
 let plan_for co (s : Metrics.schema) =
-  match co.co_plan_schema with
-  | Some cached when cached == s -> co.co_plan
-  | _ ->
+  match Metrics.Schema_cache.find co.co_plans s with
+  | plan -> plan
+  | exception Not_found ->
       let plan = Array.map (dist_for co) s.Metrics.sc_names in
-      co.co_plan_schema <- Some s;
-      co.co_plan <- plan;
+      Metrics.Schema_cache.add co.co_plans s plan;
       plan
 
 (* One board retires: every counter and gauge contributes its value,
    every histogram contributes its observation count (the rollup asks
    "how many syscalls did each board make", not "how long was each").
-   [iter_packed] visits entries in schema order, so a running index
-   into the plan replaces a hash lookup per series. *)
+   A seen schema allocates nothing: a walk over the plan and the blob
+   words, rank by rank. *)
 let add_packed t ~cohort p =
   let co = t.r_cohorts.(cohort) in
   co.co_boards <- co.co_boards + 1;
   let plan = plan_for co p.Metrics.p_schema in
-  let i = ref (-1) in
-  let obs v =
-    incr i;
-    observe_dist plan.(!i) v
-  in
-  Metrics.iter_packed p
-    ~counter:(fun _ v -> obs v)
-    ~gauge:(fun _ v -> obs v)
-    ~hist:(fun _ ~count ~sum:_ -> obs count)
+  for rank = 0 to Array.length plan - 1 do
+    observe_dist plan.(rank) (Metrics.packed_scalar p rank)
+  done
 
 let absorb ~into src =
   if Array.length into.r_cohorts <> Array.length src.r_cohorts then
@@ -219,17 +209,19 @@ let evaluate ?(outlier_k = 8) ?(outlier_floor = 64) t ~slos ~iter_boards =
   in
   let outliers = ref [] in
   (* Distributions are frozen during the outlier pass, so each cohort's
-     per-metric medians are computed once per packed schema (pooled
-     fleet-wide: in practice once per cohort), not once per board. *)
-  let median_plans = Array.map (fun _ -> ref None) t.r_cohorts in
+     per-metric medians are computed once per packed schema, not once
+     per board. *)
+  let median_plans =
+    Array.map (fun _ -> Metrics.Schema_cache.create ()) t.r_cohorts
+  in
   iter_boards (fun ~cohort ~board p ->
-      let co = t.r_cohorts.(cohort) in
       let s = p.Metrics.p_schema in
       let plan =
-        match !(median_plans.(cohort)) with
-        | Some (cached, arr) when cached == s -> arr
-        | _ ->
-            let arr =
+        match Metrics.Schema_cache.find median_plans.(cohort) s with
+        | plan -> plan
+        | exception Not_found ->
+            let co = t.r_cohorts.(cohort) in
+            let plan =
               Array.map
                 (fun name ->
                   match Hashtbl.find_opt co.co_dists name with
@@ -237,27 +229,22 @@ let evaluate ?(outlier_k = 8) ?(outlier_floor = 64) t ~slos ~iter_boards =
                   | Some d -> Some (dist_stat d P50))
                 s.Metrics.sc_names
             in
-            median_plans.(cohort) := Some (s, arr);
-            arr
+            Metrics.Schema_cache.add median_plans.(cohort) s plan;
+            plan
       in
-      let i = ref (-1) in
-      let flag v =
-        incr i;
+      for rank = 0 to Array.length plan - 1 do
+        let v = Metrics.packed_scalar p rank in
         if v >= outlier_floor then
-          match plan.(!i) with
+          match plan.(rank) with
           | None -> ()
           | Some median ->
               if v >= outlier_k * max median 1 then
                 outliers :=
                   { ol_board = board; ol_cohort = cohort;
-                    ol_metric = s.Metrics.sc_names.(!i); ol_value = v;
+                    ol_metric = s.Metrics.sc_names.(rank); ol_value = v;
                     ol_median = median }
                   :: !outliers
-      in
-      Metrics.iter_packed p
-        ~counter:(fun _ v -> flag v)
-        ~gauge:(fun _ v -> flag v)
-        ~hist:(fun _ ~count ~sum:_ -> flag count));
+      done);
   let rp_outliers = List.rev !outliers in
   let rp_verdict =
     List.fold_left (fun a c -> worst a c.ck_verdict) Healthy checks

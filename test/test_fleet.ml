@@ -43,11 +43,31 @@ let test_deterministic_across_domains () =
 
 let test_deterministic_radio_groups () =
   (* Radio groups (shared Ether within a group) plus a leftover single
-     board, sharded across domains. *)
-  let cfg = small { Fleet.default with boards = 7; group_size = 3 } in
-  let seq = Fleet.run { cfg with domains = 1 } in
-  let par = Fleet.run { cfg with domains = 2 } in
-  check_identical "radio groups" seq par
+     board, sharded across domains. Radio nodes register per-node
+     process names, so one group retires several schemas into the same
+     merge accumulator and rollup cohorts: the stats, the merged
+     metrics and the health report must all be byte-identical at 1, 2
+     and 4 domains. *)
+  let cfg =
+    small { Fleet.default with boards = 7; group_size = 3; health = true }
+  in
+  let health (r : Fleet.fleet_result) =
+    match r.Fleet.fr_health with
+    | Some rep -> Fleet.Rollup.render_json rep
+    | None -> Alcotest.fail "fr_health missing with health = true"
+  in
+  let merged (r : Fleet.fleet_result) =
+    Tock_obs.Metrics.render_json (Fleet.merged_metrics r.Fleet.fr_stats)
+  in
+  let seq = Fleet.run_fleet { cfg with domains = 1 } in
+  List.iter
+    (fun domains ->
+      let par = Fleet.run_fleet { cfg with domains } in
+      let at what = Printf.sprintf "radio groups: %s @ %d domains" what domains in
+      check_identical (at "stats") seq.Fleet.fr_stats par.Fleet.fr_stats;
+      Alcotest.(check string) (at "merged metrics") (merged seq) (merged par);
+      Alcotest.(check string) (at "health report") (health seq) (health par))
+    [ 2; 4 ]
 
 let test_batch_invariance () =
   (* The calendar quantum chops a group's run into arbitrary

@@ -332,9 +332,9 @@ let qcheck_pack_roundtrip =
         specs)
 
 let test_packed_of_matches_snapshot () =
-  (* packed_of (registry iteration order through the pooled pack plan)
-     and pack (sorted snapshot order) meet at the same packed value;
-     unpacking recovers the snapshot exactly. *)
+  (* packed_of (the registry's sealed layout) and pack (sorted
+     snapshot order) meet at the same packed value; unpacking recovers
+     the snapshot exactly. *)
   let r = Metrics.create () in
   Metrics.add (Metrics.counter r "z.count") 7;
   Metrics.set (Metrics.gauge r "a.gauge") 41;
@@ -348,6 +348,211 @@ let test_packed_of_matches_snapshot () =
     (Metrics.unpack p = Ok snap);
   Alcotest.(check bool) "binary encoding is stable" true
     (Metrics.packed_to_string p = Metrics.packed_to_string (Metrics.pack snap))
+
+(* ---- sealed layouts (qcheck) ----
+
+   A registry's layout is interned by registration sequence and sealed
+   on first pack, so packing must agree with the name-sorted snapshot
+   whatever happened to the registry: random names and kinds,
+   re-registrations, series registered from inside a snapshot hook, and
+   series minted by [restore_packed]. Equal series sets share one
+   physical schema, whatever the registration order and however two
+   domains interleave building the same fresh layout. *)
+
+type reg_op =
+  | Reg of int  (* register series [i] (again, perhaps) *)
+  | Bump of int * int  (* register series [i], then record a value *)
+  | Hook of int  (* a snapshot hook that registers series [i] *)
+  | Mint of int list  (* restore an image holding these extra series *)
+
+let gen_layout_case =
+  QCheck2.Gen.(
+    pair
+      (array_size (return 10) (oneofl [ 'c'; 'g'; 'h' ]))
+      (list_size (int_bound 40)
+         (frequency
+            [
+              (4, map (fun i -> Reg i) (int_bound 9));
+              (4, map2 (fun i v -> Bump (i, v)) (int_bound 9) (int_bound 5_000));
+              (1, map (fun i -> Hook i) (int_bound 9));
+              (1, map (fun l -> Mint l) (list_size (int_bound 3) (int_bound 9)));
+            ])))
+
+(* A fresh name space per case, so the trie sees new layouts every
+   time, not just the ones earlier cases already interned. *)
+let layout_case = Atomic.make 0
+
+let series_name case i = Printf.sprintf "lay%d.s%d" case i
+
+let register r kind name =
+  match kind with
+  | 'c' -> ignore (Metrics.counter r name)
+  | 'g' -> ignore (Metrics.gauge r name)
+  | _ -> ignore (Metrics.histogram r name)
+
+let run_layout_ops (kinds, ops) =
+  let case = Atomic.fetch_and_add layout_case 1 in
+  let name = series_name case in
+  let r = Metrics.create () in
+  List.iter
+    (function
+      | Reg i -> register r kinds.(i) (name i)
+      | Bump (i, v) -> (
+          match kinds.(i) with
+          | 'c' -> Metrics.add (Metrics.counter r (name i)) v
+          | 'g' -> Metrics.set (Metrics.gauge r (name i)) v
+          | _ -> Metrics.observe (Metrics.histogram r (name i)) v)
+      | Hook i ->
+          (* idempotent, so every snapshot and pack sees the same values *)
+          Metrics.on_snapshot r (fun () ->
+              register r kinds.(i) (name i);
+              if kinds.(i) = 'g' then
+                Metrics.set (Metrics.gauge r (name i)) (7 * i))
+      | Mint extra ->
+          let snap = Metrics.snapshot r in
+          let extra =
+            List.sort_uniq compare
+              (List.filter
+                 (fun i -> not (List.mem_assoc (name i) snap))
+                 extra)
+          in
+          let minted =
+            List.map
+              (fun i ->
+                ( name i,
+                  match kinds.(i) with
+                  | 'c' -> Metrics.Counter (i + 1)
+                  | 'g' -> Metrics.Gauge (i + 2)
+                  | _ ->
+                      let hs_buckets = Array.make Metrics.buckets 0 in
+                      hs_buckets.(Metrics.bucket_index (i + 3)) <- 1;
+                      Metrics.Histogram
+                        { Metrics.hs_count = 1; hs_sum = i + 3; hs_buckets } ))
+              extra
+          in
+          let image =
+            Metrics.pack
+              (List.sort (fun (a, _) (b, _) -> compare a b) (snap @ minted))
+          in
+          match Metrics.restore_packed r image with
+          | Ok () -> ()
+          | Error e -> failwith ("restore_packed: " ^ e))
+    ops;
+  r
+
+let qcheck_packed_of_is_pack_of_snapshot =
+  qcheck "packed_of = pack . snapshot over random registrations"
+    gen_layout_case (fun case ->
+      let r = run_layout_ops case in
+      let p = Metrics.packed_of r in
+      let snap = Metrics.snapshot r in
+      let q = Metrics.pack snap in
+      p = q
+      && Metrics.packed_to_string p = Metrics.packed_to_string q
+      && Metrics.unpack p = Ok snap)
+
+let qcheck_equal_sets_share_schema =
+  qcheck "equal series sets share one physical schema" gen_layout_case
+    (fun case ->
+      let r = run_layout_ops case in
+      let sc = (Metrics.packed_of r).Metrics.p_schema in
+      (* the same set, registered in reverse sorted order *)
+      let r' = Metrics.create () in
+      for rank = Array.length sc.Metrics.sc_names - 1 downto 0 do
+        register r' sc.Metrics.sc_kinds.[rank] sc.Metrics.sc_names.(rank)
+      done;
+      (* the same names with other kinds: another layout, another schema *)
+      let other = function 'c' -> 'g' | 'g' -> 'h' | _ -> 'c' in
+      let r'' = Metrics.create () in
+      Array.iteri
+        (fun rank name -> register r'' (other sc.Metrics.sc_kinds.[rank]) name)
+        sc.Metrics.sc_names;
+      (Metrics.packed_of r').Metrics.p_schema == sc
+      && (Metrics.packed_of r'').Metrics.p_schema.Metrics.sc_kinds
+         = String.map other sc.Metrics.sc_kinds)
+
+let qcheck_domains_share_schema =
+  qcheck ~count:30 "two domains building one fresh layout share its schema"
+    QCheck2.Gen.(
+      list_size (int_range 1 30)
+        (pair (int_bound 1_000) (oneofl [ 'c'; 'g'; 'h' ])))
+    (fun seq ->
+      let case = Atomic.fetch_and_add layout_case 1 in
+      (* drop later duplicates: one kind per name *)
+      let seq =
+        List.fold_left
+          (fun acc (i, k) -> if List.mem_assoc i acc then acc else (i, k) :: acc)
+          [] seq
+        |> List.rev
+      in
+      let build () =
+        let r = Metrics.create () in
+        List.iter (fun (i, k) -> register r k (series_name case i)) seq;
+        (Metrics.packed_of r).Metrics.p_schema
+      in
+      let d1 = Domain.spawn build and d2 = Domain.spawn build in
+      let s1 = Domain.join d1 and s2 = Domain.join d2 in
+      s1 == s2 && s1 == build ())
+
+(* Plan caches key on physical schemas and are bounded: fresh [pack]ed
+   schemas, far more than the cache holds, still merge and roll up
+   exactly like the interned ones [packed_of] returns. The two rollup
+   cohorts have medians 20x apart, so an outlier pass that read one
+   cohort's medians for the other would flag a whole cohort; only
+   board 3 is an outlier. *)
+let test_plan_caches_bounded () =
+  let regs =
+    List.init 100 (fun i ->
+        let r = Metrics.create () in
+        Metrics.add (Metrics.counter r "plan.c")
+          (if i = 3 then 100_000 else if i mod 2 = 1 then 1000 + i else i);
+        Metrics.set (Metrics.gauge r "plan.g") (2 * i);
+        Metrics.observe (Metrics.histogram r "plan.h") (i * i);
+        if i mod 3 = 0 then Metrics.incr (Metrics.counter r "plan.extra");
+        r)
+  in
+  let interned = List.map Metrics.packed_of regs in
+  let fresh = List.map (fun r -> Metrics.pack (Metrics.snapshot r)) regs in
+  let merged ps =
+    let a = Metrics.Accum.create () in
+    List.iter (Metrics.Accum.add_packed a) ps;
+    Metrics.render_json (Metrics.Accum.to_snapshot a)
+  in
+  let reference =
+    Metrics.render_json (Metrics.merge (List.map Metrics.snapshot regs))
+  in
+  Alcotest.(check string) "interned merge" reference (merged interned);
+  Alcotest.(check string) "fresh-schema merge" reference (merged fresh);
+  let rollup ps =
+    let roll = Tock_obs.Rollup.create ~cohorts:2 in
+    List.iteri
+      (fun i p -> Tock_obs.Rollup.add_packed roll ~cohort:(i mod 2) p)
+      ps;
+    roll
+  in
+  let report ps =
+    let arr = Array.of_list ps in
+    Tock_obs.Rollup.evaluate (rollup ps) ~slos:[]
+      ~iter_boards:(fun f ->
+        Array.iteri (fun i p -> f ~cohort:(i mod 2) ~board:i p) arr)
+  in
+  let outliers ps =
+    List.map
+      (fun o -> (o.Tock_obs.Rollup.ol_board, o.Tock_obs.Rollup.ol_metric))
+      (report ps).Tock_obs.Rollup.rp_outliers
+  in
+  Alcotest.(check (list (pair int string))) "interned outliers"
+    [ (3, "plan.c") ] (outliers interned);
+  Alcotest.(check string) "fresh-schema rollup"
+    (Tock_obs.Rollup.render_json (report interned))
+    (Tock_obs.Rollup.render_json (report fresh));
+  let total ps =
+    Tock_obs.Rollup.stat_value (rollup ps) ~cohort:1 "plan.c"
+      Tock_obs.Rollup.Total
+  in
+  (* odd boards: 49 x 1000 + (1 + 3 + ... + 99) - 3 + 100_000 *)
+  Alcotest.(check (pair int int)) "rollup totals" (151_497, 151_497)
+    (total interned, total fresh)
 
 (* ---- packed codec hardening ----
 
@@ -765,6 +970,10 @@ let suite =
     qcheck_pack_roundtrip;
     Alcotest.test_case "packed_of matches snapshot" `Quick
       test_packed_of_matches_snapshot;
+    qcheck_packed_of_is_pack_of_snapshot;
+    qcheck_equal_sets_share_schema;
+    qcheck_domains_share_schema;
+    Alcotest.test_case "plan caches bounded" `Quick test_plan_caches_bounded;
     Alcotest.test_case "packed codec rejects corruption" `Quick
       test_packed_rejects_corruption;
     Alcotest.test_case "merge type clash" `Quick test_merge_type_clash;
