@@ -8,7 +8,12 @@
    - AES block encrypt >= 3x over the byte-wise reference and SHA-256
      >= 1.5x over the textbook compression (asserted in full mode);
    - the MPU hit path performs no slot scans (asserted via
-     Mpu.scan_count, both modes).
+     Mpu.scan_count, both modes);
+   - the syscall round trip on a live board: a bare LED command
+     allocates <= 16 minor words and yield_no_wait <= 10, and a
+     subscribe + unsubscribe pair leaves the app's upcall table the size
+     it was (asserted via Gc.minor_words and Emu.upcall_fn_count, both
+     modes).
 
    Run: dune exec bench/main.exe -- datapath
    The `datapath-smoke` variant runs tiny iteration counts under
@@ -16,6 +21,7 @@
    exercised on every test run. *)
 
 module Emu = Tock_userland.Emu
+module Libtock = Tock_userland.Libtock
 module Mpu = Tock_hw.Mpu
 module Process = Tock.Process
 module Aes = Tock_crypto.Aes128
@@ -128,6 +134,108 @@ let json_of_sample s =
   Printf.sprintf "    {\"name\": \"%s\", \"ns_per_op\": %.2f, \"iters\": %d}"
     s.s_name s.s_ns s.s_iters
 
+(* ---- the syscall round trip on a live board ----
+
+   A syscall can only be performed from app code, so the app runs each
+   sample's loop itself, with the same timing and Gc helpers; the bench
+   steps the kernel until the app reports. Each op is a full round trip:
+   Libtock, the trap, kernel dispatch, the resume, the decode. The board
+   has no trace ring (like the root-of-trust boards), so no trace events
+   are recorded on the path. *)
+
+type round_trip = {
+  rt_name : string;
+  rt_ns : float;
+  rt_words : float; (* minor words per op *)
+  rt_iters : int;
+  rt_table_delta : int; (* upcall-table entries gained over the op loop *)
+}
+
+let syscall_round_trips ~n_time ~n_alloc =
+  let report = ref None in
+  let app a =
+    let buf = Emu.get_buffer a ~tag:"rt" ~size:16 in
+    let cb _ _ _ = () in
+    let ops =
+      [
+        ( "syscall/command-led",
+          fun () ->
+            ignore
+              (Libtock.command a ~driver:Tock.Driver_num.led ~cmd:0 ~arg1:0
+                 ~arg2:0) );
+        ("syscall/yield-no-wait", fun () -> ignore (Libtock.yield_no_wait a));
+        ( "syscall/allow-ro+unallow",
+          fun () ->
+            ignore
+              (Libtock.allow_ro a ~driver:Tock.Driver_num.console ~num:1
+                 ~addr:buf ~len:16);
+            Libtock.unallow_ro a ~driver:Tock.Driver_num.console ~num:1 );
+        ( "syscall/subscribe+unsubscribe",
+          fun () ->
+            ignore (Libtock.subscribe a ~driver:Tock.Driver_num.alarm ~sub:0 cb);
+            Libtock.unsubscribe a ~driver:Tock.Driver_num.alarm ~sub:0 );
+      ]
+    in
+    report :=
+      Some
+        (List.map
+           (fun (rt_name, f) ->
+             let rt_ns = time_ns f n_time in
+             let before = Emu.upcall_fn_count a in
+             let words = alloc_words f n_alloc in
+             {
+               rt_name;
+               rt_ns;
+               rt_words = words /. float_of_int n_alloc;
+               rt_iters = n_time;
+               rt_table_delta = Emu.upcall_fn_count a - before;
+             })
+           ops);
+    let rec spin () =
+      Emu.work a 1000;
+      spin ()
+    in
+    spin ()
+  in
+  let sim = Tock_hw.Sim.create ~trace_capacity:0 () in
+  let board = Tock_boards.Board.build (Tock_hw.Chip.sam4l_like sim) in
+  ignore (Tock_boards.Board.add_app board ~name:"rt-bench" app);
+  let k = board.Tock_boards.Board.kernel in
+  let cap = board.Tock_boards.Board.main_cap in
+  while !report = None do
+    ignore (Tock.Kernel.step k ~cap)
+  done;
+  Option.get !report
+
+let json_of_round_trip r =
+  Printf.sprintf
+    "    {\"name\": \"%s\", \"ns_per_op\": %.2f, \"minor_words_per_op\": \
+     %.2f, \"iters\": %d}"
+    r.rt_name r.rt_ns r.rt_words r.rt_iters
+
+(* Gates: words per op for the two cheapest calls, and a subscribe that
+   does not grow the upcall table. *)
+let check_round_trips rts =
+  let words name =
+    (List.find (fun r -> r.rt_name = name) rts).rt_words
+  in
+  let gate name limit =
+    let w = words name in
+    if w > limit then
+      failwith
+        (Printf.sprintf "datapath: %s allocated %.1f words/op (gate <= %.0f)"
+           name w limit)
+  in
+  gate "syscall/command-led" 16.;
+  gate "syscall/yield-no-wait" 10.;
+  List.iter
+    (fun r ->
+      if r.rt_table_delta <> 0 then
+        failwith
+          (Printf.sprintf "datapath: %s left %+d upcall-table entries"
+             r.rt_name r.rt_table_delta))
+    rts
+
 let run_mode ~scale ~assert_ratios ~write () =
   Printf.printf "== datapath: fast-path primitives (scale %.3f) ==\n" scale;
   let it base = max 64 (int_of_float (float_of_int base *. scale)) in
@@ -215,6 +323,17 @@ let run_mode ~scale ~assert_ratios ~write () =
   note "crc16/frame-fast" crc_fast n_fast;
   note "crc16/frame-ref" crc_ref n_ref;
 
+  (* -- the syscall round trip: speed, words and table size -- *)
+  let rts =
+    syscall_round_trips ~n_time:(it 200_000) ~n_alloc:(max 5_000 (it 200_000))
+  in
+  List.iter
+    (fun r ->
+      Printf.printf "   %-30s %8.1f ns/op %6.1f words/op\n%!" r.rt_name r.rt_ns
+        r.rt_words)
+    rts;
+  check_round_trips rts;
+
   let aes_speedup = aes_ref /. aes_fast in
   let sha_speedup = sha_ref /. sha_fast in
   let crc_speedup = crc_ref /. crc_fast in
@@ -236,10 +355,12 @@ let run_mode ~scale ~assert_ratios ~write () =
        \"sha256_speedup\": %.2f,\n  \"crc16_speedup\": %.2f,\n  \
        \"emu_read_u32_alloc_words\": %.0f,\n  \
        \"emu_write_u32_alloc_words\": %.0f,\n  \"mpu_hit_scans\": %d,\n  \
-       \"mpu_miss_scans\": %d,\n  \"samples\": [\n%s\n  ]\n}\n"
+       \"mpu_miss_scans\": %d,\n  \"samples\": [\n%s\n  ],\n  \
+       \"syscall_round_trips\": [\n%s\n  ]\n}\n"
       aes_speedup sha_speedup crc_speedup read_alloc write_alloc hit_scans
       miss_scans
-      (String.concat ",\n" (List.rev_map json_of_sample !samples));
+      (String.concat ",\n" (List.rev_map json_of_sample !samples))
+      (String.concat ",\n" (List.map json_of_round_trip rts));
     close_out oc;
     print_endline "   wrote BENCH_datapath.json"
   end;

@@ -60,21 +60,11 @@ type kcounters = {
   c_filtered_commands : Tock_obs.Metrics.counter;
 }
 
-(* Syscall classes, indexed for the per-class latency histograms. *)
+(* Syscall classes by [Syscall.class_index], for the per-class latency
+   histograms and trace spans. *)
 let class_names =
   [| "yield"; "subscribe"; "command"; "allow_rw"; "allow_ro"; "memop";
      "exit"; "command_blocking" |]
-
-let class_index (call : Syscall.call) =
-  match call with
-  | Syscall.Yield _ -> 0
-  | Syscall.Subscribe _ -> 1
-  | Syscall.Command _ -> 2
-  | Syscall.Allow_rw _ -> 3
-  | Syscall.Allow_ro _ -> 4
-  | Syscall.Memop _ -> 5
-  | Syscall.Exit _ -> 6
-  | Syscall.Command_blocking _ -> 7
 
 type pentry = {
   proc : Process.t;
@@ -84,6 +74,7 @@ type pentry = {
       (* Reused return-register buffer for this process's syscall
          returns; valid because a process always decodes a return before
          it can issue the syscall that would overwrite it. *)
+  resume_ret : Process.resume_arg; (* [Rsyscall_ret ret_scratch], built once *)
   c_cycles : Tock_obs.Metrics.counter;
       (* cycles attributed to this process's slices (app + syscall work) *)
   (* [process.<name>.*] gauges, resolved at creation and set by the
@@ -94,6 +85,13 @@ type pentry = {
   g_restarts : Tock_obs.Metrics.gauge;
   g_mpu_scans : Tock_obs.Metrics.gauge;
   g_upcalls_dropped : Tock_obs.Metrics.gauge;
+}
+
+(* A registered driver and its [driver.<name>.*] registry series. *)
+type driver_slot = {
+  drv : Driver.t;
+  d_commands : Tock_obs.Metrics.counter;
+  d_cycles : Tock_obs.Metrics.counter;
 }
 
 (* Board-state components beyond the kernel's own reach (capsule and
@@ -117,11 +115,9 @@ type t = {
          separate even when boards share a Sim (radio groups). *)
   k_obs : Tock_obs.Ctx.t;
   kc : kcounters;
-  h_sys : Tock_obs.Metrics.histogram array; (* indexed by class_index *)
-  drv_ctrs : (int, Tock_obs.Metrics.counter * Tock_obs.Metrics.counter) Hashtbl.t;
-      (* driver_num -> (commands, cycles) *)
+  h_sys : Tock_obs.Metrics.histogram array; (* by Syscall.class_index *)
   k_deferred : Deferred_call.t;
-  drivers : (int, Driver.t) Hashtbl.t;
+  drivers : driver_slot Int_hashtbl.Int.t; (* by driver number *)
   mutable table : pentry array; (* index = pid: ids are dense and never reused *)
   mutable next_pid : int;
   mutable ram_next : int; (* bump pointer into the RAM pool *)
@@ -175,9 +171,8 @@ let create ?config:(cfg = default_config ()) chip =
         };
       kc;
       h_sys;
-      drv_ctrs = Hashtbl.create 16;
       k_deferred = Deferred_call.create ();
-      drivers = Hashtbl.create 16;
+      drivers = Int_hashtbl.Int.create 16;
       table = [||];
       next_pid = 0;
       ram_next = cfg.ram_base;
@@ -249,14 +244,14 @@ let[@inline] spend t n =
 (* ---- drivers ---- *)
 
 let register_driver t (d : Driver.t) =
-  Hashtbl.replace t.drivers d.Driver.driver_num d;
-  Hashtbl.replace t.drv_ctrs d.Driver.driver_num
-    ( Tock_obs.Metrics.counter t.k_reg
-        ("driver." ^ d.Driver.driver_name ^ ".commands"),
-      Tock_obs.Metrics.counter t.k_reg
-        ("driver." ^ d.Driver.driver_name ^ ".cycles") )
-
-let find_driver t num = Hashtbl.find_opt t.drivers num
+  let prefix = "driver." ^ d.Driver.driver_name ^ "." in
+  let series stat = Tock_obs.Metrics.counter t.k_reg (prefix ^ stat) in
+  (* Registration order fixes the registry layout: cycles, then
+     commands. *)
+  let d_cycles = series "cycles" in
+  let d_commands = series "commands" in
+  Int_hashtbl.Int.replace t.drivers d.Driver.driver_num
+    { drv = d; d_commands; d_cycles }
 
 let register_grant t ~name ~preallocate ~is_allocated =
   t.k_grants <-
@@ -328,12 +323,14 @@ let create_process t ~cap:_ ~name ~flash_base ~flash ~min_ram ?permissions
         Process.set_obs proc t.k_obs;
         let series = "process." ^ name ^ "." in
         let g stat = Tock_obs.Metrics.gauge t.k_reg (series ^ stat) in
+        let ret_scratch = Array.make 4 0 in
         let pe =
           {
             proc;
             factory;
             pending_resume = Some Process.Rstart;
-            ret_scratch = Array.make 4 0;
+            ret_scratch;
+            resume_ret = Process.Rsyscall_ret ret_scratch;
             c_cycles = Tock_obs.Metrics.counter t.k_reg (series ^ "cycles");
             g_syscalls = g "syscalls";
             g_grant_enters = g "grant_enters";
@@ -458,13 +455,19 @@ let process_state_of t pid = Option.map (fun pe -> Process.state pe.proc) (entry
 
 let process_name_of t pid = Option.map (fun pe -> Process.name pe.proc) (entry t pid)
 
-(* ---- syscall dispatch ---- *)
+(* ---- syscall dispatch ----
 
-type dispatch =
-  [ `Return of Syscall.ret
-  | `Deliver of Process.pending_upcall
-  | `Blocked
-  | `Dead ]
+   The round trip allocates nothing of its own: the app writes its call
+   into its reusable 5-register frame and traps; [dispatch] reads r0-r3
+   straight out of that frame, writes the return into the process's
+   [ret_scratch], and the process is resumed with its preallocated
+   [Rsyscall_ret ret_scratch]. No [Syscall.call] or [Syscall.ret] is
+   built unless a trace hook asks for one. The frame stays valid until
+   the process is resumed: the app is suspended in the trap. *)
+
+(* What a dispatched call leaves for the resume. [Returned]: the return
+   registers are in [ret_scratch]. *)
+type outcome = Returned | Deliver of Process.pending_upcall | Blocked | Dead
 
 let validate_allow t proc ~kind ~addr ~len =
   if len = 0 then begin
@@ -483,10 +486,7 @@ let validate_allow t proc ~kind ~addr ~len =
     in
     let region_ok = match kind with `Rw -> in_app_ram | `Ro -> in_app_ram || in_flash in
     if not region_ok then Error Error.INVAL
-    else if
-      Process.allow_overlaps proc ~kind
-        { Process.a_addr = addr; a_len = len; a_window = None }
-    then (
+    else if Process.allow_overlaps proc ~kind ~addr ~len then (
       match t.k_config.aliasing_policy with
       | Reject_overlap ->
           Tock_obs.Metrics.incr t.kc.c_overlap_rejected;
@@ -497,48 +497,50 @@ let validate_allow t proc ~kind ~addr ~len =
     else Ok ()
   end
 
-let handle_allow t proc ~kind ~driver ~allow_num ~addr ~len : dispatch =
-  match find_driver t driver with
-  | None -> `Return (Syscall.Failure_u32_u32 (Error.NODEVICE, addr, len))
-  | Some d -> (
+let handle_allow t proc ret ~kind ~driver ~allow_num ~addr ~len =
+  (match Int_hashtbl.Int.find t.drivers driver with
+  | exception Not_found ->
+      Syscall.set_failure_u32_u32 ret Error.NODEVICE addr len
+  | slot -> (
       match validate_allow t proc ~kind ~addr ~len with
-      | Error e -> `Return (Syscall.Failure_u32_u32 (e, addr, len))
+      | Error e -> Syscall.set_failure_u32_u32 ret e addr len
       | Ok () -> (
           (* Materialize the window once, at the allow boundary; every
              later capsule access reuses it without translation. *)
           match Process.make_allow_entry proc ~addr ~len with
-          | None -> `Return (Syscall.Failure_u32_u32 (Error.INVAL, addr, len))
+          | None -> Syscall.set_failure_u32_u32 ret Error.INVAL addr len
           | Some entry -> (
               let hook =
                 match kind with
-                | `Rw -> d.Driver.allow_rw_hook
-                | `Ro -> d.Driver.allow_ro_hook
+                | `Rw -> slot.drv.Driver.allow_rw_hook
+                | `Ro -> slot.drv.Driver.allow_ro_hook
               in
               match hook proc ~allow_num entry with
-              | Error e -> `Return (Syscall.Failure_u32_u32 (e, addr, len))
+              | Error e -> Syscall.set_failure_u32_u32 ret e addr len
               | Ok () ->
                   let old =
                     Process.allow_swap proc ~kind ~driver ~allow_num entry
                   in
-                  `Return
-                    (Syscall.Success_u32_u32
-                       (old.Process.a_addr, old.Process.a_len)))))
+                  Syscall.set_success_u32_u32 ret old.Process.a_addr
+                    old.Process.a_len))));
+  Returned
 
-let handle_memop proc ~op ~arg : dispatch =
+let handle_memop proc ret ~op ~arg =
   let open Syscall in
-  if op = memop_brk then
-    match Process.brk proc arg with
-    | Ok () -> `Return Success
-    | Error e -> `Return (Failure e)
-  else if op = memop_sbrk then
-    match Process.sbrk proc arg with
-    | Ok old -> `Return (Success_u32 old)
-    | Error e -> `Return (Failure e)
-  else if op = memop_flash_start then `Return (Success_u32 (Process.flash_base proc))
-  else if op = memop_flash_end then `Return (Success_u32 (Process.flash_end proc))
-  else if op = memop_ram_start then `Return (Success_u32 (Process.ram_base proc))
-  else if op = memop_ram_end then `Return (Success_u32 (Process.ram_end proc))
-  else `Return (Failure Error.NOSUPPORT)
+  (if op = memop_brk then
+     match Process.brk proc arg with
+     | Ok () -> set_success ret
+     | Error e -> set_failure ret e
+   else if op = memop_sbrk then
+     match Process.sbrk proc arg with
+     | Ok old -> set_success_u32 ret old
+     | Error e -> set_failure ret e
+   else if op = memop_flash_start then set_success_u32 ret (Process.flash_base proc)
+   else if op = memop_flash_end then set_success_u32 ret (Process.flash_end proc)
+   else if op = memop_ram_start then set_success_u32 ret (Process.ram_base proc)
+   else if op = memop_ram_end then set_success_u32 ret (Process.ram_end proc)
+   else set_failure ret Error.NOSUPPORT);
+  Returned
 
 let deliver_of_pending t proc pu =
   Tock_obs.Metrics.incr t.kc.c_upcalls_delivered;
@@ -558,99 +560,133 @@ let deliver_of_pending t proc pu =
       arg2 = a2;
     }
 
+(* A directly awaited completion (yield-wait-for, blocking command)
+   returns its upcall arguments in registers. *)
+let return_args ret pu =
+  let a0, a1, a2 = pu.Process.pu_args in
+  Syscall.set_success_u32_u32_u32 ret a0 a1 a2
+
 (* Run a driver command, attributing its wall cycles and call count to
    the driver's registry series. *)
-let timed_command t (d : Driver.t) proc ~command_num ~arg1 ~arg2 =
+let timed_command t slot proc ~command_num ~arg1 ~arg2 =
   let t0 = Tock_hw.Sim.now (sim t) in
-  let r = d.Driver.command proc ~command_num ~arg1 ~arg2 in
-  (match Hashtbl.find_opt t.drv_ctrs d.Driver.driver_num with
-  | Some (calls, cycles) ->
-      Tock_obs.Metrics.incr calls;
-      Tock_obs.Metrics.add cycles (Tock_hw.Sim.now (sim t) - t0)
-  | None -> ());
+  let r = slot.drv.Driver.command proc ~command_num ~arg1 ~arg2 in
+  Tock_obs.Metrics.incr slot.d_commands;
+  Tock_obs.Metrics.add slot.d_cycles (Tock_hw.Sim.now (sim t) - t0);
   r
 
-let handle_syscall t pe (call : Syscall.call) : dispatch =
-  let proc = pe.proc in
-  match call with
-  | Syscall.Yield Syscall.Yield_wait -> (
-      match Process.pop_upcall proc with
-      | Some pu -> `Deliver pu
-      | None ->
-          Process.set_state proc Process.Yielded;
-          `Blocked)
-  | Syscall.Yield Syscall.Yield_no_wait -> (
-      match Process.pop_upcall proc with
-      | Some pu -> `Deliver pu
-      | None -> `Return (Syscall.Success_u32 0))
-  | Syscall.Yield (Syscall.Yield_wait_for { driver; subscribe_num }) -> (
-      match Process.pop_upcall_for proc ~driver ~subscribe_num with
-      | Some pu ->
-          let a0, a1, a2 = pu.Process.pu_args in
-          Tock_obs.Metrics.incr t.kc.c_upcalls_delivered;
-          `Return (Syscall.Success_u32_u32_u32 (a0, a1, a2))
-      | None ->
-          Process.set_state proc (Process.Yielded_for { driver; subscribe_num });
-          `Blocked)
-  | Syscall.Subscribe { driver; subscribe_num; upcall_fn; appdata } -> (
-      match find_driver t driver with
-      | None -> `Return (Syscall.Failure_u32_u32 (Error.NODEVICE, upcall_fn, appdata))
-      | Some d -> (
-          match d.Driver.subscribe_hook proc ~subscribe_num with
-          | Error e -> `Return (Syscall.Failure_u32_u32 (e, upcall_fn, appdata))
+(* False, with NODEVICE in [ret], if the process's TBF permissions
+   filter the command. *)
+let permitted t proc ret ~driver ~command_num =
+  Process.command_allowed proc ~driver ~command_num
+  || begin
+       Tock_obs.Metrics.incr t.kc.c_filtered_commands;
+       Syscall.set_failure ret Error.NODEVICE;
+       false
+     end
+
+(* Dispatch a frame [Syscall.verdict] accepted as class [idx], reading
+   r0-r3 in place. *)
+let dispatch t pe idx regs =
+  let proc = pe.proc and ret = pe.ret_scratch in
+  let r0 = Array.unsafe_get regs 1 and r1 = Array.unsafe_get regs 2 in
+  let r2 = Array.unsafe_get regs 3 and r3 = Array.unsafe_get regs 4 in
+  match idx with
+  | 0 (* yield *) -> (
+      match r0 with
+      | 0 (* no-wait *) -> (
+          match Process.pop_upcall proc with
+          | Some pu -> Deliver pu
+          | None ->
+              Syscall.set_success_u32 ret 0;
+              Returned)
+      | 1 (* wait *) -> (
+          match Process.pop_upcall proc with
+          | Some pu -> Deliver pu
+          | None ->
+              Process.set_state proc Process.Yielded;
+              Blocked)
+      | _ (* wait-for *) -> (
+          match Process.pop_upcall_for proc ~driver:r1 ~subscribe_num:r2 with
+          | Some pu ->
+              Tock_obs.Metrics.incr t.kc.c_upcalls_delivered;
+              return_args ret pu;
+              Returned
+          | None ->
+              Process.set_state proc
+                (Process.Yielded_for { driver = r1; subscribe_num = r2 });
+              Blocked))
+  | 1 (* subscribe: driver, subscribe_num, upcall_fn, appdata *) ->
+      (match Int_hashtbl.Int.find t.drivers r0 with
+      | exception Not_found ->
+          Syscall.set_failure_u32_u32 ret Error.NODEVICE r2 r3
+      | slot -> (
+          match slot.drv.Driver.subscribe_hook proc ~subscribe_num:r1 with
+          | Error e -> Syscall.set_failure_u32_u32 ret e r2 r3
           | Ok () ->
               let old =
-                Process.subscribe_swap proc ~driver ~subscribe_num
-                  { Process.fnptr = upcall_fn; appdata }
+                Process.subscribe_swap proc ~driver:r0 ~subscribe_num:r1
+                  { Process.fnptr = r2; appdata = r3 }
               in
-              `Return
-                (Syscall.Success_u32_u32 (old.Process.fnptr, old.Process.appdata))))
-  | Syscall.Command { driver; command_num; arg1; arg2 } -> (
-      match find_driver t driver with
-      | None -> `Return (Syscall.Failure Error.NODEVICE)
-      | Some d ->
-          if not (Process.command_allowed proc ~driver ~command_num) then begin
-            Tock_obs.Metrics.incr t.kc.c_filtered_commands;
-            `Return (Syscall.Failure Error.NODEVICE)
-          end
-          else `Return (timed_command t d proc ~command_num ~arg1 ~arg2))
-  | Syscall.Allow_rw { driver; allow_num; addr; len } ->
-      handle_allow t proc ~kind:`Rw ~driver ~allow_num ~addr ~len
-  | Syscall.Allow_ro { driver; allow_num; addr; len } ->
-      handle_allow t proc ~kind:`Ro ~driver ~allow_num ~addr ~len
-  | Syscall.Memop { op; arg } -> handle_memop proc ~op ~arg
-  | Syscall.Exit { variant = 0; code } ->
-      Process.destroy_execution proc;
-      Process.set_state proc (Process.Terminated { code });
-      `Dead
-  | Syscall.Exit { variant = 1; _ } ->
-      do_restart t pe;
-      `Dead
-  | Syscall.Exit _ -> `Return (Syscall.Failure Error.NOSUPPORT)
-  | Syscall.Command_blocking { driver; command_num; arg1; arg2; subscribe_num }
-    -> (
-      if not t.k_config.blocking_commands then
-        `Return (Syscall.Failure Error.NOSUPPORT)
+              Syscall.set_success_u32_u32 ret old.Process.fnptr
+                old.Process.appdata));
+      Returned
+  | 2 (* command: driver, command_num, arg1, arg2 *) ->
+      (match Int_hashtbl.Int.find t.drivers r0 with
+      | exception Not_found -> Syscall.set_failure ret Error.NODEVICE
+      | slot ->
+          if permitted t proc ret ~driver:r0 ~command_num:r1 then
+            Syscall.encode_ret_into
+              (timed_command t slot proc ~command_num:r1 ~arg1:r2 ~arg2:r3)
+              ret);
+      Returned
+  | 3 -> handle_allow t proc ret ~kind:`Rw ~driver:r0 ~allow_num:r1 ~addr:r2 ~len:r3
+  | 4 -> handle_allow t proc ret ~kind:`Ro ~driver:r0 ~allow_num:r1 ~addr:r2 ~len:r3
+  | 5 -> handle_memop proc ret ~op:r0 ~arg:r1
+  | 6 (* exit: variant, code *) -> (
+      match r0 with
+      | 0 ->
+          Process.destroy_execution proc;
+          Process.set_state proc (Process.Terminated { code = r1 });
+          Dead
+      | 1 ->
+          do_restart t pe;
+          Dead
+      | _ ->
+          Syscall.set_failure ret Error.NOSUPPORT;
+          Returned)
+  | _ (* blocking command: driver, command_num, arg1, packed arg2/slot *) -> (
+      if not t.k_config.blocking_commands then begin
+        Syscall.set_failure ret Error.NOSUPPORT;
+        Returned
+      end
       else
-        match find_driver t driver with
-        | None -> `Return (Syscall.Failure Error.NODEVICE)
-        | Some d -> (
-            if not (Process.command_allowed proc ~driver ~command_num) then begin
-              Tock_obs.Metrics.incr t.kc.c_filtered_commands;
-              `Return (Syscall.Failure Error.NODEVICE)
-            end
+        match Int_hashtbl.Int.find t.drivers r0 with
+        | exception Not_found ->
+            Syscall.set_failure ret Error.NODEVICE;
+            Returned
+        | slot -> (
+            if not (permitted t proc ret ~driver:r0 ~command_num:r1) then
+              Returned
             else
-              let r = timed_command t d proc ~command_num ~arg1 ~arg2 in
-              if not (Syscall.ret_is_success r) then `Return r
+              let subscribe_num = Syscall.blocking_subscribe_num r3 in
+              let r =
+                timed_command t slot proc ~command_num:r1 ~arg1:r2
+                  ~arg2:(Syscall.blocking_arg2 r3)
+              in
+              if not (Syscall.ret_is_success r) then begin
+                Syscall.encode_ret_into r ret;
+                Returned
+              end
               else
-                match Process.pop_upcall_for proc ~driver ~subscribe_num with
+                match Process.pop_upcall_for proc ~driver:r0 ~subscribe_num with
                 | Some pu ->
-                    let a0, a1, a2 = pu.Process.pu_args in
-                    `Return (Syscall.Success_u32_u32_u32 (a0, a1, a2))
+                    return_args ret pu;
+                    Returned
                 | None ->
                     Process.set_state proc
-                      (Process.Blocked_command { driver; subscribe_num });
-                    `Blocked))
+                      (Process.Blocked_command { driver = r0; subscribe_num });
+                    Blocked))
 
 let handle_fault t pe reason =
   let proc = pe.proc in
@@ -728,12 +764,9 @@ let run_slice t pe timeslice =
     | Process.Blocked_command { driver; subscribe_num } -> (
         match Process.pop_upcall_for proc ~driver ~subscribe_num with
         | Some pu ->
-            let a0, a1, a2 = pu.Process.pu_args in
             Tock_obs.Metrics.incr t.kc.c_upcalls_delivered;
-            Syscall.encode_ret_into
-              (Syscall.Success_u32_u32_u32 (a0, a1, a2))
-              pe.ret_scratch;
-            Process.Rsyscall_ret pe.ret_scratch
+            return_args pe.ret_scratch pu;
+            pe.resume_ret
         | None -> Process.Rcontinue)
     | _ -> Process.Rcontinue
   in
@@ -760,53 +793,59 @@ let run_slice t pe timeslice =
         let sys_t0 = Tock_hw.Sim.now (sim t) in
         spend t tm.Tock_hw.Chip.syscall_overhead;
         let remaining = remaining - tm.Tock_hw.Chip.syscall_overhead in
+        (* Malformed frames take no per-class count; unknown classes do. *)
         if Array.length regs = Syscall.registers then
-          Process.note_syscall proc ~class_num:regs.(0);
-        match Syscall.decode_call regs with
-        | Error e ->
-            Syscall.encode_ret_into (Syscall.Failure e) pe.ret_scratch;
-            continue_or_stash pe.ret_scratch remaining
-        | Ok call -> (
-            let idx = class_index call in
-            if Tock_obs.Trace.on tr then
-              Tock_obs.Trace.emit tr ~ts:sys_t0 ~tid:pid
-                Tock_obs.Trace.Syscall Tock_obs.Trace.Begin ~arg:idx
-                ~text:class_names.(idx);
-            let dispatch = handle_syscall t pe call in
-            (match t.trace_hook with
-            | Some trace ->
-                trace proc call
-                  (match dispatch with `Return r -> Some r | _ -> None)
-            | None -> ());
-            (* Latency from trap entry to dispatch completion: includes
-               the architectural syscall overhead and any driver work. *)
-            let sys_end = Tock_hw.Sim.now (sim t) in
-            Tock_obs.Metrics.observe t.h_sys.(idx) (sys_end - sys_t0);
-            Tock_obs.Metrics.add pe.c_cycles (sys_end - sys_t0);
-            if Tock_obs.Trace.on tr then
-              Tock_obs.Trace.emit tr ~ts:sys_end ~tid:pid
-                Tock_obs.Trace.Syscall Tock_obs.Trace.End ~arg:idx
-                ~text:class_names.(idx);
-            match dispatch with
-            | `Return ret ->
-                Syscall.encode_ret_into ret pe.ret_scratch;
-                continue_or_stash pe.ret_scratch remaining
-            | `Deliver pu ->
-                let arg = deliver_of_pending t proc pu in
-                if remaining > 0 then go arg remaining
-                else begin
-                  pe.pending_resume <- Some arg;
-                  t.k_config.scheduler.Scheduler.charge proc
-                    Scheduler.Used_full_slice
-                end
-            | `Blocked ->
-                t.k_config.scheduler.Scheduler.charge proc Scheduler.Yielded_early
-            | `Dead ->
-                t.k_config.scheduler.Scheduler.charge proc Scheduler.Yielded_early))
-  and continue_or_stash ret_regs remaining =
-    if remaining > 0 then go (Process.Rsyscall_ret ret_regs) remaining
+          Process.note_syscall proc ~class_num:(Array.unsafe_get regs 0);
+        let idx = Syscall.verdict regs in
+        if idx < 0 then begin
+          Syscall.set_failure pe.ret_scratch
+            (if idx = Syscall.verdict_inval then Error.INVAL else Error.NOSUPPORT);
+          continue_or_stash remaining
+        end
+        else begin
+          if Tock_obs.Trace.on tr then
+            Tock_obs.Trace.emit tr ~ts:sys_t0 ~tid:pid Tock_obs.Trace.Syscall
+              Tock_obs.Trace.Begin ~arg:idx ~text:class_names.(idx);
+          (* A trace hook sees the call decoded before dispatch, while the
+             frame is still the trapped one. *)
+          let traced =
+            match t.trace_hook with
+            | None -> None
+            | Some _ -> Result.to_option (Syscall.decode_call regs)
+          in
+          let outcome = dispatch t pe idx regs in
+          (match (t.trace_hook, traced) with
+          | Some trace, Some call ->
+              trace proc call
+                (match outcome with
+                | Returned -> Result.to_option (Syscall.decode_ret pe.ret_scratch)
+                | Deliver _ | Blocked | Dead -> None)
+          | _ -> ());
+          (* Latency from trap entry to dispatch completion: includes the
+             architectural syscall overhead and any driver work. *)
+          let sys_end = Tock_hw.Sim.now (sim t) in
+          Tock_obs.Metrics.observe t.h_sys.(idx) (sys_end - sys_t0);
+          Tock_obs.Metrics.add pe.c_cycles (sys_end - sys_t0);
+          if Tock_obs.Trace.on tr then
+            Tock_obs.Trace.emit tr ~ts:sys_end ~tid:pid Tock_obs.Trace.Syscall
+              Tock_obs.Trace.End ~arg:idx ~text:class_names.(idx);
+          match outcome with
+          | Returned -> continue_or_stash remaining
+          | Deliver pu ->
+              let arg = deliver_of_pending t proc pu in
+              if remaining > 0 then go arg remaining
+              else begin
+                pe.pending_resume <- Some arg;
+                t.k_config.scheduler.Scheduler.charge proc
+                  Scheduler.Used_full_slice
+              end
+          | Blocked | Dead ->
+              t.k_config.scheduler.Scheduler.charge proc Scheduler.Yielded_early
+        end)
+  and continue_or_stash remaining =
+    if remaining > 0 then go pe.resume_ret remaining
     else begin
-      pe.pending_resume <- Some (Process.Rsyscall_ret ret_regs);
+      pe.pending_resume <- Some pe.resume_ret;
       t.k_config.scheduler.Scheduler.charge pe.proc Scheduler.Used_full_slice
     end
   in

@@ -120,8 +120,6 @@ val set_syscall_trace :
 val register_driver : t -> Driver.t -> unit
 (** At most one driver per driver number; re-registration replaces. *)
 
-val find_driver : t -> int -> Driver.t option
-
 val register_grant :
   t ->
   name:string ->

@@ -57,6 +57,8 @@ type allow_entry = { a_addr : int; a_len : int; a_window : Subslice.t option }
 
 let zero_allow = { a_addr = 0; a_len = 0; a_window = None }
 
+let some_zero_allow = Some zero_allow
+
 (* Last-hit MPU access cache, one per access kind. The emulated data
    plane funnels every load/store through [check_access]; the common case
    is a run of accesses inside the same protection region, so we remember
@@ -118,17 +120,19 @@ type t = {
   cache_read : access_cache;
   cache_write : access_cache;
   cache_exec : access_cache;
-  upcall_slots : (int * int, upcall) Hashtbl.t;
+  upcall_slots : upcall Int_hashtbl.Pair.t; (* (driver, subscribe_num) *)
   pending : pending_upcall Ring_buffer.t;
-  allows_rw : (int * int, allow_entry) Hashtbl.t;
-  allows_ro : (int * int, allow_entry) Hashtbl.t;
+  allows_rw : allow_entry Int_hashtbl.Pair.t; (* (driver, allow_num) *)
+  allows_ro : allow_entry Int_hashtbl.Pair.t;
   grants : (int, Univ.t) Hashtbl.t;
   mutable grant_bytes : int;
   mutable exec : execution option;
   mutable p_state : state;
   mutable restarts : int;
   mutable syscalls : int;
-  syscalls_by_class : (int, int) Hashtbl.t;
+  class_counts : int array; (* by [Syscall.class_index] *)
+  other_classes : int Int_hashtbl.Int.t;
+      (* class number -> count, for numbers outside the known classes *)
   mutable grant_enters : int;
   mutable p_obs : Tock_obs.Ctx.t;
       (* Kernel-installed observability context; [Ctx.disabled] until the
@@ -181,17 +185,18 @@ let create ~id ~name ~ram_base ~ram_size ~initial_app_break ~flash_base ~flash
     cache_read = fresh_cache ();
     cache_write = fresh_cache ();
     cache_exec = fresh_cache ();
-    upcall_slots = Hashtbl.create 16;
+    upcall_slots = Int_hashtbl.Pair.create 16;
     pending = Ring_buffer.create ~capacity:upcall_queue_capacity ~dummy:dummy_pending;
-    allows_rw = Hashtbl.create 16;
-    allows_ro = Hashtbl.create 16;
+    allows_rw = Int_hashtbl.Pair.create 16;
+    allows_ro = Int_hashtbl.Pair.create 16;
     grants = Hashtbl.create 8;
     grant_bytes = 0;
     exec = None;
     p_state = Unstarted;
     restarts = 0;
     syscalls = 0;
-    syscalls_by_class = Hashtbl.create 8;
+    class_counts = Array.make Syscall.classes 0;
+    other_classes = Int_hashtbl.Int.create 1;
     grant_enters = 0;
     p_obs = Tock_obs.Ctx.disabled;
     p_permissions = permissions;
@@ -325,18 +330,22 @@ let check_access t ~addr ~len kind =
 
 (* ---- upcalls ---- *)
 
+(* Absent slots read as the null upcall / zero allow. [find] with a
+   handler rather than [find_opt]: these run on every subscribe, allow
+   and enqueue, and must not box their result. *)
+let find_or tbl key default =
+  match Int_hashtbl.Pair.find tbl key with
+  | v -> v
+  | exception Not_found -> default
+
 let subscribe_swap t ~driver ~subscribe_num up =
   let key = (driver, subscribe_num) in
-  let old =
-    Option.value (Hashtbl.find_opt t.upcall_slots key) ~default:null_upcall
-  in
-  Hashtbl.replace t.upcall_slots key up;
+  let old = find_or t.upcall_slots key null_upcall in
+  Int_hashtbl.Pair.replace t.upcall_slots key up;
   old
 
 let get_subscribed t ~driver ~subscribe_num =
-  Option.value
-    (Hashtbl.find_opt t.upcall_slots (driver, subscribe_num))
-    ~default:null_upcall
+  find_or t.upcall_slots (driver, subscribe_num) null_upcall
 
 let enqueue_upcall t ~driver ~subscribe_num ~args =
   let up = get_subscribed t ~driver ~subscribe_num in
@@ -372,7 +381,7 @@ let has_upcall_for t ~driver ~subscribe_num =
 let has_pending_upcalls t = not (Ring_buffer.is_empty t.pending)
 
 let iter_subscriptions t f =
-  Hashtbl.iter
+  Int_hashtbl.Pair.iter
     (fun (driver, subscribe_num) up -> f ~driver ~subscribe_num up)
     t.upcall_slots
 
@@ -387,28 +396,29 @@ let allow_table t = function `Ro -> t.allows_ro | `Rw -> t.allows_rw
 let allow_swap t ~kind ~driver ~allow_num entry =
   let tbl = allow_table t kind in
   let key = (driver, allow_num) in
-  let old = Option.value (Hashtbl.find_opt tbl key) ~default:zero_allow in
-  Hashtbl.replace tbl key entry;
+  let old = find_or tbl key zero_allow in
+  Int_hashtbl.Pair.replace tbl key entry;
   old
 
 let allow_get t ~kind ~driver ~allow_num =
-  Option.value
-    (Hashtbl.find_opt (allow_table t kind) (driver, allow_num))
-    ~default:zero_allow
+  find_or (allow_table t kind) (driver, allow_num) zero_allow
 
-let ranges_overlap a b =
-  a.a_len > 0 && b.a_len > 0 && a.a_addr < b.a_addr + b.a_len
-  && b.a_addr < a.a_addr + a.a_len
-
-let allow_overlaps t ~kind entry =
-  let tbl = allow_table t kind in
-  Hashtbl.fold (fun _ e acc -> acc || ranges_overlap e entry) tbl false
+let allow_overlaps t ~kind ~addr ~len =
+  len > 0
+  && Int_hashtbl.Pair.fold
+       (fun _ e acc ->
+         acc
+         || (e.a_len > 0 && e.a_addr < addr + len && addr < e.a_addr + e.a_len))
+       (allow_table t kind) false
 
 (* Materialize the window at allow time: this is the single point where
    an (addr, len) pair crosses from process arithmetic into a checked
    byte window, so every later capsule access is already bounds-safe. *)
 let make_allow_entry t ~addr ~len =
-  if len = 0 then Some { a_addr = addr; a_len = 0; a_window = None }
+  if len = 0 then
+    (* Unallow (the zero buffer) is half of every allow pair. *)
+    if addr = 0 then some_zero_allow
+    else Some { a_addr = addr; a_len = 0; a_window = None }
   else
     match mem_view t ~addr ~len with
     | Some (`Ram off) ->
@@ -422,10 +432,10 @@ let make_allow_entry t ~addr ~len =
     | None -> None
 
 let iter_allows t f =
-  Hashtbl.iter
+  Int_hashtbl.Pair.iter
     (fun (driver, allow_num) e -> f ~kind:`Rw ~driver ~allow_num e)
     t.allows_rw;
-  Hashtbl.iter
+  Int_hashtbl.Pair.iter
     (fun (driver, allow_num) e -> f ~kind:`Ro ~driver ~allow_num e)
     t.allows_ro
 
@@ -453,10 +463,10 @@ let note_restart t = t.restarts <- t.restarts + 1
 let restart_count t = t.restarts
 
 let reset_syscall_state t =
-  Hashtbl.reset t.upcall_slots;
+  Int_hashtbl.Pair.reset t.upcall_slots;
   Ring_buffer.clear t.pending;
-  Hashtbl.reset t.allows_rw;
-  Hashtbl.reset t.allows_ro;
+  Int_hashtbl.Pair.reset t.allows_rw;
+  Int_hashtbl.Pair.reset t.allows_ro;
   Hashtbl.reset t.grants;
   t.grant_bytes <- 0;
   t.app_break <- t.initial_app_break;
@@ -469,10 +479,25 @@ let reset_syscall_state t =
     (Tock_hw.Mpu.update_app_memory_region t.mpu t.mpu_config
        ~app_break:t.app_break ~kernel_break:t.kernel_break)
 
+(* Known classes count in a flat array; any other class number (a
+   NOSUPPORT trap) goes to the int-keyed overflow table. *)
+let other_class_count t class_num =
+  match Int_hashtbl.Int.find t.other_classes class_num with
+  | n -> n
+  | exception Not_found -> 0
+
+let set_class_count t ~class_num ~count =
+  let i = Syscall.class_index class_num in
+  if i >= 0 then t.class_counts.(i) <- count
+  else Int_hashtbl.Int.replace t.other_classes class_num count
+
+let syscall_count_by_class t ~class_num =
+  let i = Syscall.class_index class_num in
+  if i >= 0 then t.class_counts.(i) else other_class_count t class_num
+
 let note_syscall t ~class_num =
   t.syscalls <- t.syscalls + 1;
-  let cur = Option.value (Hashtbl.find_opt t.syscalls_by_class class_num) ~default:0 in
-  Hashtbl.replace t.syscalls_by_class class_num (cur + 1)
+  set_class_count t ~class_num ~count:(syscall_count_by_class t ~class_num + 1)
 
 let note_grant_enter t = t.grant_enters <- t.grant_enters + 1
 
@@ -484,9 +509,6 @@ let mpu_scan_count t = Tock_hw.Mpu.scan_count t.mpu_config
 
 let syscall_count t = t.syscalls
 
-let syscall_count_by_class t ~class_num =
-  Option.value (Hashtbl.find_opt t.syscalls_by_class class_num) ~default:0
-
 let permissions t = t.p_permissions
 
 let storage_ids t = t.p_storage
@@ -494,12 +516,14 @@ let storage_ids t = t.p_storage
 let command_allowed t ~driver ~command_num =
   match t.p_permissions with
   | None -> true
-  | Some perms -> (
-      match List.assoc_opt driver perms with
-      | None -> false
-      | Some mask ->
-          let bit = if command_num >= 32 then 31 else command_num in
-          mask land (1 lsl bit) <> 0)
+  | Some perms ->
+      (* An unlisted driver has the empty mask. *)
+      let rec mask = function
+        | [] -> 0
+        | (d, m) :: rest -> if d = driver then m else mask rest
+      in
+      let bit = if command_num >= 32 then 31 else command_num in
+      mask perms land (1 lsl bit) <> 0
 
 (* ---- freeze/thaw support ----
 
@@ -531,10 +555,13 @@ let set_bridge t b = t.p_bridge <- Some b
 let bridge t = t.p_bridge
 
 let iter_syscall_classes t f =
-  Hashtbl.iter (fun class_num count -> f ~class_num ~count) t.syscalls_by_class
+  Array.iteri
+    (fun i count ->
+      if count > 0 then f ~class_num:(Syscall.class_of_index i) ~count)
+    t.class_counts;
+  Int_hashtbl.Int.iter (fun class_num count -> f ~class_num ~count) t.other_classes
 
-let restore_syscall_class t ~class_num ~count =
-  Hashtbl.replace t.syscalls_by_class class_num count
+let restore_syscall_class t ~class_num ~count = set_class_count t ~class_num ~count
 
 let restore_counters t ~restarts ~syscalls ~grant_enters =
   t.restarts <- restarts;
@@ -587,19 +614,20 @@ let restore_breaks t ~app_break ~kernel_break =
     | Error _ -> false
 
 let clear_syscall_tables t =
-  Hashtbl.reset t.upcall_slots;
+  Int_hashtbl.Pair.reset t.upcall_slots;
   Ring_buffer.clear t.pending;
-  Hashtbl.reset t.allows_rw;
-  Hashtbl.reset t.allows_ro;
-  Hashtbl.reset t.syscalls_by_class
+  Int_hashtbl.Pair.reset t.allows_rw;
+  Int_hashtbl.Pair.reset t.allows_ro;
+  Array.fill t.class_counts 0 Syscall.classes 0;
+  Int_hashtbl.Int.reset t.other_classes
 
 let restore_subscription t ~driver ~subscribe_num up =
-  Hashtbl.replace t.upcall_slots (driver, subscribe_num) up
+  Int_hashtbl.Pair.replace t.upcall_slots (driver, subscribe_num) up
 
 let restore_allow t ~kind ~driver ~allow_num ~addr ~len =
   match make_allow_entry t ~addr ~len with
   | Some e ->
-      Hashtbl.replace (allow_table t kind) (driver, allow_num) e;
+      Int_hashtbl.Pair.replace (allow_table t kind) (driver, allow_num) e;
       true
   | None -> false
 

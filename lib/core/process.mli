@@ -205,9 +205,10 @@ val allow_swap :
 
 val allow_get : t -> kind:[ `Ro | `Rw ] -> driver:int -> allow_num:int -> allow_entry
 
-val allow_overlaps : t -> kind:[ `Ro | `Rw ] -> allow_entry -> bool
-(** Does the entry overlap any *other* currently-allowed buffer of that
-    kind? (Paper §5.1.1: mutable aliasing detection.) *)
+val allow_overlaps : t -> kind:[ `Ro | `Rw ] -> addr:int -> len:int -> bool
+(** Does the range overlap any currently-allowed buffer of that kind?
+    Zero-length ranges overlap nothing. (Paper §5.1.1: mutable aliasing
+    detection.) *)
 
 val make_allow_entry : t -> addr:int -> len:int -> allow_entry option
 (** Materialize an allow entry: resolve the range to process RAM or

@@ -53,6 +53,22 @@ let memop_flash_end = 3
 let memop_ram_start = 4
 let memop_ram_end = 5
 
+(* [Command_blocking] carries its completion slot in the top half of
+   r3: both halves are 16-bit fields, so this is the one place that
+   packs or unpacks them. *)
+let blocking_field_max = 0xFFFF
+
+let pack_blocking ~arg2 ~subscribe_num =
+  if
+    arg2 < 0 || arg2 > blocking_field_max || subscribe_num < 0
+    || subscribe_num > blocking_field_max
+  then invalid_arg "Syscall.pack_blocking: field outside 0-0xFFFF";
+  arg2 lor (subscribe_num lsl 16)
+
+let blocking_arg2 r3 = r3 land blocking_field_max
+
+let blocking_subscribe_num r3 = (r3 lsr 16) land blocking_field_max
+
 let encode_call c =
   match c with
   | Yield Yield_no_wait -> [| class_yield; 0; 0; 0; 0 |]
@@ -70,48 +86,64 @@ let encode_call c =
   | Memop { op; arg } -> [| class_memop; op; arg; 0; 0 |]
   | Exit { variant; code } -> [| class_exit; variant; code; 0; 0 |]
   | Command_blocking { driver; command_num; arg1; arg2; subscribe_num } ->
-      [| class_command_blocking; driver; command_num; arg1; arg2 lor (subscribe_num lsl 16) |]
+      [| class_command_blocking; driver; command_num; arg1;
+         pack_blocking ~arg2 ~subscribe_num |]
+
+let classes = 8
+
+let class_index = function
+  | (0 | 1 | 2 | 3 | 4 | 5 | 6) as c -> c
+  | 0x80 (* class_command_blocking *) -> 7
+  | _ -> -1
+
+let class_of_index i = if i = 7 then class_command_blocking else i
+
+let verdict_inval = -1
+
+let verdict_nosupport = -2
+
+let verdict regs =
+  (* Literal-pattern matches (not if-chains over the named constants) so
+     the compiler emits jump tables: the kernel runs this on every trap.
+     The length guard makes the unsafe reads in range. *)
+  if Array.length regs <> registers then verdict_inval
+  else
+    match Array.unsafe_get regs 0 with
+    | 0 (* class_yield *) -> (
+        match Array.unsafe_get regs 1 with 0 | 1 | 2 -> 0 | _ -> verdict_inval)
+    | c ->
+        let i = class_index c in
+        if i < 0 then verdict_nosupport else i
 
 let decode_call regs =
-  (* Literal-pattern match (not an if-chain over the named constants) so
-     the compiler emits a jump table: decode is on the per-syscall hot
-     path. The length guard makes the unsafe reads in range. *)
-  if Array.length regs <> registers then Error Error.INVAL
+  let i = verdict regs in
+  if i = verdict_inval then Error Error.INVAL
+  else if i = verdict_nosupport then Error Error.NOSUPPORT
   else
-    let c = Array.unsafe_get regs 0
-    and r0 = Array.unsafe_get regs 1
-    and r1 = Array.unsafe_get regs 2 in
+    let r0 = Array.unsafe_get regs 1 and r1 = Array.unsafe_get regs 2 in
     let r2 = Array.unsafe_get regs 3 and r3 = Array.unsafe_get regs 4 in
-    match c with
-    | 0 (* class_yield *) -> (
-        match r0 with
-        | 0 -> Ok (Yield Yield_no_wait)
-        | 1 -> Ok (Yield Yield_wait)
-        | 2 -> Ok (Yield (Yield_wait_for { driver = r1; subscribe_num = r2 }))
-        | _ -> Error Error.INVAL)
-    | 1 (* class_subscribe *) ->
-        Ok
-          (Subscribe
-             { driver = r0; subscribe_num = r1; upcall_fn = r2; appdata = r3 })
-    | 2 (* class_command *) ->
-        Ok (Command { driver = r0; command_num = r1; arg1 = r2; arg2 = r3 })
-    | 3 (* class_allow_rw *) ->
-        Ok (Allow_rw { driver = r0; allow_num = r1; addr = r2; len = r3 })
-    | 4 (* class_allow_ro *) ->
-        Ok (Allow_ro { driver = r0; allow_num = r1; addr = r2; len = r3 })
-    | 5 (* class_memop *) -> Ok (Memop { op = r0; arg = r1 })
-    | 6 (* class_exit *) -> Ok (Exit { variant = r0; code = r1 })
-    | 0x80 (* class_command_blocking *) ->
-        Ok
-          (Command_blocking
-             {
-               driver = r0;
-               command_num = r1;
-               arg1 = r2;
-               arg2 = r3 land 0xFFFF;
-               subscribe_num = (r3 lsr 16) land 0xFFFF;
-             })
-    | _ -> Error Error.NOSUPPORT
+    Ok
+      (match i with
+      | 0 -> (
+          match r0 with
+          | 0 -> Yield Yield_no_wait
+          | 1 -> Yield Yield_wait
+          | _ -> Yield (Yield_wait_for { driver = r1; subscribe_num = r2 }))
+      | 1 -> Subscribe { driver = r0; subscribe_num = r1; upcall_fn = r2; appdata = r3 }
+      | 2 -> Command { driver = r0; command_num = r1; arg1 = r2; arg2 = r3 }
+      | 3 -> Allow_rw { driver = r0; allow_num = r1; addr = r2; len = r3 }
+      | 4 -> Allow_ro { driver = r0; allow_num = r1; addr = r2; len = r3 }
+      | 5 -> Memop { op = r0; arg = r1 }
+      | 6 -> Exit { variant = r0; code = r1 }
+      | _ ->
+          Command_blocking
+            {
+              driver = r0;
+              command_num = r1;
+              arg1 = r2;
+              arg2 = blocking_arg2 r3;
+              subscribe_num = blocking_subscribe_num r3;
+            })
 
 (* Return variant tags, TRD 104. *)
 let tag_failure = 0
@@ -122,58 +154,69 @@ let tag_success_u32 = 129
 let tag_success_u32_u32 = 130
 let tag_success_u32_u32_u32 = 132
 
-let encode_ret_into ret regs =
-  (* In-place variant for the kernel's per-syscall return path: one
-     4-word array per process is reused instead of allocating per call.
-     Safe because return registers are decoded by the process before its
-     next syscall can encode over them. *)
-  if Array.length regs <> 4 then invalid_arg "Syscall.encode_ret_into";
-  let set a b c d =
-    Array.unsafe_set regs 0 a;
-    Array.unsafe_set regs 1 b;
-    Array.unsafe_set regs 2 c;
-    Array.unsafe_set regs 3 d
-  in
-  match ret with
-  | Failure e -> set tag_failure (Error.to_int e) 0 0
-  | Failure_u32 (e, a) -> set tag_failure_u32 (Error.to_int e) a 0
-  | Failure_u32_u32 (e, a, b) -> set tag_failure_u32_u32 (Error.to_int e) a b
-  | Success -> set tag_success 0 0 0
-  | Success_u32 a -> set tag_success_u32 a 0 0
-  | Success_u32_u32 (a, b) -> set tag_success_u32_u32 a b 0
-  | Success_u32_u32_u32 (a, b, c) -> set tag_success_u32_u32_u32 a b c
+(* The in-place writers are the kernel's per-syscall return path: one
+   4-word array per process is reused instead of allocating per call.
+   Safe because return registers are decoded by the process before its
+   next syscall can encode over them. *)
+let[@inline] set regs a b c d =
+  if Array.length regs <> 4 then invalid_arg "Syscall: want 4 return registers";
+  Array.unsafe_set regs 0 a;
+  Array.unsafe_set regs 1 b;
+  Array.unsafe_set regs 2 c;
+  Array.unsafe_set regs 3 d
 
-let encode_ret = function
-  | Failure e -> [| tag_failure; Error.to_int e; 0; 0 |]
-  | Failure_u32 (e, a) -> [| tag_failure_u32; Error.to_int e; a; 0 |]
-  | Failure_u32_u32 (e, a, b) -> [| tag_failure_u32_u32; Error.to_int e; a; b |]
-  | Success -> [| tag_success; 0; 0; 0 |]
-  | Success_u32 a -> [| tag_success_u32; a; 0; 0 |]
-  | Success_u32_u32 (a, b) -> [| tag_success_u32_u32; a; b; 0 |]
-  | Success_u32_u32_u32 (a, b, c) -> [| tag_success_u32_u32_u32; a; b; c |]
+let set_failure regs e = set regs tag_failure (Error.to_int e) 0 0
+
+let set_failure_u32_u32 regs e a b =
+  set regs tag_failure_u32_u32 (Error.to_int e) a b
+
+let set_success regs = set regs tag_success 0 0 0
+
+let set_success_u32 regs a = set regs tag_success_u32 a 0 0
+
+let set_success_u32_u32 regs a b = set regs tag_success_u32_u32 a b 0
+
+let set_success_u32_u32_u32 regs a b c = set regs tag_success_u32_u32_u32 a b c
+
+let encode_ret_into ret regs =
+  match ret with
+  | Failure e -> set_failure regs e
+  | Failure_u32 (e, a) -> set regs tag_failure_u32 (Error.to_int e) a 0
+  | Failure_u32_u32 (e, a, b) -> set_failure_u32_u32 regs e a b
+  | Success -> set_success regs
+  | Success_u32 a -> set_success_u32 regs a
+  | Success_u32_u32 (a, b) -> set_success_u32_u32 regs a b
+  | Success_u32_u32_u32 (a, b, c) -> set_success_u32_u32_u32 regs a b c
+
+let encode_ret ret =
+  let regs = Array.make 4 0 in
+  encode_ret_into ret regs;
+  regs
+
+let decode_ret_exn regs =
+  if Array.length regs <> 4 then invalid_arg "bad register count";
+  let err i =
+    match Error.of_int i with
+    | Some e -> e
+    | None -> invalid_arg "bad error code"
+  in
+  let r1 = Array.unsafe_get regs 1
+  and r2 = Array.unsafe_get regs 2
+  and r3 = Array.unsafe_get regs 3 in
+  match Array.unsafe_get regs 0 with
+  | 0 (* tag_failure *) -> Failure (err r1)
+  | 1 (* tag_failure_u32 *) -> Failure_u32 (err r1, r2)
+  | 2 (* tag_failure_u32_u32 *) -> Failure_u32_u32 (err r1, r2, r3)
+  | 128 (* tag_success *) -> Success
+  | 129 (* tag_success_u32 *) -> Success_u32 r1
+  | 130 (* tag_success_u32_u32 *) -> Success_u32_u32 (r1, r2)
+  | 132 (* tag_success_u32_u32_u32 *) -> Success_u32_u32_u32 (r1, r2, r3)
+  | _ -> invalid_arg "unknown return variant"
 
 let decode_ret regs =
-  if Array.length regs <> 4 then Error "bad register count"
-  else
-    let err i =
-      match Error.of_int i with
-      | Some e -> Ok e
-      | None -> Error "bad error code"
-    in
-    let r1 = Array.unsafe_get regs 1
-    and r2 = Array.unsafe_get regs 2
-    and r3 = Array.unsafe_get regs 3 in
-    match Array.unsafe_get regs 0 with
-    | 0 (* tag_failure *) -> Result.map (fun e -> Failure e) (err r1)
-    | 1 (* tag_failure_u32 *) ->
-        Result.map (fun e -> Failure_u32 (e, r2)) (err r1)
-    | 2 (* tag_failure_u32_u32 *) ->
-        Result.map (fun e -> Failure_u32_u32 (e, r2, r3)) (err r1)
-    | 128 (* tag_success *) -> Ok Success
-    | 129 (* tag_success_u32 *) -> Ok (Success_u32 r1)
-    | 130 (* tag_success_u32_u32 *) -> Ok (Success_u32_u32 (r1, r2))
-    | 132 (* tag_success_u32_u32_u32 *) -> Ok (Success_u32_u32_u32 (r1, r2, r3))
-    | _ -> Error "unknown return variant"
+  match decode_ret_exn regs with
+  | r -> Ok r
+  | exception Invalid_argument m -> Error m
 
 let pp_call fmt = function
   | Yield Yield_no_wait -> Format.fprintf fmt "yield-no-wait"

@@ -12,9 +12,18 @@ type sys_resume =
 type app = {
   a_proc : Tock.Process.t;
   mutable alloc_next : int;
-  upcalls : (int, int -> int -> int -> unit) Hashtbl.t;
+  upcalls : (int -> int -> int -> unit) Tock.Int_hashtbl.Int.t;
   mutable next_fn : int;
   scratch : (string, int * int) Hashtbl.t; (* tag -> (addr, size) *)
+  frame : int array;
+      (* The app's one trap frame: class + r0..r3. [trap] overwrites it
+         for every call; the kernel reads all of it before it resumes
+         the app, so no call can see another's registers. *)
+  sys : sys_resume Effect.t; (* [Sys frame], built once *)
+  mutable ret_buf : int array;
+  mutable ret_regs : sys_resume;
+      (* [`Regs ret_buf]: the kernel returns through one buffer per
+         process, so the resume wraps it once, not per call *)
 }
 
 type _ Effect.t +=
@@ -30,6 +39,15 @@ let proc app = app.a_proc
 let proc_name app = Tock.Process.name app.a_proc
 
 let syscall _app regs = perform (Sys regs)
+
+let trap app cls r0 r1 r2 r3 =
+  let f = app.frame in
+  Array.unsafe_set f 0 cls;
+  Array.unsafe_set f 1 r0;
+  Array.unsafe_set f 2 r1;
+  Array.unsafe_set f 3 r2;
+  Array.unsafe_set f 4 r3;
+  perform app.sys
 
 let work _app n = if n > 0 then perform (Work_eff n)
 
@@ -154,11 +172,9 @@ let alloc app n =
   if new_next > break then begin
     (* Grow the break through the real syscall path. *)
     let want = align8 (new_next + 64) in
-    let regs =
-      Tock.Syscall.encode_call
-        (Tock.Syscall.Memop { op = Tock.Syscall.memop_brk; arg = want })
-    in
-    match syscall app regs with
+    match
+      trap app Tock.Syscall.class_memop Tock.Syscall.memop_brk want 0 0
+    with
     | `Regs ret -> (
         match Tock.Syscall.decode_ret ret with
         | Ok Tock.Syscall.Success -> ()
@@ -192,10 +208,19 @@ let get_buffer app ~tag ~size =
 let register_upcall_fn app fn =
   let id = app.next_fn in
   app.next_fn <- id + 1;
-  Hashtbl.replace app.upcalls id fn;
+  Tock.Int_hashtbl.Int.replace app.upcalls id fn;
   id
 
-let lookup_upcall_fn app id = Hashtbl.find_opt app.upcalls id
+let remove_upcall_fn app id = Tock.Int_hashtbl.Int.remove app.upcalls id
+
+let upcall_fn_count app = Tock.Int_hashtbl.Int.length app.upcalls
+
+(* Deliveries to a pointer with no closure (null, or swapped out and
+   removed) are dropped, like a stale function pointer. *)
+let run_upcall app id a0 a1 a2 =
+  match Tock.Int_hashtbl.Int.find app.upcalls id with
+  | fn -> fn a0 a1 a2
+  | exception Not_found -> ()
 
 (* ---- freeze/thaw: checkpoints and the kernel bridge ---- *)
 
@@ -233,11 +258,11 @@ let install_bridge app =
             r.Tock.Process.er_scratch);
       br_remap_upcall =
         (fun ~old_id ~new_id ->
-          match Hashtbl.find_opt app.upcalls old_id with
-          | None -> false
-          | Some fn ->
-              Hashtbl.remove app.upcalls old_id;
-              Hashtbl.replace app.upcalls new_id fn;
+          match Tock.Int_hashtbl.Int.find app.upcalls old_id with
+          | exception Not_found -> false
+          | fn ->
+              Tock.Int_hashtbl.Int.remove app.upcalls old_id;
+              Tock.Int_hashtbl.Int.replace app.upcalls new_id fn;
               true);
     }
 
@@ -253,20 +278,61 @@ let implicit_exit =
   Tock.Process.Trap_syscall
     (Tock.Syscall.encode_call (Tock.Syscall.Exit { variant = 0; code = 0 }))
 
+let regs_of app buf =
+  if buf != app.ret_buf then begin
+    app.ret_buf <- buf;
+    app.ret_regs <- `Regs buf
+  end;
+  app.ret_regs
+
 let spawn main p =
+  let frame = Array.make Tock.Syscall.registers 0 in
   let app =
     {
       a_proc = p;
       alloc_next = Tock.Process.ram_base p;
-      upcalls = Hashtbl.create 16;
+      upcalls = Tock.Int_hashtbl.Int.create 16;
       next_fn = 1;
       scratch = Hashtbl.create 8;
+      frame;
+      sys = Sys frame;
+      ret_buf = [||];
+      ret_regs = `Regs [||];
     }
   in
   install_bridge app;
   let state = ref (Not_started (fun () -> main app)) in
   let remaining = ref 0 in
   let used = ref 0 in
+  (* The handler's per-perform values are built here, once: the frame's
+     trap and the [Some] closures [effc] returns. *)
+  let frame_trap = Tock.Process.Trap_syscall frame in
+  let sys_some =
+    Some
+      (fun k ->
+        state := In_syscall k;
+        frame_trap)
+  in
+  (* [effc] stores each [Work_eff]'s amount here just before it returns
+     [work_some], which runs at once. *)
+  let work_n = ref 0 in
+  let work_some =
+    Some
+      (fun k ->
+        let n = !work_n in
+        if n <= !remaining then begin
+          remaining := !remaining - n;
+          used := !used + n;
+          continue k ()
+        end
+        else begin
+          used := !used + !remaining;
+          let leftover = n - !remaining in
+          remaining := 0;
+          state := In_tick (k, leftover);
+          Tock.Process.Trap_timeslice_expired
+        end)
+  in
   let handler : (unit, Tock.Process.trap) handler =
     {
       retc =
@@ -283,28 +349,18 @@ let spawn main p =
               Tock.Process.Trap_fault
                 (Tock.Process.App_panic (Printexc.to_string e)));
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, Tock.Process.trap) continuation -> Tock.Process.trap) option ->
           match eff with
+          | Sys regs when regs == frame -> sys_some
           | Sys regs ->
               Some
-                (fun (k : (a, _) continuation) ->
+                (fun k ->
                   state := In_syscall k;
                   Tock.Process.Trap_syscall regs)
           | Work_eff n ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  if n <= !remaining then begin
-                    remaining := !remaining - n;
-                    used := !used + n;
-                    continue k ()
-                  end
-                  else begin
-                    used := !used + !remaining;
-                    let leftover = n - !remaining in
-                    remaining := 0;
-                    state := In_tick (k, leftover);
-                    Tock.Process.Trap_timeslice_expired
-                  end)
+              work_n := n;
+              work_some
           | _ -> None);
     }
   in
@@ -316,7 +372,7 @@ let spawn main p =
       | Dead, _ ->
           Tock.Process.Trap_fault (Tock.Process.App_panic "resumed dead process")
       | Not_started th, _ -> match_with th () handler
-      | In_syscall k, Tock.Process.Rsyscall_ret regs -> continue k (`Regs regs)
+      | In_syscall k, Tock.Process.Rsyscall_ret regs -> continue k (regs_of app regs)
       | In_syscall k, Tock.Process.Rupcall { fnptr; appdata; arg0; arg1; arg2 }
         ->
           continue k (`Upcall (fnptr, appdata, arg0, arg1, arg2))

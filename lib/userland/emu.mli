@@ -43,11 +43,24 @@ val proc_name : app -> string
 
 (** {2 Traps} *)
 
-val syscall : app -> int array -> [ `Regs of int array
-                                  | `Upcall of int * int * int * int * int ]
-(** Perform a raw syscall (5 registers). Returns either return registers
-    or an upcall delivery [(fnptr, appdata, a0, a1, a2)] — used only by
-    {!Libtock}, which gives these a typed surface. *)
+type sys_resume = [ `Regs of int array | `Upcall of int * int * int * int * int ]
+(** What a trap comes back with: return registers, or an upcall delivery
+    [(fnptr, appdata, a0, a1, a2)]. *)
+
+val trap : app -> int -> int -> int -> int -> int -> sys_resume
+(** [trap app cls r0 r1 r2 r3] performs a syscall through the app's one
+    reusable trap frame: it writes the class and r0-r3 into the frame and
+    traps, allocating no register array. This is {!Libtock}'s path.
+
+    Frame-reuse invariant: every call overwrites the same frame, so the
+    kernel must read all of it before it resumes the app. It does: the
+    app stays suspended in the trap until its return (or upcall) is
+    delivered. The [`Regs] array is likewise the kernel's per-process
+    return buffer, valid until the app's next trap; decode it first. *)
+
+val syscall : app -> int array -> sys_resume
+(** Perform a raw syscall from a caller-built register array of any
+    length (the fuzzer's path). Use {!trap} for well-formed calls. *)
 
 val work : app -> int -> unit
 (** Consume [n] simulated CPU cycles; the only preemption point. *)
@@ -113,9 +126,21 @@ val reset_copy_counters : unit -> unit
 (** {2 Upcall closures} *)
 
 val register_upcall_fn : app -> (int -> int -> int -> unit) -> int
-(** Returns a fresh nonzero "function pointer" for subscribe. *)
+(** Returns a fresh nonzero "function pointer" for subscribe. Ids are
+    never reused, even after {!remove_upcall_fn}. *)
 
-val lookup_upcall_fn : app -> int -> (int -> int -> int -> unit) option
+val remove_upcall_fn : app -> int -> unit
+(** Drop the closure under a pointer (no-op if absent). {!Libtock} calls
+    this for the pointer a subscribe swaps out, so the table holds only
+    live subscriptions. *)
+
+val run_upcall : app -> int -> int -> int -> int -> unit
+(** [run_upcall app fnptr a0 a1 a2] runs the closure under [fnptr]. A
+    pointer with no closure (null, or removed) is dropped silently, like
+    a stale function pointer. *)
+
+val upcall_fn_count : app -> int
+(** Closures currently registered. *)
 
 (** {2 Freeze/thaw checkpoints}
 

@@ -6,7 +6,10 @@
     the paper describes as powerful for multiplexing but verbose for
     sequential code (which is {!Libtock_sync}'s job to paper over).
 
-    All functions run inside app code under {!Emu}. *)
+    All functions run inside app code under {!Emu}. Each call goes
+    through the app's one reusable trap frame ({!Emu.trap}) and decodes
+    its return without an intermediate [result], so a successful round
+    trip allocates only the returned {!Tock.Syscall.ret}. *)
 
 type callback = int -> int -> int -> unit
 
@@ -20,11 +23,15 @@ val subscribe :
   callback ->
   (unit, Tock.Error.t) result
 (** Registers the closure in the app's upcall table and subscribes its
-    function pointer. *)
+    function pointer. On success, the closure of the pointer the kernel
+    swaps out is removed from the table; on failure, the closure just
+    registered is. So the table holds only live subscriptions, however
+    many times a slot is re-subscribed. An upcall still queued for a
+    removed pointer is dropped at delivery. *)
 
 val unsubscribe : Emu.app -> driver:int -> sub:int -> unit
 (** Subscribe the null upcall (Tock 2.0 swap: the old upcall comes back
-    and is dropped). *)
+    and its closure is removed from the app's table). *)
 
 val allow_rw :
   Emu.app -> driver:int -> num:int -> addr:int -> len:int ->
@@ -56,7 +63,9 @@ val command_blocking :
   (int * int * int, Tock.Error.t) result
 (** The Ti50-fork extension: one syscall that starts the operation and
     returns its completion arguments. Fails NOSUPPORT unless the kernel
-    enables it. [arg2] must fit in 16 bits (encoding limit). *)
+    enables it. [arg2] and [sub] share one register, 16 bits each: if
+    either is outside 0-0xFFFF this returns [Error INVAL] without
+    trapping. *)
 
 val exit : Emu.app -> int -> 'a
 (** Terminate; never returns (the kernel tears the process down). *)

@@ -149,19 +149,132 @@ let test_subscribe_swap_returns_old () =
       Alcotest.(check bool) "first swap returns null" true (f1 > 0 && f2 > f1)
   | l -> Alcotest.failf "unexpected swap results (%d)" (List.length l)
 
+(* Per-class counts, including a class number the kernel does not
+   support, kept exactly across a freeze -> thaw round trip. The app is
+   resumable: its calls run once, before its first checkpoint sleep. *)
 let test_syscall_class_accounting () =
-  let board = make_board () in
-  let p =
-    add_app_exn board ~name:"acct" (fun a ->
-        ignore (Tock_userland.Libtock.command a ~driver:Driver_num.led ~cmd:0 ~arg1:0 ~arg2:0);
-        ignore (Tock_userland.Libtock.command a ~driver:Driver_num.led ~cmd:0 ~arg1:0 ~arg2:0);
-        ignore (Tock_userland.Libtock.memop a ~op:Syscall.memop_ram_start ~arg:0);
-        Tock_userland.Libtock.exit a 0)
+  let unknown = ref None in
+  let acct a =
+    let k0 = Tock_userland.Emu.resume_point a in
+    if k0 > 0 then Tock_userland.Libtock_sync.resume_sleep a
+    else begin
+      ignore (Tock_userland.Libtock.command a ~driver:Driver_num.led ~cmd:0 ~arg1:0 ~arg2:0);
+      ignore (Tock_userland.Libtock.command a ~driver:Driver_num.led ~cmd:0 ~arg1:0 ~arg2:0);
+      ignore (Tock_userland.Libtock.memop a ~op:Syscall.memop_ram_start ~arg:0);
+      match Tock_userland.Emu.syscall a [| 0x55; 0; 0; 0; 0 |] with
+      | `Regs r -> unknown := Some (Syscall.decode_ret r)
+      | `Upcall _ -> ()
+    end;
+    for i = k0 + 1 to 2 do
+      Tock_userland.Libtock_sync.checkpoint_sleep a ~cursor:i ~ticks:1500
+    done;
+    Tock_userland.Libtock.exit a 0
   in
+  let build () =
+    let sim = Tock_hw.Sim.create ~seed:0xACC7L ~trace_capacity:0 () in
+    let board = Tock_boards.Board.build (Tock_hw.Chip.sam4l_like sim) in
+    (board, add_app_exn board ~name:"acct" acct)
+  in
+  let classes = [ 0; 1; 2; 3; 4; 5; 6; 0x55; 0x56; 0x80 ] in
+  let counts p =
+    List.map (fun c -> (c, Process.syscall_count_by_class p ~class_num:c)) classes
+  in
+  (* Two LED commands plus each sleep's alarm command. *)
+  let check_counts what p ~sleeps ~exits =
+    let count c = Process.syscall_count_by_class p ~class_num:c in
+    Alcotest.(check int) (what ^ ": commands") (2 + sleeps) (count 2);
+    Alcotest.(check int) (what ^ ": one memop") 1 (count 5);
+    Alcotest.(check int) (what ^ ": one unknown class") 1 (count 0x55);
+    Alcotest.(check int) (what ^ ": no stray class") 0 (count 0x56);
+    Alcotest.(check int) (what ^ ": exits") exits (count 6)
+  in
+  let board, p = build () in
+  let k = board.Tock_boards.Board.kernel and cap = board.Tock_boards.Board.main_cap in
+  Alcotest.(check bool) "reached the first checkpoint sleep" true
+    (Kernel.run_until k ~cap (fun () -> Kernel.resumable k));
+  (match !unknown with
+  | Some (Ok (Syscall.Failure Error.NOSUPPORT)) -> ()
+  | _ -> Alcotest.fail "unknown class must return NOSUPPORT");
+  check_counts "frozen" p ~sleeps:1 ~exits:0;
+  let w = Kernel.freeze k in
+  let thawed, tp = build () in
+  let tk = thawed.Tock_boards.Board.kernel in
+  (match Kernel.thaw tk ~cap:thawed.Tock_boards.Board.main_cap w with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "thaw: %s" e);
+  Alcotest.(check string) "re-freeze reproduces the witness" w (Kernel.freeze tk);
+  Alcotest.(check (list (pair int int))) "thawed counts" (counts p) (counts tp);
   run_done board;
-  Alcotest.(check int) "two commands" 2 (Process.syscall_count_by_class p ~class_num:2);
-  Alcotest.(check int) "one memop" 1 (Process.syscall_count_by_class p ~class_num:5);
-  Alcotest.(check int) "one exit" 1 (Process.syscall_count_by_class p ~class_num:6)
+  run_done thawed;
+  check_counts "finished" p ~sleeps:2 ~exits:1;
+  Alcotest.(check (list (pair int int))) "finished counts" (counts p) (counts tp);
+  Alcotest.(check string) "final freezes equal" (Kernel.freeze k) (Kernel.freeze tk)
+
+(* Every subscribe swaps a closure out; the app must drop it. After
+   10,000 classic round trips, each a subscribe and an unsubscribe, the
+   upcall table holds only the one subscription still live. *)
+let test_subscribe_keeps_live_closures () =
+  let board = make_board () in
+  let sizes = ref [] in
+  let app a =
+    let size () = sizes := Tock_userland.Emu.upcall_fn_count a :: !sizes in
+    (match
+       Tock_userland.Libtock.subscribe a ~driver:Driver_num.button ~sub:0
+         (fun _ _ _ -> ())
+     with
+    | Ok () -> ()
+    | Error _ -> raise (Tock_userland.Emu.App_panic_exn "button subscribe"));
+    size ();
+    for _ = 1 to 10_000 do
+      ignore
+        (Tock_userland.Libtock_sync.call_classic a ~driver:Driver_num.alarm
+           ~sub:0 ~cmd:5 ~arg1:1 ~arg2:0)
+    done;
+    size ();
+    (* A refused subscribe keeps nothing either. *)
+    ignore
+      (Tock_userland.Libtock.subscribe a ~driver:0x7777 ~sub:0 (fun _ _ _ -> ()));
+    size ();
+    Tock_userland.Libtock.exit a 0
+  in
+  ignore (add_app_exn board ~name:"resubscriber" app);
+  run_done board ~max_cycles:2_000_000_000;
+  Alcotest.(check (list int)) "table sizes: live, after 10k, after refusal"
+    [ 1; 1; 1 ] (List.rev !sizes)
+
+(* An upcall queued against a pointer the app then swaps out is dropped
+   at delivery: the removed closure never runs, nor does its successor. *)
+let test_swapped_out_upcall_dropped () =
+  let board = make_board () in
+  let old_ran = ref false and new_ran = ref false and delivered = ref false in
+  let app a =
+    let p = Tock_userland.Emu.proc a in
+    ignore
+      (Tock_userland.Libtock.subscribe a ~driver:Driver_num.alarm ~sub:0
+         (fun _ _ _ -> old_ran := true));
+    ignore
+      (Tock_userland.Libtock.command a ~driver:Driver_num.alarm ~cmd:5 ~arg1:1
+         ~arg2:0);
+    (* Burn cycles until the alarm's upcall is queued, still carrying the
+       first pointer. *)
+    let spins = ref 0 in
+    while not (Process.has_pending_upcalls p) do
+      incr spins;
+      if !spins > 100_000 then
+        raise (Tock_userland.Emu.App_panic_exn "alarm upcall never queued");
+      Tock_userland.Emu.work a 100
+    done;
+    ignore
+      (Tock_userland.Libtock.subscribe a ~driver:Driver_num.alarm ~sub:0
+         (fun _ _ _ -> new_ran := true));
+    delivered := Tock_userland.Libtock.yield_no_wait a;
+    Tock_userland.Libtock.exit a 0
+  in
+  ignore (add_app_exn board ~name:"swapper" app);
+  run_done board;
+  Alcotest.(check bool) "the queued upcall was delivered" true !delivered;
+  Alcotest.(check bool) "swapped-out closure did not run" false !old_ran;
+  Alcotest.(check bool) "new closure did not run for it" false !new_ran
 
 let test_allow_rw_flash_rejected () =
   (* Read-write allows must live in app RAM; pointing one at flash is
@@ -195,5 +308,9 @@ let suite =
     Alcotest.test_case "debug + process interleave" `Quick test_debug_interleaves_with_process_output;
     Alcotest.test_case "subscribe swap" `Quick test_subscribe_swap_returns_old;
     Alcotest.test_case "syscall class accounting" `Quick test_syscall_class_accounting;
+    Alcotest.test_case "subscribe keeps only live closures" `Quick
+      test_subscribe_keeps_live_closures;
+    Alcotest.test_case "swapped-out upcall dropped" `Quick
+      test_swapped_out_upcall_dropped;
     Alcotest.test_case "allow-rw into flash rejected" `Quick test_allow_rw_flash_rejected;
   ]
