@@ -6,7 +6,7 @@
      fleet     run many boards in parallel across domains
      rot        run the signed-boot root-of-trust scenario
      apps       list the available applications
-     postmortem render a TCKFLT01 flight artifact and thaw its witness
+     postmortem render a TCKFLT02 flight artifact and thaw its witness
 
    Examples:
      tock_sim run --chip sam4l --app hello --app counter --scheduler mlfq
@@ -297,7 +297,7 @@ let postmortem_cmd file =
       exit 1
   | Ok a ->
       print_string (Tock_fleet.Flight.render a);
-      if a.Tock_fleet.Flight.fa_witness <> "" then (
+      if Option.is_some a.Tock_fleet.Flight.fa_witness then (
         match Tock_fleet.Fleet.thaw_artifact a with
         | Ok board ->
             Printf.printf "\n-- thawed board (at %d cyc) --\n"
@@ -440,7 +440,7 @@ let trace_boards_arg =
 let flight_dir_arg =
   Arg.(value & opt (some string) None & info [ "flight-dir" ] ~docv:"DIR"
        ~doc:"Arm the fault flight recorder: process faults, kernel \
-             panics, and SLO breaches capture TCKFLT01 postmortem \
+             panics, and SLO breaches capture TCKFLT02 postmortem \
              artifacts into DIR (inspect with `tock_sim postmortem`).")
 
 let fault_board_arg =
@@ -450,7 +450,7 @@ let fault_board_arg =
 
 let postmortem_file_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
-       ~doc:"A TCKFLT01 artifact written by fleet --flight-dir.")
+       ~doc:"A TCKFLT02 artifact written by fleet --flight-dir.")
 
 let run_t =
   Term.(const run_cmd $ chip_arg $ apps_arg $ sched_arg $ seconds_arg
@@ -479,7 +479,7 @@ let cmds =
     Cmd.v (Cmd.info "apps" ~doc:"List available applications") apps_t;
     Cmd.v
       (Cmd.info "postmortem"
-         ~doc:"Render a TCKFLT01 flight artifact and thaw its witness")
+         ~doc:"Render a TCKFLT02 flight artifact and thaw its witness")
       postmortem_t;
   ]
 

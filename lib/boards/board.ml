@@ -90,37 +90,29 @@ let build ?config ?(with_sensors = true) (chip : Tock_hw.Chip.t) =
      see Flash_ctrl). Both load after the process patch ([`Post]). *)
   Kernel.register_freezer kernel ~name:"uart_log" ~phase:`Post
     ~save:(fun buf -> Buffer.add_buffer buf uart_log)
-    ~load:(fun blob ->
+    ~load:(fun r ->
       Buffer.clear uart_log;
-      Buffer.add_string uart_log blob;
-      Ok ());
+      Buffer.add_string uart_log (Tock_obs.Frame.rest r));
   let flash_ctrl = chip.Tock_hw.Chip.flash in
   Kernel.register_freezer kernel ~name:"flash" ~phase:`Post
     ~save:(fun buf ->
       let n = ref 0 in
       Tock_hw.Flash_ctrl.iter_dirty_pages flash_ctrl (fun ~page:_ _ ->
           Stdlib.incr n);
-      Kernel.Witness.add_int buf !n;
+      Tock_obs.Frame.add_int buf !n;
       Tock_hw.Flash_ctrl.iter_dirty_pages flash_ctrl (fun ~page data ->
-          Kernel.Witness.add_int buf page;
-          Kernel.Witness.add_string buf (Bytes.to_string data)))
-    ~load:(fun blob ->
-      Kernel.Witness.guard (fun () ->
-          let r = Kernel.Witness.reader blob in
-          let n = Kernel.Witness.int r in
-          if n < 0 || n > 1_000_000 then
-            Kernel.Witness.corrupt "bad flash page count %d" n;
-          for _ = 1 to n do
-            let page = Kernel.Witness.int r in
-            let data = Kernel.Witness.string r in
-            try
-              Tock_hw.Flash_ctrl.restore_page flash_ctrl ~page
-                (Bytes.of_string data)
-            with Invalid_argument m ->
-              Kernel.Witness.corrupt "flash page %d: %s" page m
-          done;
-          if not (Kernel.Witness.at_end r) then
-            Kernel.Witness.corrupt "trailing bytes in flash section"));
+          Tock_obs.Frame.add_int buf page;
+          Tock_obs.Frame.add_string buf (Bytes.to_string data)))
+    ~load:(fun r ->
+      ignore
+      @@ Tock_obs.Frame.list r ~min:16 (fun r ->
+             let page = Tock_obs.Frame.int r in
+             let data = Tock_obs.Frame.string r in
+             try
+               Tock_hw.Flash_ctrl.restore_page flash_ctrl ~page
+                 (Bytes.of_string data)
+             with Invalid_argument m ->
+               Tock_obs.Frame.fail "flash page %d: %s" page m));
   Kernel.set_fault_hook kernel (fun proc reason ->
       Debug_writer.printf debug
         "panicked process: %s (pid %d)\r\n  reason: %s\r\n  ram: 0x%08x-0x%08x app_brk=0x%08x kernel_brk=0x%08x\r\n  restarts: %d, syscalls: %d"

@@ -13,6 +13,8 @@ let enter t proc f = Grant.enter t.grant proc f
    grants in that order — rebuilding the mux list — and installs the
    resume alarm each live app's prologue re-arms via command 4. *)
 
+module Frame = Tock_obs.Frame
+
 let freeze_save t buf =
   let procs = Kernel.processes t.kernel in
   let entries = ref [] in
@@ -26,48 +28,38 @@ let freeze_save t buf =
               entries := (Process.id p, Alarm_mux.is_armed v, v) :: !entries
           | _ -> ())
         procs);
-  Kernel.Witness.add_int buf (List.length !entries);
-  List.iter
+  Frame.add_list buf
     (fun (pid, armed, v) ->
-      Kernel.Witness.add_int buf pid;
-      Kernel.Witness.add_int buf (if armed then 1 else 0);
+      Frame.add_int buf pid;
+      Frame.add_int buf (if armed then 1 else 0);
       if armed then begin
         (* (reference, dt) is stale on a disarmed alarm: elided. *)
         let reference, dt = Alarm_mux.alarm_params v in
-        Kernel.Witness.add_int buf reference;
-        Kernel.Witness.add_int buf dt
+        Frame.add_int buf reference;
+        Frame.add_int buf dt
       end)
     !entries
 
-let freeze_load t blob =
-  Kernel.Witness.guard (fun () ->
-      let r = Kernel.Witness.reader blob in
-      let n = Kernel.Witness.int r in
-      if n < 0 || n > 100_000 then
-        Kernel.Witness.corrupt "bad alarm entry count %d" n;
-      let procs = Kernel.processes t.kernel in
-      for _ = 1 to n do
-        let pid = Kernel.Witness.int r in
-        let armed = Kernel.Witness.int r in
-        let resume =
-          if armed = 1 then begin
-            let reference = Kernel.Witness.int r in
-            let dt = Kernel.Witness.int r in
-            Some (reference, dt)
-          end
-          else if armed = 0 then None
-          else Kernel.Witness.corrupt "bad armed flag %d" armed
-        in
-        match List.find_opt (fun p -> Process.id p = pid) procs with
-        | None -> Kernel.Witness.corrupt "alarm entry for unknown pid %d" pid
-        | Some p ->
-            if not (Grant.preallocate t.grant p) then
-              Kernel.Witness.corrupt "alarm grant preallocation failed (pid %d)"
-                pid;
-            Process.set_resume_alarm p resume
-      done;
-      if not (Kernel.Witness.at_end r) then
-        Kernel.Witness.corrupt "trailing bytes in alarm section")
+let freeze_load t r =
+  let procs = Kernel.processes t.kernel in
+  ignore
+  @@ Frame.list r ~min:16 (fun r ->
+         let pid = Frame.int r in
+         let armed = Frame.int r in
+         let resume =
+           if armed = 1 then begin
+             let reference = Frame.int r in
+             Some (reference, Frame.int r)
+           end
+           else if armed = 0 then None
+           else Frame.fail "bad armed flag %d" armed
+         in
+         match List.find_opt (fun p -> Process.id p = pid) procs with
+         | None -> Frame.fail "alarm entry for unknown pid %d" pid
+         | Some p ->
+             if not (Grant.preallocate t.grant p) then
+               Frame.fail "alarm grant preallocation failed (pid %d)" pid;
+             Process.set_resume_alarm p resume)
 
 let create kernel mux ~grant_cap =
   let t =
@@ -84,7 +76,7 @@ let create kernel mux ~grant_cap =
     ~is_allocated:(fun p -> Grant.is_allocated t.grant p);
   Kernel.register_freezer kernel ~name:"alarm" ~phase:`Pre
     ~save:(fun buf -> freeze_save t buf)
-    ~load:(fun blob -> freeze_load t blob);
+    ~load:(fun r -> freeze_load t r);
   t
 
 (* Arm [g]'s virtual alarm at absolute (reference, dt) and register the

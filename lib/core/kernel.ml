@@ -96,15 +96,15 @@ type driver_slot = {
 
 (* Board-state components beyond the kernel's own reach (capsule and
    board state: virtual alarm order, uart capture, flash pages).
-   Capsules/boards register one freezer per named section; [freeze]
-   saves every section, [thaw] feeds each section back — [`Pre] loads
-   run before the resume prologues (they may preallocate grants and
-   install resume alarms), [`Post] loads after the wholesale state
-   patch. *)
+   Capsules/boards register one freezer per named witness section;
+   [freeze] has each save straight into its section, [thaw] hands each
+   a reader bounded to its section — [`Pre] loads run before the resume
+   prologues (they may preallocate grants and install resume alarms),
+   [`Post] loads after the wholesale state patch. *)
 type freezer = {
   fz_phase : [ `Pre | `Post ];
   fz_save : Buffer.t -> unit;
-  fz_load : string -> (unit, string) result;
+  fz_load : Tock_obs.Frame.reader -> unit;
 }
 
 type t = {
@@ -260,7 +260,11 @@ let register_grant t ~name ~preallocate ~is_allocated =
       ((name, preallocate, is_allocated)
       :: List.filter (fun (n, _, _) -> n <> name) t.k_grants)
 
+let kernel_sections = Witness.sections ~components:[]
+
 let register_freezer t ~name ~phase ~save ~load =
+  if List.mem name kernel_sections then
+    invalid_arg ("Kernel.register_freezer: reserved section name " ^ name);
   t.k_freezers <-
     List.sort
       (fun (a, _) (b, _) -> compare a b)
@@ -972,14 +976,8 @@ let run_to_completion t ~cap ?(max_cycles = 2_000_000_000) () =
 
    Process executions are effect continuations — they cannot be
    serialized. A parked board is captured as a compact byte *witness* of
-   everything observable about it: clock, cycle split and root-PRNG
-   state, the event-queue schedule (deadlines only — sequence numbers
-   are allocation order and never match across rebuilds), the full
-   process table (sparse RAM image, subscriptions, allows, pending
-   upcalls, grant names, resumable-app checkpoint, emulator residue),
-   named component sections saved by registered {!freezer}s (virtual
-   alarm order and arming, uart capture, dirty flash pages), and both
-   packed metrics registries.
+   everything observable about it ([Witness] holds the codec and lists
+   what it records).
 
    The one way back from a witness is [thaw] (direct materialization):
    rebuild the board, let each resumable app's factory fast-forward
@@ -990,574 +988,29 @@ let run_to_completion t ~cap ?(max_cycles = 2_000_000_000) () =
    [unthawable] names them, and [resumable] asks it of a live board
    before anyone parks it. [thaw] returns [Error] whenever anything
    fails to line up (a freeze point [unthawable] rejects, upcall ids
-   that cannot be remapped, registry drift, corrupt bytes). *)
-
-let witness_magic = "TCKSNP02"
-
-(* The witness codec: 64-bit LE ints and length-prefixed strings, with
-   a bounds-checked reader whose failures become [Error]s at the
-   [guard] boundary. Shared with capsule/board freezers. *)
-module Witness = struct
-  exception Corrupt of string
-
-  let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
-
-  let add_int buf v = Buffer.add_int64_le buf (Int64.of_int v)
-
-  let add_string buf s =
-    add_int buf (String.length s);
-    Buffer.add_string buf s
-
-  type reader = { w : string; mutable pos : int }
-
-  let reader w = { w; pos = 0 }
-
-  let int r =
-    if r.pos + 8 > String.length r.w then corrupt "truncated at byte %d" r.pos;
-    let v = Int64.to_int (String.get_int64_le r.w r.pos) in
-    r.pos <- r.pos + 8;
-    v
-
-  let int64 r =
-    if r.pos + 8 > String.length r.w then corrupt "truncated at byte %d" r.pos;
-    let v = String.get_int64_le r.w r.pos in
-    r.pos <- r.pos + 8;
-    v
-
-  let raw r n =
-    if n < 0 || n > String.length r.w - r.pos then
-      corrupt "bad length %d at byte %d" n r.pos;
-    let s = String.sub r.w r.pos n in
-    r.pos <- r.pos + n;
-    s
-
-  let string r = raw r (int r)
-
-  let at_end r = r.pos = String.length r.w
-
-  let guard f = try Ok (f ()) with Corrupt m -> Error m
-end
-
-let add_i = Witness.add_int
-let add_s = Witness.add_string
-
-let rec encode_pstate buf (s : Process.state) =
-  match s with
-  | Process.Unstarted -> add_i buf 0
-  | Process.Runnable -> add_i buf 1
-  | Process.Yielded -> add_i buf 2
-  | Process.Yielded_for { driver; subscribe_num } ->
-      add_i buf 3;
-      add_i buf driver;
-      add_i buf subscribe_num
-  | Process.Blocked_command { driver; subscribe_num } ->
-      add_i buf 4;
-      add_i buf driver;
-      add_i buf subscribe_num
-  | Process.Faulted r ->
-      add_i buf 5;
-      add_s buf
-        (match r with
-        | Process.Mpu_violation m -> "M" ^ m
-        | Process.Bad_syscall m -> "B" ^ m
-        | Process.App_panic m -> "A" ^ m)
-  | Process.Terminated { code } ->
-      add_i buf 6;
-      add_i buf code
-  | Process.Stopped prior ->
-      add_i buf 7;
-      encode_pstate buf prior
-
-let encode_resume buf (r : Process.resume_arg option) =
-  match r with
-  | None -> add_i buf 0
-  | Some Process.Rstart -> add_i buf 1
-  | Some Process.Rcontinue -> add_i buf 2
-  | Some (Process.Rsyscall_ret regs) ->
-      add_i buf 3;
-      add_i buf (Array.length regs);
-      Array.iter (add_i buf) regs
-  | Some (Process.Rupcall { fnptr; appdata; arg0; arg1; arg2 }) ->
-      add_i buf 4;
-      List.iter (add_i buf) [ fnptr; appdata; arg0; arg1; arg2 ]
-
-(* Sparse RAM image: (offset, bytes) runs of interesting data. Zero
-   gaps shorter than the run-header overhead are folded into the
-   surrounding run; everything not covered by a run is zero. Most of an
-   app's 4 KiB block never leaves zero (bump allocator, shallow
-   stacks), so this keeps the witness O(touched state). *)
-let zero_fold = 16
-
-let encode_ram buf ram =
-  let len = Bytes.length ram in
-  add_i buf len;
-  let runs = ref [] in
-  let nruns = ref 0 in
-  let i = ref 0 in
-  while !i < len do
-    if Bytes.get ram !i = '\x00' then Stdlib.incr i
-    else begin
-      let start = !i in
-      let stop = ref (!i + 1) in
-      (* exclusive end of run *)
-      let j = ref (!i + 1) in
-      let gap = ref 0 in
-      let fin = ref false in
-      while (not !fin) && !j < len do
-        if Bytes.get ram !j = '\x00' then begin
-          Stdlib.incr gap;
-          if !gap > zero_fold then fin := true
-        end
-        else begin
-          gap := 0;
-          stop := !j + 1
-        end;
-        Stdlib.incr j
-      done;
-      runs := (start, !stop - start) :: !runs;
-      Stdlib.incr nruns;
-      i := !j
-    end
-  done;
-  add_i buf !nruns;
-  List.iter
-    (fun (off, n) ->
-      add_i buf off;
-      add_i buf n;
-      Buffer.add_subbytes buf ram off n)
-    (List.rev !runs)
-
-let encode_process t buf pe =
-  let p = pe.proc in
-  add_s buf (Process.name p);
-  encode_pstate buf (Process.state p);
-  encode_resume buf pe.pending_resume;
-  List.iter (add_i buf)
-    [
-      Process.restart_count p;
-      Process.syscall_count p;
-      Process.grant_enter_count p;
-      Process.grant_bytes_used p;
-      Process.app_break p;
-      Process.kernel_break p;
-      Process.upcalls_dropped p;
-      Process.mpu_scan_count p;
-    ];
-  add_i buf (Process.checkpoint p);
-  add_i buf (if Process.at_sleep p then 1 else 0);
-  (let gen, caches = Process.mpu_cache_state p in
-   add_i buf gen;
-   List.iter
-     (fun (g, lo, hi) ->
-       add_i buf g;
-       add_i buf lo;
-       add_i buf hi)
-     caches);
-  (match Process.bridge p with
-  | None -> add_i buf 0
-  | Some br ->
-      add_i buf 1;
-      let r = br.Process.br_residue () in
-      add_i buf r.Process.er_alloc_next;
-      add_i buf r.Process.er_next_fn;
-      add_i buf (List.length r.Process.er_scratch);
-      List.iter
-        (fun (tag, (addr, size)) ->
-          add_s buf tag;
-          add_i buf addr;
-          add_i buf size)
-        r.Process.er_scratch);
-  (* Per-class syscall counts, sorted. *)
-  let classes = ref [] in
-  Process.iter_syscall_classes p (fun ~class_num ~count ->
-      classes := (class_num, count) :: !classes);
-  let classes = List.sort compare !classes in
-  add_i buf (List.length classes);
-  List.iter
-    (fun (c, n) ->
-      add_i buf c;
-      add_i buf n)
-    classes;
-  (* Allocated grants by registered name (registry is name-sorted), so
-     thaw can preallocate and reproduce kernel_break exactly. *)
-  let gs = List.filter (fun (_, _, alloc) -> alloc p) t.k_grants in
-  add_i buf (List.length gs);
-  List.iter (fun (n, _, _) -> add_s buf n) gs;
-  (* Subscriptions and allows, sorted by key for a canonical layout. *)
-  let subs = ref [] in
-  Process.iter_subscriptions p (fun ~driver ~subscribe_num up ->
-      subs := (driver, subscribe_num, up.Process.fnptr, up.Process.appdata) :: !subs);
-  let subs = List.sort compare !subs in
-  add_i buf (List.length subs);
-  List.iter
-    (fun (d, s, f, a) ->
-      add_i buf d;
-      add_i buf s;
-      add_i buf f;
-      add_i buf a)
-    subs;
-  let allows = ref [] in
-  Process.iter_allows p (fun ~kind ~driver ~allow_num e ->
-      let k = match kind with `Rw -> 0 | `Ro -> 1 in
-      allows := (k, driver, allow_num, e.Process.a_addr, e.Process.a_len) :: !allows);
-  let allows = List.sort compare !allows in
-  add_i buf (List.length allows);
-  List.iter
-    (fun (k, d, n, addr, len) ->
-      add_i buf k;
-      add_i buf d;
-      add_i buf n;
-      add_i buf addr;
-      add_i buf len)
-    allows;
-  (* Pending upcalls in delivery order — FIFO position is state. *)
-  let np = ref 0 in
-  Process.iter_pending_upcalls p (fun _ -> Stdlib.incr np);
-  add_i buf !np;
-  Process.iter_pending_upcalls p (fun pu ->
-      let a0, a1, a2 = pu.Process.pu_args in
-      List.iter (add_i buf)
-        [
-          pu.Process.pu_driver;
-          pu.Process.pu_subscribe;
-          pu.Process.pu_upcall.Process.fnptr;
-          pu.Process.pu_upcall.Process.appdata;
-          a0;
-          a1;
-          a2;
-        ]);
-  encode_ram buf (Process.ram_bytes p)
+   that cannot be remapped, registry layout drift, corrupt bytes). *)
 
 let freeze ?buf t =
   let s = sim t in
-  let buf =
-    match buf with
-    | Some b ->
-        Buffer.clear b;
-        b
-    | None -> Buffer.create (16 * 1024)
+  let board b = Witness.add_board b s ~next_pid:t.next_pid ~ram_next:t.ram_next in
+  let procs b =
+    Tock_obs.Frame.add_int b (Array.length t.table);
+    Array.iter
+      (fun pe ->
+        let p = pe.proc in
+        let held (n, _, alloc) = if alloc p then Some n else None in
+        Witness.add_process b p ~resume:pe.pending_resume
+          ~grants:(List.filter_map held t.k_grants))
+      t.table
   in
-  Buffer.add_string buf witness_magic;
-  add_i buf (Tock_hw.Sim.now s);
-  add_i buf (Tock_hw.Sim.active_cycles s);
-  add_i buf (Tock_hw.Sim.sleep_cycles s);
-  Buffer.add_int64_le buf (Tock_hw.Sim.rng_state s);
-  (* Deadlines only: queue sequence numbers are allocation order and
-     never match across a rebuild, but same-deadline events on this
-     codebase commute (see the Alarm_mux ordering witness). *)
-  let ev = Array.map fst (Tock_hw.Sim.event_times s) in
-  Array.sort compare ev;
-  add_i buf (Array.length ev);
-  Array.iter (add_i buf) ev;
-  add_i buf t.next_pid;
-  add_i buf t.ram_next;
-  add_i buf (Array.length t.table);
-  Array.iter (encode_process t buf) t.table;
-  add_i buf (List.length t.k_freezers);
-  let scratch = Buffer.create 256 in
-  List.iter
-    (fun (name, fz) ->
-      Buffer.clear scratch;
-      fz.fz_save scratch;
-      add_s buf name;
-      add_s buf (Buffer.contents scratch))
-    t.k_freezers;
-  (* Both registries as length-prefixed packed images, encoded in place. *)
-  let add_reg reg =
-    let p = Tock_obs.Metrics.packed_of reg in
-    add_i buf (Tock_obs.Metrics.packed_encoded_size p);
-    Tock_obs.Metrics.packed_to_buffer buf p
-  in
-  add_reg t.k_reg;
-  add_reg (Tock_hw.Sim.metrics s);
-  Buffer.contents buf
-
-(* ---- witness decoding ---- *)
-
-type wproc = {
-  wp_name : string;
-  wp_state : Process.state;
-  wp_resume : Process.resume_arg option;
-  wp_restarts : int;
-  wp_syscalls : int;
-  wp_grant_enters : int;
-  wp_grant_bytes : int;
-  wp_app_break : int;
-  wp_kernel_break : int;
-  wp_upcall_drops : int;
-  wp_mpu_scans : int;
-  wp_ckpt : int;
-  wp_at_sleep : bool;
-  wp_mpu_gen : int;
-  wp_mpu_caches : (int * int * int) list;
-  wp_residue : Process.emu_residue option;
-  wp_classes : (int * int) list;
-  wp_grants : string list;
-  wp_subs : (int * int * int * int) list;
-  wp_allows : (int * int * int * int * int) list;
-  wp_pending : Process.pending_upcall list;
-  wp_ram_len : int;
-  wp_ram_runs : (int * string) list;
-}
-
-type witness_image = {
-  w_now : int;
-  w_active : int;
-  w_sleep : int;
-  w_rng : int64;
-  w_events : int array;
-  w_next_pid : int;
-  w_ram_next : int;
-  w_procs : wproc list;
-  w_components : (string * string) list;
-  w_kreg : string;
-  w_sreg : string;
-}
-
-let rec decode_pstate r : Process.state =
-  match Witness.int r with
-  | 0 -> Process.Unstarted
-  | 1 -> Process.Runnable
-  | 2 -> Process.Yielded
-  | 3 ->
-      let driver = Witness.int r in
-      let subscribe_num = Witness.int r in
-      Process.Yielded_for { driver; subscribe_num }
-  | 4 ->
-      let driver = Witness.int r in
-      let subscribe_num = Witness.int r in
-      Process.Blocked_command { driver; subscribe_num }
-  | 5 ->
-      let s = Witness.string r in
-      if String.length s = 0 then Witness.corrupt "empty fault reason";
-      let m = String.sub s 1 (String.length s - 1) in
-      Process.Faulted
-        (match s.[0] with
-        | 'M' -> Process.Mpu_violation m
-        | 'B' -> Process.Bad_syscall m
-        | 'A' -> Process.App_panic m
-        | c -> Witness.corrupt "unknown fault tag %c" c)
-  | 6 -> Process.Terminated { code = Witness.int r }
-  | 7 -> Process.Stopped (decode_pstate r)
-  | n -> Witness.corrupt "unknown process-state tag %d" n
-
-let decode_resume r : Process.resume_arg option =
-  match Witness.int r with
-  | 0 -> None
-  | 1 -> Some Process.Rstart
-  | 2 -> Some Process.Rcontinue
-  | 3 ->
-      let n = Witness.int r in
-      if n < 0 || n > 16 then Witness.corrupt "bad register count %d" n;
-      let regs = Array.make n 0 in
-      for i = 0 to n - 1 do
-        regs.(i) <- Witness.int r
-      done;
-      Some (Process.Rsyscall_ret regs)
-  | 4 ->
-      let fnptr = Witness.int r in
-      let appdata = Witness.int r in
-      let arg0 = Witness.int r in
-      let arg1 = Witness.int r in
-      let arg2 = Witness.int r in
-      Some (Process.Rupcall { fnptr; appdata; arg0; arg1; arg2 })
-  | n -> Witness.corrupt "unknown resume tag %d" n
-
-let decode_count r what limit =
-  let n = Witness.int r in
-  if n < 0 || n > limit then Witness.corrupt "bad %s count %d" what n;
-  n
-
-let decode_ram r =
-  let len = Witness.int r in
-  if len < 0 then Witness.corrupt "bad RAM size %d" len;
-  let n = decode_count r "RAM run" len in
-  let runs = ref [] in
-  for _ = 1 to n do
-    let off = Witness.int r in
-    let rl = Witness.int r in
-    if off < 0 || rl < 0 || rl > len - off then
-      Witness.corrupt "RAM run out of range (off=%d len=%d ram=%d)" off rl len;
-    runs := (off, Witness.raw r rl) :: !runs
-  done;
-  (len, List.rev !runs)
-
-let decode_process r =
-  let wp_name = Witness.string r in
-  let wp_state = decode_pstate r in
-  let wp_resume = decode_resume r in
-  let wp_restarts = Witness.int r in
-  let wp_syscalls = Witness.int r in
-  let wp_grant_enters = Witness.int r in
-  let wp_grant_bytes = Witness.int r in
-  let wp_app_break = Witness.int r in
-  let wp_kernel_break = Witness.int r in
-  let wp_upcall_drops = Witness.int r in
-  let wp_mpu_scans = Witness.int r in
-  let wp_ckpt = Witness.int r in
-  let wp_at_sleep =
-    match Witness.int r with
-    | 0 -> false
-    | 1 -> true
-    | n -> Witness.corrupt "bad at-sleep flag %d" n
-  in
-  let wp_mpu_gen = Witness.int r in
-  let wp_mpu_caches =
-    let cache () =
-      let g = Witness.int r in
-      let lo = Witness.int r in
-      let hi = Witness.int r in
-      (g, lo, hi)
-    in
-    let a = cache () in
-    let b = cache () in
-    let c = cache () in
-    [ a; b; c ]
-  in
-  let wp_residue =
-    match Witness.int r with
-    | 0 -> None
-    | 1 ->
-        let er_alloc_next = Witness.int r in
-        let er_next_fn = Witness.int r in
-        let ns = decode_count r "scratch" 100_000 in
-        let sc = ref [] in
-        for _ = 1 to ns do
-          let tag = Witness.string r in
-          let addr = Witness.int r in
-          let size = Witness.int r in
-          sc := (tag, (addr, size)) :: !sc
-        done;
-        Some
-          { Process.er_alloc_next; er_next_fn; er_scratch = List.rev !sc }
-    | n -> Witness.corrupt "bad residue flag %d" n
-  in
-  let ncl = decode_count r "syscall-class" 64 in
-  let classes = ref [] in
-  for _ = 1 to ncl do
-    let c = Witness.int r in
-    let n = Witness.int r in
-    classes := (c, n) :: !classes
-  done;
-  let ng = decode_count r "grant" 10_000 in
-  let grants = ref [] in
-  for _ = 1 to ng do
-    grants := Witness.string r :: !grants
-  done;
-  let nsub = decode_count r "subscription" 100_000 in
-  let subs = ref [] in
-  for _ = 1 to nsub do
-    let d = Witness.int r in
-    let s = Witness.int r in
-    let f = Witness.int r in
-    let a = Witness.int r in
-    subs := (d, s, f, a) :: !subs
-  done;
-  let nal = decode_count r "allow" 100_000 in
-  let allows = ref [] in
-  for _ = 1 to nal do
-    let k = Witness.int r in
-    if k <> 0 && k <> 1 then Witness.corrupt "bad allow kind %d" k;
-    let d = Witness.int r in
-    let n = Witness.int r in
-    let addr = Witness.int r in
-    let len = Witness.int r in
-    allows := (k, d, n, addr, len) :: !allows
-  done;
-  let npend = decode_count r "pending-upcall" 100_000 in
-  let pending = ref [] in
-  for _ = 1 to npend do
-    let pu_driver = Witness.int r in
-    let pu_subscribe = Witness.int r in
-    let fnptr = Witness.int r in
-    let appdata = Witness.int r in
-    let a0 = Witness.int r in
-    let a1 = Witness.int r in
-    let a2 = Witness.int r in
-    pending :=
-      {
-        Process.pu_driver;
-        pu_subscribe;
-        pu_upcall = { Process.fnptr; appdata };
-        pu_args = (a0, a1, a2);
-      }
-      :: !pending
-  done;
-  let wp_ram_len, wp_ram_runs = decode_ram r in
-  {
-    wp_name;
-    wp_state;
-    wp_resume;
-    wp_restarts;
-    wp_syscalls;
-    wp_grant_enters;
-    wp_grant_bytes;
-    wp_app_break;
-    wp_kernel_break;
-    wp_upcall_drops;
-    wp_mpu_scans;
-    wp_ckpt;
-    wp_at_sleep;
-    wp_mpu_gen;
-    wp_mpu_caches;
-    wp_residue;
-    wp_classes = List.rev !classes;
-    wp_grants = List.rev !grants;
-    wp_subs = List.rev !subs;
-    wp_allows = List.rev !allows;
-    wp_pending = List.rev !pending;
-    wp_ram_len;
-    wp_ram_runs;
-  }
-
-let parse_witness w =
-  Witness.guard (fun () ->
-      let r = Witness.reader w in
-      let mlen = String.length witness_magic in
-      if
-        String.length w < mlen
-        || not (String.equal (Witness.raw r mlen) witness_magic)
-      then Witness.corrupt "not a board witness (bad magic)";
-      let w_now = Witness.int r in
-      let w_active = Witness.int r in
-      let w_sleep = Witness.int r in
-      let w_rng = Witness.int64 r in
-      let nev = decode_count r "event" 1_000_000 in
-      let w_events = Array.make nev 0 in
-      for i = 0 to nev - 1 do
-        w_events.(i) <- Witness.int r
-      done;
-      let w_next_pid = Witness.int r in
-      let w_ram_next = Witness.int r in
-      let np = decode_count r "process" 100_000 in
-      let procs = ref [] in
-      for _ = 1 to np do
-        procs := decode_process r :: !procs
-      done;
-      let nc = decode_count r "component" 10_000 in
-      let comps = ref [] in
-      for _ = 1 to nc do
-        let name = Witness.string r in
-        let blob = Witness.string r in
-        comps := (name, blob) :: !comps
-      done;
-      let w_kreg = Witness.string r in
-      let w_sreg = Witness.string r in
-      if not (Witness.at_end r) then
-        Witness.corrupt "trailing bytes after witness";
-      {
-        w_now;
-        w_active;
-        w_sleep;
-        w_rng;
-        w_events;
-        w_next_pid;
-        w_ram_next;
-        w_procs = List.rev !procs;
-        w_components = List.rev !comps;
-        w_kreg;
-        w_sreg;
-      })
+  let registry reg b = Witness.add_registry b reg in
+  Tock_obs.Frame.encode ?buf Witness.magic
+    ((Witness.board, board) :: (Witness.procs, procs)
+    :: List.fold_right
+         (fun (name, fz) l -> (name, fz.fz_save) :: l)
+         t.k_freezers
+         [ (Witness.kernel_metrics, registry t.k_reg);
+           (Witness.sim_metrics, registry (Tock_hw.Sim.metrics s)) ])
 
 (* ---- direct materialization (thaw) ---- *)
 
@@ -1589,13 +1042,21 @@ let resumable t =
            ~at_sleep:(Process.at_sleep p) (Process.state p)))
     t.table
 
+exception Thaw_failed of string
+
 let thaw t ~cap witness =
-  match parse_witness witness with
-  | Error e -> Error ("thaw: corrupt witness: " ^ e)
+  match Witness.decode ~components:(List.map fst t.k_freezers) witness with
+  | Error e -> Error ("thaw: " ^ e)
   | Ok wt -> (
+      let open Witness in
       try
         let s = sim t in
-        let fail fmt = Printf.ksprintf (fun m -> raise (Witness.Corrupt m)) fmt in
+        let fail fmt = Printf.ksprintf (fun m -> raise (Thaw_failed m)) fmt in
+        let section name load =
+          match Tock_obs.Frame.read wt.w_frame name load with
+          | Ok () -> ()
+          | Error e -> raise (Thaw_failed e)
+        in
         let nprocs = List.length wt.w_procs in
         if Array.length t.table <> nprocs then
           fail "board has %d processes, witness %d" (Array.length t.table)
@@ -1612,24 +1073,10 @@ let thaw t ~cap witness =
               (pe, wp))
             wt.w_procs
         in
-        if List.length wt.w_components <> List.length t.k_freezers then
-          fail "board has %d freezer sections, witness %d"
-            (List.length t.k_freezers)
-            (List.length wt.w_components);
-        List.iter
-          (fun (name, _) ->
-            if not (List.mem_assoc name t.k_freezers) then
-              fail "unknown component section %S" name)
-          wt.w_components;
         let load_phase phase =
           List.iter
-            (fun (name, blob) ->
-              let fz = List.assoc name t.k_freezers in
-              if fz.fz_phase = phase then
-                match fz.fz_load blob with
-                | Ok () -> ()
-                | Error e -> fail "component %S: %s" name e)
-            wt.w_components
+            (fun (name, fz) -> if fz.fz_phase = phase then section name fz.fz_load)
+            t.k_freezers
         in
         (* Phase 1: process dispositions and grant layout. Every
            process must sit at a freeze point [unthawable] accepts; a
@@ -1807,15 +1254,7 @@ let thaw t ~cap witness =
             (Array.length wt.w_events);
         (* Registries last, so the prologues' counter traffic vanishes
            under the frozen values. *)
-        let restore_reg what reg packed_s =
-          match Tock_obs.Metrics.packed_of_string packed_s with
-          | Error e -> fail "%s registry: %s" what e
-          | Ok pk -> (
-              match Tock_obs.Metrics.restore_packed reg pk with
-              | Error e -> fail "%s registry: %s" what e
-              | Ok () -> ())
-        in
-        restore_reg "kernel" t.k_reg wt.w_kreg;
-        restore_reg "sim" (Tock_hw.Sim.metrics s) wt.w_sreg;
+        section kernel_metrics (restore_registry t.k_reg);
+        section sim_metrics (restore_registry (Tock_hw.Sim.metrics s));
         Ok ()
-      with Witness.Corrupt m -> Error ("thaw: " ^ m))
+      with Thaw_failed m -> Error ("thaw: " ^ m))

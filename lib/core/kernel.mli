@@ -138,46 +138,17 @@ val register_freezer :
   name:string ->
   phase:[ `Pre | `Post ] ->
   save:(Buffer.t -> unit) ->
-  load:(string -> (unit, string) result) ->
+  load:(Tock_obs.Frame.reader -> unit) ->
   unit
 (** Declare a named board-state component beyond the kernel's own reach
     (virtual-alarm order and arming, uart capture, dirty flash pages).
-    {!freeze} appends every registered component's [save] bytes;
-    {!thaw} feeds them back — [`Pre] loads run before the resume
-    prologues, [`Post] loads after the wholesale state patch. A [load]
-    returning [Error] makes {!thaw} return [Error]. *)
-
-(** Length-prefixed binary codec for {!register_freezer} sections (the
-    same one the witness itself uses): 64-bit LE ints, length-prefixed
-    strings, and a bounds-checked reader whose failures surface as
-    [Error] via {!Witness.guard} rather than exceptions. *)
-module Witness : sig
-  exception Corrupt of string
-
-  val corrupt : ('a, unit, string, 'b) format4 -> 'a
-  (** Raise {!Corrupt} with a formatted diagnostic. *)
-
-  val add_int : Buffer.t -> int -> unit
-
-  val add_string : Buffer.t -> string -> unit
-
-  type reader
-
-  val reader : string -> reader
-
-  val int : reader -> int
-
-  val int64 : reader -> int64
-
-  val raw : reader -> int -> string
-
-  val string : reader -> string
-
-  val at_end : reader -> bool
-
-  val guard : (unit -> 'a) -> ('a, string) result
-  (** Run a decoder, catching {!Corrupt}. *)
-end
+    Each is one witness section named [name]: {!freeze} has [save] write
+    its payload with the {!Tock_obs.Frame} primitives, and {!thaw} hands
+    [load] a reader bounded to the digest-checked section — [`Pre] loads
+    before the resume prologues, [`Post] loads after the wholesale state
+    patch. A failed read, a {!Tock_obs.Frame.fail} or unread bytes make
+    {!thaw} return [Error] naming the section. [Invalid_argument] if
+    [name] is one of the kernel's own sections. *)
 
 (** {2 Processes (privileged)} *)
 
@@ -331,22 +302,18 @@ val run_to_completion : t -> cap:Capability.main_loop -> ?max_cycles:int -> unit
     point thaw can rebuild come back: {!resumable} says whether a live
     board is at one, so a caller parks a board only when it holds.
 
-    Witness format (v2, magic "TCKSNP02", all ints 64-bit LE): header
-    clock/active/sleep + raw root-PRNG state; sorted live event-queue
-    {e deadlines} (sequence numbers are allocation order and never
-    survive a rebuild); [next_pid]/[ram_next]; per-process records
-    (name, state, pending resume, counters, checkpoint, emulator
-    residue, per-class syscall counts, allocated grant names, sorted
-    subscriptions/allows, queued upcalls, sparse zero-elided RAM runs);
-    named {!register_freezer} component sections; packed kernel +
-    hardware metrics registries. *)
+    The witness is a [TCKSNP03] {!Tock_obs.Frame} ({!Witness} lists
+    its sections): every section carries an MD5, so any changed byte is
+    an [Error], and registries are stored by layout digest, without
+    series names. *)
 
 val freeze : ?buf:Buffer.t -> t -> string
 (** Serialize the board's observable state (format above).
     Deterministic: two boards in byte-identical states produce equal
-    witnesses. Runs the registries' snapshot hooks (same effect as
+    witnesses. Only reads state, so it cannot fail, even after a panic.
+    Runs the registries' snapshot hooks (same effect as
     {!metrics_snapshot}); does not advance the simulation. [buf], if
-    given, is cleared and used as the scratch encoder (the fleet pools
+    given, is cleared and holds the section payloads (the fleet pools
     one per domain to avoid re-growing a fresh buffer per park). *)
 
 val resumable : t -> bool
@@ -370,9 +337,8 @@ val thaw : t -> cap:Capability.main_loop -> string -> (unit, string) result
     wholesale (upcall-id remap, subscriptions, allows, pending upcalls,
     breaks, RAM, counters, emulator residue), run [`Post] freezer
     loads, verify the rebuilt event schedule against the witness, and
-    overwrite both metrics registries. On success, [freeze t = w].
-    [Error] — with the board left in an unspecified half-patched state
-    that must be discarded — whenever anything fails to line up: a
-    corrupt witness, a process frozen where {!resumable} would have
-    been false, an upcall id that cannot be remapped, registry series
-    drift. *)
+    overwrite both metrics registries by layout. On success, [freeze t
+    = w]. [Error] — with the board left in an unspecified half-patched
+    state that must be discarded — whenever anything fails to line up:
+    a changed byte, a process frozen where {!resumable} would have been
+    false, an upcall id that cannot be remapped, registry layout drift. *)

@@ -81,7 +81,7 @@ type config = {
          the ring); like park, sampling never changes results. *)
   flight_dir : string option;
       (* arm the fault flight recorder: any process fault, kernel
-         panic, or end-of-run SLO breach captures a TCKFLT01 artifact
+         panic, or end-of-run SLO breach captures a TCKFLT02 artifact
          (cause + last trace events + packed metrics + freeze witness)
          into this directory. Single boards get a small always-on ring
          so the artifact has a timeline even when tracing is off. *)
@@ -512,24 +512,21 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
   let dvt = ref 0 in
   let board_lanes = ref [] in
   let flights = ref [] in
-  (* Capture a TCKFLT01 artifact for a group whose kernel faulted or
+  (* Capture a TCKFLT02 artifact for a group whose kernel faulted or
      panicked this quantum: cause, trace tail, packed metrics, and (for
-     single boards) a freeze witness. Freeze can refuse mid-flight
-     state after a panic; the artifact then ships without a witness
-     rather than not at all. *)
+     single boards) a freeze witness. *)
   let maybe_flight rt =
     match rt.gr_fault with
     | Some cause when (not rt.gr_flighted) && cfg.flight_dir <> None ->
         rt.gr_flighted <- true;
         let witness, metrics =
           match rt.gr_kind with
-          | Single b -> (
-              ( (try Tock.Kernel.freeze b.Tock_boards.Board.kernel
-                 with _ -> ""),
+          | Single b ->
+              ( Some (Tock.Kernel.freeze b.Tock_boards.Board.kernel),
                 Some
                   (Tock_obs.Metrics.packed_of
-                     (Tock.Kernel.metrics b.Tock_boards.Board.kernel)) ))
-          | Radio _ -> ("", None)
+                     (Tock.Kernel.metrics b.Tock_boards.Board.kernel)) )
+          | Radio _ -> (None, None)
         in
         let sim = group_sim rt in
         flights :=
@@ -899,7 +896,7 @@ let run_fleet cfg =
               fa_clock_hz = 1;
               fa_events = [];
               fa_metrics = Some (Tock_obs.Metrics.pack fr_metrics);
-              fa_witness = "";
+              fa_witness = None;
             };
           ]
     | _ -> artifacts
@@ -966,29 +963,30 @@ let merged_metrics stats =
    construction first and fall back to the ordinary workload, each on a
    fresh board (a declined thaw may leave the attempt half-patched). *)
 let thaw_artifact (a : Flight.artifact) =
-  if a.Flight.fa_witness = "" then Error "artifact has no witness"
-  else if a.Flight.fa_board < 0 then Error "fleet-level artifact has no board"
-  else
-    let attempt fault_board =
-      let cfg = { default with seed = a.Flight.fa_seed; fault_board } in
-      let workloads = build_workloads () in
-      let rt = materialize_single cfg workloads ~g:a.Flight.fa_board in
-      match rt.gr_kind with
-      | Single b -> (
-          match
-            Tock.Kernel.thaw b.Tock_boards.Board.kernel
-              ~cap:b.Tock_boards.Board.main_cap a.Flight.fa_witness
-          with
-          | Ok () -> Ok b
-          | Error e -> Error e)
-      | Radio _ -> assert false
-    in
-    match attempt (Some a.Flight.fa_board) with
-    | Ok b -> Ok b
-    | Error e1 -> (
-        match attempt None with
-        | Ok b -> Ok b
-        | Error e2 -> Error (e1 ^ "; as plain workload: " ^ e2))
+  match a.Flight.fa_witness with
+  | None -> Error "artifact has no witness"
+  | Some _ when a.Flight.fa_board < 0 -> Error "fleet-level artifact has no board"
+  | Some witness ->
+      let attempt fault_board =
+        let cfg = { default with seed = a.Flight.fa_seed; fault_board } in
+        let workloads = build_workloads () in
+        let rt = materialize_single cfg workloads ~g:a.Flight.fa_board in
+        match rt.gr_kind with
+        | Single b -> (
+            match
+              Tock.Kernel.thaw b.Tock_boards.Board.kernel
+                ~cap:b.Tock_boards.Board.main_cap witness
+            with
+            | Ok () -> Ok b
+            | Error e -> Error e)
+        | Radio _ -> assert false
+      in
+      match attempt (Some a.Flight.fa_board) with
+      | Ok b -> Ok b
+      | Error e1 -> (
+          match attempt None with
+          | Ok b -> Ok b
+          | Error e2 -> Error (e1 ^ "; as plain workload: " ^ e2))
 
 let total_cycles stats =
   Array.fold_left (fun acc bs -> acc + bs.bs_cycles) 0 stats

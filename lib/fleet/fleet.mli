@@ -69,7 +69,7 @@ type config = {
           would drop the ring — but sampling never changes results. *)
   flight_dir : string option;
       (** arm the fault flight recorder: every process fault or kernel
-          panic captures a [TCKFLT01] artifact ({!Flight}) — cause,
+          panic captures a [TCKFLT02] artifact ({!Flight}) — cause,
           trace tail, packed metrics, freeze witness — and a Degraded/
           Unhealthy end-of-run verdict (with [health]) adds one
           fleet-level SLO-breach artifact. Files are written into this
@@ -146,7 +146,7 @@ type fleet_result = {
           [(0, 0)] without it. Only single boards are sampled, so a
           fleet of radio groups exports no board lanes. *)
   fr_flights : (string * Flight.artifact) list;
-      (** with [config.flight_dir]: the [TCKFLT01] artifacts captured
+      (** with [config.flight_dir]: the [TCKFLT02] artifacts captured
           this run, as [(written_path, artifact)], in board order
           (fleet-level SLO-breach artifact last). *)
 }

@@ -1,4 +1,4 @@
-(* Fault flight recorder artifacts ("TCKFLT01").
+(* Fault flight recorder artifacts ("TCKFLT02").
 
    When a fleet board faults a process, panics its kernel, or the run
    ends in SLO breach, the runner captures everything a postmortem
@@ -7,18 +7,20 @@
    (for board-level causes) a [Kernel.freeze] witness that can be
    thawed back into a live board for inspection.
 
-   The encoding reuses the witness codec (int64-LE ints,
-   length-prefixed strings) and is total on decode: truncated or
-   bit-flipped artifacts yield [Error], never an exception — the same
-   contract as TCKSNP02. Trace kinds and phases are stored as strings,
-   not variant tags, so an artifact written by one build renders under
-   another even if the kind enum grew in between. *)
+   An artifact is a [Frame] with sections [cause] (the cause, board,
+   clock, clock rate and int64 seed), [events], and, when captured,
+   [metrics] (the named packed image: [tock_sim postmortem] decodes it
+   in a fresh process, which has no layouts interned) and [witness]
+   (the [TCKSNP03] bytes, which [Kernel.thaw] checks on its own). Trace
+   kinds and phases are stored as strings, not variant tags, so an
+   artifact written by one build renders under another even if the
+   kind enum grew in between. *)
 
-module W = Tock.Kernel.Witness
+module Frame = Tock_obs.Frame
 module Metrics = Tock_obs.Metrics
 module Trace = Tock_obs.Trace
 
-let magic = "TCKFLT01"
+let magic = "TCKFLT02"
 
 type cause =
   | Fault of { fl_proc : string; fl_reason : string }
@@ -43,7 +45,7 @@ type artifact = {
   fa_clock_hz : int;
   fa_events : event list; (* oldest first *)
   fa_metrics : Metrics.packed option;
-  fa_witness : string; (* Kernel.freeze bytes; "" when none *)
+  fa_witness : string option; (* Kernel.freeze bytes *)
 }
 
 let cause_name = function
@@ -81,92 +83,93 @@ let events_of_trace ?(max = 256) tr =
   in
   List.rev (take max !newest_first)
 
+(* Frame order; [metrics] and [witness] are present only when
+   captured. *)
+let section_names = [ "cause"; "events"; "metrics"; "witness" ]
+
 let encode a =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  (match a.fa_cause with
-  | Fault { fl_proc; fl_reason } ->
-      W.add_int buf 0;
-      W.add_string buf fl_proc;
-      W.add_string buf fl_reason
-  | Panic m ->
-      W.add_int buf 1;
-      W.add_string buf m
-  | Slo_breach m ->
-      W.add_int buf 2;
-      W.add_string buf m);
-  W.add_int buf a.fa_board;
-  W.add_string buf (Int64.to_string a.fa_seed);
-  W.add_int buf a.fa_clock;
-  W.add_int buf a.fa_clock_hz;
-  W.add_int buf (List.length a.fa_events);
-  List.iter
-    (fun e ->
-      W.add_int buf e.fe_ts;
-      W.add_int buf e.fe_tid;
-      W.add_string buf e.fe_kind;
-      W.add_string buf e.fe_phase;
-      W.add_int buf e.fe_dur;
-      W.add_int buf e.fe_arg;
-      W.add_string buf e.fe_text)
-    a.fa_events;
-  W.add_string buf
-    (match a.fa_metrics with
-    | None -> ""
-    | Some p -> Metrics.packed_to_string p);
-  W.add_string buf a.fa_witness;
-  Buffer.contents buf
+  let cause b =
+    (match a.fa_cause with
+    | Fault { fl_proc; fl_reason } ->
+        Frame.add_int b 0;
+        Frame.add_string b fl_proc;
+        Frame.add_string b fl_reason
+    | Panic m ->
+        Frame.add_int b 1;
+        Frame.add_string b m
+    | Slo_breach m ->
+        Frame.add_int b 2;
+        Frame.add_string b m);
+    Frame.add_int b a.fa_board;
+    Frame.add_int b a.fa_clock;
+    Frame.add_int b a.fa_clock_hz;
+    Frame.add_int64 b a.fa_seed
+  in
+  let events b =
+    Frame.add_list b
+      (fun e ->
+        Frame.add_int b e.fe_ts;
+        Frame.add_int b e.fe_tid;
+        Frame.add_string b e.fe_kind;
+        Frame.add_string b e.fe_phase;
+        Frame.add_int b e.fe_dur;
+        Frame.add_int b e.fe_arg;
+        Frame.add_string b e.fe_text)
+      a.fa_events
+  in
+  let metrics p = ("metrics", fun b -> Metrics.packed_to_buffer b p) in
+  let witness w = ("witness", fun b -> Buffer.add_string b w) in
+  Frame.encode magic
+    (("cause", cause) :: ("events", events)
+    :: List.filter_map Fun.id
+         [ Option.map metrics a.fa_metrics; Option.map witness a.fa_witness ])
 
 let decode s =
-  W.guard (fun () ->
-      let r = W.reader s in
-      let m = W.raw r (String.length magic) in
-      if m <> magic then W.corrupt "flight: bad magic %S" m;
-      let fa_cause =
-        match W.int r with
-        | 0 ->
-            let fl_proc = W.string r in
-            let fl_reason = W.string r in
-            Fault { fl_proc; fl_reason }
-        | 1 -> Panic (W.string r)
-        | 2 -> Slo_breach (W.string r)
-        | n -> W.corrupt "flight: unknown cause tag %d" n
-      in
-      let fa_board = W.int r in
-      let fa_seed =
-        let s = W.string r in
-        match Int64.of_string_opt s with
-        | Some v -> v
-        | None -> W.corrupt "flight: bad seed %S" s
-      in
-      let fa_clock = W.int r in
-      let fa_clock_hz = W.int r in
-      if fa_clock_hz <= 0 then W.corrupt "flight: clock_hz %d" fa_clock_hz;
-      let n = W.int r in
-      if n < 0 || n > 1_000_000 then W.corrupt "flight: event count %d" n;
-      let fa_events =
-        List.init n (fun _ ->
-            let fe_ts = W.int r in
-            let fe_tid = W.int r in
-            let fe_kind = W.string r in
-            let fe_phase = W.string r in
-            let fe_dur = W.int r in
-            let fe_arg = W.int r in
-            let fe_text = W.string r in
-            { fe_ts; fe_tid; fe_kind; fe_phase; fe_dur; fe_arg; fe_text })
-      in
-      let fa_metrics =
-        match W.string r with
-        | "" -> None
-        | ms -> (
-            match Metrics.packed_of_string ms with
-            | Ok p -> Some p
-            | Error e -> W.corrupt "flight: metrics: %s" e)
-      in
-      let fa_witness = W.string r in
-      if not (W.at_end r) then W.corrupt "flight: trailing bytes";
-      { fa_cause; fa_board; fa_seed; fa_clock; fa_clock_hz; fa_events;
-        fa_metrics; fa_witness })
+  let ( let* ) = Result.bind in
+  let* f = Frame.decode ~magic ~sections:section_names s in
+  let optional name read =
+    if Frame.mem f name then Result.map Option.some (Frame.read f name read)
+    else Ok None
+  in
+  let* a =
+    Frame.read f "cause" (fun r ->
+        let fa_cause =
+          match Frame.int r with
+          | 0 ->
+              let fl_proc = Frame.string r in
+              let fl_reason = Frame.string r in
+              Fault { fl_proc; fl_reason }
+          | 1 -> Panic (Frame.string r)
+          | 2 -> Slo_breach (Frame.string r)
+          | n -> Frame.fail "unknown cause tag %d" n
+        in
+        let fa_board = Frame.int r in
+        let fa_clock = Frame.int r in
+        let fa_clock_hz = Frame.int r in
+        if fa_clock_hz <= 0 then Frame.fail "clock rate %d Hz" fa_clock_hz;
+        { fa_cause; fa_board; fa_seed = Frame.int64 r; fa_clock; fa_clock_hz;
+          fa_events = []; fa_metrics = None; fa_witness = None })
+  in
+  let* fa_events =
+    Frame.read f "events" (fun r ->
+        (* seven words at least: four ints, three empty strings *)
+        Frame.list r ~min:56 (fun r ->
+            let fe_ts = Frame.int r in
+            let fe_tid = Frame.int r in
+            let fe_kind = Frame.string r in
+            let fe_phase = Frame.string r in
+            let fe_dur = Frame.int r in
+            let fe_arg = Frame.int r in
+            { fe_ts; fe_tid; fe_kind; fe_phase; fe_dur; fe_arg; fe_text = Frame.string r }))
+  in
+  let* fa_metrics =
+    optional "metrics" (fun r ->
+        match Metrics.packed_of_string (Frame.rest r) with
+        | Ok p -> p
+        | Error e -> Frame.fail "%s" e)
+  in
+  let* fa_witness = optional "witness" Frame.rest in
+  Ok { a with fa_events; fa_metrics; fa_witness }
 
 let describe_cause = function
   | Fault { fl_proc; fl_reason } ->
@@ -204,10 +207,9 @@ let render a =
       | Error e ->
           Buffer.add_string buf (Printf.sprintf "(corrupt metrics: %s)\n" e)));
   Buffer.add_string buf
-    (if a.fa_witness = "" then "\nwitness: none\n"
-     else
-       Printf.sprintf "\nwitness: %d bytes (%s)\n"
-         (String.length a.fa_witness)
-         (if String.length a.fa_witness >= 8 then String.sub a.fa_witness 0 8
-          else "short"));
+    (match a.fa_witness with
+    | None -> "\nwitness: none\n"
+    | Some w ->
+        Printf.sprintf "\nwitness: %d bytes (%s)\n" (String.length w)
+          (if String.length w >= 8 then String.sub w 0 8 else "short"));
   Buffer.contents buf

@@ -1,4 +1,4 @@
-(** Fault flight recorder artifacts ([TCKFLT01]).
+(** Fault flight recorder artifacts ([TCKFLT02]).
 
     A self-contained postmortem dump captured when a fleet board faults
     a process, panics its kernel, or the run ends in SLO breach: the
@@ -6,12 +6,12 @@
     packed metrics snapshot, and (for board-level causes) a
     [Kernel.freeze] witness thawable back into a live board.
 
-    Decoding is total: truncated or corrupt artifacts yield [Error],
-    never an exception — the same hardening contract as the TCKSNP02
-    board witness. *)
+    An artifact is a {!Tock_obs.Frame}: sections [cause], [events], and
+    when captured [metrics] (named, so a fresh process can render it)
+    and [witness]. Any changed byte is an [Error] naming its section. *)
 
 val magic : string
-(** ["TCKFLT01"]. *)
+(** ["TCKFLT02"]. *)
 
 type cause =
   | Fault of { fl_proc : string; fl_reason : string }
@@ -36,7 +36,7 @@ type artifact = {
   fa_clock_hz : int;
   fa_events : event list;  (** oldest first *)
   fa_metrics : Tock_obs.Metrics.packed option;
-  fa_witness : string;  (** [Kernel.freeze] bytes; [""] when none *)
+  fa_witness : string option;  (** [Kernel.freeze] bytes *)
 }
 
 val cause_name : cause -> string

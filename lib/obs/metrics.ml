@@ -58,7 +58,9 @@ type schema = {
      *sealed* lazily, on the first snapshot or pack at that node (sealing
      every node eagerly would store O(n^2) names per path). Sealed
      schemas are interned by content, so equal series sets share one
-     physical schema whatever their registration order.
+     physical schema whatever their registration order, and its MD5
+     digest is taken once, when it is interned: witnesses store that
+     digest in place of the names.
    - [l_span] is the deepest layout ever reached below a node: it sizes
      a registry's series array so a board built from a known recipe
      grows it at most once.
@@ -70,6 +72,7 @@ type schema = {
 type sealed = {
   s_schema : schema;
   s_order : int array; (* s_order.(rank) = registration index *)
+  s_digest : string; (* MD5 of the schema's image, see [schema_digest] *)
 }
 
 type layout = {
@@ -98,7 +101,23 @@ let root = new_layout None "" 'c' 0
 let layout_mutex = Mutex.create ()
 
 (* otock-lint: allow domain-safety the only access path is [seal], whose lookup/insert runs entirely under [Mutex.protect layout_mutex]; interned schemas are immutable once built *)
-let schemas : (schema, schema) Hashtbl.t = Hashtbl.create 16
+let schemas : (schema, schema * string) Hashtbl.t = Hashtbl.create 16
+
+(* A schema's image: series count, then per sorted entry its
+   length-prefixed name and kind char. Named packed images lead with
+   it, and its MD5 identifies a layout in board witnesses. *)
+let add_schema b sc =
+  Frame.add_int b (Array.length sc.sc_names);
+  Array.iteri
+    (fun rank name ->
+      Frame.add_string b name;
+      Buffer.add_char b sc.sc_kinds.[rank])
+    sc.sc_names
+
+let schema_digest sc =
+  let b = Buffer.create 1024 in
+  add_schema b sc;
+  Digest.string (Buffer.contents b)
 
 let rec child_in name kind = function
   | [] -> raise_notrace Not_found
@@ -155,14 +174,15 @@ let seal lay =
           match Atomic.get lay.l_sealed with
           | Some s -> s
           | None ->
-              let sc =
+              let sc, digest =
                 match Hashtbl.find_opt schemas sc with
                 | Some shared -> shared
                 | None ->
-                    Hashtbl.add schemas sc sc;
-                    sc
+                    let shared = (sc, schema_digest sc) in
+                    Hashtbl.add schemas sc shared;
+                    shared
               in
-              let s = { s_schema = sc; s_order = order } in
+              let s = { s_schema = sc; s_order = order; s_digest = digest } in
               Atomic.set lay.l_sealed (Some s);
               s)
 
@@ -461,9 +481,9 @@ let pack snap =
    must exist, every histogram record must lie inside the blob with
    in-range bucket indices. [packed_of]/[pack] construct images that
    pass by construction; images rebuilt from bytes (board witnesses,
-   flight-recorder artifacts) may be truncated or bit-flipped, and the
-   contract mirrors the TCKSNP02 witness hardening: [Error] with a
-   diagnostic, never an exception. *)
+   flight-recorder artifacts) arrive digest-checked by [Frame], but a
+   decoder must still hold up on any bytes: [Error] with a diagnostic,
+   never an exception. *)
 let validate_packed p =
   let err fmt = Printf.ksprintf (fun m -> Error ("packed: " ^ m)) fmt in
   let sc = p.p_schema in
@@ -559,129 +579,65 @@ let unpack p =
       in
       Ok (go (n - 1) [])
 
-(* The image: series count; per sorted entry, name length, name and
-   kind char; then the blob, which already is the canonical int64-LE
-   value image. *)
-let packed_encoded_size p =
-  let names = p.p_schema.sc_names in
-  let size = ref (8 + String.length p.p_blob) in
-  for rank = 0 to Array.length names - 1 do
-    size := !size + 9 + String.length names.(rank)
-  done;
-  !size
-
+(* The named image: the schema image ([add_schema]), then the blob,
+   which already is the canonical int64-LE value image. The one
+   encoder: the flight recorder writes it straight into its section. *)
 let packed_to_buffer b p =
-  let sc = p.p_schema in
-  let n = Array.length sc.sc_names in
-  Buffer.add_int64_le b (Int64.of_int n);
-  for rank = 0 to n - 1 do
-    Buffer.add_int64_le b (Int64.of_int (String.length sc.sc_names.(rank)));
-    Buffer.add_string b sc.sc_names.(rank);
-    Buffer.add_char b sc.sc_kinds.[rank]
-  done;
+  add_schema b p.p_schema;
   Buffer.add_string b p.p_blob
 
-let packed_to_string p =
-  let b = Buffer.create (packed_encoded_size p) in
-  packed_to_buffer b p;
-  Buffer.contents b
-
-(* Decode a [packed_to_string] image. Every read is bounds-checked: the
-   input may come from a truncated or corrupted board witness, and the
-   contract there is [Error], never an exception. *)
+(* Decode a [packed_to_buffer] image: [Frame]'s bounds-checked reader
+   for the schema, [validate_packed] for kinds, blob size and histogram
+   records. Structure only — the frame section holding the image
+   carries its digest. *)
 let packed_of_string s =
-  let len = String.length s in
-  let err fmt = Printf.ksprintf (fun m -> Error ("packed: " ^ m)) fmt in
-  let word pos =
-    if pos < 0 || pos + 8 > len then None
-    else Some (Int64.to_int (String.get_int64_le s pos))
+  let decoded =
+    Frame.parse s (fun r ->
+        let entries =
+          Frame.list r ~min:9 (fun r ->
+              let name = Frame.string r in
+              (name, Frame.raw r 1))
+        in
+        let sc_names = Array.of_list (List.map fst entries) in
+        let sc_kinds = String.concat "" (List.map snd entries) in
+        { p_schema = { sc_names; sc_kinds }; p_blob = Frame.rest r })
   in
-  match word 0 with
-  | None -> err "truncated header (%d bytes)" len
-  | Some n when n < 0 || n > len -> err "absurd series count %d" n
-  | Some n -> (
-      let sc_names = Array.make n "" in
-      let kinds = Bytes.make n 'c' in
-      let pos = ref 8 in
-      match
-        for rank = 0 to n - 1 do
-          match word !pos with
-          | Some nl when nl >= 0 && nl <= len - !pos - 9 ->
-              sc_names.(rank) <- String.sub s (!pos + 8) nl;
-              Bytes.set kinds rank s.[!pos + 8 + nl];
-              pos := !pos + 8 + nl + 1
-          | _ -> raise Exit
-        done
-      with
-      | exception Exit -> err "truncated schema"
-      | () -> (
-          (* Kinds, blob size and histogram records: [validate_packed]. *)
-          let p =
-            {
-              p_schema = { sc_names; sc_kinds = Bytes.to_string kinds };
-              p_blob = String.sub s !pos (len - !pos);
-            }
-          in
-          match validate_packed p with Ok () -> Ok p | Error e -> Error e))
+  match decoded with
+  | Error e -> Error ("packed: " ^ e)
+  | Ok p -> ( match validate_packed p with Ok () -> Ok p | Error e -> Error e)
 
-(* Overwrite a registry's values from a packed image: the thaw path of
-   board freeze/thaw. Series missing from the registry are created
-   (some series register on first use, so a freshly built board can
-   have fewer series than its frozen image); a registry series absent
-   from the image would keep a stale value, so that is an error. *)
-let restore_packed t p =
-  match validate_packed p with
-  | Error e -> Error e
-  | Ok () ->
-  let sc = p.p_schema in
-  let n = Array.length sc.sc_names in
-  let bad = ref None in
-  for rank = 0 to n - 1 do
-    if !bad = None then begin
-      let name = sc.sc_names.(rank) in
-      match (sc.sc_kinds.[rank], Hashtbl.find_opt t.by_name name) with
-      | 'c', Some (Mc c) -> c.c_value <- blob_word p rank
-      | 'c', None ->
-          let c = counter t name in
-          c.c_value <- blob_word p rank
-      | 'g', Some (Mg g) -> g.g_value <- blob_word p rank
-      | 'g', None ->
-          let g = gauge t name in
-          g.g_value <- blob_word p rank
-      | 'h', (Some (Mh _) | None) ->
-          let h =
-            match Hashtbl.find_opt t.by_name name with
-            | Some (Mh h) -> h
-            | _ -> histogram t name
-          in
-          let off = blob_word p rank in
-          h.h_count <- blob_word p off;
-          h.h_sum <- blob_word p (off + 1);
-          Array.fill h.h_buckets 0 buckets 0;
-          h.h_top <- -1;
-          let np = blob_word p (off + 2) in
-          for k = 0 to np - 1 do
-            let b = blob_word p (off + 3 + (2 * k)) in
-            h.h_buckets.(b) <- blob_word p (off + 3 + (2 * k) + 1);
-            if b > h.h_top then h.h_top <- b
-          done
-      | _, Some _ ->
-          bad :=
-            Some
-              (Printf.sprintf "restore_packed: %s exists with another type" name)
-      | _ -> assert false
-    end
-  done;
-  match !bad with
-  | Some m -> Error m
-  | None ->
-      if Hashtbl.length t.by_name <> n then
-        Error
-          (Printf.sprintf
-             "restore_packed: registry has %d series, image has %d — stale \
-              series would survive"
-             (Hashtbl.length t.by_name) n)
-      else Ok ()
+(* ---- restore by layout: the thaw side of board freeze/thaw ---- *)
+
+let layout_digest t = (seal t.lay).s_digest
+
+let restore t ~digest blob =
+  let s = seal t.lay in
+  let p = { p_schema = s.s_schema; p_blob = blob } in
+  if not (String.equal digest s.s_digest) then
+    Error "restore: the image was packed at another layout"
+  else
+    Result.map
+      (fun () ->
+        Array.iteri
+          (fun rank i ->
+            match t.series.(i) with
+            | Mc c -> c.c_value <- blob_word p rank
+            | Mg g -> g.g_value <- blob_word p rank
+            | Mh h ->
+                let off = blob_word p rank in
+                h.h_count <- blob_word p off;
+                h.h_sum <- blob_word p (off + 1);
+                Array.fill h.h_buckets 0 buckets 0;
+                for k = 0 to blob_word p (off + 2) - 1 do
+                  h.h_buckets.(blob_word p (off + 3 + (2 * k))) <-
+                    blob_word p (off + 4 + (2 * k))
+                done;
+                h.h_top <- buckets - 1;
+                while h.h_top >= 0 && h.h_buckets.(h.h_top) = 0 do
+                  h.h_top <- h.h_top - 1
+                done)
+          s.s_order)
+      (validate_packed p)
 
 (* ---- per-schema plans ----
 

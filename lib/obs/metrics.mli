@@ -165,28 +165,27 @@ val packed_scalar : packed -> int -> int
     counter or gauge value, or the histogram's observation count.
     Unchecked and allocation-free, like {!iter_packed}. *)
 
-val packed_to_string : packed -> string
-(** Compact deterministic binary encoding (for digests / park
-    buffers): [packed_to_buffer] into a fresh buffer. *)
-
-val packed_encoded_size : packed -> int
-(** Length in bytes of the {!packed_to_string} image. *)
-
 val packed_to_buffer : Buffer.t -> packed -> unit
-(** Append the {!packed_to_string} image — the one encoder; board
-    freeze writes it in place after a {!packed_encoded_size} prefix. *)
+(** Append the named image: series count, each sorted entry's
+    length-prefixed name and kind char, then the blob. *)
 
 val packed_of_string : string -> (packed, string) result
-(** Decode a {!packed_to_string} image. Total: truncated or corrupted
-    input (bad kinds, histogram offsets or buckets out of range) yields
-    [Error] with a diagnostic, never an exception. *)
+(** Decode a {!packed_to_buffer} image through {!Frame}'s reader. Total
+    ([Error], never an exception), but structural only: a stored image
+    sits in a {!Frame} section, whose MD5 covers its content. *)
 
-val restore_packed : t -> packed -> (unit, string) result
-(** Overwrite the registry's values from a packed image — the thaw side
-    of board freeze/thaw. Series missing from the registry are created;
-    [Error] if a name exists with a different metric type, or if the
-    registry holds series the image does not (their stale values would
-    survive the restore). *)
+val layout_digest : t -> string
+(** MD5 of the registry's sealed layout (its sorted names and kinds),
+    computed once per layout. Board witnesses store it in place of the
+    names. Reads the layout as it stands: call it after {!packed_of},
+    whose hooks may register series. *)
+
+val restore : t -> digest:string -> string -> (unit, string) result
+(** Overwrite every series of [t], by rank, from a {!packed.p_blob}
+    packed at the layout [digest] — the thaw side of freeze/thaw.
+    [Error], with [t] untouched, if [digest] is not [t]'s
+    {!layout_digest} or the blob does not fit the layout. Runs no sync
+    hooks. *)
 
 val merge_packed : packed list -> (snapshot, string) result
 (** [merge] over packed snapshots without unpacking. Every image is

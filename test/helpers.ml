@@ -22,6 +22,12 @@ let add_app_exn board ~name main =
 let run_done ?max_cycles board =
   Tock_boards.Board.run_to_completion board ?max_cycles ()
 
+(* A named packed-metrics image, as a frame section stores it. *)
+let packed_image p =
+  let b = Buffer.create 1024 in
+  Tock_obs.Metrics.packed_to_buffer b p;
+  Buffer.contents b
+
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in

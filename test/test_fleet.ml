@@ -140,6 +140,27 @@ let test_fast_forward_identical_state () =
   Alcotest.(check int) "clock at budget" budget
     (Tock_hw.Sim.now stepped.Tock_boards.Board.sim)
 
+(* The sections a frame may hold, in order: the sleepy board's witness
+   (its board registers the alarm, flash and uart_log freezers) or a
+   flight artifact. *)
+let known_sections magic =
+  if magic = Flight.magic then [ "cause"; "events"; "metrics"; "witness" ]
+  else Tock.Witness.sections ~components:[ "alarm"; "flash"; "uart_log" ]
+
+let decode_frame ~magic s =
+  Tock_obs.Frame.decode ~magic ~sections:(known_sections magic) s
+
+(* A witness's clock: the first word of its [board] section. *)
+let witness_clock w =
+  let clock =
+    Result.bind (decode_frame ~magic:Tock.Witness.magic w) (fun f ->
+        Tock_obs.Frame.read f Tock.Witness.board (fun r ->
+            let now = Tock_obs.Frame.int r in
+            ignore (Tock_obs.Frame.rest r);
+            now))
+  in
+  match clock with Ok now -> now | Error e -> Alcotest.failf "witness: %s" e
+
 (* Snapshot/restore the way a parked fleet board lives it: frozen and
    thawed onto a fresh board at several sleeps along its run, stepped
    with a different chopping than a board that never parks. At every
@@ -158,8 +179,7 @@ let test_snapshot_restore_determinism () =
       let at = Printf.sprintf "park at %d" park_at in
       Alcotest.(check bool) (at ^ ": resumable") true (Tock.Kernel.resumable k);
       let w = Tock.Kernel.freeze k in
-      Alcotest.(check int) (at ^ ": witness clock") park_at
-        (Int64.to_int (String.get_int64_le w 8));
+      Alcotest.(check int) (at ^ ": witness clock") park_at (witness_clock w);
       Alcotest.(check string) (at ^ ": witness ignores earlier resumes")
         (Tock.Kernel.freeze original.Tock_boards.Board.kernel) w;
       let restored = build_sleepy () in
@@ -291,126 +311,284 @@ let with_word s at v =
   Bytes.set_int64_le b at (Int64.of_int v);
   Bytes.to_string b
 
-(* Corrupt and truncated witnesses must come back as [Error _] — never
-   an exception, never a silent success. A failed thaw may leave the
-   board half-patched, so each probe gets a fresh board. *)
-let test_witness_rejects_corruption () =
-  let original = build_sleepy () in
-  finish_to original 700_000 10_000;
-  let k = original.Tock_boards.Board.kernel in
-  let w = Tock.Kernel.freeze k in
-  let thaw_err name wbad =
-    expect_err name (fun () ->
-        let b = build_sleepy () in
-        Tock.Kernel.thaw b.Tock_boards.Board.kernel
-          ~cap:b.Tock_boards.Board.main_cap wbad)
-  in
-  let bad_magic = "XXXXXXXX" ^ String.sub w 8 (String.length w - 8) in
-  let truncations =
-    [ ""; String.sub w 0 4; String.sub w 0 (String.length w / 3);
-      String.sub w 0 (String.length w - 1) ]
-  in
+let boundary_words len =
+  [ max_int; max_int - 1; max_int - 2; max_int - 8; min_int; -1; len; len + 1 ]
+
+(* The subject of the decoder tests: the sleepy board at 700k cycles,
+   its witness, its packed kernel metrics, and a flight artifact that
+   carries both. *)
+let sleepy_subject =
+  lazy
+    (let b = build_sleepy () in
+     finish_to b 700_000 10_000;
+     let k = b.Tock_boards.Board.kernel in
+     let w = Tock.Kernel.freeze k in
+     let packed = Tock_obs.Metrics.packed_of (Tock.Kernel.metrics k) in
+     let event fe_ts fe_kind fe_text =
+       { Flight.fe_ts; fe_tid = 1; fe_kind; fe_phase = "i"; fe_dur = 0;
+         fe_arg = 7; fe_text }
+     in
+     let art =
+       Flight.encode
+         {
+           Flight.fa_cause =
+             Flight.Fault { fl_proc = "sleepy"; fl_reason = "app panic: probe" };
+           fa_board = 3;
+           fa_seed = 0xFAFA_01L;
+           fa_clock = 700_000;
+           fa_clock_hz = Tock_hw.Sim.clock_hz b.Tock_boards.Board.sim;
+           fa_events =
+             [ event 690_000 "syscall" "yield"; event 700_000 "fault" "" ];
+           fa_metrics = Some packed;
+           fa_witness = Some w;
+         }
+     in
+     (w, packed, art))
+
+(* A failed thaw may leave the board half-patched, so every probe gets
+   a fresh one. *)
+let thaw_fresh s =
+  let b = build_sleepy () in
+  Tock.Kernel.thaw b.Tock_boards.Board.kernel ~cap:b.Tock_boards.Board.main_cap
+    s
+
+(* Every (name, payload) of a valid frame, in frame order. *)
+let sections ~magic s =
+  match decode_frame ~magic s with
+  | Error e -> Alcotest.failf "%s frame: %s" magic e
+  | Ok f ->
+      List.filter_map
+        (fun name ->
+          Result.to_option (Tock_obs.Frame.read f name Tock_obs.Frame.rest)
+          |> Option.map (fun p -> (name, p)))
+        (known_sections magic)
+
+(* Re-frame edited section payloads under fresh digests, so an edit
+   gets past the frame checks to the section decoders. *)
+let reseal ~magic secs =
+  Tock_obs.Frame.encode magic
+    (List.map (fun (name, payload) -> (name, fun b -> Buffer.add_string b payload)) secs)
+
+(* Which part of a frame holds each byte, by the documented layout:
+   the magic, the section count, one table entry per section (name
+   length, name, payload length, MD5), then the payloads in table
+   order. [`Header], [`Entry name] or [`Payload name]. *)
+let owners ~magic s =
+  let secs = sections ~magic s in
+  let owner = Array.make (String.length s) `Header in
+  let at = ref 16 in
   List.iter
-    (fun wbad ->
-      thaw_err (Printf.sprintf "thaw (%d bytes)" (String.length wbad)) wbad)
-    (bad_magic :: truncations);
-  (* Length fields near [max_int]: a bound written as [pos + n > len]
-     wraps negative and lets the read through. The first string is the
-     process name, after the header (magic, clock, active, sleep, PRNG),
-     the event count at byte 40 and its events, then next_pid, ram_next
-     and the process count. *)
-  let nev = Int64.to_int (String.get_int64_le w 40) in
-  let name_at = 48 + (8 * nev) + 24 in
+    (fun (name, _) ->
+      let n = 32 + String.length name in
+      Array.fill owner !at n (`Entry name);
+      at := !at + n)
+    secs;
+  List.iter
+    (fun (name, payload) ->
+      let n = String.length payload in
+      Array.fill owner !at n (`Payload name);
+      at := !at + n)
+    secs;
+  Alcotest.(check int) (magic ^ ": layout covers the frame") (String.length s)
+    !at;
+  owner
+
+(* Every error names the part of the frame it was found in: a payload
+   byte its own section; a table entry its section or the table. *)
+let names_owner what owner e =
+  let ok =
+    match owner with
+    | `Header -> contains e "frame header" || contains e "section table"
+    | `Entry name ->
+        contains e (Printf.sprintf "%S" name) || contains e "section table"
+    | `Payload name -> contains e (Printf.sprintf "section %S" name)
+  in
+  if not ok then Alcotest.failf "%s: error %S does not name its section" what e
+
+(* Any changed byte of a real witness, and of a flight artifact that
+   carries it, is an [Error] naming the section that holds it: every
+   single-byte flip, every truncation, a one-byte extension, and every
+   boundary-word substitution that changes a byte. *)
+let test_witness_rejects_corruption () =
+  let w, _, art = Lazy.force sleepy_subject in
+  let check ~magic name s decode =
+    let owner = owners ~magic s in
+    let reject what corrupt ~at =
+      match decode corrupt with
+      | Ok _ -> Alcotest.failf "%s: %s accepted" name what
+      | Error e -> Option.iter (fun i -> names_owner what owner.(i) e) at
+      | exception x ->
+          Alcotest.failf "%s: %s raised %s" name what (Printexc.to_string x)
+    in
+    String.iteri
+      (fun i c ->
+        let b = Bytes.of_string s in
+        Bytes.set b i (Char.chr (Char.code c lxor 0x20));
+        reject (Printf.sprintf "byte %d flipped" i) (Bytes.to_string b)
+          ~at:(Some i))
+      s;
+    for k = 0 to String.length s - 1 do
+      reject (Printf.sprintf "truncation to %d bytes" k) (String.sub s 0 k)
+        ~at:None
+    done;
+    reject "one-byte extension" (s ^ "\x00") ~at:None;
+    let at = ref 0 in
+    while !at + 8 <= String.length s do
+      List.iter
+        (fun v ->
+          let s' = with_word s !at v in
+          if s' <> s then
+            reject (Printf.sprintf "word at %d := %d" !at v) s' ~at:None)
+        (boundary_words (String.length s));
+      at := !at + 8
+    done
+  in
+  check ~magic:Tock.Witness.magic "thaw" w thaw_fresh;
+  check ~magic:Flight.magic "Flight.decode" art Flight.decode
+
+(* Behind the digests, the section decoders stay total. Each boundary
+   word replaces every 8-byte-aligned word of one section in turn, and
+   the frame is re-sealed so the substitution reaches thaw,
+   [Flight.decode] and [packed_of_string]: they may accept it or
+   return [Error], never raise. Two targeted re-sealed probes must be
+   refused: a process-name length of [max_int-3] and a RAM-run offset
+   of [max_int-1], where a bound written as [pos + n > len] would wrap
+   negative and let the read through. *)
+let test_decoders_total_on_boundary_words () =
+  let w, packed, art = Lazy.force sleepy_subject in
+  let sweep name ~magic s decode =
+    let secs = sections ~magic s in
+    List.iter
+      (fun (sec, payload) ->
+        let at = ref 0 in
+        while !at + 8 <= String.length payload do
+          List.iter
+            (fun v ->
+              let edited =
+                List.map
+                  (fun (n, p) -> (n, if n = sec then with_word p !at v else p))
+                  secs
+              in
+              match decode (reseal ~magic edited) with
+              | Ok () | Error _ -> ()
+              | exception e ->
+                  Alcotest.failf "%s: %s word at %d := %d raised %s" name sec
+                    !at v (Printexc.to_string e))
+            (boundary_words (String.length payload));
+          at := !at + 8
+        done)
+      secs
+  in
+  sweep "thaw" ~magic:Tock.Witness.magic w thaw_fresh;
+  sweep "Flight.decode" ~magic:Flight.magic art (fun s ->
+      Result.map ignore (Flight.decode s));
+  (* A named packed image has no frame of its own. *)
+  let image = packed_image packed in
+  let at = ref 0 in
+  while !at + 8 <= String.length image do
+    List.iter
+      (fun v ->
+        match Tock_obs.Metrics.packed_of_string (with_word image !at v) with
+        | Ok p -> ignore (Tock_obs.Metrics.unpack p)
+        | Error _ -> ()
+        | exception e ->
+            Alcotest.failf "packed_of_string: word at %d := %d raised %s" !at
+              v (Printexc.to_string e))
+      (boundary_words (String.length image));
+    at := !at + 8
+  done;
+  (* The targeted probes. The [procs] section opens with the process
+     count, then the first record's name length. *)
+  let secs = sections ~magic:Tock.Witness.magic w in
+  let procs = List.assoc Tock.Witness.procs secs in
+  let resealed_procs p =
+    reseal ~magic:Tock.Witness.magic
+      (List.map
+         (fun (n, q) -> (n, if n = Tock.Witness.procs then p else q))
+         secs)
+  in
   Alcotest.(check int) "process name length field" (String.length "sleepy")
-    (Int64.to_int (String.get_int64_le w name_at));
-  thaw_err "thaw (string length max_int-3)" (with_word w name_at (max_int - 3));
+    (Int64.to_int (String.get_int64_le procs 8));
+  expect_err "thaw (string length max_int-3)" (fun () ->
+      thaw_fresh (resealed_procs (with_word procs 8 (max_int - 3))));
   (* The first RAM run: [ram length; run count; offset; length; bytes],
      its offset being the first nonzero byte of the process's RAM. *)
-  let ram = Tock.Process.ram_bytes (List.hd (Tock.Kernel.processes k)) in
+  let b = build_sleepy () in
+  finish_to b 700_000 10_000;
+  let ram =
+    Tock.Process.ram_bytes (List.hd (Tock.Kernel.processes b.Tock_boards.Board.kernel))
+  in
   let first_nz =
     let rec go i = if Bytes.get ram i <> '\x00' then i else go (i + 1) in
     go 0
   in
-  let word i = Int64.to_int (String.get_int64_le w i) in
+  let word i = Int64.to_int (String.get_int64_le procs i) in
   let rec ram_at i =
-    if i + 24 > String.length w then Alcotest.fail "RAM image not found"
+    if i + 24 > String.length procs then Alcotest.fail "RAM image not found"
     else if word i = Bytes.length ram && word (i + 16) = first_nz then i
     else ram_at (i + 1)
   in
-  thaw_err "thaw (RAM-run offset max_int-1)"
-    (with_word w (ram_at 0 + 16) (max_int - 1));
-  (* The flight-artifact decoder shares the witness reader: magic, cause
-     tag 0 (fault), then a process-name length near [max_int]. *)
-  let art =
-    let b = Buffer.create 24 in
-    Buffer.add_string b Flight.magic;
-    Buffer.add_int64_le b 0L;
-    Buffer.add_int64_le b (Int64.of_int (max_int - 3));
-    Buffer.contents b
-  in
-  expect_err "Flight.decode (string length max_int-3)" (fun () ->
-      Flight.decode art)
+  expect_err "thaw (RAM-run offset max_int-1)" (fun () ->
+      thaw_fresh (resealed_procs (with_word procs (ram_at 0 + 16) (max_int - 1))))
 
-(* Boundary sweep over a real witness, a flight artifact carrying it,
-   and the board's packed metrics: every 8-byte-aligned word after the
-   magic, replaced in turn by each value near the int limits or the
-   input length. Decoders check structure, not content, so a
-   substitution may still decode; it must never raise. *)
-let test_decoders_total_on_boundary_words () =
-  let b = build_sleepy () in
-  finish_to b 700_000 10_000;
-  let k = b.Tock_boards.Board.kernel in
-  let w = Tock.Kernel.freeze k in
-  let packed = Tock_obs.Metrics.packed_of (Tock.Kernel.metrics k) in
-  let event fe_ts fe_kind fe_text =
-    { Flight.fe_ts; fe_tid = 1; fe_kind; fe_phase = "i"; fe_dur = 0;
-      fe_arg = 7; fe_text }
+(* Arbitrary bytes, and well-formed frames around random section
+   payloads, never make a decoder raise. Frames reuse the real witness
+   and flight sections (so they reach the section decoders): each is
+   dropped one time in ten, and its payload kept, replaced by random
+   bytes, cut short, or given one random byte. *)
+let qcheck_decoders_total =
+  let gen =
+    QCheck2.Gen.(
+      let bytes = string_size ~gen:char (int_bound 96) in
+      let payload real =
+        oneof
+          [
+            return real;
+            bytes;
+            map (fun k -> String.sub real 0 (min k (String.length real)))
+              (int_bound 64);
+            map2
+              (fun i c ->
+                if real = "" then String.make 1 c
+                else
+                  String.mapi
+                    (fun j x -> if j = i mod String.length real then c else x)
+                    real)
+              nat char;
+          ]
+      in
+      oneof
+        [
+          bytes;
+          map2 (fun m s -> m ^ s)
+            (oneofl [ Tock.Witness.magic; Flight.magic ])
+            bytes;
+          (let* witness = bool in
+           let w, _, art = Lazy.force sleepy_subject in
+           let magic, s =
+             if witness then (Tock.Witness.magic, w) else (Flight.magic, art)
+           in
+           let keep = frequency [ (9, return true); (1, return false) ] in
+           let section (name, p) =
+             map2 (fun k p -> if k then Some (name, p) else None) keep (payload p)
+           in
+           map
+             (fun secs -> reseal ~magic (List.filter_map Fun.id secs))
+             (flatten_l (List.map section (sections ~magic s))));
+        ])
   in
-  let art =
-    Flight.encode
-      {
-        Flight.fa_cause =
-          Flight.Fault { fl_proc = "sleepy"; fl_reason = "app panic: probe" };
-        fa_board = 3;
-        fa_seed = 0xFAFA_01L;
-        fa_clock = 700_000;
-        fa_clock_hz = Tock_hw.Sim.clock_hz b.Tock_boards.Board.sim;
-        fa_events =
-          [ event 690_000 "syscall" "yield"; event 700_000 "fault" "" ];
-        fa_metrics = Some packed;
-        fa_witness = w;
-      }
-  in
-  let sweep name s ~from decode =
-    let len = String.length s in
-    let values =
-      [ max_int; max_int - 1; max_int - 2; max_int - 8; min_int; -1; len;
-        len + 1 ]
-    in
-    let at = ref from in
-    while !at + 8 <= len do
-      List.iter
-        (fun v ->
-          match decode (with_word s !at v) with
-          | Ok () | Error _ -> ()
-          | exception e ->
-              Alcotest.failf "%s: word at %d := %d raised %s" name !at v
-                (Printexc.to_string e))
-        values;
-      at := !at + 8
-    done
-  in
-  sweep "thaw" w ~from:8 (fun s ->
-      let fresh = build_sleepy () in
-      Tock.Kernel.thaw fresh.Tock_boards.Board.kernel
-        ~cap:fresh.Tock_boards.Board.main_cap s);
-  sweep "Flight.decode" art ~from:8 (fun s ->
-      Result.map ignore (Flight.decode s));
-  sweep "packed_of_string" (Tock_obs.Metrics.packed_to_string packed) ~from:0
-    (fun s ->
-      match Tock_obs.Metrics.packed_of_string s with
-      | Ok p -> Result.map ignore (Tock_obs.Metrics.unpack p)
-      | Error _ as e -> e)
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"decoders never raise (qcheck)"
+       ~print:String.escaped gen (fun s ->
+         List.iter
+           (fun magic -> ignore (decode_frame ~magic s))
+           [ Tock.Witness.magic; Flight.magic ];
+         ignore (thaw_fresh s);
+         ignore (Flight.decode s);
+         (match Tock_obs.Metrics.packed_of_string s with
+         | Ok p -> ignore (Tock_obs.Metrics.unpack p)
+         | Error _ -> ());
+         true))
 
 (* Property: for random workloads, sim seeds and park points,
    [Kernel.resumable] holds exactly when freeze -> thaw onto a fresh
@@ -722,7 +900,8 @@ let test_depth_first_live_window () =
     (sched_counter sched "fleet.sched.groups_run")
 
 (* The fault flight recorder end to end: a deliberately faulting board
-   produces a TCKFLT01 artifact on disk that decodes totally, whose
+   produces a TCKFLT02 artifact on disk that decodes totally (and
+   refuses a flipped byte in any section, naming it), whose
    postmortem timeline contains the fault event, and whose freeze
    witness thaws back into a live board exhibiting the faulted
    process. With health on, the Degraded verdict adds one fleet-level
@@ -759,6 +938,24 @@ let test_flight_recorder_artifact () =
   let raw = read_file path in
   Alcotest.(check bool) "file leads with the magic" true
     (String.length raw >= 8 && String.sub raw 0 8 = Flight.magic);
+  (* One flipped byte in each section's payload: [Error] naming it. *)
+  let owner = owners ~magic:Flight.magic raw in
+  Alcotest.(check (list string)) "artifact sections"
+    [ "cause"; "events"; "metrics"; "witness" ]
+    (List.map fst (sections ~magic:Flight.magic raw));
+  List.iter
+    (fun (name, payload) ->
+      let first = ref (-1) in
+      Array.iteri
+        (fun i o -> if o = `Payload name && !first < 0 then first := i)
+        owner;
+      let b = Bytes.of_string raw in
+      let i = !first + (String.length payload / 2) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+      match Flight.decode (Bytes.to_string b) with
+      | Ok _ -> Alcotest.failf "byte %d of section %s flipped: accepted" i name
+      | Error e -> names_owner (Printf.sprintf "byte %d flipped" i) owner.(i) e)
+    (sections ~magic:Flight.magic raw);
   (match Flight.decode raw with
   | Error e -> Alcotest.failf "decode: %s" e
   | Ok decoded ->
@@ -858,6 +1055,7 @@ let suite =
       test_witness_rejects_corruption;
     Alcotest.test_case "decoders never raise on boundary words" `Quick
       test_decoders_total_on_boundary_words;
+    qcheck_decoders_total;
     prop_freeze_thaw_contract;
     Alcotest.test_case "park/resume byte-identical (1/2/4 domains, verified)"
       `Quick test_park_resume_identical;

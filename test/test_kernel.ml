@@ -88,7 +88,16 @@ let test_fault_policy_panic () =
   ignore (add_app_exn board ~name:"faulty" (Tock_userland.Apps.fault_injector ~delay_ticks:5));
   Alcotest.(check bool) "kernel panics" true
     (try run_done board ~max_cycles:100_000_000; false
-     with Kernel.Panic _ -> true)
+     with Kernel.Panic _ -> true);
+  (* Freeze only reads state, so it still succeeds after the panic:
+     the witness frame decodes (thaw may decline the freeze point). *)
+  let w = Kernel.freeze board.Tock_boards.Board.kernel in
+  let sections =
+    Tock.Witness.sections ~components:[ "alarm"; "flash"; "uart_log" ]
+  in
+  match Tock_obs.Frame.decode ~magic:Tock.Witness.magic ~sections w with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "witness after a panic: %s" e
 
 let test_fault_policy_stop () =
   let board = make_board ~config:(cfg ~fault_policy:Kernel.Stop_on_fault ()) () in

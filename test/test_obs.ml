@@ -347,23 +347,23 @@ let test_packed_of_matches_snapshot () =
   Alcotest.(check bool) "unpack . packed_of = snapshot" true
     (Metrics.unpack p = Ok snap);
   Alcotest.(check bool) "binary encoding is stable" true
-    (Metrics.packed_to_string p = Metrics.packed_to_string (Metrics.pack snap))
+    (packed_image p = packed_image (Metrics.pack snap))
 
 (* ---- sealed layouts (qcheck) ----
 
    A registry's layout is interned by registration sequence and sealed
    on first pack, so packing must agree with the name-sorted snapshot
    whatever happened to the registry: random names and kinds,
-   re-registrations, series registered from inside a snapshot hook, and
-   series minted by [restore_packed]. Equal series sets share one
-   physical schema, whatever the registration order and however two
-   domains interleave building the same fresh layout. *)
+   re-registrations, and series registered from inside a snapshot
+   hook. Equal series sets share one physical schema, whatever the
+   registration order and however two domains interleave building the
+   same fresh layout, and a blob restores by layout into any registry
+   built the same way. *)
 
 type reg_op =
   | Reg of int  (* register series [i] (again, perhaps) *)
   | Bump of int * int  (* register series [i], then record a value *)
   | Hook of int  (* a snapshot hook that registers series [i] *)
-  | Mint of int list  (* restore an image holding these extra series *)
 
 let gen_layout_case =
   QCheck2.Gen.(
@@ -375,7 +375,6 @@ let gen_layout_case =
               (4, map (fun i -> Reg i) (int_bound 9));
               (4, map2 (fun i v -> Bump (i, v)) (int_bound 9) (int_bound 5_000));
               (1, map (fun i -> Hook i) (int_bound 9));
-              (1, map (fun l -> Mint l) (list_size (int_bound 3) (int_bound 9)));
             ])))
 
 (* A fresh name space per case, so the trie sees new layouts every
@@ -390,9 +389,9 @@ let register r kind name =
   | 'g' -> ignore (Metrics.gauge r name)
   | _ -> ignore (Metrics.histogram r name)
 
-let run_layout_ops (kinds, ops) =
-  let case = Atomic.fetch_and_add layout_case 1 in
-  let name = series_name case in
+(* Build a registry from a case's operations in name space [ns]. *)
+let build_layout ns (kinds, ops) =
+  let name = series_name ns in
   let r = Metrics.create () in
   List.iter
     (function
@@ -407,38 +406,12 @@ let run_layout_ops (kinds, ops) =
           Metrics.on_snapshot r (fun () ->
               register r kinds.(i) (name i);
               if kinds.(i) = 'g' then
-                Metrics.set (Metrics.gauge r (name i)) (7 * i))
-      | Mint extra ->
-          let snap = Metrics.snapshot r in
-          let extra =
-            List.sort_uniq compare
-              (List.filter
-                 (fun i -> not (List.mem_assoc (name i) snap))
-                 extra)
-          in
-          let minted =
-            List.map
-              (fun i ->
-                ( name i,
-                  match kinds.(i) with
-                  | 'c' -> Metrics.Counter (i + 1)
-                  | 'g' -> Metrics.Gauge (i + 2)
-                  | _ ->
-                      let hs_buckets = Array.make Metrics.buckets 0 in
-                      hs_buckets.(Metrics.bucket_index (i + 3)) <- 1;
-                      Metrics.Histogram
-                        { Metrics.hs_count = 1; hs_sum = i + 3; hs_buckets } ))
-              extra
-          in
-          let image =
-            Metrics.pack
-              (List.sort (fun (a, _) (b, _) -> compare a b) (snap @ minted))
-          in
-          match Metrics.restore_packed r image with
-          | Ok () -> ()
-          | Error e -> failwith ("restore_packed: " ^ e))
+                Metrics.set (Metrics.gauge r (name i)) (7 * i)))
     ops;
   r
+
+let run_layout_ops case =
+  build_layout (Atomic.fetch_and_add layout_case 1) case
 
 let qcheck_packed_of_is_pack_of_snapshot =
   qcheck "packed_of = pack . snapshot over random registrations"
@@ -448,7 +421,7 @@ let qcheck_packed_of_is_pack_of_snapshot =
       let snap = Metrics.snapshot r in
       let q = Metrics.pack snap in
       p = q
-      && Metrics.packed_to_string p = Metrics.packed_to_string q
+      && packed_image p = packed_image q
       && Metrics.unpack p = Ok snap)
 
 let qcheck_equal_sets_share_schema =
@@ -493,6 +466,65 @@ let qcheck_domains_share_schema =
       let d1 = Domain.spawn build and d2 = Domain.spawn build in
       let s1 = Domain.join d1 and s2 = Domain.join d2 in
       s1 == s2 && s1 == build ())
+
+(* Restore by layout, the thaw side of a witness: the blob of
+   [packed_of r] restored into a fresh registry built by the same
+   registration sequence (no values recorded) packs back to the same
+   bytes, histogram tops included; a registry with another series set,
+   or the same names with other kinds, refuses the blob and keeps its
+   own values. *)
+let qcheck_restore_by_layout =
+  qcheck "restore by layout reproduces packed_of, refuses other layouts"
+    gen_layout_case (fun ((kinds, ops) as case) ->
+      let ns = Atomic.fetch_and_add layout_case 1 in
+      let r = build_layout ns case in
+      let p = Metrics.packed_of r in
+      let digest = Metrics.layout_digest r in
+      let unbumped =
+        List.map (function Bump (i, _) -> Reg i | op -> op) ops
+      in
+      let fresh = build_layout ns (kinds, unbumped) in
+      ignore (Metrics.packed_of fresh);
+      let restored =
+        Metrics.restore fresh ~digest p.Metrics.p_blob = Ok ()
+        && String.equal (Metrics.packed_of fresh).Metrics.p_blob
+             p.Metrics.p_blob
+        && Metrics.snapshot fresh = Metrics.snapshot r
+      in
+      (* Record one more value everywhere: a histogram top left too low
+         would drop buckets from the next pack. *)
+      List.iter
+        (fun reg ->
+          Array.iteri
+            (fun rank name ->
+              if p.Metrics.p_schema.Metrics.sc_kinds.[rank] = 'h' then
+                Metrics.observe (Metrics.histogram reg name) 3)
+            p.Metrics.p_schema.Metrics.sc_names)
+        [ r; fresh ];
+      let tops =
+        String.equal (Metrics.packed_of fresh).Metrics.p_blob
+          (Metrics.packed_of r).Metrics.p_blob
+      in
+      let refuses other =
+        let before = Metrics.packed_of other in
+        Result.is_error (Metrics.restore other ~digest p.Metrics.p_blob)
+        && Metrics.packed_of other = before
+      in
+      let extra = build_layout ns case in
+      ignore (Metrics.counter extra (series_name ns 10));
+      let names = p.Metrics.p_schema.Metrics.sc_names in
+      let rekinded = Metrics.create () in
+      Array.iteri
+        (fun rank name ->
+          register rekinded
+            (match p.Metrics.p_schema.Metrics.sc_kinds.[rank] with
+            | 'c' -> 'g'
+            | 'g' -> 'h'
+            | _ -> 'c')
+            name)
+        names;
+      restored && tops && refuses extra
+      && (Array.length names = 0 || refuses rekinded))
 
 (* Plan caches key on physical schemas and are bounded: fresh [pack]ed
    schemas, far more than the cache holds, still merge and roll up
@@ -569,7 +601,7 @@ let test_packed_rejects_corruption () =
   let h = Metrics.histogram r "k.lat" in
   List.iter (Metrics.observe h) [ 1; 3; 9; 42; 9000 ];
   let p = Metrics.packed_of r in
-  let good = Metrics.packed_to_string p in
+  let good = packed_image p in
   let n = String.length good in
   (match Metrics.packed_of_string good with
   | Ok p' ->
@@ -973,6 +1005,7 @@ let suite =
     qcheck_packed_of_is_pack_of_snapshot;
     qcheck_equal_sets_share_schema;
     qcheck_domains_share_schema;
+    qcheck_restore_by_layout;
     Alcotest.test_case "plan caches bounded" `Quick test_plan_caches_bounded;
     Alcotest.test_case "packed codec rejects corruption" `Quick
       test_packed_rejects_corruption;
