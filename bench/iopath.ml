@@ -1,15 +1,18 @@
 (* Zero-copy I/O path benchmark: drives the allow-window data plane end
    to end — console writes through the UART mux, net transmit through the
    radio's scatter-gather path, and KV puts/gets through the flash iovec
-   path — and writes BENCH_iopath.json for the acceptance gate:
+   path — plus batched vs byte-wise UART transmit, and writes
+   BENCH_iopath.json through [Harness]. Gates:
 
    - a console write performs ZERO data-plane copies between the syscall
-     and the hardware (asserted via the Subslice and Emu copy counters,
-     both modes);
+     and the hardware (the Subslice and Emu copy counters, both modes);
    - the net transmit fast path performs ZERO data-plane copies from
-     [send] to the radio latch (asserted, both modes);
-   - the in-place net round trip sustains >= 2x the throughput of the
-     retained copying [Net_stack.Reference] path (asserted in full mode).
+     [send] to the radio latch (both modes);
+   - a KV get performs ZERO copies: [Kv_store.get_sub] hands back a
+     window onto flash (both modes);
+   - the in-place net round trip returns the bytes of the retained
+     copying [Net_stack.Reference] path (both modes) and sustains >= 2x
+     its throughput (full mode).
 
    Run: dune exec bench/main.exe -- iopath
    The `iopath-smoke` variant runs tiny iteration counts under
@@ -24,39 +27,14 @@ module Net = Tock_capsules.Net_stack
 module Kv = Tock_capsules.Kv_store
 module Signpost = Tock_boards.Signpost_board
 
-(* Min-of-reps host timing, as in the datapath bench. *)
-let time_ns f n =
-  for _ = 1 to min n 100 do
-    f ()
-  done;
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      f ()
-    done;
-    let t1 = Unix.gettimeofday () in
-    let ns = (t1 -. t0) *. 1e9 /. float_of_int n in
-    if ns < !best then best := ns
-  done;
-  !best
-
-type sample = { s_name : string; s_ns : float; s_iters : int }
-
-let json_of_sample s =
-  Printf.sprintf "    {\"name\": \"%s\", \"ns_per_op\": %.2f, \"iters\": %d}"
-    s.s_name s.s_ns s.s_iters
-
 (* ---- console write: syscall -> allow window -> UART, no staging ---- *)
 
 (* The app issues repeated console writes over one allowed buffer and
-   records the worst-case copy-counter delta it ever observed across a
-   whole write (syscall, capsule, mux, hardware, completion upcall). The
-   first write is warmup: boot-time debug output may still be draining
-   through the shared UART. *)
-let console_results = ref None
-
-let console_app ~iters app =
+   gates the worst-case copy-counter delta it observed across a whole
+   write (syscall, capsule, mux, hardware, completion upcall). The first
+   write is outside the harness: boot-time debug output may still be
+   draining through the shared UART. *)
+let console_app h ~iters finished app =
   let payload = String.make 32 'x' in
   let len = String.length payload in
   let addr = Emu.get_buffer app ~tag:"iopath-tx" ~size:64 in
@@ -74,44 +52,40 @@ let console_app ~iters app =
   in
   write ();
   let max_sub = ref 0 and max_emu = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    let s0 = Subslice.copy_count () and e0 = Emu.copy_count () in
-    write ();
-    max_sub := max !max_sub (Subslice.copy_count () - s0);
-    max_emu := max !max_emu (Emu.copy_count () - e0)
-  done;
-  let t1 = Unix.gettimeofday () in
-  console_results :=
-    Some (!max_sub, !max_emu, (t1 -. t0) *. 1e9 /. float_of_int iters);
+  ignore
+    (Harness.time h "console/write-32B" iters (fun () ->
+         let s0 = Subslice.copy_count () and e0 = Emu.copy_count () in
+         write ();
+         max_sub := max !max_sub (Subslice.copy_count () - s0);
+         max_emu := max !max_emu (Emu.copy_count () - e0)));
+  Harness.gate h "console/write-32B subslice copies" (float_of_int !max_sub) Harness.Le 0.;
+  Harness.gate h "console/write-32B emu copies" (float_of_int !max_emu) Harness.Le 0.;
+  finished := true;
   Libtock.exit app 0
 
-let bench_console ~iters =
-  console_results := None;
+let bench_console h ~iters =
+  let finished = ref false in
   let sim = Tock_hw.Sim.create () in
   let chip = Tock_hw.Chip.sam4l_like sim in
   let board = Tock_boards.Board.build chip in
   ignore
-    (Tock_boards.Board.add_app board ~name:"iopath-con" (console_app ~iters));
+    (Tock_boards.Board.add_app board ~name:"iopath-con"
+       (console_app h ~iters finished));
   Tock_boards.Board.run_to_completion board ~max_cycles:4_000_000_000 ();
-  match !console_results with
-  | Some r -> r
-  | None -> failwith "iopath: console bench app did not finish"
+  if not !finished then failwith "iopath: console bench app did not finish"
 
 (* ---- net transmit: send -> compose -> radio gather, no staging ---- *)
 
 (* Broadcast sends resolve on transmit completion with no ack exchange,
-   so the measured window covers exactly the tx fast path: allow-window
-   framing, incremental CRC, and the radio's DMA gather. *)
-let bench_net_tx ~iters =
+   so each op — one send, then the world run to quiescence — covers
+   exactly the tx fast path: allow-window framing, incremental CRC, and
+   the radio's DMA gather. *)
+let bench_net_tx h ~iters =
   let world = Signpost.create ~nodes:2 () in
   let a = (List.hd world.Signpost.nodes).Signpost.node_board in
   let sa = Option.get a.Tock_boards.Board.net in
   Net.start sa;
   let payload = Bytes.make 64 'p' in
-  (* Each iteration sends one broadcast and runs the world to quiescence
-     (transmit completion included), so the measured window is exactly
-     the tx fast path. *)
   let send_one () =
     match Net.send sa ~dest:0xFFFF payload ~on_result:(fun _ -> ()) with
     | Ok () -> Signpost.run_all world ~max_cycles:50_000_000
@@ -120,18 +94,42 @@ let bench_net_tx ~iters =
   (* warmup: boot-time debug output may still be draining *)
   send_one ();
   let max_delta = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    let s0 = Subslice.copy_count () in
-    send_one ();
-    max_delta := max !max_delta (Subslice.copy_count () - s0)
-  done;
-  let t1 = Unix.gettimeofday () in
-  (!max_delta, (t1 -. t0) *. 1e9 /. float_of_int iters)
+  ignore
+    (Harness.time h "net/tx-64B-broadcast" iters (fun () ->
+         let s0 = Subslice.copy_count () in
+         send_one ();
+         max_delta := max !max_delta (Subslice.copy_count () - s0)));
+  Harness.gate h "net/tx-64B-broadcast copies" (float_of_int !max_delta) Harness.Le 0.
+
+(* ---- net round trip: in-place vs the copying reference ---- *)
+
+let bench_round_trip h ~fast_iters ~ref_iters =
+  let payload = Bytes.init Net.max_payload (fun i -> Char.chr (i land 0xff)) in
+  let out_fast = Bytes.create Net.max_payload in
+  let out_ref = Bytes.create Net.max_payload in
+  let payload_w = Subslice.of_bytes payload in
+  let out_w = Subslice.of_bytes out_fast in
+  let fast =
+    Harness.time h "net/round-trip-fast" fast_iters (fun () ->
+        if Net.round_trip ~src:1 ~dst:2 payload_w out_w <> Net.max_payload then
+          failwith "iopath: fast round trip failed")
+  in
+  let reference =
+    Harness.time h "net/round-trip-ref" ref_iters (fun () ->
+        if Net.Reference.round_trip ~src:1 ~dst:2 payload out_ref <> Net.max_payload
+        then failwith "iopath: reference round trip failed")
+  in
+  let differing = ref 0 in
+  Bytes.iteri (fun i c -> if Bytes.get out_ref i <> c then incr differing) out_fast;
+  Harness.gate h "net/round-trip bytes unlike reference" (float_of_int !differing)
+    Harness.Eq 0.;
+  Harness.gate h ~mode:Harness.Full_only "net/round-trip speedup"
+    (Harness.ns_per_op reference /. Harness.ns_per_op fast)
+    Harness.Ge 2.
 
 (* ---- kv store: scatter-gather put, windowed get ---- *)
 
-let bench_kv ~iters =
+let bench_kv h ~iters =
   let sim = Tock_hw.Sim.create () in
   let chip = Tock_hw.Chip.sam4l_like sim in
   let kernel = Kernel.create chip in
@@ -166,108 +164,58 @@ let bench_kv ~iters =
     | Error e -> failwith ("iopath: kv get: " ^ Error.to_string e)
   in
   put ();
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    put ()
-  done;
-  let t1 = Unix.gettimeofday () in
-  let put_ns = (t1 -. t0) *. 1e9 /. float_of_int iters in
+  ignore (Harness.time h "kv/put-64B" iters put);
   let s0 = Subslice.copy_count () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    get ()
-  done;
-  let t1 = Unix.gettimeofday () in
-  let get_ns = (t1 -. t0) *. 1e9 /. float_of_int iters in
-  let get_copy_delta = Subslice.copy_count () - s0 in
-  (put_ns, get_ns, get_copy_delta)
+  let gets = Harness.time h "kv/get-64B" iters get in
+  Harness.gate h "kv/get-64B copies per op"
+    (float_of_int (Subslice.copy_count () - s0) /. float_of_int gets.Harness.calls)
+    Harness.Le 0.
+
+(* ---- UART transmit: one gathered transfer vs byte-wise ---- *)
+
+(* The same 64 bytes as one scatter-gather operation (one schedule, one
+   interrupt) versus 64 single-byte transmits (the pre-batching console
+   drain pattern). *)
+let bench_uart h ~batched_iters ~bytewise_iters =
+  let sim = Tock_hw.Sim.create () in
+  let irq = Tock_hw.Irq.create sim in
+  let u = Tock_hw.Uart.create sim irq ~irq_line:0 ~name:"iopath-uart" in
+  Tock_hw.Uart.set_tx_sink u (fun _ -> ());
+  let drain () =
+    while Tock_hw.Uart.tx_busy u do
+      ignore (Tock_hw.Sim.advance_to_next_event sim)
+    done;
+    ignore (Tock_hw.Irq.service irq)
+  in
+  let check = function Ok () -> () | Error e -> failwith ("iopath: uart: " ^ e) in
+  let segs = [ (Bytes.make 64 'b', 0, 64) ] and byte = Bytes.make 1 'b' in
+  ignore
+    (Harness.time h "uart/tx-64B-batched" batched_iters (fun () ->
+         check (Tock_hw.Uart.transmit_segs u segs);
+         drain ()));
+  ignore
+    (Harness.time h "uart/tx-64B-bytewise" bytewise_iters (fun () ->
+         for _ = 1 to 64 do
+           check (Tock_hw.Uart.transmit u byte ~len:1);
+           drain ()
+         done))
 
 (* ---- driver ---- *)
 
-let run_mode ~scale ~assert_ratios ~write () =
+let run_mode ~full ~scale =
   Printf.printf "== iopath: zero-copy allow I/O path (scale %.3f) ==\n" scale;
+  let h = Harness.create ~full "iopath" in
   let it base = max 2 (int_of_float (float_of_int base *. scale)) in
-  let samples = ref [] in
-  let note name ns iters =
-    samples := { s_name = name; s_ns = ns; s_iters = iters } :: !samples;
-    Printf.printf "   %-28s %12.1f ns/op\n%!" name ns
-  in
+  bench_console h ~iters:(it 2_000);
+  bench_net_tx h ~iters:(it 2_000);
+  bench_round_trip h ~fast_iters:(it 500_000) ~ref_iters:(it 100_000);
+  bench_kv h ~iters:(it 300);
+  bench_uart h ~batched_iters:(it 50_000) ~bytewise_iters:(it 2_000);
+  Harness.finish h ()
 
-  (* -- console write through the UART mux -- *)
-  let n = it 2_000 in
-  let con_sub, con_emu, con_ns = bench_console ~iters:n in
-  note "console/write-32B" con_ns n;
-  Printf.printf "   console copies per write: subslice %d, emu %d\n" con_sub
-    con_emu;
-  if con_sub > 0 || con_emu > 0 then
-    failwith "iopath: console write copied on the data plane";
-
-  (* -- net transmit fast path -- *)
-  let n = it 2_000 in
-  let net_copies, net_tx_ns = bench_net_tx ~iters:n in
-  note "net/tx-64B-broadcast" net_tx_ns n;
-  Printf.printf "   net tx copies per send: subslice %d\n" net_copies;
-  if net_copies > 0 then
-    failwith "iopath: net transmit copied on the fast path";
-
-  (* -- net round trip: in-place vs the copying reference -- *)
-  let payload = Bytes.init Net.max_payload (fun i -> Char.chr (i land 0xff)) in
-  let out_fast = Bytes.create Net.max_payload in
-  let out_ref = Bytes.create Net.max_payload in
-  let payload_w = Subslice.of_bytes payload in
-  let out_w = Subslice.of_bytes out_fast in
-  let n_fast = it 500_000 and n_ref = it 100_000 in
-  let fast_ns =
-    time_ns
-      (fun () ->
-        if Net.round_trip ~src:1 ~dst:2 payload_w out_w <> Net.max_payload
-        then failwith "iopath: fast round trip failed")
-      n_fast
-  in
-  let ref_ns =
-    time_ns
-      (fun () ->
-        if
-          Net.Reference.round_trip ~src:1 ~dst:2 payload out_ref
-          <> Net.max_payload
-        then failwith "iopath: reference round trip failed")
-      n_ref
-  in
-  note "net/round-trip-fast" fast_ns n_fast;
-  note "net/round-trip-ref" ref_ns n_ref;
-  let speedup = ref_ns /. fast_ns in
-  Printf.printf "   net round-trip speedup: %.2fx (gate >= 2x)\n" speedup;
-  if not (Bytes.equal out_fast out_ref) then
-    failwith "iopath: fast and reference round trips disagree";
-  if assert_ratios && speedup < 2.0 then
-    failwith "iopath: net round-trip speedup below 2x gate";
-
-  (* -- kv put/get over the flash iovec path -- *)
-  let n = it 300 in
-  let put_ns, get_ns, kv_get_copies = bench_kv ~iters:n in
-  note "kv/put-64B" put_ns n;
-  note "kv/get-64B" get_ns n;
-  Printf.printf "   kv get copies per op: subslice %d\n" kv_get_copies;
-
-  if write then begin
-    let oc = open_out "BENCH_iopath.json" in
-    Printf.fprintf oc
-      "{\n  \"bench\": \"iopath\",\n  \
-       \"console_write_subslice_copies\": %d,\n  \
-       \"console_write_emu_copies\": %d,\n  \
-       \"net_tx_subslice_copies\": %d,\n  \
-       \"net_roundtrip_speedup\": %.2f,\n  \
-       \"kv_get_subslice_copies\": %d,\n  \"samples\": [\n%s\n  ]\n}\n"
-      con_sub con_emu net_copies speedup kv_get_copies
-      (String.concat ",\n" (List.rev_map json_of_sample !samples));
-    close_out oc;
-    print_endline "   wrote BENCH_iopath.json"
-  end;
-  print_newline ()
-
-let run () = run_mode ~scale:1.0 ~assert_ratios:true ~write:true ()
+let run () = run_mode ~full:true ~scale:1.0
 
 (* Tiny iteration counts for `dune runtest`: the zero-copy invariants are
    asserted on every test run; the host-dependent throughput ratio is
    not. *)
-let run_smoke () = run_mode ~scale:0.002 ~assert_ratios:false ~write:false ()
+let run_smoke () = run_mode ~full:false ~scale:0.002

@@ -1,9 +1,11 @@
 (* The benchmark harness: regenerates every figure/claim analogue from
    DESIGN.md section 3 (paper-expectation printed alongside the
-   measurement) and finishes with Bechamel host-time microbenchmarks.
+   measurement) and finishes with the host-time benches (datapath,
+   iopath, obs, fleet), which measure, gate and write BENCH_*.json
+   through [Harness].
 
    Run: dune exec bench/main.exe
-   Pass experiment ids (fig1, fig2, ..., e-aliasing, micro) to run a
+   Pass experiment ids (fig1, fig2, ..., e-aliasing, datapath) to run a
    subset. *)
 
 let experiments =
@@ -24,7 +26,6 @@ let experiments =
     ("a-scheduler", Ablations.a_scheduler);
     ("a-mpu", Ablations.a_mpu);
     ("a-upcall-queue", Ablations.a_upcall_queue);
-    ("micro", Micro.run);
     ("datapath", Datapath.run);
     ("datapath-smoke", Datapath.run_smoke);
     ("iopath", Iopath.run);
@@ -32,6 +33,7 @@ let experiments =
     ("obs", Obs_bench.run);
     ("obs-smoke", Obs_bench.run_smoke);
     ("fleet", Fleet_bench.run);
+    ("fleet-smoke", Fleet_bench.run_smoke);
   ]
 
 let () =

@@ -1,30 +1,29 @@
 (* Observability overhead benchmark: proves the instrumentation layer is
    free when off and cheap when on, and captures a reference latency
-   profile from a real board run. Writes BENCH_obs.json for the
-   acceptance gate:
+   profile from a real board run. Writes BENCH_obs.json through
+   [Harness]. Gates:
 
    - the instrumented Sim hot loop (tracing disabled) stays within 3% of
      a seed-replica loop that carries no observability state at all
-     (asserted in full mode);
+     (full mode);
    - counter/histogram/trace-emit primitive costs are sampled so a
      regression in the record path is visible in the JSON history;
    - the disabled-mode Trace.emit is truly free: zero minor-heap words
-     per call (asserted in every mode), and in full mode both under a
-     4.50 ns/op backstop and under 0.60x the enabled record cost;
+     per call (every mode), and in full mode both under a 4.50 ns/op
+     backstop and under 0.60x the enabled record cost;
    - retiring a board allocates only its packed blob: packed_of on a
      warm registry stays within the blob's words + 8, and
      Accum.add_packed / Rollup.add_packed of an image whose schema was
-     seen before allocate nothing (asserted in every mode);
+     seen before allocate nothing (every mode);
    - a 10k-board fleet with health rollups on keeps >= 90% of the
      no-rollup throughput (full mode; smoke folds a tiny fleet);
    - a board workload's syscall-class and IRQ dispatch latency
      histograms are summarised (p50/p99) as the reference profile.
 
-   Layout note: the spend gate compares two nominally identical hot
-   loops, so it is sensitive to code placement in this file — new
-   measurement code belongs BELOW bench_board, leaving time_ns /
-   bench_spend / bench_primitives byte-identical and at the same object
-   offsets as the seed revision.
+   The spend gate compares two loops with identical bodies, so it reads
+   code placement as much as overhead: both sides are closures timed by
+   the same [Harness.passes] loop, one indirect call per op, and they
+   alternate so one-sided host noise cannot make (or hide) an overhead.
 
    Run: dune exec bench/main.exe -- obs
    The `obs-smoke` variant runs tiny iteration counts under
@@ -33,29 +32,6 @@
 
 module Metrics = Tock_obs.Metrics
 module Trace = Tock_obs.Trace
-
-(* Min-of-reps host timing, as in the iopath bench. *)
-let time_ns f n =
-  for _ = 1 to min n 100 do
-    f ()
-  done;
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      f ()
-    done;
-    let t1 = Unix.gettimeofday () in
-    let ns = (t1 -. t0) *. 1e9 /. float_of_int n in
-    if ns < !best then best := ns
-  done;
-  !best
-
-type sample = { s_name : string; s_ns : float; s_iters : int }
-
-let json_of_sample s =
-  Printf.sprintf "    {\"name\": \"%s\", \"ns_per_op\": %.2f, \"iters\": %d}"
-    s.s_name s.s_ns s.s_iters
 
 (* ---- disabled-mode overhead: instrumented Sim vs a seed replica ---- *)
 
@@ -67,57 +43,77 @@ let json_of_sample s =
    Workload: spend in 7-cycle slices while a self-rescheduling event
    fires every 100 cycles — the same probe-mostly-misses,
    occasionally-fires pattern the kernel main loop produces. The two
-   sides are timed in alternation and each keeps its best rep, so
-   one-sided scheduler noise cannot manufacture (or hide) an overhead. *)
-let bench_spend ~iters ~alternations =
+   sides are timed in alternation and each keeps all its passes; the
+   gate reads each side's best. *)
+let bench_spend h ~iters ~alternations =
   let seed = Bench_seed_sim.create ~trace_capacity:1024 () in
   let rec seed_tick () = Bench_seed_sim.at seed ~delay:100 seed_tick in
   Bench_seed_sim.at seed ~delay:100 seed_tick;
   let sim = Tock_hw.Sim.create ~trace_capacity:0 () in
   let rec tick () = ignore (Tock_hw.Sim.at sim ~delay:100 tick) in
   ignore (Tock_hw.Sim.at sim ~delay:100 tick);
-  let best_seed = ref infinity and best_real = ref infinity in
+  let seed_calls = ref 0 and seed_reps = ref [] in
+  let real_calls = ref 0 and real_reps = ref [] in
+  let pass calls reps f =
+    let c, r = Harness.passes iters f in
+    calls := !calls + c;
+    reps := !reps @ r
+  in
   for _ = 1 to alternations do
-    let r = time_ns (fun () -> Tock_hw.Sim.spend sim 7) iters in
-    if r < !best_real then best_real := r;
-    let s = time_ns (fun () -> Bench_seed_sim.spend seed 7) iters in
-    if s < !best_seed then best_seed := s
+    pass real_calls real_reps (fun () -> Tock_hw.Sim.spend sim 7);
+    pass seed_calls seed_reps (fun () -> Bench_seed_sim.spend seed 7)
   done;
-  (!best_seed, !best_real)
+  let replica =
+    Harness.add h "spend/seed-replica" ~iters ~calls:!seed_calls !seed_reps
+  in
+  let real =
+    Harness.add h "spend/instrumented-sim" ~iters ~calls:!real_calls !real_reps
+  in
+  Harness.gate h ~mode:Harness.Full_only "spend overhead vs seed replica"
+    (Harness.ns_per_op real /. Harness.ns_per_op replica)
+    Harness.Le 1.03
 
-(* ---- enabled-mode primitive costs ---- *)
+(* ---- record-path primitive costs, and the disabled emit ---- *)
 
-let bench_primitives ~iters note =
+(* Two emit gates: a relative one (the disabled call must cost well
+   under the enabled record path — that is what "truly free" means, and
+   it cancels host-speed drift), and an absolute backstop against the
+   3.66 ns/op seed measurement, with headroom for the ~25% run-to-run
+   frequency jitter the host shows. *)
+let bench_primitives h ~iters =
   let reg = Metrics.create () in
   let c = Metrics.counter reg "bench.counter" in
-  let h = Metrics.histogram reg "bench.hist" in
-  note "metrics/counter-incr" (time_ns (fun () -> Metrics.incr c) iters) iters;
+  let hist = Metrics.histogram reg "bench.hist" in
+  ignore (Harness.time h "metrics/counter-incr" iters (fun () -> Metrics.incr c));
   let v = ref 1 in
-  note "metrics/histogram-observe"
-    (time_ns
-       (fun () ->
-         Metrics.observe h !v;
-         v := (!v * 5) land 0xFFFF)
-       iters)
-    iters;
+  ignore
+    (Harness.time h "metrics/histogram-observe" iters (fun () ->
+         Metrics.observe hist !v;
+         v := (!v * 5) land 0xFFFF));
   let on = Trace.create ~capacity:4096 in
   let off = Trace.create ~capacity:0 in
   let ts = ref 0 in
-  note "trace/emit-enabled"
-    (time_ns
-       (fun () ->
-         incr ts;
-         Trace.emit on ~ts:!ts ~tid:1 Trace.Syscall Trace.Instant ~arg:2
-           ~text:"")
-       iters)
-    iters;
-  note "trace/emit-disabled"
-    (time_ns
-       (fun () ->
-         Trace.emit off ~ts:0 ~tid:1 Trace.Syscall Trace.Instant ~arg:2
-           ~text:"")
-       iters)
-    iters
+  let enabled =
+    Harness.time h "trace/emit-enabled" iters (fun () ->
+        incr ts;
+        Trace.emit on ~ts:!ts ~tid:1 Trace.Syscall Trace.Instant ~arg:2 ~text:"")
+  in
+  let disabled =
+    Harness.time h "trace/emit-disabled" iters (fun () ->
+        Trace.emit off ~ts:0 ~tid:1 Trace.Syscall Trace.Instant ~arg:2 ~text:"")
+  in
+  (* Host-independent: a single capacity load and branch. *)
+  let i = ref 0 in
+  Harness.gate h "trace/emit-disabled words per 100k calls"
+    (Harness.words 100_000 (fun () ->
+         incr i;
+         Trace.emit off ~ts:!i ~tid:1 Trace.Syscall Trace.Instant ~arg:2 ~text:""))
+    Harness.Le 0.;
+  Harness.gate h ~mode:Harness.Full_only "trace/emit-disabled ns/op"
+    (Harness.ns_per_op disabled) Harness.Le 4.50;
+  Harness.gate h ~mode:Harness.Full_only "trace/emit-disabled vs enabled"
+    (Harness.ns_per_op disabled /. Harness.ns_per_op enabled)
+    Harness.Le 0.60
 
 (* ---- board workload: reference latency profile ---- *)
 
@@ -156,31 +152,14 @@ let bench_board ~seconds =
   let tr = Tock_hw.Sim.trace_events sim in
   (sys, irq, Trace.total tr, Trace.dropped tr)
 
-(* ---- disabled-mode Trace.emit: truly free ---- *)
-
-(* The disabled emit must be a single capacity load and branch: zero
-   words allocated across any number of calls. Host-independent, so it
-   is asserted in smoke mode too. *)
-let assert_emit_disabled_allocfree () =
-  let off = Trace.create ~capacity:0 in
-  let before = Gc.minor_words () in
-  for i = 1 to 100_000 do
-    Trace.emit off ~ts:i ~tid:1 Trace.Syscall Trace.Instant ~arg:2 ~text:""
-  done;
-  let words = Gc.minor_words () -. before in
-  Printf.printf "   emit-disabled allocation: %.0f words / 100k calls\n" words;
-  if words > 0.0 then
-    failwith "obs: disabled Trace.emit allocated on the minor heap"
-
 (* ---- retiring a board: pack, merge and roll up without allocating ---- *)
 
 (* A warm registry (its layout already sealed) packs into the blob and
    its record alone; an image whose schema the accumulator or the
    rollup cohort has seen before adds with no allocation at all.
-   Host-independent, so asserted in smoke mode too. Returns the words
-   per call of packed_of, its blob's words, then the words per call of
-   Accum.add_packed and Rollup.add_packed. *)
-let assert_retire_allocs () =
+   Host-independent, so gated in smoke mode too. Returns the blob's
+   words. *)
+let bench_retire_allocs h =
   let sim = Tock_hw.Sim.create ~trace_capacity:0 () in
   let board = Tock_boards.Board.build (Tock_hw.Chip.sam4l_like sim) in
   ignore
@@ -196,40 +175,27 @@ let assert_retire_allocs () =
   let p = Metrics.packed_of reg in
   let blob_words = String.length p.Metrics.p_blob / 8 in
   let calls = 1_000 in
-  let words_per_call f =
-    let before = Gc.minor_words () in
-    for _ = 1 to calls do
-      f ()
-    done;
-    (Gc.minor_words () -. before) /. float_of_int calls
-  in
-  let pack_words =
-    words_per_call (fun () -> ignore (Sys.opaque_identity (Metrics.packed_of reg)))
-  in
+  let per_call f = Harness.words calls f /. float_of_int calls in
+  Harness.gate h "packed_of words/call"
+    (per_call (fun () -> ignore (Sys.opaque_identity (Metrics.packed_of reg))))
+    Harness.Le
+    (float_of_int (blob_words + 8));
   let acc = Metrics.Accum.create () in
   Metrics.Accum.add_packed acc p;
-  let accum_words = words_per_call (fun () -> Metrics.Accum.add_packed acc p) in
+  Harness.gate h "Accum.add_packed words/call"
+    (per_call (fun () -> Metrics.Accum.add_packed acc p))
+    Harness.Le 0.;
   let roll = Tock_obs.Rollup.create ~cohorts:1 in
   Tock_obs.Rollup.add_packed roll ~cohort:0 p;
-  let rollup_words =
-    words_per_call (fun () -> Tock_obs.Rollup.add_packed roll ~cohort:0 p)
-  in
-  Printf.printf
-    "   retire allocation: packed_of %.0f words (blob %d, gate <= %d), \
-     Accum.add_packed %.0f, Rollup.add_packed %.0f (gates 0)\n"
-    pack_words blob_words (blob_words + 8) accum_words rollup_words;
-  if pack_words > float_of_int (blob_words + 8) then
-    failwith "obs: packed_of on a warm registry allocated beyond its blob";
-  if accum_words > 0.0 then
-    failwith "obs: Accum.add_packed with a seen schema allocated";
-  if rollup_words > 0.0 then
-    failwith "obs: Rollup.add_packed with a seen schema allocated";
-  (pack_words, blob_words, accum_words, rollup_words)
+  Harness.gate h "Rollup.add_packed words/call"
+    (per_call (fun () -> Tock_obs.Rollup.add_packed roll ~cohort:0 p))
+    Harness.Le 0.;
+  blob_words
 
 (* ---- fleet health rollups: throughput tax of folding every retiring
    board's packed metrics into cross-board distributions ---- *)
 
-let bench_rollup ~boards =
+let bench_rollup h ~boards =
   let cfg =
     {
       Tock_fleet.Fleet.default with
@@ -240,86 +206,28 @@ let bench_rollup ~boards =
       park = true;
     }
   in
-  let time f =
-    let best = ref infinity in
-    for _ = 1 to 2 do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let plain_s = time (fun () -> ignore (Tock_fleet.Fleet.run_fleet cfg)) in
-  let health_s =
-    time (fun () ->
-        ignore
-          (Tock_fleet.Fleet.run_fleet
-             { cfg with Tock_fleet.Fleet.health = true }))
+  let run cfg () = ignore (Tock_fleet.Fleet.run_fleet cfg) in
+  let plain = Harness.time h "fleet/rollups-off" 1 (run cfg) in
+  let health =
+    Harness.time h "fleet/rollups-on" 1
+      (run { cfg with Tock_fleet.Fleet.health = true })
   in
   (* boards/s with rollups relative to boards/s without *)
-  (plain_s, health_s, plain_s /. health_s)
+  Harness.gate h ~mode:Harness.Full_only "fleet rollup throughput vs off"
+    (Harness.ns_per_op plain /. Harness.ns_per_op health)
+    Harness.Ge 0.90
 
 (* ---- driver ---- *)
 
-let run_mode ~scale ~assert_ratios ~write () =
+let run_mode ~full ~scale =
   Printf.printf "== obs: observability overhead (scale %.3f) ==\n" scale;
+  let h = Harness.create ~full "obs" in
   let it base = max 2 (int_of_float (float_of_int base *. scale)) in
-  let samples = ref [] in
-  let note name ns iters =
-    samples := { s_name = name; s_ns = ns; s_iters = iters } :: !samples;
-    Printf.printf "   %-28s %12.1f ns/op\n%!" name ns
-  in
-
-  (* -- spend hot loop: instrumented Sim vs seed replica -- *)
-  let n = it 2_000_000 in
-  let replica_ns, real_ns = bench_spend ~iters:n ~alternations:4 in
-  note "spend/seed-replica" replica_ns n;
-  note "spend/instrumented-sim" real_ns n;
-  let ratio = real_ns /. replica_ns in
-  Printf.printf "   disabled-mode spend overhead: %.3fx (gate <= 1.03x)\n"
-    ratio;
-  if assert_ratios && ratio > 1.03 then
-    failwith "obs: disabled-mode Sim.spend overhead above the 3% gate";
-
-  (* -- record-path primitive costs -- *)
-  bench_primitives ~iters:(it 2_000_000) note;
-
-  (* -- disabled-mode emit: allocation-free, and gated -- *)
-  assert_emit_disabled_allocfree ();
-  let pack_words, blob_words, accum_words, rollup_words =
-    assert_retire_allocs ()
-  in
-  let sample name =
-    match List.find_opt (fun s -> s.s_name = name) !samples with
-    | Some s -> s.s_ns
-    | None -> failwith ("obs: missing sample " ^ name)
-  in
-  let emit_disabled_ns = sample "trace/emit-disabled" in
-  let emit_enabled_ns = sample "trace/emit-enabled" in
-  let emit_ratio = emit_disabled_ns /. emit_enabled_ns in
-  (* Two gates: a relative one (the disabled call must cost well under
-     the enabled record path — that is what "truly free" means and it
-     cancels host-speed drift on this single-core VM), and an absolute
-     backstop vs the 3.66 ns/op seed measurement, set with headroom for
-     the ~25% run-to-run frequency jitter the host shows. *)
-  Printf.printf
-    "   emit-disabled: %.2f ns/op, %.2fx enabled (gates <= 4.50 ns, <= 0.60x)\n"
-    emit_disabled_ns emit_ratio;
-  if assert_ratios && emit_disabled_ns > 4.50 then
-    failwith "obs: disabled Trace.emit above the 4.50 ns/op backstop";
-  if assert_ratios && emit_ratio > 0.60 then
-    failwith "obs: disabled Trace.emit not well under the enabled cost";
-
-  (* -- fleet health rollups: >= 90% of no-rollup throughput -- *)
+  bench_spend h ~iters:(it 2_000_000) ~alternations:4;
+  bench_primitives h ~iters:(it 2_000_000);
+  let blob_words = bench_retire_allocs h in
   let rollup_boards = max 100 (int_of_float (10_000.0 *. scale)) in
-  let plain_s, health_s, rollup_ratio = bench_rollup ~boards:rollup_boards in
-  Printf.printf
-    "   fleet %d boards: %.3fs plain, %.3fs with rollups -> %.3fx throughput \
-     (gate >= 0.90)\n"
-    rollup_boards plain_s health_s rollup_ratio;
-  if assert_ratios && rollup_ratio < 0.90 then
-    failwith "obs: health rollups cost more than 10% of fleet throughput";
+  bench_rollup h ~boards:rollup_boards;
 
   (* -- board workload latency profile -- *)
   let seconds = Float.max 0.02 (0.5 *. scale) in
@@ -331,47 +239,26 @@ let run_mode ~scale ~assert_ratios ~write () =
   Printf.printf "   irq dispatch: %d serviced, p50<=%d p99<=%d cycles\n"
     irq.Metrics.hs_count (q irq 0.5) (q irq 0.99);
   Printf.printf "   trace: %d events, %d dropped\n" trace_total trace_dropped;
+  let int = Harness.int in
+  Harness.finish h
+    ~facts:
+      [
+        ("rollup_boards", int rollup_boards);
+        ("packed_of_blob_words", int blob_words);
+        ("syscall_command_count", int sys.Metrics.hs_count);
+        ("syscall_command_p50_cycles", int (q sys 0.5));
+        ("syscall_command_p99_cycles", int (q sys 0.99));
+        ("irq_dispatch_count", int irq.Metrics.hs_count);
+        ("irq_dispatch_p50_cycles", int (q irq 0.5));
+        ("irq_dispatch_p99_cycles", int (q irq 0.99));
+        ("trace_events", int trace_total);
+        ("trace_dropped", int trace_dropped);
+      ]
+    ()
 
-  if write then begin
-    let oc = open_out "BENCH_obs.json" in
-    Printf.fprintf oc
-      "{\n  \"bench\": \"obs\",\n  \
-       \"spend_overhead_ratio\": %.4f,\n  \
-       \"spend_overhead_gate\": 1.03,\n  \
-       \"emit_disabled_ns\": %.2f,\n  \
-       \"emit_disabled_gate_ns\": 4.50,\n  \
-       \"emit_disabled_enabled_ratio\": %.4f,\n  \
-       \"emit_disabled_enabled_gate\": 0.60,\n  \
-       \"rollup_boards\": %d,\n  \
-       \"rollup_throughput_ratio\": %.4f,\n  \
-       \"rollup_throughput_gate\": 0.90,\n  \
-       \"packed_of_words\": %.0f,\n  \
-       \"packed_of_blob_words\": %d,\n  \
-       \"packed_of_gate_words\": %d,\n  \
-       \"accum_add_packed_words\": %.0f,\n  \
-       \"rollup_add_packed_words\": %.0f,\n  \
-       \"add_packed_gate_words\": 0,\n  \
-       \"syscall_command_count\": %d,\n  \
-       \"syscall_command_p50_cycles\": %d,\n  \
-       \"syscall_command_p99_cycles\": %d,\n  \
-       \"irq_dispatch_count\": %d,\n  \
-       \"irq_dispatch_p50_cycles\": %d,\n  \
-       \"irq_dispatch_p99_cycles\": %d,\n  \
-       \"trace_events\": %d,\n  \
-       \"trace_dropped\": %d,\n  \"samples\": [\n%s\n  ]\n}\n"
-      ratio emit_disabled_ns emit_ratio rollup_boards rollup_ratio
-      pack_words blob_words (blob_words + 8) accum_words rollup_words
-      sys.Metrics.hs_count (q sys 0.5) (q sys 0.99)
-      irq.Metrics.hs_count (q irq 0.5) (q irq 0.99) trace_total trace_dropped
-      (String.concat ",\n" (List.rev_map json_of_sample !samples));
-    close_out oc;
-    print_endline "   wrote BENCH_obs.json"
-  end;
-  print_newline ()
-
-let run () = run_mode ~scale:1.0 ~assert_ratios:true ~write:true ()
+let run () = run_mode ~full:true ~scale:1.0
 
 (* Tiny iteration counts for `dune runtest`: exercises the whole path —
    replica comparison, record primitives, board profile — without
-   asserting the host-dependent ratio. *)
-let run_smoke () = run_mode ~scale:0.002 ~assert_ratios:false ~write:false ()
+   asserting the host-dependent ratios. *)
+let run_smoke () = run_mode ~full:false ~scale:0.002

@@ -23,7 +23,7 @@ type t = {
 
 let flash_app_base = 0x0010_0000
 
-let build ?config ?(with_sensors = true) (chip : Tock_hw.Chip.t) =
+let build ?config (chip : Tock_hw.Chip.t) =
   let sim = chip.Tock_hw.Chip.sim in
   let kernel = Kernel.create ?config chip in
   (* Capabilities: minted here and nowhere else. *)
@@ -124,13 +124,11 @@ let build ?config ?(with_sensors = true) (chip : Tock_hw.Chip.t) =
         (Process.ram_base proc) (Process.ram_end proc)
         (Process.app_break proc) (Process.kernel_break proc)
         (Process.restart_count proc) (Process.syscall_count proc));
-  if with_sensors then begin
-    let env = Tock_hw.Sensors.default_env ~clock_hz:(Tock_hw.Sim.clock_hz sim) in
-    List.iter
-      (Tock_hw.Sensors.attach sim chip.Tock_hw.Chip.i2c env)
-      [ Tock_hw.Sensors.Temperature; Tock_hw.Sensors.Pressure;
-        Tock_hw.Sensors.Light; Tock_hw.Sensors.Accel ]
-  end;
+  let env = Tock_hw.Sensors.default_env ~clock_hz:(Tock_hw.Sim.clock_hz sim) in
+  List.iter
+    (Tock_hw.Sensors.attach sim chip.Tock_hw.Chip.i2c env)
+    [ Tock_hw.Sensors.Temperature; Tock_hw.Sensors.Pressure;
+      Tock_hw.Sensors.Light; Tock_hw.Sensors.Accel ];
   let temperature =
     Sensor_driver.create kernel
       (Adaptors.i2c_device chip.Tock_hw.Chip.i2c

@@ -27,11 +27,11 @@ type t = {
   ext_cap : Tock.Capability.external_process;
 }
 
-val build : ?config:Tock.Kernel.config -> ?with_sensors:bool -> Tock_hw.Chip.t -> t
+val build : ?config:Tock.Kernel.config -> Tock_hw.Chip.t -> t
 (** Wire the full capsule set over a chip: console + process console on
     uart0 (via the UART mux), alarm mux + driver, LEDs (pins 0-3, active
-    low), buttons (pins 4-5), GPIO (pins 8-15), RNG, sensor drivers (if
-    [with_sensors], attaching I2C sensor models), HMAC/SHA/AES drivers,
+    low), buttons (pins 4-5), GPIO (pins 8-15), RNG, sensor drivers over
+    attached I2C sensor models, HMAC/SHA/AES drivers,
     KV store (flash pages 0-15) and nonvolatile storage (pages 16-47)
     behind a flash mux, IPC, radio driver when the chip has a radio, and
     the deliberately-unsound legacy capsule (experiments only). *)

@@ -11,8 +11,6 @@ type config = {
   aliasing_policy : aliasing_policy;
   blocking_commands : bool;
   max_processes : int;
-  ram_base : int;
-  ram_size : int;
 }
 
 let default_config () =
@@ -22,9 +20,11 @@ let default_config () =
     aliasing_policy = Cell_semantics;
     blocking_commands = false;
     max_processes = 8;
-    ram_base = 0x2000_0000;
-    ram_size = 128 * 1024;
   }
+
+(* The RAM pool processes are carved from: every board's SRAM budget. *)
+let ram_base = 0x2000_0000
+let ram_size = 128 * 1024
 
 type stats = {
   mutable syscalls : int;
@@ -175,7 +175,7 @@ let create ?config:(cfg = default_config ()) chip =
       drivers = Int_hashtbl.Int.create 16;
       table = [||];
       next_pid = 0;
-      ram_next = cfg.ram_base;
+      ram_next = ram_base;
       fault_hook = (fun _ _ -> ());
       trace_hook = None;
       k_grants = [];
@@ -300,7 +300,7 @@ let create_process t ~cap:_ ~name ~flash_base ~flash ~min_ram ?permissions
   else begin
     let mpu = t.k_chip.Tock_hw.Chip.mpu in
     let mpu_config = Tock_hw.Mpu.new_config mpu in
-    let pool_end = t.k_config.ram_base + t.k_config.ram_size in
+    let pool_end = ram_base + ram_size in
     match
       Tock_hw.Mpu.allocate_app_memory_region mpu mpu_config
         ~unallocated_start:t.ram_next

@@ -39,13 +39,12 @@ type config = {
   aliasing_policy : aliasing_policy;
   blocking_commands : bool;  (** enable the Command_blocking extension *)
   max_processes : int;
-  ram_base : int;   (** base address of the RAM pool for processes *)
-  ram_size : int;   (** total process RAM (the board's SRAM budget) *)
 }
 
 val default_config : unit -> config
 (** Round-robin, restart-on-fault (3), cell semantics, no blocking
-    commands, 8 processes, 128 kB RAM at 0x2000_0000. *)
+    commands, 8 processes. Processes are always carved from 128 kB of
+    RAM at 0x2000_0000. *)
 
 (** Compatibility view over the kernel's metrics registry: every field
     mirrors a [kernel.*] counter (see {!metrics}). {!stats} builds a
