@@ -15,7 +15,12 @@
    - the syscall round trip on a live board: a bare LED command
      allocates <= 16 minor words and yield_no_wait <= 10, and no call
      changes the size of the app's upcall table (Gc.minor_words and
-     Emu.upcall_fn_count, both modes).
+     Emu.upcall_fn_count, both modes);
+   - board construction allocates no per-board array straight in the
+     major heap beyond the apps' memory: a fleet board (its three app
+     mixes in turn) <= 3,000 such words per build and an 8-node radio
+     group <= 12,000 (both modes; an eager flash page table and wear
+     array cost 2,050 per board).
 
    Run: dune exec bench/main.exe -- datapath
    The `datapath-smoke` variant runs tiny iteration counts under
@@ -29,6 +34,7 @@ module Process = Tock.Process
 module Aes = Tock_crypto.Aes128
 module Sha = Tock_crypto.Sha256
 module Net = Tock_capsules.Net_stack
+module Fleet = Tock_fleet.Fleet
 
 (* ---- a live app to bench emulated memory through ---- *)
 
@@ -163,6 +169,41 @@ let syscall_round_trips h ~iters ~alloc_iters =
   while not !finished do
     ignore (Tock.Kernel.step k ~cap)
   done
+
+(* ---- board construction ----
+
+   One build is everything the fleet does to put a board up, through the
+   fleet's own recipe: a Sim, the chip, Board.build and the apps — fleet
+   boards 0, 1 and 2 in turn (one of each app mix), or radio group 0 of
+   an 8-board Signpost fleet. Each sample reports ns, minor words and
+   words allocated straight in the major heap per build; the last are
+   gated. *)
+
+let build_board =
+  let workloads = Fleet.build_workloads () in
+  let idx = ref 0 in
+  fun () ->
+    idx := (!idx + 1) mod 3;
+    Fleet.build_board Fleet.default workloads !idx
+
+let build_radio8 () =
+  Fleet.build_radio
+    { Fleet.default with boards = 8; group_size = 8 }
+    ~g:0
+
+let bench_build h name ~iters ~alloc_iters ~limit build =
+  let f () = ignore (Sys.opaque_identity (build ())) in
+  let calls, per_op = Harness.passes iters f in
+  let per_build words = words /. float_of_int alloc_iters in
+  let minor = per_build (Harness.words alloc_iters f) in
+  let direct = per_build (Harness.direct_major_words alloc_iters f) in
+  Harness.gate h (name ^ " direct major words/build") direct Harness.Le limit;
+  ignore
+    (Harness.add h
+       ~fields:
+         [ ("minor_words_per_op", Json.Num minor);
+           ("direct_major_words_per_op", Json.Num direct) ]
+       name ~iters ~calls per_op)
 
 let run_mode ~full ~scale =
   Printf.printf "== datapath: fast-path primitives (scale %.3f) ==\n" scale;
@@ -312,6 +353,12 @@ let run_mode ~full ~scale =
   ignore (Tock_boards.Board.add_app board ~name:"spin" Tock_userland.Apps.spinner);
   let k = board.Tock_boards.Board.kernel and cap = board.Tock_boards.Board.main_cap in
   ignore (time "kernel/step(spinner)" (it 200_000) (fun () -> ignore (Tock.Kernel.step k ~cap)));
+
+  (* -- board construction: time, words and the eager-array gate -- *)
+  bench_build h "board/build" ~iters:(it 2_000) ~alloc_iters:(max 20 (it 500))
+    ~limit:3_000. build_board;
+  bench_build h "board/build-radio8" ~iters:(it 300) ~alloc_iters:(max 5 (it 100))
+    ~limit:12_000. build_radio8;
 
   Harness.finish h
     ~facts:

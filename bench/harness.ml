@@ -5,11 +5,14 @@
 
    - [passes] runs [min iters 1000] warm-up calls, then 3 timed passes of
      [iters] calls on CLOCK_MONOTONIC, and keeps every pass as ns per op.
+     [time_pair] times the two sides of a ratio gate the same way, one
+     pass of each in turn.
      A sample's headline [ns_per_op] is its best pass: the host is shared
      and frequency-scaled, and the minimum is the stable estimate of the
      achievable cost. Its JSON also carries n, median, q1 and q3 of the
      passes, summarised by the repository benchmark's own [Stats].
-   - [words] counts minor-heap words over n calls.
+   - [words] counts minor-heap words over n calls, [direct_major_words]
+     the words they allocate straight in the major heap.
    - A gate is data: a value, a comparison, a limit, and whether it is
      host-independent ([Always]) or holds only at full iteration counts
      ([Full_only]). [finish] evaluates every gate together, so one failure
@@ -30,18 +33,25 @@ let reps = 3
 
 let warmup iters = min iters 1_000
 
-(* Calls made (warm-up included) and ns per op of each timed pass. *)
-let passes iters f =
+let warm iters f =
   for _ = 1 to warmup iters do
     f ()
+  done
+
+(* ns per op of one timed pass of [iters] calls. *)
+let pass iters f =
+  let t0 = now_ns () in
+  for _ = 1 to iters do
+    f ()
   done;
+  float_of_int (now_ns () - t0) /. float_of_int iters
+
+(* Calls made (warm-up included) and ns per op of each timed pass. *)
+let passes iters f =
+  warm iters f;
   let per_op = Array.make reps 0. in
   for r = 0 to reps - 1 do
-    let t0 = now_ns () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    per_op.(r) <- float_of_int (now_ns () - t0) /. float_of_int iters
+    per_op.(r) <- pass iters f
   done;
   (warmup iters + (reps * iters), Array.to_list per_op)
 
@@ -52,6 +62,17 @@ let words n f =
     f ()
   done;
   Gc.minor_words () -. w0
+
+(* Words [n] calls of [f] allocate straight in the major heap: major
+   words minus those promoted from the minor heap, so the count does
+   not depend on when minor collections run. *)
+let direct_major_words n f =
+  let _, p0, m0 = Gc.counters () in
+  for _ = 1 to n do
+    f ()
+  done;
+  let _, p1, m1 = Gc.counters () in
+  m1 -. m0 -. (p1 -. p0)
 
 type sample = {
   name : string;
@@ -94,6 +115,24 @@ let add h ?(fields = []) name ~iters ~calls per_op =
 let time h ?fields name iters f =
   let calls, per_op = passes iters f in
   add h ?fields name ~iters ~calls per_op
+
+(* The two sides of a ratio gate, each [(name, iters, f)]: a warm-up of
+   each, then [rounds] timed passes of each, one of [a] and one of [b]
+   in turn, so a slow phase of the host lands on both sides rather than
+   one. Adds and returns both samples. *)
+let time_pair h ~rounds (name_a, iters_a, a) (name_b, iters_b, b) =
+  warm iters_a a;
+  warm iters_b b;
+  let per_a = Array.make rounds 0. and per_b = Array.make rounds 0. in
+  for r = 0 to rounds - 1 do
+    per_a.(r) <- pass iters_a a;
+    per_b.(r) <- pass iters_b b
+  done;
+  let sample name iters per =
+    add h name ~iters ~calls:(warmup iters + (rounds * iters)) (Array.to_list per)
+  in
+  let sa = sample name_a iters_a per_a in
+  (sa, sample name_b iters_b per_b)
 
 let gate h ?(mode = Always) name value op limit =
   h.gates <- { name; value; op; limit; mode } :: h.gates

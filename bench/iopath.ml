@@ -12,7 +12,8 @@
      window onto flash (both modes);
    - the in-place net round trip returns the bytes of the retained
      copying [Net_stack.Reference] path (both modes) and sustains >= 2x
-     its throughput (full mode).
+     its throughput, the two paths timed pass by pass in turn (full
+     mode).
 
    Run: dune exec bench/main.exe -- iopath
    The `iopath-smoke` variant runs tiny iteration counts under
@@ -109,15 +110,18 @@ let bench_round_trip h ~fast_iters ~ref_iters =
   let out_ref = Bytes.create Net.max_payload in
   let payload_w = Subslice.of_bytes payload in
   let out_w = Subslice.of_bytes out_fast in
-  let fast =
-    Harness.time h "net/round-trip-fast" fast_iters (fun () ->
-        if Net.round_trip ~src:1 ~dst:2 payload_w out_w <> Net.max_payload then
-          failwith "iopath: fast round trip failed")
-  in
-  let reference =
-    Harness.time h "net/round-trip-ref" ref_iters (fun () ->
-        if Net.Reference.round_trip ~src:1 ~dst:2 payload out_ref <> Net.max_payload
-        then failwith "iopath: reference round trip failed")
+  let fast, reference =
+    Harness.time_pair h ~rounds:Harness.reps
+      ( "net/round-trip-fast",
+        fast_iters,
+        fun () ->
+          if Net.round_trip ~src:1 ~dst:2 payload_w out_w <> Net.max_payload then
+            failwith "iopath: fast round trip failed" )
+      ( "net/round-trip-ref",
+        ref_iters,
+        fun () ->
+          if Net.Reference.round_trip ~src:1 ~dst:2 payload out_ref <> Net.max_payload
+          then failwith "iopath: reference round trip failed" )
   in
   let differing = ref 0 in
   Bytes.iteri (fun i c -> if Bytes.get out_ref i <> c then incr differing) out_fast;

@@ -16,14 +16,16 @@
      Accum.add_packed / Rollup.add_packed of an image whose schema was
      seen before allocate nothing (every mode);
    - a 10k-board fleet with health rollups on keeps >= 90% of the
-     no-rollup throughput (full mode; smoke folds a tiny fleet);
+     no-rollup throughput, the two fleets timed run by run in turn
+     (full mode; smoke folds a tiny fleet);
    - a board workload's syscall-class and IRQ dispatch latency
      histograms are summarised (p50/p99) as the reference profile.
 
    The spend gate compares two loops with identical bodies, so it reads
    code placement as much as overhead: both sides are closures timed by
-   the same [Harness.passes] loop, one indirect call per op, and they
-   alternate so one-sided host noise cannot make (or hide) an overhead.
+   the same [Harness.time_pair] loop, one indirect call per op, and they
+   alternate pass by pass so one-sided host noise cannot make (or hide)
+   an overhead.
 
    Run: dune exec bench/main.exe -- obs
    The `obs-smoke` variant runs tiny iteration counts under
@@ -43,31 +45,19 @@ module Trace = Tock_obs.Trace
    Workload: spend in 7-cycle slices while a self-rescheduling event
    fires every 100 cycles — the same probe-mostly-misses,
    occasionally-fires pattern the kernel main loop produces. The two
-   sides are timed in alternation and each keeps all its passes; the
-   gate reads each side's best. *)
-let bench_spend h ~iters ~alternations =
+   sides are timed pass by pass in alternation ([Harness.time_pair])
+   and each keeps all its passes; the gate reads each side's best. *)
+let bench_spend h ~iters ~rounds =
   let seed = Bench_seed_sim.create ~trace_capacity:1024 () in
   let rec seed_tick () = Bench_seed_sim.at seed ~delay:100 seed_tick in
   Bench_seed_sim.at seed ~delay:100 seed_tick;
   let sim = Tock_hw.Sim.create ~trace_capacity:0 () in
   let rec tick () = ignore (Tock_hw.Sim.at sim ~delay:100 tick) in
   ignore (Tock_hw.Sim.at sim ~delay:100 tick);
-  let seed_calls = ref 0 and seed_reps = ref [] in
-  let real_calls = ref 0 and real_reps = ref [] in
-  let pass calls reps f =
-    let c, r = Harness.passes iters f in
-    calls := !calls + c;
-    reps := !reps @ r
-  in
-  for _ = 1 to alternations do
-    pass real_calls real_reps (fun () -> Tock_hw.Sim.spend sim 7);
-    pass seed_calls seed_reps (fun () -> Bench_seed_sim.spend seed 7)
-  done;
-  let replica =
-    Harness.add h "spend/seed-replica" ~iters ~calls:!seed_calls !seed_reps
-  in
-  let real =
-    Harness.add h "spend/instrumented-sim" ~iters ~calls:!real_calls !real_reps
+  let real, replica =
+    Harness.time_pair h ~rounds
+      ("spend/instrumented-sim", iters, fun () -> Tock_hw.Sim.spend sim 7)
+      ("spend/seed-replica", iters, fun () -> Bench_seed_sim.spend seed 7)
   in
   Harness.gate h ~mode:Harness.Full_only "spend overhead vs seed replica"
     (Harness.ns_per_op real /. Harness.ns_per_op replica)
@@ -207,10 +197,10 @@ let bench_rollup h ~boards =
     }
   in
   let run cfg () = ignore (Tock_fleet.Fleet.run_fleet cfg) in
-  let plain = Harness.time h "fleet/rollups-off" 1 (run cfg) in
-  let health =
-    Harness.time h "fleet/rollups-on" 1
-      (run { cfg with Tock_fleet.Fleet.health = true })
+  let plain, health =
+    Harness.time_pair h ~rounds:Harness.reps
+      ("fleet/rollups-off", 1, run cfg)
+      ("fleet/rollups-on", 1, run { cfg with Tock_fleet.Fleet.health = true })
   in
   (* boards/s with rollups relative to boards/s without *)
   Harness.gate h ~mode:Harness.Full_only "fleet rollup throughput vs off"
@@ -223,7 +213,7 @@ let run_mode ~full ~scale =
   Printf.printf "== obs: observability overhead (scale %.3f) ==\n" scale;
   let h = Harness.create ~full "obs" in
   let it base = max 2 (int_of_float (float_of_int base *. scale)) in
-  bench_spend h ~iters:(it 2_000_000) ~alternations:4;
+  bench_spend h ~iters:(it 2_000_000) ~rounds:12;
   bench_primitives h ~iters:(it 2_000_000);
   let blob_words = bench_retire_allocs h in
   let rollup_boards = max 100 (int_of_float (10_000.0 *. scale)) in

@@ -1,5 +1,7 @@
 open Tock
 open Tock_capsules
+module Frame = Tock_obs.Frame
+module Flash_ctrl = Tock_hw.Flash_ctrl
 
 type t = {
   kernel : Kernel.t;
@@ -85,34 +87,49 @@ let build ?config (chip : Tock_hw.Chip.t) =
   let legacy = Legacy_console.create kernel amux in
   let debug = Debug_writer.create (Uart_mux.new_device umux) in
   (* Board-level freezer sections: state a frozen witness must carry
-     that lives outside the kernel — the UART capture buffer and any
-     flash pages with materialized backing (erased pages are elided;
-     see Flash_ctrl). Both load after the process patch ([`Post]). *)
+     that lives outside the kernel — the UART capture buffer, and the
+     flash part: pages with materialized backing (erased pages are
+     elided; see Flash_ctrl), then its dirty-write count and the wear
+     of every page erased at least once. The counters come last, so a
+     section that ends after the pages is an [Error]. Both load after
+     the process patch ([`Post]). *)
   Kernel.register_freezer kernel ~name:"uart_log" ~phase:`Post
     ~save:(fun buf -> Buffer.add_buffer buf uart_log)
     ~load:(fun r ->
       Buffer.clear uart_log;
-      Buffer.add_string uart_log (Tock_obs.Frame.rest r));
+      Buffer.add_string uart_log (Frame.rest r));
   let flash_ctrl = chip.Tock_hw.Chip.flash in
+  let count iter =
+    let n = ref 0 in
+    iter flash_ctrl (fun ~page:_ _ -> Stdlib.incr n);
+    !n
+  in
   Kernel.register_freezer kernel ~name:"flash" ~phase:`Post
     ~save:(fun buf ->
-      let n = ref 0 in
-      Tock_hw.Flash_ctrl.iter_dirty_pages flash_ctrl (fun ~page:_ _ ->
-          Stdlib.incr n);
-      Tock_obs.Frame.add_int buf !n;
-      Tock_hw.Flash_ctrl.iter_dirty_pages flash_ctrl (fun ~page data ->
-          Tock_obs.Frame.add_int buf page;
-          Tock_obs.Frame.add_string buf (Bytes.to_string data)))
+      Frame.add_int buf (count Flash_ctrl.iter_dirty_pages);
+      Flash_ctrl.iter_dirty_pages flash_ctrl (fun ~page data ->
+          Frame.add_int buf page;
+          Frame.add_string buf (Bytes.to_string data));
+      Frame.add_int buf (Flash_ctrl.dirty_writes flash_ctrl);
+      Frame.add_int buf (count Flash_ctrl.iter_worn_pages);
+      Flash_ctrl.iter_worn_pages flash_ctrl (fun ~page n ->
+          Frame.add_int buf page;
+          Frame.add_int buf n))
     ~load:(fun r ->
       ignore
-      @@ Tock_obs.Frame.list r ~min:16 (fun r ->
-             let page = Tock_obs.Frame.int r in
-             let data = Tock_obs.Frame.string r in
-             try
-               Tock_hw.Flash_ctrl.restore_page flash_ctrl ~page
-                 (Bytes.of_string data)
-             with Invalid_argument m ->
-               Tock_obs.Frame.fail "flash page %d: %s" page m));
+      @@ Frame.list r ~min:16 (fun r ->
+             let page = Frame.int r in
+             let data = Frame.string r in
+             try Flash_ctrl.restore_page flash_ctrl ~page (Bytes.of_string data)
+             with Invalid_argument m -> Frame.fail "flash page %d: %s" page m);
+      let dirty_writes = Frame.int r in
+      let wear =
+        Frame.list r ~min:16 (fun r ->
+            let page = Frame.int r in
+            (page, Frame.int r))
+      in
+      try Flash_ctrl.restore_counters flash_ctrl ~dirty_writes ~wear
+      with Invalid_argument m -> Frame.fail "flash counters: %s" m);
   Kernel.set_fault_hook kernel (fun proc reason ->
       Debug_writer.printf debug
         "panicked process: %s (pid %d)\r\n  reason: %s\r\n  ram: 0x%08x-0x%08x app_brk=0x%08x kernel_brk=0x%08x\r\n  restarts: %d, syscalls: %d"

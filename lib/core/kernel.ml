@@ -1033,8 +1033,12 @@ let unthawable ~ckpt ~at_sleep (state : Process.state) =
   | Process.Runnable | Process.Yielded_for _ | Process.Blocked_command _ ->
       Some "frozen in unresumable state"
 
+(* A board with kernel work pending (an interrupt, a deferred call, a
+   deliverable upcall) is between two steps of its main loop: its next
+   step runs that work, while a thawed board would sleep through it. *)
 let resumable t =
-  Array.for_all
+  (not (has_work t))
+  && Array.for_all
     (fun pe ->
       let p = pe.proc in
       Option.is_none

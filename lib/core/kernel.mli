@@ -316,14 +316,17 @@ val freeze : ?buf:Buffer.t -> t -> string
     one per domain to avoid re-growing a fresh buffer per park). *)
 
 val resumable : t -> bool
-(** Whether {!thaw} accepts this board's freeze point: every live
-    process has checkpointed and sits in its checkpoint sleep
-    ([Libtock_sync.checkpoint_sleep]) as plain [Yielded], and no
-    process is [Stopped] or [Unstarted]. Faulted and terminated
-    processes do not matter. It is the same per-process test {!thaw}
-    applies to the witness, so a board frozen while this holds thaws
-    unless its witness is corrupt or the rebuild does not match its
-    recipe. Read-only. *)
+(** Whether {!thaw} accepts this board's freeze point: the board is
+    quiescent ({!has_work} is false: no interrupt, deferred call or
+    deliverable upcall pending), every live process has checkpointed
+    and sits in its checkpoint sleep ([Libtock_sync.checkpoint_sleep])
+    as plain [Yielded], and no process is [Stopped] or [Unstarted].
+    Faulted and terminated processes do not matter. The per-process
+    part is the test {!thaw} applies to the witness, so a board frozen
+    while this holds thaws unless its witness is corrupt or the rebuild
+    does not match its recipe. A board stopped between an event and
+    the loop step that services it (as {!run_cycles} can leave one) is
+    not resumable. Read-only. *)
 
 val thaw : t -> cap:Capability.main_loop -> string -> (unit, string) result
 (** [thaw t ~cap w] rehydrates a freshly-built board [t] directly from

@@ -173,6 +173,8 @@ let workload_mixes = 3
 
 let workload_jitters = 7
 
+type workloads = (string * (Tock_userland.Emu.app -> unit)) list array array
+
 let build_workloads () =
   Array.init workload_mixes (fun mix ->
       Array.init workload_jitters (fun jitter ->
@@ -275,18 +277,16 @@ let describe_reason = function
 (* One independent board on its own clock. Tracing is off unless the
    board is sampled (full ring) or the flight recorder is armed (small
    tail ring for postmortem timelines). *)
-let materialize_single cfg workloads ~g =
-  let lo = g in
-  let seed = group_seed cfg.seed lo in
+let build_board cfg workloads idx =
   let trace_capacity =
-    if sampled cfg lo then cfg.trace_capacity
+    if sampled cfg idx then cfg.trace_capacity
     else if cfg.flight_dir <> None then flight_ring
     else 0
   in
-  let sim = Tock_hw.Sim.create ~seed ~trace_capacity () in
+  let sim = Tock_hw.Sim.create ~seed:(group_seed cfg.seed idx) ~trace_capacity () in
   let chip = Tock_hw.Chip.sam4l_like sim in
   let board =
-    if cfg.fault_board = Some lo then
+    if cfg.fault_board = Some idx then
       Tock_boards.Board.build
         ~config:
           {
@@ -296,9 +296,14 @@ let materialize_single cfg workloads ~g =
         chip
     else Tock_boards.Board.build chip
   in
-  load_workload cfg workloads board lo;
+  load_workload cfg workloads board idx;
+  board
+
+let materialize_single cfg workloads ~g =
+  let lo = g in
+  let board = build_board cfg workloads lo in
   let rt =
-    { gr_lo = lo; gr_n = 1; gr_seed = seed; gr_kind = Single board;
+    { gr_lo = lo; gr_n = 1; gr_seed = group_seed cfg.seed lo; gr_kind = Single board;
       gr_wake = -1; gr_fault = None; gr_flighted = false }
   in
   if cfg.flight_dir <> None then
@@ -320,17 +325,15 @@ let materialize_single cfg workloads ~g =
    flight recorder. Every node shares that ring, so it holds
    [flight_ring] events per node: a radio board keeps as long a tail
    as a single board. *)
-let materialize_radio cfg ~g =
+let build_radio cfg ~g =
   let lo = g * cfg.group_size in
-  let hi = min cfg.boards ((g + 1) * cfg.group_size) in
-  let n = hi - lo in
-  let seed = group_seed cfg.seed lo in
+  let n = min cfg.boards ((g + 1) * cfg.group_size) - lo in
   let trace_capacity =
     if cfg.flight_dir <> None then flight_ring * n else 0
   in
   let net =
-    Tock_boards.Signpost_board.create ~seed ~loss_prob:0.02 ~trace_capacity
-      ~nodes:n ()
+    Tock_boards.Signpost_board.create ~seed:(group_seed cfg.seed lo)
+      ~loss_prob:0.02 ~trace_capacity ~nodes:n ()
   in
   let gateway, sensors =
     match net.Tock_boards.Signpost_board.nodes with
@@ -355,7 +358,13 @@ let materialize_radio cfg ~g =
       | Ok _ -> ()
       | Error e -> failwith ("fleet: beacon: " ^ Tock.Error.to_string e))
     sensors;
-  { gr_lo = lo; gr_n = n; gr_seed = seed; gr_kind = Radio net; gr_wake = -1;
+  net
+
+let materialize_radio cfg ~g =
+  let net = build_radio cfg ~g in
+  let lo = g * cfg.group_size in
+  { gr_lo = lo; gr_n = List.length net.Tock_boards.Signpost_board.nodes;
+    gr_seed = group_seed cfg.seed lo; gr_kind = Radio net; gr_wake = -1;
     gr_fault = None; gr_flighted = false }
 
 let materialize cfg workloads ~g =

@@ -120,6 +120,25 @@ val group_seed : int64 -> int -> int64
 
 val group_count : config -> int
 
+type workloads
+(** The fleet's app mixes: 3 mixes x 7 period jitters of pure closures,
+    built once per run and shared by every board. *)
+
+val build_workloads : unit -> workloads
+
+val build_board : config -> workloads -> int -> Tock_boards.Board.t
+(** Independent board [idx] as the fleet builds it, and rebuilds it to
+    resume a park: a [Sim] seeded with [group_seed cfg.seed idx], a
+    sam4l-like chip, {!Tock_boards.Board.build} and the apps of mix
+    [idx mod 3] (counter + hello, blink + sensor logger, kv + hello) at
+    jitter [idx mod 7]. The [fault_board] runs the fault injector alone
+    under [Stop_on_fault]. *)
+
+val build_radio : config -> g:int -> Tock_boards.Signpost_board.t
+(** Radio group [g] as the fleet builds it: a Signpost network of the
+    group's boards on one clock, the first a gateway sink expecting 3
+    frames from each of the others, which beacon. *)
+
 type fleet_result = {
   fr_stats : board_stats array;  (** indexed by board number *)
   fr_metrics : Tock_obs.Metrics.snapshot;

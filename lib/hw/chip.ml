@@ -44,9 +44,13 @@ let line_flash = 11
 let line_radio = 12
 let line_adc = 14
 
+(* The controller holds exactly the lines of the plan: 0 to [line_adc],
+   the highest. *)
+let lines = line_adc + 1
+
 let build ~name ~mpu_flavor ~spi_cap ~cycles_per_tick ~timing ?ether
     ?(radio_addr = 0x0001) sim =
-  let irq = Irq.create sim in
+  let irq = Irq.create ~lines sim in
   let uart0 = Uart.create sim irq ~irq_line:line_uart0 ~name:"uart0" in
   let uart1 = Uart.create sim irq ~irq_line:line_uart1 ~name:"uart1" in
   let spi =

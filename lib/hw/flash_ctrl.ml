@@ -4,16 +4,20 @@ type t = {
   sim : Sim.t;
   irq : Irq.t;
   irq_line : int;
+  pages : int;
   page_size : int;
-  store : bytes array;
-      (* Lazily materialized: untouched pages alias [erased], a shared
-         all-0xFF sentinel (compared physically). A 1024-page part is
-         512 kB of backing store per instance; fleets build thousands of
-         boards that never write most pages, so eager allocation was the
-         single largest per-board heap cost. Pages materialize on first
-         write and fall back to the sentinel on erase. *)
+  mutable store : bytes array;
+      (* [||] until the first write: a part nobody writes costs no
+         backing array at all. Once allocated, untouched pages alias
+         [erased], a shared all-0xFF sentinel (compared physically);
+         pages materialize on first write and fall back to the sentinel
+         on erase. Of the fleet's boards only the kv mix writes flash
+         (a third of single boards; no radio or root-of-trust board
+         does), and its four rounds never compact, so never erase:
+         most boards allocate neither 1,024-page array (1,025 words
+         each, straight in the major heap). *)
   erased : bytes;
-  wear : int array;
+  mutable wear : int array; (* [||] until the first erase *)
   read_cycles : int;
   write_cycles : int;
   erase_cycles : int;
@@ -50,10 +54,11 @@ let create sim irq ~irq_line ~pages ~page_size ~read_cycles ~write_cycles
       sim;
       irq;
       irq_line;
+      pages;
       page_size;
-      store = Array.make pages erased;
+      store = [||];
       erased;
-      wear = Array.make pages 0;
+      wear = [||];
       read_cycles;
       write_cycles;
       erase_cycles;
@@ -72,12 +77,16 @@ let create sim irq ~irq_line ~pages ~page_size ~read_cycles ~write_cycles
   Irq.enable irq ~line:irq_line;
   t
 
-let pages t = Array.length t.store
+let pages t = t.pages
 
 let page_size t = t.page_size
 
+(* The page as stored: the sentinel until the store exists. *)
+let page_of t page = if Array.length t.store = 0 then t.erased else t.store.(page)
+
 (* Materialize a page for mutation (copy-on-write off the sentinel). *)
 let page_mut t page =
+  if Array.length t.store = 0 then t.store <- Array.make t.pages t.erased;
   let p = t.store.(page) in
   if p == t.erased then begin
     let fresh = Bytes.make t.page_size '\xff' in
@@ -92,13 +101,13 @@ let allocated_pages t =
   !n
 
 let check_page t page =
-  if page < 0 || page >= Array.length t.store then Error "bad page"
+  if page < 0 || page >= t.pages then Error "bad page"
   else Ok ()
 
 let read_page_sync t ~page =
   match check_page t page with
   | Error e -> invalid_arg ("Flash_ctrl.read_page_sync: " ^ e)
-  | Ok () -> Bytes.copy t.store.(page)
+  | Ok () -> Bytes.copy (page_of t page)
 
 let start t ~delay result =
   t.busy <- true;
@@ -114,7 +123,7 @@ let read_page t ~page =
   else
     Result.bind (check_page t page) (fun () ->
         start t ~delay:t.read_cycles (fun () ->
-            Read_done (Bytes.copy t.store.(page))))
+            Read_done (Bytes.copy (page_of t page))))
 
 let write_page t ~page data =
   if t.busy then Error "flash busy"
@@ -183,7 +192,8 @@ let erase_page t ~page =
         start t ~delay:t.erase_cycles (fun () ->
             (* Erased pages rejoin the shared sentinel, reclaiming the
                backing store (and keeping long-lived boards compact). *)
-            t.store.(page) <- t.erased;
+            if Array.length t.store > 0 then t.store.(page) <- t.erased;
+            if Array.length t.wear = 0 then t.wear <- Array.make t.pages 0;
             t.wear.(page) <- t.wear.(page) + 1;
             Erase_done))
 
@@ -191,20 +201,36 @@ let set_client t fn = t.client <- fn
 
 let busy t = t.busy
 
-let wear t ~page = t.wear.(page)
+let wear t ~page =
+  if page < 0 || page >= t.pages then invalid_arg "Flash_ctrl.wear";
+  if Array.length t.wear = 0 then 0 else t.wear.(page)
 
 let dirty_writes t = t.dirty_writes
 
 (* Freeze/thaw support: only pages materialized off the erased sentinel
    carry information — everything else is 0xFF by construction, so a
    board witness stores (page index, bytes) for dirty pages and nothing
-   for the rest (erased-page elision). *)
+   for the rest (erased-page elision), then the counters: dirty writes,
+   and the erase count of each page erased at least once. *)
 let iter_dirty_pages t f =
   Array.iteri (fun page p -> if p != t.erased then f ~page p) t.store
 
+let iter_worn_pages t f =
+  Array.iteri (fun page n -> if n > 0 then f ~page n) t.wear
+
 let restore_page t ~page data =
-  if page < 0 || page >= Array.length t.store then
-    invalid_arg "Flash_ctrl.restore_page";
+  if page < 0 || page >= t.pages then invalid_arg "Flash_ctrl.restore_page";
   if Bytes.length data <> t.page_size then
     invalid_arg "Flash_ctrl.restore_page: size";
-  t.store.(page) <- Bytes.copy data
+  Bytes.blit data 0 (page_mut t page) 0 t.page_size
+
+let restore_counters t ~dirty_writes ~wear =
+  if dirty_writes < 0 then invalid_arg "Flash_ctrl.restore_counters: dirty writes";
+  List.iter
+    (fun (page, n) ->
+      if page < 0 || page >= t.pages || n <= 0 then
+        invalid_arg "Flash_ctrl.restore_counters: wear")
+    wear;
+  t.dirty_writes <- dirty_writes;
+  t.wear <- (if wear = [] then [||] else Array.make t.pages 0);
+  List.iter (fun (page, n) -> t.wear.(page) <- n) wear

@@ -23,9 +23,10 @@ val page_size : t -> int
 
 val allocated_pages : t -> int
 (** Pages with materialized backing store. Untouched (and erased) pages
-    alias one shared all-0xFF sentinel, so a freshly created part costs
-    one page of memory no matter how many pages it models — the fleet
-    relies on this to keep per-board construction cheap. *)
+    alias one shared all-0xFF sentinel, and the page table and the wear
+    counters are allocated on the first write and the first erase: a
+    part nobody writes costs a few words however many pages it models.
+    The fleet relies on this to keep per-board construction cheap. *)
 
 val read_page_sync : t -> page:int -> bytes
 (** Synchronous memory-mapped read (fresh copy). *)
@@ -62,6 +63,17 @@ val iter_dirty_pages : t -> (page:int -> bytes -> unit) -> unit
     the only pages a board witness needs to record (erased-page
     elision). The bytes are the live store; do not mutate. *)
 
+val iter_worn_pages : t -> (page:int -> int -> unit) -> unit
+(** Visit every page erased at least once, with its {!wear} — with
+    {!dirty_writes}, the counters a board witness records besides the
+    pages. *)
+
 val restore_page : t -> page:int -> bytes -> unit
 (** Thaw support: install page contents directly (copied), bypassing
     NOR timing/AND semantics. [Invalid_argument] on bad page or size. *)
+
+val restore_counters : t -> dirty_writes:int -> wear:(int * int) list -> unit
+(** Thaw support: set {!dirty_writes} and the wear of each listed
+    [(page, erases)]; every other page's wear becomes 0.
+    [Invalid_argument] on a negative count, a bad page or a wear that is
+    not positive. *)

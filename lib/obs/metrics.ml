@@ -186,10 +186,20 @@ let seal lay =
               Atomic.set lay.l_sealed (Some s);
               s)
 
-(* ---- registries ---- *)
+(* ---- registries ----
+
+   Registration follows the trie. A child (name, kind) of a registry's
+   layout node exists only because some registry at that node
+   registered [name] as new, so [name] is new to every registry at that
+   node: a hit appends the series with no lookup and reuses the child's
+   interned name. Only a miss looks the name up, by a scan of the
+   registry's own series, which keeps nothing. Misses come from the
+   first registry along a path (once per board recipe), from
+   re-registering a name (both SHA engines count into
+   [irq.sha.serviced]; a radio group's boards share their sim-level
+   series) and from kind clashes. *)
 
 type t = {
-  by_name : (string, metric) Hashtbl.t;
   mutable series : metric array;
       (* registration order; entries [0, lay.l_depth) are live *)
   mutable lay : layout;
@@ -197,18 +207,15 @@ type t = {
                                                before every snapshot/pack *)
 }
 
-let create () =
-  { by_name = Hashtbl.create 64; series = [||]; lay = root; sync_hooks = [] }
+let create () = { series = [||]; lay = root; sync_hooks = [] }
 
 let clash name = invalid_arg ("Metrics: " ^ name ^ " registered with another type")
 
-let kind_char = function Mc _ -> 'c' | Mg _ -> 'g' | Mh _ -> 'h'
+let metric_name = function Mc c -> c.c_name | Mg g -> g.g_name | Mh h -> h.h_name
 
-(* [name] is new to [t]: the callers looked it up first. *)
-let register t name m =
-  Hashtbl.add t.by_name name m;
+(* Append [m], registered at [lay], a child of [t.lay]. *)
+let append t lay m =
   let i = t.lay.l_depth in
-  let lay = step t.lay name (kind_char m) in
   let cap = Array.length t.series in
   if i = cap then begin
     let grown = Array.make (max (2 * cap) (Atomic.get lay.l_span)) m in
@@ -218,35 +225,47 @@ let register t name m =
   t.series.(i) <- m;
   t.lay <- lay
 
+let find t name =
+  let rec scan i =
+    if i = t.lay.l_depth then None
+    else
+      let m = t.series.(i) in
+      if String.equal (metric_name m) name then Some m else scan (i + 1)
+  in
+  scan 0
+
+(* The series [t] holds under [name] — a new one from [fresh], given
+   the name string to keep, if there is none. The caller checks the
+   kind of a series found by name. *)
+let resolve t name kind fresh =
+  match child_in name kind (Atomic.get t.lay.l_children) with
+  | lay ->
+      let m = fresh lay.l_name in
+      append t lay m;
+      m
+  | exception Not_found -> (
+      match find t name with
+      | Some m -> m
+      | None ->
+          let m = fresh name in
+          append t (step t.lay name kind) m;
+          m)
+
 let counter t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some (Mc c) -> c
-  | Some _ -> clash name
-  | None ->
-      let c = { c_name = name; c_value = 0 } in
-      register t name (Mc c);
-      c
+  match resolve t name 'c' (fun c_name -> Mc { c_name; c_value = 0 }) with
+  | Mc c -> c
+  | Mg _ | Mh _ -> clash name
 
 let gauge t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some (Mg g) -> g
-  | Some _ -> clash name
-  | None ->
-      let g = { g_name = name; g_value = 0 } in
-      register t name (Mg g);
-      g
+  match resolve t name 'g' (fun g_name -> Mg { g_name; g_value = 0 }) with
+  | Mg g -> g
+  | Mc _ | Mh _ -> clash name
 
 let histogram t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some (Mh h) -> h
-  | Some _ -> clash name
-  | None ->
-      let h =
-        { h_name = name; h_count = 0; h_sum = 0; h_top = -1;
-          h_buckets = Array.make buckets 0 }
-      in
-      register t name (Mh h);
-      h
+  let fresh h_name =
+    Mh { h_name; h_count = 0; h_sum = 0; h_top = -1; h_buckets = Array.make buckets 0 }
+  in
+  match resolve t name 'h' fresh with Mh h -> h | Mc _ | Mg _ -> clash name
 
 let incr c = c.c_value <- c.c_value + 1
 

@@ -13,6 +13,14 @@
     snapshot needs is sealed once per layout, so {!snapshot} and
     {!packed_of} never sort or look up names.
 
+    Registration walks that trie. A name the trie already holds as the
+    next step from the registry's layout is new to every registry at
+    that layout, so it is appended with no lookup and keeps the trie's
+    copy of the name: a board built from a known recipe registers each
+    of its series this way, and keeps no name table. Any other registration
+    (the first registry along a layout, a re-registered name, a type
+    clash) scans the registry's own series for the name.
+
     Snapshots are deterministic (sorted by name, values copied out), so
     fleets of identical boards render byte-identical output regardless
     of registration order or domain placement. *)
@@ -29,6 +37,9 @@ val create : unit -> t
 val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 val histogram : t -> string -> histogram
+(** The series registered under this name, registered now if there is
+    none. [Invalid_argument] if the name holds another metric type.
+    The handle's name may be a physically different, equal string. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit

@@ -172,6 +172,55 @@ let test_signpost_build_no_forced_minor () =
       Alcotest.(check int) "nodes" 8
         (List.length net.Tock_boards.Signpost_board.nodes))
 
+(* A board of the fleet's counter + hello mix; [tag] names its apps, so
+   a new tag is a recipe no registry has walked yet. *)
+let recipe_board tag =
+  let b = make_board () in
+  ignore
+    (add_app_exn b ~name:(tag ^ "-counter")
+       (Tock_userland.Apps.counter ~n:8 ~period_ticks:200));
+  ignore (add_app_exn b ~name:(tag ^ "-hello") Tock_userland.Apps.hello);
+  b
+
+let recipes = Atomic.make 0
+
+(* Board construction follows its recipe's layout: the first board of a
+   fresh recipe looks up every series it registers, later ones walk the
+   trie path it left. The first and the 100th board must be the same
+   board: equal freeze bytes at cycle 0 and after a random run. *)
+let qcheck_build_equivalence =
+  qcheck ~count:8 "first and 100th board of a recipe freeze equal"
+    QCheck2.Gen.(int_range 1 3_000_000)
+    (fun cycles ->
+      let tag = Printf.sprintf "recipe%d" (Atomic.fetch_and_add recipes 1) in
+      let first = recipe_board tag in
+      for _ = 2 to 99 do
+        ignore (Sys.opaque_identity (recipe_board tag))
+      done;
+      let hundredth = recipe_board tag in
+      let freeze b = Tock.Kernel.freeze b.Tock_boards.Board.kernel in
+      let at_zero = String.equal (freeze first) (freeze hundredth) in
+      Tock_boards.Board.run_cycles first cycles;
+      Tock_boards.Board.run_cycles hundredth cycles;
+      at_zero && String.equal (freeze first) (freeze hundredth))
+
+(* Building boards of one recipe retains nothing once the first has
+   been built: no registry, flash array or trie node outlives the
+   board it belonged to, at most a word per board. *)
+let test_build_retains_nothing () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  ignore (Sys.opaque_identity (recipe_board "flat"));
+  let after_first = live () in
+  for _ = 2 to 1_000 do
+    ignore (Sys.opaque_identity (recipe_board "flat"))
+  done;
+  let grown = live () - after_first in
+  if grown > 1_000 then
+    Alcotest.failf "999 more boards left %d more live words" grown
+
 let suite =
   [
     Alcotest.test_case "composition typed" `Quick test_composition_typed;
@@ -184,4 +233,7 @@ let suite =
     Alcotest.test_case "board tracing is opt-in" `Quick test_board_trace_opt_in;
     Alcotest.test_case "signpost build forces no minor GC" `Quick
       test_signpost_build_no_forced_minor;
+    qcheck_build_equivalence;
+    Alcotest.test_case "1,000 builds retain nothing" `Quick
+      test_build_retains_nothing;
   ]

@@ -405,6 +405,97 @@ let names_owner what owner e =
   in
   if not ok then Alcotest.failf "%s: error %S does not name its section" what e
 
+(* The flash part's counters ride in the witness beside its pages: a
+   lossy write, an erase and a dirty page, then a park at a quiescent
+   checkpoint sleep, and the thawed board reads the same wear, dirty
+   writes and page bytes. A witness in the older layout (pages only)
+   is an [Error] naming the flash section. *)
+let test_flash_counters_survive_thaw () =
+  let build () =
+    let sim = Tock_hw.Sim.create ~seed:7L ~trace_capacity:0 () in
+    let b = Tock_boards.Board.build (Tock_hw.Chip.sam4l_like sim) in
+    ignore
+      (add_app_exn b ~name:"counter"
+         (Tock_userland.Apps.counter ~n:8 ~period_ticks:2000));
+    b
+  in
+  let flash_of b = b.Tock_boards.Board.chip.Tock_hw.Chip.flash in
+  let counters b =
+    let f = flash_of b in
+    ( Tock_hw.Flash_ctrl.wear f ~page:100,
+      Tock_hw.Flash_ctrl.dirty_writes f,
+      Bytes.to_string (Tock_hw.Flash_ctrl.read_page_sync f ~page:101) )
+  in
+  let b = build () in
+  let k = b.Tock_boards.Board.kernel and cap = b.Tock_boards.Board.main_cap in
+  let flash = flash_of b in
+  let settle = function
+    | Ok () ->
+        ignore
+          (Tock_boards.Board.run_until b (fun () ->
+               not (Tock_hw.Flash_ctrl.busy flash)))
+    | Error e -> Alcotest.failf "flash: %s" e
+  in
+  settle (Tock_hw.Flash_ctrl.write_page flash ~page:100 (Bytes.make 512 '\x00'));
+  settle (Tock_hw.Flash_ctrl.write_page flash ~page:100 (Bytes.make 512 '\xff'));
+  settle (Tock_hw.Flash_ctrl.erase_page flash ~page:100);
+  settle (Tock_hw.Flash_ctrl.write_page flash ~page:101 (Bytes.make 512 '\x5a'));
+  let rec park () =
+    let now = Tock_hw.Sim.now b.Tock_boards.Board.sim in
+    match Tock.Kernel.run_to_deadline k ~cap ~deadline:(now + 10_000) with
+    | `Budget -> park ()
+    | `Asleep wake ->
+        if not (Tock.Kernel.resumable k) then begin
+          Tock.Kernel.sleep_to k ~cap wake;
+          park ()
+        end
+    | `Stalled -> Alcotest.fail "board stalled before a checkpoint sleep"
+  in
+  park ();
+  let ((wear, dirty, _) as before) = counters b in
+  Alcotest.(check (pair int int)) "wear and dirty writes before freeze" (1, 1)
+    (wear, dirty);
+  let w = Tock.Kernel.freeze k in
+  let thawed = build () in
+  (match
+     Tock.Kernel.thaw thawed.Tock_boards.Board.kernel
+       ~cap:thawed.Tock_boards.Board.main_cap w
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "thaw: %s" e);
+  Alcotest.(check (triple int int string)) "counters and pages after thaw"
+    before (counters thawed);
+  Alcotest.(check string) "re-freeze reproduces witness" w
+    (Tock.Kernel.freeze thawed.Tock_boards.Board.kernel);
+  let pages_only payload =
+    let open Tock_obs.Frame in
+    match
+      parse payload (fun r ->
+          let pages = list r ~min:16 (fun r -> let page = int r in (page, string r)) in
+          ignore (rest r);
+          pages)
+    with
+    | Error e -> Alcotest.failf "flash section: %s" e
+    | Ok pages ->
+        let b = Buffer.create 1024 in
+        add_list b (fun (page, data) -> add_int b page; add_string b data) pages;
+        Buffer.contents b
+  in
+  let older =
+    reseal ~magic:Tock.Witness.magic
+      (List.map
+         (fun (name, payload) ->
+           (name, if name = "flash" then pages_only payload else payload))
+         (sections ~magic:Tock.Witness.magic w))
+  in
+  let fresh = build () in
+  match
+    Tock.Kernel.thaw fresh.Tock_boards.Board.kernel
+      ~cap:fresh.Tock_boards.Board.main_cap older
+  with
+  | Ok () -> Alcotest.fail "a witness without the flash counters thawed"
+  | Error e -> check_contains ~msg:"older witness" e "section \"flash\""
+
 (* Any changed byte of a real witness, and of a flight artifact that
    carries it, is an [Error] naming the section that holds it: every
    single-byte flip, every truncation, a one-byte extension, and every
@@ -595,14 +686,17 @@ let qcheck_decoders_total =
    board succeeds, and a successful thaw reproduces the witness
    byte-for-byte and tracks the original under further execution. This
    is the fleet park contract: it parks only resumable boards, and
-   they all come back. *)
+   they all come back. The park point is reached either the fleet's
+   way ([run_to_deadline], stopping asleep) or through
+   [Kernel.run_cycles], which can stop just after an event fires, with
+   its interrupt still pending. *)
 let prop_freeze_thaw_contract =
   let gen =
     QCheck2.Gen.(
-      quad (int_range 0 2) (int_range 50 800) (int_range 20_000 1_200_000)
-        (int_range 1 0xFFFF))
+      tup5 (int_range 0 2) (int_range 50 800) (int_range 20_000 1_200_000)
+        (int_range 1 0xFFFF) bool)
   in
-  let build (shape, period, _park_at, seed) =
+  let build (shape, period, _park_at, seed, _) =
     let sim =
       Tock_hw.Sim.create ~seed:(Int64.of_int (0xBEE0000 + seed))
         ~trace_capacity:0 ()
@@ -634,13 +728,15 @@ let prop_freeze_thaw_contract =
   QCheck_alcotest.to_alcotest
   @@ QCheck2.Test.make ~count:25
        ~name:"freeze/thaw contract (random workload, park point)"
-       ~print:(fun (shape, period, park_at, seed) ->
-         Printf.sprintf "shape=%d period=%d park_at=%d seed=%d" shape period
-           park_at seed)
+       ~print:(fun (shape, period, park_at, seed, run_cycles) ->
+         Printf.sprintf "shape=%d period=%d park_at=%d seed=%d run_cycles=%b"
+           shape period park_at seed run_cycles)
        gen
-    (fun ((_, _, park_at, _) as case) ->
+    (fun ((_, _, park_at, _, run_cycles) as case) ->
       let original = build case in
-      finish_to original park_at 10_000;
+      if run_cycles then Tock_boards.Board.run_cycles original park_at
+      else finish_to original park_at 10_000;
+      let park_at = Tock_hw.Sim.now original.Tock_boards.Board.sim in
       let resumable = Tock.Kernel.resumable original.Tock_boards.Board.kernel in
       let w = Tock.Kernel.freeze original.Tock_boards.Board.kernel in
       let fresh = build case in
@@ -1051,6 +1147,8 @@ let suite =
       test_thaw_determinism;
     Alcotest.test_case "resumable only at the checkpoint sleep" `Quick
       test_resumable_freeze_points;
+    Alcotest.test_case "flash counters survive freeze/thaw" `Quick
+      test_flash_counters_survive_thaw;
     Alcotest.test_case "corrupt witnesses rejected as Error" `Quick
       test_witness_rejects_corruption;
     Alcotest.test_case "decoders never raise on boundary words" `Quick

@@ -526,6 +526,99 @@ let qcheck_restore_by_layout =
       restored && tops && refuses extra
       && (Array.length names = 0 || refuses rekinded))
 
+(* Registration follows the layout trie: a registry on a path the trie
+   already holds appends each new series with no lookup, and only a
+   miss looks its name up. Random sequences of counter, gauge and
+   histogram registrations over a few names (so names repeat and kinds
+   clash), some recording a value and some deferred to snapshot hooks,
+   run twice in one fresh name space: first on a trie path nobody has
+   walked, then along the path the first run left. Both runs return,
+   at every step, the handle of the same earlier registration or the
+   same [clash] a name-to-kind model predicts, and end with equal
+   packed images, layout digests and snapshots. *)
+type reg_step = { r_name : int; r_kind : char; r_act : [ `Reg | `Bump of int | `Hook ] }
+
+let gen_reg_steps =
+  QCheck2.Gen.(
+    list_size (int_bound 60)
+      (map3
+         (fun r_name r_kind r_act -> { r_name; r_kind; r_act })
+         (int_bound 7) (oneofl [ 'c'; 'g'; 'h' ])
+         (frequency
+            [ (4, return `Reg); (4, map (fun v -> `Bump v) (int_bound 5_000));
+              (1, return `Hook) ])))
+
+(* Run [steps] on a fresh registry in name space [ns]: per step, [`Clash]
+   or the index of the first step that returned the same handle. *)
+let run_reg_steps ns steps =
+  let r = Metrics.create () in
+  let name i = series_name ns i in
+  let seen = ref [] in
+  let same_as i pred =
+    match List.find_opt (fun (_, h) -> pred h) !seen with
+    | Some (j, _) -> `Handle j
+    | None -> `Handle i
+  in
+  let outcomes =
+    List.mapi
+      (fun i st ->
+        match st.r_act with
+        | `Hook ->
+            Metrics.on_snapshot r (fun () ->
+                try register r st.r_kind (name st.r_name) with Invalid_argument _ -> ());
+            `Hook
+        | (`Reg | `Bump _) as act -> (
+            let v = match act with `Bump v -> v | `Reg -> 0 in
+            try
+              let out, h =
+                match st.r_kind with
+                | 'c' ->
+                    let c = Metrics.counter r (name st.r_name) in
+                    Metrics.add c v;
+                    (same_as i (function `C c' -> c' == c | _ -> false), `C c)
+                | 'g' ->
+                    let g = Metrics.gauge r (name st.r_name) in
+                    if v > 0 then Metrics.set g v;
+                    (same_as i (function `G g' -> g' == g | _ -> false), `G g)
+                | _ ->
+                    let h = Metrics.histogram r (name st.r_name) in
+                    if v > 0 then Metrics.observe h v;
+                    (same_as i (function `H h' -> h' == h | _ -> false), `H h)
+              in
+              if out = `Handle i then seen := (i, h) :: !seen;
+              out
+            with Invalid_argument _ -> `Clash))
+      steps
+  in
+  let p = Metrics.packed_of r in
+  (outcomes, p, packed_image p, Metrics.layout_digest r, Metrics.snapshot r)
+
+(* The model: a name's first registration fixes its kind and handle. *)
+let model_reg_steps steps =
+  let first = Hashtbl.create 8 in
+  List.mapi
+    (fun i st ->
+      match st.r_act with
+      | `Hook -> `Hook
+      | `Reg | `Bump _ -> (
+          match Hashtbl.find_opt first st.r_name with
+          | None ->
+              Hashtbl.add first st.r_name (i, st.r_kind);
+              `Handle i
+          | Some (j, k) -> if k = st.r_kind then `Handle j else `Clash))
+    steps
+
+let qcheck_registration_follows_trie =
+  qcheck "registration along a walked trie path = on a fresh one"
+    gen_reg_steps (fun steps ->
+      let ns = Atomic.fetch_and_add layout_case 1 in
+      let out, p, img, digest, snap = run_reg_steps ns steps in
+      let out', p', img', digest', snap' = run_reg_steps ns steps in
+      out = model_reg_steps steps
+      && out' = out
+      && p'.Metrics.p_schema == p.Metrics.p_schema
+      && String.equal img' img && String.equal digest' digest && snap' = snap)
+
 (* Plan caches key on physical schemas and are bounded: fresh [pack]ed
    schemas, far more than the cache holds, still merge and roll up
    exactly like the interned ones [packed_of] returns. The two rollup
@@ -1006,6 +1099,7 @@ let suite =
     qcheck_equal_sets_share_schema;
     qcheck_domains_share_schema;
     qcheck_restore_by_layout;
+    qcheck_registration_follows_trie;
     Alcotest.test_case "plan caches bounded" `Quick test_plan_caches_bounded;
     Alcotest.test_case "packed codec rejects corruption" `Quick
       test_packed_rejects_corruption;
