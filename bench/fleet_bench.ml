@@ -112,7 +112,7 @@ let measure h ?floor ~park ~boards ~domains ~cycles () =
   in
   (* Warm the minor heap/domain pool once so the first timed run isn't
      charged for spawn cost the steady state doesn't pay. *)
-  ignore (Tock_fleet.Fleet.run { cfg with boards = min boards 4; cycles = 10_000 });
+  ignore (Tock_fleet.Fleet.run_fleet { cfg with boards = min boards 4; cycles = 10_000 });
   let runs = List.init Harness.reps (fun _ -> run_once cfg) in
   let median f = Stats.median (List.map (fun r -> float_of_int (f r)) runs) in
   let rates = List.map rate runs in

@@ -19,7 +19,11 @@
      for Domain_safety's interprocedural reachability) and *mutation
      witnesses* (identifiers passed to known in-place mutators, so
      read-only lookup tables such as the crypto T-tables are not
-     misreported as shared mutable state).
+     misreported as shared mutable state), each recorded with the
+     scope it was written in so {!Resolve} can pin it;
+   - the unit's *shape*: the values, nested modules, aliases and
+     includes an implementation defines or an interface exports
+     (Dead_export's declarations, Resolve's lookup tables).
 
    Parsing never raises: a file the compiler's parser rejects comes
    back with [a_parsed = false] and the caller reports it instead of
@@ -55,9 +59,27 @@ let kind_is_synchronized = function
 
 type global = { g_name : string; g_line : int; g_kind : mutability }
 
-type value_ref = { r_path : string list; r_line : int }
+type scope_entry =
+  | Open of string list
+  | Module of string * module_def
+  | Value of string * string
+  | Local of string
+
+and module_def = Alias of string list | Nested of string | Opaque
+
+type value_ref = {
+  r_path : string list;
+  r_line : int;
+  r_scope : scope_entry list;
+}
 
 type binding = { b_name : string; b_line : int; b_refs : value_ref list }
+
+type shape = {
+  s_values : (string * int) list;
+  s_modules : (string * module_def) list;
+  s_includes : (string * string list) list;
+}
 
 type reference = {
   ref_modules : string list;
@@ -92,6 +114,8 @@ type t = {
   a_bindings : binding list;
   a_witnesses : value_ref list;
       (* identifier paths passed to a known in-place mutator *)
+  a_values : value_ref list;
+  a_shape : shape;
   a_structure : Parsetree.structure option;
 }
 
@@ -102,14 +126,24 @@ let flatten (lid : Longident.t) =
 
 (* --- pattern variables ------------------------------------------------ *)
 
-let rec pattern_vars (p : Parsetree.pattern) =
-  match p.Parsetree.ppat_desc with
-  | Parsetree.Ppat_var v -> [ (v.Location.txt, line_of p.Parsetree.ppat_loc) ]
-  | Parsetree.Ppat_alias (q, v) ->
-      (v.Location.txt, line_of p.Parsetree.ppat_loc) :: pattern_vars q
-  | Parsetree.Ppat_constraint (q, _) -> pattern_vars q
-  | Parsetree.Ppat_tuple ps -> List.concat_map pattern_vars ps
-  | _ -> []
+(* Every variable a pattern binds, with its line. *)
+let pattern_vars (p : Parsetree.pattern) =
+  let vars = ref [] in
+  let default = Ast_iterator.default_iterator in
+  let iter =
+    {
+      default with
+      pat =
+        (fun self (q : Parsetree.pattern) ->
+          (match q.Parsetree.ppat_desc with
+          | Parsetree.Ppat_var v | Parsetree.Ppat_alias (_, v) ->
+              vars := (v.Location.txt, line_of q.Parsetree.ppat_loc) :: !vars
+          | _ -> ());
+          default.Ast_iterator.pat self q);
+    }
+  in
+  iter.Ast_iterator.pat iter p;
+  List.rev !vars
 
 (* --- mutability classification ---------------------------------------- *)
 
@@ -135,7 +169,7 @@ let mutable_constructor path =
       match List.rev path with
       | ("make" | "empty") :: cell :: _
         when List.mem cell
-               [ "Take_cell"; "Optional_cell"; "Num_cell"; "Volatile_cell" ] ->
+               [ "Take_cell"; "Optional_cell" ] ->
           Some Mutable_record
       | _ -> None)
 
@@ -213,120 +247,263 @@ let mutator_path path =
       true
   | _ -> false
 
-(* --- mutable-state inventory ------------------------------------------- *)
+(* --- the scoped walk ------------------------------------------------------ *)
 
-(* All value identifiers and mutation witnesses under [e]. *)
-let scan_expr e =
-  let refs = ref [] in
-  let witnesses = ref [] in
-  let iter =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self (e : Parsetree.expression) ->
-          (match e.Parsetree.pexp_desc with
-          | Parsetree.Pexp_ident lid ->
-              refs :=
-                {
-                  r_path = flatten lid.Location.txt;
-                  r_line = line_of e.Parsetree.pexp_loc;
-                }
-                :: !refs
-          | Parsetree.Pexp_apply (f, args) -> (
-              match f.Parsetree.pexp_desc with
-              | Parsetree.Pexp_ident lid
-                when mutator_path (flatten lid.Location.txt) ->
-                  List.iter
-                    (fun ((_, a) : Asttypes.arg_label * Parsetree.expression) ->
-                      match a.Parsetree.pexp_desc with
-                      | Parsetree.Pexp_ident alid ->
-                          witnesses :=
-                            {
-                              r_path = flatten alid.Location.txt;
-                              r_line = line_of a.Parsetree.pexp_loc;
-                            }
-                            :: !witnesses
-                      | _ -> ())
-                    args
-              | _ -> ())
-          | Parsetree.Pexp_setfield (tgt, _, _) -> (
-              (* writing a field of a global record is a mutation of
-                 that global *)
-              match tgt.Parsetree.pexp_desc with
-              | Parsetree.Pexp_ident lid ->
-                  witnesses :=
-                    {
-                      r_path = flatten lid.Location.txt;
-                      r_line = line_of tgt.Parsetree.pexp_loc;
-                    }
-                    :: !witnesses
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.Ast_iterator.expr self e);
-    }
+(* One walk over an implementation, tracking what each name means where
+   it is written. The scope is a persistent list, innermost entry first:
+   structure-level and expression-scoped opens, includes, module
+   definitions and aliases, toplevel [let]s (with their dotted name
+   inside the file) and expression-local variables. Every value path
+   is recorded with the scope it was written in, so {!Resolve} can pin
+   it to a definition without re-walking the tree.
+
+   The same walk builds the module-toplevel inventory: bindings with
+   the value references of their right-hand side, mutable globals,
+   mutation witnesses, and the unit's shape (values, nested modules,
+   aliases and includes by dotted name). Bindings are recorded only
+   where a path can name them: at toplevel and inside named nested
+   structures, not inside functor bodies or expressions. *)
+let implementation st =
+  let open Parsetree in
+  let globals = ref [] and bindings = ref [] and witnesses = ref [] in
+  let values = ref [] and mutable_labels = ref [] in
+  let s_values = ref [] and s_modules = ref [] and s_includes = ref [] in
+  let scope = ref [] in
+  (* dotted prefix of the named structure being walked, or [None] where
+     definitions are not addressable *)
+  let prefix = ref (Some "") in
+  (* value references of the toplevel binding being walked *)
+  let current = ref None in
+  let push entries = scope := List.rev_append entries !scope in
+  let scoped entries f =
+    let saved = !scope in
+    push entries;
+    f ();
+    scope := saved
   in
-  iter.Ast_iterator.expr iter e;
-  (List.rev !refs, List.rev !witnesses)
-
-(* Globals, bindings and mutation witnesses of an implementation. *)
-let inventory st =
-  let globals = ref [] in
-  let bindings = ref [] in
-  let witnesses = ref [] in
-  let mutable_labels = ref [] in
-  (* [prefix] qualifies bindings inside nested modules
-     ("Reference.round_trip"), so same-file references through the
-     nested module resolve. *)
-  let rec structure prefix items =
-    List.iter (item prefix) items
-  and item prefix (si : Parsetree.structure_item) =
-    match si.Parsetree.pstr_desc with
-    | Parsetree.Pstr_type (_, decls) ->
-        List.iter
-          (fun (d : Parsetree.type_declaration) ->
-            match d.Parsetree.ptype_kind with
-            | Parsetree.Ptype_record labels ->
-                List.iter
-                  (fun (l : Parsetree.label_declaration) ->
-                    if l.Parsetree.pld_mutable = Asttypes.Mutable then
-                      mutable_labels :=
-                        l.Parsetree.pld_name.Location.txt :: !mutable_labels)
-                  labels
-            | _ -> ())
-          decls
-    | Parsetree.Pstr_value (_, vbs) ->
-        List.iter
-          (fun (vb : Parsetree.value_binding) ->
-            let refs, wits = scan_expr vb.Parsetree.pvb_expr in
-            witnesses := List.rev_append wits !witnesses;
-            let vars = pattern_vars vb.Parsetree.pvb_pat in
-            List.iter
-              (fun (name, vline) ->
-                let name = prefix ^ name in
-                bindings :=
-                  { b_name = name; b_line = vline; b_refs = refs } :: !bindings;
-                match
-                  classify_rhs ~mutable_labels:!mutable_labels
-                    vb.Parsetree.pvb_expr
-                with
-                | Some kind ->
-                    globals :=
-                      { g_name = name; g_line = vline; g_kind = kind }
-                      :: !globals
-                | None -> ())
-              vars)
-          vbs
-    | Parsetree.Pstr_module mb -> (
-        match
-          (mb.Parsetree.pmb_name.Location.txt, mb.Parsetree.pmb_expr.Parsetree.pmod_desc)
-        with
-        | Some name, Parsetree.Pmod_structure st ->
-            structure (prefix ^ name ^ ".") st
-        | _ -> ())
+  let locals p = List.map (fun (v, _) -> Local v) (pattern_vars p) in
+  let vref (lid : Longident.t Location.loc) =
+    { r_path = flatten lid.Location.txt; r_line = line_of lid.Location.loc;
+      r_scope = !scope }
+  in
+  let note_value lid =
+    let r = vref lid in
+    values := r :: !values;
+    match !current with Some refs -> refs := r :: !refs | None -> ()
+  in
+  let witness (a : expression) =
+    match a.pexp_desc with
+    | Pexp_ident lid -> witnesses := vref lid :: !witnesses
     | _ -> ()
   in
-  structure "" st;
-  (List.rev !globals, List.rev !bindings, List.rev !witnesses)
+  let rec module_def (me : module_expr) =
+    match me.pmod_desc with
+    | Pmod_ident lid -> Alias (flatten lid.Location.txt)
+    | Pmod_constraint (me, _) -> module_def me
+    | _ -> Opaque
+  in
+  let rec named_structure (me : module_expr) =
+    match me.pmod_desc with
+    | Pmod_structure st -> Some st
+    | Pmod_constraint (me, _) -> named_structure me
+    | _ -> None
+  in
+  let default = Ast_iterator.default_iterator in
+  let unaddressable f =
+    let saved = !prefix in
+    prefix := None;
+    f ();
+    prefix := saved
+  in
+  let expr self e =
+    match e.pexp_desc with
+    | Pexp_ident lid -> note_value lid
+    | Pexp_let (flag, vbs, body) ->
+        let bound = List.concat_map (fun vb -> locals vb.pvb_pat) vbs in
+        if flag = Asttypes.Recursive then
+          scoped bound (fun () ->
+              List.iter (self.Ast_iterator.value_binding self) vbs;
+              self.Ast_iterator.expr self body)
+        else (
+          List.iter (self.Ast_iterator.value_binding self) vbs;
+          scoped bound (fun () -> self.Ast_iterator.expr self body))
+    | Pexp_fun (_, default_arg, p, body) ->
+        Option.iter (self.Ast_iterator.expr self) default_arg;
+        self.Ast_iterator.pat self p;
+        scoped (locals p) (fun () -> self.Ast_iterator.expr self body)
+    | Pexp_for (p, lo, hi, _, body) ->
+        self.Ast_iterator.expr self lo;
+        self.Ast_iterator.expr self hi;
+        scoped (locals p) (fun () -> self.Ast_iterator.expr self body)
+    | Pexp_letop { let_; ands; body } ->
+        List.iter
+          (fun (b : binding_op) -> self.Ast_iterator.expr self b.pbop_exp)
+          (let_ :: ands);
+        scoped
+          (List.concat_map (fun (b : binding_op) -> locals b.pbop_pat) (let_ :: ands))
+          (fun () -> self.Ast_iterator.expr self body)
+    | Pexp_open (od, body) ->
+        self.Ast_iterator.open_declaration self od;
+        let entries =
+          match od.popen_expr.pmod_desc with
+          | Pmod_ident lid -> [ Open (flatten lid.Location.txt) ]
+          | _ -> []
+        in
+        scoped entries (fun () -> self.Ast_iterator.expr self body)
+    | Pexp_letmodule (name, me, body) ->
+        unaddressable (fun () -> self.Ast_iterator.module_expr self me);
+        let entries =
+          match name.Location.txt with
+          | Some n -> [ Module (n, module_def me) ]
+          | None -> []
+        in
+        scoped entries (fun () -> self.Ast_iterator.expr self body)
+    | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args)
+      when mutator_path (flatten lid.Location.txt) ->
+        List.iter (fun (_, a) -> witness a) args;
+        default.Ast_iterator.expr self e
+    | Pexp_setfield (target, _, _) ->
+        witness target;
+        default.Ast_iterator.expr self e
+    | _ -> default.Ast_iterator.expr self e
+  in
+  let case self c =
+    scoped (locals c.pc_lhs) (fun () -> default.Ast_iterator.case self c)
+  in
+  let toplevel_binding self (vb : value_binding) =
+    match !prefix with
+    | None -> self.Ast_iterator.value_binding self vb
+    | Some pre ->
+        let refs = ref [] in
+        current := Some refs;
+        unaddressable (fun () -> self.Ast_iterator.value_binding self vb);
+        current := None;
+        let b_refs = List.rev !refs in
+        List.iter
+          (fun (name, line) ->
+            let name = pre ^ name in
+            bindings := { b_name = name; b_line = line; b_refs } :: !bindings;
+            s_values := (name, line) :: !s_values;
+            match classify_rhs ~mutable_labels:!mutable_labels vb.pvb_expr with
+            | Some kind ->
+                globals := { g_name = name; g_line = line; g_kind = kind } :: !globals
+            | None -> ())
+          (pattern_vars vb.pvb_pat)
+  in
+  (* a definition a path can name, or a local one *)
+  let defined name =
+    match !prefix with Some pre -> Value (name, pre ^ name) | None -> Local name
+  in
+  let structure_item self si =
+    match si.pstr_desc with
+    | Pstr_value (flag, vbs) ->
+        let bound =
+          List.concat_map
+            (fun vb -> List.map (fun (v, _) -> defined v) (pattern_vars vb.pvb_pat))
+            vbs
+        in
+        if flag = Asttypes.Recursive then push bound;
+        List.iter (toplevel_binding self) vbs;
+        if flag = Asttypes.Nonrecursive then push bound
+    | Pstr_primitive vd ->
+        let name = vd.pval_name.Location.txt in
+        Option.iter
+          (fun pre -> s_values := (pre ^ name, line_of si.pstr_loc) :: !s_values)
+          !prefix;
+        push [ defined name ]
+    | Pstr_type (_, decls) ->
+        List.iter
+          (fun d ->
+            match d.ptype_kind with
+            | Ptype_record labels ->
+                List.iter
+                  (fun l ->
+                    if l.pld_mutable = Asttypes.Mutable then
+                      mutable_labels := l.pld_name.Location.txt :: !mutable_labels)
+                  labels
+            | _ -> ())
+          decls;
+        default.Ast_iterator.structure_item self si
+    | Pstr_open od ->
+        default.Ast_iterator.structure_item self si;
+        (match od.popen_expr.pmod_desc with
+        | Pmod_ident lid -> push [ Open (flatten lid.Location.txt) ]
+        | _ -> ())
+    | Pstr_include { pincl_mod = { pmod_desc = Pmod_ident lid; _ }; _ } ->
+        let path = flatten lid.Location.txt in
+        Option.iter (fun pre -> s_includes := (pre, path) :: !s_includes) !prefix;
+        push [ Open path ]
+    | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr = me; _ } ->
+        let def =
+          match (named_structure me, !prefix) with
+          | Some st, Some pre ->
+              prefix := Some (pre ^ name ^ ".");
+              self.Ast_iterator.structure self st;
+              prefix := Some pre;
+              Nested (pre ^ name)
+          | _ ->
+              unaddressable (fun () -> self.Ast_iterator.module_expr self me);
+              module_def me
+        in
+        Option.iter (fun pre -> s_modules := (pre ^ name, def) :: !s_modules) !prefix;
+        push [ Module (name, def) ]
+    | Pstr_recmodule _ ->
+        unaddressable (fun () -> default.Ast_iterator.structure_item self si)
+    | _ -> default.Ast_iterator.structure_item self si
+  in
+  let iter =
+    {
+      default with
+      expr;
+      case;
+      structure_item;
+      structure =
+        (fun self items ->
+          scoped [] (fun () -> List.iter (self.Ast_iterator.structure_item self) items));
+    }
+  in
+  iter.Ast_iterator.structure iter st;
+  ( List.rev !globals,
+    List.rev !bindings,
+    List.rev !witnesses,
+    List.rev !values,
+    { s_values = List.rev !s_values; s_modules = List.rev !s_modules;
+      s_includes = List.rev !s_includes } )
+
+(* The shape an interface declares: its values (including those of
+   nested signatures, by dotted name), nested modules and aliases, and
+   [include module type of M] re-exports. *)
+let interface sg =
+  let open Parsetree in
+  let values = ref [] and modules = ref [] and includes = ref [] in
+  let rec signature pre items = List.iter (item pre) items
+  and item pre si =
+    match si.psig_desc with
+    | Psig_value vd ->
+        values := (pre ^ vd.pval_name.Location.txt, line_of si.psig_loc) :: !values
+    | Psig_module { pmd_name = { txt = Some name; _ }; pmd_type = mty; _ } ->
+        let def =
+          match mty.pmty_desc with
+          | Pmty_signature sg ->
+              signature (pre ^ name ^ ".") sg;
+              Nested (pre ^ name)
+          | Pmty_alias lid
+          | Pmty_typeof { pmod_desc = Pmod_ident lid; _ } ->
+              Alias (flatten lid.Location.txt)
+          | _ -> Opaque
+        in
+        modules := (pre ^ name, def) :: !modules
+    | Psig_include
+        { pincl_mod = { pmty_desc = Pmty_typeof { pmod_desc = Pmod_ident lid; _ }; _ }; _ }
+      ->
+        includes := (pre, flatten lid.Location.txt) :: !includes
+    | Psig_include { pincl_mod = { pmty_desc = Pmty_signature sg; _ }; _ } ->
+        signature pre sg
+    | _ -> ()
+  in
+  signature "" sg;
+  { s_values = List.rev !values; s_modules = List.rev !modules;
+    s_includes = List.rev !includes }
 
 (* --- references, opens, attributes ------------------------------------- *)
 
@@ -559,8 +736,12 @@ let of_source ~path content =
     | _, Some st -> references content (fun it -> it.Ast_iterator.structure it st)
     | None, None -> ([], [], [])
   in
-  let a_globals, a_bindings, a_witnesses =
-    match impl with Some st -> inventory st | None -> ([], [], [])
+  let empty = { s_values = []; s_modules = []; s_includes = [] } in
+  let a_globals, a_bindings, a_witnesses, a_values, a_shape =
+    match (intf, impl) with
+    | _, Some st -> implementation st
+    | Some sg, None -> ([], [], [], [], interface sg)
+    | None, None -> ([], [], [], [], empty)
   in
   {
     a_path = path;
@@ -572,5 +753,7 @@ let of_source ~path content =
     a_globals;
     a_bindings;
     a_witnesses;
+    a_values;
+    a_shape;
     a_structure = impl;
   }

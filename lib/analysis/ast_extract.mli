@@ -2,9 +2,10 @@
     [.ml]/[.mli] file is parsed once with compiler-libs ([Parse] +
     [Ast_iterator]) and summarized. The lint rules read its dotted
     paths, opens, attributes and allowlist pragmas; otock-check reads
-    the module-toplevel mutable-state inventory, per-binding value
-    references (for interprocedural reachability), in-place mutation
-    witnesses and the parsed structure. Parsing never raises — a
+    the module-toplevel mutable-state inventory, every value path with
+    its scope (per binding, for interprocedural reachability, and
+    file-wide, for export uses), in-place mutation witnesses, the
+    unit's shape and the parsed structure. Parsing never raises — a
     rejected file comes back with [a_parsed = false]. *)
 
 type mutability =
@@ -29,9 +30,43 @@ type global = {
   g_kind : mutability;
 }
 
-type value_ref = { r_path : string list; r_line : int }
+(** What a name means where it is written, innermost entry first. *)
+type scope_entry =
+  | Open of string list
+      (** [open M], [include M], [let open M in] or [M.(...)]: [M]'s
+          members are in scope. *)
+  | Module of string * module_def
+      (** A module name bound in this file: [module X = P],
+          [let module X = P in], [module X = struct ... end]. *)
+  | Value of string * string
+      (** A module-level [let] of this file: the bare name and its
+          dotted name inside the file (["Accum.add"]). *)
+  | Local of string
+      (** An expression-local variable; it shadows everything outside. *)
+
+and module_def =
+  | Alias of string list  (** [module X = P], as written. *)
+  | Nested of string
+      (** A structure or signature of this file, by dotted name. *)
+  | Opaque  (** A functor application, an unpacked module, ... *)
+
+type value_ref = {
+  r_path : string list;
+  r_line : int;
+  r_scope : scope_entry list;  (** The scope the path was written in. *)
+}
 
 type binding = { b_name : string; b_line : int; b_refs : value_ref list }
+
+type shape = {
+  s_values : (string * int) list;
+      (** Values the unit defines ([.ml]) or exports ([.mli]), by
+          dotted name, with their lines. *)
+  s_modules : (string * module_def) list;  (** Nested modules, by dotted name. *)
+  s_includes : (string * string list) list;
+      (** [include M] and [include module type of M]: the dotted prefix
+          they sit under ([""] at toplevel) and [M] as written. *)
+}
 
 type reference = {
   ref_modules : string list;
@@ -90,6 +125,10 @@ type t = {
           ([Array.set], [Bytes.blit], field assignment, ...): a
           bytes/array global with no witness anywhere is a read-only
           table, not shared mutable state. *)
+  a_values : value_ref list;
+      (** Every value path of an implementation, in walk order, with its
+          scope. *)
+  a_shape : shape;
   a_structure : Parsetree.structure option;
       (** The parse of an implementation, for analyses that walk the
           tree themselves ({!Escape}). *)

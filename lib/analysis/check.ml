@@ -1,16 +1,19 @@
 (* otock-check: the dataflow companion to the architecture linter.
 
-   Both passes read sources through one compiler-libs front end
-   ({!Ast_extract}). Where otock-lint checks the paths each file names,
-   otock-check runs two interprocedural dataflow passes over the
-   summaries and parse trees of the kernel-dir [.ml] files:
+   Every pass reads sources through one compiler-libs front end
+   ({!Ast_extract}) and pins value paths through one resolver
+   ({!Resolve}). Where otock-lint checks the paths each file names,
+   otock-check runs three whole-tree analyses over the summaries and
+   parse trees:
 
    - {!Domain_safety}: module-toplevel mutable state reachable from the
      fleet's per-domain shard entry points without Atomic/Mutex
-     ([domain-safety]);
+     ([domain-safety]), over the kernel-dir [.ml] files;
    - {!Escape}: [Subslice.t] allow-window borrows outliving their
      [with_allow] scope, and [allow_window] clones stashed in globals
-     ([allow-escape]).
+     ([allow-escape]), over the same files;
+   - {!Dead_export}: library interface values no other unit names
+     ([dead-export]), over every scanned file.
 
    A file compiler-libs cannot parse is itself a finding
    ([check-parse]): an unparsable file is an unanalyzed file, and the
@@ -24,22 +27,14 @@ let in_scope path =
     Taxonomy.kernel_dirs
 
 let run ?entry_files (files : Source.file list) : Rules.result =
-  let ml_files =
-    List.filter
-      (fun (f : Source.file) ->
-        f.Source.kind = Source.Ml && in_scope f.Source.path)
-      files
-  in
-  let ml_files =
-    List.sort
-      (fun (a : Source.file) b -> compare a.Source.path b.Source.path)
-      ml_files
-  in
   let summaries =
-    List.map
+    List.filter_map
       (fun (f : Source.file) ->
-        Ast_extract.of_source ~path:f.Source.path f.Source.content)
-      ml_files
+        if f.Source.kind = Source.Dune then None
+        else Some (Ast_extract.of_source ~path:f.Source.path f.Source.content))
+      (List.sort
+         (fun (a : Source.file) b -> compare a.Source.path b.Source.path)
+         files)
   in
   let parse_violations =
     List.filter_map
@@ -58,6 +53,13 @@ let run ?entry_files (files : Source.file list) : Rules.result =
       summaries
   in
   let parsed = List.filter (fun a -> a.Ast_extract.a_parsed) summaries in
+  let kernel_ml =
+    List.filter
+      (fun (a : Ast_extract.t) ->
+        in_scope a.Ast_extract.a_path
+        && Filename.check_suffix a.Ast_extract.a_path ".ml")
+      parsed
+  in
   let safety_violations =
     List.map
       (fun (f : Domain_safety.finding) ->
@@ -67,7 +69,7 @@ let run ?entry_files (files : Source.file list) : Rules.result =
           v_line = f.Domain_safety.f_line;
           v_message = f.Domain_safety.f_message;
         })
-      (Domain_safety.analyze ?entry_files parsed)
+      (Domain_safety.analyze ?entry_files kernel_ml)
   in
   let last_component name =
     match List.rev (String.split_on_char '.' name) with
@@ -97,7 +99,18 @@ let run ?entry_files (files : Source.file list) : Rules.result =
                   v_message = e.Escape.f_message;
                 })
               (Escape.analyze ~path:a.Ast_extract.a_path ~global_names st))
-      summaries
+      kernel_ml
+  in
+  let dead_violations =
+    List.map
+      (fun (f : Dead_export.finding) ->
+        {
+          Rules.v_rule = "dead-export";
+          v_file = f.Dead_export.f_file;
+          v_line = f.Dead_export.f_line;
+          v_message = f.Dead_export.f_message;
+        })
+      (Dead_export.analyze parsed)
   in
   let all =
     List.sort
@@ -108,7 +121,8 @@ let run ?entry_files (files : Source.file list) : Rules.result =
             | 0 -> compare a.Rules.v_rule b.Rules.v_rule
             | c -> c)
         | c -> c)
-      (parse_violations @ safety_violations @ escape_violations)
+      (parse_violations @ safety_violations @ escape_violations
+     @ dead_violations)
   in
   let violations, suppressed = Rules.suppress summaries all in
   { Rules.violations; suppressed }

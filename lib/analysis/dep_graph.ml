@@ -203,8 +203,6 @@ module Digraph = struct
     check g u "succs";
     List.sort_uniq compare g.adj.(u)
 
-  let size g = g.size
-
   (* BFS from the root set; output is insertion-order independent. *)
   let reachable g roots =
     let seen = Array.make (max 1 g.size) false in

@@ -54,8 +54,6 @@ module Digraph : sig
   val succs : g -> int -> int list
   (** Sorted, deduplicated successors. *)
 
-  val size : g -> int
-
   val reachable : g -> int list -> bool array
   (** Transitive closure of the root set (roots included). *)
 

@@ -1,0 +1,203 @@
+(* The one value resolver of otock-check: pins a value path, written in
+   a known scope, to the definition it names. Domain_safety turns the
+   result into reachability edges and Dead_export into uses.
+
+   Every source file is a compilation unit. A file under a library
+   directory is named through its wrapped root ([Tock.Kernel]); any
+   other file is named by its directory and module ([test/Helpers]).
+   A unit's shape is the union of its interface's and implementation's:
+   a path that compiles only names what the interface exports, so the
+   union never adds a wrong target.
+
+   A module path resolves, innermost first, through the scope the
+   walker recorded (module aliases, nested structures, [open],
+   [let open], [M.(...)] and [include]), then through sibling units of
+   the same directory or library, then through library roots. A path
+   whose head none of these pins may mean any unit of that name, and
+   counts as every one of them. A value found through an [include]
+   names the included definition too: a re-export is one export. *)
+
+type target = { t_unit : string; t_name : string }
+
+type unit_info = {
+  u_shapes : Ast_extract.shape list;
+  u_scope : Ast_extract.scope_entry list;
+      (* the unit's structure-level opens: aliases and includes of its
+         shape resolve in this scope *)
+}
+
+type t = {
+  units : (string, unit_info) Hashtbl.t;
+  by_module : (string, string list) Hashtbl.t;
+      (* bare module name -> every unit of that name *)
+}
+
+type mref = Root of string | In of string * string
+(* a library root module, or a unit and the dotted prefix ([""] or
+   ["Accum."]) of a module inside it *)
+
+let namespace path =
+  match Taxonomy.library_of_path path with
+  | Some l -> l.Taxonomy.lib_root_module ^ "."
+  | None -> Filename.dirname path ^ "/"
+
+let unit_of_path path = namespace path ^ Dep_graph.module_name_of_path path
+
+let create (summaries : Ast_extract.t list) =
+  let units = Hashtbl.create 256 and by_module = Hashtbl.create 256 in
+  List.iter
+    (fun (a : Ast_extract.t) ->
+      let id = unit_of_path a.Ast_extract.a_path in
+      let scope =
+        List.fold_left
+          (fun acc (o : Ast_extract.open_decl) ->
+            if o.Ast_extract.open_scoped then acc
+            else Ast_extract.Open o.Ast_extract.open_modules :: acc)
+          [] a.Ast_extract.a_opens
+      in
+      match Hashtbl.find_opt units id with
+      | Some u ->
+          Hashtbl.replace units id
+            { u_shapes = a.Ast_extract.a_shape :: u.u_shapes;
+              u_scope = scope @ u.u_scope }
+      | None ->
+          Hashtbl.replace units id
+            { u_shapes = [ a.Ast_extract.a_shape ]; u_scope = scope };
+          let m = Dep_graph.module_name_of_path a.Ast_extract.a_path in
+          Hashtbl.replace by_module m
+            (id :: Option.value (Hashtbl.find_opt by_module m) ~default:[]))
+    summaries;
+  { units; by_module }
+
+(* Aliases and includes can form cycles in broken code; no real chain
+   is this deep. *)
+let max_depth = 16
+
+let has_value u name =
+  List.exists (fun (s : Ast_extract.shape) -> List.mem_assoc name s.Ast_extract.s_values)
+    u.u_shapes
+
+let includes_at u prefix =
+  List.concat_map
+    (fun (s : Ast_extract.shape) ->
+      List.filter_map
+        (fun (p, path) -> if p = prefix then Some path else None)
+        s.Ast_extract.s_includes)
+    u.u_shapes
+
+let namespace_of_unit unit =
+  match String.rindex_opt unit '/' with
+  | Some i -> String.sub unit 0 (i + 1)
+  | None -> (
+      match String.index_opt unit '.' with
+      | Some i -> String.sub unit 0 (i + 1)
+      | None -> "")
+
+(* The modules a head name can mean once the scope is exhausted: a
+   sibling unit, a library root, or else every unit of that name. *)
+let global t ~unit name =
+  let sibling = namespace_of_unit unit ^ name in
+  if sibling <> unit && Hashtbl.mem t.units sibling then [ In (sibling, "") ]
+  else if Taxonomy.library_by_root_module name <> None then [ Root name ]
+  else
+    List.map (fun id -> In (id, ""))
+      (Option.value (Hashtbl.find_opt t.by_module name) ~default:[])
+
+let rec head t ~unit scope name depth =
+  match scope with
+  | Ast_extract.Module (n, def) :: rest when n = name -> of_def t ~unit rest def depth
+  | Ast_extract.Open p :: rest -> (
+      match
+        List.concat_map (fun m -> sub t m name depth) (modpath t ~unit rest p depth)
+      with
+      | [] -> head t ~unit rest name depth
+      | found -> found)
+  | _ :: rest -> head t ~unit rest name depth
+  | [] -> global t ~unit name
+
+and of_def t ~unit scope def depth =
+  match def with
+  | Ast_extract.Alias p -> modpath t ~unit scope p (depth + 1)
+  | Ast_extract.Nested dotted -> [ In (unit, dotted ^ ".") ]
+  | Ast_extract.Opaque -> []
+
+and modpath t ~unit scope path depth =
+  if depth > max_depth then []
+  else
+    match path with
+    | [] -> []
+    | h :: rest ->
+        List.fold_left
+          (fun ms name -> List.concat_map (fun m -> sub t m name depth) ms)
+          (head t ~unit scope h depth) rest
+
+and sub t m name depth =
+  match m with
+  | Root r ->
+      let id = r ^ "." ^ name in
+      if Hashtbl.mem t.units id then [ In (id, "") ] else []
+  | In (id, prefix) -> (
+      match Hashtbl.find_opt t.units id with
+      | None -> []
+      | Some u -> (
+          match
+            List.find_map
+              (fun (s : Ast_extract.shape) ->
+                List.assoc_opt (prefix ^ name) s.Ast_extract.s_modules)
+              u.u_shapes
+          with
+          | Some def -> of_def t ~unit:id u.u_scope def (depth + 1)
+          | None ->
+              List.concat_map
+                (fun p ->
+                  List.concat_map
+                    (fun m -> sub t m name (depth + 1))
+                    (modpath t ~unit:id u.u_scope p (depth + 1)))
+                (includes_at u prefix)))
+
+and value_in t m x depth =
+  match m with
+  | Root _ -> []
+  | In (id, prefix) -> (
+      match Hashtbl.find_opt t.units id with
+      | None -> []
+      | Some u ->
+          let direct =
+            if has_value u (prefix ^ x) then [ { t_unit = id; t_name = prefix ^ x } ]
+            else []
+          in
+          if depth > max_depth then direct
+          else
+            direct
+            @ List.concat_map
+                (fun p ->
+                  List.concat_map
+                    (fun m -> value_in t m x (depth + 1))
+                    (modpath t ~unit:id u.u_scope p (depth + 1)))
+                (includes_at u prefix))
+
+let rec bare t ~unit scope x =
+  match scope with
+  | Ast_extract.Local n :: _ when n = x -> []
+  | Ast_extract.Value (n, dotted) :: _ when n = x -> [ { t_unit = unit; t_name = dotted } ]
+  | Ast_extract.Open p :: rest -> (
+      match
+        List.concat_map (fun m -> value_in t m x 0) (modpath t ~unit rest p 0)
+      with
+      | [] -> bare t ~unit rest x
+      | found -> found)
+  | _ :: rest -> bare t ~unit rest x
+  | [] -> []
+
+let resolve t ~path (r : Ast_extract.value_ref) =
+  let unit = unit_of_path path in
+  let targets =
+    match List.rev r.Ast_extract.r_path with
+    | [] -> []
+    | [ x ] -> bare t ~unit r.Ast_extract.r_scope x
+    | x :: rev_mods ->
+        List.concat_map
+          (fun m -> value_in t m x 0)
+          (modpath t ~unit r.Ast_extract.r_scope (List.rev rev_mods) 0)
+  in
+  List.sort_uniq compare targets

@@ -92,7 +92,7 @@ let categorize path =
 let safe_core_modules =
   [
     "cells"; "subslice"; "ring_buffer"; "error"; "syscall"; "driver";
-    "hil"; "driver_num"; "univ"; "scheduler"; "deferred_call";
+    "hil"; "driver_num"; "univ"; "scheduler";
   ]
 
 let module_base path =
@@ -114,7 +114,9 @@ let kernel_dirs =
     "lib/userland"; "lib/boards"; "lib/fleet"; "lib/obs" ]
 
 let scan_dirs =
-  kernel_dirs @ [ "lib/analysis"; "bin"; "examples"; "test"; "bench" ]
+  kernel_dirs
+  @ [ "lib/analysis"; "bin"; "examples"; "test"; "bench"; "bench/suite";
+      "bench/seed_sim" ]
 
 (* Where a fleet process enters library code: Fleet spawns one Domain
    per shard and each shard drives boards through these bindings. The
@@ -124,7 +126,8 @@ let shard_entry_files = [ "lib/fleet/fleet.ml" ]
 (* Rule ids otock-check (the dataflow pass) can emit, disjoint from
    the architecture linter's so one pragma never silences the other
    tool by accident. *)
-let check_rule_ids = [ "domain-safety"; "allow-escape"; "check-parse" ]
+let check_rule_ids =
+  [ "domain-safety"; "allow-escape"; "dead-export"; "check-parse" ]
 
 (* Layering matrix (paper Fig. 2, §4.1): which otock library may depend
    on which at the dune `libraries` level. External libraries (fmt, logs,

@@ -25,8 +25,6 @@ type library = {
   lib_category : category;
 }
 
-val libraries : library list
-
 val library_by_name : string -> library option
 
 val library_by_root_module : string -> library option
@@ -37,10 +35,6 @@ val library_of_path : string -> library option
 val categorize : string -> category option
 (** Category of a repo-relative source path ([None] for paths outside
     the taxonomy, e.g. the project root). *)
-
-val safe_core_modules : string list
-(** Basenames (without extension) of lib/core modules that are safe
-    library code rather than trusted kernel machinery. *)
 
 val module_base : string -> string
 (** ["lib/core/cells.mli"] -> ["cells"]. *)
@@ -60,7 +54,7 @@ val shard_entry_files : string list
 
 val check_rule_ids : string list
 (** Rule ids otock-check can emit ([domain-safety], [allow-escape],
-    [check-parse]); disjoint from {!Rules.all_rule_ids}. *)
+    [dead-export], [check-parse]); disjoint from {!Rules.all_rule_ids}. *)
 
 val allowed_lib_deps : category -> string list
 (** Layering matrix: otock libraries a stanza of the given category may

@@ -172,5 +172,3 @@ let driver t =
     (fun proc ~command_num ~arg1 ~arg2 -> command t proc ~command_num ~arg1 ~arg2)
 
 let writes_completed t = Tock_obs.Metrics.counter_value t.c_writes
-
-let bytes_written t = Tock_obs.Metrics.counter_value t.c_bytes

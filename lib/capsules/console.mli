@@ -25,5 +25,3 @@ val driver : t -> Tock.Driver.t
 (** Register this with the kernel. *)
 
 val writes_completed : t -> int
-
-val bytes_written : t -> int

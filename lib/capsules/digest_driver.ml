@@ -14,7 +14,6 @@ type t = {
   engine : Hil.digest;
   mutable chunk_in_flight : bool;
   mutable current : op option;
-  mutable ops : int;
 }
 
 let allow_key = 0
@@ -68,7 +67,7 @@ let feed t =
 
 let create kernel engine =
   let t =
-    { kernel; engine; chunk_in_flight = false; current = None; ops = 0 }
+    { kernel; engine; chunk_in_flight = false; current = None }
   in
   engine.Hil.digest_set_data_client (fun _sub ->
       (* the returned window was a clone over the allow buffer; nothing to
@@ -79,7 +78,6 @@ let create kernel engine =
       match t.current with
       | Some op ->
           t.current <- None;
-          t.ops <- t.ops + 1;
           let written =
             Kernel.with_allow_rw t.kernel op.op_pid ~driver:op.op_driver
               ~allow_num:allow_digest_out (fun out ->
@@ -141,5 +139,3 @@ let driver_sha t =
   Driver.make ~driver_num:Driver_num.sha ~name:"sha"
     (fun proc ~command_num ~arg1 ~arg2 ->
       command t ~driver_num:Driver_num.sha proc ~command_num ~arg1 ~arg2)
-
-let ops_completed t = t.ops

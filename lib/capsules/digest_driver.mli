@@ -25,5 +25,3 @@ val create : Tock.Kernel.t -> Tock.Hil.digest -> t
 val driver_hmac : t -> Tock.Driver.t
 
 val driver_sha : t -> Tock.Driver.t
-
-val ops_completed : t -> int

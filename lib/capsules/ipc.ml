@@ -3,12 +3,11 @@ open Tock
 type t = {
   kernel : Kernel.t;
   services : (string, Process.id) Hashtbl.t;
-  mutable notifies : int;
   mutable bytes : int;
 }
 
 let create kernel =
-  { kernel; services = Hashtbl.create 8; notifies = 0; bytes = 0 }
+  { kernel; services = Hashtbl.create 8; bytes = 0 }
 
 let read_name t pid =
   match
@@ -42,7 +41,6 @@ let command t proc ~command_num ~arg1 ~arg2 =
       if Kernel.find_process t.kernel arg1 = None then
         Syscall.Failure Error.NODEVICE
       else begin
-        t.notifies <- t.notifies + 1;
         ignore
           (Kernel.schedule_upcall t.kernel arg1 ~driver:Driver_num.ipc
              ~subscribe_num:0 ~args:(pid, arg2, 0));
@@ -90,7 +88,5 @@ let command t proc ~command_num ~arg1 ~arg2 =
 let driver t =
   Driver.make ~driver_num:Driver_num.ipc ~name:"ipc"
     (fun proc ~command_num ~arg1 ~arg2 -> command t proc ~command_num ~arg1 ~arg2)
-
-let notifies_sent t = t.notifies
 
 let bytes_transferred t = t.bytes

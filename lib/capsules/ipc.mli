@@ -24,6 +24,4 @@ val create : Tock.Kernel.t -> t
 
 val driver : t -> Tock.Driver.t
 
-val notifies_sent : t -> int
-
 val bytes_transferred : t -> int

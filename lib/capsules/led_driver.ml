@@ -24,5 +24,3 @@ let command t _proc ~command_num ~arg1 ~arg2:_ =
 let driver t =
   Driver.make ~driver_num:Driver_num.led ~name:"led"
     (fun proc ~command_num ~arg1 ~arg2 -> command t proc ~command_num ~arg1 ~arg2)
-
-let lit t i = t.state.(i)

@@ -6,6 +6,3 @@ type t
 val create : leds:Tock.Hil.gpio_pin array -> active_high:bool -> t
 
 val driver : t -> Tock.Driver.t
-
-val lit : t -> int -> bool
-(** Test hook: is LED [i] currently driven on? *)

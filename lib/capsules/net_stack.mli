@@ -46,16 +46,9 @@ val send :
   t -> dest:int -> bytes -> on_result:((unit, Tock.Error.t) result -> unit) ->
   (unit, Tock.Error.t) result
 (** Reliable unicast (or fire-and-forget broadcast to 0xFFFF). BUSY if a
-    send is in flight. Wraps the buffer in a window and calls
-    {!send_sub}; the bytes must not be mutated until [on_result]. *)
-
-val send_sub :
-  t -> dest:int -> Tock.Subslice.t ->
-  on_result:((unit, Tock.Error.t) result -> unit) ->
-  (unit, Tock.Error.t) result
-(** Zero-copy send: the window's bytes ride in the transmit iovec (and
-    its retransmissions, and its fragments) in place. The caller must
-    keep the bytes stable until [on_result] fires. *)
+    send is in flight. Zero-copy: the bytes ride in the transmit iovec
+    (and its retransmissions, and its fragments) in place, so they must
+    not be mutated until [on_result]. *)
 
 val set_receive : t -> (src:int -> bytes -> unit) -> unit
 
@@ -114,11 +107,5 @@ val round_trip :
     receiver's buffer. Equivalence oracle and speedup baseline for
     {!round_trip}. *)
 module Reference : sig
-  val build_frame :
-    seq:int -> flags:int -> src:int -> dst:int -> bytes -> bytes
-
-  val parse_frame : bytes -> (int * bytes) option
-  (** [Some (src, payload)] for a well-formed frame. *)
-
   val round_trip : src:int -> dst:int -> bytes -> bytes -> int
 end

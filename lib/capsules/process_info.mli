@@ -14,5 +14,3 @@ type t
 val create : Tock.Kernel.t -> t
 
 val driver : t -> Tock.Driver.t
-
-val state_code : Tock.Process.state -> int

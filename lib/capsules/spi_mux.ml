@@ -36,5 +36,3 @@ let virtualize t dev =
         Ok ());
     spi_set_client = (fun fn -> client := fn);
   }
-
-let queue_depth t = List.length t.queue

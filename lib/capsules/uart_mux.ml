@@ -1,50 +1,33 @@
-type item = Single of Tock.Subslice.t | Iov of Tock.Subslice.t array
-
 type vdev = {
   mux : t;
   mutable tx_client : Tock.Subslice.t -> unit;
-  mutable tx_iov_client : Tock.Subslice.t array -> unit;
   mutable rx_client : Tock.Subslice.t -> unit;
   mutable tx_queued : bool;
 }
 
 and t = {
   hw : Tock.Hil.uart;
-  mutable queue : (vdev * item) list; (* FIFO, head = oldest *)
+  mutable queue : (vdev * Tock.Subslice.t) list; (* FIFO, head = oldest *)
   mutable inflight : vdev option;
   mutable rx_holder : vdev option;
 }
 
-let fail_back dev item =
-  dev.tx_queued <- false;
-  match item with
-  | Single buf -> dev.tx_client buf
-  | Iov iov -> dev.tx_iov_client iov
-
 let rec pump t =
   match (t.inflight, t.queue) with
-  | None, (dev, item) :: rest -> (
-      let started =
-        match item with
-        | Single buf ->
-            Result.map_error (fun (e, _) -> e) (t.hw.Tock.Hil.uart_transmit buf)
-        | Iov iov ->
-            Result.map_error
-              (fun (e, _) -> e)
-              (t.hw.Tock.Hil.uart_transmit_iov iov)
-      in
-      match started with
+  | None, (dev, buf) :: rest -> (
+      match t.hw.Tock.Hil.uart_transmit buf with
       | Ok () ->
           t.queue <- rest;
           t.inflight <- Some dev
-      | Error Tock.Error.BUSY ->
+      | Error (Tock.Error.BUSY, _) ->
           (* Hardware still draining; retry on next completion. The buffer
              stays queued. *)
           ()
       | Error _ ->
           (* Give the buffer back with a failure and move on. *)
           t.queue <- rest;
-          fail_back dev item;
+          dev.tx_queued <- false;
+          dev.tx_client buf;
           pump t)
   | _ -> ()
 
@@ -56,14 +39,6 @@ let create hw =
           t.inflight <- None;
           dev.tx_queued <- false;
           dev.tx_client buf;
-          pump t
-      | None -> ());
-  hw.Tock.Hil.uart_set_transmit_iov_client (fun iov ->
-      match t.inflight with
-      | Some dev ->
-          t.inflight <- None;
-          dev.tx_queued <- false;
-          dev.tx_iov_client iov;
           pump t
       | None -> ());
   hw.Tock.Hil.uart_set_receive_client (fun buf ->
@@ -78,29 +53,20 @@ let new_device t =
   {
     mux = t;
     tx_client = (fun (_ : Tock.Subslice.t) -> ());
-    tx_iov_client = (fun (_ : Tock.Subslice.t array) -> ());
     rx_client = (fun (_ : Tock.Subslice.t) -> ());
     tx_queued = false;
   }
 
-let enqueue dev item =
-  let t = dev.mux in
-  dev.tx_queued <- true;
-  t.queue <- t.queue @ [ (dev, item) ];
-  pump t;
-  Ok ()
-
 let transmit dev buf =
   if dev.tx_queued then Error (Tock.Error.BUSY, buf)
-  else enqueue dev (Single buf)
-
-let transmit_iov dev iov =
-  if dev.tx_queued then Error (Tock.Error.BUSY, iov)
-  else enqueue dev (Iov iov)
+  else (
+    let t = dev.mux in
+    dev.tx_queued <- true;
+    t.queue <- t.queue @ [ (dev, buf) ];
+    pump t;
+    Ok ())
 
 let set_transmit_client dev fn = dev.tx_client <- fn
-
-let set_transmit_iov_client dev fn = dev.tx_iov_client <- fn
 
 let receive dev buf =
   let t = dev.mux in
@@ -122,5 +88,3 @@ let abort_receive dev =
       t.hw.Tock.Hil.uart_abort_receive ();
       t.rx_holder <- None
   | _ -> ()
-
-let queue_depth t = List.length t.queue

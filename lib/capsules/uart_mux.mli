@@ -19,21 +19,9 @@ val transmit : vdev -> Tock.Subslice.t -> (unit, Tock.Error.t * Tock.Subslice.t)
 
 val set_transmit_client : vdev -> (Tock.Subslice.t -> unit) -> unit
 
-val transmit_iov :
-  vdev ->
-  Tock.Subslice.t array ->
-  (unit, Tock.Error.t * Tock.Subslice.t array) result
-(** Scatter-gather transmit: the windows go out back to back as one
-    hardware batch with a single completion. Same one-in-flight rule as
-    {!transmit}. *)
-
-val set_transmit_iov_client : vdev -> (Tock.Subslice.t array -> unit) -> unit
-
 val receive : vdev -> Tock.Subslice.t -> (unit, Tock.Error.t * Tock.Subslice.t) result
 (** BUSY if any device holds the receive side. *)
 
 val set_receive_client : vdev -> (Tock.Subslice.t -> unit) -> unit
 
 val abort_receive : vdev -> unit
-
-val queue_depth : t -> int

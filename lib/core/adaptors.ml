@@ -34,22 +34,13 @@ let segs_of_iov iov = Array.to_list (Array.map seg_of iov)
 
 let uart (hw : Tock_hw.Uart.t) : Hil.uart =
   let tx_inflight : Subslice.t Take_cell.t = Take_cell.empty () in
-  let tx_iov_inflight : Subslice.t array Take_cell.t = Take_cell.empty () in
   let rx_inflight : Subslice.t Take_cell.t = Take_cell.empty () in
   let tx_client = ref (fun (_ : Subslice.t) -> ()) in
-  let tx_iov_client = ref (fun (_ : Subslice.t array) -> ()) in
   let rx_client = ref (fun (_ : Subslice.t) -> ()) in
-  let tx_busy () =
-    not (Take_cell.is_none tx_inflight && Take_cell.is_none tx_iov_inflight)
-  in
   Tock_hw.Uart.set_transmit_client hw (fun ~len:_ ->
-      (* The hardware serializes: at most one of the cells is full. *)
       match Take_cell.take tx_inflight with
       | Some sub -> !tx_client sub
-      | None -> (
-          match Take_cell.take tx_iov_inflight with
-          | Some iov -> !tx_iov_client iov
-          | None -> ()));
+      | None -> ());
   Tock_hw.Uart.set_receive_client hw (fun data ->
       match Take_cell.take rx_inflight with
       | Some sub ->
@@ -60,7 +51,7 @@ let uart (hw : Tock_hw.Uart.t) : Hil.uart =
   {
     uart_transmit =
       (fun sub ->
-        if tx_busy () then Error (Error.BUSY, sub)
+        if not (Take_cell.is_none tx_inflight) then Error (Error.BUSY, sub)
         else
           match Tock_hw.Uart.transmit_segs hw [ seg_of sub ] with
           | Ok () ->
@@ -68,16 +59,6 @@ let uart (hw : Tock_hw.Uart.t) : Hil.uart =
               Ok ()
           | Error e -> Error (err_of_string e, sub));
     uart_set_transmit_client = (fun fn -> tx_client := fn);
-    uart_transmit_iov =
-      (fun iov ->
-        if tx_busy () then Error (Error.BUSY, iov)
-        else
-          match Tock_hw.Uart.transmit_segs hw (segs_of_iov iov) with
-          | Ok () ->
-              Take_cell.put tx_iov_inflight iov;
-              Ok ()
-          | Error e -> Error (err_of_string e, iov));
-    uart_set_transmit_iov_client = (fun fn -> tx_iov_client := fn);
     uart_receive =
       (fun sub ->
         if not (Take_cell.is_none rx_inflight) then Error (Error.BUSY, sub)

@@ -20,22 +20,16 @@ module Optional_cell = struct
 
   let empty () = { v = None }
 
-  let make v = { v = Some v }
-
   let is_some t = t.v <> None
 
   let get t = t.v
 
   let set t v = t.v <- Some v
 
-  let clear t = t.v <- None
-
   let take t =
     let old = t.v in
     t.v <- None;
     old
-
-  let insert t v = t.v <- v
 
   let map t f = Option.map f t.v
 
@@ -91,18 +85,4 @@ module Take_cell = struct
         Some r
 
   let reentrancy_refusals () = !refusals
-end
-
-module Num_cell = struct
-  type t = { mutable n : int }
-
-  let make n = { n }
-
-  let get t = t.n
-
-  let set t n = t.n <- n
-
-  let incr t = t.n <- t.n + 1
-
-  let add t d = t.n <- t.n + d
 end

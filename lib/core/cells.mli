@@ -3,8 +3,8 @@
     Tock's kernel is a web of components holding shared references to each
     other; state mutation happens through cells rather than unique
     references. OCaml has unrestricted mutation, so [Cell] itself is
-    trivial — what matters here is {!Take_cell} and {!Map_cell}, which
-    reproduce the *reentrancy discipline*: a value is physically absent
+    trivial — what matters here is {!Take_cell}, which reproduces the
+    *reentrancy discipline*: a value is physically absent
     while a client operates on it, so a reentrant call observes [None]
     instead of corrupting state mid-operation. Tock relies on exactly this
     to make capsule callbacks safe to run from completion handlers; the
@@ -30,20 +30,14 @@ module Optional_cell : sig
 
   val empty : unit -> 'a t
 
-  val make : 'a -> 'a t
-
   val is_some : 'a t -> bool
 
   val get : 'a t -> 'a option
 
   val set : 'a t -> 'a -> unit
 
-  val clear : 'a t -> unit
-
   val take : 'a t -> 'a option
   (** Remove and return the value. *)
-
-  val insert : 'a t -> 'a option -> unit
 
   val map : 'a t -> ('a -> 'b) -> 'b option
   (** Apply to the contained value without removing it. *)
@@ -85,18 +79,4 @@ module Take_cell : sig
       caller higher in the stack had taken it. Only [map]-during-[map] is
       counted (a heuristic, but deterministic in this single-threaded
       simulation). *)
-end
-
-module Num_cell : sig
-  type t
-
-  val make : int -> t
-
-  val get : t -> int
-
-  val set : t -> int -> unit
-
-  val incr : t -> unit
-
-  val add : t -> int -> unit
 end

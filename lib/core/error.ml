@@ -60,5 +60,3 @@ let to_string = function
   | NOACK -> "NOACK"
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-let equal = ( = )

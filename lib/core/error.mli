@@ -23,5 +23,3 @@ val of_int : int -> t option
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

@@ -86,8 +86,4 @@ let preallocate t proc =
    perturb the state they are recording. *)
 let peek t proc = Option.map (fun e -> e.value) (lookup t proc)
 
-let size_bytes t = t.size
-
-let name t = t.g_name
-
 let reentries_refused () = Atomic.get refused

@@ -43,9 +43,5 @@ val peek : 'a t -> Process.t -> 'a option
     or counting anything — for freezer saves ({!Kernel.register_freezer}),
     which must not perturb the state they witness. *)
 
-val size_bytes : 'a t -> int
-
-val name : 'a t -> string
-
 val reentries_refused : unit -> int
 (** Global count of refused reentrant entries. *)

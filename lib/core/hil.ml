@@ -10,8 +10,6 @@ type alarm = {
 type uart = {
   uart_transmit : Subslice.t -> (unit, Error.t * Subslice.t) result;
   uart_set_transmit_client : (Subslice.t -> unit) -> unit;
-  uart_transmit_iov : Subslice.t array -> (unit, Error.t * Subslice.t array) result;
-  uart_set_transmit_iov_client : (Subslice.t array -> unit) -> unit;
   uart_receive : Subslice.t -> (unit, Error.t * Subslice.t) result;
   uart_set_receive_client : (Subslice.t -> unit) -> unit;
   uart_abort_receive : unit -> unit;

@@ -28,12 +28,6 @@ type uart = {
       (** Transmit the active window. *)
   uart_set_transmit_client : (Subslice.t -> unit) -> unit;
       (** Buffer returned with its window intact. *)
-  uart_transmit_iov : Subslice.t array -> (unit, Error.t * Subslice.t array) result;
-      (** Scatter-gather transmit: the windows are serialized back to
-          back as one hardware operation with a single completion (the
-          batched console drain). Ownership of the whole vector moves,
-          as for single-buffer transmit. *)
-  uart_set_transmit_iov_client : (Subslice.t array -> unit) -> unit;
   uart_receive : Subslice.t -> (unit, Error.t * Subslice.t) result;
       (** Receive exactly the window length. *)
   uart_set_receive_client : (Subslice.t -> unit) -> unit;

@@ -116,7 +116,6 @@ type t = {
   k_obs : Tock_obs.Ctx.t;
   kc : kcounters;
   h_sys : Tock_obs.Metrics.histogram array; (* by Syscall.class_index *)
-  k_deferred : Deferred_call.t;
   drivers : driver_slot Int_hashtbl.Int.t; (* by driver number *)
   mutable table : pentry array; (* index = pid: ids are dense and never reused *)
   mutable next_pid : int;
@@ -171,7 +170,6 @@ let create ?config:(cfg = default_config ()) chip =
         };
       kc;
       h_sys;
-      k_deferred = Deferred_call.create ();
       drivers = Int_hashtbl.Int.create 16;
       table = [||];
       next_pid = 0;
@@ -197,8 +195,6 @@ let create ?config:(cfg = default_config ()) chip =
           Tock_obs.Metrics.set pe.g_upcalls_dropped (Process.upcalls_dropped p))
         t.table);
   t
-
-let chip t = t.k_chip
 
 let sim t = t.k_chip.Tock_hw.Chip.sim
 
@@ -227,8 +223,6 @@ let stats t =
     restarts = v t.kc.c_restarts;
     filtered_commands = v t.kc.c_filtered_commands;
   }
-
-let deferred t = t.k_deferred
 
 let set_fault_hook t fn = t.fault_hook <- fn
 
@@ -739,7 +733,6 @@ let deliverable pe =
 
 let has_work t =
   Tock_hw.Irq.has_pending t.k_chip.Tock_hw.Chip.irq
-  || Deferred_call.has_pending t.k_deferred
   || Array.exists deliverable t.table
 
 let run_slice t pe timeslice =
@@ -860,8 +853,8 @@ let run_slice t pe timeslice =
       ~tid:pid Tock_obs.Trace.Schedule Tock_obs.Trace.End ~arg:pid
       ~text:(Process.name proc)
 
-(* One loop iteration minus the idle policy: interrupts, deferred calls,
-   one process slice. [`Idle] means nothing ran — the caller decides
+(* One loop iteration minus the idle policy: interrupts, then one
+   process slice. [`Idle] means nothing ran — the caller decides
    whether to deep-sleep to the next event ({!step}) or hand the wake
    deadline to an outer cross-board scheduler ({!run_to_deadline}). *)
 let step_work t ~cap:_ =
@@ -873,10 +866,6 @@ let step_work t ~cap:_ =
   if Tock_hw.Irq.has_pending irq then begin
     let n = Tock_hw.Irq.service irq in
     spend t (30 * n);
-    worked := true
-  end;
-  if Deferred_call.has_pending t.k_deferred then begin
-    ignore (Deferred_call.service t.k_deferred);
     worked := true
   end;
   (* One backwards pass builds the runnable list in ascending-pid order
@@ -969,9 +958,6 @@ let run_cycles t ~cap n =
   let deadline = Tock_hw.Sim.now (sim t) + n in
   ignore (run_until t ~cap ~max_cycles:n (fun () -> Tock_hw.Sim.now (sim t) >= deadline))
 
-let run_to_completion t ~cap ?(max_cycles = 2_000_000_000) () =
-  ignore (run_until t ~cap ~max_cycles (fun () -> false))
-
 (* ---- board-state snapshot (park/resume) ----
 
    Process executions are effect continuations — they cannot be
@@ -1033,8 +1019,8 @@ let unthawable ~ckpt ~at_sleep (state : Process.state) =
   | Process.Runnable | Process.Yielded_for _ | Process.Blocked_command _ ->
       Some "frozen in unresumable state"
 
-(* A board with kernel work pending (an interrupt, a deferred call, a
-   deliverable upcall) is between two steps of its main loop: its next
+(* A board with kernel work pending (an interrupt or a deliverable
+   upcall) is between two steps of its main loop: its next
    step runs that work, while a thawed board would sleep through it. *)
 let resumable t =
   (not (has_work t))

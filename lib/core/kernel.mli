@@ -2,11 +2,10 @@
     (paper §2, §3.3).
 
     One kernel instance runs per chip. The main loop mirrors Tock's: serve
-    interrupts, then deferred calls, then let the scheduler pick a
-    process; when nothing is runnable and no kernel work is pending, put
-    the CPU into deep sleep until the next hardware event — the
-    "asynchronous all the way down" design whose energy benefit the
-    [e-async-sleep] experiment measures.
+    interrupts, then let the scheduler pick a process; when nothing is
+    runnable and no kernel work is pending, put the CPU into deep sleep
+    until the next hardware event — the "asynchronous all the way down"
+    design whose energy benefit the [e-async-sleep] experiment measures.
 
     System calls arrive as raw trap registers and leave as raw return
     registers (see {!Syscall}); the kernel owns upcall subscriptions and
@@ -68,8 +67,6 @@ exception Panic of string
 
 val create : ?config:config -> Tock_hw.Chip.t -> t
 
-val chip : t -> Tock_hw.Chip.t
-
 val sim : t -> Tock_hw.Sim.t
 
 val config : t -> config
@@ -98,10 +95,6 @@ val obs : t -> Tock_obs.Ctx.t
 (** The kernel's trace buffer (shared with its Sim), metrics registry
     and clock, bundled for capsules constructed without a kernel
     handle. *)
-
-val deferred : t -> Deferred_call.t
-(** The kernel's deferred-call manager (capsules register handles here at
-    board-build time). *)
 
 val set_fault_hook : t -> (Process.t -> Process.fault_reason -> unit) -> unit
 (** Called on every process fault before the fault policy is applied —
@@ -242,15 +235,15 @@ val process_name_of : t -> Process.id -> string option
 (** {2 The main loop} *)
 
 val has_work : t -> bool
-(** A pending interrupt, a pending deferred call, or a process the
-    scheduler could run now — the same runnable test {!step} applies.
-    Allocation-free, so a multi-kernel stepper can probe every kernel
-    before letting a shared clock sleep. *)
+(** A pending interrupt or a process the scheduler could run now — the
+    same runnable test {!step} applies. Allocation-free, so a
+    multi-kernel stepper can probe every kernel before letting a shared
+    clock sleep. *)
 
 val step : t -> cap:Capability.main_loop -> [ `Worked | `Slept | `Stalled ]
-(** One iteration: interrupts, deferred calls, then either run one
-    process slice, sleep to the next hardware event, or report [`Stalled]
-    (nothing runnable, no event pending — a finished simulation). *)
+(** One iteration: interrupts, then either run one process slice, sleep
+    to the next hardware event, or report [`Stalled] (nothing runnable,
+    no event pending — a finished simulation). *)
 
 val run_to_deadline :
   t ->
@@ -285,9 +278,6 @@ val run_until : t -> cap:Capability.main_loop -> ?max_cycles:int -> (unit -> boo
 (** Step until the predicate holds; false if it stalled or timed out
     first. Default [max_cycles]: 2_000_000_000. *)
 
-val run_to_completion : t -> cap:Capability.main_loop -> ?max_cycles:int -> unit -> unit
-(** Step until stalled (every process dead or blocked forever). *)
-
 (** {2 Freeze / thaw (park/resume)}
 
     Process executions are effect continuations and cannot be
@@ -317,10 +307,10 @@ val freeze : ?buf:Buffer.t -> t -> string
 
 val resumable : t -> bool
 (** Whether {!thaw} accepts this board's freeze point: the board is
-    quiescent ({!has_work} is false: no interrupt, deferred call or
-    deliverable upcall pending), every live process has checkpointed
-    and sits in its checkpoint sleep ([Libtock_sync.checkpoint_sleep])
-    as plain [Yielded], and no process is [Stopped] or [Unstarted].
+    quiescent ({!has_work} is false: no interrupt or deliverable upcall
+    pending), every live process has checkpointed and sits in its
+    checkpoint sleep ([Libtock_sync.checkpoint_sleep]) as plain
+    [Yielded], and no process is [Stopped] or [Unstarted].
     Faulted and terminated processes do not matter. The per-process
     part is the test {!thaw} applies to the witness, so a board frozen
     while this holds thaws unless its witness is corrupt or the rebuild

@@ -503,13 +503,9 @@ let note_grant_enter t = t.grant_enters <- t.grant_enters + 1
 
 let grant_enter_count t = t.grant_enters
 
-let mpu_generation t = Tock_hw.Mpu.generation t.mpu_config
-
 let mpu_scan_count t = Tock_hw.Mpu.scan_count t.mpu_config
 
 let syscall_count t = t.syscalls
-
-let permissions t = t.p_permissions
 
 let storage_ids t = t.p_storage
 
@@ -536,8 +532,6 @@ let command_allowed t ~driver ~command_num =
 let checkpoint t = t.p_ckpt
 
 let set_checkpoint t i = t.p_ckpt <- i
-
-let resume_alarm t = t.p_resume_alarm
 
 let set_resume_alarm t v = t.p_resume_alarm <- v
 

@@ -68,8 +68,6 @@ type execution = {
 
 type upcall = { fnptr : int; appdata : int }
 
-val null_upcall : upcall
-
 type pending_upcall = {
   pu_driver : int;
   pu_subscribe : int;
@@ -164,9 +162,7 @@ val check_access : t -> addr:int -> len:int -> [ `Read | `Write | `Execute ] -> 
 
 val subscribe_swap : t -> driver:int -> subscribe_num:int -> upcall -> upcall
 (** Install an upcall, returning the previous one (Tock 2.0 swap
-    semantics; the first swap returns {!null_upcall}). *)
-
-val get_subscribed : t -> driver:int -> subscribe_num:int -> upcall
+    semantics; the first swap returns the null upcall, [fnptr = 0]). *)
 
 val enqueue_upcall :
   t -> driver:int -> subscribe_num:int -> args:int * int * int -> bool
@@ -249,10 +245,6 @@ val note_grant_enter : t -> unit
 
 val grant_enter_count : t -> int
 
-val mpu_generation : t -> int
-(** Current MPU configuration generation for this process (bumped on
-    every region mutation). *)
-
 val mpu_scan_count : t -> int
 (** Region-table scans performed on behalf of this process, i.e. MPU
     check-cache misses (see {!check_access}). *)
@@ -260,8 +252,6 @@ val mpu_scan_count : t -> int
 val syscall_count : t -> int
 
 val syscall_count_by_class : t -> class_num:int -> int
-
-val permissions : t -> (int * int) list option
 
 val storage_ids : t -> (int * int list) option
 (** Persistent-storage ACL from the TBF: (write_id, readable ids). *)
@@ -304,8 +294,6 @@ val checkpoint : t -> int
     and restored by freeze/thaw; reset on restart. *)
 
 val set_checkpoint : t -> int -> unit
-
-val resume_alarm : t -> (int * int) option
 
 val set_resume_alarm : t -> (int * int) option -> unit
 (** The (reference, dt) the frozen process was sleeping on; installed

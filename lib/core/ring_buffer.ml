@@ -9,8 +9,6 @@ let create ~capacity ~dummy =
   if capacity <= 0 then invalid_arg "Ring_buffer.create";
   { slots = Array.make capacity dummy; head = 0; len = 0; drops = 0 }
 
-let capacity t = Array.length t.slots
-
 let length t = t.len
 
 let is_empty t = t.len = 0
@@ -82,8 +80,6 @@ module Bytes_ring = struct
     if capacity <= 0 then invalid_arg "Ring_buffer.Bytes_ring.create";
     { buf = Bytes.create capacity; head = 0; len = 0; dropped = 0 }
 
-  let capacity t = Bytes.length t.buf
-
   let length t = t.len
 
   let free t = Bytes.length t.buf - t.len
@@ -91,10 +87,6 @@ module Bytes_ring = struct
   let is_empty t = t.len = 0
 
   let dropped t = t.dropped
-
-  let clear t =
-    t.head <- 0;
-    t.len <- 0
 
   (* Append up to [len] bytes in at most two blits (the wrap). Stream
      semantics: a write that does not fit is accepted up to [free] and

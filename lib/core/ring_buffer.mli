@@ -8,13 +8,9 @@ type 'a t
 val create : capacity:int -> dummy:'a -> 'a t
 (** [dummy] fills unused slots (never returned). *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool
-
-val is_full : 'a t -> bool
 
 val push : 'a t -> 'a -> bool
 (** False (and counts a drop) if full. *)
@@ -48,8 +44,6 @@ module Bytes_ring : sig
 
   val create : capacity:int -> t
 
-  val capacity : t -> int
-
   val length : t -> int
   (** Bytes queued. *)
 
@@ -69,6 +63,4 @@ module Bytes_ring : sig
 
   val dropped : t -> int
   (** Bytes lost to overflow. *)
-
-  val clear : t -> unit
 end

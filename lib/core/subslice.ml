@@ -7,28 +7,18 @@ type t = {
 }
 
 (* Module-wide copy accounting (§4.2 / iopath bench): every operation
-   that moves window bytes between buffers bumps these. Trusted DMA
-   models gather via [underlying]/[window] and are deliberately not
-   counted — the counters measure data-plane copies the kernel or a
+   that moves window bytes between buffers bumps this counter. Trusted
+   DMA models gather via [underlying]/[window] and are deliberately not
+   counted — the counter measures data-plane copies the kernel or a
    capsule performs, which is exactly what the zero-copy gates assert
-   to be 0. Atomic, because every board in a fleet run bumps them from
-   its own domain; plain refs would drop increments under contention
+   to be 0. Atomic, because every board in a fleet run bumps it from
+   its own domain; a plain ref would drop increments under contention
    and let a racy zero-copy gate pass on a lost count. *)
 let copies = Atomic.make 0
-let copied = Atomic.make 0
 
-let count len =
-  if len > 0 then begin
-    Atomic.incr copies;
-    ignore (Atomic.fetch_and_add copied len)
-  end
+let count len = if len > 0 then Atomic.incr copies
 
 let copy_count () = Atomic.get copies
-let copied_bytes () = Atomic.get copied
-
-let reset_copy_counters () =
-  Atomic.set copies 0;
-  Atomic.set copied 0
 
 let of_bytes_window buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
@@ -49,8 +39,6 @@ let clone t =
   }
 
 let length t = t.len
-
-let full_length t = t.base_len
 
 let slice t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.len then

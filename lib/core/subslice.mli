@@ -45,9 +45,6 @@ val clone : t -> t
 val length : t -> int
 (** Active window length. *)
 
-val full_length : t -> int
-(** Base window length (= buffer length for {!of_bytes}). *)
-
 val slice : t -> pos:int -> len:int -> unit
 (** Narrow the window to [pos, pos+len) *relative to the current window*.
     Raises [Invalid_argument] if outside the current window. *)
@@ -94,14 +91,9 @@ val fill : t -> char -> unit
 
 (** {2 Copy accounting}
 
-    Module-wide counters over {!blit_from_bytes}, {!blit_to_bytes},
+    A module-wide counter over {!blit_from_bytes}, {!blit_to_bytes},
     {!copy_within}, {!blit} and {!to_bytes}. Zero-length operations do
     not count. *)
 
 val copy_count : unit -> int
-(** Copies performed since the last {!reset_copy_counters}. *)
-
-val copied_bytes : unit -> int
-(** Bytes moved since the last {!reset_copy_counters}. *)
-
-val reset_copy_counters : unit -> unit
+(** Copies performed since the program started. *)

@@ -1,5 +1,3 @@
-let block_size = 16
-
 (* ---- GF(2^8) arithmetic with the AES modulus x^8+x^4+x^3+x+1 ---- *)
 
 let gf_mul a b =
@@ -51,7 +49,6 @@ let mask32 = 0xFFFFFFFF
 
 let ror8 w = ((w lsr 8) lor (w lsl 24)) land mask32
 
-(* otock-lint: allow domain-safety T-tables are filled once inside this binding's own initializer, at module load before any fleet domain spawns, and are read-only thereafter *)
 let te0, te1, te2, te3, td0, td1, td2, td3 =
   let te0 = Array.make 256 0 and te1 = Array.make 256 0 in
   let te2 = Array.make 256 0 and te3 = Array.make 256 0 in

@@ -9,9 +9,6 @@
     ECB and CTR helpers; the simulated AES hardware engine wraps these with
     DMA timing. *)
 
-val block_size : int
-(** 16. *)
-
 type key
 (** An expanded 128-bit key schedule. *)
 

@@ -38,10 +38,6 @@ let table =
       done;
       !crc)
 
-let update_byte crc byte =
-  ((crc lsl 8) lxor Array.unsafe_get table ((crc lsr 8) lxor (byte land 0xff)))
-  land 0xFFFF
-
 let update crc b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Crc16.update";
@@ -92,5 +88,3 @@ let update_fast crc b ~off ~len =
     incr i
   done;
   !crc
-
-let digest_fast b ~off ~len = update_fast init b ~off ~len

@@ -2,29 +2,21 @@
 
     Shared by every consumer (net stack, benches, tests) so the
     polynomial lives in exactly one place. Three kernels computing the
-    same function: {!Reference} is the bitwise oracle, {!update}/
-    {!digest} the 256-entry-table scalar kernel, and {!update_fast}/
-    {!digest_fast} a slicing-by-4 kernel for the zero-copy data plane.
-    All update functions thread an explicit CRC state so checksums can
-    be computed incrementally across scattered buffer windows. *)
+    same function: {!Reference} is the bitwise oracle, {!digest} the
+    256-entry-table scalar kernel, and {!update_fast} a slicing-by-4
+    kernel for the zero-copy data plane. The update functions thread an
+    explicit CRC state so checksums can be computed incrementally across
+    scattered buffer windows. *)
 
 val init : int
 (** Initial CRC state (0xFFFF). *)
 
-val update : int -> bytes -> off:int -> len:int -> int
-(** Fold [len] bytes at [off] into the given state (table-driven). *)
-
-val update_byte : int -> int -> int
-(** Fold one byte into the state. *)
-
 val update_fast : int -> bytes -> off:int -> len:int -> int
-(** Same function as {!update}, slicing-by-4 (4 bytes per iteration). *)
+(** Fold [len] bytes at [off] into the given state, slicing-by-4 (4
+    bytes per iteration). *)
 
 val digest : bytes -> off:int -> len:int -> int
-(** [update init]. *)
-
-val digest_fast : bytes -> off:int -> len:int -> int
-(** [update_fast init]. *)
+(** The table-driven checksum of [len] bytes at [off], from {!init}. *)
 
 module Reference : sig
   val update : int -> bytes -> off:int -> len:int -> int

@@ -22,8 +22,6 @@ let init ~key =
 
 let feed t b ~off ~len = Sha256.feed t.inner b ~off ~len
 
-let feed_string t s = Sha256.feed_string t.inner s
-
 let finalize t =
   let inner_digest = Sha256.finalize t.inner in
   let outer = Sha256.init () in

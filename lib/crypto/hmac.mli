@@ -3,9 +3,6 @@
     Used by the simulated HMAC hardware engine, the app-credential checker,
     and the 2FA example app. *)
 
-val mac_length : int
-(** 32. *)
-
 type t
 (** A streaming MAC context. *)
 
@@ -14,8 +11,6 @@ val init : key:bytes -> t
     per RFC 2104. *)
 
 val feed : t -> bytes -> off:int -> len:int -> unit
-
-val feed_string : t -> string -> unit
 
 val finalize : t -> bytes
 (** Return the 32-byte tag. The context must not be reused. *)

@@ -4,8 +4,6 @@ let add ~m a b =
   let s = a + b in
   if s >= m then s - m else s
 
-let sub ~m a b = if a >= b then a - b else a - b + m
-
 let mul ~m a b =
   let a = ref (a mod m) and b = ref b and r = ref 0 in
   while !b > 0 do

@@ -11,8 +11,6 @@ val p61 : int
 val add : m:int -> int -> int -> int
 (** [add ~m a b] for [0 <= a, b < m < 2^62]. *)
 
-val sub : m:int -> int -> int -> int
-
 val mul : m:int -> int -> int -> int
 (** Peasant multiplication; O(log b) additions. *)
 

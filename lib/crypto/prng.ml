@@ -2,8 +2,6 @@ type t = { mutable state : int64 }
 
 let create ~seed = { state = seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 (Steele, Lea, Flood 2014). *)
 let next_int64 t =
   let open Int64 in
@@ -18,19 +16,10 @@ let int t ~bound =
   let r = Int64.to_int (next_int64 t) land max_int in
   r mod bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let float t =
   (* 53 high bits give a uniform double in [0,1). *)
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits /. 9007199254740992.0
-
-let byte t = Int64.to_int (next_int64 t) land 0xff
-
-let fill_bytes t b =
-  for i = 0 to Bytes.length b - 1 do
-    Bytes.unsafe_set b i (Char.unsafe_chr (byte t))
-  done
 
 let split t = { state = next_int64 t }
 

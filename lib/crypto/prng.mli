@@ -12,25 +12,14 @@ val create : seed:int64 -> t
 (** [create ~seed] makes an independent generator. Two generators with the
     same seed produce identical streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the generator state. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val int : t -> bound:int -> int
 (** [int t ~bound] draws uniformly from [0, bound). [bound] must be > 0. *)
 
-val bool : t -> bool
-
 val float : t -> float
 (** Uniform in [0, 1). *)
-
-val byte : t -> int
-(** Uniform in [0, 255]. *)
-
-val fill_bytes : t -> bytes -> unit
-(** Overwrite every byte of the buffer with random data. *)
 
 val split : t -> t
 (** [split t] derives a statistically independent generator and advances

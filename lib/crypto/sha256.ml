@@ -1,8 +1,6 @@
 (* SHA-256 over OCaml's native ints: all 32-bit words are kept masked to
    [mask32], which is safe because the native int is at least 63 bits. *)
 
-let digest_length = 32
-
 let mask32 = 0xFFFFFFFF
 
 let k =

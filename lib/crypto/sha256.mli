@@ -4,9 +4,6 @@
     digest engine, which feeds data in DMA-sized chunks) and one-shot
     helpers. The digest is always 32 bytes. *)
 
-val digest_length : int
-(** 32. *)
-
 type t
 (** A streaming hash context. *)
 
@@ -14,8 +11,6 @@ val init : unit -> t
 
 val feed : t -> bytes -> off:int -> len:int -> unit
 (** Absorb [len] bytes of [b] starting at [off]. May be called repeatedly. *)
-
-val feed_string : t -> string -> unit
 
 val finalize : t -> bytes
 (** Pad, finish, and return the 32-byte digest. The context must not be

@@ -30,10 +30,6 @@ let create () =
     next_seq = 0;
   }
 
-let size t = t.size
-
-let is_empty t = t.size = 0
-
 let grow t =
   let cap = Array.length t.keys in
   let keys = Array.make (2 * cap) max_int in
@@ -90,8 +86,6 @@ let add t ~key payload =
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
   sift_up t i
-
-let min_key t = if t.size = 0 then max_int else t.keys.(0)
 
 let pop_min t =
   if t.size = 0 then None

@@ -13,10 +13,3 @@ val add : 'a t -> key:int -> 'a -> unit
 val pop_min : 'a t -> ('a * int) option
 (** Remove and return the entry with the smallest key (earliest
     deadline), with its key. *)
-
-val min_key : 'a t -> int
-(** Key of the earliest entry, [max_int] when empty. *)
-
-val size : 'a t -> int
-
-val is_empty : 'a t -> bool

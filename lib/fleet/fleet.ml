@@ -749,14 +749,28 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
   }
 
 let validate cfg =
-  if cfg.boards <= 0 then invalid_arg "Fleet.run: boards <= 0";
-  if cfg.group_size <= 0 then invalid_arg "Fleet.run: group_size <= 0";
-  if cfg.domains <= 0 then invalid_arg "Fleet.run: domains <= 0";
-  if cfg.cycles <= 0 then invalid_arg "Fleet.run: cycles <= 0";
-  if cfg.batch <= 0 then invalid_arg "Fleet.run: batch <= 0";
-  if cfg.park_min_quanta <= 0 then invalid_arg "Fleet.run: park_min_quanta <= 0";
-  if cfg.trace_capacity < 0 then invalid_arg "Fleet.run: trace_capacity < 0";
-  if cfg.trace_boards < 0 then invalid_arg "Fleet.run: trace_boards < 0"
+  let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Fleet.run_fleet: " ^ m)) fmt in
+  if cfg.boards <= 0 then fail "boards <= 0";
+  if cfg.group_size <= 0 then fail "group_size <= 0";
+  if cfg.domains <= 0 then fail "domains <= 0";
+  if cfg.cycles <= 0 then fail "cycles <= 0";
+  if cfg.batch <= 0 then fail "batch <= 0";
+  if cfg.park_min_quanta <= 0 then fail "park_min_quanta <= 0";
+  if cfg.trace_capacity < 0 then fail "trace_capacity < 0";
+  if cfg.trace_boards < 0 then fail "trace_boards < 0";
+  (* Only a single board runs the fault injector: radio groups never
+     read [fault_board]. A group of one (a leftover board of a
+     radio-sized fleet) is built as a single board. *)
+  match cfg.fault_board with
+  | Some b when b < 0 || b >= cfg.boards ->
+      fail "fault_board %d outside [0, %d)" b cfg.boards
+  | Some b ->
+      let lo = b / cfg.group_size * cfg.group_size in
+      let members = min cfg.boards (lo + cfg.group_size) - lo in
+      if members > 1 then
+        fail "fault_board %d is in a radio group of %d boards, which never \
+              builds it as a single board" b members
+  | None -> ()
 
 (* The stock per-cohort health gates: any fault degrades a cohort, two
    or more on one board (or exhausted restarts) fail it; a p99 syscall
@@ -837,7 +851,8 @@ let run_fleet cfg =
     (fun o -> List.iter (fun bs -> merged.(bs.bs_board) <- bs) o.do_stats)
     shards;
   Array.iteri
-    (fun i bs -> if bs.bs_board <> i then failwith "Fleet.run: missing board")
+    (fun i bs ->
+      if bs.bs_board <> i then failwith "Fleet.run_fleet: missing board")
     merged;
   (* Tree-merge the per-domain accumulators in domain order. Every
      combine is an integer sum (see the associativity contract in
@@ -946,12 +961,6 @@ let run_fleet cfg =
     fr_trace_lanes;
     fr_flights;
   }
-
-let run_sched cfg =
-  let r = run_fleet cfg in
-  (r.fr_stats, r.fr_sched)
-
-let run cfg = (run_fleet cfg).fr_stats
 
 (* The pairwise reference merge over retained packed stats; byte-
    identical to the streaming [fr_metrics] (and still the right tool

@@ -172,14 +172,10 @@ type fleet_result = {
 
 val run_fleet : config -> fleet_result
 (** Run the whole fleet; [Invalid_argument] on non-positive config
-    fields. [fr_stats] and [fr_metrics] are deterministic given [config]
-    minus [domains], [batch], and [park]. *)
-
-val run : config -> board_stats array
-(** [run cfg = (run_fleet cfg).fr_stats]. *)
-
-val run_sched : config -> board_stats array * Tock_obs.Metrics.snapshot
-(** [(r.fr_stats, r.fr_sched)] of {!run_fleet}. *)
+    fields, or on a [fault_board] the fleet would not build as a single
+    board (outside [\[0, boards)] or inside a radio group). [fr_stats]
+    and [fr_metrics] are deterministic given [config] minus [domains],
+    [batch], and [park]. *)
 
 val merged_metrics : board_stats array -> Tock_obs.Metrics.snapshot
 (** The pairwise reference merge over the retained packed snapshots.
@@ -187,7 +183,7 @@ val merged_metrics : board_stats array -> Tock_obs.Metrics.snapshot
     associativity contract in {!Tock_obs.Metrics}); prefer [fr_metrics]
     when a {!fleet_result} is already in hand. [Invalid_argument] if a
     packed image fails validation — impossible for stats produced by
-    {!run}. *)
+    {!run_fleet}. *)
 
 val thaw_artifact :
   Flight.artifact -> (Tock_boards.Board.t, string) result

@@ -35,8 +35,6 @@ let channel_count t = Array.length t.channels
 
 let set_client t fn = t.client <- fn
 
-let busy t = t.busy
-
 let sample t ~channel =
   if t.busy then Error "adc busy"
   else if channel < 0 || channel >= Array.length t.channels then

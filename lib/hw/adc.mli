@@ -19,5 +19,3 @@ val sample : t -> channel:int -> (unit, string) result
     channel. *)
 
 val set_client : t -> (channel:int -> value:int -> unit) -> unit
-
-val busy : t -> bool

@@ -53,8 +53,6 @@ let set_iv t iv =
 
 let set_client t fn = t.client <- fn
 
-let busy t = t.busy
-
 let crypt t ~mode ~src ~off ~len =
   if t.busy then Error "aes engine busy"
   else if off < 0 || len < 0 || off + len > Bytes.length src then

@@ -19,5 +19,3 @@ val crypt :
     the client callback. *)
 
 val set_client : t -> (bytes -> unit) -> unit
-
-val busy : t -> bool

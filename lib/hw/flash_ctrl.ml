@@ -95,11 +95,6 @@ let page_mut t page =
   end
   else p
 
-let allocated_pages t =
-  let n = ref 0 in
-  Array.iter (fun p -> if p != t.erased then incr n) t.store;
-  !n
-
 let check_page t page =
   if page < 0 || page >= t.pages then Error "bad page"
   else Ok ()

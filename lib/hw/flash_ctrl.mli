@@ -21,13 +21,6 @@ val pages : t -> int
 
 val page_size : t -> int
 
-val allocated_pages : t -> int
-(** Pages with materialized backing store. Untouched (and erased) pages
-    alias one shared all-0xFF sentinel, and the page table and the wear
-    counters are allocated on the first write and the first erase: a
-    part nobody writes costs a few words however many pages it models.
-    The fleet relies on this to keep per-board construction cheap. *)
-
 val read_page_sync : t -> page:int -> bytes
 (** Synchronous memory-mapped read (fresh copy). *)
 

@@ -40,15 +40,11 @@ let create sim irq ~irq_line ~pins =
   Irq.enable irq ~line:irq_line;
   t
 
-let num_pins t = Array.length t.pins
-
 let pin t i =
   if i < 0 || i >= Array.length t.pins then invalid_arg "Gpio: bad pin";
   t.pins.(i)
 
 let set_mode t ~pin:i m = (pin t i).pin_mode <- m
-
-let mode t ~pin:i = (pin t i).pin_mode
 
 let set t ~pin:i v =
   let p = pin t i in
@@ -56,10 +52,6 @@ let set t ~pin:i v =
   else
     Sim.tracef t.sim (fun () ->
         Printf.sprintf "gpio: write to input pin %d ignored" i)
-
-let toggle t ~pin:i =
-  let p = pin t i in
-  set t ~pin:i (not p.level)
 
 let read t ~pin:i = (pin t i).level
 
@@ -111,8 +103,6 @@ module Led = struct
 
   let on led = put led true
 
-  let off led = put led false
-
   let toggle led = put led (not led.lit)
 
   let is_lit led = led.lit
@@ -129,8 +119,6 @@ module Button = struct
     { bank; b_pin = i; active_high }
 
   let press b = drive b.bank ~pin:b.b_pin b.active_high
-
-  let release b = drive b.bank ~pin:b.b_pin (not b.active_high)
 
   let is_pressed b = read b.bank ~pin:b.b_pin = b.active_high
 end

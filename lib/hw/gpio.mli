@@ -12,18 +12,12 @@ type edge = Rising | Falling | Either
 
 val create : Sim.t -> Irq.t -> irq_line:int -> pins:int -> t
 
-val num_pins : t -> int
-
 val set_mode : t -> pin:int -> mode -> unit
-
-val mode : t -> pin:int -> mode
 
 (** {2 Output side} *)
 
 val set : t -> pin:int -> bool -> unit
 (** Drive an output pin. Ignored (with a trace note) on input pins. *)
-
-val toggle : t -> pin:int -> unit
 
 (** {2 Input side} *)
 
@@ -50,8 +44,6 @@ module Led : sig
 
   val on : led -> unit
 
-  val off : led -> unit
-
   val toggle : led -> unit
 
   val is_lit : led -> bool
@@ -70,8 +62,6 @@ module Button : sig
 
   val press : button -> unit
   (** Environment-side press (drives the pin). *)
-
-  val release : button -> unit
 
   val is_pressed : button -> bool
 end

@@ -93,6 +93,4 @@ let set_alarm t ~reference ~dt =
 
 let is_armed t = t.armed <> None
 
-let get_alarm t = t.compare
-
 let registers t = t.regs

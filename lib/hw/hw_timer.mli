@@ -34,18 +34,11 @@ val disarm : t -> unit
 
 val is_armed : t -> bool
 
-val get_alarm : t -> int
-(** The tick value the alarm is set to fire at (meaningful when armed). *)
-
 val registers : t -> Mmio.map
 (** The MMIO view (VALUE read-only, COMPARE/CTRL read-write) backing this
     timer, for register-level tests. *)
 
-(** Wrapping 32-bit helpers, shared with the virtual-alarm capsule. *)
-
-val wrapping_add : int -> int -> int
-
-val wrapping_sub : int -> int -> int
+(** Wrapping 32-bit deadline test. *)
 
 val expired : reference:int -> dt:int -> now:int -> bool
 (** [now - reference >= dt] in wrapping arithmetic. *)

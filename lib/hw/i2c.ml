@@ -40,8 +40,6 @@ let add_device t ~addr ~on_write ~on_read =
 
 let set_client t fn = t.client <- fn
 
-let busy t = t.busy
-
 let start t ~wire_bytes result =
   t.busy <- true;
   ignore

@@ -30,5 +30,3 @@ val write_read : t -> addr:int -> bytes -> read_len:int -> (unit, string) result
 val set_client : t -> (result_code -> bytes -> unit) -> unit
 (** [client code rx] runs at completion; [rx] is empty for writes and
     NACKs. *)
-
-val busy : t -> bool

@@ -14,7 +14,6 @@ type t = {
   sim : Sim.t;
   lines : line_state array;
   mutable pending_count : int; (* pending AND enabled *)
-  mutable serviced : int;
   c_serviced : Tock_obs.Metrics.counter;
   h_latency : Tock_obs.Metrics.histogram;
       (* raise->dispatch latency in cycles, all lines *)
@@ -29,7 +28,6 @@ let create ?(lines = 64) sim =
           { pending = false; enabled = false; handler = None; name = "?";
             raised_at = 0; ctr = None });
     pending_count = 0;
-    serviced = 0;
     c_serviced = Tock_obs.Metrics.counter reg "irq.serviced";
     h_latency = Tock_obs.Metrics.histogram reg "irq.dispatch_cycles";
   }
@@ -77,18 +75,6 @@ let enable t ~line =
     end
   end
 
-let disable t ~line =
-  check_line t line;
-  let l = t.lines.(line) in
-  if l.enabled then begin
-    l.enabled <- false;
-    if l.pending then t.pending_count <- t.pending_count - 1
-  end
-
-let is_enabled t ~line =
-  check_line t line;
-  t.lines.(line).enabled
-
 let has_pending t = t.pending_count > 0
 
 let service t =
@@ -102,7 +88,6 @@ let service t =
         if l.pending && l.enabled then begin
           l.pending <- false;
           t.pending_count <- t.pending_count - 1;
-          t.serviced <- t.serviced + 1;
           incr ran;
           let now = Sim.now t.sim in
           Tock_obs.Metrics.incr t.c_serviced;
@@ -117,5 +102,3 @@ let service t =
       t.lines
   done;
   !ran
-
-let serviced_count t = t.serviced

@@ -20,10 +20,6 @@ val set_pending : t -> line:int -> unit
 
 val enable : t -> line:int -> unit
 
-val disable : t -> line:int -> unit
-
-val is_enabled : t -> line:int -> bool
-
 val has_pending : t -> bool
 (** True if any enabled line is pending. *)
 
@@ -32,6 +28,3 @@ val service : t -> int
     clearing each line before its handler runs. Lines re-asserted during a
     handler are serviced in the same call. Returns the number of handler
     invocations. *)
-
-val serviced_count : t -> int
-(** Total handler invocations since boot (for stats). *)

@@ -118,8 +118,6 @@ let is_set t name f = get t name f <> 0
 
 let hw_set t name v = (find t name).value <- v land mask32
 
-let hw_get t name = (find t name).value
-
 let hw_set_field t name f v =
   let r = find t name in
   let cleared = r.value land lnot (field_mask f) land mask32 in

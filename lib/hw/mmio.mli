@@ -80,6 +80,4 @@ val is_set : map -> string -> field -> bool
 
 val hw_set : map -> string -> int -> unit
 
-val hw_get : map -> string -> int
-
 val hw_set_field : map -> string -> field -> int -> unit

@@ -35,8 +35,6 @@ type t = { mpu_flavor : flavor; num_regions : int }
 
 let create ?(num_regions = 8) mpu_flavor = { mpu_flavor; num_regions }
 
-let flavor t = t.mpu_flavor
-
 let new_config t =
   { slots = Array.make t.num_regions None; app = None; generation = 0; scans = 0 }
 
@@ -213,9 +211,6 @@ let check_with_range _t c ~addr ~len kind =
   end
 
 let check t c ~addr ~len kind = check_with_range t c ~addr ~len kind <> None
-
-let regions c =
-  Array.to_list c.slots |> List.filter_map Fun.id
 
 let app_accessible_end c =
   Option.map (fun a -> a.block_start + a.accessible) c.app

@@ -35,8 +35,6 @@ type region = { region_start : int; region_size : int; region_perms : perms }
 val create : ?num_regions:int -> flavor -> t
 (** Default 8 regions. *)
 
-val flavor : t -> flavor
-
 val new_config : t -> config
 
 val reset_config : t -> config -> unit
@@ -118,9 +116,6 @@ val restore_generation : config -> int -> unit
     frozen value; callers that also restore generation-stamped caches
     (see {!Tock.Process}) must put the counter back so cache validity
     after a thaw matches the board that never parked. *)
-
-val regions : config -> region list
-(** Live regions, for diagnostics. *)
 
 val app_accessible_end : config -> int option
 (** Current end of the app-accessible prefix of the app memory region. *)

@@ -31,8 +31,6 @@ let create sim irq ~irq_line ~cycles_per_verify =
 
 let set_client t fn = t.client <- fn
 
-let busy t = t.busy
-
 let verify t ~pk ~msg ~signature =
   if t.busy then Error "pke engine busy"
   else begin

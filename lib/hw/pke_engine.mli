@@ -20,5 +20,3 @@ val verify :
 (** Start a verification; the boolean verdict arrives via the client. *)
 
 val set_client : t -> (bool -> unit) -> unit
-
-val busy : t -> bool

@@ -12,18 +12,14 @@ type radio = {
   irq : Irq.t;
   irq_line : int;
   r_addr : int;
-  mutable channel : int;
   mutable r_state : state;
   mutable resume_state : state;
-  mutable promiscuous : bool;
   mutable tx_client : unit -> unit;
   mutable rx_client : src:int -> bytes -> unit;
   mutable tx_until : int; (* cycle when the current transmit ends *)
   mutable pending_rx : (int * bytes) list; (* delivered, awaiting top half *)
   mutable pending_tx_done : bool;
   meter : Sim.meter;
-  mutable sent : int;
-  mutable received : int;
 }
 
 and ether = {
@@ -76,18 +72,14 @@ let create (ether : Ether.t) irq ~irq_line ~addr =
       irq;
       irq_line;
       r_addr = addr;
-      channel = 11;
       r_state = Off;
       resume_state = Off;
-      promiscuous = false;
       tx_client = ignore;
       rx_client = (fun ~src:_ _ -> ());
       tx_until = -1;
       pending_rx = [];
       pending_tx_done = false;
       meter = Sim.meter sim ~name:(Printf.sprintf "radio-%04x" addr);
-      sent = 0;
-      received = 0;
     }
   in
   Irq.register irq ~line:irq_line ~name:"radio" (fun () ->
@@ -106,10 +98,6 @@ let addr t = t.r_addr
 
 let state t = t.r_state
 
-let set_channel t c =
-  if c < 11 || c > 26 then invalid_arg "Radio.set_channel";
-  t.channel <- c
-
 let start_listening t =
   if t.r_state <> Transmitting then set_state t Listening
   else t.resume_state <- Listening
@@ -120,12 +108,6 @@ let stop t =
 let set_transmit_client t fn = t.tx_client <- fn
 
 let set_receive_client t fn = t.rx_client <- fn
-
-let set_promiscuous t v = t.promiscuous <- v
-
-let frames_sent t = t.sent
-
-let frames_received t = t.received
 
 let air_cycles t len =
   (* preamble + header ~ 12 bytes of overhead per frame *)
@@ -152,8 +134,6 @@ let transmit_air t ~dest payload =
         ether.last_tx_end <- max ether.last_tx_end (now + air);
         set_state t Transmitting;
         t.tx_until <- now + air;
-        t.sent <- t.sent + 1;
-        let channel = t.channel in
         ignore
           (Sim.at t.sim ~delay:air (fun () ->
                set_state t t.resume_state;
@@ -163,15 +143,14 @@ let transmit_air t ~dest payload =
                  List.iter
                    (fun (r : radio) ->
                      if
-                       r != t && r.r_state = Listening && r.channel = channel
-                       && (dest = broadcast || dest = r.r_addr || r.promiscuous)
+                       r != t && r.r_state = Listening
+                       && (dest = broadcast || dest = r.r_addr)
                      then
                        if
                          Tock_crypto.Prng.float ether.e_rng < ether.loss_prob
                        then ether.lost <- ether.lost + 1
                        else begin
                          ether.delivered <- ether.delivered + 1;
-                         r.received <- r.received + 1;
                          r.pending_rx <- (t.r_addr, payload) :: r.pending_rx;
                          Irq.set_pending r.irq ~line:r.irq_line
                        end)

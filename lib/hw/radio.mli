@@ -4,9 +4,9 @@
     power model matters as much as the data path. A radio is [Off]
     (drawing nothing), [Listening], or mid-transmit; transmitting takes
     air time proportional to the frame length at 250 kbit/s. The
-    {!Ether.t} medium delivers frames to every *listening* radio on the
-    same channel, drops frames with a configurable loss probability, and
-    corrupts concurrently transmitted frames (collisions), counting both.
+    {!Ether.t} medium delivers frames to every *listening* radio, drops
+    frames with a configurable loss probability, and corrupts
+    concurrently transmitted frames (collisions), counting both.
 
     Frames carry a source address and up to 127 bytes of payload. *)
 
@@ -34,9 +34,6 @@ val addr : t -> int
 
 val state : t -> state
 
-val set_channel : t -> int -> unit
-(** Channels 11-26, as in 802.15.4. Default 11. *)
-
 val start_listening : t -> unit
 
 val stop : t -> unit
@@ -60,10 +57,4 @@ val set_transmit_client : t -> (unit -> unit) -> unit
 
 val set_receive_client : t -> (src:int -> bytes -> unit) -> unit
 (** Frame delivery (interrupt context). Frames addressed elsewhere are
-    filtered unless promiscuous. *)
-
-val set_promiscuous : t -> bool -> unit
-
-val frames_sent : t -> int
-
-val frames_received : t -> int
+    filtered. *)

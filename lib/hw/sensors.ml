@@ -38,15 +38,6 @@ let i2c_addr = function
   | Light -> 0x29
   | Accel -> 0x1D
 
-let reading env kind ~now =
-  match kind with
-  | Temperature -> env.temperature_cc now
-  | Pressure -> env.pressure_pa now
-  | Light -> env.light_lux now
-  | Accel ->
-      let x, _, _ = env.accel_mg now in
-      x
-
 let be16 v =
   let v = v land 0xFFFF in
   Bytes.init 2 (fun i -> Char.chr ((v lsr ((1 - i) * 8)) land 0xff))

@@ -28,7 +28,3 @@ val i2c_addr : kind -> int
 val attach : Sim.t -> I2c.t -> env -> kind -> unit
 (** Register the sensor on the bus. Protocol: write [[0x00]] to select the
     data register, read 2 bytes (6 for [Accel]) big-endian. *)
-
-val reading : env -> kind -> now:int -> int
-(** Direct environment sample (what the sensor would report), for test
-    oracles. For [Accel] this is the x axis. *)

@@ -95,10 +95,3 @@ let run t =
 let set_data_client t fn = t.data_client <- fn
 
 let set_digest_client t fn = t.digest_client <- fn
-
-let busy t = t.busy
-
-let clear t =
-  t.busy <- false;
-  t.completed <- None;
-  t.mode <- Sha (Tock_crypto.Sha256.init ())

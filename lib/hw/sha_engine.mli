@@ -25,8 +25,3 @@ val run : t -> (unit, string) result
 val set_data_client : t -> (unit -> unit) -> unit
 
 val set_digest_client : t -> (bytes -> unit) -> unit
-
-val busy : t -> bool
-
-val clear : t -> unit
-(** Abort and reset to SHA-256 mode. *)

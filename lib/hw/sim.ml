@@ -17,7 +17,6 @@ type t = {
   mutable meters : meter_state list;
   tr : Tock_obs.Trace.t;
   reg : Tock_obs.Metrics.t;
-  mutable obs_ctx : Tock_obs.Ctx.t;
   mutable next_due : int;
       (* Cached lower bound on the earliest event deadline ([max_int] =
          none known). [spend] only probes the queue once [now] crosses
@@ -44,12 +43,9 @@ let create ?(seed = 0x70CC_2025L) ?(clock_hz = 16_000_000)
       meters = [];
       tr = Tock_obs.Trace.create ~capacity:trace_capacity;
       reg;
-      obs_ctx = Tock_obs.Ctx.disabled;
       next_due = max_int;
     }
   in
-  t.obs_ctx <-
-    { Tock_obs.Ctx.trace = t.tr; metrics = reg; clock = (fun () -> t.now) };
   (* Hardware-side gauges, resolved once and published at snapshot
      time, never from the hot loop. *)
   let g = Tock_obs.Metrics.gauge reg in
@@ -99,8 +95,6 @@ let at t ~delay fn =
   Event_queue.schedule t.events ~time fn
 
 let cancel t h = Event_queue.cancel t.events h
-
-let next_event_time t = Event_queue.next_time t.events
 
 let event_times t = Event_queue.live_times t.events
 
@@ -201,5 +195,3 @@ let trace_dropped t = Tock_obs.Trace.dropped t.tr
 let trace_events t = t.tr
 
 let metrics t = t.reg
-
-let obs t = t.obs_ctx

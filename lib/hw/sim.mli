@@ -50,8 +50,6 @@ val run_due_events : t -> bool
 (** Fire all events due at or before the current time, in order. Returns
     true if at least one fired. *)
 
-val next_event_time : t -> int option
-
 val event_times : t -> (int * int) array
 (** (deadline, sequence) of every live pending event, sorted — see
     {!Event_queue.live_times}. A board-state witness component. *)
@@ -133,7 +131,3 @@ val trace_events : t -> Tock_obs.Trace.t
 val metrics : t -> Tock_obs.Metrics.t
 (** The hardware-side metrics registry (IRQ latency, timer fires, trace
     drop gauges). Kernel-side series live in {!Tock.Kernel.metrics}. *)
-
-val obs : t -> Tock_obs.Ctx.t
-(** Trace buffer + hw registry + cycle clock, bundled for subsystems
-    that cannot name the [Sim] directly. *)

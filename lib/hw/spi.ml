@@ -74,8 +74,6 @@ let cs_polarity t ~cs =
 
 let set_client t fn = t.client <- fn
 
-let busy t = t.busy
-
 let mispolarized_transfers t = t.mispolarized
 
 let read_write t ~cs ~tx ~len =

@@ -48,8 +48,6 @@ val read_write : t -> cs:int -> tx:bytes -> len:int -> (unit, string) result
 val set_client : t -> (rx:bytes -> unit) -> unit
 (** Transfer-complete callback (interrupt context). *)
 
-val busy : t -> bool
-
 val mispolarized_transfers : t -> int
 (** How many transfers ran with a CS polarity the addressed device does
     not respond to — the bug class the Fig. 3 check eliminates. *)

@@ -33,8 +33,6 @@ let create sim irq ~irq_line ~cycles_per_word =
 
 let set_client t fn = t.client <- fn
 
-let busy t = t.busy
-
 let request t ~count =
   if t.busy then Error "trng busy"
   else if count <= 0 then Error "bad count"

@@ -14,5 +14,3 @@ val request : t -> count:int -> (unit, string) result
 
 val set_client : t -> (int array -> unit) -> unit
 (** Delivery callback (interrupt context). *)
-
-val busy : t -> bool

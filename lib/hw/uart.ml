@@ -19,7 +19,6 @@ type t = {
   mutable completed_tx : (int * bytes) option; (* len waiting for top half *)
   mutable completed_rx : bytes option;
   meter : Sim.meter;
-  mutable bytes_transmitted : int;
 }
 
 let create sim irq ~irq_line ~name =
@@ -41,7 +40,6 @@ let create sim irq ~irq_line ~name =
       completed_tx = None;
       completed_rx = None;
       meter = Sim.meter sim ~name;
-      bytes_transmitted = 0;
     }
   in
   Irq.register irq ~line:irq_line ~name (fun () ->
@@ -69,8 +67,6 @@ let configure t ~baud ~parity ~stop_bits =
     Ok ()
   end
 
-let baud t = t.baud
-
 let cycles_per_byte t =
   Sim.clock_hz t.sim * t.bits_per_byte / t.baud
 
@@ -83,8 +79,6 @@ let set_receive_client t fn = t.rx_client <- fn
 let overruns t = t.overruns
 
 let tx_busy t = t.tx_inflight <> None
-
-let bytes_transmitted t = t.bytes_transmitted
 
 (* Scatter-gather transmit: the segments are serialized back to back
    into the shift-register latch (the one DMA copy the hardware itself
@@ -113,7 +107,6 @@ let transmit_segs t segs =
     ignore
       (Sim.at t.sim ~delay (fun () ->
            t.tx_inflight <- None;
-           t.bytes_transmitted <- t.bytes_transmitted + total;
            Sim.meter_set_ua t.sim t.meter 0;
            t.completed_tx <- Some (total, copy);
            Irq.set_pending t.irq ~line:t.irq_line));

@@ -22,8 +22,6 @@ val configure :
   t -> baud:int -> parity:parity -> stop_bits:int -> (unit, string) result
 (** Rejects baud rates outside [300, 4_000_000]. *)
 
-val baud : t -> int
-
 val cycles_per_byte : t -> int
 
 (** {2 Host / environment side} *)
@@ -67,6 +65,3 @@ val abort_receive : t -> unit
 (** Cancel a pending receive; already-buffered bytes stay in the FIFO. *)
 
 val tx_busy : t -> bool
-
-val bytes_transmitted : t -> int
-(** Lifetime count, for stats and power modelling sanity checks. *)

@@ -273,15 +273,11 @@ let add c n = c.c_value <- c.c_value + n
 
 let counter_value c = c.c_value
 
-let counter_name c = c.c_name
-
 let set g v = g.g_value <- v
 
 let set_max g v = if v > g.g_value then g.g_value <- v
 
 let gauge_value g = g.g_value
-
-let gauge_name g = g.g_name
 
 let bucket_index v =
   if v <= 0 then 0
@@ -304,12 +300,6 @@ let observe h v =
   let b = bucket_index v in
   h.h_buckets.(b) <- h.h_buckets.(b) + 1;
   if b > h.h_top then h.h_top <- b
-
-let histogram_count h = h.h_count
-
-let histogram_sum h = h.h_sum
-
-let histogram_name h = h.h_name
 
 let on_snapshot t hook = t.sync_hooks <- t.sync_hooks @ [ hook ]
 

@@ -38,13 +38,11 @@ val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 val histogram : t -> string -> histogram
 (** The series registered under this name, registered now if there is
-    none. [Invalid_argument] if the name holds another metric type.
-    The handle's name may be a physically different, equal string. *)
+    none. [Invalid_argument] if the name holds another metric type. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
-val counter_name : counter -> string
 
 val set : gauge -> int -> unit
 
@@ -55,14 +53,9 @@ val set_max : gauge -> int -> unit
     an upper bound, not a global peak. *)
 
 val gauge_value : gauge -> int
-val gauge_name : gauge -> string
 
 val observe : histogram -> int -> unit
 (** Record one value: count, sum, and the log2 bucket. *)
-
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> int
-val histogram_name : histogram -> string
 
 val buckets : int
 (** Number of histogram buckets (64). *)

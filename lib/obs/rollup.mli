@@ -18,11 +18,6 @@ val create : cohorts:int -> t
     caller (the fleet uses [board mod workload_mixes], so a cohort is
     "all boards running workload mix k"). *)
 
-val cohorts : t -> int
-
-val boards : t -> int
-(** Total boards folded in so far, across all cohorts. *)
-
 val add_packed : t -> cohort:int -> Metrics.packed -> unit
 (** Fold one retired board's packed metrics into its cohort. *)
 
@@ -34,8 +29,6 @@ val absorb : into:t -> t -> unit
 
 type stat = P50 | P99 | Max | Mean | Total
 
-val stat_name : stat -> string
-
 val stat_value : t -> cohort:int -> string -> stat -> int
 (** The statistic of a metric's cross-board distribution within one
     cohort. Quantiles are bucket upper bounds clamped to the observed
@@ -46,8 +39,6 @@ val stat_value : t -> cohort:int -> string -> stat -> int
 type verdict = Healthy | Degraded | Unhealthy
 
 val verdict_name : verdict -> string
-
-val worst : verdict -> verdict -> verdict
 
 type slo = {
   slo_metric : string;

@@ -66,8 +66,6 @@ let create ~capacity =
 
 let on t = t.cap > 0
 
-let capacity t = t.cap
-
 let total t = t.total
 
 let retained t = min t.total t.cap

@@ -60,8 +60,6 @@ val on : t -> bool
 (** True when events are being recorded. Hot paths guard the [emit]
     call (and any label construction) behind this. *)
 
-val capacity : t -> int
-
 val total : t -> int
 (** Events ever emitted, including dropped ones. *)
 

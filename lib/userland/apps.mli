@@ -58,10 +58,6 @@ val spinner : Emu.app -> unit
 val kv_user : rounds:int -> Emu.app -> unit
 (** Exercises the KV store: set/get/delete cycles, verifying roundtrips. *)
 
-val token_flash_key_offset : int
-(** Offset of the 16-byte HMAC key inside the [hmac_token] app's flash
-    binary (tests construct the TBF accordingly). *)
-
 val token_key : bytes
 (** The key embedded in the token's binary. *)
 

@@ -103,27 +103,15 @@ let write_u32 app ~addr ~v =
 (* ---- copy accounting ----
 
    Every bulk transfer across the app/kernel boundary is tallied here,
-   the userland mirror of [Subslice]'s counters: the iopath bench diffs
-   them around a syscall to prove a path really is zero-copy. Scalar
+   the userland mirror of [Subslice]'s counter: the iopath bench diffs
+   both around a syscall to prove a path really is zero-copy. Scalar
    accesses are register traffic, not copies, and stay uncounted. *)
 
 let copies = Atomic.make 0
 
-let bytes_moved = Atomic.make 0
-
 let copy_count () = Atomic.get copies
 
-let copied_bytes () = Atomic.get bytes_moved
-
-let reset_copy_counters () =
-  Atomic.set copies 0;
-  Atomic.set bytes_moved 0
-
-let count_copy len =
-  if len > 0 then begin
-    Atomic.incr copies;
-    ignore (Atomic.fetch_and_add bytes_moved len)
-  end
+let count_copy len = if len > 0 then Atomic.incr copies
 
 let read_into app ~addr ~len ~dst ~dst_off =
   if dst_off < 0 || len < 0 || dst_off + len > Bytes.length dst then

@@ -84,8 +84,7 @@ val read_u8 : app -> addr:int -> int
 val write_u8 : app -> addr:int -> v:int -> unit
 
 val read_bytes : app -> addr:int -> len:int -> bytes
-(** Copying read: returns a fresh buffer. Prefer {!read_into} on hot
-    paths. *)
+(** Copying read: returns a fresh buffer. *)
 
 val write_bytes : app -> addr:int -> bytes -> unit
 
@@ -98,30 +97,19 @@ val read_u32 : app -> addr:int -> int
 val write_u32 : app -> addr:int -> v:int -> unit
 (** Little-endian, any alignment, allocation-free (see {!read_u32}). *)
 
-val read_into : app -> addr:int -> len:int -> dst:bytes -> dst_off:int -> unit
-(** Non-copying read: blit app memory (RAM or flash) straight into
-    [dst] at [dst_off]. One MPU check, one blit, no allocation. *)
-
-val write_from : app -> addr:int -> src:bytes -> src_off:int -> len:int -> unit
-(** Non-copying write: blit [len] bytes of [src] into app RAM. *)
-
 val write_string : app -> addr:int -> string -> unit
 (** Blit a string into app RAM without an intermediate [Bytes.of_string]
     copy. *)
 
 (** {2 Copy accounting}
 
-    Bulk app-memory transfers ({!read_into}, {!read_bytes}, {!write_from},
-    {!write_bytes}, {!write_string}) are tallied globally, mirroring
-    [Tock.Subslice]'s counters on the kernel side. The iopath benchmark
+    Bulk app-memory transfers ({!read_bytes}, {!write_bytes},
+    {!write_string}) are tallied globally, mirroring [Tock.Subslice]'s
+    counter on the kernel side. The iopath benchmark
     diffs these around a syscall to prove a path is zero-copy. Scalar
     accesses are register traffic and stay uncounted. *)
 
 val copy_count : unit -> int
-
-val copied_bytes : unit -> int
-
-val reset_copy_counters : unit -> unit
 
 (** {2 Upcall closures} *)
 

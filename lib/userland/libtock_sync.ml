@@ -118,10 +118,6 @@ let alarm_frequency app =
   | Syscall.Success_u32 hz -> hz
   | _ -> raise (Emu.App_panic_exn "alarm frequency query failed")
 
-let sleep_ms app ms =
-  let hz = alarm_frequency app in
-  sleep_ticks app (max 1 (ms * hz / 1000))
-
 let console_write app s =
   let len = String.length s in
   if len = 0 then 0

@@ -70,8 +70,6 @@ val checkpoint_sleep : Emu.app -> cursor:int -> ticks:int -> unit
     fleet does not park its board. Resumable apps must use this instead
     of a bare checkpoint + {!sleep_ticks} pair. *)
 
-val sleep_ms : Emu.app -> int -> unit
-
 val alarm_frequency : Emu.app -> int
 
 val console_write : Emu.app -> string -> int

@@ -23,12 +23,27 @@ let test_composition_typed () =
       | Ok () -> ()
       | Error e -> Alcotest.fail e)
   | None -> Alcotest.fail "sam4l must provide active-low");
+  Alcotest.(check bool) "sam4l line 0 configured active-low" true
+    (Tock_hw.Spi.cs_polarity sam.Tock_hw.Chip.spi ~cs:0 = Tock_hw.Spi.Active_low);
   Alcotest.(check bool) "sam4l cannot mint active-high" true
     (Tock_boards.Composition.provider_high sam.Tock_hw.Chip.spi ~cs:0 = None);
   (* rv32: configurable, both witnesses mintable *)
   Alcotest.(check bool) "rv32 provides both" true
     (Tock_boards.Composition.provider_low rv.Tock_hw.Chip.spi ~cs:0 <> None
-    && Tock_boards.Composition.provider_high rv.Tock_hw.Chip.spi ~cs:1 <> None)
+    && Tock_boards.Composition.provider_high rv.Tock_hw.Chip.spi ~cs:1 <> None);
+  (* the active-high path (Fig. 3): configure sets the line *)
+  match Tock_boards.Composition.provider_high rv.Tock_hw.Chip.spi ~cs:1 with
+  | Some p ->
+      let conn =
+        Tock_boards.Composition.connect p Tock_boards.Composition.requires_high
+      in
+      (match Tock_boards.Composition.configure rv.Tock_hw.Chip.spi conn with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "rv32 line 1 configured active-high" true
+        (Tock_hw.Spi.cs_polarity rv.Tock_hw.Chip.spi ~cs:1
+        = Tock_hw.Spi.Active_high)
+  | None -> Alcotest.fail "rv32 must provide active-high"
 
 let test_composition_matrix () =
   let open Tock_boards.Composition in

@@ -10,6 +10,7 @@ module Source = Tock_analysis.Source
 module Ast_extract = Tock_analysis.Ast_extract
 module Domain_safety = Tock_analysis.Domain_safety
 module Escape = Tock_analysis.Escape
+module Dead_export = Tock_analysis.Dead_export
 module Check = Tock_analysis.Check
 module Rules = Tock_analysis.Rules
 module Report = Tock_analysis.Report
@@ -286,6 +287,137 @@ let test_escape_global_stash () =
        \  Kernel.with_allow_ro ps slot (fun w -> Subslice.length w)\n\
         let h x = cache := Some x\n")
 
+(* --- dead exports ------------------------------------------------------ *)
+
+(* The exports [Dead_export] flags in a fixture tree, as ["M.x"]. *)
+let dead_of files =
+  List.map
+    (fun (f : Dead_export.finding) ->
+      match String.split_on_char '`' f.Dead_export.f_message with
+      | _ :: name :: _ -> name
+      | _ -> f.Dead_export.f_message)
+    (Dead_export.analyze
+       (List.map
+          (fun (f : Source.file) ->
+            Ast_extract.of_source ~path:f.Source.path f.Source.content)
+          files))
+
+(* A library unit exporting [vals] (each an int). *)
+let lib_unit path vals =
+  let base = Filename.remove_extension path in
+  [
+    file (base ^ ".mli")
+      (String.concat "" (List.map (fun v -> "val " ^ v ^ " : int\n") vals));
+    file (base ^ ".ml")
+      (String.concat "" (List.map (fun v -> "let " ^ v ^ " = 1\n") vals));
+  ]
+
+let test_dead_alias () =
+  Alcotest.(check (list string))
+    "a use through a module alias keeps the export" [ "Foo.unused" ]
+    (dead_of
+       (lib_unit "lib/core/foo.ml" [ "used"; "unused" ]
+       @ [ file "test/test_x.ml" "module F = Tock.Foo\nlet _ = F.used\n" ]))
+
+let test_dead_local_open () =
+  Alcotest.(check (list string))
+    "let open and M.(...) pin bare names; a parameter shadows them"
+    [ "Reg.c" ]
+    (dead_of
+       (lib_unit "lib/hw/reg.ml" [ "a"; "b"; "c" ]
+       @ [
+           file "bin/x.ml"
+             "let f () = let open Tock_hw.Reg in a\n\
+              let g () = Tock_hw.Reg.(b + 1)\n\
+              let h () = Tock_hw.Reg.(fun c -> c + a)\n";
+         ]))
+
+let test_dead_include () =
+  (* Tock.Crc re-exports Tock_crypto.Crc (the Tock.Crc16 shape), and a
+     test helper includes a unit wholesale: a use through either names
+     the included definition *)
+  Alcotest.(check (list string))
+    "include and include module type of are one export"
+    [ "Crc.unused"; "Reg.b" ]
+    (dead_of
+       (lib_unit "lib/crypto/crc.ml" [ "crc"; "unused" ]
+       @ lib_unit "lib/hw/reg.ml" [ "a"; "b" ]
+       @ [
+           file "lib/core/crc.mli" "include module type of Tock_crypto.Crc\n";
+           file "lib/core/crc.ml" "include Tock_crypto.Crc\n";
+           file "test/helpers.ml" "include Tock_hw.Reg\n";
+           file "test/test_x.ml" "let _ = Tock.Crc.crc + Helpers.a\n";
+         ]))
+
+let test_dead_submodule () =
+  Alcotest.(check (list string))
+    "values of a nested signature are exports" [ "M.Accum.drop" ]
+    (dead_of
+       [
+         file "lib/obs/m.mli"
+           "module Accum : sig\n  val add : int -> int\n  val drop : int -> int\nend\n";
+         file "lib/obs/m.ml"
+           "module Accum = struct\n  let add x = x\n  let drop x = add x\nend\n";
+         file "bench/b.ml" "let f x = Tock_obs.M.Accum.add x\n";
+       ])
+
+let test_dead_test_only_use () =
+  let fixture =
+    [
+      file "lib/fleet/cal.mli" "val size : int\nval inner : int\nval gone : int\n";
+      file "lib/fleet/cal.ml" "let inner = 1\nlet size = inner + 1\nlet gone = 3\n";
+      file "test/test_cal.ml" "let () = ignore Tock_fleet.Cal.size\n";
+    ]
+  in
+  Alcotest.(check (list string))
+    "a test is a user; own-module uses are not" [ "Cal.inner"; "Cal.gone" ]
+    (dead_of fixture);
+  let messages =
+    List.map
+      (fun (f : Dead_export.finding) -> f.Dead_export.f_message)
+      (Dead_export.analyze
+         (List.map
+            (fun (f : Source.file) ->
+              Ast_extract.of_source ~path:f.Source.path f.Source.content)
+            fixture))
+  in
+  Alcotest.(check (list string))
+    "each finding names its fix"
+    [
+      "`Cal.inner` is exported but used only inside `Cal`: drop it from \
+       `Cal`'s `.mli`";
+      "`Cal.gone` is exported but unused: delete it";
+    ]
+    messages
+
+let test_dead_same_name () =
+  (* two units export the same name and each uses its own inside: a
+     name search sees both as used, the resolver sees one *)
+  Alcotest.(check (list string))
+    "only the unit a path names is used" [ "Emu.copied_bytes" ]
+    (dead_of
+       [
+         file "lib/core/subslice.mli" "val copied_bytes : unit -> int\n";
+         file "lib/core/subslice.ml"
+           "let n = ref 0\nlet copied_bytes () = !n\nlet f () = copied_bytes ()\n";
+         file "lib/userland/emu.mli" "val copied_bytes : unit -> int\n";
+         file "lib/userland/emu.ml"
+           "let n = ref 0\nlet copied_bytes () = !n\nlet f () = copied_bytes ()\n";
+         file "test/test_x.ml" "let _ = Tock.Subslice.copied_bytes ()\n";
+       ])
+
+let test_dead_comment_string () =
+  Alcotest.(check (list string))
+    "a mention in a comment or a string is not a use" [ "Uart.baud" ]
+    (dead_of
+       (lib_unit "lib/hw/uart.ml" [ "baud" ]
+       @ [
+           file "examples/e.ml"
+             "(* Tock_hw.Uart.baud is the line rate *)\n\
+              let s = \"Tock_hw.Uart.baud\"\n\
+              let t = {|Uart.baud|}\n";
+         ]))
+
 (* --- the orchestrator ------------------------------------------------- *)
 
 let test_check_pragma_and_parse () =
@@ -406,6 +538,19 @@ let suite =
     Alcotest.test_case "escape returns" `Quick test_escape_returns;
     Alcotest.test_case "clean window use" `Quick test_escape_clean_use;
     Alcotest.test_case "global window stash" `Quick test_escape_global_stash;
+    Alcotest.test_case "dead-export: module alias" `Quick test_dead_alias;
+    Alcotest.test_case "dead-export: let open, M.(...)" `Quick
+      test_dead_local_open;
+    Alcotest.test_case "dead-export: include re-export" `Quick
+      test_dead_include;
+    Alcotest.test_case "dead-export: submodule value" `Quick
+      test_dead_submodule;
+    Alcotest.test_case "dead-export: test-only use" `Quick
+      test_dead_test_only_use;
+    Alcotest.test_case "dead-export: same-named exports" `Quick
+      test_dead_same_name;
+    Alcotest.test_case "dead-export: comment or string" `Quick
+      test_dead_comment_string;
     Alcotest.test_case "pragma + parse failure" `Quick
       test_check_pragma_and_parse;
     Alcotest.test_case "live repo matches check baseline" `Quick

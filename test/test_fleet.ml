@@ -29,11 +29,11 @@ let test_deterministic_across_domains () =
      merged metrics snapshot must be byte-identical at 1, 2 and 4
      domains — work stealing may move groups, never results. *)
   let cfg = small { Fleet.default with boards = 9; group_size = 1 } in
-  let seq = Fleet.run { cfg with domains = 1 } in
+  let seq = (Fleet.run_fleet { cfg with domains = 1 }).Fleet.fr_stats in
   let mm_seq = Tock_obs.Metrics.render_json (Fleet.merged_metrics seq) in
   List.iter
     (fun domains ->
-      let par = Fleet.run { cfg with domains } in
+      let par = (Fleet.run_fleet { cfg with domains }).Fleet.fr_stats in
       check_identical (Printf.sprintf "%d domains" domains) seq par;
       Alcotest.(check string)
         (Printf.sprintf "merged_metrics @ %d domains" domains)
@@ -74,10 +74,10 @@ let test_batch_invariance () =
      [run_to_deadline] slices; every chopping must reach the same final
      state (this is what lets parked boards skip ahead in O(1)). *)
   let cfg = small { Fleet.default with boards = 6; group_size = 1 } in
-  let coarse = Fleet.run { cfg with batch = cfg.Fleet.cycles } in
+  let coarse = (Fleet.run_fleet { cfg with batch = cfg.Fleet.cycles }).Fleet.fr_stats in
   List.iter
     (fun batch ->
-      let chopped = Fleet.run { cfg with batch } in
+      let chopped = (Fleet.run_fleet { cfg with batch }).Fleet.fr_stats in
       check_identical (Printf.sprintf "batch=%d" batch) coarse chopped)
     [ 1_000; 7_777; 50_000 ]
 
@@ -870,7 +870,7 @@ let test_fleet_smoke () =
   let cfg =
     small { Fleet.default with boards = 6; domains = 2; group_size = 1 }
   in
-  let stats, sched = Fleet.run_sched cfg in
+  let { Fleet.fr_stats = stats; fr_sched = sched; _ } = Fleet.run_fleet cfg in
   Array.iter
     (fun (bs : Fleet.board_stats) ->
       Alcotest.(check bool)
@@ -987,7 +987,7 @@ let test_radio_flight_ring_identical () =
    one live group, however many groups it runs. *)
 let test_depth_first_live_window () =
   let cfg = small { Fleet.default with boards = 9; group_size = 1 } in
-  let _, sched = Fleet.run_sched cfg in
+  let sched = (Fleet.run_fleet cfg).Fleet.fr_sched in
   (match List.assoc_opt "fleet.sched.live_groups_peak" sched with
   | Some (Tock_obs.Metrics.Gauge v) ->
       Alcotest.(check int) "live groups peak" 1 v
@@ -1119,7 +1119,7 @@ let test_bad_config_rejected () =
     (fun cfg ->
       Alcotest.(check bool) "rejected" true
         (try
-           ignore (Fleet.run cfg);
+           ignore (Fleet.run_fleet cfg);
            false
          with Invalid_argument _ -> true))
     [
@@ -1129,7 +1129,29 @@ let test_bad_config_rejected () =
       { Fleet.default with cycles = 0 };
       { Fleet.default with batch = 0 };
       { Fleet.default with park_min_quanta = 0 };
+      (* a fault board the fleet never builds as a single board *)
+      { Fleet.default with boards = 16; fault_board = Some 99 };
+      { Fleet.default with boards = 16; fault_board = Some (-1) };
+      { Fleet.default with boards = 16; group_size = 8; fault_board = Some 3 };
     ]
+
+let test_leftover_fault_board () =
+  (* Board 16 of 17 in groups of 8 is a group of one, built as a single
+     board: it takes the fault injector and its fault is captured. *)
+  with_flight_dir @@ fun dir ->
+  let cfg =
+    { Fleet.default with
+      boards = 17; group_size = 8; cycles = 400_000; batch = 50_000;
+      fault_board = Some 16; flight_dir = Some dir }
+  in
+  let r = Fleet.run_fleet cfg in
+  match
+    List.map (fun (_, (a : Flight.artifact)) -> (a.Flight.fa_board, a.Flight.fa_cause))
+      r.Fleet.fr_flights
+  with
+  | [ (16, Flight.Fault { fl_proc; _ }) ] ->
+      Alcotest.(check string) "faulting process" "crasher" fl_proc
+  | l -> Alcotest.failf "expected one fault artifact for board 16, got %d" (List.length l)
 
 let suite =
   [
@@ -1174,4 +1196,6 @@ let suite =
     Alcotest.test_case "group seeds are pure" `Quick
       test_seed_independent_of_grouping;
     Alcotest.test_case "bad configs rejected" `Quick test_bad_config_rejected;
+    Alcotest.test_case "leftover single board takes the fault" `Quick
+      test_leftover_fault_board;
   ]

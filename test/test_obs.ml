@@ -970,7 +970,9 @@ let test_fleet_merge_deterministic () =
     { Fleet.default with Fleet.boards = 4; group_size = 1; cycles = 200_000 }
   in
   let render d =
-    Metrics.render_json (Fleet.merged_metrics (Fleet.run { cfg with Fleet.domains = d }))
+    Metrics.render_json
+      (Fleet.merged_metrics
+         (Fleet.run_fleet { cfg with Fleet.domains = d }).Fleet.fr_stats)
   in
   let one = render 1 in
   Alcotest.(check string) "2 domains" one (render 2);
@@ -992,7 +994,8 @@ let test_fleet_trace_export () =
   Alcotest.(check string) "tracing never changes results"
     (Metrics.render_json
        (Fleet.merged_metrics
-          (Fleet.run { cfg with Fleet.trace_capacity = 0; trace_boards = 0 })))
+          (Fleet.run_fleet { cfg with Fleet.trace_capacity = 0; trace_boards = 0 })
+            .Fleet.fr_stats))
     (Metrics.render_json r.Fleet.fr_metrics);
   let json_s =
     match r.Fleet.fr_trace_json with
