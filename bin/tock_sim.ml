@@ -210,35 +210,7 @@ let signpost_cmd nodes seconds seed =
 
 (* ---- fleet ---- *)
 
-let fleet_cmd boards domains group_size cycles batch seed park park_min_quanta
-    verify_park quiet metrics health trace_out trace_boards flight_dir
-    fault_board =
-  let domains =
-    match domains with
-    | "auto" -> max 1 (Domain.recommended_domain_count ())
-    | s -> (
-        match int_of_string_opt s with
-        | Some d -> d
-        | None -> failwith "fleet: --domains expects a count or 'auto'")
-  in
-  let cfg =
-    {
-      Tock_fleet.Fleet.boards;
-      domains;
-      group_size;
-      cycles;
-      batch;
-      seed = Int64.of_int seed;
-      park;
-      park_min_quanta;
-      verify_park;
-      health;
-      trace_capacity = (match trace_out with Some _ -> 65_536 | None -> 0);
-      trace_boards;
-      flight_dir;
-      fault_board;
-    }
-  in
+let run_fleet cfg ~quiet ~metrics ~trace_out =
   let t0 = Unix.gettimeofday () in
   let result = Tock_fleet.Fleet.run_fleet cfg in
   let stats = result.Tock_fleet.Fleet.fr_stats
@@ -252,9 +224,9 @@ let fleet_cmd boards domains group_size cycles batch seed park park_min_quanta
   Printf.printf
     "fleet: %d boards (%d groups) on %d domain(s): %d cycles, %d syscalls, \
      %.3fs wall, %.2e cycles/s\n"
-    boards
+    cfg.Tock_fleet.Fleet.boards
     (Tock_fleet.Fleet.group_count cfg)
-    domains cycles_total
+    cfg.Tock_fleet.Fleet.domains cycles_total
     (Tock_fleet.Fleet.total_syscalls stats)
     wall
     (float_of_int cycles_total /. wall);
@@ -280,6 +252,44 @@ let fleet_cmd boards domains group_size cycles batch seed park park_min_quanta
       Printf.printf "flight: %s (%s)\n" path
         (Tock_fleet.Flight.describe_cause a.Tock_fleet.Flight.fa_cause))
     result.Tock_fleet.Fleet.fr_flights
+
+(* A config the fleet would reject is a usage error (exit 124) naming
+   the problem, found before anything runs. *)
+let fleet_cmd boards domains group_size cycles batch seed park park_min_quanta
+    verify_park quiet metrics health trace_out trace_boards flight_dir
+    fault_board =
+  let count =
+    match domains with
+    | "auto" -> Some (max 1 (Domain.recommended_domain_count ()))
+    | s -> int_of_string_opt s
+  in
+  match count with
+  | None ->
+      `Error (true, Printf.sprintf "--domains expects a count or 'auto', got '%s'" domains)
+  | Some domains -> (
+      let cfg =
+        {
+          Tock_fleet.Fleet.boards;
+          domains;
+          group_size;
+          cycles;
+          batch;
+          seed = Int64.of_int seed;
+          park;
+          park_min_quanta;
+          verify_park;
+          health;
+          trace_capacity = (match trace_out with Some _ -> 65_536 | None -> 0);
+          trace_boards;
+          flight_dir;
+          fault_board;
+        }
+      in
+      match Tock_fleet.Fleet.validate cfg with
+      | Error e -> `Error (true, e)
+      | Ok () ->
+          run_fleet cfg ~quiet ~metrics ~trace_out;
+          `Ok ())
 
 (* ---- postmortem ---- *)
 
@@ -459,10 +469,11 @@ let run_t =
 let signpost_t = Term.(const signpost_cmd $ nodes_arg $ seconds_arg $ seed_arg)
 
 let fleet_t =
-  Term.(const fleet_cmd $ boards_arg $ domains_arg $ group_size_arg
-        $ cycles_arg $ batch_arg $ seed_arg $ park_arg $ park_min_quanta_arg
-        $ verify_park_arg $ quiet_arg $ metrics_arg $ health_arg
-        $ trace_out_arg $ trace_boards_arg $ flight_dir_arg $ fault_board_arg)
+  Term.(ret
+          (const fleet_cmd $ boards_arg $ domains_arg $ group_size_arg
+           $ cycles_arg $ batch_arg $ seed_arg $ park_arg $ park_min_quanta_arg
+           $ verify_park_arg $ quiet_arg $ metrics_arg $ health_arg
+           $ trace_out_arg $ trace_boards_arg $ flight_dir_arg $ fault_board_arg))
 
 let rot_t = Term.(const rot_cmd $ tamper_arg)
 

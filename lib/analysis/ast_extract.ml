@@ -1,30 +1,30 @@
-(* The one OCaml front end of both analysis passes. Every .ml/.mli file
-   is parsed once with compiler-libs ([Parse.implementation], or
-   [Parse.interface] for an .mli) and that parse is summarized for
-   otock-lint's rules and otock-check's dataflow analyses alike:
+(* The one OCaml front end of otock-lint. Every .ml/.mli file is parsed
+   once with compiler-libs ([Parse.implementation], or [Parse.interface]
+   for an .mli), and one [Ast_iterator] walk over that parse collects
+   everything the rules read:
 
-   - every dotted path the file writes (values, constructors, record
-     fields and labels, types, module paths and module types), each
-     applied path with its first string-literal argument, plus the
-     unqualified Stdlib console writers;
-   - open / include declarations; [let open M in] and [M.(...)] are
-     flagged as expression-scoped;
+   - every path the file writes, once: values, constructors, record
+     fields and labels, types and classes, module paths and module
+     types. Each is recorded with its kind and the scope it is written
+     in, so {!Resolve} can pin it; an applied value path also carries
+     its first string-literal argument. Desugared (ghost) paths such as
+     [Array.get] for [a.(i)] are not written in source and are skipped;
+   - open / include declarations; [let open M in], [M.(...)] and
+     [M.(pattern)] are flagged as expression-scoped;
    - attributes with their source text (docstrings excluded);
-   - [otock-lint:] allowlist pragmas, read from the lexer's comment
-     list;
    - for implementations, the module-toplevel *mutable-state
      inventory* (refs, Hashtbl / Buffer / Bytes / Array / Queue
      globals, records with mutable fields, and their Atomic / Mutex
-     counterparts), per-binding *value references* (the raw material
-     for Domain_safety's interprocedural reachability) and *mutation
-     witnesses* (identifiers passed to known in-place mutators, so
-     read-only lookup tables such as the crypto T-tables are not
-     misreported as shared mutable state), each recorded with the
-     scope it was written in so {!Resolve} can pin it;
+     counterparts), the paths each toplevel binding writes (the raw
+     material for Domain_safety's interprocedural reachability) and
+     *mutation witnesses* (identifiers passed to known in-place
+     mutators, so read-only lookup tables such as the crypto T-tables
+     are not misreported as shared mutable state);
    - the unit's *shape*: the values, nested modules, aliases and
      includes an implementation defines or an interface exports
      (Dead_export's declarations, Resolve's lookup tables).
 
+   [otock-lint:] allowlist pragmas come from the lexer's comment list.
    Parsing never raises: a file the compiler's parser rejects comes
    back with [a_parsed = false] and the caller reports it instead of
    silently dropping the file from the analysis. *)
@@ -61,19 +61,23 @@ type global = { g_name : string; g_line : int; g_kind : mutability }
 
 type scope_entry =
   | Open of string list
-  | Module of string * module_def
-  | Value of string * string
+  | Bound_module of string * module_def
+  | Toplevel of string * string
   | Local of string
 
 and module_def = Alias of string list | Nested of string | Opaque
 
-type value_ref = {
-  r_path : string list;
-  r_line : int;
-  r_scope : scope_entry list;
+type kind = Value | Constructor | Field | Type | Module | Module_type
+
+type path = {
+  p_path : string list;
+  p_kind : kind;
+  p_line : int;
+  p_scope : scope_entry list;
+  p_literal : string option;
 }
 
-type binding = { b_name : string; b_line : int; b_refs : value_ref list }
+type binding = { b_name : string; b_line : int; b_paths : path list }
 
 type shape = {
   s_values : (string * int) list;
@@ -81,18 +85,7 @@ type shape = {
   s_includes : (string * string list) list;
 }
 
-type reference = {
-  ref_modules : string list;
-  ref_member : string option;
-  ref_line : int;
-  ref_literal : string option;
-}
-
-type open_decl = {
-  open_modules : string list;
-  open_line : int;
-  open_scoped : bool;
-}
+type open_decl = { open_path : path; open_scoped : bool }
 
 type attribute = { attr_text : string; attr_line : int }
 
@@ -106,15 +99,14 @@ type pragma = {
 type t = {
   a_path : string;
   a_parsed : bool;
-  a_refs : reference list;
+  a_paths : path list;
   a_opens : open_decl list;
   a_attributes : attribute list;
   a_pragmas : pragma list;
   a_globals : global list;
   a_bindings : binding list;
-  a_witnesses : value_ref list;
+  a_witnesses : path list;
       (* identifier paths passed to a known in-place mutator *)
-  a_values : value_ref list;
   a_shape : shape;
   a_structure : Parsetree.structure option;
 }
@@ -247,33 +239,37 @@ let mutator_path path =
       true
   | _ -> false
 
-(* --- the scoped walk ------------------------------------------------------ *)
+(* --- the walk --------------------------------------------------------------- *)
 
-(* One walk over an implementation, tracking what each name means where
-   it is written. The scope is a persistent list, innermost entry first:
-   structure-level and expression-scoped opens, includes, module
-   definitions and aliases, toplevel [let]s (with their dotted name
-   inside the file) and expression-local variables. Every value path
-   is recorded with the scope it was written in, so {!Resolve} can pin
-   it to a definition without re-walking the tree.
+(* One walk over an implementation or an interface, tracking what each
+   name means where it is written. The scope is a persistent list,
+   innermost entry first: structure-level and expression-scoped opens,
+   includes, module definitions and aliases, toplevel [let]s (with
+   their dotted name inside the file) and expression-local variables.
+   Every path is recorded once, with the scope it was written in, so
+   {!Resolve} can pin it without re-walking the tree.
 
    The same walk builds the module-toplevel inventory: bindings with
-   the value references of their right-hand side, mutable globals,
-   mutation witnesses, and the unit's shape (values, nested modules,
-   aliases and includes by dotted name). Bindings are recorded only
-   where a path can name them: at toplevel and inside named nested
-   structures, not inside functor bodies or expressions. *)
-let implementation st =
+   the paths of their right-hand side, mutable globals, mutation
+   witnesses, and the unit's shape (values, nested modules, aliases and
+   includes by dotted name). Definitions are recorded only where a path
+   can name them: at toplevel, in named nested structures and, in an
+   interface, nested signatures; not inside functors, module types or
+   expressions. [walk] applies the iterator to the parse; each list
+   comes back in source order. *)
+let walk content run =
   let open Parsetree in
+  let paths = ref [] and opens = ref [] and attrs = ref [] in
   let globals = ref [] and bindings = ref [] and witnesses = ref [] in
-  let values = ref [] and mutable_labels = ref [] in
+  let mutable_labels = ref [] in
   let s_values = ref [] and s_modules = ref [] and s_includes = ref [] in
   let scope = ref [] in
-  (* dotted prefix of the named structure being walked, or [None] where
-     definitions are not addressable *)
+  (* dotted prefix of the named structure or signature being walked, or
+     [None] where definitions are not addressable *)
   let prefix = ref (Some "") in
-  (* value references of the toplevel binding being walked *)
+  (* paths of the toplevel binding being walked *)
   let current = ref None in
+  let pos (loc : Location.t) = loc.loc_start.pos_cnum in
   let push entries = scope := List.rev_append entries !scope in
   let scoped entries f =
     let saved = !scope in
@@ -281,20 +277,37 @@ let implementation st =
     f ();
     scope := saved
   in
-  let locals p = List.map (fun (v, _) -> Local v) (pattern_vars p) in
-  let vref (lid : Longident.t Location.loc) =
-    { r_path = flatten lid.Location.txt; r_line = line_of lid.Location.loc;
-      r_scope = !scope }
+  let with_prefix p f =
+    let saved = !prefix in
+    prefix := p;
+    f ();
+    prefix := saved
   in
-  let note_value lid =
-    let r = vref lid in
-    values := r :: !values;
-    match !current with Some refs -> refs := r :: !refs | None -> ()
+  let unaddressable f = with_prefix None f in
+  let locals p = List.map (fun (v, _) -> Local v) (pattern_vars p) in
+  let make ?literal kind (lid : Longident.t Location.loc) =
+    { p_path = flatten lid.txt; p_kind = kind; p_line = line_of lid.loc;
+      p_scope = !scope; p_literal = literal }
+  in
+  (* A punned record label is ghost too, but written in source. *)
+  let add ?literal ?(keep_ghost = false) kind (lid : Longident.t Location.loc) =
+    if keep_ghost || not lid.loc.loc_ghost then (
+      let p = make ?literal kind lid in
+      paths := (pos lid.loc, p) :: !paths;
+      Option.iter (fun ps -> ps := p :: !ps) !current)
+  in
+  let open_ ~scoped kind (lid : Longident.t Location.loc) =
+    opens := (pos lid.loc, { open_path = make kind lid; open_scoped = scoped }) :: !opens
   in
   let witness (a : expression) =
     match a.pexp_desc with
-    | Pexp_ident lid -> witnesses := vref lid :: !witnesses
+    | Pexp_ident lid -> witnesses := make Value lid :: !witnesses
     | _ -> ()
+  in
+  let literal (_, a) =
+    match a.pexp_desc with
+    | Pexp_constant (Pconst_string (s, _, _)) -> Some s
+    | _ -> None
   in
   let rec module_def (me : module_expr) =
     match me.pmod_desc with
@@ -302,22 +315,26 @@ let implementation st =
     | Pmod_constraint (me, _) -> module_def me
     | _ -> Opaque
   in
-  let rec named_structure (me : module_expr) =
+  let rec is_structure (me : module_expr) =
     match me.pmod_desc with
-    | Pmod_structure st -> Some st
-    | Pmod_constraint (me, _) -> named_structure me
-    | _ -> None
+    | Pmod_structure _ -> true
+    | Pmod_constraint (me, _) -> is_structure me
+    | _ -> false
   in
   let default = Ast_iterator.default_iterator in
-  let unaddressable f =
-    let saved = !prefix in
-    prefix := None;
-    f ();
-    prefix := saved
-  in
   let expr self e =
+    (match e.pexp_desc with
+    | Pexp_apply ({ pexp_desc = Pexp_ident f; _ }, args)
+      when mutator_path (flatten f.txt) ->
+        List.iter (fun (_, a) -> witness a) args
+    | Pexp_setfield (target, _, _) -> witness target
+    | _ -> ());
+    let attributes () = self.Ast_iterator.attributes self e.pexp_attributes in
     match e.pexp_desc with
-    | Pexp_ident lid -> note_value lid
+    | Pexp_apply ({ pexp_desc = Pexp_ident f; pexp_attributes = []; _ }, args) ->
+        add ?literal:(List.find_map literal args) Value f;
+        List.iter (fun (_, a) -> self.Ast_iterator.expr self a) args;
+        attributes ()
     | Pexp_let (flag, vbs, body) ->
         let bound = List.concat_map (fun vb -> locals vb.pvb_pat) vbs in
         if flag = Asttypes.Recursive then
@@ -326,46 +343,69 @@ let implementation st =
               self.Ast_iterator.expr self body)
         else (
           List.iter (self.Ast_iterator.value_binding self) vbs;
-          scoped bound (fun () -> self.Ast_iterator.expr self body))
+          scoped bound (fun () -> self.Ast_iterator.expr self body));
+        attributes ()
     | Pexp_fun (_, default_arg, p, body) ->
         Option.iter (self.Ast_iterator.expr self) default_arg;
         self.Ast_iterator.pat self p;
-        scoped (locals p) (fun () -> self.Ast_iterator.expr self body)
+        scoped (locals p) (fun () -> self.Ast_iterator.expr self body);
+        attributes ()
     | Pexp_for (p, lo, hi, _, body) ->
         self.Ast_iterator.expr self lo;
         self.Ast_iterator.expr self hi;
-        scoped (locals p) (fun () -> self.Ast_iterator.expr self body)
+        scoped (locals p) (fun () -> self.Ast_iterator.expr self body);
+        attributes ()
     | Pexp_letop { let_; ands; body } ->
+        let ops = let_ :: ands in
         List.iter
-          (fun (b : binding_op) -> self.Ast_iterator.expr self b.pbop_exp)
-          (let_ :: ands);
+          (fun (b : binding_op) ->
+            self.Ast_iterator.pat self b.pbop_pat;
+            self.Ast_iterator.expr self b.pbop_exp)
+          ops;
         scoped
-          (List.concat_map (fun (b : binding_op) -> locals b.pbop_pat) (let_ :: ands))
-          (fun () -> self.Ast_iterator.expr self body)
-    | Pexp_open (od, body) ->
-        self.Ast_iterator.open_declaration self od;
-        let entries =
-          match od.popen_expr.pmod_desc with
-          | Pmod_ident lid -> [ Open (flatten lid.Location.txt) ]
-          | _ -> []
-        in
-        scoped entries (fun () -> self.Ast_iterator.expr self body)
+          (List.concat_map (fun (b : binding_op) -> locals b.pbop_pat) ops)
+          (fun () -> self.Ast_iterator.expr self body);
+        attributes ()
+    | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident lid; _ }; popen_attributes; _ }, body)
+      ->
+        add Module lid;
+        open_ ~scoped:true Module lid;
+        self.Ast_iterator.attributes self popen_attributes;
+        scoped [ Open (flatten lid.txt) ] (fun () -> self.Ast_iterator.expr self body);
+        attributes ()
     | Pexp_letmodule (name, me, body) ->
         unaddressable (fun () -> self.Ast_iterator.module_expr self me);
         let entries =
-          match name.Location.txt with
-          | Some n -> [ Module (n, module_def me) ]
-          | None -> []
+          match name.txt with Some n -> [ Bound_module (n, module_def me) ] | None -> []
         in
-        scoped entries (fun () -> self.Ast_iterator.expr self body)
-    | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args)
-      when mutator_path (flatten lid.Location.txt) ->
-        List.iter (fun (_, a) -> witness a) args;
+        scoped entries (fun () -> self.Ast_iterator.expr self body);
+        attributes ()
+    | desc ->
+        (match desc with
+        | Pexp_ident lid -> add Value lid
+        | Pexp_construct (lid, _) -> add Constructor lid
+        | Pexp_field (_, lid) | Pexp_setfield (_, lid, _) -> add Field lid
+        | Pexp_new lid -> add Type lid
+        | Pexp_record (fields, _) ->
+            List.iter (fun (l, _) -> add ~keep_ghost:true Field l) fields
+        | _ -> ());
         default.Ast_iterator.expr self e
-    | Pexp_setfield (target, _, _) ->
-        witness target;
-        default.Ast_iterator.expr self e
-    | _ -> default.Ast_iterator.expr self e
+  in
+  let pat self p =
+    match p.ppat_desc with
+    | Ppat_open (lid, inner) ->
+        add Module lid;
+        open_ ~scoped:true Module lid;
+        self.Ast_iterator.attributes self p.ppat_attributes;
+        scoped [ Open (flatten lid.txt) ] (fun () -> self.Ast_iterator.pat self inner)
+    | desc ->
+        (match desc with
+        | Ppat_construct (lid, _) -> add Constructor lid
+        | Ppat_type lid -> add Type lid
+        | Ppat_record (fields, _) ->
+            List.iter (fun (l, _) -> add ~keep_ghost:true Field l) fields
+        | _ -> ());
+        default.Ast_iterator.pat self p
   in
   let case self c =
     scoped (locals c.pc_lhs) (fun () -> default.Ast_iterator.case self c)
@@ -374,15 +414,15 @@ let implementation st =
     match !prefix with
     | None -> self.Ast_iterator.value_binding self vb
     | Some pre ->
-        let refs = ref [] in
-        current := Some refs;
+        let ps = ref [] in
+        current := Some ps;
         unaddressable (fun () -> self.Ast_iterator.value_binding self vb);
         current := None;
-        let b_refs = List.rev !refs in
+        let b_paths = List.rev !ps in
         List.iter
           (fun (name, line) ->
             let name = pre ^ name in
-            bindings := { b_name = name; b_line = line; b_refs } :: !bindings;
+            bindings := { b_name = name; b_line = line; b_paths } :: !bindings;
             s_values := (name, line) :: !s_values;
             match classify_rhs ~mutable_labels:!mutable_labels vb.pvb_expr with
             | Some kind ->
@@ -392,7 +432,7 @@ let implementation st =
   in
   (* a definition a path can name, or a local one *)
   let defined name =
-    match !prefix with Some pre -> Value (name, pre ^ name) | None -> Local name
+    match !prefix with Some pre -> Toplevel (name, pre ^ name) | None -> Local name
   in
   let structure_item self si =
     match si.pstr_desc with
@@ -406,10 +446,11 @@ let implementation st =
         List.iter (toplevel_binding self) vbs;
         if flag = Asttypes.Nonrecursive then push bound
     | Pstr_primitive vd ->
-        let name = vd.pval_name.Location.txt in
+        let name = vd.pval_name.txt in
         Option.iter
           (fun pre -> s_values := (pre ^ name, line_of si.pstr_loc) :: !s_values)
           !prefix;
+        default.Ast_iterator.structure_item self si;
         push [ defined name ]
     | Pstr_type (_, decls) ->
         List.iter
@@ -419,243 +460,144 @@ let implementation st =
                 List.iter
                   (fun l ->
                     if l.pld_mutable = Asttypes.Mutable then
-                      mutable_labels := l.pld_name.Location.txt :: !mutable_labels)
+                      mutable_labels := l.pld_name.txt :: !mutable_labels)
                   labels
             | _ -> ())
           decls;
         default.Ast_iterator.structure_item self si
-    | Pstr_open od ->
-        default.Ast_iterator.structure_item self si;
-        (match od.popen_expr.pmod_desc with
-        | Pmod_ident lid -> push [ Open (flatten lid.Location.txt) ]
-        | _ -> ())
-    | Pstr_include { pincl_mod = { pmod_desc = Pmod_ident lid; _ }; _ } ->
-        let path = flatten lid.Location.txt in
+    (* A structure-level open or include is a declaration, not also a
+       path. *)
+    | Pstr_open { popen_expr = { pmod_desc = Pmod_ident lid; _ }; popen_attributes = a; _ }
+      ->
+        open_ ~scoped:false Module lid;
+        self.Ast_iterator.attributes self a;
+        push [ Open (flatten lid.txt) ]
+    | Pstr_include { pincl_mod = { pmod_desc = Pmod_ident lid; _ }; pincl_attributes = a; _ }
+      ->
+        let path = flatten lid.txt in
         Option.iter (fun pre -> s_includes := (pre, path) :: !s_includes) !prefix;
+        open_ ~scoped:false Module lid;
+        self.Ast_iterator.attributes self a;
         push [ Open path ]
-    | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr = me; _ } ->
+    | Pstr_module ({ pmb_name = { txt = Some name; _ }; pmb_expr = me; _ } as mb) ->
         let def =
-          match (named_structure me, !prefix) with
-          | Some st, Some pre ->
-              prefix := Some (pre ^ name ^ ".");
-              self.Ast_iterator.structure self st;
-              prefix := Some pre;
+          match !prefix with
+          | Some pre when is_structure me ->
+              with_prefix (Some (pre ^ name ^ ".")) (fun () ->
+                  self.Ast_iterator.module_binding self mb);
               Nested (pre ^ name)
           | _ ->
-              unaddressable (fun () -> self.Ast_iterator.module_expr self me);
+              unaddressable (fun () -> self.Ast_iterator.module_binding self mb);
               module_def me
         in
         Option.iter (fun pre -> s_modules := (pre ^ name, def) :: !s_modules) !prefix;
-        push [ Module (name, def) ]
+        push [ Bound_module (name, def) ]
     | Pstr_recmodule _ ->
         unaddressable (fun () -> default.Ast_iterator.structure_item self si)
     | _ -> default.Ast_iterator.structure_item self si
+  in
+  let signature_item self si =
+    match si.psig_desc with
+    | Psig_value vd ->
+        Option.iter
+          (fun pre ->
+            s_values := (pre ^ vd.pval_name.txt, line_of si.psig_loc) :: !s_values)
+          !prefix;
+        default.Ast_iterator.signature_item self si
+    | Psig_module ({ pmd_name = { txt = Some name; _ }; pmd_type = mty; _ } as md) ->
+        let def =
+          match (mty.pmty_desc, !prefix) with
+          | Pmty_signature sg, Some pre ->
+              with_prefix (Some (pre ^ name ^ ".")) (fun () ->
+                  self.Ast_iterator.signature self sg);
+              self.Ast_iterator.attributes self md.pmd_attributes;
+              Nested (pre ^ name)
+          | (Pmty_alias lid | Pmty_typeof { pmod_desc = Pmod_ident lid; _ }), _ ->
+              self.Ast_iterator.module_declaration self md;
+              Alias (flatten lid.txt)
+          | _ ->
+              self.Ast_iterator.module_declaration self md;
+              Opaque
+        in
+        Option.iter (fun pre -> s_modules := (pre ^ name, def) :: !s_modules) !prefix;
+        push [ Bound_module (name, def) ]
+    | Psig_include
+        { pincl_mod = { pmty_desc = Pmty_typeof { pmod_desc = Pmod_ident lid; _ }; _ }; _ }
+      ->
+        Option.iter
+          (fun pre -> s_includes := (pre, flatten lid.txt) :: !s_includes)
+          !prefix;
+        default.Ast_iterator.signature_item self si
+    | Psig_include { pincl_mod = { pmty_desc = Pmty_signature sg; _ }; pincl_attributes = a; _ }
+      ->
+        self.Ast_iterator.signature self sg;
+        self.Ast_iterator.attributes self a
+    | Psig_include { pincl_mod = { pmty_desc = Pmty_ident lid; _ }; pincl_attributes = a; _ }
+      ->
+        open_ ~scoped:false Module_type lid;
+        self.Ast_iterator.attributes self a
+    | Psig_open { popen_expr = lid; popen_attributes = a; _ } ->
+        open_ ~scoped:false Module lid;
+        self.Ast_iterator.attributes self a;
+        push [ Open (flatten lid.txt) ]
+    | _ -> default.Ast_iterator.signature_item self si
   in
   let iter =
     {
       default with
       expr;
+      pat;
       case;
       structure_item;
+      signature_item;
       structure =
         (fun self items ->
           scoped [] (fun () -> List.iter (self.Ast_iterator.structure_item self) items));
-    }
-  in
-  iter.Ast_iterator.structure iter st;
-  ( List.rev !globals,
-    List.rev !bindings,
-    List.rev !witnesses,
-    List.rev !values,
-    { s_values = List.rev !s_values; s_modules = List.rev !s_modules;
-      s_includes = List.rev !s_includes } )
-
-(* The shape an interface declares: its values (including those of
-   nested signatures, by dotted name), nested modules and aliases, and
-   [include module type of M] re-exports. *)
-let interface sg =
-  let open Parsetree in
-  let values = ref [] and modules = ref [] and includes = ref [] in
-  let rec signature pre items = List.iter (item pre) items
-  and item pre si =
-    match si.psig_desc with
-    | Psig_value vd ->
-        values := (pre ^ vd.pval_name.Location.txt, line_of si.psig_loc) :: !values
-    | Psig_module { pmd_name = { txt = Some name; _ }; pmd_type = mty; _ } ->
-        let def =
-          match mty.pmty_desc with
-          | Pmty_signature sg ->
-              signature (pre ^ name ^ ".") sg;
-              Nested (pre ^ name)
-          | Pmty_alias lid
-          | Pmty_typeof { pmod_desc = Pmod_ident lid; _ } ->
-              Alias (flatten lid.Location.txt)
-          | _ -> Opaque
-        in
-        modules := (pre ^ name, def) :: !modules
-    | Psig_include
-        { pincl_mod = { pmty_desc = Pmty_typeof { pmod_desc = Pmod_ident lid; _ }; _ }; _ }
-      ->
-        includes := (pre, flatten lid.Location.txt) :: !includes
-    | Psig_include { pincl_mod = { pmty_desc = Pmty_signature sg; _ }; _ } ->
-        signature pre sg
-    | _ -> ()
-  in
-  signature "" sg;
-  { s_values = List.rev !values; s_modules = List.rev !modules;
-    s_includes = List.rev !includes }
-
-(* --- references, opens, attributes ------------------------------------- *)
-
-let console_writers =
-  [
-    "print_string"; "print_endline"; "print_newline"; "print_char";
-    "print_int"; "prerr_string"; "prerr_endline"; "prerr_newline";
-  ]
-
-let is_module_name s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
-
-(* One walk over the parse ([walk] applies the iterator to the structure
-   or signature); each list comes back in source order. *)
-let references content walk =
-  let open Parsetree in
-  let refs = ref [] and opens = ref [] and attrs = ref [] in
-  let pos (loc : Location.t) = loc.loc_start.pos_cnum in
-  let add acc loc x = acc := (pos loc, x) :: !acc in
-  let reference ?literal loc mods member =
-    add refs loc
-      { ref_modules = mods; ref_member = member; ref_line = line_of loc;
-        ref_literal = literal }
-  in
-  (* Desugarings ([a.(i)] is [Array.get]) carry ghost locations: skip
-     them. Record labels are kept: a punned one is ghost too but written
-     in source. *)
-  let path ?literal ?(keep_ghost = false) (lid : Longident.t Location.loc) =
-    if keep_ghost || not lid.loc.loc_ghost then
-      match List.rev (flatten lid.txt) with
-      | last :: (_ :: _ as mods) when not (is_module_name last) ->
-          reference ?literal lid.loc (List.rev mods) (Some last)
-      | _ :: _ :: _ as mods -> reference ?literal lid.loc (List.rev mods) None
-      | _ -> ()
-  in
-  let value ?literal (lid : Longident.t Location.loc) =
-    match lid.txt with
-    | Lident x when List.mem x console_writers && not lid.loc.loc_ghost ->
-        reference ?literal lid.loc [ "Stdlib" ] (Some x)
-    | _ -> path ?literal lid
-  in
-  let open_ ~scoped (lid : Longident.t Location.loc) =
-    add opens lid.loc
-      { open_modules = flatten lid.txt; open_line = line_of lid.loc;
-        open_scoped = scoped }
-  in
-  let literal (_, a) =
-    match a.pexp_desc with
-    | Pexp_constant (Pconst_string (s, _, _)) -> Some s
-    | _ -> None
-  in
-  let default = Ast_iterator.default_iterator in
-  let iter =
-    {
-      default with
-      expr =
-        (fun self e ->
-          match e.pexp_desc with
-          | Pexp_apply ({ pexp_desc = Pexp_ident f; pexp_attributes = []; _ }, args)
-            ->
-              value ?literal:(List.find_map literal args) f;
-              List.iter (fun (_, a) -> self.expr self a) args;
-              self.attributes self e.pexp_attributes
-          | desc ->
-              (match desc with
-              | Pexp_ident lid -> value lid
-              | Pexp_construct (lid, _) | Pexp_field (_, lid)
-              | Pexp_setfield (_, lid, _) | Pexp_new lid ->
-                  path lid
-              | Pexp_record (fields, _) ->
-                  List.iter (fun (l, _) -> path ~keep_ghost:true l) fields
-              (* the default walk also records a dotted M.N as a
-                 reference, so M.N.(x) still names M.N *)
-              | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ }, _)
-                ->
-                  open_ ~scoped:true lid
-              | _ -> ());
-              default.expr self e);
-      pat =
-        (fun self p ->
-          (match p.ppat_desc with
-          | Ppat_construct (lid, _) | Ppat_type lid -> path lid
-          | Ppat_record (fields, _) ->
-              List.iter (fun (l, _) -> path ~keep_ghost:true l) fields
-          | Ppat_open (lid, _) ->
-              open_ ~scoped:true lid;
-              path lid
-          | _ -> ());
-          default.pat self p);
+      signature =
+        (fun self items ->
+          scoped [] (fun () -> List.iter (self.Ast_iterator.signature_item self) items));
       typ =
         (fun self t ->
           (match t.ptyp_desc with
-          | Ptyp_constr (lid, _) | Ptyp_class (lid, _) -> path lid
+          | Ptyp_constr (lid, _) | Ptyp_class (lid, _) -> add Type lid
           | Ptyp_package (lid, constraints) ->
-              List.iter path (lid :: List.map fst constraints)
+              add Module_type lid;
+              List.iter (fun (l, _) -> add Type l) constraints
           | _ -> ());
-          default.typ self t);
+          default.Ast_iterator.typ self t);
       module_expr =
         (fun self m ->
-          (match m.pmod_desc with Pmod_ident lid -> path lid | _ -> ());
-          default.module_expr self m);
+          (match m.pmod_desc with Pmod_ident lid -> add Module lid | _ -> ());
+          default.Ast_iterator.module_expr self m);
+      (* a module type defines nothing a path can name *)
       module_type =
         (fun self m ->
           (match m.pmty_desc with
-          | Pmty_ident lid | Pmty_alias lid -> path lid
+          | Pmty_ident lid -> add Module_type lid
+          | Pmty_alias lid -> add Module lid
           | _ -> ());
-          default.module_type self m);
+          unaddressable (fun () -> default.Ast_iterator.module_type self m));
       with_constraint =
         (fun self c ->
           (match c with
-          | Pwith_type (lid, _) | Pwith_typesubst (lid, _)
-          | Pwith_modtype (lid, _) | Pwith_modtypesubst (lid, _) ->
-              path lid
+          | Pwith_type (lid, _) | Pwith_typesubst (lid, _) -> add Type lid
+          | Pwith_modtype (lid, _) | Pwith_modtypesubst (lid, _) -> add Module_type lid
           | Pwith_module (lid, lid') | Pwith_modsubst (lid, lid') ->
-              path lid;
-              path lid');
-          default.with_constraint self c);
+              add Module lid;
+              add Module lid');
+          default.Ast_iterator.with_constraint self c);
       module_substitution =
         (fun self ms ->
-          path ms.pms_manifest;
-          default.module_substitution self ms);
+          add Module ms.pms_manifest;
+          default.Ast_iterator.module_substitution self ms);
       type_extension =
         (fun self te ->
-          path te.ptyext_path;
-          default.type_extension self te);
+          add Type te.ptyext_path;
+          default.Ast_iterator.type_extension self te);
       extension_constructor =
         (fun self ec ->
-          (match ec.pext_kind with Pext_rebind lid -> path lid | _ -> ());
-          default.extension_constructor self ec);
-      (* A structure-level open or include is a declaration, not also a
-         reference. *)
-      structure_item =
-        (fun self si ->
-          match si.pstr_desc with
-          | Pstr_open
-              { popen_expr = { pmod_desc = Pmod_ident lid; _ };
-                popen_attributes = a; _ }
-          | Pstr_include
-              { pincl_mod = { pmod_desc = Pmod_ident lid; _ };
-                pincl_attributes = a; _ } ->
-              open_ ~scoped:false lid;
-              self.attributes self a
-          | _ -> default.structure_item self si);
-      signature_item =
-        (fun self si ->
-          match si.psig_desc with
-          | Psig_open { popen_expr = lid; popen_attributes = a; _ }
-          | Psig_include
-              { pincl_mod = { pmty_desc = Pmty_ident lid; _ };
-                pincl_attributes = a; _ } ->
-              open_ ~scoped:false lid;
-              self.attributes self a
-          | _ -> default.signature_item self si);
+          (match ec.pext_kind with Pext_rebind lid -> add Constructor lid | _ -> ());
+          default.Ast_iterator.extension_constructor self ec);
       (* Payloads are metadata: not walked. *)
       attribute =
         (fun _ a ->
@@ -663,16 +605,32 @@ let references content walk =
           | "ocaml.doc" | "ocaml.text" -> ()
           | _ ->
               let l = a.attr_loc in
-              add attrs l
-                { attr_text = String.sub content (pos l) (l.loc_end.pos_cnum - pos l);
-                  attr_line = line_of l });
+              attrs :=
+                ( pos l,
+                  { attr_text = String.sub content (pos l) (l.loc_end.pos_cnum - pos l);
+                    attr_line = line_of l } )
+                :: !attrs);
     }
   in
-  walk iter;
+  run iter;
   let in_order acc =
     List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !acc))
   in
-  (in_order refs, in_order opens, in_order attrs)
+  {
+    a_path = "";
+    a_parsed = true;
+    a_paths = in_order paths;
+    a_opens = in_order opens;
+    a_attributes = in_order attrs;
+    a_pragmas = [];
+    a_globals = List.rev !globals;
+    a_bindings = List.rev !bindings;
+    a_witnesses = List.rev !witnesses;
+    a_shape =
+      { s_values = List.rev !s_values; s_modules = List.rev !s_modules;
+        s_includes = List.rev !s_includes };
+    a_structure = None;
+  }
 
 (* --- pragmas ------------------------------------------------------------ *)
 
@@ -709,6 +667,12 @@ let pragmas_of_comment ~line text =
   in
   find 0 []
 
+let modules_of p =
+  match (p.p_kind, List.rev p.p_path) with
+  | Module, _ -> p.p_path
+  | _, _ :: rev_mods -> List.rev rev_mods
+  | _, [] -> []
+
 (* --- the one parse -------------------------------------------------------- *)
 
 let of_source ~path content =
@@ -730,30 +694,11 @@ let of_source ~path content =
         pragmas_of_comment ~line:loc.Location.loc_end.Lexing.pos_lnum text)
       (Lexer.comments ())
   in
-  let a_refs, a_opens, a_attributes =
+  let a =
     match (intf, impl) with
-    | Some sg, _ -> references content (fun it -> it.Ast_iterator.signature it sg)
-    | _, Some st -> references content (fun it -> it.Ast_iterator.structure it st)
-    | None, None -> ([], [], [])
+    | Some sg, _ -> walk content (fun it -> it.Ast_iterator.signature it sg)
+    | _, Some st -> walk content (fun it -> it.Ast_iterator.structure it st)
+    | None, None -> walk content ignore
   in
-  let empty = { s_values = []; s_modules = []; s_includes = [] } in
-  let a_globals, a_bindings, a_witnesses, a_values, a_shape =
-    match (intf, impl) with
-    | _, Some st -> implementation st
-    | Some sg, None -> ([], [], [], [], interface sg)
-    | None, None -> ([], [], [], [], empty)
-  in
-  {
-    a_path = path;
-    a_parsed = intf <> None || impl <> None;
-    a_refs;
-    a_opens;
-    a_attributes;
-    a_pragmas = pragmas;
-    a_globals;
-    a_bindings;
-    a_witnesses;
-    a_values;
-    a_shape;
-    a_structure = impl;
-  }
+  { a with a_path = path; a_parsed = intf <> None || impl <> None;
+    a_pragmas = pragmas; a_structure = impl }

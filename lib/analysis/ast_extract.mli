@@ -1,12 +1,12 @@
-(** The one OCaml front end of otock-lint and otock-check: each
-    [.ml]/[.mli] file is parsed once with compiler-libs ([Parse] +
-    [Ast_iterator]) and summarized. The lint rules read its dotted
-    paths, opens, attributes and allowlist pragmas; otock-check reads
-    the module-toplevel mutable-state inventory, every value path with
-    its scope (per binding, for interprocedural reachability, and
-    file-wide, for export uses), in-place mutation witnesses, the
-    unit's shape and the parsed structure. Parsing never raises — a
-    rejected file comes back with [a_parsed = false]. *)
+(** The one OCaml front end of otock-lint: each [.ml]/[.mli] file is
+    parsed once with compiler-libs ([Parse] + [Ast_iterator]) and
+    summarized by one walk. Every path the file writes is recorded once,
+    with its kind and the scope it is written in; the rules read them
+    (through {!Resolve} where a path must be pinned), with the opens,
+    attributes and allowlist pragmas, the module-toplevel mutable-state
+    inventory, in-place mutation witnesses, the unit's shape and the
+    parsed structure. Parsing never raises — a rejected file comes back
+    with [a_parsed = false]. *)
 
 type mutability =
   | Ref_cell
@@ -35,10 +35,10 @@ type scope_entry =
   | Open of string list
       (** [open M], [include M], [let open M in] or [M.(...)]: [M]'s
           members are in scope. *)
-  | Module of string * module_def
+  | Bound_module of string * module_def
       (** A module name bound in this file: [module X = P],
           [let module X = P in], [module X = struct ... end]. *)
-  | Value of string * string
+  | Toplevel of string * string
       (** A module-level [let] of this file: the bare name and its
           dotted name inside the file (["Accum.add"]). *)
   | Local of string
@@ -50,13 +50,30 @@ and module_def =
       (** A structure or signature of this file, by dotted name. *)
   | Opaque  (** A functor application, an unpacked module, ... *)
 
-type value_ref = {
-  r_path : string list;
-  r_line : int;
-  r_scope : scope_entry list;  (** The scope the path was written in. *)
+(** What the last component of a path names. *)
+type kind =
+  | Value  (** [x], [M.x] in an expression. *)
+  | Constructor  (** A variant or exception constructor. *)
+  | Field  (** A record field or label. *)
+  | Type  (** A type, class or class type. *)
+  | Module  (** A module: every component names one. *)
+  | Module_type
+
+type path = {
+  p_path : string list;  (** As written, outermost first. *)
+  p_kind : kind;
+  p_line : int;
+  p_scope : scope_entry list;  (** The scope the path was written in. *)
+  p_literal : string option;
+      (** For an applied value path, its first string-literal argument:
+          [Metrics.counter reg "fleet.x"] gives [Some "fleet.x"]. *)
 }
 
-type binding = { b_name : string; b_line : int; b_refs : value_ref list }
+type binding = {
+  b_name : string;
+  b_line : int;
+  b_paths : path list;  (** The paths its definition writes. *)
+}
 
 type shape = {
   s_values : (string * int) list;
@@ -68,31 +85,16 @@ type shape = {
           they sit under ([""] at toplevel) and [M] as written. *)
 }
 
-type reference = {
-  ref_modules : string list;
-      (** Capitalized components, outermost first (a trailing module or
-          constructor name included): [Tock_crypto.Schnorr.keypair]
-          gives [\["Tock_crypto"; "Schnorr"\]]. *)
-  ref_member : string option;
-      (** Trailing value, type, field or label, if any. *)
-  ref_line : int;
-  ref_literal : string option;
-      (** For an applied path, its first string-literal argument:
-          [Metrics.counter reg "fleet.x"] gives [Some "fleet.x"]. *)
-}
-(** A path of two or more components as written in source. Ghost
-    (desugared) paths are skipped; an unqualified Stdlib console
-    writer ({!console_writers}) is recorded as [Stdlib.<name>]. *)
-
 type open_decl = {
-  open_modules : string list;
-  open_line : int;
+  open_path : path;
+      (** [Module], or [Module_type] for an interface's [include S]; its
+          scope is the one before the declaration. *)
   open_scoped : bool;
-      (** [let open M in], [M.(...)]: expression-scoped. Scoped opens
-          still resolve unqualified references, but are not themselves
-          wholesale-open edges (a [let open Tock in] inside one function
-          is not the file importing the kernel wholesale). A dotted
-          scoped open is also a {!reference}. *)
+      (** [let open M in], [M.(...)]: expression-scoped. A scoped open
+          still resolves the names under it, but is not itself a
+          wholesale import (a [let open Tock in] inside one function is
+          not the file importing the kernel wholesale), and its module
+          path is also in [a_paths]. *)
 }
 (** [open], [include], [let open] and [M.(...)] declarations. *)
 
@@ -113,31 +115,31 @@ type pragma = {
 type t = {
   a_path : string;
   a_parsed : bool;
-  a_refs : reference list;  (** Source order. *)
+  a_paths : path list;
+      (** Every path written in source, in source order; structure- and
+          signature-level opens and includes are {!a_opens} only. *)
   a_opens : open_decl list;  (** Source order. *)
   a_attributes : attribute list;
   a_pragmas : pragma list;
       (** Also read from a file that does not parse, up to the error. *)
   a_globals : global list;
   a_bindings : binding list;
-  a_witnesses : value_ref list;
+  a_witnesses : path list;
       (** Identifier paths passed to a known in-place mutator
           ([Array.set], [Bytes.blit], field assignment, ...): a
           bytes/array global with no witness anywhere is a read-only
           table, not shared mutable state. *)
-  a_values : value_ref list;
-      (** Every value path of an implementation, in walk order, with its
-          scope. *)
   a_shape : shape;
   a_structure : Parsetree.structure option;
       (** The parse of an implementation, for analyses that walk the
           tree themselves ({!Escape}). *)
 }
 
+val modules_of : path -> string list
+(** The modules a path writes: the whole of a [Module] path, the
+    components before the last of any other ([[]] for a bare name). *)
+
 val of_source : path:string -> string -> t
 (** Parses with [Parse.interface] when [path] ends in [.mli], with
     [Parse.implementation] otherwise. The inventory fields are empty
     for an interface. *)
-
-val console_writers : string list
-(** Unqualified Stdlib writers to stdout/stderr ([print_endline], ...). *)

@@ -3,31 +3,32 @@
 
    Exports are the values of every [lib/**/*.mli], nested signatures
    included ([Metrics.Accum.add]). Uses are the value paths of every
-   scanned implementation, each pinned by {!Resolve}; tests, benches,
-   binaries and examples count. A use from the export's own unit (its
+   scanned implementation, each resolved by {!Resolve}; tests, benches,
+   binaries and examples count, and so does every unpinned candidate
+   (the rule errs towards live). A use from the export's own unit (its
    [.ml]) does not make it live, but it changes the fix: the value only
    has to leave the interface. A mention in a comment or a string is
    not a path, so it is not a use. *)
 
 type finding = { f_file : string; f_line : int; f_message : string }
 
-let analyze (summaries : Ast_extract.t list) =
-  let resolver = Resolve.create summaries in
+let analyze resolver (summaries : Ast_extract.t list) =
   (* target -> used from outside its unit / only from inside it *)
   let uses = Hashtbl.create 1024 in
   List.iter
     (fun (a : Ast_extract.t) ->
       let unit = Resolve.unit_of_path a.Ast_extract.a_path in
       List.iter
-        (fun r ->
+        (fun p ->
+          let found = Resolve.values resolver ~path:a.Ast_extract.a_path p in
           List.iter
             (fun (tg : Resolve.target) ->
               let outside = tg.Resolve.t_unit <> unit in
               match Hashtbl.find_opt uses tg with
               | Some true -> ()
               | _ -> Hashtbl.replace uses tg outside)
-            (Resolve.resolve resolver ~path:a.Ast_extract.a_path r))
-        a.Ast_extract.a_values)
+            (found.Resolve.pinned @ found.Resolve.unpinned))
+        a.Ast_extract.a_paths)
     summaries;
   let findings =
     List.concat_map
@@ -37,7 +38,7 @@ let analyze (summaries : Ast_extract.t list) =
         then []
         else
           let unit = Resolve.unit_of_path path in
-          let m = Dep_graph.module_name_of_path path in
+          let m = String.capitalize_ascii (Taxonomy.module_base path) in
           List.filter_map
             (fun (name, line) ->
               let fix =

@@ -1,20 +1,21 @@
-(* Module-reference graph: resolves the paths and opens Ast_extract
-   found in each parsed file into edges between source files and otock
-   libraries.
+(* Module-reference graph: each parsed file's edges to the otock
+   libraries it names, plus the dune stanza inventory.
 
-   Resolution handles the three ways a foreign module gets named in this
-   tree: fully qualified (`Tock_hw.Uart.write`), as a sibling inside the
-   same wrapped library (`Uart_mux.attach` from another capsule), and
-   through an `open` (`open Tock` then `Kernel.schedule_upcall`).
-   Anything that resolves to no otock library (stdlib, fmt, ...) carries
-   no architectural meaning and produces no edge. *)
+   An edge is a module {!Resolve} pins: every path's module part (the
+   whole of a module path, the components before the last of any
+   other) that names a library unit, and every structure- or
+   signature-level [open]/[include] of a library or one of its units
+   (a scoped [let open M in] is not the file importing [M]: the paths
+   under it are resolved through it instead). Naming a library root
+   alone, as [Tock.(...)] or [module T = Tock] do, names none of its
+   modules. An unpinned head ([Uart.x] with no [open] that brings a
+   [Uart] into scope) is not an edge, and anything that resolves to no
+   otock library (stdlib, fmt, ...) carries no architectural meaning. *)
 
 type edge = {
   edge_line : int;
   edge_lib : Taxonomy.library;  (* target *)
   edge_submodule : string option;
-  edge_member : string option;
-  edge_via_open : bool;
 }
 
 type node = {
@@ -37,118 +38,46 @@ type t = {
   mli_paths : string list;
 }
 
-let module_name_of_path path =
-  String.capitalize_ascii (Taxonomy.module_base path)
-
-(* library name -> module names defined by its sources *)
-let submodule_table files =
-  List.filter_map
-    (fun (f : Source.file) ->
-      match f.Source.kind with
-      | Source.Dune -> None
-      | _ ->
-          Option.map
-            (fun (l : Taxonomy.library) ->
-              (l.Taxonomy.lib_name, module_name_of_path f.Source.path))
-            (Taxonomy.library_of_path f.Source.path))
-    files
-
-let resolve ~table ~own_lib ~(opens : Ast_extract.open_decl list) mods member line =
-  let root = List.hd mods in
-  let sub_of rest = match rest with [] -> None | s :: _ -> Some s in
-  match Taxonomy.library_by_root_module root with
-  | Some lib ->
-      Some
-        {
-          edge_line = line;
-          edge_lib = lib;
-          edge_submodule = sub_of (List.tl mods);
-          edge_member = member;
-          edge_via_open = false;
-        }
-  | None -> (
-      let in_lib lib_name = List.mem (lib_name, root) table in
-      match own_lib with
-      | Some (l : Taxonomy.library) when in_lib l.Taxonomy.lib_name ->
-          (* Sibling module inside the same wrapped library. *)
-          Some
-            {
-              edge_line = line;
-              edge_lib = l;
-              edge_submodule = Some root;
-              edge_member = member;
-              edge_via_open = false;
-            }
-      | _ ->
-          List.find_map
-            (fun (o : Ast_extract.open_decl) ->
-              match o.Ast_extract.open_modules with
-              | [ om ] -> (
-                  match Taxonomy.library_by_root_module om with
-                  | Some lib when in_lib lib.Taxonomy.lib_name ->
-                      Some
-                        {
-                          edge_line = line;
-                          edge_lib = lib;
-                          edge_submodule = Some root;
-                          edge_member = member;
-                          edge_via_open = true;
-                        }
-                  | _ -> None)
-              | _ -> None)
-            opens)
-
-let edges_of_file ~table (f : Source.file) (a : Ast_extract.t) =
-  let own_lib = Taxonomy.library_of_path f.Source.path in
-  let opens = a.Ast_extract.a_opens in
-  let of_ref (r : Ast_extract.reference) =
-    resolve ~table ~own_lib ~opens r.Ast_extract.ref_modules
-      r.Ast_extract.ref_member r.Ast_extract.ref_line
+(* A unit a path enters as an edge: ["Tock.Kernel"] is [tock]'s
+   [Kernel], ["Tock"] the root itself; a unit outside every library
+   (["test/Helpers"]) is none. *)
+let edge_of line u =
+  let root, submodule =
+    match String.index_opt u '.' with
+    | Some i -> (String.sub u 0 i, Some (String.sub u (i + 1) (String.length u - i - 1)))
+    | None -> (u, None)
   in
-  (* `open Tock_hw` (or `open Tock_hw.Uart`) is itself an edge. A
-     scoped `let open M in` is not: its references are still resolved
-     through it above, but the expression-local import is not the file
-     declaring a wholesale dependency (the userland wholesale-open rule
-     keys on exactly this distinction). *)
-  let of_open (o : Ast_extract.open_decl) =
-    if o.Ast_extract.open_scoped then None
-    else
-    match o.Ast_extract.open_modules with
-    | root :: rest -> (
-        match Taxonomy.library_by_root_module root with
-        | Some lib ->
-            Some
-              {
-                edge_line = o.Ast_extract.open_line;
-                edge_lib = lib;
-                edge_submodule = (match rest with [] -> None | s :: _ -> Some s);
-                edge_member = None;
-                edge_via_open = true;
-              }
-        | None -> None)
-    | [] -> None
-  in
-  List.filter_map of_ref a.Ast_extract.a_refs
-  @ List.filter_map of_open opens
+  Option.map
+    (fun lib -> { edge_line = line; edge_lib = lib; edge_submodule = submodule })
+    (Taxonomy.library_by_root_module root)
 
-let build (files : Source.file list) =
-  let table = submodule_table files in
+let edges r (a : Ast_extract.t) =
+  let named ~root (p : Ast_extract.path) =
+    (Resolve.modules r ~path:a.Ast_extract.a_path p).Resolve.pinned
+    |> List.filter_map (edge_of p.Ast_extract.p_line)
+    |> List.filter (fun e -> root || e.edge_submodule <> None)
+    |> List.sort_uniq compare
+  in
+  List.concat_map (named ~root:false) a.Ast_extract.a_paths
+  @ List.concat_map
+      (fun (o : Ast_extract.open_decl) ->
+        if o.Ast_extract.open_scoped then []
+        else named ~root:true o.Ast_extract.open_path)
+      a.Ast_extract.a_opens
+
+let build r (summaries : Ast_extract.t list) (files : Source.file list) =
   let nodes =
-    List.filter_map
-      (fun (f : Source.file) ->
-        match f.Source.kind with
-        | Source.Dune -> None
-        | _ ->
-            let a = Ast_extract.of_source ~path:f.Source.path f.Source.content in
-            Some
-              {
-                node_path = f.Source.path;
-                node_lib = Taxonomy.library_of_path f.Source.path;
-                node_category = Taxonomy.categorize f.Source.path;
-                node_summary = a;
-                node_edges = edges_of_file ~table f a;
-              })
-      files
+    List.map
+      (fun (a : Ast_extract.t) ->
+        let path = a.Ast_extract.a_path in
+        {
+          node_path = path;
+          node_lib = Taxonomy.library_of_path path;
+          node_category = Taxonomy.categorize path;
+          node_summary = a;
+          node_edges = edges r a;
+        })
+      summaries
   in
   let stanzas =
     List.concat_map
@@ -185,7 +114,7 @@ let nodes_in_dir t dir =
    testable in isolation: results depend only on the edge *set*, never
    on insertion order. *)
 module Digraph = struct
-  type g = { size : int; mutable adj : int list array }
+  type g = { size : int; adj : int list array }
 
   let make size =
     if size < 0 then invalid_arg "Digraph.make: negative size";

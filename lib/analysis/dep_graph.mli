@@ -1,6 +1,7 @@
 (** The module-reference graph: source files with their parsed
-    {!Ast_extract} summary and resolved edges to otock libraries, plus
-    the dune stanza inventory. *)
+    {!Ast_extract} summary and their edges to otock libraries — the
+    modules {!Resolve} pins for each path and each non-scoped
+    [open]/[include] — plus the dune stanza inventory. *)
 
 type edge = {
   edge_line : int;
@@ -8,8 +9,6 @@ type edge = {
   edge_submodule : string option;
       (** [Tock.Kernel.x] gives [Some "Kernel"]; a bare [open Tock]
           gives [None]. *)
-  edge_member : string option;
-  edge_via_open : bool;
 }
 
 type node = {
@@ -32,9 +31,9 @@ type t = {
   mli_paths : string list;
 }
 
-val build : Source.file list -> t
-
-val module_name_of_path : string -> string
+val build : Resolve.t -> Ast_extract.t list -> Source.file list -> t
+(** Nodes for the given summaries, resolved with the given resolver;
+    stanzas and interface paths from the files. *)
 
 val nodes_in_dir : t -> string -> node list
 

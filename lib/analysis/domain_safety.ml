@@ -11,10 +11,10 @@
    S-boxes, round constants) and equally safe.
 
    Reachability is interprocedural: every module-toplevel binding is a
-   graph vertex, every value reference {!Resolve} pins an edge, and the
+   graph vertex, every value path {!Resolve} resolves an edge, and the
    entry set is all bindings of the shard entry files
-   ({!Taxonomy.shard_entry_files}). A reference the resolver cannot pin
-   to one binding is an edge to each binding it could mean. *)
+   ({!Taxonomy.shard_entry_files}). A path the resolver cannot pin to
+   one binding is an edge to each binding it could mean. *)
 
 type finding = { f_file : string; f_line : int; f_message : string }
 
@@ -40,7 +40,7 @@ let vertices (summaries : Ast_extract.t list) =
 
 (* --- analysis --------------------------------------------------------- *)
 
-let analyze ?(entry_files = Taxonomy.shard_entry_files)
+let analyze ?(entry_files = Taxonomy.shard_entry_files) resolver
     (summaries : Ast_extract.t list) =
   let summaries =
     List.sort
@@ -49,14 +49,13 @@ let analyze ?(entry_files = Taxonomy.shard_entry_files)
       summaries
   in
   let n, by_key = vertices summaries in
-  let resolver = Resolve.create summaries in
   let vertex (a : Ast_extract.t) name =
     Hashtbl.find_opt by_key
       { Resolve.t_unit = Resolve.unit_of_path a.Ast_extract.a_path; t_name = name }
   in
-  let targets (a : Ast_extract.t) r =
-    List.filter_map (Hashtbl.find_opt by_key)
-      (Resolve.resolve resolver ~path:a.Ast_extract.a_path r)
+  let targets (a : Ast_extract.t) p =
+    let found = Resolve.values resolver ~path:a.Ast_extract.a_path p in
+    List.filter_map (Hashtbl.find_opt by_key) (found.Resolve.pinned @ found.Resolve.unpinned)
   in
   let g = Dep_graph.Digraph.make n in
   (* first referencing site per vertex, for the finding message *)
@@ -74,15 +73,15 @@ let analyze ?(entry_files = Taxonomy.shard_entry_files)
           | None -> ()
           | Some src ->
               List.iter
-                (fun (r : Ast_extract.value_ref) ->
+                (fun (p : Ast_extract.path) ->
                   List.iter
                     (fun dst ->
                       if dst <> src then (
                         Dep_graph.Digraph.add_edge g src dst;
                         note_site dst ~src_file:a.Ast_extract.a_path
-                          ~line:r.Ast_extract.r_line))
-                    (targets a r))
-                b.Ast_extract.b_refs)
+                          ~line:p.Ast_extract.p_line))
+                    (targets a p))
+                b.Ast_extract.b_paths)
         a.Ast_extract.a_bindings)
     summaries;
   let entries =

@@ -4,13 +4,14 @@
     Tock forbids in capsules.
 
     Reachability is interprocedural over {!Ast_extract} summaries:
-    bindings are vertices, resolved value references are edges
+    bindings are vertices, resolved value paths are edges
     ({!Dep_graph.Digraph}), and the entry set is every binding of
     [entry_files]. [Bytes]/[Array] globals with no in-place mutation
     witness anywhere in the tree are read-only tables and not flagged. *)
 
 type finding = { f_file : string; f_line : int; f_message : string }
 
-val analyze : ?entry_files:string list -> Ast_extract.t list -> finding list
+val analyze :
+  ?entry_files:string list -> Resolve.t -> Ast_extract.t list -> finding list
 (** [entry_files] defaults to {!Taxonomy.shard_entry_files}. Findings
     are sorted by (file, line). *)

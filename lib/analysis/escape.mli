@@ -1,4 +1,4 @@
-(** Allow-window escape analysis (otock-check's second pass).
+(** Allow-window escape analysis (otock-lint's [allow-escape] rule).
 
     [Kernel.with_allow_rw]/[with_allow_ro] lend a capsule a
     [Subslice.t] window for exactly the closure's extent; the range is

@@ -109,13 +109,13 @@ let baseline_of_string s =
 
 (* --- human-readable report ------------------------------------------ *)
 
-let text ?(tool = "otock-lint") ~(result : Rules.result) ~(d : diff) () =
+let text ~(result : Rules.result) ~(d : diff) =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   if d.new_violations = [] then
-    pf "%s: OK — no new architecture violations\n" tool
+    pf "otock-lint: OK — no new violations\n"
   else (
-    pf "%s: %d NEW violation(s) (not covered by baseline)\n\n" tool
+    pf "otock-lint: %d NEW violation(s) (not covered by baseline)\n\n"
       (List.length d.new_violations);
     List.iter
       (fun (viol : Rules.violation) ->
@@ -193,11 +193,10 @@ let violation_json (viol : Rules.violation) =
     viol.Rules.v_line
     (json_escape viol.Rules.v_message)
 
-let json ?(pass = "lint") ~(result : Rules.result) ~(d : diff) () =
+let json ~(result : Rules.result) ~(d : diff) =
   let arr l f = "[" ^ String.concat "," (List.map f l) ^ "]" in
   Printf.sprintf
-    "{\"pass\":\"%s\",\"new\":%s,\"all\":%s,\"suppressed\":%s,\"summary\":{\"sites\":%d,\"grandfathered\":%d,\"allowlisted\":%d,\"new\":%d,\"stale\":%d}}\n"
-    (json_escape pass)
+    "{\"new\":%s,\"all\":%s,\"suppressed\":%s,\"summary\":{\"sites\":%d,\"grandfathered\":%d,\"allowlisted\":%d,\"new\":%d,\"stale\":%d}}\n"
     (arr d.new_violations violation_json)
     (arr result.Rules.violations violation_json)
     (arr result.Rules.suppressed (fun (viol, _) -> violation_json viol))

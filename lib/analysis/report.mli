@@ -21,11 +21,7 @@ val baseline_to_string : entry list -> string
 
 val baseline_of_string : string -> (entry list, string) result
 
-val text : ?tool:string -> result:Rules.result -> d:diff -> unit -> string
-(** [tool] labels the report header (["otock-lint"] by default;
-    otock-check passes its own name). *)
+val text : result:Rules.result -> d:diff -> string
 
-val json : ?pass:string -> result:Rules.result -> d:diff -> unit -> string
-(** One stable schema for both tools:
-    [{"pass", "new", "all", "suppressed", "summary"}], where [pass] is
-    ["lint"] or ["check"]. *)
+val json : result:Rules.result -> d:diff -> string
+(** [{"new", "all", "suppressed", "summary"}]. *)

@@ -1,4 +1,6 @@
-(* The architecture-conformance rule set, grounded in the paper:
+(* The otock-lint rule set: one pass over one parse of every scanned
+   file, one resolver and one baseline. Its rules are grounded in the
+   paper:
 
    - layering (§4.1, Fig. 2): capsules reach hardware only through the
      HIL/adaptors in the core kernel; userland sees only the syscall ABI;
@@ -12,11 +14,21 @@
    - `Take_cell.take` without a restoring `put`/`replace` in the same
      file is the buffer-loss bug Tock's ownership types prevent
      statically; we lint for it heuristically.
+   - the dataflow rules: module-toplevel mutable state reachable from
+     the fleet's shard entry points without Atomic/Mutex
+     ([domain-safety], {!Domain_safety}), allow-window borrows outliving
+     their [with_allow] scope ([allow-escape], {!Escape}), and library
+     interface values no other unit names ([dead-export],
+     {!Dead_export}).
 
-   Violations can be suppressed by an inline pragma carrying a
-   justification — `(* otock-lint: allow <rule> <why> *)` on the same or
-   previous line, or `allow-file` for a whole file — or grandfathered in
-   the committed baseline (see Report). *)
+   Every rule reads the {!Ast_extract} summaries; paths that must be
+   pinned go through one {!Resolve.t} (library edges via {!Dep_graph},
+   reachability, export uses). A file compiler-libs cannot parse is
+   itself a finding ([lint-parse]). Violations can be suppressed by an
+   inline pragma carrying a justification —
+   `(* otock-lint: allow <rule> <why> *)` on the same or previous line,
+   or `allow-file` for a whole file — or grandfathered in the committed
+   baseline (see Report). *)
 
 type violation = {
   v_rule : string;
@@ -37,7 +49,17 @@ let v rule file line fmt =
 
 let cat_of (n : Dep_graph.node) = n.Dep_graph.node_category
 
-let refs (n : Dep_graph.node) = n.Dep_graph.node_summary.Ast_extract.a_refs
+let paths (n : Dep_graph.node) = n.Dep_graph.node_summary.Ast_extract.a_paths
+
+(* A path as written: its modules and the value, constructor, field,
+   type or module type after them ([Tock_crypto.Schnorr.keypair] gives
+   [Tock_crypto; Schnorr] and [keypair]; a module path is all
+   modules). *)
+let split (p : Ast_extract.path) =
+  ( Ast_extract.modules_of p,
+    match (p.Ast_extract.p_kind, List.rev p.Ast_extract.p_path) with
+    | Ast_extract.Module, _ | _, [] -> None
+    | _, last :: _ -> Some last )
 
 let edge_target_name (e : Dep_graph.edge) =
   let open Dep_graph in
@@ -138,15 +160,15 @@ let rule_mint_confinement (n : Dep_graph.node) =
   if mint_allowed n.Dep_graph.node_path then []
   else
     List.filter_map
-      (fun (r : Ast_extract.reference) ->
-        if List.mem "Trusted_mint" r.Ast_extract.ref_modules then
+      (fun (p : Ast_extract.path) ->
+        if List.mem "Trusted_mint" (Ast_extract.modules_of p) then
           Some
-            (v "mint-confinement" n.Dep_graph.node_path r.Ast_extract.ref_line
+            (v "mint-confinement" n.Dep_graph.node_path p.Ast_extract.p_line
                "Trusted_mint referenced outside lib/boards and test/: \
                 capability tokens are forgeable from here (paper §4.4, \
                 Listing 1)")
         else None)
-      (refs n)
+      (paths n)
 
 (* --- unsafe-analogue confinement -------------------------------------- *)
 
@@ -159,15 +181,15 @@ let rule_obj_magic (n : Dep_graph.node) =
   if trusted n then []
   else
     List.filter_map
-      (fun (r : Ast_extract.reference) ->
-        if r.Ast_extract.ref_modules = [ "Obj" ] then
+      (fun (p : Ast_extract.path) ->
+        if Ast_extract.modules_of p = [ "Obj" ] then
           Some
-            (v "obj-magic" n.Dep_graph.node_path r.Ast_extract.ref_line
-               "Obj.%s outside the trusted set: this is the unsafe-analogue \
+            (v "obj-magic" n.Dep_graph.node_path p.Ast_extract.p_line
+               "%s outside the trusted set: this is the unsafe-analogue \
                 and belongs in lib/hw or trusted lib/core only"
-               (Option.value ~default:"" r.Ast_extract.ref_member))
+               (String.concat "." p.Ast_extract.p_path))
         else None)
-      (refs n)
+      (paths n)
 
 let suppression_attr text =
   (* [@warning "-..."], [@@@warning "-..."], [@ocaml.warning "-..."] *)
@@ -213,17 +235,17 @@ let rule_subslice_escape (n : Dep_graph.node) =
   if trusted n || tooling n then []
   else
     List.filter_map
-      (fun (r : Ast_extract.reference) ->
-        match (r.Ast_extract.ref_modules, r.Ast_extract.ref_member) with
+      (fun (p : Ast_extract.path) ->
+        match split p with
         | mods, Some "underlying" when List.exists (( = ) "Subslice") mods ->
             Some
               (v "subslice-escape" n.Dep_graph.node_path
-                 r.Ast_extract.ref_line
+                 p.Ast_extract.p_line
                  "Subslice.underlying exposes the raw buffer behind the \
                   window; outside trusted DMA models use the checked \
                   window API (paper §4.2)")
         | _ -> None)
-      (refs n)
+      (paths n)
 
 (* A capsule reaching for [Bytes.sub]/[Bytes.copy] is copying payload the
    allow-window discipline says it should window in place: the zero-copy
@@ -235,18 +257,18 @@ let rule_capsule_byte_copy (n : Dep_graph.node) =
   match cat_of n with
   | Some Taxonomy.Capsule ->
       List.filter_map
-        (fun (r : Ast_extract.reference) ->
-          match (r.Ast_extract.ref_modules, r.Ast_extract.ref_member) with
+        (fun (p : Ast_extract.path) ->
+          match split p with
           | [ "Bytes" ], Some (("sub" | "copy") as m) ->
               Some
                 (v "capsule-byte-copy" n.Dep_graph.node_path
-                   r.Ast_extract.ref_line
+                   p.Ast_extract.p_line
                    "Bytes.%s in a capsule: data-plane code operates on \
                     allow windows in place (Subslice); justify deliberate \
                     copies with a pragma"
                    m)
           | _ -> None)
-        (refs n)
+        (paths n)
   | _ -> []
 
 (* A kernel or capsule module writing straight to the host's stdout is
@@ -257,23 +279,32 @@ let rule_capsule_byte_copy (n : Dep_graph.node) =
    deliberate cases carry a pragma. *)
 let raw_print_members = [ "printf"; "eprintf" ]
 
+(* Stdlib writers to stdout/stderr, named bare or as [Stdlib.x]. *)
+let console_writers =
+  [
+    "print_string"; "print_endline"; "print_newline"; "print_char";
+    "print_int"; "prerr_string"; "prerr_endline"; "prerr_newline";
+  ]
+
 let rule_capsule_raw_print (n : Dep_graph.node) =
   match cat_of n with
   | Some (Taxonomy.Core | Taxonomy.Capsule)
     when Taxonomy.module_base n.Dep_graph.node_path <> "debug_writer" ->
       List.filter_map
-        (fun (r : Ast_extract.reference) ->
+        (fun (p : Ast_extract.path) ->
           let flag what =
             Some
               (v "capsule-raw-print" n.Dep_graph.node_path
-                 r.Ast_extract.ref_line
+                 p.Ast_extract.p_line
                  "%s writes to the host console from kernel/capsule code; \
                   route debug output through Debug_writer or the Tock_obs \
                   trace (pragma deliberate cases)"
                  what)
           in
-          match (r.Ast_extract.ref_modules, r.Ast_extract.ref_member) with
-          | [ "Stdlib" ], Some m when List.mem m Ast_extract.console_writers ->
+          match split p with
+          | ([] | [ "Stdlib" ]), Some m
+            when p.Ast_extract.p_kind = Ast_extract.Value
+                 && List.mem m console_writers ->
               flag m
           | mods, Some m
             when mods <> []
@@ -283,31 +314,30 @@ let rule_capsule_raw_print (n : Dep_graph.node) =
               flag
                 (List.nth mods (List.length mods - 1) ^ "." ^ m)
           | _ -> None)
-        (refs n)
+        (paths n)
   | _ -> []
 
 (* --- Take_cell discipline --------------------------------------------- *)
 
-let take_cell_ref member (r : Ast_extract.reference) =
-  (match r.Ast_extract.ref_modules with
-  | [] -> false
-  | mods -> List.nth mods (List.length mods - 1) = "Take_cell")
-  && r.Ast_extract.ref_member = Some member
+let take_cell_ref member (p : Ast_extract.path) =
+  match split p with
+  | [], _ -> false
+  | mods, m -> List.nth mods (List.length mods - 1) = "Take_cell" && m = Some member
 
 let rule_take_without_restore (n : Dep_graph.node) =
   if tooling n then []
   else
-    let refs = refs n in
-    let takes = List.filter (take_cell_ref "take") refs in
+    let paths = paths n in
+    let takes = List.filter (take_cell_ref "take") paths in
     let restores =
-      List.exists (take_cell_ref "put") refs
-      || List.exists (take_cell_ref "replace") refs
+      List.exists (take_cell_ref "put") paths
+      || List.exists (take_cell_ref "replace") paths
     in
     if takes = [] || restores then []
     else
       List.map
-        (fun (r : Ast_extract.reference) ->
-          v "take-without-restore" n.Dep_graph.node_path r.Ast_extract.ref_line
+        (fun (p : Ast_extract.path) ->
+          v "take-without-restore" n.Dep_graph.node_path p.Ast_extract.p_line
             "Take_cell.take with no put/replace anywhere in this file: the \
              buffer can be lost on every path (use Take_cell.map, or \
              restore explicitly)")
@@ -328,27 +358,24 @@ let rule_fleet_metric_namespace (n : Dep_graph.node) =
   then []
   else
     List.filter_map
-      (fun (r : Ast_extract.reference) ->
-        match
-          ( List.rev r.Ast_extract.ref_modules,
-            r.Ast_extract.ref_member,
-            r.Ast_extract.ref_literal )
-        with
+      (fun (r : Ast_extract.path) ->
+        let mods, member = split r in
+        match (List.rev mods, member, r.Ast_extract.p_literal) with
         | "Metrics" :: _, Some ("counter" | "gauge" | "histogram"), Some name
           when not (Taxonomy.starts_with "fleet." name) ->
             Some
-              (v "fleet-metric-namespace" p r.Ast_extract.ref_line
+              (v "fleet-metric-namespace" p r.Ast_extract.p_line
                  "fleet code registers metric %S outside the fleet.* \
                   namespace; fleet and per-board series share one merged \
                   snapshot, so bare names collide"
                  name)
         | _ -> None)
-      (refs n)
+      (paths n)
 
 (* --- unparsable files --------------------------------------------------- *)
 
-(* A file compiler-libs rejects contributes no references, so every
-   rule above would pass it silently: report it instead. *)
+(* A file compiler-libs rejects contributes no paths, so every rule
+   would pass it silently: report it instead. *)
 let rule_lint_parse (n : Dep_graph.node) =
   if n.Dep_graph.node_summary.Ast_extract.a_parsed then []
   else
@@ -451,6 +478,47 @@ let rule_undeclared_dep (g : Dep_graph.t) dir =
                     (edge_target_name e) dir name))
            n.Dep_graph.node_edges)
 
+(* --- dataflow rules ------------------------------------------------------ *)
+
+let of_finding rule file line message =
+  { v_rule = rule; v_file = file; v_line = line; v_message = message }
+
+let in_kernel path =
+  List.exists (fun d -> Taxonomy.starts_with (d ^ "/") path) Taxonomy.kernel_dirs
+
+let rule_domain_safety ?entry_files r kernel_ml =
+  List.map
+    (fun (f : Domain_safety.finding) ->
+      of_finding "domain-safety" f.Domain_safety.f_file f.Domain_safety.f_line
+        f.Domain_safety.f_message)
+    (Domain_safety.analyze ?entry_files r kernel_ml)
+
+let rule_allow_escape (a : Ast_extract.t) =
+  let last_component name =
+    match List.rev (String.split_on_char '.' name) with x :: _ -> x | [] -> name
+  in
+  match a.Ast_extract.a_structure with
+  | None -> []
+  | Some st ->
+      let global_names =
+        List.sort_uniq compare
+          (List.concat_map
+             (fun (g : Ast_extract.global) ->
+               [ g.Ast_extract.g_name; last_component g.Ast_extract.g_name ])
+             a.Ast_extract.a_globals)
+      in
+      List.map
+        (fun (e : Escape.finding) ->
+          of_finding "allow-escape" e.Escape.f_file e.Escape.f_line e.Escape.f_message)
+        (Escape.analyze ~path:a.Ast_extract.a_path ~global_names st)
+
+let rule_dead_export r summaries =
+  List.map
+    (fun (f : Dead_export.finding) ->
+      of_finding "dead-export" f.Dead_export.f_file f.Dead_export.f_line
+        f.Dead_export.f_message)
+    (Dead_export.analyze r summaries)
+
 (* --- driver ------------------------------------------------------------ *)
 
 let all_rule_ids =
@@ -459,19 +527,16 @@ let all_rule_ids =
     "mint-confinement"; "obj-magic"; "warning-suppression"; "missing-mli";
     "subslice-escape"; "capsule-byte-copy"; "capsule-raw-print";
     "take-without-restore"; "fleet-metric-namespace"; "dune-layering";
-    "unused-lib-dep"; "undeclared-dep"; "lint-parse";
+    "unused-lib-dep"; "undeclared-dep"; "domain-safety"; "allow-escape";
+    "dead-export"; "lint-parse";
   ]
 
-(* Shared with otock-check: one pragma grammar, one matching rule. *)
 let suppress (summaries : Ast_extract.t list) violations =
-  let pragmas_for file =
-    match
-      List.find_opt (fun (a : Ast_extract.t) -> a.Ast_extract.a_path = file)
-        summaries
-    with
-    | Some a -> a.Ast_extract.a_pragmas
-    | None -> []
-  in
+  let pragmas = Hashtbl.create 256 in
+  List.iter
+    (fun (a : Ast_extract.t) ->
+      Hashtbl.replace pragmas a.Ast_extract.a_path a.Ast_extract.a_pragmas)
+    summaries;
   let matching viol =
     List.find_opt
       (fun (p : Ast_extract.pragma) ->
@@ -480,7 +545,7 @@ let suppress (summaries : Ast_extract.t list) violations =
         && (p.Ast_extract.pragma_file_level
            || viol.v_line = p.Ast_extract.pragma_line
            || viol.v_line = p.Ast_extract.pragma_line + 1))
-      (pragmas_for viol.v_file)
+      (Option.value (Hashtbl.find_opt pragmas viol.v_file) ~default:[])
   in
   List.partition_map
     (fun viol ->
@@ -489,8 +554,19 @@ let suppress (summaries : Ast_extract.t list) violations =
       | Some p -> Right (viol, p))
     violations
 
-let run (files : Source.file list) =
-  let g = Dep_graph.build files in
+let run ?entry_files (files : Source.file list) =
+  let files =
+    List.sort (fun (a : Source.file) b -> compare a.Source.path b.Source.path) files
+  in
+  let summaries =
+    List.filter_map
+      (fun (f : Source.file) ->
+        if f.Source.kind = Source.Dune then None
+        else Some (Ast_extract.of_source ~path:f.Source.path f.Source.content))
+      files
+  in
+  let r = Resolve.create summaries in
+  let g = Dep_graph.build r summaries files in
   let per_node =
     List.concat_map
       (fun n ->
@@ -512,7 +588,18 @@ let run (files : Source.file list) =
       (List.map (fun d -> d.Dep_graph.dune_dir) g.Dep_graph.stanzas)
   in
   let per_dir = List.concat_map (rule_undeclared_dep g) dirs in
-  let all = per_node @ per_stanza @ per_dir @ rule_missing_mli g in
+  let kernel_ml =
+    List.filter
+      (fun (a : Ast_extract.t) ->
+        in_kernel a.Ast_extract.a_path && Filename.check_suffix a.Ast_extract.a_path ".ml")
+      summaries
+  in
+  let dataflow =
+    rule_domain_safety ?entry_files r kernel_ml
+    @ List.concat_map rule_allow_escape kernel_ml
+    @ rule_dead_export r summaries
+  in
+  let all = per_node @ per_stanza @ per_dir @ rule_missing_mli g @ dataflow in
   let sorted =
     List.sort
       (fun a b ->
@@ -524,10 +611,5 @@ let run (files : Source.file list) =
         | c -> c)
       all
   in
-  let violations, suppressed =
-    suppress
-      (List.map (fun (n : Dep_graph.node) -> n.Dep_graph.node_summary)
-         g.Dep_graph.nodes)
-      sorted
-  in
+  let violations, suppressed = suppress summaries sorted in
   { violations; suppressed }

@@ -1,7 +1,10 @@
-(** The architecture-conformance rule set (see DESIGN.md, "Trust
-    taxonomy and architecture lint"). Rules are pure functions over the
-    {!Dep_graph}; suppression pragmas from source comments are applied
-    before results are returned. *)
+(** The otock-lint rule set and its one pass (see DESIGN.md, "Static
+    analysis"): every scanned file is parsed once by {!Ast_extract},
+    paths are pinned by one {!Resolve.t}, the architecture rules read
+    the {!Dep_graph} built on it, the dataflow rules are
+    {!Domain_safety}, {!Escape} and {!Dead_export}, and suppression
+    pragmas from source comments are applied before results are
+    returned. *)
 
 type violation = {
   v_rule : string;
@@ -17,15 +20,11 @@ type result = {
 }
 
 val all_rule_ids : string list
+(** Every rule id the pass can emit, [lint-parse] (a file compiler-libs
+    rejects: an unparsable file is an unanalyzed file) included. *)
 
-val run : Source.file list -> result
-
-val suppress :
-  Ast_extract.t list ->
-  violation list ->
-  violation list * (violation * Ast_extract.pragma) list
-(** Partition violations by the pragmas of the summary for their file,
-    with the shared matching rule ([allow] covers its own line and the
-    next, [allow-file] the whole file, rule id ["*"] every rule). Used
-    by both the architecture linter and otock-check so one grammar
-    governs both tools. *)
+val run : ?entry_files:string list -> Source.file list -> result
+(** [entry_files] (the domain-safety roots) defaults to
+    {!Taxonomy.shard_entry_files}. A pragma suppresses a finding of its
+    rule id (["*"]: any) on its own line and the next, or with
+    [allow-file] anywhere in its file. *)

@@ -123,12 +123,6 @@ let scan_dirs =
    domain-safety analysis computes reachability from here. *)
 let shard_entry_files = [ "lib/fleet/fleet.ml" ]
 
-(* Rule ids otock-check (the dataflow pass) can emit, disjoint from
-   the architecture linter's so one pragma never silences the other
-   tool by accident. *)
-let check_rule_ids =
-  [ "domain-safety"; "allow-escape"; "dead-export"; "check-parse" ]
-
 (* Layering matrix (paper Fig. 2, §4.1): which otock library may depend
    on which at the dune `libraries` level. External libraries (fmt, logs,
    alcotest, ...) are unconstrained. *)

@@ -52,10 +52,6 @@ val shard_entry_files : string list
     entry points; the domain-safety analysis computes reachability
     from every binding in these files. *)
 
-val check_rule_ids : string list
-(** Rule ids otock-check can emit ([domain-safety], [allow-escape],
-    [dead-export], [check-parse]); disjoint from {!Rules.all_rule_ids}. *)
-
 val allowed_lib_deps : category -> string list
 (** Layering matrix: otock libraries a stanza of the given category may
     list in its dune [libraries] field. *)

@@ -1,6 +1,6 @@
 open Tock
 
-type grant_state = { valarm : Alarm_mux.valarm; mutable armed : bool }
+type grant_state = { valarm : Alarm_mux.valarm }
 
 type t = { kernel : Kernel.t; mux : Alarm_mux.t; grant : grant_state Grant.t }
 
@@ -68,7 +68,7 @@ let create kernel mux ~grant_cap =
       mux;
       grant =
         Grant.create ~cap:grant_cap ~name:"alarm" ~size_bytes:24 ~init:(fun () ->
-            { valarm = Alarm_mux.new_alarm mux; armed = false });
+            { valarm = Alarm_mux.new_alarm mux });
     }
   in
   Kernel.register_grant kernel ~name:"alarm"
@@ -84,13 +84,11 @@ let create kernel mux ~grant_cap =
    resume path) and command 5 (relative). *)
 let arm t g pid ~reference ~dt =
   Alarm_mux.set_client g.valarm (fun () ->
-      g.armed <- false;
       ignore
         (Kernel.schedule_upcall t.kernel pid ~driver:Driver_num.alarm
            ~subscribe_num:0
            ~args:(Alarm_mux.now g.valarm, reference, 0)));
   Alarm_mux.set_alarm g.valarm ~reference ~dt;
-  g.armed <- true;
   reference
 
 let command t proc ~command_num ~arg1 ~arg2 =
@@ -126,9 +124,7 @@ let command t proc ~command_num ~arg1 ~arg2 =
       | Error e -> Syscall.Failure e)
   | 6 -> (
       match
-        enter t proc (fun g ->
-            Alarm_mux.cancel g.valarm;
-            g.armed <- false)
+        enter t proc (fun g -> Alarm_mux.cancel g.valarm)
       with
       | Ok () -> Syscall.Success
       | Error e -> Syscall.Failure e)

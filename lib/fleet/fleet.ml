@@ -249,7 +249,6 @@ type group_kind =
 
 type group_rt = {
   gr_lo : int;   (* first board index *)
-  gr_n : int;
   gr_seed : int64;
   gr_kind : group_kind;
   mutable gr_wake : int;
@@ -303,7 +302,7 @@ let materialize_single cfg workloads ~g =
   let lo = g in
   let board = build_board cfg workloads lo in
   let rt =
-    { gr_lo = lo; gr_n = 1; gr_seed = group_seed cfg.seed lo; gr_kind = Single board;
+    { gr_lo = lo; gr_seed = group_seed cfg.seed lo; gr_kind = Single board;
       gr_wake = -1; gr_fault = None; gr_flighted = false }
   in
   if cfg.flight_dir <> None then
@@ -363,8 +362,7 @@ let build_radio cfg ~g =
 let materialize_radio cfg ~g =
   let net = build_radio cfg ~g in
   let lo = g * cfg.group_size in
-  { gr_lo = lo; gr_n = List.length net.Tock_boards.Signpost_board.nodes;
-    gr_seed = group_seed cfg.seed lo; gr_kind = Radio net; gr_wake = -1;
+  { gr_lo = lo; gr_seed = group_seed cfg.seed lo; gr_kind = Radio net; gr_wake = -1;
     gr_fault = None; gr_flighted = false }
 
 let materialize cfg workloads ~g =
@@ -749,28 +747,37 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
   }
 
 let validate cfg =
-  let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Fleet.run_fleet: " ^ m)) fmt in
-  if cfg.boards <= 0 then fail "boards <= 0";
-  if cfg.group_size <= 0 then fail "group_size <= 0";
-  if cfg.domains <= 0 then fail "domains <= 0";
-  if cfg.cycles <= 0 then fail "cycles <= 0";
-  if cfg.batch <= 0 then fail "batch <= 0";
-  if cfg.park_min_quanta <= 0 then fail "park_min_quanta <= 0";
-  if cfg.trace_capacity < 0 then fail "trace_capacity < 0";
-  if cfg.trace_boards < 0 then fail "trace_boards < 0";
-  (* Only a single board runs the fault injector: radio groups never
-     read [fault_board]. A group of one (a leftover board of a
-     radio-sized fleet) is built as a single board. *)
-  match cfg.fault_board with
-  | Some b when b < 0 || b >= cfg.boards ->
-      fail "fault_board %d outside [0, %d)" b cfg.boards
-  | Some b ->
-      let lo = b / cfg.group_size * cfg.group_size in
-      let members = min cfg.boards (lo + cfg.group_size) - lo in
-      if members > 1 then
-        fail "fault_board %d is in a radio group of %d boards, which never \
-              builds it as a single board" b members
-  | None -> ()
+  let non_positive =
+    [ ("boards", cfg.boards); ("group_size", cfg.group_size);
+      ("domains", cfg.domains); ("cycles", cfg.cycles); ("batch", cfg.batch);
+      ("park_min_quanta", cfg.park_min_quanta) ]
+  and negative =
+    [ ("trace_capacity", cfg.trace_capacity); ("trace_boards", cfg.trace_boards) ]
+  in
+  match
+    ( List.find_opt (fun (_, v) -> v <= 0) non_positive,
+      List.find_opt (fun (_, v) -> v < 0) negative )
+  with
+  | Some (name, _), _ -> Error (name ^ " <= 0")
+  | None, Some (name, _) -> Error (name ^ " < 0")
+  | None, None -> (
+      (* Only a single board runs the fault injector: radio groups never
+         read [fault_board]. A group of one (a leftover board of a
+         radio-sized fleet) is built as a single board. *)
+      match cfg.fault_board with
+      | Some b when b < 0 || b >= cfg.boards ->
+          Error (Printf.sprintf "fault_board %d outside [0, %d)" b cfg.boards)
+      | Some b ->
+          let lo = b / cfg.group_size * cfg.group_size in
+          let members = min cfg.boards (lo + cfg.group_size) - lo in
+          if members > 1 then
+            Error
+              (Printf.sprintf
+                 "fault_board %d is in a radio group of %d boards, which \
+                  never builds it as a single board"
+                 b members)
+          else Ok ()
+      | None -> Ok ())
 
 (* The stock per-cohort health gates: any fault degrades a cohort, two
    or more on one board (or exhausted restarts) fail it; a p99 syscall
@@ -796,7 +803,7 @@ type fleet_result = {
 }
 
 let run_fleet cfg =
-  validate cfg;
+  Result.iter_error (fun e -> invalid_arg ("Fleet.run_fleet: " ^ e)) (validate cfg);
   let ngroups = group_count cfg in
   let domains = min cfg.domains ngroups in
   let workloads = build_workloads () in

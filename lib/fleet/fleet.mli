@@ -170,10 +170,14 @@ type fleet_result = {
           (fleet-level SLO-breach artifact last). *)
 }
 
+val validate : config -> (unit, string) result
+(** [Error] names the first problem: a non-positive config field, or a
+    [fault_board] the fleet would not build as a single board (outside
+    [\[0, boards)] or inside a radio group). *)
+
 val run_fleet : config -> fleet_result
-(** Run the whole fleet; [Invalid_argument] on non-positive config
-    fields, or on a [fault_board] the fleet would not build as a single
-    board (outside [\[0, boards)] or inside a radio group). [fr_stats]
+(** Run the whole fleet; [Invalid_argument] when {!validate} rejects
+    the config. [fr_stats]
     and [fr_metrics] are deterministic given [config] minus [domains],
     [batch], and [park]. *)
 

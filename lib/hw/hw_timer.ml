@@ -27,11 +27,9 @@ let create sim irq ~irq_line ~cycles_per_tick =
     Mmio.map ~name:"timer" ~base:0x4000_0000
       [
         Mmio.reg ~name:"VALUE" ~offset:0 Mmio.Read_only
-          ~on_read:(fun _ -> now_ticks_raw sim cycles_per_tick)
-          [];
-        Mmio.reg ~name:"COMPARE" ~offset:4 Mmio.Read_write [];
-        Mmio.reg ~name:"CTRL" ~offset:8 Mmio.Read_write
-          [ Mmio.field ~name:"EN" ~offset:0 ~width:1 ];
+          ~on_read:(fun _ -> now_ticks_raw sim cycles_per_tick);
+        Mmio.reg ~name:"COMPARE" ~offset:4 Mmio.Read_write;
+        Mmio.reg ~name:"CTRL" ~offset:8 Mmio.Read_write;
       ]
   in
   let reg = Sim.metrics sim in
@@ -54,7 +52,7 @@ let set_client t fn = t.client <- fn
 let disarm t =
   (match t.armed with Some h -> Sim.cancel t.sim h | None -> ());
   t.armed <- None;
-  Mmio.hw_set_field t.regs "CTRL" (Mmio.field ~name:"EN" ~offset:0 ~width:1) 0
+  Mmio.hw_set_field t.regs "CTRL" (Mmio.field ~offset:0 ~width:1) 0
 
 let set_alarm t ~reference ~dt =
   disarm t;
@@ -63,7 +61,7 @@ let set_alarm t ~reference ~dt =
   let target = wrapping_add reference dt in
   t.compare <- target;
   Mmio.hw_set t.regs "COMPARE" target;
-  Mmio.hw_set_field t.regs "CTRL" (Mmio.field ~name:"EN" ~offset:0 ~width:1) 1;
+  Mmio.hw_set_field t.regs "CTRL" (Mmio.field ~offset:0 ~width:1) 1;
   let now = now_ticks t in
   let delta_ticks =
     if expired ~reference ~dt ~now then 1 (* next tick, like real compare hw
@@ -79,7 +77,7 @@ let set_alarm t ~reference ~dt =
     Sim.at t.sim ~delay (fun () ->
         t.armed <- None;
         Mmio.hw_set_field t.regs "CTRL"
-          (Mmio.field ~name:"EN" ~offset:0 ~width:1)
+          (Mmio.field ~offset:0 ~width:1)
           0;
         Tock_obs.Metrics.incr t.c_fires;
         let tr = Sim.trace_events t.sim in

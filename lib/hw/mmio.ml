@@ -2,7 +2,7 @@ exception Access_violation of string
 
 type access = Read_only | Write_only | Read_write
 
-type field = { f_name : string; offset : int; width : int }
+type field = { offset : int; width : int }
 
 type reg = {
   r_name : string;
@@ -11,25 +11,23 @@ type reg = {
   mutable value : int;
   on_read : (int -> int) option;
   on_write : (old:int -> int -> int) option;
-  fields : field list;
 }
 
 type map = {
   m_name : string;
   base : int;
-  regs : reg list;
   by_name : (string, reg) Hashtbl.t;
   by_offset : (int, reg) Hashtbl.t;
 }
 
 let mask32 = 0xFFFFFFFF
 
-let field ~name ~offset ~width =
+let field ~offset ~width =
   if offset < 0 || width <= 0 || offset + width > 32 then
     invalid_arg "Mmio.field";
-  { f_name = name; offset; width }
+  { offset; width }
 
-let reg ?(reset = 0) ?on_read ?on_write ~name ~offset access fields =
+let reg ?(reset = 0) ?on_read ?on_write ~name ~offset access =
   if offset land 3 <> 0 then invalid_arg "Mmio.reg: unaligned offset";
   {
     r_name = name;
@@ -38,7 +36,6 @@ let reg ?(reset = 0) ?on_read ?on_write ~name ~offset access fields =
     value = reset land mask32;
     on_read;
     on_write;
-    fields;
   }
 
 let map ~name ~base regs =
@@ -52,7 +49,7 @@ let map ~name ~base regs =
       Hashtbl.add by_name r.r_name r;
       Hashtbl.add by_offset r.r_offset r)
     regs;
-  { m_name = name; base; regs; by_name; by_offset }
+  { m_name = name; base; by_name; by_offset }
 
 let find t name =
   match Hashtbl.find_opt t.by_name name with

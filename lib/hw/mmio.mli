@@ -3,10 +3,11 @@
     Tock wraps every MMIO address in a type exposing only the operations
     the datasheet permits, and generates field bit-shifting code from a
     declarative description. This module is the same DSL in runtime form:
-    a {!map} is declared from a datasheet-like list of registers and
-    fields; reads of write-only registers (and vice versa) raise
-    {!Access_violation}; field accessors do the shift/mask arithmetic so
-    peripheral code never hand-rolls it.
+    a {!map} is declared from a datasheet-like list of registers; reads
+    of write-only registers (and vice versa) raise {!Access_violation};
+    a {!field} is a bit range that the field accessors apply to a
+    register by name, doing the shift/mask arithmetic so peripheral code
+    never hand-rolls it.
 
     Peripherals attach [on_read]/[on_write] hooks to give registers
     hardware side effects (FIFO pops, operation starts). *)
@@ -16,7 +17,7 @@ exception Access_violation of string
 type access = Read_only | Write_only | Read_write
 
 type field
-(** A named bit-field within a register. *)
+(** A bit-field within a register. *)
 
 type reg
 (** A 32-bit register. *)
@@ -24,7 +25,7 @@ type reg
 type map
 (** A peripheral's register file. *)
 
-val field : name:string -> offset:int -> width:int -> field
+val field : offset:int -> width:int -> field
 (** [offset] is the LSB position; [offset + width <= 32]. *)
 
 val reg :
@@ -34,7 +35,6 @@ val reg :
   name:string ->
   offset:int ->
   access ->
-  field list ->
   reg
 (** Declare a register at byte [offset] within the peripheral.
     [on_read v] may transform the returned value (e.g. pop a FIFO);

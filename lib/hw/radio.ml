@@ -16,7 +16,6 @@ type radio = {
   mutable resume_state : state;
   mutable tx_client : unit -> unit;
   mutable rx_client : src:int -> bytes -> unit;
-  mutable tx_until : int; (* cycle when the current transmit ends *)
   mutable pending_rx : (int * bytes) list; (* delivered, awaiting top half *)
   mutable pending_tx_done : bool;
   meter : Sim.meter;
@@ -76,7 +75,6 @@ let create (ether : Ether.t) irq ~irq_line ~addr =
       resume_state = Off;
       tx_client = ignore;
       rx_client = (fun ~src:_ _ -> ());
-      tx_until = -1;
       pending_rx = [];
       pending_tx_done = false;
       meter = Sim.meter sim ~name:(Printf.sprintf "radio-%04x" addr);
@@ -133,7 +131,6 @@ let transmit_air t ~dest payload =
         if collided then ether.collisions <- ether.collisions + 1;
         ether.last_tx_end <- max ether.last_tx_end (now + air);
         set_state t Transmitting;
-        t.tx_until <- now + air;
         ignore
           (Sim.at t.sim ~delay:air (fun () ->
                set_state t t.resume_state;

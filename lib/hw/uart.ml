@@ -6,7 +6,6 @@ type t = {
   sim : Sim.t;
   irq : Irq.t;
   irq_line : int;
-  name : string;
   mutable baud : int;
   mutable bits_per_byte : int; (* start + data + parity + stop *)
   mutable tx_sink : bytes -> unit;
@@ -27,7 +26,6 @@ let create sim irq ~irq_line ~name =
       sim;
       irq;
       irq_line;
-      name;
       baud = 115200;
       bits_per_byte = 10;
       tx_sink = ignore;

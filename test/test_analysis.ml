@@ -1,13 +1,14 @@
-(* The architecture linter itself: synthetic fixtures exercising each
-   rule, the pragma/baseline machinery, and a live-repo gate asserting
-   that the tree's violations exactly match the committed baseline —
-   this is what makes the lint tier-1 under `dune runtest`. *)
+(* otock-lint's one pass: synthetic fixtures exercising each
+   architecture rule, the pragma/baseline machinery, and a live-repo
+   gate asserting that the tree's violations exactly match the
+   committed baseline and every pragma still suppresses a finding —
+   this is what makes the lint tier-1 under `dune runtest`. The
+   dataflow rules' fixtures are in test_check. *)
 
 module Taxonomy = Tock_analysis.Taxonomy
 module Source = Tock_analysis.Source
 module Ast_extract = Tock_analysis.Ast_extract
 module Rules = Tock_analysis.Rules
-module Check = Tock_analysis.Check
 module Report = Tock_analysis.Report
 
 let file path content = Source.file ~path ~content
@@ -26,9 +27,13 @@ let core_fixture =
     file "lib/hw/dune" "(library\n (name tock_hw))\n";
   ]
 
+(* The rule ids the pass reports, less [dead-export]: these fixtures
+   declare values no other fixture file names (the rule has its own
+   fixtures in test_check). *)
 let rules_of files =
   let r = Rules.run files in
-  List.map (fun (v : Rules.violation) -> v.Rules.v_rule) r.Rules.violations
+  List.filter (( <> ) "dead-export")
+    (List.map (fun (v : Rules.violation) -> v.Rules.v_rule) r.Rules.violations)
 
 let count_rule rule files =
   List.length (List.filter (( = ) rule) (rules_of files))
@@ -356,7 +361,8 @@ let test_scoped_open () =
   (match opens "let f () =\n  let open Tock in\n  Syscall.yield ()\n" with
   | [ o ] ->
       Alcotest.(check bool) "marked scoped" true o.Ast_extract.open_scoped;
-      Alcotest.(check int) "on its line" 2 o.Ast_extract.open_line
+      Alcotest.(check int) "on its line" 2
+        o.Ast_extract.open_path.Ast_extract.p_line
   | os -> Alcotest.failf "expected one open, got %d" (List.length os));
   (match opens "let f () = Tock.(Syscall.yield ())\n" with
   | [ o ] ->
@@ -384,25 +390,31 @@ let test_scoped_open () =
     (count_rule "userland-kernel-internals"
        (with_open "open Tock\n\nlet f () = Syscall.yield ()\n"))
 
-(* Every position a path can be written in reaches the summary. With an
-   empty baseline a lost reference only means fewer violations, so this
-   pins what the front end extracts. *)
+(* Every position a path can be written in reaches the summary, once,
+   with its kind. With an empty baseline a lost path only means fewer
+   violations, so this pins what the front end extracts. *)
 let test_extraction_coverage () =
+  let kind = function
+    | Ast_extract.Value -> "value"
+    | Ast_extract.Constructor -> "constructor"
+    | Ast_extract.Field -> "field"
+    | Ast_extract.Type -> "type"
+    | Ast_extract.Module -> "module"
+    | Ast_extract.Module_type -> "module type"
+  in
+  let path (p : Ast_extract.path) =
+    Printf.sprintf "%d %s %s%s" p.Ast_extract.p_line (kind p.Ast_extract.p_kind)
+      (String.concat "." p.Ast_extract.p_path)
+      (match p.Ast_extract.p_literal with
+      | Some l -> Printf.sprintf " %S" l
+      | None -> "")
+  in
   let show (a : Ast_extract.t) =
-    List.map
-      (fun (r : Ast_extract.reference) ->
-        Printf.sprintf "%d ref %s%s%s" r.Ast_extract.ref_line
-          (String.concat "." r.Ast_extract.ref_modules)
-          (match r.Ast_extract.ref_member with Some m -> "." ^ m | None -> "")
-          (match r.Ast_extract.ref_literal with
-          | Some l -> Printf.sprintf " %S" l
-          | None -> ""))
-      a.Ast_extract.a_refs
+    List.map path a.Ast_extract.a_paths
     @ List.map
         (fun (o : Ast_extract.open_decl) ->
-          Printf.sprintf "%d open %s%s" o.Ast_extract.open_line
-            (String.concat "." o.Ast_extract.open_modules)
-            (if o.Ast_extract.open_scoped then " scoped" else ""))
+          "open " ^ path o.Ast_extract.open_path
+          ^ if o.Ast_extract.open_scoped then " scoped" else "")
         a.Ast_extract.a_opens
     @ List.map
         (fun (at : Ast_extract.attribute) ->
@@ -441,12 +453,15 @@ let test_extraction_coverage () =
   Alcotest.(check (list string))
     ".ml: every position, no desugared Array.get"
     [
-      "3 ref C1.Alias"; "3 ref C2.Arg"; "4 ref D.Sig"; "5 ref E.ty";
-      "6 ref F.value"; "7 ref G.Ctor"; "8 ref H.field"; "9 ref I.punned";
-      "10 ref J.Local"; "13 ref L.register \"name\""; "16 ref V.Exn";
-      "17 ref W.ext"; "18 ref X.S"; "18 ref Y.Impl"; "19 ref N.cls";
-      "20 ref Pv.t"; "1 open A.Opened";
-      "2 open B.Included"; "10 open J.Local scoped"; "11 open K scoped";
+      "3 module C1.Alias"; "3 module C2.Arg"; "4 module type D.Sig";
+      "5 type E.ty"; "6 value F.value"; "7 constructor G.Ctor"; "8 value r";
+      "8 field H.field"; "9 field I.punned"; "9 value punned";
+      "10 module J.Local"; "10 value x"; "11 module K"; "11 value y";
+      "13 value L.register \"name\""; "13 value reg"; "15 value a";
+      "16 constructor V.Exn"; "17 type W.ext"; "18 module type X.S";
+      "18 module M"; "18 module Y.Impl"; "19 type N.cls"; "20 type Pv.t";
+      "open 1 module A.Opened"; "open 2 module B.Included";
+      "open 10 module J.Local scoped"; "open 11 module K scoped";
       "12 attr [@warning \"-32\"]"; "14 pragma rule-x";
     ]
     (show ml);
@@ -467,16 +482,17 @@ let test_extraction_coverage () =
   Alcotest.(check (list string))
     ".mli: every position"
     [
-      "3 ref O.ty"; "4 ref P.t"; "5 ref R.Sig"; "6 ref T.Alias";
-      "9 ref Q.Sub"; "10 ref U.Sig"; "11 ref Cl.ct";
-      "1 open M.Opened"; "2 open N.Sig"; "8 attr [@@warning \"-32\"]";
+      "3 type O.ty"; "4 type P.t"; "4 type unit"; "5 module type R.Sig";
+      "6 module T.Alias"; "8 type int"; "9 module Q.Sub";
+      "10 module type U.Sig"; "11 type Cl.ct"; "open 1 module M.Opened";
+      "open 2 module type N.Sig"; "8 attr [@@warning \"-32\"]";
       "7 pragma rule-y";
     ]
     (show mli)
 
 let test_lint_parse () =
-  (* A file the parser rejects yields no references, so every rule
-     would pass it: the gate reports the file itself instead. *)
+  (* A file the parser rejects yields no paths, so every rule would
+     pass it: the gate reports the file itself instead. *)
   let files =
     core_fixture
     @ [
@@ -545,18 +561,24 @@ let live_root () =
   | Some r -> r
   | None -> Alcotest.fail "cannot locate repository root from test cwd"
 
+let baseline root =
+  match
+    Report.baseline_of_string
+      (Source.read_file (Filename.concat root "lint_baseline.txt"))
+  with
+  | Ok b -> b
+  | Error e -> Alcotest.fail e
+
+(* The one gate over the one pass: the live tree's findings match the
+   committed baseline exactly, and every pragma naming a rule still
+   suppresses a finding of it — an allowlist entry whose violation is
+   gone is a hole waiting for the next one. *)
 let test_live_repo_matches_baseline () =
   let root = live_root () in
   let files = Source.scan ~root in
   Alcotest.(check bool) "scan finds the tree" true (List.length files > 100);
   let r = Rules.run files in
-  let baseline_file = Filename.concat root "lint_baseline.txt" in
-  let baseline =
-    match Report.baseline_of_string (Source.read_file baseline_file) with
-    | Ok b -> b
-    | Error e -> Alcotest.fail e
-  in
-  let d = Report.diff baseline r.Rules.violations in
+  let d = Report.diff (baseline root) r.Rules.violations in
   let show (v : Rules.violation) =
     Printf.sprintf "%s:%d [%s] %s" v.Rules.v_file v.Rules.v_line v.Rules.v_rule
       v.Rules.v_message
@@ -574,91 +596,101 @@ let test_live_repo_matches_baseline () =
        (fun (e : Report.entry) ->
          Printf.sprintf "%d %s %s" e.Report.b_count e.Report.b_rule
            e.Report.b_file)
-       d.Report.stale)
+       d.Report.stale);
+  let stale =
+    List.concat_map
+      (fun (f : Source.file) ->
+        if f.Source.kind = Source.Dune then []
+        else
+          (Ast_extract.of_source ~path:f.Source.path f.Source.content)
+            .Ast_extract.a_pragmas
+          |> List.filter_map (fun (p : Ast_extract.pragma) ->
+                 if
+                   List.mem p.Ast_extract.pragma_rule Rules.all_rule_ids
+                   && not
+                        (List.exists
+                           (fun ((v : Rules.violation), q) ->
+                             v.Rules.v_file = f.Source.path && q = p)
+                           r.Rules.suppressed)
+                 then
+                   Some
+                     (Printf.sprintf "%s:%d allow %s" f.Source.path
+                        p.Ast_extract.pragma_line p.Ast_extract.pragma_rule)
+                 else None))
+      files
+  in
+  Alcotest.(check bool) "the tree has pragmas" true (r.Rules.suppressed <> []);
+  Alcotest.(check (list string)) "every pragma suppresses a finding" [] stale
 
 let test_live_repo_gate_trips () =
-  (* The acceptance scenario: drop a capsule->hw reference or a forged
-     mint into the real tree and the gate must fail. *)
+  (* The acceptance scenario, through the one entry point: drop a
+     capsule->hw reference, a forged mint and a window-stashing capsule
+     into the real tree, its stash reachable from fleet.ml as shared
+     state, and the gate must fail on each rule. *)
   let root = live_root () in
-  let files = Source.scan ~root in
   let with_bad =
-    files
+    List.map
+      (fun (f : Source.file) ->
+        if f.Source.path = "lib/fleet/fleet.ml" then
+          file f.Source.path
+            (f.Source.content ^ "\nlet injected () = Injected.stash\n")
+        else f)
+      (Source.scan ~root)
     @ [
         file "lib/capsules/injected.ml"
           "let f () = Tock_hw.Uart.create ()\n\
-           let c () = Capability.Trusted_mint.main_loop ()\n";
+           let c () = Capability.Trusted_mint.main_loop ()\n\
+           let keep = ref None\n\
+           let stash ps slot =\n\
+          \  Kernel.with_allow_ro ps slot (fun w -> keep := Some w)\n";
         file "lib/capsules/injected.mli"
-          "val f : unit -> unit\n\nval c : unit -> unit\n";
+          "val f : unit -> unit\n\nval c : unit -> unit\n\n\
+           val stash : 'a -> 'b -> unit\n";
       ]
   in
-  let r = Rules.run with_bad in
-  let baseline_file = Filename.concat root "lint_baseline.txt" in
-  let baseline =
-    match Report.baseline_of_string (Source.read_file baseline_file) with
-    | Ok b -> b
-    | Error e -> Alcotest.fail e
-  in
-  let d = Report.diff baseline r.Rules.violations in
+  let d = Report.diff (baseline root) (Rules.run with_bad).Rules.violations in
   let new_rules =
     List.sort_uniq compare
       (List.map
          (fun (v : Rules.violation) -> v.Rules.v_rule)
          d.Report.new_violations)
   in
-  Alcotest.(check bool) "capsule->hw trips the gate" true
-    (List.mem "capsule-layering" new_rules);
-  Alcotest.(check bool) "forged mint trips the gate" true
-    (List.mem "mint-confinement" new_rules)
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool) (rule ^ " trips the gate") true (List.mem rule new_rules))
+    [ "capsule-layering"; "mint-confinement"; "allow-escape"; "domain-safety" ]
 
-let test_no_stale_pragmas () =
-  (* Every pragma naming a rule must still suppress a finding of that
-     rule's pass: an allowlist entry whose violation is gone is a hole
-     waiting for the next one. *)
-  let root = live_root () in
-  let files = Source.scan ~root in
-  let pragmas =
-    List.concat_map
-      (fun (f : Source.file) ->
-        if f.Source.kind = Source.Dune then []
-        else
-          List.map
-            (fun p -> (f.Source.path, p))
-            (Ast_extract.of_source ~path:f.Source.path f.Source.content)
-              .Ast_extract.a_pragmas)
-      files
+let test_alias_edges () =
+  (* An edge follows a module alias: a pragma on the alias line does not
+     hide the uses behind it. A bare [Uart.x] with no open pins nothing
+     (it could be any unit named Uart), so it is not an edge. *)
+  let capsule body =
+    core_fixture
+    @ [
+        file "lib/capsules/aliased.ml" body;
+        file "lib/capsules/aliased.mli" "val f : unit -> unit\n";
+      ]
   in
-  let stale ids (r : Rules.result) =
+  let r =
+    Rules.run
+      (capsule
+         "(* otock-lint: allow capsule-layering -- the alias only *)\n\
+          module U = Tock_hw.Uart\n\
+          let f () = U.transmit_segs ()\n\
+          let g () = U.transmit_segs ()\n")
+  in
+  let lines rule vs =
     List.filter_map
-      (fun (file, (p : Ast_extract.pragma)) ->
-        if
-          List.mem p.Ast_extract.pragma_rule ids
-          && not
-               (List.exists
-                  (fun ((v : Rules.violation), q) ->
-                    v.Rules.v_file = file && q = p)
-                  r.Rules.suppressed)
-        then
-          Some
-            (Printf.sprintf "%s:%d allow %s" file p.Ast_extract.pragma_line
-               p.Ast_extract.pragma_rule)
-        else None)
-      pragmas
+      (fun (v : Rules.violation) ->
+        if v.Rules.v_rule = rule then Some v.Rules.v_line else None)
+      vs
   in
-  let named ids =
-    List.exists
-      (fun (_, (p : Ast_extract.pragma)) ->
-        List.mem p.Ast_extract.pragma_rule ids)
-      pragmas
-  in
-  Alcotest.(check bool) "the tree has lint and check pragmas" true
-    (named Rules.all_rule_ids && named Taxonomy.check_rule_ids);
-  Alcotest.(check (list string)) "every lint pragma suppresses a finding" []
-    (stale Rules.all_rule_ids (Rules.run files));
-  Alcotest.(check (list string)) "every check pragma suppresses a finding" []
-    (stale Taxonomy.check_rule_ids (Check.run files));
-  Alcotest.(check (list string)) "lint and check rule ids are disjoint" []
-    (List.filter (fun id -> List.mem id Taxonomy.check_rule_ids)
-       Rules.all_rule_ids)
+  Alcotest.(check (list int)) "both uses flagged" [ 3; 4 ]
+    (lines "capsule-layering" r.Rules.violations);
+  Alcotest.(check (list int)) "the alias line suppressed" [ 2 ]
+    (lines "capsule-layering" (List.map fst r.Rules.suppressed));
+  Alcotest.(check int) "an unpinned head is not an edge" 0
+    (count_rule "capsule-layering" (capsule "let f () = Uart.write ()\n"))
 
 let test_fleet_metric_namespace () =
   (* Fleet code registering a metric outside fleet.* is flagged — the
@@ -760,9 +792,9 @@ let suite =
       test_live_repo_matches_baseline;
     Alcotest.test_case "gate trips on injection" `Quick
       test_live_repo_gate_trips;
-    Alcotest.test_case "no stale pragmas" `Quick test_no_stale_pragmas;
     Alcotest.test_case "fleet metric namespace" `Quick
       test_fleet_metric_namespace;
     Alcotest.test_case "taxonomy shared with fig5" `Quick
       test_taxonomy_shared_with_bench;
+    Alcotest.test_case "alias edges" `Quick test_alias_edges;
   ]

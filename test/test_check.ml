@@ -1,9 +1,7 @@
-(* otock-check: the AST-level dataflow analyses. Synthetic fixtures
-   exercise the Digraph kernel, the mutable-state inventory, the
-   domain-safety reachability pass and the allow-window escape pass;
-   live-repo gates assert the real tree is clean against
-   check_baseline.txt and that an injected bug trips the gate — the
-   AST-level twin of test_analysis's lint gates. *)
+(* otock-lint's dataflow rules. Synthetic fixtures exercise the Digraph
+   kernel, the mutable-state inventory, the domain-safety reachability
+   analysis, the allow-window escape analysis and the dead-export rule;
+   the live-tree gate over the one pass is in test_analysis. *)
 
 open! Helpers
 module Source = Tock_analysis.Source
@@ -11,9 +9,8 @@ module Ast_extract = Tock_analysis.Ast_extract
 module Domain_safety = Tock_analysis.Domain_safety
 module Escape = Tock_analysis.Escape
 module Dead_export = Tock_analysis.Dead_export
-module Check = Tock_analysis.Check
+module Resolve = Tock_analysis.Resolve
 module Rules = Tock_analysis.Rules
-module Report = Tock_analysis.Report
 module Digraph = Tock_analysis.Dep_graph.Digraph
 
 let file path content = Source.file ~path ~content
@@ -139,17 +136,18 @@ let race_fixture counter =
       (counter ^ "let idle = ref 0\nlet push _x = incr pending\n");
   ]
 
+let summaries files =
+  List.map
+    (fun (f : Source.file) -> Ast_extract.of_source ~path:f.Source.path f.Source.content)
+    files
+
 let safety_of files =
-  let summaries =
-    List.map
-      (fun (f : Source.file) ->
-        Ast_extract.of_source ~path:f.Source.path f.Source.content)
-      files
-  in
+  let summaries = summaries files in
   List.map
     (fun (f : Domain_safety.finding) ->
       (f.Domain_safety.f_file, f.Domain_safety.f_line))
-    (Domain_safety.analyze ~entry_files:[ "lib/fleet/fleet.ml" ] summaries)
+    (Domain_safety.analyze ~entry_files:[ "lib/fleet/fleet.ml" ]
+       (Resolve.create summaries) summaries)
 
 let test_domain_safety_race () =
   (* reached plain ref: flagged at its definition; unreached `idle` is
@@ -289,6 +287,10 @@ let test_escape_global_stash () =
 
 (* --- dead exports ------------------------------------------------------ *)
 
+let dead_findings files =
+  let summaries = summaries files in
+  Dead_export.analyze (Resolve.create summaries) summaries
+
 (* The exports [Dead_export] flags in a fixture tree, as ["M.x"]. *)
 let dead_of files =
   List.map
@@ -296,11 +298,7 @@ let dead_of files =
       match String.split_on_char '`' f.Dead_export.f_message with
       | _ :: name :: _ -> name
       | _ -> f.Dead_export.f_message)
-    (Dead_export.analyze
-       (List.map
-          (fun (f : Source.file) ->
-            Ast_extract.of_source ~path:f.Source.path f.Source.content)
-          files))
+    (dead_findings files)
 
 (* A library unit exporting [vals] (each an int). *)
 let lib_unit path vals =
@@ -373,13 +371,8 @@ let test_dead_test_only_use () =
     "a test is a user; own-module uses are not" [ "Cal.inner"; "Cal.gone" ]
     (dead_of fixture);
   let messages =
-    List.map
-      (fun (f : Dead_export.finding) -> f.Dead_export.f_message)
-      (Dead_export.analyze
-         (List.map
-            (fun (f : Source.file) ->
-              Ast_extract.of_source ~path:f.Source.path f.Source.content)
-            fixture))
+    List.map (fun (f : Dead_export.finding) -> f.Dead_export.f_message)
+      (dead_findings fixture)
   in
   Alcotest.(check (list string))
     "each finding names its fix"
@@ -418,7 +411,7 @@ let test_dead_comment_string () =
               let t = {|Uart.baud|}\n";
          ]))
 
-(* --- the orchestrator ------------------------------------------------- *)
+(* --- through the one pass ------------------------------------------------ *)
 
 let test_check_pragma_and_parse () =
   let bad = file "lib/capsules/broken.ml" "let = syntax error\n" in
@@ -432,96 +425,17 @@ let test_check_pragma_and_parse () =
       bad;
     ]
   in
-  let r = Check.run ~entry_files:[ "lib/fleet/fleet.ml" ] racy in
+  let r = Rules.run ~entry_files:[ "lib/fleet/fleet.ml" ] racy in
+  (* the fixture has no interfaces: [missing-mli] is not what it tests *)
+  let rules vs =
+    List.filter (( <> ) "missing-mli")
+      (List.map (fun (v : Rules.violation) -> v.Rules.v_rule) vs)
+  in
   Alcotest.(check (list string))
     "pragma suppresses the race; broken file is a finding"
-    [ "check-parse" ]
-    (List.map (fun (v : Rules.violation) -> v.Rules.v_rule) r.Rules.violations);
-  Alcotest.(check int) "suppression recorded" 1
-    (List.length r.Rules.suppressed)
-
-(* --- the live repository ---------------------------------------------- *)
-
-let live_root () =
-  match Source.find_root () with
-  | Some r -> r
-  | None -> Alcotest.fail "cannot locate repository root from test cwd"
-
-let test_live_repo_matches_baseline () =
-  let root = live_root () in
-  let files = Source.scan ~root in
-  let r = Check.run files in
-  let baseline_file = Filename.concat root "check_baseline.txt" in
-  let baseline =
-    match Report.baseline_of_string (Source.read_file baseline_file) with
-    | Ok b -> b
-    | Error e -> Alcotest.fail e
-  in
-  let d = Report.diff baseline r.Rules.violations in
-  let show (v : Rules.violation) =
-    Printf.sprintf "%s:%d [%s] %s" v.Rules.v_file v.Rules.v_line v.Rules.v_rule
-      v.Rules.v_message
-  in
-  Alcotest.(check (list string))
-    "no findings beyond check_baseline.txt (fix it or allowlist with a \
-     justification; see DESIGN.md)"
-    []
-    (List.map show d.Report.new_violations);
-  Alcotest.(check (list string))
-    "check baseline is not stale (ratchet down with `dune exec \
-     bin/otock_lint.exe -- check --write-baseline`)"
-    []
-    (List.map
-       (fun (e : Report.entry) ->
-         Printf.sprintf "%d %s %s" e.Report.b_count e.Report.b_rule
-           e.Report.b_file)
-       d.Report.stale)
-
-let test_live_repo_gate_trips () =
-  (* The acceptance scenario: drop a window-stashing capsule and a
-     fleet-reachable counter race into the real tree and the gate must
-     fail on both rule ids. *)
-  let root = live_root () in
-  let files = Source.scan ~root in
-  let with_bad =
-    files
-    @ [
-        file "lib/capsules/injected_esc.ml"
-          "let keep = ref None\n\
-           let f ps slot =\n\
-          \  Kernel.with_allow_ro ps slot (fun w -> keep := Some w)\n";
-        file "lib/fleet/injected_entry.ml" "";
-      ]
-  in
-  (* the injected race: reachable straight from the real fleet.ml via a
-     module reference added on top of the scanned sources *)
-  let with_bad =
-    List.map
-      (fun (f : Source.file) ->
-        if f.Source.path = "lib/fleet/fleet.ml" then
-          file f.Source.path
-            (f.Source.content ^ "\nlet injected () = Injected_esc.f\n")
-        else f)
-      with_bad
-  in
-  let r = Check.run with_bad in
-  let baseline_file = Filename.concat root "check_baseline.txt" in
-  let baseline =
-    match Report.baseline_of_string (Source.read_file baseline_file) with
-    | Ok b -> b
-    | Error e -> Alcotest.fail e
-  in
-  let d = Report.diff baseline r.Rules.violations in
-  let new_rules =
-    List.sort_uniq compare
-      (List.map
-         (fun (v : Rules.violation) -> v.Rules.v_rule)
-         d.Report.new_violations)
-  in
-  Alcotest.(check bool) "stashed borrow trips the gate" true
-    (List.mem "allow-escape" new_rules);
-  Alcotest.(check bool) "injected shared ref trips the gate" true
-    (List.mem "domain-safety" new_rules)
+    [ "lint-parse" ] (rules r.Rules.violations);
+  Alcotest.(check (list string)) "suppression recorded" [ "domain-safety" ]
+    (rules (List.map fst r.Rules.suppressed))
 
 let suite =
   [
@@ -553,8 +467,4 @@ let suite =
       test_dead_comment_string;
     Alcotest.test_case "pragma + parse failure" `Quick
       test_check_pragma_and_parse;
-    Alcotest.test_case "live repo matches check baseline" `Quick
-      test_live_repo_matches_baseline;
-    Alcotest.test_case "check gate trips on injection" `Quick
-      test_live_repo_gate_trips;
   ]

@@ -115,16 +115,15 @@ let test_irq_reassert_during_handler () =
 let test_mmio () =
   let open Mmio in
   let started = ref 0 in
-  let en = field ~name:"EN" ~offset:0 ~width:1 in
-  let mode = field ~name:"MODE" ~offset:4 ~width:3 in
+  let en = field ~offset:0 ~width:1 in
+  let mode = field ~offset:4 ~width:3 in
   let m =
     map ~name:"periph" ~base:0x4000_1000
       [
-        reg ~name:"CTRL" ~offset:0 Read_write [ en; mode ];
-        reg ~name:"STATUS" ~offset:4 Read_only ~reset:0x80 [];
+        reg ~name:"CTRL" ~offset:0 Read_write;
+        reg ~name:"STATUS" ~offset:4 Read_only ~reset:0x80;
         reg ~name:"START" ~offset:8 Write_only
-          ~on_write:(fun ~old:_ v -> incr started; v)
-          [];
+          ~on_write:(fun ~old:_ v -> incr started; v);
       ]
   in
   write m "CTRL" 0;
@@ -157,12 +156,12 @@ let test_mmio_bad_decl () =
     (try
        ignore
          (Mmio.map ~name:"x" ~base:0
-            [ Mmio.reg ~name:"A" ~offset:0 Mmio.Read_write [];
-              Mmio.reg ~name:"B" ~offset:0 Mmio.Read_write [] ]);
+            [ Mmio.reg ~name:"A" ~offset:0 Mmio.Read_write;
+              Mmio.reg ~name:"B" ~offset:0 Mmio.Read_write ]);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "field overflow rejected" true
-    (try ignore (Mmio.field ~name:"f" ~offset:30 ~width:4); false
+    (try ignore (Mmio.field ~offset:30 ~width:4); false
      with Invalid_argument _ -> true)
 
 let test_sleep_accounting () =
