@@ -1,7 +1,9 @@
 (* otock-lint's dataflow rules. Synthetic fixtures exercise the Digraph
    kernel, the mutable-state inventory, the domain-safety reachability
    analysis, the allow-window escape analysis and the dead-export rule;
-   the live-tree gate over the one pass is in test_analysis. *)
+   live-repo gates assert the real tree is clean of these rules against
+   the one baseline and that an injected bug trips them, over the live
+   run test_analysis shares. *)
 
 open! Helpers
 module Source = Tock_analysis.Source
@@ -437,6 +439,18 @@ let test_check_pragma_and_parse () =
   Alcotest.(check (list string)) "suppression recorded" [ "domain-safety" ]
     (rules (List.map fst r.Rules.suppressed))
 
+(* --- the live repository ---------------------------------------------- *)
+
+let dataflow_rule_ids = [ "domain-safety"; "allow-escape"; "dead-export" ]
+
+let test_live_repo_matches_baseline () =
+  Test_analysis.check_live_baseline dataflow_rule_ids
+
+let test_live_repo_gate_trips () =
+  (* the injected window-stashing capsule, its stash reachable from
+     fleet.ml, trips both the escape and the race rule *)
+  Test_analysis.check_injection_trips [ "allow-escape"; "domain-safety" ]
+
 let suite =
   [
     Alcotest.test_case "digraph diamond" `Quick test_digraph_diamond;
@@ -467,4 +481,8 @@ let suite =
       test_dead_comment_string;
     Alcotest.test_case "pragma + parse failure" `Quick
       test_check_pragma_and_parse;
+    Alcotest.test_case "live repo matches check baseline" `Quick
+      test_live_repo_matches_baseline;
+    Alcotest.test_case "check gate trips on injection" `Quick
+      test_live_repo_gate_trips;
   ]
