@@ -7,8 +7,11 @@
      fields and labels, types and classes, module paths and module
      types. Each is recorded with its kind and the scope it is written
      in, so {!Resolve} can pin it; an applied value path also carries
-     its first string-literal argument. Desugared (ghost) paths such as
-     [Array.get] for [a.(i)] are not written in source and are skipped;
+     its first string-literal argument. The builtin indexing
+     desugarings ([Array.get] for [a.(i)], [String.get],
+     [Bigarray.Array1.get]) are not written in source and are skipped;
+     a user-defined indexing operator ([a.%{i}]) is kept, since it
+     names its definition;
    - open / include declarations; [let open M in], [M.(...)] and
      [M.(pattern)] are flagged as expression-scoped;
    - attributes with their source text (docstrings excluded);
@@ -289,9 +292,19 @@ let walk content run =
     { p_path = flatten lid.txt; p_kind = kind; p_line = line_of lid.loc;
       p_scope = !scope; p_literal = literal }
   in
-  (* A punned record label is ghost too, but written in source. *)
+  (* The parser's desugarings carry ghost locations. A builtin indexing
+     one ([a.(i)] is [Array.get]) names no unit here; a user-defined
+     indexing operator ([a.%{i}] is [( .%{} )]) names its definition,
+     and a punned record label is ghost too but written in source. *)
+  let builtin_indexing = function
+    | ("Array" | "String" | "Bigarray") :: _ -> true
+    | _ -> false
+  in
   let add ?literal ?(keep_ghost = false) kind (lid : Longident.t Location.loc) =
-    if keep_ghost || not lid.loc.loc_ghost then (
+    if
+      keep_ghost || (not lid.loc.loc_ghost)
+      || (kind = Value && not (builtin_indexing (flatten lid.txt)))
+    then (
       let p = make ?literal kind lid in
       paths := (pos lid.loc, p) :: !paths;
       Option.iter (fun ps -> ps := p :: !ps) !current)
@@ -634,8 +647,9 @@ let walk content run =
 
 (* --- pragmas ------------------------------------------------------------ *)
 
-(* Parse `otock-lint: allow <rule> <note>` / `allow-file <rule> <note>`
-   out of a comment body; the note runs to the end of the comment. *)
+(* The pragmas of a comment body: each is the [otock-lint:] key, then
+   [allow] or [allow-file], a rule id and a note that runs to the end of
+   the comment. *)
 let pragmas_of_comment ~line text =
   let key = "otock-lint:" in
   let tail s i = String.sub s i (String.length s - i) in

@@ -40,8 +40,7 @@ let vertices (summaries : Ast_extract.t list) =
 
 (* --- analysis --------------------------------------------------------- *)
 
-let analyze ?(entry_files = Taxonomy.shard_entry_files) resolver
-    (summaries : Ast_extract.t list) =
+let analyze resolver (summaries : Ast_extract.t list) =
   let summaries =
     List.sort
       (fun (a : Ast_extract.t) b ->
@@ -87,7 +86,7 @@ let analyze ?(entry_files = Taxonomy.shard_entry_files) resolver
   let entries =
     List.concat_map
       (fun (a : Ast_extract.t) ->
-        if List.mem a.Ast_extract.a_path entry_files then
+        if List.mem a.Ast_extract.a_path Taxonomy.shard_entry_files then
           List.filter_map
             (fun (b : Ast_extract.binding) -> vertex a b.Ast_extract.b_name)
             a.Ast_extract.a_bindings

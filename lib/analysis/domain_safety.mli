@@ -6,12 +6,11 @@
     Reachability is interprocedural over {!Ast_extract} summaries:
     bindings are vertices, resolved value paths are edges
     ({!Dep_graph.Digraph}), and the entry set is every binding of
-    [entry_files]. [Bytes]/[Array] globals with no in-place mutation
-    witness anywhere in the tree are read-only tables and not flagged. *)
+    {!Taxonomy.shard_entry_files}. [Bytes]/[Array] globals with no
+    in-place mutation witness anywhere in the tree are read-only tables
+    and not flagged. *)
 
 type finding = { f_file : string; f_line : int; f_message : string }
 
-val analyze :
-  ?entry_files:string list -> Resolve.t -> Ast_extract.t list -> finding list
-(** [entry_files] defaults to {!Taxonomy.shard_entry_files}. Findings
-    are sorted by (file, line). *)
+val analyze : Resolve.t -> Ast_extract.t list -> finding list
+(** Findings are sorted by (file, line). *)

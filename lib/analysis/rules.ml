@@ -25,9 +25,9 @@
    pinned go through one {!Resolve.t} (library edges via {!Dep_graph},
    reachability, export uses). A file compiler-libs cannot parse is
    itself a finding ([lint-parse]). Violations can be suppressed by an
-   inline pragma carrying a justification —
-   `(* otock-lint: allow <rule> <why> *)` on the same or previous line,
-   or `allow-file` for a whole file — or grandfathered in the committed
+   inline pragma carrying a justification (an [otock-lint:] comment, see
+   {!Ast_extract.pragma}) on the same or previous line, or an
+   [allow-file] one for a whole file, or grandfathered in the committed
    baseline (see Report). *)
 
 type violation = {
@@ -156,12 +156,40 @@ let mint_allowed path =
   || Taxonomy.module_base path = "capability" (* the defining module *)
      && Taxonomy.starts_with "lib/core/" path
 
-let rule_mint_confinement (n : Dep_graph.node) =
+let in_mint dotted = List.mem "Trusted_mint" (String.split_on_char '.' dotted)
+
+(* The last names of the values a [Trusted_mint] module defines: only a
+   path ending in one of them can pin a mint. *)
+let mint_names (summaries : Ast_extract.t list) =
+  List.concat_map
+    (fun (a : Ast_extract.t) ->
+      List.filter_map
+        (fun (name, _) ->
+          if in_mint name then
+            Some (List.hd (List.rev (String.split_on_char '.' name)))
+          else None)
+        a.Ast_extract.a_shape.Ast_extract.s_values)
+    summaries
+
+(* A path names the mint if it is written through a [Trusted_mint]
+   module, or if it pins a value defined in one: behind
+   [module M = Capability.Trusted_mint] (or an open or include of it)
+   every [M.main_loop ()] is a mint, not just the alias line. *)
+let rule_mint_confinement r names (n : Dep_graph.node) =
+  let pins_mint (p : Ast_extract.path) =
+    match List.rev p.Ast_extract.p_path with
+    | x :: _ when List.mem x names ->
+        List.exists
+          (fun (t : Resolve.target) -> in_mint t.Resolve.t_name)
+          (Resolve.values r ~path:n.Dep_graph.node_path p).Resolve.pinned
+    | _ -> false
+  in
   if mint_allowed n.Dep_graph.node_path then []
   else
     List.filter_map
       (fun (p : Ast_extract.path) ->
-        if List.mem "Trusted_mint" (Ast_extract.modules_of p) then
+        if List.mem "Trusted_mint" (Ast_extract.modules_of p) || pins_mint p
+        then
           Some
             (v "mint-confinement" n.Dep_graph.node_path p.Ast_extract.p_line
                "Trusted_mint referenced outside lib/boards and test/: \
@@ -486,12 +514,12 @@ let of_finding rule file line message =
 let in_kernel path =
   List.exists (fun d -> Taxonomy.starts_with (d ^ "/") path) Taxonomy.kernel_dirs
 
-let rule_domain_safety ?entry_files r kernel_ml =
+let rule_domain_safety r kernel_ml =
   List.map
     (fun (f : Domain_safety.finding) ->
       of_finding "domain-safety" f.Domain_safety.f_file f.Domain_safety.f_line
         f.Domain_safety.f_message)
-    (Domain_safety.analyze ?entry_files r kernel_ml)
+    (Domain_safety.analyze r kernel_ml)
 
 let rule_allow_escape (a : Ast_extract.t) =
   let last_component name =
@@ -521,16 +549,6 @@ let rule_dead_export r summaries =
 
 (* --- driver ------------------------------------------------------------ *)
 
-let all_rule_ids =
-  [
-    "capsule-layering"; "userland-kernel-internals"; "crypto-confinement";
-    "mint-confinement"; "obj-magic"; "warning-suppression"; "missing-mli";
-    "subslice-escape"; "capsule-byte-copy"; "capsule-raw-print";
-    "take-without-restore"; "fleet-metric-namespace"; "dune-layering";
-    "unused-lib-dep"; "undeclared-dep"; "domain-safety"; "allow-escape";
-    "dead-export"; "lint-parse";
-  ]
-
 let suppress (summaries : Ast_extract.t list) violations =
   let pragmas = Hashtbl.create 256 in
   List.iter
@@ -554,7 +572,7 @@ let suppress (summaries : Ast_extract.t list) violations =
       | Some p -> Right (viol, p))
     violations
 
-let run ?entry_files (files : Source.file list) =
+let run (files : Source.file list) =
   let files =
     List.sort (fun (a : Source.file) b -> compare a.Source.path b.Source.path) files
   in
@@ -567,11 +585,12 @@ let run ?entry_files (files : Source.file list) =
   in
   let r = Resolve.create summaries in
   let g = Dep_graph.build r summaries files in
+  let mint_names = mint_names summaries in
   let per_node =
     List.concat_map
       (fun n ->
         rule_capsule_layering n @ rule_userland_internals n
-        @ rule_crypto_confinement n @ rule_mint_confinement n
+        @ rule_crypto_confinement n @ rule_mint_confinement r mint_names n
         @ rule_obj_magic n @ rule_warning_suppression n
         @ rule_subslice_escape n @ rule_capsule_byte_copy n
         @ rule_capsule_raw_print n @ rule_take_without_restore n
@@ -595,7 +614,7 @@ let run ?entry_files (files : Source.file list) =
       summaries
   in
   let dataflow =
-    rule_domain_safety ?entry_files r kernel_ml
+    rule_domain_safety r kernel_ml
     @ List.concat_map rule_allow_escape kernel_ml
     @ rule_dead_export r summaries
   in

@@ -19,12 +19,8 @@ type result = {
       (** Allowlisted in-source, with the justifying pragma. *)
 }
 
-val all_rule_ids : string list
-(** Every rule id the pass can emit, [lint-parse] (a file compiler-libs
-    rejects: an unparsable file is an unanalyzed file) included. *)
-
-val run : ?entry_files:string list -> Source.file list -> result
-(** [entry_files] (the domain-safety roots) defaults to
-    {!Taxonomy.shard_entry_files}. A pragma suppresses a finding of its
-    rule id (["*"]: any) on its own line and the next, or with
+val run : Source.file list -> result
+(** A file compiler-libs rejects is a [lint-parse] finding: an
+    unparsable file is an unanalyzed file. A pragma suppresses a finding
+    of its rule id (["*"]: any) on its own line and the next, or with
     [allow-file] anywhere in its file. *)

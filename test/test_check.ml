@@ -1,9 +1,9 @@
 (* otock-lint's dataflow rules. Synthetic fixtures exercise the Digraph
    kernel, the mutable-state inventory, the domain-safety reachability
    analysis, the allow-window escape analysis and the dead-export rule;
-   live-repo gates assert the real tree is clean of these rules against
-   the one baseline and that an injected bug trips them, over the live
-   run test_analysis shares. *)
+   live-repo gates, over the live run test_analysis shares, assert the
+   real tree matches the one baseline and that an injected bug trips
+   these rules. *)
 
 open! Helpers
 module Source = Tock_analysis.Source
@@ -148,8 +148,7 @@ let safety_of files =
   List.map
     (fun (f : Domain_safety.finding) ->
       (f.Domain_safety.f_file, f.Domain_safety.f_line))
-    (Domain_safety.analyze ~entry_files:[ "lib/fleet/fleet.ml" ]
-       (Resolve.create summaries) summaries)
+    (Domain_safety.analyze (Resolve.create summaries) summaries)
 
 let test_domain_safety_race () =
   (* reached plain ref: flagged at its definition; unreached `idle` is
@@ -385,6 +384,26 @@ let test_dead_test_only_use () =
     ]
     messages
 
+let test_dead_indexing_operator () =
+  (* [a.%{i}] and [a.M.%{i} <- v] are parser desugarings with ghost
+     locations, yet each names the operator it applies *)
+  Alcotest.(check (list string))
+    "a user-defined indexing operator is used by its sugar" [ "Vec.unused" ]
+    (dead_of
+       [
+         file "lib/obs/vec.mli"
+           "val ( .%{} ) : int array -> int -> int\n\
+            val ( .%{}<- ) : int array -> int -> int -> unit\n\
+            val unused : int\n";
+         file "lib/obs/vec.ml"
+           "let ( .%{} ) a i = a.(i)\n\
+            let ( .%{}<- ) a i v = a.(i) <- v\n\
+            let unused = 1\n";
+         file "bench/b.ml"
+           "let f a = Tock_obs.Vec.(a.%{0})\n\
+            let g a = a.Tock_obs.Vec.%{0} <- 1\n";
+       ])
+
 let test_dead_same_name () =
   (* two units export the same name and each uses its own inside: a
      name search sees both as used, the resolver sees one *)
@@ -427,7 +446,7 @@ let test_check_pragma_and_parse () =
       bad;
     ]
   in
-  let r = Rules.run ~entry_files:[ "lib/fleet/fleet.ml" ] racy in
+  let r = Rules.run racy in
   (* the fixture has no interfaces: [missing-mli] is not what it tests *)
   let rules vs =
     List.filter (( <> ) "missing-mli")
@@ -440,11 +459,6 @@ let test_check_pragma_and_parse () =
     (rules (List.map fst r.Rules.suppressed))
 
 (* --- the live repository ---------------------------------------------- *)
-
-let dataflow_rule_ids = [ "domain-safety"; "allow-escape"; "dead-export" ]
-
-let test_live_repo_matches_baseline () =
-  Test_analysis.check_live_baseline dataflow_rule_ids
 
 let test_live_repo_gate_trips () =
   (* the injected window-stashing capsule, its stash reachable from
@@ -475,14 +489,17 @@ let suite =
       test_dead_submodule;
     Alcotest.test_case "dead-export: test-only use" `Quick
       test_dead_test_only_use;
+    Alcotest.test_case "dead-export: indexing operator" `Quick
+      test_dead_indexing_operator;
     Alcotest.test_case "dead-export: same-named exports" `Quick
       test_dead_same_name;
     Alcotest.test_case "dead-export: comment or string" `Quick
       test_dead_comment_string;
     Alcotest.test_case "pragma + parse failure" `Quick
       test_check_pragma_and_parse;
+    (* one pass, one baseline: the same gate as the analysis suite's *)
     Alcotest.test_case "live repo matches check baseline" `Quick
-      test_live_repo_matches_baseline;
+      Test_analysis.test_live_repo_matches_baseline;
     Alcotest.test_case "check gate trips on injection" `Quick
       test_live_repo_gate_trips;
   ]
