@@ -1,5 +1,5 @@
 (* Fleet-scaling benchmark: aggregate simulated-cycle throughput
-   (boards x cycles per wall-second) through the deadline-calendar
+   (boards x cycles per wall-second) through the depth-first fleet
    scheduler, plus the retained memory footprint per board. Each sample
    is 3 runs through [Harness]; its ns/op is host ns per simulated
    cycle, and the gates read the median run. Three measurements:
@@ -7,9 +7,10 @@
      1. board-count sweep at 1 domain (1 .. 10k boards) — the number
         comparable across hosts and against the seed artifact;
      2. domains sweep (1/2/4/8) at a fixed fleet size — scaling shape
-        of the work-stealing runner. Skipped on a single-core host,
-        where domains > 1 only measure safepoint/timeslicing overhead
-        and the samples would be noise, not signal;
+        of domains sharing one work list of groups. Skipped on a
+        single-core host, where domains > 1 only measure
+        safepoint/timeslicing overhead and the samples would be noise,
+        not signal;
      3. a 100k-board sample with [park] on and a batch quantum small
         enough that boards sleeping through an alarm period actually
         freeze into byte witnesses and thaw back — the "can a 100k
@@ -157,7 +158,7 @@ let measure h ?floor ~park ~boards ~domains ~cycles () =
 
 let run_mode ~full =
   print_endline
-    "== fleet: deadline-calendar scheduler throughput (boards x cycles / wall-second) ==";
+    "== fleet: depth-first scheduler throughput (boards x cycles / wall-second) ==";
   let h = Harness.create ~full "fleet" in
   let n_cores = cores () in
   let cycles = 1_000_000 in

@@ -404,8 +404,9 @@ let domains_arg =
 
 let batch_arg =
   Arg.(value & opt int 250_000 & info [ "batch" ] ~docv:"B"
-       ~doc:"Calendar dispatch quantum in simulated cycles; affects wall \
-             time only, never results.")
+       ~doc:"Dispatch quantum in simulated cycles: each domain steps its \
+             one live group this many cycles at a time until the group \
+             retires or parks. Affects wall time only, never results.")
 
 let group_size_arg =
   Arg.(value & opt int 1 & info [ "group-size" ] ~docv:"G"

@@ -36,9 +36,12 @@ type t = {
       (* bare module name -> every unit of that name *)
 }
 
-type mref = Root of string | In of string * string
-(* a library root module, or a unit and the dotted prefix ([""] or
-   ["Accum."]) of a module inside it *)
+type mref = Root of string | In of string * string | Opaque
+(* a library root module, a unit and the dotted prefix ([""] or
+   ["Accum."]) of a module inside it, or a module whose contents are
+   unknown ([Int_hashtbl.Int : Hashtbl.S], a functor application):
+   nothing resolves inside it, but a path that reaches it still entered
+   the unit it lives in *)
 
 let namespace path =
   match Taxonomy.library_of_path path with
@@ -143,7 +146,7 @@ and of_def t ~unit scope def depth =
   | Ast_extract.Alias p -> modpath t ~unit scope p (depth + 1)
   | Ast_extract.Nested dotted ->
       [ { m = In (unit, dotted ^ "."); pinned = true; entry = None } ]
-  | Ast_extract.Opaque -> []
+  | Ast_extract.Opaque -> [ { m = Opaque; pinned = true; entry = None } ]
 
 and modpath t ~unit scope path depth =
   if depth > max_depth then []
@@ -157,6 +160,7 @@ and modpath t ~unit scope path depth =
 
 and sub t f name depth =
   match f.m with
+  | Opaque -> []
   | Root r ->
       let id = r ^ "." ^ name in
       if Hashtbl.mem t.units id then
@@ -184,7 +188,7 @@ and sub t f name depth =
 
 and value_in t f x depth =
   match f.m with
-  | Root _ -> []
+  | Root _ | Opaque -> []
   | In (id, prefix) -> (
       match Hashtbl.find_opt t.units id with
       | None -> []
@@ -240,7 +244,8 @@ let values t ~path (p : Ast_extract.path) =
 
 let modules t ~path (p : Ast_extract.path) =
   (* a module that has entered a unit stays in it, however much of the
-     rest of the path resolves (an opaque [Int_hashtbl.Int] does not) *)
+     rest of the path resolves (an opaque [Int_hashtbl.Int] does not,
+     whether written out or reached through an alias) *)
   let rec go found = function
     | [] -> found
     | name :: rest ->
@@ -253,8 +258,9 @@ let modules t ~path (p : Ast_extract.path) =
     | h :: rest -> go (head t ~unit:(unit_of_path path) p.Ast_extract.p_scope h 0) rest
   in
   answer
-    (List.map
+    (List.filter_map
        (fun f ->
          match (f.entry, f.m) with
-         | Some u, _ | None, (Root u | In (u, _)) -> (u, f.pinned))
+         | Some u, _ | None, (Root u | In (u, _)) -> Some (u, f.pinned)
+         | None, Opaque -> None)
        found)

@@ -134,10 +134,7 @@ let build ?config (chip : Tock_hw.Chip.t) =
       Debug_writer.printf debug
         "panicked process: %s (pid %d)\r\n  reason: %s\r\n  ram: 0x%08x-0x%08x app_brk=0x%08x kernel_brk=0x%08x\r\n  restarts: %d, syscalls: %d"
         (Process.name proc) (Process.id proc)
-        (match reason with
-        | Process.Mpu_violation m -> "MPU violation: " ^ m
-        | Process.Bad_syscall m -> "bad syscall: " ^ m
-        | Process.App_panic m -> "app panic: " ^ m)
+        (Process.describe_fault reason)
         (Process.ram_base proc) (Process.ram_end proc)
         (Process.app_break proc) (Process.kernel_break proc)
         (Process.restart_count proc) (Process.syscall_count proc));

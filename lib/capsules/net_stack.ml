@@ -23,6 +23,9 @@ let frag_chunk = max_payload - frag_header
 
 let max_fragments = 8
 
+(* Retransmissions of an unacked frame before it resolves NOACK. *)
+let max_retries = 3
+
 (* CRC-16/CCITT-FALSE, shared with the rest of the system through the
    kernel's {!Crc16} re-export so the bitwise oracle lives in exactly one
    place. The link fast path folds the checksum window-by-window over the
@@ -56,7 +59,6 @@ type t = {
   radio : Hil.radio;
   valarm : Alarm_mux.valarm;
   ack_timeout : int;
-  max_retries : int;
   (* Scatter-gather staging: the data frame on the air is the iovec
      [hdr; (fhdr;) payload-window; trl] — only the few header/trailer
      bytes are written by the stack, the payload rides in place. Acks
@@ -147,7 +149,7 @@ let rec retransmit t =
   match t.inflight with
   | None -> ()
   | Some inf ->
-      if inf.tries > t.max_retries then finish_inflight t (Error Error.NOACK)
+      if inf.tries > max_retries then finish_inflight t (Error Error.NOACK)
       else begin
         t.retx <- t.retx + 1;
         Tock_obs.Metrics.incr t.c_retries;
@@ -350,7 +352,7 @@ let deliver_up t ~src payload =
   | None -> ());
   deliver_to_listeners t ~src payload
 
-let create ?(max_retries = 3) kernel radio amux ~ack_timeout_ticks =
+let create kernel radio amux ~ack_timeout_ticks =
   let reg = Kernel.metrics kernel in
   let t =
     {
@@ -358,7 +360,6 @@ let create ?(max_retries = 3) kernel radio amux ~ack_timeout_ticks =
       radio;
       valarm = Alarm_mux.new_alarm amux;
       ack_timeout = ack_timeout_ticks;
-      max_retries;
       hdr = Subslice.create header_size;
       fhdr = Subslice.create frag_header;
       trl = Subslice.create trailer_size;
@@ -522,7 +523,7 @@ let command t proc ~command_num ~arg1 ~arg2 =
                     let status, retries =
                       match r with
                       | Ok () -> (0, 0)
-                      | Error e -> (-Error.to_int e, t.max_retries)
+                      | Error e -> (-Error.to_int e, max_retries)
                     in
                     ignore
                       (Kernel.schedule_upcall t.kernel pid ~driver:driver_num

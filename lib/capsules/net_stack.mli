@@ -12,7 +12,7 @@
     Features:
     - CRC-16/CCITT over header+payload; corrupt frames drop (counted);
     - unicast frames are acknowledged; unacked frames retransmit (up to
-      [max_retries] times) on a virtual-alarm timer, recovering from the
+      3 times) on a virtual-alarm timer, recovering from the
       medium's losses and collisions; a frame that is never acked resolves
       NOACK — reliability is bounded, not absolute;
     - duplicate suppression per (src, seq) sliding window;
@@ -30,13 +30,13 @@
 type t
 
 val create :
-  ?max_retries:int ->
   Tock.Kernel.t ->
   Tock.Hil.radio ->
   Alarm_mux.t ->
   ack_timeout_ticks:int ->
   t
-(** Default [max_retries]: 3 (so up to 4 transmissions per unicast). *)
+(** A unicast takes at most 4 transmissions: the first and 3
+    retransmissions. *)
 
 val driver : t -> Tock.Driver.t
 

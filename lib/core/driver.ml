@@ -5,16 +5,9 @@ type t = {
     Process.t -> command_num:int -> arg1:int -> arg2:int -> Syscall.ret;
   allow_rw_hook :
     Process.t -> allow_num:int -> Process.allow_entry -> (unit, Error.t) result;
-  allow_ro_hook :
-    Process.t -> allow_num:int -> Process.allow_entry -> (unit, Error.t) result;
-  subscribe_hook : Process.t -> subscribe_num:int -> (unit, Error.t) result;
 }
 
 let accept_allow _proc ~allow_num:_ _entry = Ok ()
 
-let accept_subscribe _proc ~subscribe_num:_ = Ok ()
-
-let make ?(allow_rw_hook = accept_allow) ?(allow_ro_hook = accept_allow)
-    ?(subscribe_hook = accept_subscribe) ~driver_num ~name command =
-  { driver_num; driver_name = name; command; allow_rw_hook; allow_ro_hook;
-    subscribe_hook }
+let make ?(allow_rw_hook = accept_allow) ~driver_num ~name command =
+  { driver_num; driver_name = name; command; allow_rw_hook }

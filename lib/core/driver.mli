@@ -3,9 +3,11 @@
 
     In Tock 2.0 the kernel — not the capsule — owns allow buffers and
     subscriptions (paper §3.3). A capsule therefore only implements
-    [command], plus optional *hooks* that may veto an allow/subscribe
-    (e.g. a driver refusing buffers smaller than a frame). The swap itself
-    is performed by the kernel after the hook accepts. *)
+    [command], plus an optional *hook* that sees, and may veto, each
+    read-write allow (the legacy console uses it to keep the buffer a
+    v1 capsule would have stashed). The swap itself is performed by the
+    kernel after the hook accepts; read-only allows and subscribes are
+    always the kernel's alone. *)
 
 type t = {
   driver_num : int;
@@ -14,20 +16,14 @@ type t = {
     Process.t -> command_num:int -> arg1:int -> arg2:int -> Syscall.ret;
   allow_rw_hook :
     Process.t -> allow_num:int -> Process.allow_entry -> (unit, Error.t) result;
-  allow_ro_hook :
-    Process.t -> allow_num:int -> Process.allow_entry -> (unit, Error.t) result;
-  subscribe_hook : Process.t -> subscribe_num:int -> (unit, Error.t) result;
 }
 
 val make :
   ?allow_rw_hook:
     (Process.t -> allow_num:int -> Process.allow_entry -> (unit, Error.t) result) ->
-  ?allow_ro_hook:
-    (Process.t -> allow_num:int -> Process.allow_entry -> (unit, Error.t) result) ->
-  ?subscribe_hook:(Process.t -> subscribe_num:int -> (unit, Error.t) result) ->
   driver_num:int ->
   name:string ->
   (Process.t -> command_num:int -> arg1:int -> arg2:int -> Syscall.ret) ->
   t
-(** Hooks default to accepting everything. Command 0 should follow the
+(** The hook defaults to accepting everything. Command 0 should follow the
     Tock convention: "driver exists" check returning [Success]. *)

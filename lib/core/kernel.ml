@@ -27,17 +27,17 @@ let ram_base = 0x2000_0000
 let ram_size = 128 * 1024
 
 type stats = {
-  mutable syscalls : int;
-  mutable context_switches : int;
-  mutable upcalls_delivered : int;
-  mutable sleeps : int;
-  mutable loop_iterations : int;
-  mutable aliased_allows : int;
-  mutable zero_len_allows : int;
-  mutable overlap_rejected : int;
-  mutable faults : int;
-  mutable restarts : int;
-  mutable filtered_commands : int;
+  syscalls : int;
+  context_switches : int;
+  upcalls_delivered : int;
+  sleeps : int;
+  loop_iterations : int;
+  aliased_allows : int;
+  zero_len_allows : int;
+  overlap_rejected : int;
+  faults : int;
+  restarts : int;
+  filtered_commands : int;
 }
 
 exception Panic of string
@@ -508,12 +508,12 @@ let handle_allow t proc ret ~kind ~driver ~allow_num ~addr ~len =
           match Process.make_allow_entry proc ~addr ~len with
           | None -> Syscall.set_failure_u32_u32 ret Error.INVAL addr len
           | Some entry -> (
-              let hook =
+              let accepted =
                 match kind with
-                | `Rw -> slot.drv.Driver.allow_rw_hook
-                | `Ro -> slot.drv.Driver.allow_ro_hook
+                | `Rw -> slot.drv.Driver.allow_rw_hook proc ~allow_num entry
+                | `Ro -> Ok ()
               in
-              match hook proc ~allow_num entry with
+              match accepted with
               | Error e -> Syscall.set_failure_u32_u32 ret e addr len
               | Ok () ->
                   let old =
@@ -615,19 +615,14 @@ let dispatch t pe idx regs =
                 (Process.Yielded_for { driver = r1; subscribe_num = r2 });
               Blocked))
   | 1 (* subscribe: driver, subscribe_num, upcall_fn, appdata *) ->
-      (match Int_hashtbl.Int.find t.drivers r0 with
-      | exception Not_found ->
-          Syscall.set_failure_u32_u32 ret Error.NODEVICE r2 r3
-      | slot -> (
-          match slot.drv.Driver.subscribe_hook proc ~subscribe_num:r1 with
-          | Error e -> Syscall.set_failure_u32_u32 ret e r2 r3
-          | Ok () ->
-              let old =
-                Process.subscribe_swap proc ~driver:r0 ~subscribe_num:r1
-                  { Process.fnptr = r2; appdata = r3 }
-              in
-              Syscall.set_success_u32_u32 ret old.Process.fnptr
-                old.Process.appdata));
+      (if not (Int_hashtbl.Int.mem t.drivers r0) then
+         Syscall.set_failure_u32_u32 ret Error.NODEVICE r2 r3
+       else
+         let old =
+           Process.subscribe_swap proc ~driver:r0 ~subscribe_num:r1
+             { Process.fnptr = r2; appdata = r3 }
+         in
+         Syscall.set_success_u32_u32 ret old.Process.fnptr old.Process.appdata);
       Returned
   | 2 (* command: driver, command_num, arg1, arg2 *) ->
       (match Int_hashtbl.Int.find t.drivers r0 with
@@ -689,25 +684,20 @@ let dispatch t pe idx regs =
 let handle_fault t pe reason =
   let proc = pe.proc in
   Tock_obs.Metrics.incr t.kc.c_faults;
-  let describe = function
-    | Process.Mpu_violation s -> "MPU violation: " ^ s
-    | Process.Bad_syscall s -> "bad syscall: " ^ s
-    | Process.App_panic s -> "app panic: " ^ s
-  in
   let tr = Tock_hw.Sim.trace_events (sim t) in
   if Tock_obs.Trace.on tr then
     Tock_obs.Trace.emit tr
       ~ts:(Tock_hw.Sim.now (sim t))
       ~tid:(Process.id proc) Tock_obs.Trace.Fault Tock_obs.Trace.Instant
       ~arg:(Process.id proc)
-      ~text:(Process.name proc ^ ": " ^ describe reason);
+      ~text:(Process.name proc ^ ": " ^ Process.describe_fault reason);
   t.fault_hook proc reason;
   match t.k_config.fault_policy with
   | Panic_on_fault ->
       raise
         (Panic
            (Printf.sprintf "process %s faulted: %s" (Process.name proc)
-              (describe reason)))
+              (Process.describe_fault reason)))
   | Restart_on_fault max ->
       if Process.restart_count proc < max then do_restart t pe
       else begin

@@ -47,19 +47,19 @@ val default_config : unit -> config
 
 (** Compatibility view over the kernel's metrics registry: every field
     mirrors a [kernel.*] counter (see {!metrics}). {!stats} builds a
-    fresh record per call — mutating it affects nothing. *)
+    fresh, immutable record per call. *)
 type stats = {
-  mutable syscalls : int;
-  mutable context_switches : int;
-  mutable upcalls_delivered : int;
-  mutable sleeps : int;
-  mutable loop_iterations : int;
-  mutable aliased_allows : int;
-  mutable zero_len_allows : int;
-  mutable overlap_rejected : int;
-  mutable faults : int;
-  mutable restarts : int;
-  mutable filtered_commands : int;
+  syscalls : int;
+  context_switches : int;
+  upcalls_delivered : int;
+  sleeps : int;
+  loop_iterations : int;
+  aliased_allows : int;
+  zero_len_allows : int;
+  overlap_rejected : int;
+  faults : int;
+  restarts : int;
+  filtered_commands : int;
 }
 
 exception Panic of string

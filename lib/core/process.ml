@@ -5,6 +5,11 @@ type fault_reason =
   | Bad_syscall of string
   | App_panic of string
 
+let describe_fault = function
+  | Mpu_violation s -> "MPU violation: " ^ s
+  | Bad_syscall s -> "bad syscall: " ^ s
+  | App_panic s -> "app panic: " ^ s
+
 type state =
   | Unstarted
   | Runnable

@@ -29,6 +29,12 @@ type fault_reason =
   | Bad_syscall of string
   | App_panic of string
 
+val describe_fault : fault_reason -> string
+(** The one wording of a fault, shared by the kernel's trace event and
+    panic message, the board's crash dump and the fleet's flight
+    artifacts: a kind prefix (MPU violation, bad syscall, app panic),
+    a colon and the detail. *)
+
 type state =
   | Unstarted
   | Runnable

@@ -1,16 +1,13 @@
-(* The cross-board deadline calendar: a 4-ary min-heap of payloads
-   keyed by absolute simulated-cycle deadlines. Each domain owns one,
-   holding its live group keyed by the group's next interesting time
-   (its own clock when runnable, its next wake when asleep) beside any
-   boards parked to witnesses, keyed by their wake, so a dispatch
-   always picks the least-advanced / soonest-waking slot —
-   earliest-deadline-first over the whole local fleet.
+(* The parked-witness calendar: a 4-ary min-heap of payloads keyed by
+   absolute simulated-cycle deadlines. Each domain owns one, holding the
+   boards it parked to witnesses keyed by their wake, so once the
+   domain runs out of fresh groups it resumes them soonest-waking
+   first.
 
    Ties break on insertion order (a monotonically increasing sequence
-   number), so single-domain dispatch order is stable and reproducible.
-   The structure is single-owner by design: work moves between domains
-   through the work-stealing deques (see {!Ws_deque}), never by sharing
-   a calendar. *)
+   number), so single-domain resume order is stable and reproducible.
+   The structure is single-owner by design: a witness is resumed by the
+   domain that parked it, never through a shared calendar. *)
 
 type 'a t = {
   mutable keys : int array; (* packed (deadline, seq) comparisons: keys.(i)
@@ -90,7 +87,6 @@ let add t ~key payload =
 let pop_min t =
   if t.size = 0 then None
   else begin
-    let key = t.keys.(0) in
     let payload = t.payloads.(0) in
     let last = t.size - 1 in
     swap t 0 last;
@@ -98,7 +94,5 @@ let pop_min t =
     t.payloads.(last) <- None;
     t.size <- last;
     if last > 0 then sift_down t 0;
-    match payload with
-    | Some p -> Some (p, key)
-    | None -> assert false
+    payload
   end

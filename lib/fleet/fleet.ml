@@ -7,36 +7,29 @@
    (group_size = 1) or a small radio network (group_size > 1, the
    Signpost deployment shape).
 
-   Scheduling is depth-first over a per-domain deadline calendar:
+   Scheduling is depth-first, one live group per domain:
 
-   - Each domain runs one live group at a time ([max_live_groups])
-     until it finishes or parks, then materializes the next. Groups are
-     independent, so interleaving them buys nothing; it only keeps
-     several groups' young state alive across every minor collection,
-     which promotes all of it (see DESIGN.md, lib/fleet).
-   - The domain's {!Calendar} (4-ary min-heap) orders what remains: the
-     live group, keyed by its own clock while runnable or by its next
-     hardware-event deadline while asleep, and any boards parked to
-     byte witnesses, keyed by their wake (only at freeze points
-     [Kernel.thaw] accepts; see park/resume below). Dispatch picks the
-     earliest key and steps that group one [batch]-cycle quantum via
-     [Kernel.run_to_deadline].
-   - A group that goes idle with its next wake at or beyond the quantum
-     defers the sleep: it is re-queued at its wake deadline with the
-     clock unmoved, an O(1) skip of the whole gap. If the wake lies
-     beyond the cycle budget the group is *fast-forwarded* — one
-     metered [sleep_to] to the budget end — instead of being walked
+   - Every domain takes the next group id from one shared [Atomic]
+     cursor, materializes that group and steps it in [batch]-cycle
+     quanta via [Kernel.run_to_deadline] until it retires or parks.
+     Groups are independent, so interleaving them buys nothing; it only
+     keeps several groups' young state alive across every minor
+     collection, which promotes all of it (see DESIGN.md, lib/fleet).
+   - A group that goes idle sleeps in place to its next hardware-event
+     deadline, an O(1) skip of the whole gap. If the wake lies beyond
+     the cycle budget the group is *fast-forwarded* — one metered
+     [sleep_to] to the budget end — instead of being walked
      event-by-event.
-   - Group ids are handed out through per-domain Chase–Lev deques
-     ({!Ws_deque}): each domain seeds from a contiguous shard and, once
-     drained, steals unstarted groups from the tail of other shards, so
-     heterogeneous workloads no longer stall on straggler domains.
-     Boards are only materialized when first dispatched and released
-     when finished.
+   - With [park], a single board asleep at a freeze point [Kernel.thaw]
+     accepts is frozen to a byte witness instead, and the domain moves
+     on to the next id. Once the cursor is exhausted the domain resumes
+     its witnesses in wake order from its {!Calendar} and drives each
+     one the same way (see park/resume below).
 
-   Results still merge in board-index order and each group's execution
-   depends only on its own clock, batch quantum, and budget — never on
-   placement, stealing, or dispatch interleaving — so the output is
+   Boards are only materialized when first dispatched and released when
+   finished. Results still merge in board-index order and each group's
+   execution depends only on its own clock, batch quantum, and budget —
+   never on which domain runs it or when — so the output is
    byte-identical at any domain count (and any batch chopping; see
    [Kernel.run_to_deadline]). *)
 
@@ -47,18 +40,18 @@ type config = {
   domains : int;
   group_size : int;  (* boards per shared-clock radio group; 1 = independent *)
   cycles : int;      (* simulated-cycle budget per group clock *)
-  batch : int;       (* calendar dispatch quantum in simulated cycles *)
+  batch : int;       (* dispatch quantum in simulated cycles *)
   seed : int64;
   park : bool;
-      (* serialize long-sleeping single boards to byte witnesses,
-         freeing the domain's live slot so it starts the next group
-         while they sleep; only boards [Kernel.resumable] accepts park,
-         and they come back by [Kernel.thaw]. Changes memory/wall-time
-         shape only, never results. *)
+      (* serialize long-sleeping single boards to byte witnesses, so
+         the domain starts the next group while they sleep; only boards
+         [Kernel.resumable] accepts park, and they come back by
+         [Kernel.thaw]. Changes memory/wall-time shape only, never
+         results. *)
   park_min_quanta : int;
       (* park only when the board sleeps through at least this many
-         dispatch quanta: below that the deferred-sleep park (gr_wake)
-         already skips the gap for free. *)
+         dispatch quanta: below that sleeping in place already skips
+         the gap in one hop. *)
   verify_park : bool;
       (* cross-check every thaw: freeze the thawed board and compare
          byte-for-byte against the stored witness. Failure is fatal —
@@ -71,9 +64,8 @@ type config = {
          byte-identical at any domain count. *)
   trace_capacity : int;
       (* > 0: give each scheduler domain a Trace ring of this many
-         events (dispatch quanta, steals, parks, resumes,
-         fast-forwards) and export the merged multi-lane Chrome JSON
-         as fr_trace_json. *)
+         events (dispatch quanta, parks, resumes, fast-forwards) and
+         export the merged multi-lane Chrome JSON as fr_trace_json. *)
   trace_boards : int;
       (* sample the first N boards with full per-board rings of
          [trace_capacity] events, exported as extra lanes. Sampled
@@ -132,13 +124,6 @@ let default =
    armed: enough tail for a useful postmortem timeline, small enough to
    hand to every board. *)
 let flight_ring = 256
-
-(* Live groups per domain: new work is only materialized once the
-   calendar drops below this. One means depth-first: a domain finishes
-   (or parks) its group before building the next, so a minor collection
-   only ever promotes one group's young state. A resumed parked board
-   joins the live window transiently, above this bound. *)
-let max_live_groups = 1
 
 (* Per-domain GC tuning for board churn: construction allocates a burst
    of long-lived structures per group, which at the default 256k-word
@@ -251,10 +236,6 @@ type group_rt = {
   gr_lo : int;   (* first board index *)
   gr_seed : int64;
   gr_kind : group_kind;
-  mutable gr_wake : int;
-      (* parked wake deadline to sleep to before the next dispatch
-         quantum; -1 = none. Deferring the sleep to dispatch time is
-         what makes parking an O(1) calendar skip. *)
   mutable gr_fault : Flight.cause option;
       (* first fault/panic seen on this group (set by the kernel fault
          hook while the flight recorder is armed) *)
@@ -267,11 +248,6 @@ let group_count cfg = (cfg.boards + cfg.group_size - 1) / cfg.group_size
    become extra export lanes. Sampling is by absolute board index, so
    it is independent of domains/batch/park like everything else. *)
 let sampled cfg lo = cfg.trace_capacity > 0 && lo < cfg.trace_boards
-
-let describe_reason = function
-  | Tock.Process.Mpu_violation s -> "MPU violation: " ^ s
-  | Tock.Process.Bad_syscall s -> "bad syscall: " ^ s
-  | Tock.Process.App_panic s -> "app panic: " ^ s
 
 (* One independent board on its own clock. Tracing is off unless the
    board is sampled (full ring) or the flight recorder is armed (small
@@ -303,7 +279,7 @@ let materialize_single cfg workloads ~g =
   let board = build_board cfg workloads lo in
   let rt =
     { gr_lo = lo; gr_seed = group_seed cfg.seed lo; gr_kind = Single board;
-      gr_wake = -1; gr_fault = None; gr_flighted = false }
+      gr_fault = None; gr_flighted = false }
   in
   if cfg.flight_dir <> None then
     Tock.Kernel.set_fault_hook board.Tock_boards.Board.kernel
@@ -314,7 +290,7 @@ let materialize_single cfg workloads ~g =
               (Flight.Fault
                  {
                    fl_proc = Tock.Process.name proc;
-                   fl_reason = describe_reason reason;
+                   fl_reason = Tock.Process.describe_fault reason;
                  }));
   rt
 
@@ -362,7 +338,7 @@ let build_radio cfg ~g =
 let materialize_radio cfg ~g =
   let net = build_radio cfg ~g in
   let lo = g * cfg.group_size in
-  { gr_lo = lo; gr_seed = group_seed cfg.seed lo; gr_kind = Radio net; gr_wake = -1;
+  { gr_lo = lo; gr_seed = group_seed cfg.seed lo; gr_kind = Radio net;
     gr_fault = None; gr_flighted = false }
 
 let materialize cfg workloads ~g =
@@ -404,34 +380,31 @@ let group_stats rt =
 
 (* ---- park/resume ----
 
-   A single board fully asleep with a far-off wake can trade the
-   domain's live slot for a compact byte witness ([Kernel.freeze]:
-   sparse RAM + process table + event schedule + component sections +
-   registries — a few kB vs the full Sim/kernel/capsule/continuation
-   graph). The domain then builds and runs the next group while the
-   witness waits in the calendar at its wake deadline; a witness that
-   comes due is resumed beside whatever group is live, the only way a
-   domain holds more than one. A board parks only when
-   [Kernel.resumable] holds — every live app asleep at its checkpoint —
-   and resumes by rebuilding it from the same deterministic recipe and
-   *thawing* it: [Kernel.thaw] materializes the frozen state directly,
-   O(state) instead of O(elapsed cycles), which keeps resume cost flat
-   as fleets run longer. A board that is not resumable stays live and
-   defers its sleep like any other group. A thaw [Error] is therefore a
-   bug: the run fails naming the board, and rerunning the same config
-   reproduces it. Only [Single] groups park — radio groups share a Sim
-   across boards and stay live. *)
+   A single board fully asleep with a far-off wake can be frozen to a
+   compact byte witness ([Kernel.freeze]: sparse RAM + process table +
+   event schedule + component sections + registries — a few kB vs the
+   full Sim/kernel/capsule/continuation graph). The domain then builds
+   and runs the next group while the witness waits in its calendar,
+   keyed by its wake deadline; once the shared cursor is exhausted the
+   domain resumes its witnesses in wake order, one at a time. A board
+   parks only when [Kernel.resumable] holds — every live app asleep at
+   its checkpoint — and resumes by rebuilding it from the same
+   deterministic recipe and *thawing* it: [Kernel.thaw] materializes
+   the frozen state directly, O(state) instead of O(elapsed cycles),
+   which keeps resume cost flat as fleets run longer. A board that is
+   not resumable stays live and sleeps in place like any other group. A
+   thaw [Error] is therefore a bug: the run fails naming the board, and
+   rerunning the same config reproduces it. Only [Single] groups park —
+   radio groups share a Sim across boards and stay live. *)
 
 type parked = {
-  pk_g : int;         (* calendar group id, for rematerialization *)
+  pk_g : int;         (* group id, for rematerialization *)
   pk_wake : int;      (* the wake deadline the board parked against *)
   pk_clock : int;     (* group clock at park time *)
   pk_witness : string; (* Kernel.freeze at park time *)
 }
 
-(* A calendar slot: a live group runtime, or a board parked to bytes. *)
-type slot = Live of group_rt | Parked of parked
-
+(* Rebuild + thaw, then take the sleep the board parked in, in one hop. *)
 let resume_parked cfg workloads pk =
   let rt = materialize cfg workloads ~g:pk.pk_g in
   (match rt.gr_kind with
@@ -456,7 +429,7 @@ let resume_parked cfg workloads pk =
                (Digest.to_hex (Digest.string pk.pk_witness)))
       end
   | Radio _ -> assert false);
-  rt.gr_wake <- pk.pk_wake;
+  group_sleep_to rt pk.pk_wake;
   rt
 
 (* ---- the per-domain scheduler ---- *)
@@ -491,12 +464,12 @@ let lane_of_board cfg lo (b : Tock_boards.Board.t) =
     lane_trace = Tock_hw.Sim.trace_events b.Tock_boards.Board.sim;
   }
 
-(* One domain's run: a deadline calendar over its live groups, refilled
-   from its own deque first and by stealing once that drains. *)
-let run_domain cfg workloads (deques : Ws_deque.t array) d =
+(* One domain's run: drive each group it takes from the shared cursor
+   to retirement or park, then resume its parked witnesses in wake
+   order. *)
+let run_domain cfg workloads cursor d =
   let reg = Tock_obs.Metrics.create () in
   let c_dispatches = Tock_obs.Metrics.counter reg "fleet.sched.dispatches" in
-  let c_steals = Tock_obs.Metrics.counter reg "fleet.sched.steals" in
   let c_ff = Tock_obs.Metrics.counter reg "fleet.sched.fast_forwards" in
   let c_parked = Tock_obs.Metrics.counter reg "fleet.sched.parked_wakes" in
   let c_board_parks = Tock_obs.Metrics.counter reg "fleet.sched.board_parks" in
@@ -504,7 +477,6 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
   let c_resume_cycles = Tock_obs.Metrics.counter reg "fleet.sched.resume_cycles" in
   let c_witness_bytes = Tock_obs.Metrics.counter reg "fleet.sched.witness_bytes" in
   let c_groups = Tock_obs.Metrics.counter reg "fleet.sched.groups_run" in
-  let g_live_peak = Tock_obs.Metrics.gauge reg "fleet.sched.live_groups_peak" in
   let h_batch = Tock_obs.Metrics.histogram reg "fleet.sched.batch_cycles" in
   let accum = Tock_obs.Metrics.Accum.create () in
   let roll =
@@ -553,52 +525,9 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
   (* Pooled freeze encoder: one scratch buffer per domain, so parking
      10k boards doesn't re-grow a fresh Buffer 10k times. *)
   let wbuf = Buffer.create (64 * 1024) in
-  let ndomains = Array.length deques in
+  (* The domain's parked witnesses, keyed by wake deadline. *)
   let cal = Calendar.create () in
-  let live = ref 0 in
   let results = ref [] in
-  (* Own shard first; then steal from the other shards' tails. A `Retry
-     means we lost a race on a non-empty deque, so another sweep is
-     warranted; `Empty everywhere ends the hunt. *)
-  let next_group () =
-    match Ws_deque.pop deques.(d) with
-    | Some g -> Some g
-    | None ->
-        let rec sweep () =
-          let saw_retry = ref false in
-          let found = ref None in
-          let v = ref 1 in
-          while !found = None && !v < ndomains do
-            (match Ws_deque.steal deques.((d + !v) mod ndomains) with
-            | `Stolen g ->
-                Tock_obs.Metrics.incr c_steals;
-                Tock_obs.Trace.emit dtr ~ts:!dvt ~tid:(-1) Tock_obs.Trace.Steal
-                  Tock_obs.Trace.Instant
-                  ~arg:((d + !v) mod ndomains)
-                  ~text:"";
-                found := Some g
-            | `Retry -> saw_retry := true
-            | `Empty -> ());
-            incr v
-          done;
-          match !found with
-          | Some _ as r -> r
-          | None -> if !saw_retry then sweep () else None
-        in
-        if ndomains = 1 then None else sweep ()
-  in
-  let refill () =
-    let continue_ = ref true in
-    while !live < max_live_groups && !continue_ do
-      match next_group () with
-      | Some g ->
-          let rt = materialize cfg workloads ~g in
-          incr live;
-          Tock_obs.Metrics.set_max g_live_peak !live;
-          Calendar.add cal ~key:(group_now rt) (Live rt)
-      | None -> continue_ := false
-    done
-  in
   let finish rt =
     (* Stream-merge as the group retires: the packed snapshots are both
        the retained per-board stats and the merge input, so the
@@ -621,112 +550,98 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
         board_lanes := lane_of_board cfg rt.gr_lo b :: !board_lanes
     | _ -> ());
     results := List.rev_append stats !results;
-    Tock_obs.Metrics.incr c_groups;
-    decr live;
-    refill ()
+    Tock_obs.Metrics.incr c_groups
   in
-  refill ();
-  let rec drain () =
+  (* Step [rt] one [batch]-cycle quantum at a time until it retires or
+     parks. *)
+  let rec drive rt =
+    Tock_obs.Metrics.incr c_dispatches;
+    let start = group_now rt in
+    let deadline = min (start + cfg.batch) cfg.cycles in
+    let outcome =
+      (* With the flight recorder armed a kernel panic becomes a
+         captured artifact and the group retires as stalled; unarmed it
+         propagates as before. *)
+      try group_run rt ~deadline
+      with Tock.Kernel.Panic m when cfg.flight_dir <> None ->
+        if rt.gr_fault = None then rt.gr_fault <- Some (Flight.Panic m);
+        `Stalled
+    in
+    let ran = group_now rt - start in
+    Tock_obs.Metrics.observe h_batch ran;
+    Tock_obs.Trace.emit_complete dtr ~ts:!dvt ~dur:ran ~tid:(-1)
+      Tock_obs.Trace.Dispatch ~arg:rt.gr_lo ~text:"";
+    dvt := !dvt + ran;
+    maybe_flight rt;
+    match outcome with
+    | `Budget -> if group_now rt >= cfg.cycles then finish rt else drive rt
+    | `Stalled ->
+        (* Nothing runnable and no event pending: the simulation is over
+           for this group, whatever the budget says. *)
+        finish rt
+    | `Asleep wake when wake >= cfg.cycles ->
+        (* The rest of the budget is one long sleep: warp there. *)
+        Tock_obs.Trace.emit_complete dtr ~ts:!dvt
+          ~dur:(cfg.cycles - group_now rt)
+          ~tid:0 Tock_obs.Trace.Fast_forward ~arg:rt.gr_lo ~text:"";
+        group_sleep_to rt cfg.cycles;
+        Tock_obs.Metrics.incr c_ff;
+        finish rt
+    | `Asleep wake -> (
+        match rt.gr_kind with
+        | Single b
+          when cfg.park
+               && (not (sampled cfg rt.gr_lo))
+               && wake - group_now rt >= cfg.park_min_quanta * cfg.batch
+               && Tock.Kernel.resumable b.Tock_boards.Board.kernel ->
+            (* Long sleep ahead at a freeze point thaw accepts: keep a
+               byte witness until the cursor runs dry. *)
+            let pk =
+              {
+                (* The group id materialize was called with (for a
+                   leftover single board in a radio-sized fleet the id
+                   is lo / group_size, not lo). *)
+                pk_g = rt.gr_lo / cfg.group_size;
+                pk_wake = wake;
+                pk_clock = group_now rt;
+                pk_witness =
+                  Tock.Kernel.freeze ~buf:wbuf b.Tock_boards.Board.kernel;
+              }
+            in
+            Tock_obs.Metrics.incr c_board_parks;
+            Tock_obs.Metrics.add c_witness_bytes (String.length pk.pk_witness);
+            Tock_obs.Trace.emit dtr ~ts:!dvt ~tid:(-1) Tock_obs.Trace.Park
+              Tock_obs.Trace.Instant ~arg:rt.gr_lo ~text:"";
+            Calendar.add cal ~key:wake pk
+        | _ ->
+            (* Asleep but not parkable: sleep in place, in one hop. *)
+            group_sleep_to rt wake;
+            Tock_obs.Metrics.incr c_parked;
+            drive rt)
+  in
+  let ngroups = group_count cfg in
+  let rec fresh () =
+    let g = Atomic.fetch_and_add cursor 1 in
+    if g < ngroups then begin
+      drive (materialize cfg workloads ~g);
+      fresh ()
+    end
+  in
+  fresh ();
+  let rec resume () =
     match Calendar.pop_min cal with
     | None -> ()
-    | Some (slot, _key) ->
-        Tock_obs.Metrics.incr c_dispatches;
-        let rt =
-          match slot with
-          | Live rt -> rt
-          | Parked pk ->
-              (* Rebuild + thaw, then rejoin the live window
-                 (transiently allowed to exceed the refill bound). *)
-              Tock_obs.Metrics.incr c_board_resumes;
-              Tock_obs.Metrics.add c_resume_cycles (pk.pk_wake - pk.pk_clock);
-              Tock_obs.Trace.emit dtr ~ts:!dvt ~tid:(-1) Tock_obs.Trace.Resume
-                Tock_obs.Trace.Instant
-                ~arg:(pk.pk_g * cfg.group_size)
-                ~text:"";
-              incr live;
-              Tock_obs.Metrics.set_max g_live_peak !live;
-              resume_parked cfg workloads pk
-        in
-        if rt.gr_wake >= 0 then begin
-          (* Parked: take the skipped sleep now, in one hop. *)
-          group_sleep_to rt rt.gr_wake;
-          rt.gr_wake <- -1
-        end;
-        let start = group_now rt in
-        let deadline = min (start + cfg.batch) cfg.cycles in
-        let outcome =
-          (* With the flight recorder armed a kernel panic becomes a
-             captured artifact and the group retires as stalled; unarmed
-             it propagates as before. *)
-          try group_run rt ~deadline
-          with Tock.Kernel.Panic m when cfg.flight_dir <> None ->
-            if rt.gr_fault = None then rt.gr_fault <- Some (Flight.Panic m);
-            `Stalled
-        in
-        let ran = group_now rt - start in
-        Tock_obs.Metrics.observe h_batch ran;
-        Tock_obs.Trace.emit_complete dtr ~ts:!dvt ~dur:ran ~tid:(-1)
-          Tock_obs.Trace.Dispatch ~arg:rt.gr_lo ~text:"";
-        dvt := !dvt + ran;
-        maybe_flight rt;
-        (match outcome with
-        | `Budget ->
-            if group_now rt >= cfg.cycles then finish rt
-            else Calendar.add cal ~key:(group_now rt) (Live rt)
-        | `Stalled ->
-            (* Nothing runnable and no event pending: the simulation is
-               over for this group, whatever the budget says. *)
-            finish rt
-        | `Asleep wake ->
-            if wake >= cfg.cycles then begin
-              (* The rest of the budget is one long sleep: warp there. *)
-              Tock_obs.Trace.emit_complete dtr ~ts:!dvt
-                ~dur:(cfg.cycles - group_now rt)
-                ~tid:0 Tock_obs.Trace.Fast_forward ~arg:rt.gr_lo ~text:"";
-              group_sleep_to rt cfg.cycles;
-              Tock_obs.Metrics.incr c_ff;
-              finish rt
-            end
-            else begin
-              match rt.gr_kind with
-              | Single b
-                when cfg.park
-                     && (not (sampled cfg rt.gr_lo))
-                     && wake - group_now rt >= cfg.park_min_quanta * cfg.batch
-                     && Tock.Kernel.resumable b.Tock_boards.Board.kernel ->
-                  (* Long sleep ahead at a freeze point thaw accepts:
-                     trade the live slot for a byte witness and let
-                     refill pull fresh work. *)
-                  let pk =
-                    {
-                      (* The group id materialize was called with (for a
-                         leftover single board in a radio-sized fleet the
-                         id is lo / group_size, not lo). *)
-                      pk_g = rt.gr_lo / cfg.group_size;
-                      pk_wake = wake;
-                      pk_clock = group_now rt;
-                      pk_witness =
-                        Tock.Kernel.freeze ~buf:wbuf
-                          b.Tock_boards.Board.kernel;
-                    }
-                  in
-                  Tock_obs.Metrics.incr c_board_parks;
-                  Tock_obs.Metrics.add c_witness_bytes
-                    (String.length pk.pk_witness);
-                  Tock_obs.Trace.emit dtr ~ts:!dvt ~tid:(-1)
-                    Tock_obs.Trace.Park Tock_obs.Trace.Instant ~arg:rt.gr_lo
-                    ~text:"";
-                  Calendar.add cal ~key:wake (Parked pk);
-                  decr live;
-                  refill ()
-              | _ ->
-                  rt.gr_wake <- wake;
-                  Tock_obs.Metrics.incr c_parked;
-                  Calendar.add cal ~key:wake (Live rt)
-            end);
-        drain ()
+    | Some pk ->
+        Tock_obs.Metrics.incr c_board_resumes;
+        Tock_obs.Metrics.add c_resume_cycles (pk.pk_wake - pk.pk_clock);
+        Tock_obs.Trace.emit dtr ~ts:!dvt ~tid:(-1) Tock_obs.Trace.Resume
+          Tock_obs.Trace.Instant
+          ~arg:(pk.pk_g * cfg.group_size)
+          ~text:"";
+        drive (resume_parked cfg workloads pk);
+        resume ()
   in
-  drain ();
+  resume ();
   {
     do_stats = !results;
     do_accum = accum;
@@ -807,28 +722,23 @@ let run_fleet cfg =
   let ngroups = group_count cfg in
   let domains = min cfg.domains ngroups in
   let workloads = build_workloads () in
-  (* Contiguous shards, seeded in reverse so owners pop ascending group
-     ids from the bottom while thieves steal descending ids — the
-     "calendar tail" — from the top. *)
-  let deques =
-    Array.init domains (fun d ->
-        let lo = d * ngroups / domains and hi = (d + 1) * ngroups / domains in
-        Ws_deque.of_ids (Array.init (hi - lo) (fun i -> hi - 1 - i)))
-  in
+  (* The one work list: every domain takes the next unstarted group id
+     from here, in ascending order. *)
+  let cursor = Atomic.make 0 in
   let shards =
     if domains = 1 then begin
       (* Inline on this domain; restore the caller's GC settings after. *)
       let saved = fleet_gc_tune () in
       Fun.protect
         ~finally:(fun () -> Gc.set saved)
-        (fun () -> [ run_domain cfg workloads deques 0 ])
+        (fun () -> [ run_domain cfg workloads cursor 0 ])
     end
     else
       let workers =
         Array.init domains (fun d ->
             Domain.spawn (fun () ->
                 ignore (fleet_gc_tune ());
-                run_domain cfg workloads deques d))
+                run_domain cfg workloads cursor d))
       in
       Array.to_list (Array.map Domain.join workers)
   in

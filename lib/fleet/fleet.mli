@@ -7,18 +7,17 @@
     or a small Signpost-style radio network ([group_size > 1]). Groups
     share no mutable state with each other.
 
-    Scheduling is {e depth-first} per domain: one live group at a time,
-    dispatched in [batch]-cycle quanta from a deadline calendar keyed by
-    its next interesting time (own clock while runnable, next
-    hardware-event deadline while asleep), beside any boards parked to
-    byte witnesses (with [park]; {!Tock.Kernel.thaw} is the only way
-    back). Groups that go idle skip to their wake — or to the budget
-    end — in O(1) instead of being walked event-by-event. Group
-    ids are distributed through per-domain Chase–Lev work-stealing
-    deques, so straggler shards are drained by idle domains. Groups
-    materialize lazily and results merge in board order — [run cfg]
-    returns byte-identical stats for every value of [cfg.domains] and
-    [cfg.batch]. *)
+    Scheduling is {e depth-first}, one live group per domain: every
+    domain takes the next group id from one shared work list and steps
+    that group in [batch]-cycle quanta until it retires or parks. A
+    group that goes idle sleeps in place to its wake — or to the budget
+    end — in O(1) instead of being walked event-by-event. With [park],
+    a board asleep at its checkpoint is frozen to a byte witness
+    instead; once the work list is exhausted, each domain resumes its
+    witnesses in wake order ({!Tock.Kernel.thaw} is the only way back)
+    and drives each one the same way. Groups materialize lazily and
+    results merge in board order — {!run_fleet} returns byte-identical
+    stats for every value of [cfg.domains] and [cfg.batch]. *)
 
 module Rollup = Tock_obs.Rollup
 (** Re-exported for callers holding an [fr_health] report. *)
@@ -28,24 +27,25 @@ type config = {
   domains : int;     (** worker domains; 1 = run inline on this domain *)
   group_size : int;  (** boards per shared-clock radio group; 1 = independent *)
   cycles : int;      (** simulated-cycle budget per group clock *)
-  batch : int;       (** calendar dispatch quantum in simulated cycles;
+  batch : int;       (** dispatch quantum in simulated cycles;
                          affects wall time only, never results *)
   seed : int64;      (** fleet seed; per-group seeds are derived purely *)
   park : bool;
       (** serialize single boards that sleep through several quanta into
-          compact byte witnesses ({!Tock.Kernel.freeze}), freeing the
-          domain's live slot so it can start the next group while they
-          sleep. A board parks only when {!Tock.Kernel.resumable} holds
-          (every live app asleep at its checkpoint); otherwise it stays
-          live and skips the gap in place. A parked board resumes by
+          compact byte witnesses ({!Tock.Kernel.freeze}), so the domain
+          can start the next group while they sleep; they resume once
+          no unstarted group is left. A board parks only when
+          {!Tock.Kernel.resumable} holds (every live app asleep at its
+          checkpoint); otherwise it stays live and skips the gap in
+          place. A parked board resumes by
           rebuilding and thawing directly ({!Tock.Kernel.thaw}) —
           O(state), not O(elapsed). A thaw [Error] raises [Failure]
           naming the board. Changes the memory/wall-time shape only —
           results are byte-identical with parking on or off. *)
   park_min_quanta : int;
       (** park only boards sleeping through at least this many [batch]
-          quanta; shorter gaps are already skipped in O(1) by the
-          deferred-sleep park. Must be positive. *)
+          quanta; shorter gaps are already skipped in O(1) by sleeping
+          in place. Must be positive. *)
   verify_park : bool;
       (** cross-check every resume: re-freeze the thawed board and
           compare byte-for-byte against the stored witness. Fatal
@@ -57,8 +57,7 @@ type config = {
           byte-identical at any domain count, batch, or park setting. *)
   trace_capacity : int;
       (** [> 0]: give each scheduler domain a trace ring of this many
-          events (dispatch quanta, steals, parks, resumes, fast-forward
-          warps) and export the merged multi-lane Chrome/Perfetto JSON
+          events (dispatch quanta, parks, resumes, fast-forward warps) and export the merged multi-lane Chrome/Perfetto JSON
           as [fr_trace_json]. Domain lanes use pid = domain index and a
           virtual time axis (cycles dispatched so far). *)
   trace_boards : int;
@@ -147,12 +146,12 @@ type fleet_result = {
           byte-identical to [merged_metrics fr_stats] for every domain
           count, batch quantum, and park setting *)
   fr_sched : Tock_obs.Metrics.snapshot;
-      (** merged scheduler metrics ([fleet.sched.*]: dispatches, steals,
-          parked wakes, fast-forwards, board parks/resumes, resume
-          cycles skipped, witness bytes, groups run, live-group peak,
-          batch-cycle histogram). These {e do} depend on domain count,
-          batch, and park — they describe the execution, not the
-          simulation. *)
+      (** merged scheduler metrics ([fleet.sched.*]: dispatches, sleeps
+          taken in place ([parked_wakes]), fast-forwards, board
+          parks/resumes, resume cycles skipped, witness bytes, groups
+          run, batch-cycle histogram). These {e do} depend on batch and
+          park — they describe the execution, not the simulation — but
+          not on domain count: every one is a sum over groups. *)
   fr_health : Rollup.report option;
       (** with [config.health]: per-cohort SLO checks, outlier boards,
           and the overall verdict. Byte-identical (via

@@ -57,8 +57,11 @@ let filename a =
   if a.fa_board < 0 then Printf.sprintf "flt-fleet-%s.tckflt" (cause_name a.fa_cause)
   else Printf.sprintf "flt-board%05d-%s.tckflt" a.fa_board (cause_name a.fa_cause)
 
-(* Last [max] retained events of a ring, oldest first. *)
-let events_of_trace ?(max = 256) tr =
+(* Events an artifact keeps: the tail of the board's ring. *)
+let max_events = 256
+
+(* Last [max_events] retained events of a ring, oldest first. *)
+let events_of_trace tr =
   let newest_first = ref [] in
   Trace.iter tr (fun e ->
       newest_first :=
@@ -81,7 +84,7 @@ let events_of_trace ?(max = 256) tr =
     | [] -> []
     | x :: t -> if k = 0 then [] else x :: take (k - 1) t
   in
-  List.rev (take max !newest_first)
+  List.rev (take max_events !newest_first)
 
 (* Frame order; [metrics] and [witness] are present only when
    captured. *)

@@ -45,8 +45,8 @@ val cause_name : cause -> string
 val filename : artifact -> string
 (** Deterministic artifact file name, e.g. ["flt-board00042-fault.tckflt"]. *)
 
-val events_of_trace : ?max:int -> Tock_obs.Trace.t -> event list
-(** The last [max] (default 256) retained ring events, oldest first. *)
+val events_of_trace : Tock_obs.Trace.t -> event list
+(** The last 256 retained ring events, oldest first. *)
 
 val encode : artifact -> string
 

@@ -275,8 +275,6 @@ let counter_value c = c.c_value
 
 let set g v = g.g_value <- v
 
-let set_max g v = if v > g.g_value then g.g_value <- v
-
 let gauge_value g = g.g_value
 
 let bucket_index v =
@@ -867,13 +865,13 @@ let render_json snap =
     (fun (name, v) ->
       if not !first then Buffer.add_string buf ",\n";
       first := false;
+      Buffer.add_string buf (Printf.sprintf "  \"%s\": " (Trace.escape name));
       (match v with
-      | Counter n -> Buffer.add_string buf (Printf.sprintf "  %S: %d" name n)
-      | Gauge n -> Buffer.add_string buf (Printf.sprintf "  %S: %d" name n)
+      | Counter n | Gauge n -> Buffer.add_string buf (string_of_int n)
       | Histogram hs ->
           Buffer.add_string buf
-            (Printf.sprintf "  %S: {\"count\": %d, \"sum\": %d, \"buckets\": ["
-               name hs.hs_count hs.hs_sum);
+            (Printf.sprintf "{\"count\": %d, \"sum\": %d, \"buckets\": ["
+               hs.hs_count hs.hs_sum);
           let firstb = ref true in
           Array.iteri
             (fun i n ->

@@ -46,12 +46,6 @@ val counter_value : counter -> int
 
 val set : gauge -> int -> unit
 
-val set_max : gauge -> int -> unit
-(** Raise the gauge to [v] if above its current value — peak tracking
-    (e.g. the fleet scheduler's live-group high-water mark). Note
-    {!merge} still {e sums} gauges, so a cross-domain merge of peaks is
-    an upper bound, not a global peak. *)
-
 val gauge_value : gauge -> int
 
 val observe : histogram -> int -> unit

@@ -190,7 +190,14 @@ type report = {
   rp_verdict : verdict;
 }
 
-let evaluate ?(outlier_k = 8) ?(outlier_floor = 64) t ~slos ~iter_boards =
+(* A board is an outlier on a metric at [outlier_k] times its cohort's
+   median, and only at or above [outlier_floor], a noise floor for
+   near-zero medians. *)
+let outlier_k = 8
+
+let outlier_floor = 64
+
+let evaluate t ~slos ~iter_boards =
   let checks =
     List.concat_map
       (fun s ->
@@ -278,19 +285,6 @@ let render_text r =
     r.rp_outliers;
   Buffer.contents buf
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json r =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
@@ -305,8 +299,9 @@ let render_json r =
            "\n    {\"cohort\": %d, \"metric\": \"%s\", \"stat\": \"%s\", \
             \"boards\": %d, \"value\": %d, \"warn\": %d, \"fail\": %d, \
             \"verdict\": \"%s\"}"
-           c.ck_cohort (escape c.ck_metric) (stat_name c.ck_stat) c.ck_boards
-           c.ck_value c.ck_warn c.ck_fail (verdict_name c.ck_verdict)))
+           c.ck_cohort (Trace.escape c.ck_metric) (stat_name c.ck_stat)
+           c.ck_boards c.ck_value c.ck_warn c.ck_fail
+           (verdict_name c.ck_verdict)))
     r.rp_checks;
   Buffer.add_string buf "\n  ],\n  \"outliers\": [";
   List.iteri
@@ -316,7 +311,8 @@ let render_json r =
         (Printf.sprintf
            "\n    {\"board\": %d, \"cohort\": %d, \"metric\": \"%s\", \
             \"value\": %d, \"median\": %d}"
-           o.ol_board o.ol_cohort (escape o.ol_metric) o.ol_value o.ol_median))
+           o.ol_board o.ol_cohort (Trace.escape o.ol_metric) o.ol_value
+           o.ol_median))
     r.rp_outliers;
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf

@@ -74,17 +74,15 @@ type report = {
 }
 
 val evaluate :
-  ?outlier_k:int ->
-  ?outlier_floor:int ->
   t ->
   slos:slo list ->
   iter_boards:((cohort:int -> board:int -> Metrics.packed -> unit) -> unit) ->
   report
 (** Evaluate every SLO against every cohort, and flag outlier boards:
-    a board whose per-metric value is both >= [outlier_k] (default 8)
-    times the cohort median (taken as at least 1) and >= [outlier_floor]
-    (default 64, a noise floor for near-zero medians). Outliers need
-    the final medians, so they are a second pass: [iter_boards] must
+    a board whose per-metric value is both >= 8 times the cohort median
+    (taken as at least 1) and >= 64 (a noise floor for near-zero
+    medians). Outliers need the final medians, so they are a second
+    pass: [iter_boards] must
     replay the retained per-board packed stats in a deterministic
     (board) order. The report is a pure function of the folded
     multiset of boards — byte-identical however domains interleaved. *)

@@ -28,7 +28,6 @@ type kind =
   | Note
   | Fault
   | Dispatch
-  | Steal
   | Park
   | Resume
   | Fast_forward
@@ -118,7 +117,6 @@ let kind_name = function
   | Note -> "note"
   | Fault -> "fault"
   | Dispatch -> "dispatch"
-  | Steal -> "steal"
   | Park -> "park"
   | Resume -> "resume"
   | Fast_forward -> "fast-forward"
@@ -176,11 +174,9 @@ let to_text ~clock_hz t =
     evs;
   Buffer.contents buf
 
-(* Chrome trace-event JSON ("JSON object format"): loadable in
-   chrome://tracing and Perfetto. pid = board (or scheduler domain in
-   the fleet's multi-lane export), tid = process (+1 so the kernel's -1
-   maps to thread 0); metadata events name both, and otherData carries
-   the drop count and clock rate. *)
+(* The body of a JSON string: quote, backslash and control bytes
+   escaped, every other byte (UTF-8 included) as it is. Every JSON
+   renderer of lib/obs quotes names through this. *)
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -195,6 +191,11 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* Chrome trace-event JSON ("JSON object format"): loadable in
+   chrome://tracing and Perfetto. pid = board (or scheduler domain in
+   the fleet's multi-lane export), tid = process (+1 so the kernel's -1
+   maps to thread 0); metadata events name both, and otherData carries
+   the drop count and clock rate. *)
 type lane = {
   lane_pid : int;
   lane_name : string;

@@ -24,7 +24,6 @@ type kind =
   | Dispatch
       (** fleet scheduler: one calendar dispatch quantum; arg = first
           board index of the group *)
-  | Steal  (** fleet scheduler instant; arg = victim domain *)
   | Park  (** fleet scheduler instant: board frozen; arg = board *)
   | Resume  (** fleet scheduler instant: board thawed; arg = board *)
   | Fast_forward
@@ -94,6 +93,12 @@ val label : event -> string
 val to_text : clock_hz:int -> t -> string
 (** Timestamp-sorted text timeline, one line per event, with a header
     line when events were dropped. *)
+
+val escape : string -> string
+(** The body of a JSON string: quotes, backslashes and control bytes
+    escaped (newline as [\n], the others as [\u00XX]), every other
+    byte — UTF-8 included — kept as it is. The one escape of every JSON
+    renderer in this library. *)
 
 type lane = {
   lane_pid : int;  (** Chrome pid; one horizontal track group *)

@@ -95,13 +95,12 @@ let get_u32 b off =
 
 (* ---- construction ---- *)
 
-let make ?(flags = flag_enabled) ?(min_ram = 2048) ?(kernel_version = (2, 0))
-    ?permissions ?storage ?(app_version = 0) ?(footer_space = 128) ~name
-    ~binary () =
+let make ?(flags = flag_enabled) ?(min_ram = 2048) ?permissions ?storage
+    ?(footer_space = 128) ~name ~binary () =
   if footer_space land 3 <> 0 then invalid_arg "Tbf.make: footer_space must be 4-aligned";
-  let kmaj, kmin = kernel_version in
+  let app_version = 0 in
   let elements_no_program =
-    [ Package_name name; Kernel_version { major = kmaj; minor = kmin } ]
+    [ Package_name name; Kernel_version { major = 2; minor = 0 } ]
     @ (match permissions with Some l -> [ Permissions l ] | None -> [])
     @
     match storage with

@@ -63,17 +63,16 @@ val flag_sticky : int
 val make :
   ?flags:int ->
   ?min_ram:int ->
-  ?kernel_version:int * int ->
   ?permissions:(int * int) list ->
   ?storage:int * int list ->
-  ?app_version:int ->
   ?footer_space:int ->
   name:string ->
   binary:bytes ->
   unit ->
   t
-(** Build an unsigned TBF with a [Program] element and [Package_name].
-    Default flags: enabled. Default [min_ram]: 2048. Default
+(** Build an unsigned TBF with a [Program] element (app version 0),
+    [Package_name] and a [Kernel_version] of 2.0. Default flags:
+    enabled. Default [min_ram]: 2048. Default
     [footer_space]: 128 bytes (enough for one of each credential). Raises
     [Invalid_argument] if credentials later overflow the reserve. *)
 

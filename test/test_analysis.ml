@@ -751,6 +751,32 @@ let test_alias_edges () =
   Alcotest.(check int) "an unpinned head is not an edge" 0
     (count_rule "capsule-layering" (capsule "let f () = Uart.write ()\n"))
 
+let test_opaque_alias_edges () =
+  (* An alias of a module whose contents are unknown ([Int_hashtbl.Int]
+     is a [Hashtbl.S]) still enters the unit it lives in: every use
+     through the alias is an edge to that unit, not only the alias
+     line. *)
+  let r =
+    Rules.run
+      (core_fixture
+      @ [
+          file "lib/core/int_hashtbl.ml" "module Int = Hashtbl.Make (Int)\n";
+          file "lib/core/int_hashtbl.mli"
+            "module Int : Hashtbl.S with type key = int\n";
+          file "lib/userland/tables.ml"
+            "module I = Tock.Int_hashtbl.Int\nlet size () = I.length (I.create 8)\n";
+          file "lib/userland/tables.mli" "val size : unit -> int\n";
+        ])
+  in
+  Alcotest.(check (list int)) "alias line and use line flagged" [ 1; 2 ]
+    (List.sort_uniq compare @@ List.filter_map
+       (fun (v : Rules.violation) ->
+         if v.Rules.v_rule = "userland-kernel-internals"
+            && v.Rules.v_file = "lib/userland/tables.ml"
+         then Some v.Rules.v_line
+         else None)
+       r.Rules.violations)
+
 let test_fleet_metric_namespace () =
   (* Fleet code registering a metric outside fleet.* is flagged — the
      name literal may sit on the registration line or wrap to the next.
@@ -857,4 +883,5 @@ let suite =
     Alcotest.test_case "taxonomy shared with fig5" `Quick
       test_taxonomy_shared_with_bench;
     Alcotest.test_case "alias edges" `Quick test_alias_edges;
+    Alcotest.test_case "opaque alias edges" `Quick test_opaque_alias_edges;
   ]

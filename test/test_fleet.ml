@@ -1,7 +1,8 @@
-(* The fleet deadline-calendar scheduler: deterministic results
-   independent of domain count and batch quantum (work stealing and
-   calendar chopping must never leak into simulation results), O(1)
-   fast-forward correctness, plus a small multi-domain smoke run. *)
+(* The depth-first fleet scheduler: deterministic results independent
+   of domain count and batch quantum (which domain runs a group, and
+   how its run is chopped into quanta, must never leak into simulation
+   results), O(1) fast-forward correctness, plus a small multi-domain
+   smoke run. *)
 
 open! Helpers
 
@@ -25,9 +26,9 @@ let check_identical name a b =
 let test_deterministic_across_domains () =
   (* Independent boards with a deliberately skewed mix (the workload
      rotation gives kv-heavy, blink/sensor and counter boards very
-     different cost profiles), contiguous shards: merged stats AND the
-     merged metrics snapshot must be byte-identical at 1, 2 and 4
-     domains — work stealing may move groups, never results. *)
+     different cost profiles): merged stats AND the merged metrics
+     snapshot must be byte-identical at 1, 2 and 4 domains — domains
+     may share out groups, never change results. *)
   let cfg = small { Fleet.default with boards = 9; group_size = 1 } in
   let seq = (Fleet.run_fleet { cfg with domains = 1 }).Fleet.fr_stats in
   let mm_seq = Tock_obs.Metrics.render_json (Fleet.merged_metrics seq) in
@@ -824,11 +825,10 @@ let test_park_only_resumable () =
   Alcotest.(check int) "every park resumed" parks
     (sched_counter parked.Fleet.fr_sched "fleet.sched.board_resumes")
 
-(* The paper-scale smoke: 100k boards materialize through the bounded
-   live window, the blink mix sleeps long enough to be frozen into
-   byte witnesses, and every one of those boards must thaw before
-   retiring into packed stats — the whole fleet must fit and
-   account. *)
+(* The paper-scale smoke: 100k boards materialize one at a time, the
+   blink mix sleeps long enough to be frozen into byte witnesses, and
+   every one of those boards must thaw before retiring into packed
+   stats — the whole fleet must fit and account. *)
 let test_100k_construction_park_smoke () =
   let boards = 100_000 in
   let cfg =
@@ -864,9 +864,9 @@ let test_100k_construction_park_smoke () =
   | _ -> Alcotest.fail "kernel.syscalls missing from merged metrics")
 
 let test_fleet_smoke () =
-  (* Tiny 2-domain fleet through the stealing scheduler: every board
-     makes progress, accounting is sane, and the scheduler metrics
-     cover every group. *)
+  (* Tiny 2-domain fleet sharing one work list: every board makes
+     progress, accounting is sane, and the scheduler metrics cover every
+     group. *)
   let cfg =
     small { Fleet.default with boards = 6; domains = 2; group_size = 1 }
   in
@@ -895,8 +895,8 @@ let test_fleet_smoke () =
 
 (* Health rollups are streaming, commutative folds of retiring boards:
    the rendered report must be byte-identical at 1, 2 and 4 domains,
-   and with parking on — domain placement, steal order and freeze/thaw
-   may never leak into a verdict. *)
+   and with parking on — domain placement and freeze/thaw may never
+   leak into a verdict. *)
 let test_health_identical_across_domains () =
   let cfg =
     small { Fleet.default with boards = 9; group_size = 1; health = true }
@@ -983,17 +983,62 @@ let test_radio_flight_ring_identical () =
   Alcotest.(check (pair int int)) "lanes exported" (1, 0)
     traced.Fleet.fr_trace_lanes
 
-(* Depth-first dispatch: without parking a domain never holds more than
-   one live group, however many groups it runs. *)
-let test_depth_first_live_window () =
-  let cfg = small { Fleet.default with boards = 9; group_size = 1 } in
-  let sched = (Fleet.run_fleet cfg).Fleet.fr_sched in
-  (match List.assoc_opt "fleet.sched.live_groups_peak" sched with
-  | Some (Tock_obs.Metrics.Gauge v) ->
-      Alcotest.(check int) "live groups peak" 1 v
-  | _ -> Alcotest.fail "fleet.sched.live_groups_peak missing");
-  Alcotest.(check int) "every group ran" 9
-    (sched_counter sched "fleet.sched.groups_run")
+(* Depth-first dispatch, read from the domain trace lanes: once a domain
+   dispatches another group, a group it left is dispatched again only
+   after its own resume. The shape parks often (batch 5,000, parking at
+   one quantum), so an interleaving scheduler would hold many groups
+   live at once; results must still equal a park-off run. *)
+let test_depth_first_dispatch () =
+  let cfg =
+    { Fleet.default with
+      boards = 64; group_size = 1; cycles = 4_000_000; batch = 5_000;
+      park_min_quanta = 1 }
+  in
+  let plain = Fleet.run_fleet cfg in
+  let mm = Tock_obs.Metrics.render_json plain.Fleet.fr_metrics in
+  List.iter
+    (fun domains ->
+      let r =
+        Fleet.run_fleet
+          { cfg with domains; park = true; trace_capacity = 1 lsl 14 }
+      in
+      let at = Printf.sprintf " @ %d domains" domains in
+      check_identical ("park on/off" ^ at) plain.Fleet.fr_stats r.Fleet.fr_stats;
+      Alcotest.(check string) ("merged metrics" ^ at) mm
+        (Tock_obs.Metrics.render_json r.Fleet.fr_metrics);
+      Alcotest.(check int) ("every group ran" ^ at) 64
+        (sched_counter r.Fleet.fr_sched "fleet.sched.groups_run");
+      Alcotest.(check bool) ("parking occurred" ^ at) true
+        (sched_counter r.Fleet.fr_sched "fleet.sched.board_parks" > 0);
+      let json =
+        match r.Fleet.fr_trace_json with
+        | Some j -> parse_json j
+        | None -> Alcotest.fail "fr_trace_json missing with trace_capacity > 0"
+      in
+      let int k j = int_of_float (as_num (obj_get k j)) in
+      Alcotest.(check int) ("no dropped events" ^ at) 0
+        (int "dropped_events" (obj_get "otherData" json));
+      let events = as_arr (obj_get "traceEvents" json) in
+      for d = 0 to domains - 1 do
+        (* Groups this domain left for another one, not resumed since. *)
+        let left = Hashtbl.create 64 and current = ref (-1) in
+        List.iter
+          (fun e ->
+            if as_str (obj_get "ph" e) <> "M" && int "pid" e = d then
+              let g = int "arg" (obj_get "args" e) in
+              match as_str (obj_get "cat" e) with
+              | "resume" -> Hashtbl.remove left g
+              | "dispatch" ->
+                  if Hashtbl.mem left g then
+                    Alcotest.failf
+                      "domain %d dispatched group %d again before its resume" d g;
+                  if !current >= 0 && !current <> g then
+                    Hashtbl.replace left !current ();
+                  current := g
+              | _ -> ())
+          events
+      done)
+    [ 1; 2 ]
 
 (* The fault flight recorder end to end: a deliberately faulting board
    produces a TCKFLT02 artifact on disk that decodes totally (and
@@ -1183,7 +1228,7 @@ let suite =
       `Quick test_park_only_resumable;
     Alcotest.test_case "100k-board construction + park smoke" `Slow
       test_100k_construction_park_smoke;
-    Alcotest.test_case "fleet-smoke (2 domains, stealing on)" `Quick
+    Alcotest.test_case "fleet-smoke (2 domains, one list)" `Quick
       test_fleet_smoke;
     Alcotest.test_case "health rollups byte-identical (1/2/4 domains)" `Quick
       test_health_identical_across_domains;
@@ -1192,7 +1237,7 @@ let suite =
     Alcotest.test_case "radio flight ring byte-identical (1/2 domains)" `Quick
       test_radio_flight_ring_identical;
     Alcotest.test_case "depth-first: one live group per domain" `Quick
-      test_depth_first_live_window;
+      test_depth_first_dispatch;
     Alcotest.test_case "group seeds are pure" `Quick
       test_seed_independent_of_grouping;
     Alcotest.test_case "bad configs rejected" `Quick test_bad_config_rejected;

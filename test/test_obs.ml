@@ -1,6 +1,6 @@
 (* The observability layer: histogram bucketing invariants (qcheck),
    trace ring drop accounting, Chrome trace-event JSON well-formedness
-   (parsed back with a local mini JSON reader), fleet metric-merge
+   (parsed back with the mini JSON reader in Helpers), fleet metric-merge
    determinism across domain counts, and the Kernel.stats compatibility
    view. *)
 
@@ -9,159 +9,6 @@ open! Helpers
 module Metrics = Tock_obs.Metrics
 module Trace = Tock_obs.Trace
 module Fleet = Tock_fleet.Fleet
-
-(* ---- mini JSON reader (subset: enough to parse our exporters) ---- *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_arr of json list
-  | J_obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\255' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              (* keep the escape verbatim; our exporters never emit it *)
-              Buffer.add_string b "\\u"
-          | c -> fail (Printf.sprintf "bad escape %c" c));
-          advance ();
-          go ()
-      | '\255' -> fail "unterminated string"
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (
-          advance ();
-          J_obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | '}' ->
-                advance ();
-                J_obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected , or } in object"
-          in
-          members []
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (
-          advance ();
-          J_arr [])
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                elems (v :: acc)
-            | ']' ->
-                advance ();
-                J_arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ] in array"
-          in
-          elems []
-    | '"' -> J_str (parse_string ())
-    | 't' ->
-        pos := !pos + 4;
-        J_bool true
-    | 'f' ->
-        pos := !pos + 5;
-        J_bool false
-    | 'n' ->
-        pos := !pos + 4;
-        J_null
-    | c when c = '-' || (c >= '0' && c <= '9') ->
-        let start = !pos in
-        let num_char c =
-          (c >= '0' && c <= '9')
-          || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-        in
-        while num_char (peek ()) do
-          advance ()
-        done;
-        J_num (float_of_string (String.sub s start (!pos - start)))
-    | _ -> fail "unexpected character"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let obj_get key = function
-  | J_obj kvs -> (
-      match List.assoc_opt key kvs with
-      | Some v -> v
-      | None -> Alcotest.failf "json: missing key %s" key)
-  | _ -> Alcotest.failf "json: not an object (looking for %s)" key
-
-let as_num = function
-  | J_num f -> f
-  | _ -> Alcotest.fail "json: expected number"
-
-let as_str = function
-  | J_str s -> s
-  | _ -> Alcotest.fail "json: expected string"
-
-let as_arr = function
-  | J_arr l -> l
-  | _ -> Alcotest.fail "json: expected array"
 
 (* ---- metrics: registry basics ---- *)
 
@@ -810,7 +657,21 @@ let test_render_json_parses () =
   Alcotest.(check int) "hist count" 4
     (int_of_float (as_num (obj_get "count" hist)));
   Alcotest.(check int) "hist sum" 3156
-    (int_of_float (as_num (obj_get "sum" hist)))
+    (int_of_float (as_num (obj_get "sum" hist)));
+  (* Names are input from outside the program (a TBF package name
+     names its process's series): a quote, a control byte and UTF-8
+     bytes must come back as they went in. *)
+  let odd =
+    [ "process.say \"hi\".syscalls"; "process.tab\001.x"; "process.caf\xc3\xa9.upcalls" ]
+  in
+  let r = Metrics.create () in
+  List.iteri (fun i name -> Metrics.add (Metrics.counter r name) (i + 1)) odd;
+  let j = parse_json (Metrics.render_json (Metrics.snapshot r)) in
+  List.iteri
+    (fun i name ->
+      Alcotest.(check int) (String.escaped name) (i + 1)
+        (int_of_float (as_num (obj_get name j))))
+    odd
 
 (* ---- trace ring ---- *)
 
