@@ -33,7 +33,6 @@ module Mpu = Tock_hw.Mpu
 module Process = Tock.Process
 module Aes = Tock_crypto.Aes128
 module Sha = Tock_crypto.Sha256
-module Net = Tock_capsules.Net_stack
 module Fleet = Tock_fleet.Fleet
 
 (* ---- a live app to bench emulated memory through ---- *)
@@ -284,11 +283,12 @@ let run_mode ~full ~scale =
     (time "sha256/4kB-ref" (it 1_000) (fun () -> ignore (Sha.Reference.digest_bytes data)));
   let frame = Bytes.init 111 (fun i -> Char.chr ((i * 7) land 0xff)) in
   let crc_fast =
-    time "crc16/frame-fast" (it 500_000) (fun () -> ignore (Net.crc16 frame ~off:0 ~len:111))
+    time "crc16/frame-fast" (it 500_000) (fun () ->
+        ignore (Tock.Crc16.digest frame ~off:0 ~len:111))
   in
   let crc_ref =
     time "crc16/frame-ref" (it 100_000) (fun () ->
-        ignore (Net.crc16_ref frame ~off:0 ~len:111))
+        ignore (Tock.Crc16.Reference.digest frame ~off:0 ~len:111))
   in
 
   (* -- the syscall round trip: speed, words and table size -- *)

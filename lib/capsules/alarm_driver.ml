@@ -71,9 +71,7 @@ let create kernel mux ~grant_cap =
             { valarm = Alarm_mux.new_alarm mux });
     }
   in
-  Kernel.register_grant kernel ~name:"alarm"
-    ~preallocate:(fun p -> Grant.preallocate t.grant p)
-    ~is_allocated:(fun p -> Grant.is_allocated t.grant p);
+  Kernel.register_grant kernel t.grant;
   Kernel.register_freezer kernel ~name:"alarm" ~phase:`Pre
     ~save:(fun buf -> freeze_save t buf)
     ~load:(fun r -> freeze_load t r);

@@ -20,9 +20,7 @@ let create kernel ~buttons ~active_high ~grant_cap =
             { enabled_mask = 0 });
     }
   in
-  Kernel.register_grant kernel ~name:"button"
-    ~preallocate:(fun p -> Grant.preallocate t.grant p)
-    ~is_allocated:(fun p -> Grant.is_allocated t.grant p);
+  Kernel.register_grant kernel t.grant;
   Array.iteri
     (fun i pin ->
       pin.Hil.pin_make_input ();

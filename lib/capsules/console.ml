@@ -75,9 +75,7 @@ let create kernel vdev ~grant_cap =
       c_bytes = Tock_obs.Metrics.counter reg "console.tx_bytes";
     }
   in
-  Kernel.register_grant kernel ~name:"console"
-    ~preallocate:(fun p -> Grant.preallocate grant p)
-    ~is_allocated:(fun p -> Grant.is_allocated grant p);
+  Kernel.register_grant kernel grant;
   Uart_mux.set_transmit_client vdev (fun sub ->
       let len = Subslice.length sub in
       (match t.tx_owner with

@@ -26,15 +26,6 @@ let max_fragments = 8
 (* Retransmissions of an unacked frame before it resolves NOACK. *)
 let max_retries = 3
 
-(* CRC-16/CCITT-FALSE, shared with the rest of the system through the
-   kernel's {!Crc16} re-export so the bitwise oracle lives in exactly one
-   place. The link fast path folds the checksum window-by-window over the
-   scatter-gather frame ({!Crc16.update_sub}); these whole-buffer entry
-   points remain for tests and the copying reference path. *)
-let crc16 = Crc16.digest
-
-let crc16_ref = Crc16.Reference.digest
-
 type inflight = {
   if_dest : int;
   if_seq : int;
@@ -574,7 +565,7 @@ module Reference = struct
     Bytes.set f 7 (Char.chr ((dst lsr 8) land 0xff));
     Bytes.set f 8 (Char.chr plen);
     Bytes.blit payload 0 f header_size plen;
-    let crc = crc16 f ~off:0 ~len:(header_size + plen) in
+    let crc = Crc16.digest f ~off:0 ~len:(header_size + plen) in
     Bytes.set f (header_size + plen) (Char.chr (crc land 0xff));
     Bytes.set f (header_size + plen + 1) (Char.chr ((crc lsr 8) land 0xff));
     f
@@ -591,7 +582,7 @@ module Reference = struct
           Char.code (Bytes.get frame (header_size + plen))
           lor (Char.code (Bytes.get frame (header_size + plen + 1)) lsl 8)
         in
-        if crc16 frame ~off:0 ~len:(header_size + plen) <> crc_stored then None
+        if Crc16.digest frame ~off:0 ~len:(header_size + plen) <> crc_stored then None
         else
           let src =
             Char.code (Bytes.get frame 4)

@@ -74,14 +74,6 @@ val acks_sent : t -> int
 
 val datagrams_reassembled : t -> int
 
-val crc16 : bytes -> off:int -> len:int -> int
-(** CRC-16/CCITT-FALSE — an alias for the shared {!Tock.Crc16.digest}
-    (table-driven), kept for tests. *)
-
-val crc16_ref : bytes -> off:int -> len:int -> int
-(** The bitwise oracle ({!Tock.Crc16.Reference.digest}) the tables are
-    derived from. *)
-
 (** {2 Round-trip oracles (tests and benchmarks)} *)
 
 val max_payload : int

@@ -44,9 +44,7 @@ let create kernel entropy ~grant_cap =
       serving = None;
     }
   in
-  Kernel.register_grant kernel ~name:"rng"
-    ~preallocate:(fun p -> Grant.preallocate t.grant p)
-    ~is_allocated:(fun p -> Grant.is_allocated t.grant p);
+  Kernel.register_grant kernel t.grant;
   entropy.Hil.entropy_set_client (fun words ->
       match t.serving with
       | Some pid ->

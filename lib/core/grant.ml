@@ -19,6 +19,8 @@ let create ~cap:_ ~name ~size_bytes ~init =
   let gid = 1 + Atomic.fetch_and_add next_gid 1 in
   { gid; g_name = name; size = size_bytes; init; key = Univ.new_key () }
 
+let name t = t.g_name
+
 let lookup t proc =
   match Hashtbl.find_opt (Process.grant_table proc) t.gid with
   | Some packed -> Univ.project t.key packed

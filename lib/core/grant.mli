@@ -25,6 +25,10 @@ val create :
 (** [size_bytes] is what the instance costs a process's grant region —
     the accounting analogue of the Rust type's size. *)
 
+val name : 'a t -> string
+(** The name given at {!create}: the grant's name in trace events and
+    in board witnesses ({!Kernel.register_grant}). *)
+
 val enter : 'a t -> Process.t -> ('a -> 'b) -> ('b, Error.t) result
 (** Allocate-if-needed, then run the closure on the process's instance.
     Errors: NOMEM (grant region exhausted), ALREADY (reentrant entry). *)

@@ -107,6 +107,11 @@ type freezer = {
   fz_load : Tock_obs.Frame.reader -> unit;
 }
 
+(* A grant registered for freeze/thaw, its payload type hidden. *)
+type registered = Registered : 'a Grant.t -> registered
+
+let grant_name (Registered g) = Grant.name g
+
 type t = {
   k_chip : Tock_hw.Chip.t;
   k_config : config;
@@ -123,10 +128,10 @@ type t = {
   mutable fault_hook : Process.t -> Process.fault_reason -> unit;
   mutable trace_hook :
     (Process.t -> Syscall.call -> Syscall.ret option -> unit) option;
-  mutable k_grants : (string * (Process.t -> bool) * (Process.t -> bool)) list;
-      (* (name, preallocate, is_allocated), sorted by name: freeze
-         records which named grants each process holds; thaw
-         preallocates them so grant-region layout matches the witness. *)
+  mutable k_grants : registered list;
+      (* sorted by name: freeze records which grants each process
+         holds; thaw preallocates them so grant-region layout matches
+         the witness. *)
   mutable k_freezers : (string * freezer) list; (* sorted by name *)
   mutable k_clock_held : bool;
       (* set only while [thaw] runs the resume prologues: [spend]
@@ -247,12 +252,12 @@ let register_driver t (d : Driver.t) =
   Int_hashtbl.Int.replace t.drivers d.Driver.driver_num
     { drv = d; d_commands; d_cycles }
 
-let register_grant t ~name ~preallocate ~is_allocated =
+let register_grant t g =
+  let name = Grant.name g in
   t.k_grants <-
     List.sort
-      (fun (a, _, _) (b, _, _) -> compare a b)
-      ((name, preallocate, is_allocated)
-      :: List.filter (fun (n, _, _) -> n <> name) t.k_grants)
+      (fun a b -> compare (grant_name a) (grant_name b))
+      (Registered g :: List.filter (fun r -> grant_name r <> name) t.k_grants)
 
 let kernel_sections = Witness.sections ~components:[]
 
@@ -952,8 +957,8 @@ let run_cycles t ~cap n =
 
    Process executions are effect continuations — they cannot be
    serialized. A parked board is captured as a compact byte *witness* of
-   everything observable about it ([Witness] holds the codec and lists
-   what it records).
+   everything observable about it ([Witness] holds the frame layout;
+   each process writes its own record, [Process.add_image]).
 
    The one way back from a witness is [thaw] (direct materialization):
    rebuild the board, let each resumable app's factory fast-forward
@@ -961,10 +966,11 @@ let run_cycles t ~cap n =
    continuation suspends in the frozen shape), then patch every other
    observable back from the witness. O(state), independent of how long
    the board ran. Only some freeze points can be rebuilt that way —
-   [unthawable] names them, and [resumable] asks it of a live board
-   before anyone parks it. [thaw] returns [Error] whenever anything
-   fails to line up (a freeze point [unthawable] rejects, upcall ids
-   that cannot be remapped, registry layout drift, corrupt bytes). *)
+   [Process.thawable] names them, and [resumable] asks it of a live
+   board before anyone parks it. [thaw] returns [Error] whenever
+   anything fails to line up (a freeze point [Process.thawable]
+   rejects, upcall ids that cannot be remapped, registry layout drift,
+   corrupt bytes). *)
 
 let freeze ?buf t =
   let s = sim t in
@@ -974,8 +980,10 @@ let freeze ?buf t =
     Array.iter
       (fun pe ->
         let p = pe.proc in
-        let held (n, _, alloc) = if alloc p then Some n else None in
-        Witness.add_process b p ~resume:pe.pending_resume
+        let held (Registered g) =
+          if Grant.is_allocated g p then Some (Grant.name g) else None
+        in
+        Process.add_image b p ~resume:pe.pending_resume
           ~grants:(List.filter_map held t.k_grants))
       t.table
   in
@@ -990,37 +998,11 @@ let freeze ?buf t =
 
 (* ---- direct materialization (thaw) ---- *)
 
-(* The freeze points [thaw] can rebuild, one process at a time: [None]
-   if it accepts a process frozen in [state] with checkpoint cursor
-   [ckpt] and at-sleep flag [at_sleep], else why not. A dead process
-   keeps its corpse. A live one must have checkpointed and sit in its
-   checkpoint sleep as plain [Yielded]: frozen at any other yield (I/O
-   wait, busy-retry nap), every witnessed byte could still match while
-   the rebuilt continuation sits elsewhere. [Stopped] and [Unstarted]
-   need a live execution the rebuild cannot recreate. *)
-let unthawable ~ckpt ~at_sleep (state : Process.state) =
-  match state with
-  | Process.Faulted _ | Process.Terminated _ -> None
-  | Process.Stopped _ -> Some "frozen stopped"
-  | Process.Unstarted -> Some "frozen unstarted"
-  | _ when ckpt = 0 -> Some "is live but never checkpointed"
-  | _ when not at_sleep -> Some "frozen outside its checkpoint sleep"
-  | Process.Yielded -> None
-  | Process.Runnable | Process.Yielded_for _ | Process.Blocked_command _ ->
-      Some "frozen in unresumable state"
-
 (* A board with kernel work pending (an interrupt or a deliverable
    upcall) is between two steps of its main loop: its next
    step runs that work, while a thawed board would sleep through it. *)
 let resumable t =
-  (not (has_work t))
-  && Array.for_all
-    (fun pe ->
-      let p = pe.proc in
-      Option.is_none
-        (unthawable ~ckpt:(Process.checkpoint p)
-           ~at_sleep:(Process.at_sleep p) (Process.state p)))
-    t.table
+  (not (has_work t)) && Array.for_all (fun pe -> Process.thawable pe.proc) t.table
 
 exception Thaw_failed of string
 
@@ -1032,12 +1014,10 @@ let thaw t ~cap witness =
       try
         let s = sim t in
         let fail fmt = Printf.ksprintf (fun m -> raise (Thaw_failed m)) fmt in
-        let section name load =
-          match Tock_obs.Frame.read wt.w_frame name load with
-          | Ok () -> ()
-          | Error e -> raise (Thaw_failed e)
-        in
-        let nprocs = List.length wt.w_procs in
+        let check = function Ok v -> v | Error e -> raise (Thaw_failed e) in
+        let section name load = check (Tock_obs.Frame.read wt.w_frame name load) in
+        let images = section procs Process.read_images in
+        let nprocs = List.length images in
         if Array.length t.table <> nprocs then
           fail "board has %d processes, witness %d" (Array.length t.table)
             nprocs;
@@ -1045,13 +1025,14 @@ let thaw t ~cap witness =
           fail "process-table layout differs from witness";
         let pairs =
           List.mapi
-            (fun i wp ->
+            (fun i img ->
               let pe = t.table.(i) in
-              if not (String.equal (Process.name pe.proc) wp.wp_name) then
+              let name = Process.image_name img in
+              if not (String.equal (Process.name pe.proc) name) then
                 fail "process %d is %s, witness has %s" i
-                  (Process.name pe.proc) wp.wp_name;
-              (pe, wp))
-            wt.w_procs
+                  (Process.name pe.proc) name;
+              (pe, img))
+            images
         in
         let load_phase phase =
           List.iter
@@ -1059,43 +1040,30 @@ let thaw t ~cap witness =
             t.k_freezers
         in
         (* Phase 1: process dispositions and grant layout. Every
-           process must sit at a freeze point [unthawable] accepts; a
-           live one is then [Yielded] in its checkpoint sleep, and dead
-           ones lose their execution now so the prologue pass never
-           runs them. Grants are preallocated in recorded order so
-           kernel breaks land where the witness says — the [`Pre] loads
-           run first because the alarm section's ordered allocation
-           also installs the resume alarms. *)
+           process must sit at a freeze point [Process.thawable]
+           accepts; a live one is then [Yielded] in its checkpoint
+           sleep, and dead ones lose their execution now so the
+           prologue pass never runs them. Grants are preallocated in
+           recorded order so kernel breaks land where the witness says
+           — the [`Pre] loads run first because the alarm section's
+           ordered allocation also installs the resume alarms. *)
         load_phase `Pre;
         List.iter
-          (fun (pe, wp) ->
+          (fun (pe, img) ->
             let p = pe.proc in
-            Process.set_checkpoint p wp.wp_ckpt;
-            (match
-               unthawable ~ckpt:wp.wp_ckpt ~at_sleep:wp.wp_at_sleep
-                 wp.wp_state
-             with
-            | Some why -> fail "process %s %s" wp.wp_name why
-            | None -> ());
-            (match wp.wp_state with
-            | Process.Yielded -> ()
-            | _ ->
-                (* Dead: never run the factory, keep the corpse. *)
-                Process.destroy_execution p;
-                pe.pending_resume <- None;
-                Process.set_state p wp.wp_state);
+            check (Process.thaw_begin p img);
             List.iter
               (fun gname ->
                 match
-                  List.find_opt (fun (n, _, _) -> String.equal n gname)
+                  List.find_opt (fun r -> String.equal (grant_name r) gname)
                     t.k_grants
                 with
                 | None -> fail "grant %S not registered on this board" gname
-                | Some (_, pre, _) ->
-                    if not (pre p) then
+                | Some (Registered g) ->
+                    if not (Grant.preallocate g p) then
                       fail "process %s: grant %S preallocation failed"
-                        wp.wp_name gname)
-              wp.wp_grants)
+                        (Process.name p) gname)
+              (Process.image_grants img))
           pairs;
         (* Phase 2: warp to the frozen clock, then run the resume
            prologues to quiescence with the clock held. Warping first
@@ -1125,103 +1093,9 @@ let thaw t ~cap witness =
           ~sleep_cycles:wt.w_sleep ~rng_state:wt.w_rng;
         (* Phase 3: patch every process back to the frozen image. *)
         List.iter
-          (fun (pe, wp) ->
-            let p = pe.proc in
-            (* Phase 1 left every live process [Yielded]. *)
-            if wp.wp_state = Process.Yielded then begin
-              if not (Process.has_execution p) then
-                fail "process %s lost its execution in the prologue"
-                  wp.wp_name;
-              (match Process.state p with
-              | Process.Yielded -> ()
-              | _ ->
-                  fail "process %s did not settle into Yielded" wp.wp_name);
-              (* Rebind the prologue's live upcall closures to the
-                 frozen function ids before the wholesale table
-                 restore makes those ids current. *)
-              let live_subs = Hashtbl.create 8 in
-              Process.iter_subscriptions p (fun ~driver ~subscribe_num up ->
-                  if up.Process.fnptr <> 0 then
-                    Hashtbl.replace live_subs (driver, subscribe_num)
-                      up.Process.fnptr);
-              List.iter
-                (fun (d, sn, fnptr, _appdata) ->
-                  if fnptr <> 0 then
-                    match Hashtbl.find_opt live_subs (d, sn) with
-                    | Some lf when lf = fnptr -> ()
-                    | Some lf -> (
-                        match Process.bridge p with
-                        | None ->
-                            fail "process %s has no emulator bridge"
-                              wp.wp_name
-                        | Some br ->
-                            if
-                              not
-                                (br.Process.br_remap_upcall ~old_id:lf
-                                   ~new_id:fnptr)
-                            then
-                              fail "process %s: upcall remap %d->%d failed"
-                                wp.wp_name lf fnptr)
-                    | None ->
-                        fail
-                          "process %s: no live closure for driver %d sub %d"
-                          wp.wp_name d sn)
-                wp.wp_subs
-            end;
-            Process.clear_syscall_tables p;
-            List.iter
-              (fun (d, sn, fnptr, appdata) ->
-                Process.restore_subscription p ~driver:d ~subscribe_num:sn
-                  { Process.fnptr; appdata })
-              wp.wp_subs;
-            if
-              not
-                (Process.restore_breaks p ~app_break:wp.wp_app_break
-                   ~kernel_break:wp.wp_kernel_break)
-            then fail "process %s: frozen breaks rejected" wp.wp_name;
-            List.iter
-              (fun (k, d, n, addr, len) ->
-                let kind = if k = 0 then `Rw else `Ro in
-                if not (Process.restore_allow p ~kind ~driver:d ~allow_num:n ~addr ~len)
-                then
-                  fail "process %s: allow %d/%d does not resolve" wp.wp_name
-                    d n)
-              wp.wp_allows;
-            List.iter
-              (fun pu ->
-                if not (Process.restore_pending_upcall p pu) then
-                  fail "process %s: pending-upcall overflow" wp.wp_name)
-              wp.wp_pending;
-            let ram = Process.ram_bytes p in
-            if Bytes.length ram <> wp.wp_ram_len then
-              fail "process %s: RAM size %d <> witness %d" wp.wp_name
-                (Bytes.length ram) wp.wp_ram_len;
-            Bytes.fill ram 0 (Bytes.length ram) '\x00';
-            List.iter
-              (fun (off, data) ->
-                Bytes.blit_string data 0 ram off (String.length data))
-              wp.wp_ram_runs;
-            Process.restore_counters p ~restarts:wp.wp_restarts
-              ~syscalls:wp.wp_syscalls ~grant_enters:wp.wp_grant_enters;
-            Process.restore_mpu_scans p wp.wp_mpu_scans;
-            Process.restore_mpu_cache p ~generation:wp.wp_mpu_gen
-              ~caches:wp.wp_mpu_caches;
-            Process.set_at_sleep p wp.wp_at_sleep;
-            List.iter
-              (fun (c, n) ->
-                Process.restore_syscall_class p ~class_num:c ~count:n)
-              wp.wp_classes;
-            Process.set_upcall_drops p wp.wp_upcall_drops;
-            (match (Process.bridge p, wp.wp_residue) with
-            | Some br, Some res -> br.Process.br_set_residue res
-            | _, None -> ()
-            | None, Some _ ->
-                fail "process %s has no emulator bridge" wp.wp_name);
-            pe.pending_resume <- wp.wp_resume;
-            Process.set_state p wp.wp_state;
-            if Process.grant_bytes_used p <> wp.wp_grant_bytes then
-              fail "process %s: grant bytes %d <> witness %d" wp.wp_name
-                (Process.grant_bytes_used p) wp.wp_grant_bytes)
+          (fun (pe, img) ->
+            check (Process.thaw_patch pe.proc img);
+            pe.pending_resume <- Process.image_resume img)
           pairs;
         load_phase `Post;
         (* Structural check: the prologues must have rebuilt the frozen

@@ -112,18 +112,13 @@ val set_syscall_trace :
 val register_driver : t -> Driver.t -> unit
 (** At most one driver per driver number; re-registration replaces. *)
 
-val register_grant :
-  t ->
-  name:string ->
-  preallocate:(Process.t -> bool) ->
-  is_allocated:(Process.t -> bool) ->
-  unit
-(** Declare a named grant region for freeze/thaw: {!freeze} records
-    which registered grants each process holds, and {!thaw}
-    preallocates them (in witnessed order) so the grant-region layout —
-    and thus [kernel_break] — matches the frozen image. Capsules call
-    this from [create] with {!Grant.preallocate}/{!Grant.is_allocated}
-    closures. Re-registration under the same name replaces. *)
+val register_grant : t -> 'a Grant.t -> unit
+(** Declare a grant region for freeze/thaw under its own
+    {!Grant.name}: {!freeze} records which registered grants each
+    process holds, and {!thaw} preallocates them (in witnessed order)
+    so the grant-region layout — and thus [kernel_break] — matches the
+    frozen image. Capsules call this from [create] with the grant they
+    made. Re-registration under the same name replaces. *)
 
 val register_freezer :
   t ->
@@ -312,7 +307,8 @@ val resumable : t -> bool
     checkpoint sleep ([Libtock_sync.checkpoint_sleep]) as plain
     [Yielded], and no process is [Stopped] or [Unstarted].
     Faulted and terminated processes do not matter. The per-process
-    part is the test {!thaw} applies to the witness, so a board frozen
+    part is {!Process.thawable}, the test {!thaw} applies to each
+    witnessed record, so a board frozen
     while this holds thaws unless its witness is corrupt or the rebuild
     does not match its recipe. A board stopped between an event and
     the loop step that services it (as {!run_cycles} can leave one) is
@@ -320,17 +316,20 @@ val resumable : t -> bool
 
 val thaw : t -> cap:Capability.main_loop -> string -> (unit, string) result
 (** [thaw t ~cap w] rehydrates a freshly-built board [t] directly from
-    the witness bytes: preallocate witnessed grants and
-    install resume alarms ([`Pre] freezer loads), warp the clock to the
-    frozen instant, run each live process's factory prologue to
-    quiescence with the clock held (resumable apps skip completed
-    iterations and re-enter the recorded sleep — see [Apps]; no frozen
-    event can fire under them), restore the PRNG stream, patch processes
-    wholesale (upcall-id remap, subscriptions, allows, pending upcalls,
-    breaks, RAM, counters, emulator residue), run [`Post] freezer
-    loads, verify the rebuilt event schedule against the witness, and
-    overwrite both metrics registries by layout. On success, [freeze t
-    = w]. [Error] — with the board left in an unspecified half-patched
+    the witness bytes. The kernel checks its process-table layout and
+    each process's name against the witness, runs the [`Pre] freezer
+    loads (they install resume alarms), has each process take up its
+    record's freeze point ({!Process.thaw_begin}) and preallocates the
+    grants the record holds from its {!register_grant} registry. It
+    then warps the clock to the frozen instant, runs each live
+    process's factory prologue to quiescence with the clock held
+    (resumable apps skip completed iterations and re-enter the
+    recorded sleep — see [Apps]; no frozen event can fire under them)
+    and restores the PRNG stream. Each process then patches itself
+    from its record ({!Process.thaw_patch}) and takes back its pending
+    resume argument. Last come the [`Post] freezer loads, a check of
+    the rebuilt event schedule against the witness, and both metrics
+    registries, overwritten by layout. On success, [freeze t = w]. [Error] — with the board left in an unspecified half-patched
     state that must be discarded — whenever anything fails to line up:
     a changed byte, a process frozen where {!resumable} would have been
     false, an upcall id that cannot be remapped, registry layout drift. *)

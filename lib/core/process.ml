@@ -385,13 +385,6 @@ let has_upcall_for t ~driver ~subscribe_num =
 
 let has_pending_upcalls t = not (Ring_buffer.is_empty t.pending)
 
-let iter_subscriptions t f =
-  Int_hashtbl.Pair.iter
-    (fun (driver, subscribe_num) up -> f ~driver ~subscribe_num up)
-    t.upcall_slots
-
-let iter_pending_upcalls t f = Ring_buffer.iter t.pending f
-
 let upcalls_dropped t = Ring_buffer.drops t.pending
 
 (* ---- allows ---- *)
@@ -436,14 +429,6 @@ let make_allow_entry t ~addr ~len =
             a_window = Some (Subslice.of_bytes_window t.flash ~pos:off ~len) }
     | None -> None
 
-let iter_allows t f =
-  Int_hashtbl.Pair.iter
-    (fun (driver, allow_num) e -> f ~kind:`Rw ~driver ~allow_num e)
-    t.allows_rw;
-  Int_hashtbl.Pair.iter
-    (fun (driver, allow_num) e -> f ~kind:`Ro ~driver ~allow_num e)
-    t.allows_ro
-
 (* ---- grants ---- *)
 
 let grant_table t = t.grants
@@ -459,19 +444,22 @@ let destroy_execution t =
   (match t.exec with Some e -> e.destroy () | None -> ());
   t.exec <- None
 
-let has_execution t = t.exec <> None
-
 (* ---- lifecycle ---- *)
 
 let note_restart t = t.restarts <- t.restarts + 1
 
 let restart_count t = t.restarts
 
-let reset_syscall_state t =
+(* Drop subscriptions, queued upcalls and allows: restart does, and so
+   does thaw before it restores the frozen tables. *)
+let clear_tables t =
   Int_hashtbl.Pair.reset t.upcall_slots;
   Ring_buffer.clear t.pending;
   Int_hashtbl.Pair.reset t.allows_rw;
-  Int_hashtbl.Pair.reset t.allows_ro;
+  Int_hashtbl.Pair.reset t.allows_ro
+
+let reset_syscall_state t =
+  clear_tables t;
   Hashtbl.reset t.grants;
   t.grant_bytes <- 0;
   t.app_break <- t.initial_app_break;
@@ -526,13 +514,14 @@ let command_allowed t ~driver ~command_num =
       let bit = if command_num >= 32 then 31 else command_num in
       mask perms land (1 lsl bit) <> 0
 
-(* ---- freeze/thaw support ----
+(* ---- freeze/thaw: the process's witness record ----
 
-   Direct state materialization: [Kernel.thaw] rebuilds a board from
-   its construction recipe and then patches each process to the frozen
-   image. These helpers exist only for that path (and the restart path
-   for the checkpoint fields); none of them is reachable from the
-   syscall ABI. *)
+   [Kernel.freeze] writes one record per process into the witness's
+   [procs] section ([add_image]); [Kernel.thaw] reads them back
+   ([read_images]), rebuilds the board from its recipe and patches each
+   process to its image ([thaw_begin], [thaw_patch]). Only this module
+   knows the record's fields, so only it writes, reads and restores
+   them; none of it is reachable from the syscall ABI. *)
 
 let checkpoint t = t.p_ckpt
 
@@ -545,29 +534,103 @@ let take_resume_alarm t =
   t.p_resume_alarm <- None;
   v
 
-let at_sleep t = t.p_at_sleep
-
 let set_at_sleep t v = t.p_at_sleep <- v
 
 let set_bridge t b = t.p_bridge <- Some b
 
-let bridge t = t.p_bridge
+(* The freeze points thaw can rebuild: [None] if it accepts a process
+   frozen in [state] with checkpoint cursor [ckpt] and at-sleep flag
+   [at_sleep], else why not. A dead process keeps its corpse. A live
+   one must have checkpointed and sit in its checkpoint sleep as plain
+   [Yielded]: frozen at any other yield (I/O wait, busy-retry nap),
+   every witnessed byte could still match while the rebuilt
+   continuation sits elsewhere. [Stopped] and [Unstarted] need a live
+   execution the rebuild cannot recreate. *)
+let unthawable ~ckpt ~at_sleep state =
+  match state with
+  | Faulted _ | Terminated _ -> None
+  | Stopped _ -> Some "frozen stopped"
+  | Unstarted -> Some "frozen unstarted"
+  | _ when ckpt = 0 -> Some "is live but never checkpointed"
+  | _ when not at_sleep -> Some "frozen outside its checkpoint sleep"
+  | Yielded -> None
+  | Runnable | Yielded_for _ | Blocked_command _ ->
+      Some "frozen in unresumable state"
 
-let iter_syscall_classes t f =
-  Array.iteri
-    (fun i count ->
-      if count > 0 then f ~class_num:(Syscall.class_of_index i) ~count)
-    t.class_counts;
-  Int_hashtbl.Int.iter (fun class_num count -> f ~class_num ~count) t.other_classes
+let thawable t =
+  Option.is_none (unthawable ~ckpt:t.p_ckpt ~at_sleep:t.p_at_sleep t.p_state)
 
-let restore_syscall_class t ~class_num ~count = set_class_count t ~class_num ~count
+module Frame = Tock_obs.Frame
 
-let restore_counters t ~restarts ~syscalls ~grant_enters =
-  t.restarts <- restarts;
-  t.syscalls <- syscalls;
-  t.grant_enters <- grant_enters
+let add_i = Frame.add_int
+let add_s = Frame.add_string
 
-let restore_mpu_scans t n = Tock_hw.Mpu.restore_scan_count t.mpu_config n
+let rec encode_state b = function
+  | Unstarted -> add_i b 0
+  | Runnable -> add_i b 1
+  | Yielded -> add_i b 2
+  | Yielded_for { driver; subscribe_num } ->
+      add_i b 3;
+      add_i b driver;
+      add_i b subscribe_num
+  | Blocked_command { driver; subscribe_num } ->
+      add_i b 4;
+      add_i b driver;
+      add_i b subscribe_num
+  | Faulted r ->
+      add_i b 5;
+      add_s b
+        (match r with
+        | Mpu_violation m -> "M" ^ m
+        | Bad_syscall m -> "B" ^ m
+        | App_panic m -> "A" ^ m)
+  | Terminated { code } ->
+      add_i b 6;
+      add_i b code
+  | Stopped prior ->
+      add_i b 7;
+      encode_state b prior
+
+let encode_resume b = function
+  | None -> add_i b 0
+  | Some Rstart -> add_i b 1
+  | Some Rcontinue -> add_i b 2
+  | Some (Rsyscall_ret regs) ->
+      add_i b 3;
+      add_i b (Array.length regs);
+      Array.iter (add_i b) regs
+  | Some (Rupcall { fnptr; appdata; arg0; arg1; arg2 }) ->
+      add_i b 4;
+      List.iter (add_i b) [ fnptr; appdata; arg0; arg1; arg2 ]
+
+(* Sparse RAM image: (offset, bytes) runs of interesting data. A run
+   ends once more than [zero_fold] zeros follow its last nonzero byte
+   (shorter zero gaps cost less inside a run than a new run header);
+   everything not covered by a run is zero. Most of an app's 4 KiB
+   block never leaves zero (bump allocator, shallow stacks), so this
+   keeps the witness O(touched state). *)
+let zero_fold = 16
+
+let encode_ram b ram =
+  let len = Bytes.length ram in
+  (* [stop] is one past the run's last nonzero byte, [j] the next byte *)
+  let rec run_end stop j =
+    if j >= len then stop
+    else if Bytes.get ram j <> '\x00' then run_end (j + 1) (j + 1)
+    else if j + 1 - stop > zero_fold then stop
+    else run_end stop (j + 1)
+  in
+  let rec runs i acc =
+    if i >= len then List.rev acc
+    else if Bytes.get ram i = '\x00' then runs (i + 1) acc
+    else
+      let stop = run_end (i + 1) (i + 1) in
+      runs stop ((i, stop - i) :: acc)
+  in
+  add_i b len;
+  Frame.add_list b
+    (fun (off, n) -> add_i b off; add_i b n; Buffer.add_subbytes b ram off n)
+    (runs 0 [])
 
 (* The access caches and the generation they were stamped at are real
    behavioral state: a warm cache skips the next region-table scan, and
@@ -575,59 +638,340 @@ let restore_mpu_scans t n = Tock_hw.Mpu.restore_scan_count t.mpu_config n
    thaw puts them back (the thaw rebuild's own churn both bumps the
    generation and re-primes caches differently than the original
    history did). *)
-let mpu_cache_state t =
-  ( Tock_hw.Mpu.generation t.mpu_config,
-    List.map
-      (fun c -> (c.c_gen, c.c_lo, c.c_hi))
-      [ t.cache_read; t.cache_write; t.cache_exec ] )
+let caches t = [ t.cache_read; t.cache_write; t.cache_exec ]
 
-let restore_mpu_cache t ~generation ~caches =
-  match caches with
-  | [ r; w; x ] ->
-      Tock_hw.Mpu.restore_generation t.mpu_config generation;
+(* The record, field by field: name, state, pending resume, counters,
+   checkpoint, at-sleep flag, MPU generation and caches, emulator
+   residue, per-class syscall counts, held grant names, subscriptions,
+   allows, queued upcalls and sparse RAM. Tables are sorted by key for
+   a canonical layout; queued upcalls keep their delivery order. *)
+let add_image b t ~resume ~grants =
+  add_s b t.p_name;
+  encode_state b t.p_state;
+  encode_resume b resume;
+  List.iter (add_i b)
+    [
+      t.restarts; t.syscalls; t.grant_enters; t.grant_bytes; t.app_break;
+      t.kernel_break; upcalls_dropped t; mpu_scan_count t; t.p_ckpt;
+      (if t.p_at_sleep then 1 else 0); Tock_hw.Mpu.generation t.mpu_config;
+    ];
+  List.iter (fun c -> add_i b c.c_gen; add_i b c.c_lo; add_i b c.c_hi) (caches t);
+  (match t.p_bridge with
+  | None -> add_i b 0
+  | Some br ->
+      let r = br.br_residue () in
+      List.iter (add_i b) [ 1; r.er_alloc_next; r.er_next_fn ];
+      Frame.add_list b
+        (fun (tag, (addr, size)) -> add_s b tag; add_i b addr; add_i b size)
+        r.er_scratch);
+  let classes = ref [] in
+  Array.iteri
+    (fun i count ->
+      if count > 0 then classes := (Syscall.class_of_index i, count) :: !classes)
+    t.class_counts;
+  Int_hashtbl.Int.iter (fun c n -> classes := (c, n) :: !classes) t.other_classes;
+  Frame.add_list b (fun (c, n) -> add_i b c; add_i b n) (List.sort compare !classes);
+  Frame.add_list b (add_s b) grants;
+  Frame.add_list b
+    (fun (d, s, f, a) -> add_i b d; add_i b s; add_i b f; add_i b a)
+    (List.sort compare
+       (Int_hashtbl.Pair.fold
+          (fun (d, s) up acc -> (d, s, up.fnptr, up.appdata) :: acc)
+          t.upcall_slots []));
+  let allows k tbl acc =
+    Int_hashtbl.Pair.fold (fun (d, n) e acc -> (k, d, n, e.a_addr, e.a_len) :: acc) tbl acc
+  in
+  Frame.add_list b
+    (fun (k, d, n, addr, len) -> List.iter (add_i b) [ k; d; n; addr; len ])
+    (List.sort compare (allows 0 t.allows_rw (allows 1 t.allows_ro [])));
+  add_i b (Ring_buffer.length t.pending);
+  Ring_buffer.iter t.pending (fun pu ->
+      let a0, a1, a2 = pu.pu_args in
+      List.iter (add_i b)
+        [ pu.pu_driver; pu.pu_subscribe; pu.pu_upcall.fnptr;
+          pu.pu_upcall.appdata; a0; a1; a2 ]);
+  encode_ram b t.ram
+
+type image = {
+  i_name : string;
+  i_state : state;
+  i_resume : resume_arg option;
+  i_restarts : int;
+  i_syscalls : int;
+  i_grant_enters : int;
+  i_grant_bytes : int;
+  i_app_break : int;
+  i_kernel_break : int;
+  i_upcall_drops : int;
+  i_mpu_scans : int;
+  i_ckpt : int;
+  i_at_sleep : bool;
+  i_mpu_gen : int;
+  i_caches : (int * int * int) list;  (* read, write, execute *)
+  i_residue : emu_residue option;
+  i_classes : (int * int) list;
+  i_grants : string list;
+  i_subs : (int * int * upcall) list;
+  i_allows : ([ `Rw | `Ro ] * int * int * int * int) list;
+  i_pending : pending_upcall list;
+  i_ram_len : int;
+  i_ram_runs : (int * string) list;
+}
+
+let image_name i = i.i_name
+let image_grants i = i.i_grants
+let image_resume i = i.i_resume
+
+let rec decode_state r =
+  match Frame.int r with
+  | 0 -> Unstarted
+  | 1 -> Runnable
+  | 2 -> Yielded
+  | 3 ->
+      let driver = Frame.int r in
+      Yielded_for { driver; subscribe_num = Frame.int r }
+  | 4 ->
+      let driver = Frame.int r in
+      Blocked_command { driver; subscribe_num = Frame.int r }
+  | 5 ->
+      let s = Frame.string r in
+      if String.length s = 0 then Frame.fail "empty fault reason";
+      let m = String.sub s 1 (String.length s - 1) in
+      Faulted
+        (match s.[0] with
+        | 'M' -> Mpu_violation m
+        | 'B' -> Bad_syscall m
+        | 'A' -> App_panic m
+        | c -> Frame.fail "unknown fault tag %c" c)
+  | 6 -> Terminated { code = Frame.int r }
+  | 7 -> Stopped (decode_state r)
+  | n -> Frame.fail "unknown process-state tag %d" n
+
+let decode_resume r =
+  match Frame.int r with
+  | 0 -> None
+  | 1 -> Some Rstart
+  | 2 -> Some Rcontinue
+  | 3 ->
+      let n = Frame.int r in
+      if n < 0 || n > 16 then Frame.fail "bad register count %d" n;
+      Some (Rsyscall_ret (Array.init n (fun _ -> Frame.int r)))
+  | 4 ->
+      let fnptr = Frame.int r in
+      let appdata = Frame.int r in
+      let arg0 = Frame.int r in
+      let arg1 = Frame.int r in
+      Some (Rupcall { fnptr; appdata; arg0; arg1; arg2 = Frame.int r })
+  | n -> Frame.fail "unknown resume tag %d" n
+
+let read_image r =
+  let i_name = Frame.string r in
+  let i_state = decode_state r in
+  let i_resume = decode_resume r in
+  let i_restarts = Frame.int r in
+  let i_syscalls = Frame.int r in
+  let i_grant_enters = Frame.int r in
+  let i_grant_bytes = Frame.int r in
+  let i_app_break = Frame.int r in
+  let i_kernel_break = Frame.int r in
+  let i_upcall_drops = Frame.int r in
+  let i_mpu_scans = Frame.int r in
+  let i_ckpt = Frame.int r in
+  let i_at_sleep =
+    match Frame.int r with
+    | 0 -> false
+    | 1 -> true
+    | n -> Frame.fail "bad at-sleep flag %d" n
+  in
+  let i_mpu_gen = Frame.int r in
+  let i_caches =
+    List.init 3 (fun _ ->
+        let g = Frame.int r in
+        let lo = Frame.int r in
+        (g, lo, Frame.int r))
+  in
+  let i_residue =
+    match Frame.int r with
+    | 0 -> None
+    | 1 ->
+        let er_alloc_next = Frame.int r in
+        let er_next_fn = Frame.int r in
+        let er_scratch =
+          Frame.list r ~min:24 (fun r ->
+              let tag = Frame.string r in
+              let addr = Frame.int r in
+              (tag, (addr, Frame.int r)))
+        in
+        Some { er_alloc_next; er_next_fn; er_scratch }
+    | n -> Frame.fail "bad residue flag %d" n
+  in
+  let i_classes =
+    Frame.list r ~min:16 (fun r ->
+        let c = Frame.int r in
+        (c, Frame.int r))
+  in
+  let i_grants = Frame.list r ~min:8 Frame.string in
+  let i_subs =
+    Frame.list r ~min:32 (fun r ->
+        let d = Frame.int r in
+        let s = Frame.int r in
+        let fnptr = Frame.int r in
+        (d, s, { fnptr; appdata = Frame.int r }))
+  in
+  let i_allows =
+    Frame.list r ~min:40 (fun r ->
+        let kind =
+          match Frame.int r with
+          | 0 -> `Rw
+          | 1 -> `Ro
+          | k -> Frame.fail "bad allow kind %d" k
+        in
+        let d = Frame.int r in
+        let n = Frame.int r in
+        let addr = Frame.int r in
+        (kind, d, n, addr, Frame.int r))
+  in
+  let i_pending =
+    Frame.list r ~min:56 (fun r ->
+        let pu_driver = Frame.int r in
+        let pu_subscribe = Frame.int r in
+        let fnptr = Frame.int r in
+        let appdata = Frame.int r in
+        let a0 = Frame.int r in
+        let a1 = Frame.int r in
+        let a2 = Frame.int r in
+        { pu_driver; pu_subscribe; pu_upcall = { fnptr; appdata };
+          pu_args = (a0, a1, a2) })
+  in
+  let i_ram_len = Frame.int r in
+  if i_ram_len < 0 then Frame.fail "bad RAM size %d" i_ram_len;
+  let i_ram_runs =
+    Frame.list r ~min:16 (fun r ->
+        let off = Frame.int r in
+        let rl = Frame.int r in
+        if off < 0 || rl < 0 || rl > i_ram_len - off then
+          Frame.fail "RAM run out of range (off=%d len=%d ram=%d)" off rl
+            i_ram_len;
+        (off, Frame.raw r rl))
+  in
+  { i_name; i_state; i_resume; i_restarts; i_syscalls; i_grant_enters;
+    i_grant_bytes; i_app_break; i_kernel_break; i_upcall_drops; i_mpu_scans;
+    i_ckpt; i_at_sleep; i_mpu_gen; i_caches; i_residue; i_classes; i_grants;
+    i_subs; i_allows; i_pending; i_ram_len; i_ram_runs }
+
+(* The smallest record: 31 words, every string and list empty. *)
+let read_images r = Frame.list r ~min:(8 * 31) read_image
+
+exception Thaw_failed of string
+
+let thaw_fail fmt = Printf.ksprintf (fun m -> raise (Thaw_failed m)) fmt
+
+let thawing f = match f () with () -> Ok () | exception Thaw_failed m -> Error m
+
+let thaw_begin t img =
+  thawing (fun () ->
+      t.p_ckpt <- img.i_ckpt;
+      (match unthawable ~ckpt:img.i_ckpt ~at_sleep:img.i_at_sleep img.i_state with
+      | Some why -> thaw_fail "process %s %s" t.p_name why
+      | None -> ());
+      match img.i_state with
+      | Yielded -> ()
+      | dead ->
+          (* Never run the factory, keep the corpse. *)
+          destroy_execution t;
+          t.p_state <- dead)
+
+let thaw_patch t img =
+  thawing (fun () ->
+      let name = t.p_name in
+      (* [thaw_begin] left every live process [Yielded]. *)
+      (match img.i_state with
+      | Yielded ->
+          if t.exec = None then
+            thaw_fail "process %s lost its execution in the prologue" name;
+          (match t.p_state with
+          | Yielded -> ()
+          | _ -> thaw_fail "process %s did not settle into Yielded" name);
+          (* Rebind the prologue's live upcall closures to the frozen
+             function ids before the table restore makes those ids
+             current. *)
+          List.iter
+            (fun (driver, subscribe_num, up) ->
+              let live = (get_subscribed t ~driver ~subscribe_num).fnptr in
+              if up.fnptr = 0 || live = up.fnptr then ()
+              else if live = 0 then
+                thaw_fail "process %s: no live closure for driver %d sub %d"
+                  name driver subscribe_num
+              else
+                match t.p_bridge with
+                | None -> thaw_fail "process %s has no emulator bridge" name
+                | Some br ->
+                    if not (br.br_remap_upcall ~old_id:live ~new_id:up.fnptr)
+                    then
+                      thaw_fail "process %s: upcall remap %d->%d failed" name
+                        live up.fnptr)
+            img.i_subs
+      | _ -> ());
+      clear_tables t;
+      Array.fill t.class_counts 0 Syscall.classes 0;
+      Int_hashtbl.Int.reset t.other_classes;
+      List.iter
+        (fun (d, s, up) -> Int_hashtbl.Pair.replace t.upcall_slots (d, s) up)
+        img.i_subs;
+      let app_break = img.i_app_break and kernel_break = img.i_kernel_break in
+      if
+        app_break < t.p_ram_base || kernel_break > ram_end t
+        || app_break > kernel_break
+        || Result.is_error
+             (Tock_hw.Mpu.update_app_memory_region t.mpu t.mpu_config
+                ~app_break ~kernel_break)
+      then thaw_fail "process %s: frozen breaks rejected" name;
+      t.app_break <- app_break;
+      t.kernel_break <- kernel_break;
+      List.iter
+        (fun (kind, driver, allow_num, addr, len) ->
+          match make_allow_entry t ~addr ~len with
+          | Some e ->
+              Int_hashtbl.Pair.replace (allow_table t kind) (driver, allow_num) e
+          | None ->
+              thaw_fail "process %s: allow %d/%d does not resolve" name driver
+                allow_num)
+        img.i_allows;
+      List.iter
+        (fun pu ->
+          if not (Ring_buffer.push t.pending pu) then
+            thaw_fail "process %s: pending-upcall overflow" name)
+        img.i_pending;
+      let len = Bytes.length t.ram in
+      if len <> img.i_ram_len then
+        thaw_fail "process %s: RAM size %d <> witness %d" name len img.i_ram_len;
+      Bytes.fill t.ram 0 len '\x00';
+      List.iter
+        (fun (off, data) -> Bytes.blit_string data 0 t.ram off (String.length data))
+        img.i_ram_runs;
+      t.restarts <- img.i_restarts;
+      t.syscalls <- img.i_syscalls;
+      t.grant_enters <- img.i_grant_enters;
+      (* Thaw's own allow and break replumbing scanned the region table
+         where the frozen board never did. *)
+      Tock_hw.Mpu.restore_scan_count t.mpu_config img.i_mpu_scans;
+      Tock_hw.Mpu.restore_generation t.mpu_config img.i_mpu_gen;
       List.iter2
         (fun c (g, lo, hi) ->
           c.c_gen <- g;
           c.c_lo <- lo;
           c.c_hi <- hi)
-        [ t.cache_read; t.cache_write; t.cache_exec ]
-        [ r; w; x ]
-  | _ -> invalid_arg "Process.restore_mpu_cache: want exactly 3 entries"
-
-let set_upcall_drops t n = Ring_buffer.set_drops t.pending n
-
-let restore_breaks t ~app_break ~kernel_break =
-  if
-    app_break < t.p_ram_base || kernel_break > ram_end t
-    || app_break > kernel_break
-  then false
-  else
-    match
-      Tock_hw.Mpu.update_app_memory_region t.mpu t.mpu_config ~app_break
-        ~kernel_break
-    with
-    | Ok () ->
-        t.app_break <- app_break;
-        t.kernel_break <- kernel_break;
-        true
-    | Error _ -> false
-
-let clear_syscall_tables t =
-  Int_hashtbl.Pair.reset t.upcall_slots;
-  Ring_buffer.clear t.pending;
-  Int_hashtbl.Pair.reset t.allows_rw;
-  Int_hashtbl.Pair.reset t.allows_ro;
-  Array.fill t.class_counts 0 Syscall.classes 0;
-  Int_hashtbl.Int.reset t.other_classes
-
-let restore_subscription t ~driver ~subscribe_num up =
-  Int_hashtbl.Pair.replace t.upcall_slots (driver, subscribe_num) up
-
-let restore_allow t ~kind ~driver ~allow_num ~addr ~len =
-  match make_allow_entry t ~addr ~len with
-  | Some e ->
-      Int_hashtbl.Pair.replace (allow_table t kind) (driver, allow_num) e;
-      true
-  | None -> false
-
-let restore_pending_upcall t pu = Ring_buffer.push t.pending pu
+        (caches t) img.i_caches;
+      t.p_at_sleep <- img.i_at_sleep;
+      List.iter
+        (fun (class_num, count) -> set_class_count t ~class_num ~count)
+        img.i_classes;
+      Ring_buffer.set_drops t.pending img.i_upcall_drops;
+      (match (t.p_bridge, img.i_residue) with
+      | Some br, Some res -> br.br_set_residue res
+      | _, None -> ()
+      | None, Some _ -> thaw_fail "process %s has no emulator bridge" name);
+      t.p_state <- img.i_state;
+      if t.grant_bytes <> img.i_grant_bytes then
+        thaw_fail "process %s: grant bytes %d <> witness %d" name t.grant_bytes
+          img.i_grant_bytes)

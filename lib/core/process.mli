@@ -184,13 +184,6 @@ val has_upcall_for : t -> driver:int -> subscribe_num:int -> bool
 
 val has_pending_upcalls : t -> bool
 
-val iter_subscriptions :
-  t -> (driver:int -> subscribe_num:int -> upcall -> unit) -> unit
-(** Iterate installed upcall subscriptions (unspecified order). *)
-
-val iter_pending_upcalls : t -> (pending_upcall -> unit) -> unit
-(** Iterate queued-but-undelivered upcalls in delivery (FIFO) order. *)
-
 val upcalls_dropped : t -> int
 
 (** {2 Syscall state: allows} *)
@@ -220,8 +213,6 @@ val make_allow_entry : t -> addr:int -> len:int -> allow_entry option
     policy validation; it is also the unit the iopath micro-bench
     measures as "allow-window setup". *)
 
-val iter_allows : t -> (kind:[ `Ro | `Rw ] -> driver:int -> allow_num:int -> allow_entry -> unit) -> unit
-
 (** {2 Grant value store} *)
 
 val grant_table : t -> (int, Univ.t) Hashtbl.t
@@ -232,8 +223,6 @@ val run : t -> fuel:int -> resume_arg -> trap * int
 (** Resume; raises [Invalid_argument] if no execution is attached. *)
 
 val destroy_execution : t -> unit
-
-val has_execution : t -> bool
 
 (** {2 Lifecycle bookkeeping} *)
 
@@ -267,14 +256,15 @@ val command_allowed : t -> driver:int -> command_num:int -> bool
     allowed; otherwise the driver must be listed and the command bit set
     (command numbers >= 32 share the top bit, a simplification). *)
 
-(** {2 Freeze/thaw support}
+(** {2 Freeze/thaw: the process's witness record}
 
     Process executions are effect continuations and cannot be
     serialized. Direct board freeze/thaw ({!Tock.Kernel.freeze} /
-    {!Tock.Kernel.thaw}) instead re-runs the app factory on a fresh
-    board and patches the process back to the frozen image; everything
-    below exists for that path only — none of it is reachable from the
-    syscall ABI. *)
+    {!Tock.Kernel.thaw}) instead writes one record per process into the
+    witness's [procs] section, re-runs the app factory on a fresh board
+    and patches the process back to the record. This module owns that
+    record: it alone writes, reads and restores its fields, and none of
+    it is reachable from the syscall ABI. *)
 
 type emu_residue = {
   er_alloc_next : int;
@@ -290,10 +280,13 @@ type bridge = {
   br_set_residue : emu_residue -> unit;
   br_remap_upcall : old_id:int -> new_id:int -> bool;
 }
-(** Closures the emulator installs over its private state so the kernel
-    can freeze/thaw it without depending on the userland layer.
-    [br_remap_upcall] rebinds the closure under a live upcall function
-    id to the id recorded in the frozen image. *)
+(** Closures the emulator installs over its private state so freeze and
+    thaw can capture and restore it without depending on the userland
+    layer. [br_remap_upcall] rebinds the closure under a live upcall
+    function id to the id recorded in the frozen image; false if no
+    closure lives under [old_id]. *)
+
+val set_bridge : t -> bridge -> unit
 
 val checkpoint : t -> int
 (** Resumable-app cursor: 0 until the app first checkpoints. Witnessed
@@ -307,59 +300,50 @@ val set_resume_alarm : t -> (int * int) option -> unit
 
 val take_resume_alarm : t -> (int * int) option
 
-val at_sleep : t -> bool
-(** True only while the app is suspended in its post-checkpoint
-    protocol sleep — the one suspension point a thawed factory's
-    fast-forward re-enters exactly. [Kernel.thaw] refuses a witness
-    whose live processes were frozen anywhere else (mid-I/O wait,
-    busy-retry nap): every witnessed byte can match there while the
-    unserializable continuation differs, which would diverge later. *)
-
 val set_at_sleep : t -> bool -> unit
+(** Mark (or clear) the app as suspended in its post-checkpoint protocol
+    sleep, the one suspension point a thawed factory's fast-forward
+    re-enters exactly. *)
 
-val set_bridge : t -> bridge -> unit
+val thawable : t -> bool
+(** Whether thaw accepts this process's freeze point, by the one rule
+    {!thaw_begin} applies to a record: a faulted or terminated process
+    keeps its corpse; a live one must have checkpointed and sit in its
+    checkpoint sleep as plain [Yielded]. Frozen anywhere else (mid-I/O
+    wait, busy-retry nap, [Stopped], [Unstarted]) every witnessed byte
+    can match while the unserializable continuation differs, which
+    would diverge later. *)
 
-val bridge : t -> bridge option
+val add_image :
+  Buffer.t -> t -> resume:resume_arg option -> grants:string list -> unit
+(** Append the process's record: name, state, the kernel's pending
+    [resume], counters, checkpoint, MPU caches, emulator residue,
+    per-class syscall counts, the held [grants] (by registered name),
+    subscriptions, allows, queued upcalls and sparse zero-elided RAM
+    runs. Only reads the process. *)
 
-val iter_syscall_classes : t -> (class_num:int -> count:int -> unit) -> unit
+type image
+(** One decoded record. *)
 
-val restore_syscall_class : t -> class_num:int -> count:int -> unit
+val read_images : Tock_obs.Frame.reader -> image list
+(** A count, then that many {!add_image} records. Fails through
+    {!Tock_obs.Frame.fail}, so run it under {!Tock_obs.Frame.read} and
+    every error names the section. *)
 
-val restore_counters :
-  t -> restarts:int -> syscalls:int -> grant_enters:int -> unit
+val image_name : image -> string
+val image_grants : image -> string list
+val image_resume : image -> resume_arg option
 
-val restore_mpu_scans : t -> int -> unit
-(** Overwrite the MPU scan diagnostic ({!mpu_scan_count}) with the
-    frozen value — thaw's own allow/break replumbing performs scans the
-    original board never made. *)
+val thaw_begin : t -> image -> (unit, string) result
+(** Thaw's first step, before the resume prologues run: restore the
+    checkpoint cursor, refuse a freeze point {!thawable} rejects, and
+    turn a dead process into its frozen corpse (execution dropped) so
+    the prologues never run it. *)
 
-val mpu_cache_state : t -> int * (int * int * int) list
-(** (MPU generation, last-hit access caches as [(gen, lo, hi)] for
-    read/write/execute). Warm caches skip region-table scans, and scans
-    are observable through metrics, so this is witnessed state: a
-    thawed board must continue with the exact cache validity the frozen
-    board had. *)
-
-val restore_mpu_cache :
-  t -> generation:int -> caches:(int * int * int) list -> unit
-(** Put back what {!mpu_cache_state} captured (exactly 3 cache
-    entries). *)
-
-val set_upcall_drops : t -> int -> unit
-
-val restore_breaks : t -> app_break:int -> kernel_break:int -> bool
-(** Set both breaks and update the MPU app region; false if the breaks
-    are outside the RAM block, crossed, or rejected by the MPU. *)
-
-val clear_syscall_tables : t -> unit
-(** Drop subscriptions, pending upcalls, allows and per-class syscall
-    counts (not grants, counters, or RAM) before wholesale restore. *)
-
-val restore_subscription : t -> driver:int -> subscribe_num:int -> upcall -> unit
-
-val restore_allow :
-  t -> kind:[ `Ro | `Rw ] -> driver:int -> allow_num:int -> addr:int -> len:int -> bool
-(** Rematerialize an allow window at the frozen coordinates; false if
-    the range no longer resolves (corrupt witness). *)
-
-val restore_pending_upcall : t -> pending_upcall -> bool
+val thaw_patch : t -> image -> (unit, string) result
+(** Thaw's last step, after the prologues settled: rebind the live
+    upcall closures to the frozen function ids through the emulator's
+    {!bridge}, then restore subscriptions, breaks, allows, queued
+    upcalls, RAM, counters, MPU caches, per-class counts, emulator
+    residue and state, and check the grant bytes against the record.
+    [Error] names the process and what failed to line up. *)

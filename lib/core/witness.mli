@@ -1,5 +1,6 @@
-(** The board-image codec behind {!Kernel.freeze} and {!Kernel.thaw},
-    which stay in {!Kernel} because they read and patch its state.
+(** The board-witness frame layout behind {!Kernel.freeze} and
+    {!Kernel.thaw}, which stay in {!Kernel} because they read and patch
+    its state.
 
     A witness is a [TCKSNP03] {!Tock_obs.Frame}. Its sections come in a
     fixed order, so boards in byte-identical states freeze to equal
@@ -7,10 +8,8 @@
     + [board]: clock, active/sleep cycle split, raw root-PRNG state,
       the sorted event-queue {e deadlines} (sequence numbers never
       survive a rebuild), [next_pid] and [ram_next];
-    + [procs]: the process records (name, state, pending resume,
-      counters, checkpoint, MPU caches, emulator residue, per-class
-      syscall counts, held grant names, subscriptions, allows, queued
-      upcalls, sparse zero-elided RAM runs);
+    + [procs]: a count, then one record per process, which
+      {!Process.add_image} writes and {!Process.read_images} reads;
     + one section per {!Kernel.register_freezer} component, in name
       order;
     + [kernel.metrics] and [sim.metrics]: each registry as its 16-byte
@@ -29,37 +28,8 @@ val sections : components:string list -> string list
 
 val add_board : Buffer.t -> Tock_hw.Sim.t -> next_pid:int -> ram_next:int -> unit
 
-val add_process :
-  Buffer.t -> Process.t -> resume:Process.resume_arg option -> grants:string list -> unit
-
 val add_registry : Buffer.t -> Tock_obs.Metrics.t -> unit
 (** Runs the registry's snapshot hooks ({!Tock_obs.Metrics.packed_of}). *)
-
-type wproc = {
-  wp_name : string;
-  wp_state : Process.state;
-  wp_resume : Process.resume_arg option;
-  wp_restarts : int;
-  wp_syscalls : int;
-  wp_grant_enters : int;
-  wp_grant_bytes : int;
-  wp_app_break : int;
-  wp_kernel_break : int;
-  wp_upcall_drops : int;
-  wp_mpu_scans : int;
-  wp_ckpt : int;
-  wp_at_sleep : bool;
-  wp_mpu_gen : int;
-  wp_mpu_caches : (int * int * int) list;
-  wp_residue : Process.emu_residue option;
-  wp_classes : (int * int) list;
-  wp_grants : string list;
-  wp_subs : (int * int * int * int) list;
-  wp_allows : (int * int * int * int * int) list;
-  wp_pending : Process.pending_upcall list;
-  wp_ram_len : int;
-  wp_ram_runs : (int * string) list;
-}
 
 type witness_image = {
   w_now : int;
@@ -69,13 +39,13 @@ type witness_image = {
   w_events : int array;
   w_next_pid : int;
   w_ram_next : int;
-  w_procs : wproc list;
-  w_frame : Tock_obs.Frame.t;  (** freezer and registry sections, read by thaw *)
+  w_frame : Tock_obs.Frame.t;
+      (** the [procs], freezer and registry sections, read by thaw *)
 }
 
 val decode : components:string list -> string -> (witness_image, string) result
-(** Check the frame and its section list, and read [board] and [procs].
-    Total: an [Error] names the section at fault. *)
+(** Check the frame and its section list, and read [board]. Total: an
+    [Error] names the section at fault. *)
 
 val restore_registry : Tock_obs.Metrics.t -> Tock_obs.Frame.reader -> unit
 (** Read a registry section into {!Tock_obs.Metrics.restore}. *)

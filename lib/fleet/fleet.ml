@@ -22,8 +22,9 @@
      event-by-event.
    - With [park], a single board asleep at a freeze point [Kernel.thaw]
      accepts is frozen to a byte witness instead, and the domain moves
-     on to the next id. Once the cursor is exhausted the domain resumes
-     its witnesses in wake order from its {!Calendar} and drives each
+     on to the next id. Its witnesses wait in an [Event_queue], each
+     scheduled at its wake; once the cursor is exhausted the domain
+     drains that queue, resuming them in wake order and driving each
      one the same way (see park/resume below).
 
    Boards are only materialized when first dispatched and released when
@@ -384,14 +385,15 @@ let group_stats rt =
    compact byte witness ([Kernel.freeze]: sparse RAM + process table +
    event schedule + component sections + registries — a few kB vs the
    full Sim/kernel/capsule/continuation graph). The domain then builds
-   and runs the next group while the witness waits in its calendar,
-   keyed by its wake deadline; once the shared cursor is exhausted the
-   domain resumes its witnesses in wake order, one at a time. A board
-   parks only when [Kernel.resumable] holds — every live app asleep at
-   its checkpoint — and resumes by rebuilding it from the same
-   deterministic recipe and *thawing* it: [Kernel.thaw] materializes
-   the frozen state directly, O(state) instead of O(elapsed cycles),
-   which keeps resume cost flat as fleets run longer. A board that is
+   and runs the next group while the witness waits in the domain's
+   [Event_queue], scheduled at its wake deadline; once the shared
+   cursor is exhausted the domain drains the queue, resuming its
+   witnesses in wake order, one at a time. A board parks only when
+   [Kernel.resumable] holds — every live app asleep at its checkpoint
+   — and resumes by rebuilding it from the same deterministic recipe
+   and *thawing* it: [Kernel.thaw] materializes the frozen state
+   directly, O(state) instead of O(elapsed cycles), which keeps resume
+   cost flat as fleets run longer. A board that is
    not resumable stays live and sleeps in place like any other group. A
    thaw [Error] is therefore a bug: the run fails naming the board, and
    rerunning the same config reproduces it. Only [Single] groups park —
@@ -525,8 +527,9 @@ let run_domain cfg workloads cursor d =
   (* Pooled freeze encoder: one scratch buffer per domain, so parking
      10k boards doesn't re-grow a fresh Buffer 10k times. *)
   let wbuf = Buffer.create (64 * 1024) in
-  (* The domain's parked witnesses, keyed by wake deadline. *)
-  let cal = Calendar.create () in
+  (* The domain's parked witnesses, each scheduled at its wake: the
+     (deadline, insertion) order every board clock already keeps. *)
+  let parked = Tock_hw.Event_queue.create () in
   let results = ref [] in
   let finish rt =
     (* Stream-merge as the group retires: the packed snapshots are both
@@ -612,12 +615,22 @@ let run_domain cfg workloads cursor d =
             Tock_obs.Metrics.add c_witness_bytes (String.length pk.pk_witness);
             Tock_obs.Trace.emit dtr ~ts:!dvt ~tid:(-1) Tock_obs.Trace.Park
               Tock_obs.Trace.Instant ~arg:rt.gr_lo ~text:"";
-            Calendar.add cal ~key:wake pk
+            ignore
+              (Tock_hw.Event_queue.schedule parked ~time:wake (fun () ->
+                   resume pk))
         | _ ->
             (* Asleep but not parkable: sleep in place, in one hop. *)
             group_sleep_to rt wake;
             Tock_obs.Metrics.incr c_parked;
             drive rt)
+  and resume pk =
+    Tock_obs.Metrics.incr c_board_resumes;
+    Tock_obs.Metrics.add c_resume_cycles (pk.pk_wake - pk.pk_clock);
+    Tock_obs.Trace.emit dtr ~ts:!dvt ~tid:(-1) Tock_obs.Trace.Resume
+      Tock_obs.Trace.Instant
+      ~arg:(pk.pk_g * cfg.group_size)
+      ~text:"";
+    drive (resume_parked cfg workloads pk)
   in
   let ngroups = group_count cfg in
   let rec fresh () =
@@ -628,20 +641,9 @@ let run_domain cfg workloads cursor d =
     end
   in
   fresh ();
-  let rec resume () =
-    match Calendar.pop_min cal with
-    | None -> ()
-    | Some pk ->
-        Tock_obs.Metrics.incr c_board_resumes;
-        Tock_obs.Metrics.add c_resume_cycles (pk.pk_wake - pk.pk_clock);
-        Tock_obs.Trace.emit dtr ~ts:!dvt ~tid:(-1) Tock_obs.Trace.Resume
-          Tock_obs.Trace.Instant
-          ~arg:(pk.pk_g * cfg.group_size)
-          ~text:"";
-        drive (resume_parked cfg workloads pk);
-        resume ()
-  in
-  resume ();
+  (* Resume soonest wake first; a board that parks again while it
+     resumes joins the same queue. *)
+  ignore (Tock_hw.Event_queue.run_due parked ~now:max_int);
   {
     do_stats = !results;
     do_accum = accum;

@@ -4,7 +4,8 @@
     The simulation's single source of asynchrony: peripherals schedule
     completion events here and the clock only ever advances to event
     deadlines or by explicit CPU work. Events at the same cycle fire in
-    insertion order (FIFO), which keeps runs deterministic. *)
+    insertion order (FIFO), which keeps runs deterministic. A fleet
+    domain also parks its board witnesses in one, by wake. *)
 
 type t
 

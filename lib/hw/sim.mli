@@ -55,9 +55,9 @@ val event_times : t -> (int * int) array
     {!Event_queue.live_times}. A board-state witness component. *)
 
 val next_deadline : t -> int
-(** Allocation-free {!next_event_time}: deadline of the earliest pending
-    event, [max_int] when the queue is empty. The fleet scheduler keys
-    its cross-board calendar on this. *)
+(** Deadline of the earliest pending event, [max_int] when the queue is
+    empty; allocation-free ({!Event_queue.next_deadline}). An idle
+    kernel sleeps to it and reports it as the wake a fleet board parks on. *)
 
 val advance_to_next_event : t -> bool
 (** Sleep (CPU idle) until the next event deadline and fire the events due

@@ -406,6 +406,67 @@ let names_owner what owner e =
   in
   if not ok then Alcotest.failf "%s: error %S does not name its section" what e
 
+(* The witness format, pinned: fleet boards of all three mixes and the
+   fault board, each stepped in 250k-cycle quanta to a fixed clock,
+   freeze to these MD5s. Between them they hold a live process
+   [Yielded] at its checkpoint sleep, one [Yielded] elsewhere with a
+   read-only allow, [Terminated] and [Faulted] records, a live
+   subscription and nonzero RAM runs; the test checks that coverage
+   too. Moving any byte of any record fails here. *)
+let golden_witnesses =
+  [
+    (0, 1_000_000, "67ca6bc67d4029218a8533951504486e");
+    (1, 1_000_000, "46e7715be73aeed7279a873665056ad9");
+    (1, 2_000_000, "b52bbc4d4c259c3c7475da5b82477e28");
+    (2, 1_000_000, "6c70a596e1b17ffda3701286ca4ffb4b");
+    (3, 1_000_000, "fd470cb61a23e5dbecc1f4b1b6254563");
+  ]
+
+let test_golden_witnesses () =
+  let cfg = { Fleet.default with Fleet.boards = 4; fault_board = Some 3 } in
+  let workloads = Fleet.build_workloads () in
+  let seen = Hashtbl.create 8 in
+  let see what = Hashtbl.replace seen what () in
+  List.iter
+    (fun (idx, clock, md5) ->
+      let b = Fleet.build_board cfg workloads idx in
+      finish_to b clock 250_000;
+      let k = b.Tock_boards.Board.kernel in
+      Alcotest.(check string)
+        (Printf.sprintf "board %d at %d" idx clock)
+        md5
+        (Digest.to_hex (Digest.string (Tock.Kernel.freeze k)));
+      List.iter
+        (fun p ->
+          (match Tock.Process.state p with
+          | Tock.Process.Yielded when Tock.Kernel.resumable k ->
+              see "Yielded at the checkpoint sleep"
+          | Tock.Process.Terminated _ -> see "Terminated"
+          | Tock.Process.Faulted _ -> see "Faulted"
+          | _ -> ());
+          if Bytes.exists (( <> ) '\x00') (Tock.Process.ram_bytes p) then
+            see "RAM run";
+          let allow =
+            Tock.Process.allow_get p ~kind:`Ro ~driver:1 ~allow_num:1
+          in
+          if allow.Tock.Process.a_len > 0 then see "allow";
+          (* Swap the alarm subscription out and back: the witness is
+             already taken. *)
+          let up =
+            Tock.Process.subscribe_swap p ~driver:0 ~subscribe_num:0
+              { Tock.Process.fnptr = 0; appdata = 0 }
+          in
+          ignore (Tock.Process.subscribe_swap p ~driver:0 ~subscribe_num:0 up);
+          if up.Tock.Process.fnptr <> 0 then see "subscription")
+        (Tock.Kernel.processes k))
+    golden_witnesses;
+  List.iter
+    (fun what ->
+      if not (Hashtbl.mem seen what) then
+        Alcotest.failf "no golden witness holds a %s record" what)
+    [ "Yielded at the checkpoint sleep"; "Terminated"; "Faulted"; "RAM run";
+      "allow"; "subscription" ]
+
 (* The flash part's counters ride in the witness beside its pages: a
    lossy write, an erase and a dirty page, then a park at a quiescent
    checkpoint sleep, and the thawed board reads the same wear, dirty
@@ -1216,6 +1277,8 @@ let suite =
       test_resumable_freeze_points;
     Alcotest.test_case "flash counters survive freeze/thaw" `Quick
       test_flash_counters_survive_thaw;
+    Alcotest.test_case "witness format pinned by golden MD5s" `Quick
+      test_golden_witnesses;
     Alcotest.test_case "corrupt witnesses rejected as Error" `Quick
       test_witness_rejects_corruption;
     Alcotest.test_case "decoders never raise on boundary words" `Quick

@@ -9,12 +9,12 @@ let test_crc16_vector () =
   (* CRC-16/CCITT-FALSE("123456789") = 0x29B1 *)
   let b = Bytes.of_string "123456789" in
   Alcotest.(check int) "check value" 0x29B1
-    (Tock_capsules.Net_stack.crc16 b ~off:0 ~len:9);
+    (Tock.Crc16.digest b ~off:0 ~len:9);
   (* any single-bit flip changes the CRC *)
-  let c0 = Tock_capsules.Net_stack.crc16 b ~off:0 ~len:9 in
+  let c0 = Tock.Crc16.digest b ~off:0 ~len:9 in
   Bytes.set b 4 (Char.chr (Char.code (Bytes.get b 4) lxor 0x10));
   Alcotest.(check bool) "bit flip detected" true
-    (Tock_capsules.Net_stack.crc16 b ~off:0 ~len:9 <> c0)
+    (Tock.Crc16.digest b ~off:0 ~len:9 <> c0)
 
 let crc16_reference_equiv_prop =
   (* The table-driven crc16 must agree with the retained bit-wise oracle
@@ -25,8 +25,8 @@ let crc16_reference_equiv_prop =
       let total = Bytes.length b in
       let off = total / 3 in
       let len = total - off in
-      Tock_capsules.Net_stack.crc16 b ~off ~len
-      = Tock_capsules.Net_stack.crc16_ref b ~off ~len)
+      Tock.Crc16.digest b ~off ~len
+      = Tock.Crc16.Reference.digest b ~off ~len)
 
 let two_nodes ?(loss_prob = 0.0) () =
   let net = Tock_boards.Signpost_board.create ~loss_prob ~nodes:2 () in

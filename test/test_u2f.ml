@@ -96,11 +96,11 @@ let net_frame_prop =
       (* Build a frame through the public pieces: crc16 over a synthetic
          header+payload, then corrupt one byte and observe a mismatch. *)
       let b = Bytes.of_string ("HDR" ^ payload) in
-      let crc = Tock_capsules.Net_stack.crc16 b ~off:0 ~len:(Bytes.length b) in
+      let crc = Tock.Crc16.digest b ~off:0 ~len:(Bytes.length b) in
       let i = poke mod Bytes.length b in
       let b' = Bytes.copy b in
       Bytes.set b' i (Char.chr (Char.code (Bytes.get b' i) lxor 0x40));
-      Tock_capsules.Net_stack.crc16 b' ~off:0 ~len:(Bytes.length b') <> crc)
+      Tock.Crc16.digest b' ~off:0 ~len:(Bytes.length b') <> crc)
 
 let mpu_grow_monotone_prop =
   qcheck ~count:60 "mpu: growing the app break never shrinks accessibility"
