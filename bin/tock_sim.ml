@@ -109,14 +109,14 @@ let write_trace board path =
   close_out oc;
   Printf.printf "trace: %d events (%d dropped) -> %s\n"
     (Tock_obs.Trace.retained (Tock_hw.Sim.trace_events sim))
-    (Tock_hw.Sim.trace_dropped sim)
+    (Tock_obs.Trace.dropped (Tock_hw.Sim.trace_events sim))
     path
 
 (* ---- run ---- *)
 
 let run_cmd chip_name apps scheduler seconds seed strace metrics trace_out =
-  (* A deep trace ring when we are exporting; the default ring is sized
-     for the [recent_trace] debugging surface, not a full timeline. *)
+  (* A deep trace ring when we are exporting; the default ring keeps
+     only the latest events, not a full timeline. *)
   let trace_capacity =
     match trace_out with Some _ -> 262_144 | None -> 1024
   in

@@ -61,8 +61,7 @@ type t = {
   ack_hdr : Subslice.t;
   ack_trl : Subslice.t;
   (* who owns the transmit currently in the air *)
-  mutable current_tx : [ `None | `Net | `Ack | `Raw | `Raw_iov ];
-  mutable raw_tx_client : Subslice.t -> unit;
+  mutable current_tx : [ `None | `Net | `Ack | `Raw ];
   mutable raw_tx_iov_client : Subslice.t array -> unit;
   mutable next_seq : int;
   mutable inflight : inflight option;
@@ -357,7 +356,6 @@ let create kernel radio amux ~ack_timeout_ticks =
       ack_hdr = Subslice.create header_size;
       ack_trl = Subslice.create trailer_size;
       current_tx = `None;
-      raw_tx_client = (fun (_ : Subslice.t) -> ());
       raw_tx_iov_client = (fun (_ : Subslice.t array) -> ());
       next_seq = 1;
       inflight = None;
@@ -378,15 +376,9 @@ let create kernel radio amux ~ack_timeout_ticks =
       c_retries = Tock_obs.Metrics.counter reg "net.retries";
     }
   in
-  radio.Hil.radio_set_transmit_client (fun sub ->
-      match t.current_tx with
-      | `Raw ->
-          t.current_tx <- `None;
-          t.raw_tx_client sub
-      | _ -> t.current_tx <- `None);
   radio.Hil.radio_set_transmit_iov_client (fun iov ->
       match t.current_tx with
-      | `Raw_iov ->
+      | `Raw ->
           t.current_tx <- `None;
           t.raw_tx_iov_client iov
       | _ ->
@@ -451,23 +443,13 @@ let set_raw_receive t fn = t.raw_rx_client <- fn
    the reliable layer. Transmissions interleave at frame granularity. *)
 let raw_radio t : Hil.radio =
   {
-    Hil.radio_transmit =
-      (fun ~dest sub ->
-        if t.current_tx <> `None then Error (Error.BUSY, sub)
-        else
-          match t.radio.Hil.radio_transmit ~dest sub with
-          | Ok () ->
-              t.current_tx <- `Raw;
-              Ok ()
-          | Error _ as e -> e);
-    radio_set_transmit_client = (fun fn -> t.raw_tx_client <- fn);
-    radio_transmit_iov =
+    Hil.radio_transmit_iov =
       (fun ~dest iov ->
         if t.current_tx <> `None then Error (Error.BUSY, iov)
         else
           match t.radio.Hil.radio_transmit_iov ~dest iov with
           | Ok () ->
-              t.current_tx <- `Raw_iov;
+              t.current_tx <- `Raw;
               Ok ()
           | Error _ as e -> e);
     radio_set_transmit_iov_client = (fun fn -> t.raw_tx_iov_client <- fn);

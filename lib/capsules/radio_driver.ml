@@ -5,7 +5,7 @@ let max_frame = 127
 type t = {
   kernel : Kernel.t;
   radio : Hil.radio;
-  tx_buf : Subslice.t Cells.Take_cell.t;
+  tx_buf : Subslice.t array Cells.Take_cell.t; (* one window *)
   mutable tx_owner : Process.id option;
   mutable listeners : Process.id list;
 }
@@ -15,14 +15,14 @@ let create kernel radio =
     {
       kernel;
       radio;
-      tx_buf = Cells.Take_cell.make (Subslice.create max_frame);
+      tx_buf = Cells.Take_cell.make [| Subslice.create max_frame |];
       tx_owner = None;
       listeners = [];
     }
   in
-  radio.Hil.radio_set_transmit_client (fun sub ->
-      Subslice.reset sub;
-      Cells.Take_cell.put t.tx_buf sub;
+  radio.Hil.radio_set_transmit_iov_client (fun iov ->
+      Subslice.reset iov.(0);
+      Cells.Take_cell.put t.tx_buf iov;
       match t.tx_owner with
       | Some pid ->
           t.tx_owner <- None;
@@ -59,7 +59,8 @@ let command t proc ~command_num ~arg1 ~arg2 =
       else
         match Cells.Take_cell.take t.tx_buf with
         | None -> Syscall.Failure Error.BUSY
-        | Some sub -> (
+        | Some iov -> (
+            let sub = iov.(0) in
             Subslice.reset sub;
             let copied =
               Kernel.with_allow_ro t.kernel pid ~driver:Driver_num.radio
@@ -73,17 +74,17 @@ let command t proc ~command_num ~arg1 ~arg2 =
             in
             match copied with
             | Ok m when m > 0 -> (
-                match t.radio.Hil.radio_transmit ~dest:arg1 sub with
+                match t.radio.Hil.radio_transmit_iov ~dest:arg1 iov with
                 | Ok () ->
                     t.tx_owner <- Some pid;
                     Syscall.Success
-                | Error (e, sub) ->
-                    Subslice.reset sub;
-                    Cells.Take_cell.put t.tx_buf sub;
+                | Error (e, iov) ->
+                    Subslice.reset iov.(0);
+                    Cells.Take_cell.put t.tx_buf iov;
                     Syscall.Failure e)
             | _ ->
                 Subslice.reset sub;
-                Cells.Take_cell.put t.tx_buf sub;
+                Cells.Take_cell.put t.tx_buf iov;
                 Syscall.Failure Error.RESERVE))
   | 2 ->
       t.radio.Hil.radio_start_listening ();

@@ -4,12 +4,12 @@
    the role the hw engines play for the other primitives. *)
 open Cells
 
-let err_of_string = function
-  | "transmit busy" | "receive busy" | "spi busy" | "i2c busy" | "trng busy"
-  | "flash busy" ->
-      Error.BUSY
-  | s when String.length s >= 4 && String.sub s 0 4 = "bad " -> Error.INVAL
-  | _ -> Error.FAIL
+(* Every hardware refusal of a second operation while one is in flight
+   ends in "busy". *)
+let err_of_string s =
+  if String.ends_with ~suffix:"busy" s then Error.BUSY
+  else if String.starts_with ~prefix:"bad " s then Error.INVAL
+  else Error.FAIL
 
 let alarm (hw : Tock_hw.Hw_timer.t) : Hil.alarm =
   {
@@ -30,7 +30,7 @@ let seg_of sub =
   let off, len = Subslice.window sub in
   (Subslice.underlying sub, off, len)
 
-let segs_of_iov iov = Array.to_list (Array.map seg_of iov)
+let segs_of_iov iov = Array.fold_right (fun sub segs -> seg_of sub :: segs) iov []
 
 let uart (hw : Tock_hw.Uart.t) : Hil.uart =
   let tx_inflight : Subslice.t Take_cell.t = Take_cell.empty () in
@@ -86,10 +86,13 @@ let entropy (hw : Tock_hw.Trng.t) : Hil.entropy =
 let digest (hw : Tock_hw.Sha_engine.t) : Hil.digest =
   let inflight : Subslice.t Take_cell.t = Take_cell.empty () in
   let data_client = ref (fun (_ : Subslice.t) -> ()) in
-  Tock_hw.Sha_engine.set_data_client hw (fun () ->
-      match Take_cell.take inflight with
-      | Some sub -> !data_client sub
-      | None -> ());
+  let digest_client = ref (fun (_ : bytes) -> ()) in
+  Tock_hw.Sha_engine.set_client hw (function
+    | Tock_hw.Sha_engine.Data_done -> (
+        match Take_cell.take inflight with
+        | Some sub -> !data_client sub
+        | None -> ())
+    | Tock_hw.Sha_engine.Digest_done d -> !digest_client d);
   {
     digest_set_mode =
       (fun mode ->
@@ -112,7 +115,7 @@ let digest (hw : Tock_hw.Sha_engine.t) : Hil.digest =
     digest_set_data_client = (fun fn -> data_client := fn);
     digest_run =
       (fun () -> Result.map_error err_of_string (Tock_hw.Sha_engine.run hw));
-    digest_set_digest_client = (fun fn -> Tock_hw.Sha_engine.set_digest_client hw fn);
+    digest_set_digest_client = (fun fn -> digest_client := fn);
   }
 
 let aes (hw : Tock_hw.Aes_engine.t) : Hil.aes =
@@ -224,13 +227,8 @@ let flash (hw : Tock_hw.Flash_ctrl.t) : Hil.flash =
   }
 
 let radio (hw : Tock_hw.Radio.t) : Hil.radio =
-  let inflight : Subslice.t Take_cell.t = Take_cell.empty () in
-  let iov_inflight : Subslice.t array Take_cell.t = Take_cell.empty () in
-  let tx_client = ref (fun (_ : Subslice.t) -> ()) in
-  let tx_iov_client = ref (fun (_ : Subslice.t array) -> ()) in
-  let tx_busy () =
-    not (Take_cell.is_none inflight && Take_cell.is_none iov_inflight)
-  in
+  let inflight : Subslice.t array Take_cell.t = Take_cell.empty () in
+  let tx_client = ref (fun (_ : Subslice.t array) -> ()) in
   let map_err e =
     match e with
     | "radio off" -> Error.OFF
@@ -239,32 +237,19 @@ let radio (hw : Tock_hw.Radio.t) : Hil.radio =
   in
   Tock_hw.Radio.set_transmit_client hw (fun () ->
       match Take_cell.take inflight with
-      | Some sub -> !tx_client sub
-      | None -> (
-          match Take_cell.take iov_inflight with
-          | Some iov -> !tx_iov_client iov
-          | None -> ()));
+      | Some iov -> !tx_client iov
+      | None -> ());
   {
-    radio_transmit =
-      (fun ~dest sub ->
-        if tx_busy () then Error (Error.BUSY, sub)
-        else
-          match Tock_hw.Radio.transmit_segs hw ~dest [ seg_of sub ] with
-          | Ok () ->
-              Take_cell.put inflight sub;
-              Ok ()
-          | Error e -> Error (map_err e, sub));
-    radio_set_transmit_client = (fun fn -> tx_client := fn);
     radio_transmit_iov =
       (fun ~dest iov ->
-        if tx_busy () then Error (Error.BUSY, iov)
+        if not (Take_cell.is_none inflight) then Error (Error.BUSY, iov)
         else
           match Tock_hw.Radio.transmit_segs hw ~dest (segs_of_iov iov) with
           | Ok () ->
-              Take_cell.put iov_inflight iov;
+              Take_cell.put inflight iov;
               Ok ()
           | Error e -> Error (map_err e, iov));
-    radio_set_transmit_iov_client = (fun fn -> tx_iov_client := fn);
+    radio_set_transmit_iov_client = (fun fn -> tx_client := fn);
     radio_set_receive_client = (fun fn -> Tock_hw.Radio.set_receive_client hw fn);
     radio_start_listening = (fun () -> Tock_hw.Radio.start_listening hw);
     radio_stop = (fun () -> Tock_hw.Radio.stop hw);

@@ -65,8 +65,6 @@ type flash = {
 }
 
 type radio = {
-  radio_transmit : dest:int -> Subslice.t -> (unit, Error.t * Subslice.t) result;
-  radio_set_transmit_client : (Subslice.t -> unit) -> unit;
   radio_transmit_iov :
     dest:int -> Subslice.t array -> (unit, Error.t * Subslice.t array) result;
   radio_set_transmit_iov_client : (Subslice.t array -> unit) -> unit;

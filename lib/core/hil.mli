@@ -91,14 +91,12 @@ type flash = {
 }
 
 type radio = {
-  radio_transmit : dest:int -> Subslice.t -> (unit, Error.t * Subslice.t) result;
-  radio_set_transmit_client : (Subslice.t -> unit) -> unit;
   radio_transmit_iov :
     dest:int -> Subslice.t array -> (unit, Error.t * Subslice.t array) result;
-      (** Scatter-gather frame transmit: header, payload window(s) and
-          trailer go to the radio as one frame without being gathered
-          into a staging buffer first (the net-stack zero-copy tx
-          path). *)
+      (** The radio's one transmit, scatter-gather: the windows
+          (header, payload window(s), trailer; or a single window) go
+          to the radio as one frame without being gathered into a
+          staging buffer first (the net-stack zero-copy tx path). *)
   radio_set_transmit_iov_client : (Subslice.t array -> unit) -> unit;
   radio_set_receive_client : (src:int -> bytes -> unit) -> unit;
   radio_start_listening : unit -> unit;

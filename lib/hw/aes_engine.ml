@@ -1,42 +1,22 @@
 type aes_mode = Ctr | Ecb_encrypt | Ecb_decrypt
 
 type t = {
-  sim : Sim.t;
-  irq : Irq.t;
-  irq_line : int;
+  op : bytes Completion.t;
   cycles_per_block : int;
   mutable key : Tock_crypto.Aes128.key option;
   mutable iv : bytes;
-  mutable client : bytes -> unit;
-  mutable busy : bool;
-  mutable completed : bytes option;
 }
 
 let create sim irq ~irq_line ~cycles_per_block =
-  let t =
-    {
-      sim;
-      irq;
-      irq_line;
-      cycles_per_block;
-      key = None;
-      iv = Bytes.make 16 '\x00';
-      client = ignore;
-      busy = false;
-      completed = None;
-    }
-  in
-  Irq.register irq ~line:irq_line ~name:"aes" (fun () ->
-      match t.completed with
-      | Some out ->
-          t.completed <- None;
-          t.client out
-      | None -> ());
-  Irq.enable irq ~line:irq_line;
-  t
+  {
+    op = Completion.create sim irq ~line:irq_line ~name:"aes";
+    cycles_per_block;
+    key = None;
+    iv = Bytes.make 16 '\x00';
+  }
 
 let set_key t kb =
-  if t.busy then Error "aes engine busy"
+  if Completion.busy t.op then Error "aes engine busy"
   else if Bytes.length kb <> 16 then Error "key must be 16 bytes"
   else begin
     t.key <- Some (Tock_crypto.Aes128.expand_key kb);
@@ -44,40 +24,34 @@ let set_key t kb =
   end
 
 let set_iv t iv =
-  if t.busy then Error "aes engine busy"
+  if Completion.busy t.op then Error "aes engine busy"
   else if Bytes.length iv <> 16 then Error "iv must be 16 bytes"
   else begin
     t.iv <- Bytes.copy iv;
     Ok ()
   end
 
-let set_client t fn = t.client <- fn
+let set_client t fn = Completion.set_client t.op fn
 
 let crypt t ~mode ~src ~off ~len =
-  if t.busy then Error "aes engine busy"
+  if Completion.busy t.op then Error "aes engine busy"
   else if off < 0 || len < 0 || off + len > Bytes.length src then
     Error "bad range"
   else
     match t.key with
     | None -> Error "no key configured"
-    | Some key ->
-        let input = Bytes.sub src off len in
-        let compute () =
-          match mode with
-          | Ctr -> Tock_crypto.Aes128.ctr_transform key ~nonce:t.iv input
-          | Ecb_encrypt -> Tock_crypto.Aes128.ecb_encrypt key input
-          | Ecb_decrypt -> Tock_crypto.Aes128.ecb_decrypt key input
-        in
-        (match mode with
+    | Some key -> (
+        match mode with
         | Ecb_encrypt | Ecb_decrypt when len mod 16 <> 0 ->
             Error "ECB needs a multiple of 16 bytes"
         | _ ->
-            let out = compute () in
-            t.busy <- true;
+            let input = Bytes.sub src off len in
+            let out =
+              match mode with
+              | Ctr -> Tock_crypto.Aes128.ctr_transform key ~nonce:t.iv input
+              | Ecb_encrypt -> Tock_crypto.Aes128.ecb_encrypt key input
+              | Ecb_decrypt -> Tock_crypto.Aes128.ecb_decrypt key input
+            in
             let blocks = max 1 ((len + 15) / 16) in
-            ignore
-              (Sim.at t.sim ~delay:(blocks * t.cycles_per_block) (fun () ->
-                   t.busy <- false;
-                   t.completed <- Some out;
-                   Irq.set_pending t.irq ~line:t.irq_line));
-            Ok ())
+            Completion.start t.op ~delay:(blocks * t.cycles_per_block)
+              (fun () -> out))

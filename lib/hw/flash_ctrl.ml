@@ -1,9 +1,7 @@
 type op_result = Read_done of bytes | Write_done | Program_done | Erase_done
 
 type t = {
-  sim : Sim.t;
-  irq : Irq.t;
-  irq_line : int;
+  op : op_result Completion.t;
   pages : int;
   page_size : int;
   mutable store : bytes array;
@@ -21,9 +19,6 @@ type t = {
   read_cycles : int;
   write_cycles : int;
   erase_cycles : int;
-  mutable client : op_result -> unit;
-  mutable busy : bool;
-  mutable completed : op_result option;
   mutable dirty_writes : int;
 }
 
@@ -48,34 +43,18 @@ let erased_sentinel page_size =
 
 let create sim irq ~irq_line ~pages ~page_size ~read_cycles ~write_cycles
     ~erase_cycles =
-  let erased = erased_sentinel page_size in
-  let t =
-    {
-      sim;
-      irq;
-      irq_line;
-      pages;
-      page_size;
-      store = [||];
-      erased;
-      wear = [||];
-      read_cycles;
-      write_cycles;
-      erase_cycles;
-      client = ignore;
-      busy = false;
-      completed = None;
-      dirty_writes = 0;
-    }
-  in
-  Irq.register irq ~line:irq_line ~name:"flash" (fun () ->
-      match t.completed with
-      | Some r ->
-          t.completed <- None;
-          t.client r
-      | None -> ());
-  Irq.enable irq ~line:irq_line;
-  t
+  {
+    op = Completion.create sim irq ~line:irq_line ~name:"flash";
+    pages;
+    page_size;
+    store = [||];
+    erased = erased_sentinel page_size;
+    wear = [||];
+    read_cycles;
+    write_cycles;
+    erase_cycles;
+    dirty_writes = 0;
+  }
 
 let pages t = t.pages
 
@@ -104,87 +83,62 @@ let read_page_sync t ~page =
   | Error e -> invalid_arg ("Flash_ctrl.read_page_sync: " ^ e)
   | Ok () -> Bytes.copy (page_of t page)
 
-let start t ~delay result =
-  t.busy <- true;
-  ignore
-    (Sim.at t.sim ~delay (fun () ->
-         t.busy <- false;
-         t.completed <- Some (result ());
-         Irq.set_pending t.irq ~line:t.irq_line));
-  Ok ()
+(* NOR-program [data] into [page] from byte [off]: bits only clear, so
+   a write that wanted a 1 where a 0 is stored loses data and counts as
+   dirty. *)
+let nor_program t ~page ~off data =
+  let dst = page_mut t page in
+  let lost = ref false in
+  for i = 0 to Bytes.length data - 1 do
+    let old = Char.code (Bytes.get dst (off + i)) in
+    let wanted = Char.code (Bytes.get data i) in
+    let stored = old land wanted in
+    if stored <> wanted then lost := true;
+    Bytes.set dst (off + i) (Char.chr stored)
+  done;
+  if !lost then t.dirty_writes <- t.dirty_writes + 1
 
 let read_page t ~page =
-  if t.busy then Error "flash busy"
+  if Completion.busy t.op then Error "flash busy"
   else
     Result.bind (check_page t page) (fun () ->
-        start t ~delay:t.read_cycles (fun () ->
+        Completion.start t.op ~delay:t.read_cycles (fun () ->
             Read_done (Bytes.copy (page_of t page))))
 
 let write_page t ~page data =
-  if t.busy then Error "flash busy"
+  if Completion.busy t.op then Error "flash busy"
   else if Bytes.length data <> t.page_size then Error "bad page buffer size"
   else
     Result.bind (check_page t page) (fun () ->
-        start t ~delay:t.write_cycles (fun () ->
-            let dst = page_mut t page in
-            let lost = ref false in
-            for i = 0 to t.page_size - 1 do
-              let old = Char.code (Bytes.get dst i) in
-              let wanted = Char.code (Bytes.get data i) in
-              (* NOR flash: bits can only clear. *)
-              let stored = old land wanted in
-              if stored <> wanted then lost := true;
-              Bytes.set dst i (Char.chr stored)
-            done;
-            if !lost then t.dirty_writes <- t.dirty_writes + 1;
+        Completion.start t.op ~delay:t.write_cycles (fun () ->
+            nor_program t ~page ~off:0 data;
             Write_done))
 
 (* Scatter-gather partial-page program: the segments are gathered into
    the write latch at start (DMA), then NOR-programmed into
-   [off, off+total) of the page — bits only clear, the rest of the page
-   untouched. Program time scales with the programmed span, so a log
-   append pays for the bytes it writes, not the whole page. *)
+   [off, off+total) of the page, the rest of the page untouched.
+   Program time scales with the programmed span, so a log append pays
+   for the bytes it writes, not the whole page. *)
 let program_region t ~page ~off segs =
-  if t.busy then Error "flash busy"
+  if Completion.busy t.op then Error "flash busy"
   else
-    let ok =
-      List.for_all
-        (fun (b, o, l) -> o >= 0 && l >= 0 && o + l <= Bytes.length b)
-        segs
-    in
-    if not ok then Error "bad segment"
-    else begin
-      let total = List.fold_left (fun acc (_, _, l) -> acc + l) 0 segs in
-      if off < 0 || off + total > t.page_size then Error "bad program range"
-      else
-        Result.bind (check_page t page) (fun () ->
-            let data = Bytes.create total in
-            let pos = ref 0 in
-            List.iter
-              (fun (b, o, l) ->
-                Bytes.blit b o data !pos l;
-                pos := !pos + l)
-              segs;
-            let delay = max 1 (t.write_cycles * total / t.page_size) in
-            start t ~delay (fun () ->
-                let dst = page_mut t page in
-                let lost = ref false in
-                for i = 0 to total - 1 do
-                  let old = Char.code (Bytes.get dst (off + i)) in
-                  let wanted = Char.code (Bytes.get data i) in
-                  let stored = old land wanted in
-                  if stored <> wanted then lost := true;
-                  Bytes.set dst (off + i) (Char.chr stored)
-                done;
-                if !lost then t.dirty_writes <- t.dirty_writes + 1;
-                Program_done))
-    end
+    match Completion.gather segs with
+    | None -> Error "bad segment"
+    | Some latch ->
+        let total = Bytes.length latch in
+        if off < 0 || off + total > t.page_size then Error "bad program range"
+        else
+          Result.bind (check_page t page) (fun () ->
+              let delay = max 1 (t.write_cycles * total / t.page_size) in
+              Completion.start t.op ~delay (fun () ->
+                  nor_program t ~page ~off latch;
+                  Program_done))
 
 let erase_page t ~page =
-  if t.busy then Error "flash busy"
+  if Completion.busy t.op then Error "flash busy"
   else
     Result.bind (check_page t page) (fun () ->
-        start t ~delay:t.erase_cycles (fun () ->
+        Completion.start t.op ~delay:t.erase_cycles (fun () ->
             (* Erased pages rejoin the shared sentinel, reclaiming the
                backing store (and keeping long-lived boards compact). *)
             if Array.length t.store > 0 then t.store.(page) <- t.erased;
@@ -192,9 +146,9 @@ let erase_page t ~page =
             t.wear.(page) <- t.wear.(page) + 1;
             Erase_done))
 
-let set_client t fn = t.client <- fn
+let set_client t fn = Completion.set_client t.op fn
 
-let busy t = t.busy
+let busy t = Completion.busy t.op
 
 let wear t ~page =
   if page < 0 || page >= t.pages then invalid_arg "Flash_ctrl.wear";

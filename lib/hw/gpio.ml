@@ -50,8 +50,10 @@ let set t ~pin:i v =
   let p = pin t i in
   if p.pin_mode = Output then p.level <- v
   else
-    Sim.tracef t.sim (fun () ->
-        Printf.sprintf "gpio: write to input pin %d ignored" i)
+    let tr = Sim.trace_events t.sim in
+    if Tock_obs.Trace.on tr then
+      Tock_obs.Trace.note tr ~ts:(Sim.now t.sim)
+        (Printf.sprintf "gpio: write to input pin %d ignored" i)
 
 let read t ~pin:i = (pin t i).level
 

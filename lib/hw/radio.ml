@@ -155,30 +155,11 @@ let transmit_air t ~dest payload =
                else ether.lost <- ether.lost + 1));
         Ok ()
 
-let transmit t ~dest payload = transmit_air t ~dest (Bytes.copy payload)
-
 (* Scatter-gather transmit: the frame segments (header, payload window,
    trailer) are serialized straight into the air copy — the single DMA
    gather the hardware performs — and sent as one frame with one
    completion interrupt. *)
 let transmit_segs t ~dest segs =
-  let ok =
-    List.for_all
-      (fun (b, off, len) -> off >= 0 && len >= 0 && off + len <= Bytes.length b)
-      segs
-  in
-  if not ok then Error "bad segment"
-  else begin
-    let total = List.fold_left (fun acc (_, _, len) -> acc + len) 0 segs in
-    if total > max_payload then Error "payload too long"
-    else begin
-      let air = Bytes.create total in
-      let pos = ref 0 in
-      List.iter
-        (fun (b, off, len) ->
-          Bytes.blit b off air !pos len;
-          pos := !pos + len)
-        segs;
-      transmit_air t ~dest air
-    end
-  end
+  match Completion.gather segs with
+  | None -> Error "bad segment"
+  | Some air -> transmit_air t ~dest air

@@ -39,19 +39,14 @@ val start_listening : t -> unit
 val stop : t -> unit
 (** Power the radio off (also aborts listening). *)
 
-val transmit : t -> dest:int -> bytes -> (unit, string) result
-(** Send a frame ([dest] = 0xFFFF broadcasts). Fails if already
-    transmitting or if the payload exceeds 127 bytes. An [Off] radio
-    powers up for the frame and returns to [Off]; a listening radio
-    resumes listening. Completion via [set_transmit_client]. *)
-
 val transmit_segs :
   t -> dest:int -> (bytes * int * int) list -> (unit, string) result
-(** Scatter-gather transmit: each [(buf, off, len)] segment is
-    serialized in order into the frame's air copy (the hardware's own
-    DMA gather), then sent exactly like {!transmit}. One completion for
-    the whole batch. Fails on a malformed segment or if the total
-    exceeds 127 bytes. *)
+(** Send one frame ([dest] = 0xFFFF broadcasts): each [(buf, off, len)]
+    segment is serialized in order into the frame's air copy (the
+    hardware's own DMA gather). Fails on a malformed segment, if the
+    total exceeds 127 bytes or if already transmitting. An [Off] radio
+    powers up for the frame and returns to [Off]; a listening radio
+    resumes listening. One completion, via [set_transmit_client]. *)
 
 val set_transmit_client : t -> (unit -> unit) -> unit
 

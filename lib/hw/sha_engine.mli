@@ -15,13 +15,14 @@ val set_mode_sha256 : t -> (unit, string) result
 
 val set_mode_hmac : t -> key:bytes -> (unit, string) result
 
+type completion = Data_done | Digest_done of bytes
+
 val add_data : t -> bytes -> off:int -> len:int -> (unit, string) result
-(** Feed a chunk; completion of the *chunk* is signalled via
-    [set_data_client]. Only one chunk may be in flight. *)
+(** Feed a chunk; the client sees [Data_done] when the *chunk* is
+    absorbed. Only one chunk may be in flight. *)
 
 val run : t -> (unit, string) result
-(** Finalize; the digest arrives via [set_digest_client]. *)
+(** Finalize; the client sees [Digest_done digest]. *)
 
-val set_data_client : t -> (unit -> unit) -> unit
-
-val set_digest_client : t -> (bytes -> unit) -> unit
+val set_client : t -> (completion -> unit) -> unit
+(** Completion callback (interrupt context). *)

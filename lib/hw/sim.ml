@@ -174,24 +174,6 @@ let energy_report t =
 let total_microjoules t =
   List.fold_left (fun acc (_, uj) -> acc +. uj) 0. (energy_report t)
 
-let trace_enabled t = Tock_obs.Trace.on t.tr
-
-let trace t msg = Tock_obs.Trace.note t.tr ~ts:t.now msg
-
-let tracef t thunk = if Tock_obs.Trace.on t.tr then trace t (thunk ())
-
-let recent_trace t n =
-  let available = Tock_obs.Trace.retained t.tr in
-  let keep = min n available in
-  let acc = ref [] and seen = ref 0 in
-  Tock_obs.Trace.iter t.tr (fun e ->
-      if !seen >= available - keep then
-        acc := (e.Tock_obs.Trace.e_ts, Tock_obs.Trace.label e) :: !acc;
-      incr seen);
-  List.rev !acc
-
-let trace_dropped t = Tock_obs.Trace.dropped t.tr
-
 let trace_events t = t.tr
 
 let metrics t = t.reg

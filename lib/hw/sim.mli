@@ -25,7 +25,7 @@ type meter
 val create : ?seed:int64 -> ?clock_hz:int -> ?trace_capacity:int -> unit -> t
 (** Default clock: 16 MHz. The seed feeds every PRNG derived from this
     context. [trace_capacity] bounds the trace ring (default 1024);
-    [0] disables tracing entirely, making {!trace}/{!tracef} free. *)
+    [0] disables tracing entirely. *)
 
 val now : t -> int
 (** Current time in cycles since boot. *)
@@ -103,30 +103,12 @@ val total_microjoules : t -> float
 
     The context owns one structured trace buffer and one hardware-side
     metrics registry (see {!Tock_obs}); kernels layer their own registry
-    on top. The legacy [trace]/[tracef] calls record {!Tock_obs.Trace}
-    [Note] events into the same buffer. *)
-
-val trace : t -> string -> unit
-(** Append a timestamped note to the trace ring (kept bounded). No-op
-    when tracing is disabled — but the argument has already been built;
-    prefer {!tracef} when the line needs formatting. *)
-
-val tracef : t -> (unit -> string) -> unit
-(** Like {!trace}, but the line is built lazily: the thunk is only
-    forced when tracing is enabled, so a disabled ring allocates
-    nothing. *)
-
-val trace_enabled : t -> bool
-
-val recent_trace : t -> int -> (int * string) list
-(** Up to [n] most recent trace entries as [(cycles, label)], oldest
-    first. Structured events render through {!Tock_obs.Trace.label}. *)
-
-val trace_dropped : t -> int
-(** Events lost to ring wrap-around since boot. *)
+    on top. *)
 
 val trace_events : t -> Tock_obs.Trace.t
-(** The underlying structured event buffer (for exporters). *)
+(** The context's trace ring, read by exporters. Hardware models note
+    into it with {!Tock_obs.Trace.note}, guarded by
+    {!Tock_obs.Trace.on}. *)
 
 val metrics : t -> Tock_obs.Metrics.t
 (** The hardware-side metrics registry (IRQ latency, timer fires, trace

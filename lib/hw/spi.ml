@@ -5,43 +5,23 @@ type cs_capability = Only_active_low | Only_active_high | Configurable
 type device = { cs : int; requires : polarity; transfer : bytes -> bytes }
 
 type t = {
-  sim : Sim.t;
-  irq : Irq.t;
-  irq_line : int;
+  op : bytes Completion.t;
   capability : cs_capability;
   cycles_per_byte : int;
   mutable devices : device list;
   cs_config : (int, polarity) Hashtbl.t;
-  mutable client : rx:bytes -> unit;
-  mutable busy : bool;
-  mutable completed : bytes option;
   mutable mispolarized : int;
 }
 
 let create sim irq ~irq_line ~cs_capability ~cycles_per_byte =
-  let t =
-    {
-      sim;
-      irq;
-      irq_line;
-      capability = cs_capability;
-      cycles_per_byte;
-      devices = [];
-      cs_config = Hashtbl.create 8;
-      client = (fun ~rx:_ -> ());
-      busy = false;
-      completed = None;
-      mispolarized = 0;
-    }
-  in
-  Irq.register irq ~line:irq_line ~name:"spi" (fun () ->
-      match t.completed with
-      | Some rx ->
-          t.completed <- None;
-          t.client ~rx
-      | None -> ());
-  Irq.enable irq ~line:irq_line;
-  t
+  {
+    op = Completion.create sim irq ~line:irq_line ~name:"spi";
+    capability = cs_capability;
+    cycles_per_byte;
+    devices = [];
+    cs_config = Hashtbl.create 8;
+    mispolarized = 0;
+  }
 
 let cs_capability t = t.capability
 
@@ -72,15 +52,14 @@ let cs_polarity t ~cs =
       | Only_active_high -> Active_high
       | Only_active_low | Configurable -> Active_low)
 
-let set_client t fn = t.client <- fn
+let set_client t fn = Completion.set_client t.op (fun rx -> fn ~rx)
 
 let mispolarized_transfers t = t.mispolarized
 
 let read_write t ~cs ~tx ~len =
   if len < 0 || len > Bytes.length tx then Error "bad length"
-  else if t.busy then Error "spi busy"
+  else if Completion.busy t.op then Error "spi busy"
   else begin
-    t.busy <- true;
     let tx = Bytes.sub tx 0 len in
     let driven = cs_polarity t ~cs in
     let rx =
@@ -94,10 +73,5 @@ let read_write t ~cs ~tx ~len =
     in
     let rx = if Bytes.length rx < len then Bytes.cat rx (Bytes.make (len - Bytes.length rx) '\xff')
              else Bytes.sub rx 0 len in
-    ignore
-      (Sim.at t.sim ~delay:(len * t.cycles_per_byte) (fun () ->
-           t.busy <- false;
-           t.completed <- Some rx;
-           Irq.set_pending t.irq ~line:t.irq_line));
-    Ok ()
+    Completion.start t.op ~delay:(len * t.cycles_per_byte) (fun () -> rx)
   end

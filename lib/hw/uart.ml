@@ -11,7 +11,7 @@ type t = {
   mutable tx_sink : bytes -> unit;
   mutable tx_client : len:int -> unit;
   mutable rx_client : bytes -> unit;
-  mutable tx_inflight : (bytes * int) option; (* data, len *)
+  mutable tx_inflight : bool;
   mutable rx_pending : int option; (* wanted length *)
   fifo : Buffer.t;
   mutable overruns : int;
@@ -31,7 +31,7 @@ let create sim irq ~irq_line ~name =
       tx_sink = ignore;
       tx_client = (fun ~len:_ -> ());
       rx_client = ignore;
-      tx_inflight = None;
+      tx_inflight = false;
       rx_pending = None;
       fifo = Buffer.create fifo_capacity;
       overruns = 0;
@@ -76,40 +76,27 @@ let set_receive_client t fn = t.rx_client <- fn
 
 let overruns t = t.overruns
 
-let tx_busy t = t.tx_inflight <> None
+let tx_busy t = t.tx_inflight
 
 (* Scatter-gather transmit: the segments are serialized back to back
    into the shift-register latch (the one DMA copy the hardware itself
    performs) and clocked out as a single operation — one schedule, one
    interrupt, one completion, however many segments. *)
 let transmit_segs t segs =
-  let ok =
-    List.for_all
-      (fun (b, off, len) -> off >= 0 && len >= 0 && off + len <= Bytes.length b)
-      segs
-  in
-  if not ok then Error "bad length"
-  else if t.tx_inflight <> None then Error "transmit busy"
-  else begin
-    let total = List.fold_left (fun acc (_, _, len) -> acc + len) 0 segs in
-    let copy = Bytes.create total in
-    let pos = ref 0 in
-    List.iter
-      (fun (b, off, len) ->
-        Bytes.blit b off copy !pos len;
-        pos := !pos + len)
-      segs;
-    t.tx_inflight <- Some (copy, total);
-    Sim.meter_set_ua t.sim t.meter 1500;
-    let delay = total * cycles_per_byte t in
-    ignore
-      (Sim.at t.sim ~delay (fun () ->
-           t.tx_inflight <- None;
-           Sim.meter_set_ua t.sim t.meter 0;
-           t.completed_tx <- Some (total, copy);
-           Irq.set_pending t.irq ~line:t.irq_line));
-    Ok ()
-  end
+  match Completion.gather segs with
+  | None -> Error "bad length"
+  | Some _ when t.tx_inflight -> Error "transmit busy"
+  | Some latch ->
+      let total = Bytes.length latch in
+      t.tx_inflight <- true;
+      Sim.meter_set_ua t.sim t.meter 1500;
+      ignore
+        (Sim.at t.sim ~delay:(total * cycles_per_byte t) (fun () ->
+             t.tx_inflight <- false;
+             Sim.meter_set_ua t.sim t.meter 0;
+             t.completed_tx <- Some (total, latch);
+             Irq.set_pending t.irq ~line:t.irq_line));
+      Ok ()
 
 let transmit t buf ~len =
   if len < 0 || len > Bytes.length buf then Error "bad length"

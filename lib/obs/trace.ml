@@ -121,8 +121,7 @@ let kind_name = function
   | Resume -> "resume"
   | Fast_forward -> "fast-forward"
 
-(* Human label. Notes render as their exact text so the legacy
-   [Sim.recent_trace] view is unchanged. *)
+(* Human label. Notes render as their exact text. *)
 let label e =
   match e.e_kind with
   | Note -> e.e_text

@@ -19,7 +19,7 @@ type kind =
   | Schedule  (** span around one process timeslice; text = name *)
   | Sleep  (** span: CPU in deep sleep awaiting a hardware event *)
   | Upcall  (** instant: upcall delivered; arg = driver number *)
-  | Note  (** free-text line (the legacy [Sim.trace] surface) *)
+  | Note  (** free-text line, recorded by {!note} *)
   | Fault  (** instant: a process faulted; text = reason *)
   | Dispatch
       (** fleet scheduler: one calendar dispatch quantum; arg = first

@@ -173,6 +173,72 @@ let test_pke_adaptor_rejects_garbage () =
   | Error Error.INVAL -> ()
   | _ -> Alcotest.fail "malformed key must be INVAL"
 
+(* A second operation on an engine with one in flight answers BUSY,
+   whichever engine refuses it: key or IV mid-crypt, digest mode or
+   finalize mid-chunk, a verify or a sample while one runs. *)
+let test_busy_engines_answer_busy () =
+  let sim, irq = setup () in
+  let ok what = function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %s" what (Error.to_string e)
+  in
+  let busy what = function
+    | Error Error.BUSY -> ()
+    | Ok () -> Alcotest.failf "%s accepted while busy" what
+    | Error e -> Alcotest.failf "%s: %s, not BUSY" what (Error.to_string e)
+  in
+  let started what = function
+    | Ok () -> ()
+    | Error (e, _) -> Alcotest.failf "%s: %s" what (Error.to_string e)
+  in
+  let aes =
+    Adaptors.aes
+      (Tock_hw.Aes_engine.create sim irq ~irq_line:1 ~cycles_per_block:10)
+  in
+  let key = Bytes.make 16 'k' and iv = Bytes.make 16 'i' in
+  ok "aes_set_key" (aes.Hil.aes_set_key key);
+  started "aes_crypt" (aes.Hil.aes_crypt Hil.A_ctr (Subslice.create 16));
+  busy "aes_set_key" (aes.Hil.aes_set_key key);
+  busy "aes_set_iv" (aes.Hil.aes_set_iv iv);
+  let digest =
+    Adaptors.digest
+      (Tock_hw.Sha_engine.create sim irq ~irq_line:2 ~cycles_per_block:10)
+  in
+  started "digest_add_data" (digest.Hil.digest_add_data (Subslice.create 64));
+  busy "digest_run" (digest.Hil.digest_run ());
+  busy "digest_set_mode" (digest.Hil.digest_set_mode Hil.D_sha256);
+  let pke =
+    Adaptors.pke
+      (Tock_hw.Pke_engine.create sim irq ~irq_line:3 ~cycles_per_verify:100)
+  in
+  let rng = Tock_crypto.Prng.create ~seed:7L in
+  let sk, pk = Tock_crypto.Schnorr.keypair rng in
+  let msg = Bytes.of_string "m" in
+  let verify () =
+    pke.Hil.pke_verify
+      ~pubkey:(Tock_crypto.Schnorr.public_key_to_bytes pk)
+      ~msg
+      ~signature:
+        (Tock_crypto.Schnorr.signature_to_bytes
+           (Tock_crypto.Schnorr.sign sk rng msg))
+  in
+  ok "pke_verify" (verify ());
+  busy "pke_verify" (verify ());
+  let adc =
+    Adaptors.adc
+      (Tock_hw.Adc.create sim irq ~irq_line:4
+         ~channels:[| (fun _ -> 0) |]
+         ~cycles_per_sample:10)
+  in
+  ok "adc_sample" (adc.Hil.adc_sample ~channel:0);
+  busy "adc_sample" (adc.Hil.adc_sample ~channel:0);
+  (* Once the operations complete, every engine accepts work again. *)
+  pump sim irq;
+  ok "aes_set_iv after" (aes.Hil.aes_set_iv iv);
+  ok "digest_set_mode after" (digest.Hil.digest_set_mode Hil.D_sha256);
+  ok "pke_verify after" (verify ());
+  ok "adc_sample after" (adc.Hil.adc_sample ~channel:0)
+
 let suite =
   [
     Alcotest.test_case "uart ownership protocol" `Quick test_uart_adaptor_ownership;
@@ -182,4 +248,6 @@ let suite =
     Alcotest.test_case "spi mux serializes" `Quick test_spi_mux_serializes;
     Alcotest.test_case "uart mux queues writers" `Quick test_uart_mux_queues_writers;
     Alcotest.test_case "pke rejects garbage" `Quick test_pke_adaptor_rejects_garbage;
+    Alcotest.test_case "busy engines answer BUSY" `Quick
+      test_busy_engines_answer_busy;
   ]

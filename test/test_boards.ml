@@ -133,6 +133,10 @@ let test_energy_sleep_dominates () =
   Alcotest.(check bool) "sleep fraction > 95%" true
     (float_of_int asleep /. float_of_int (active + asleep) > 0.95)
 
+let trace_on sim = Tock_obs.Trace.on (Tock_hw.Sim.trace_events sim)
+
+let trace_total sim = Tock_obs.Trace.total (Tock_hw.Sim.trace_events sim)
+
 let test_rot_board_defaults () =
   let rot = Tock_boards.Rot_board.create () in
   let board = rot.Tock_boards.Rot_board.board in
@@ -143,9 +147,7 @@ let test_rot_board_defaults () =
   Alcotest.(check int) "pubkey length" 8
     (Bytes.length (Tock_boards.Rot_board.public_key_bytes rot));
   Alcotest.(check bool) "no trace ring" false
-    (Tock_hw.Sim.trace_enabled board.Tock_boards.Board.sim)
-
-let trace_total sim = Tock_obs.Trace.total (Tock_hw.Sim.trace_events sim)
+    (trace_on board.Tock_boards.Board.sim)
 
 (* Signpost groups record no trace unless the caller sizes a ring:
    fleets build thousands of them and read none. *)
@@ -162,9 +164,9 @@ let test_board_trace_opt_in () =
     net.Tock_boards.Signpost_board.sim
   in
   let off = signpost None and on = signpost (Some 256) in
-  Alcotest.(check bool) "off by default" false (Tock_hw.Sim.trace_enabled off);
+  Alcotest.(check bool) "off by default" false (trace_on off);
   Alcotest.(check int) "nothing recorded" 0 (trace_total off);
-  Alcotest.(check bool) "on with a ring" true (Tock_hw.Sim.trace_enabled on);
+  Alcotest.(check bool) "on with a ring" true (trace_on on);
   Alcotest.(check bool) "events recorded" true (trace_total on > 0)
 
 (* GC hazard: [Array.make]/[Array.init] of more than 256 words with a

@@ -758,24 +758,36 @@ let test_chrome_json_roundtrip () =
 
 let test_text_timeline () =
   let sim = Tock_hw.Sim.create ~trace_capacity:64 () in
-  Tock_hw.Sim.trace sim "hello";
-  let text = Trace.to_text ~clock_hz:(Tock_hw.Sim.clock_hz sim)
-      (Tock_hw.Sim.trace_events sim) in
+  let tr = Tock_hw.Sim.trace_events sim in
+  Trace.note tr ~ts:(Tock_hw.Sim.now sim) "hello";
+  let text = Trace.to_text ~clock_hz:(Tock_hw.Sim.clock_hz sim) tr in
   check_contains ~msg:"timeline" text "hello"
 
-(* ---- legacy Sim surface rides the structured ring ---- *)
+(* ---- notes on a board's ring: exact text and cycle, drops gauged ---- *)
 
 let test_sim_note_compat () =
   let sim = Tock_hw.Sim.create ~trace_capacity:8 () in
+  let tr = Tock_hw.Sim.trace_events sim in
+  let note s = Trace.note tr ~ts:(Tock_hw.Sim.now sim) s in
+  let dropped_gauge () =
+    match
+      List.assoc_opt "sim.trace_dropped"
+        (Metrics.snapshot (Tock_hw.Sim.metrics sim))
+    with
+    | Some (Metrics.Gauge v) -> v
+    | _ -> Alcotest.fail "no sim.trace_dropped gauge"
+  in
   Tock_hw.Sim.spend sim 7;
-  Tock_hw.Sim.trace sim "mark";
-  Alcotest.(check (list (pair int string))) "recent_trace" [ (7, "mark") ]
-    (Tock_hw.Sim.recent_trace sim 5);
-  Alcotest.(check int) "no drops yet" 0 (Tock_hw.Sim.trace_dropped sim);
+  note "mark";
+  let notes = ref [] in
+  Trace.iter tr (fun e -> notes := (e.Trace.e_ts, Trace.label e) :: !notes);
+  Alcotest.(check (list (pair int string))) "note kept" [ (7, "mark") ] !notes;
+  Alcotest.(check int) "no drops yet" 0 (Trace.dropped tr);
   for i = 0 to 9 do
-    Tock_hw.Sim.trace sim (string_of_int i)
+    note (string_of_int i)
   done;
-  Alcotest.(check int) "drops counted" 3 (Tock_hw.Sim.trace_dropped sim)
+  Alcotest.(check int) "drops counted" 3 (Trace.dropped tr);
+  Alcotest.(check int) "drops gauged" 3 (dropped_gauge ())
 
 (* ---- kernel registry and the stats compatibility view ---- *)
 

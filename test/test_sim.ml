@@ -204,35 +204,44 @@ let test_cancelled_next_due () =
   Sim.spend sim 30;
   Alcotest.(check bool) "later event fired" true !fired
 
+(* Retained events as (cycle, label), oldest first. *)
+let notes tr =
+  let acc = ref [] in
+  Tock_obs.Trace.iter tr (fun e ->
+      acc := (e.Tock_obs.Trace.e_ts, Tock_obs.Trace.label e) :: !acc);
+  List.rev !acc
+
 let test_trace_disabled () =
   let sim = Sim.create ~trace_capacity:0 () in
-  Alcotest.(check bool) "disabled" false (Sim.trace_enabled sim);
-  Sim.trace sim "dropped";
-  let forced = ref false
-  in
-  Sim.tracef sim (fun () ->
-      forced := true;
-      "never built");
-  Alcotest.(check bool) "thunk not forced when disabled" false !forced;
-  Alcotest.(check (list (pair int string))) "ring empty" []
-    (Sim.recent_trace sim 10);
-  (* And the default-capacity ring does force the thunk. *)
+  let tr = Sim.trace_events sim in
+  Alcotest.(check bool) "disabled" false (Tock_obs.Trace.on tr);
+  Tock_obs.Trace.note tr ~ts:(Sim.now sim) "dropped";
+  (* The one hardware note, a write to an input pin, is skipped too. *)
+  let irq = Irq.create sim in
+  let g = Gpio.create sim irq ~irq_line:4 ~pins:2 in
+  Gpio.set g ~pin:0 true;
+  Alcotest.(check int) "nothing recorded" 0 (Tock_obs.Trace.total tr);
+  Alcotest.(check (list (pair int string))) "ring empty" [] (notes tr);
+  (* And the default-capacity ring records both. *)
   let sim2 = Sim.create () in
-  let forced2 = ref false in
-  Sim.tracef sim2 (fun () ->
-      forced2 := true;
-      "built");
-  Alcotest.(check bool) "thunk forced when enabled" true !forced2;
-  Alcotest.(check (list (pair int string))) "recorded" [ (0, "built") ]
-    (Sim.recent_trace sim2 10)
+  let tr2 = Sim.trace_events sim2 in
+  Alcotest.(check bool) "enabled by default" true (Tock_obs.Trace.on tr2);
+  let g2 = Gpio.create sim2 (Irq.create sim2) ~irq_line:4 ~pins:2 in
+  Sim.spend sim2 5;
+  Gpio.set g2 ~pin:1 true;
+  Tock_obs.Trace.note tr2 ~ts:(Sim.now sim2) "built";
+  Alcotest.(check (list (pair int string))) "recorded"
+    [ (5, "gpio: write to input pin 1 ignored"); (5, "built") ]
+    (notes tr2)
 
 let test_trace () =
   let sim = Sim.create () in
+  let tr = Sim.trace_events sim in
   Sim.spend sim 7;
-  Sim.trace sim "hello";
+  Tock_obs.Trace.note tr ~ts:(Sim.now sim) "hello";
   Sim.spend sim 3;
-  Sim.trace sim "world";
-  match Sim.recent_trace sim 10 with
+  Tock_obs.Trace.note tr ~ts:(Sim.now sim) "world";
+  match notes tr with
   | [ (7, "hello"); (10, "world") ] -> ()
   | l -> Alcotest.failf "unexpected trace (%d entries)" (List.length l)
 
@@ -249,4 +258,5 @@ let suite =
     Alcotest.test_case "mmio dsl" `Quick test_mmio;
     Alcotest.test_case "mmio bad declarations" `Quick test_mmio_bad_decl;
     Alcotest.test_case "trace ring" `Quick test_trace;
+    Alcotest.test_case "trace disabled" `Quick test_trace_disabled;
   ]
