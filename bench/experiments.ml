@@ -118,7 +118,7 @@ let fig3_composition () =
   for _ = 1 to 10 do
     (match
        Tock_hw.Spi.read_write chip.Tock_hw.Chip.spi ~cs:0
-         ~tx:(Bytes.of_string "\x01") ~len:1
+         [ (Bytes.of_string "\x01", 0, 1) ]
      with
     | Ok () -> ()
     | Error _ -> ());

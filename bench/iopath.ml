@@ -191,7 +191,10 @@ let bench_uart h ~batched_iters ~bytewise_iters =
     done;
     ignore (Tock_hw.Irq.service irq)
   in
-  let check = function Ok () -> () | Error e -> failwith ("iopath: uart: " ^ e) in
+  let check = function
+    | Ok () -> ()
+    | Error e -> failwith ("iopath: uart: " ^ Tock_hw.Completion.text e)
+  in
   let segs = [ (Bytes.make 64 'b', 0, 64) ] and byte = Bytes.make 1 'b' in
   ignore
     (Harness.time h "uart/tx-64B-batched" batched_iters (fun () ->

@@ -19,13 +19,13 @@ let rec pump t =
   | None, (vc, op) :: rest -> (
       let started =
         match op with
-        | Op_read page -> Result.map_error (fun e -> e) (t.hw.Hil.flash_read ~page)
+        | Op_read page -> t.hw.Hil.flash_read ~page
         | Op_write (page, sub) ->
             Result.map_error (fun (e, _) -> e) (t.hw.Hil.flash_write ~page sub)
         | Op_program (page, off, iov) ->
             Result.map_error (fun (e, _) -> e)
               (t.hw.Hil.flash_program ~page ~off iov)
-        | Op_erase page -> Result.map_error (fun e -> e) (t.hw.Hil.flash_erase ~page)
+        | Op_erase page -> t.hw.Hil.flash_erase ~page
       in
       match started with
       | Ok () ->

@@ -4,12 +4,24 @@
    the role the hw engines play for the other primitives. *)
 open Cells
 
-(* Every hardware refusal of a second operation while one is in flight
-   ends in "busy". *)
-let err_of_string s =
-  if String.ends_with ~suffix:"busy" s then Error.BUSY
-  else if String.starts_with ~prefix:"bad " s then Error.INVAL
-  else Error.FAIL
+let code_of_refusal : Tock_hw.Completion.refusal -> Error.t = function
+  | Busy _ -> Error.BUSY
+  | Invalid _ -> Error.INVAL
+  | Size _ -> Error.SIZE
+
+(* The in-flight protocol of every buffer-moving operation (paper §4.2):
+   while [cell] holds a buffer, a second operation is refused with BUSY
+   and [buf] comes straight back. Otherwise [start] runs the hardware:
+   on acceptance [held] waits in [cell] for the completion, on refusal
+   [buf] comes back with the refusal's code. *)
+let inflight cell ~held buf start =
+  if not (Take_cell.is_none cell) then Error (Error.BUSY, buf)
+  else
+    match start () with
+    | Ok () ->
+        Take_cell.put cell held;
+        Ok ()
+    | Error r -> Error (code_of_refusal r, buf)
 
 let alarm (hw : Tock_hw.Hw_timer.t) : Hil.alarm =
   {
@@ -18,7 +30,6 @@ let alarm (hw : Tock_hw.Hw_timer.t) : Hil.alarm =
     alarm_set =
       (fun ~reference ~dt -> Tock_hw.Hw_timer.set_alarm hw ~reference ~dt);
     alarm_disarm = (fun () -> Tock_hw.Hw_timer.disarm hw);
-    alarm_is_armed = (fun () -> Tock_hw.Hw_timer.is_armed hw);
     alarm_set_client = (fun fn -> Tock_hw.Hw_timer.set_client hw fn);
   }
 
@@ -51,23 +62,13 @@ let uart (hw : Tock_hw.Uart.t) : Hil.uart =
   {
     uart_transmit =
       (fun sub ->
-        if not (Take_cell.is_none tx_inflight) then Error (Error.BUSY, sub)
-        else
-          match Tock_hw.Uart.transmit_segs hw [ seg_of sub ] with
-          | Ok () ->
-              Take_cell.put tx_inflight sub;
-              Ok ()
-          | Error e -> Error (err_of_string e, sub));
+        inflight tx_inflight ~held:sub sub (fun () ->
+            Tock_hw.Uart.transmit_segs hw [ seg_of sub ]));
     uart_set_transmit_client = (fun fn -> tx_client := fn);
     uart_receive =
       (fun sub ->
-        if not (Take_cell.is_none rx_inflight) then Error (Error.BUSY, sub)
-        else
-          match Tock_hw.Uart.receive hw ~len:(Subslice.length sub) with
-          | Ok () ->
-              Take_cell.put rx_inflight sub;
-              Ok ()
-          | Error e -> Error (err_of_string e, sub));
+        inflight rx_inflight ~held:sub sub (fun () ->
+            Tock_hw.Uart.receive hw ~len:(Subslice.length sub)));
     uart_set_receive_client = (fun fn -> rx_client := fn);
     uart_abort_receive =
       (fun () ->
@@ -79,50 +80,43 @@ let entropy (hw : Tock_hw.Trng.t) : Hil.entropy =
   {
     entropy_request =
       (fun ~count ->
-        Result.map_error err_of_string (Tock_hw.Trng.request hw ~count));
+        Result.map_error code_of_refusal (Tock_hw.Trng.request hw ~count));
     entropy_set_client = (fun fn -> Tock_hw.Trng.set_client hw fn);
   }
 
 let digest (hw : Tock_hw.Sha_engine.t) : Hil.digest =
-  let inflight : Subslice.t Take_cell.t = Take_cell.empty () in
+  let cell : Subslice.t Take_cell.t = Take_cell.empty () in
   let data_client = ref (fun (_ : Subslice.t) -> ()) in
   let digest_client = ref (fun (_ : bytes) -> ()) in
   Tock_hw.Sha_engine.set_client hw (function
     | Tock_hw.Sha_engine.Data_done -> (
-        match Take_cell.take inflight with
+        match Take_cell.take cell with
         | Some sub -> !data_client sub
         | None -> ())
     | Tock_hw.Sha_engine.Digest_done d -> !digest_client d);
   {
     digest_set_mode =
       (fun mode ->
-        Result.map_error err_of_string
+        Result.map_error code_of_refusal
           (match mode with
           | Hil.D_sha256 -> Tock_hw.Sha_engine.set_mode_sha256 hw
           | Hil.D_hmac key -> Tock_hw.Sha_engine.set_mode_hmac hw ~key));
     digest_add_data =
       (fun sub ->
-        if not (Take_cell.is_none inflight) then Error (Error.BUSY, sub)
-        else
-          let off, len = Subslice.window sub in
-          match
-            Tock_hw.Sha_engine.add_data hw (Subslice.underlying sub) ~off ~len
-          with
-          | Ok () ->
-              Take_cell.put inflight sub;
-              Ok ()
-          | Error e -> Error (err_of_string e, sub));
+        inflight cell ~held:sub sub (fun () ->
+            let b, off, len = seg_of sub in
+            Tock_hw.Sha_engine.add_data hw b ~off ~len));
     digest_set_data_client = (fun fn -> data_client := fn);
     digest_run =
-      (fun () -> Result.map_error err_of_string (Tock_hw.Sha_engine.run hw));
+      (fun () -> Result.map_error code_of_refusal (Tock_hw.Sha_engine.run hw));
     digest_set_digest_client = (fun fn -> digest_client := fn);
   }
 
 let aes (hw : Tock_hw.Aes_engine.t) : Hil.aes =
-  let inflight : Subslice.t Take_cell.t = Take_cell.empty () in
+  let cell : Subslice.t Take_cell.t = Take_cell.empty () in
   let client = ref (fun (_ : Subslice.t) -> ()) in
   Tock_hw.Aes_engine.set_client hw (fun out ->
-      match Take_cell.take inflight with
+      match Take_cell.take cell with
       | Some sub ->
           let n = min (Bytes.length out) (Subslice.length sub) in
           Subslice.blit_from_bytes ~src:out ~src_off:0 sub ~dst_off:0 ~len:n;
@@ -130,28 +124,20 @@ let aes (hw : Tock_hw.Aes_engine.t) : Hil.aes =
       | None -> ());
   {
     aes_set_key =
-      (fun k -> Result.map_error err_of_string (Tock_hw.Aes_engine.set_key hw k));
+      (fun k -> Result.map_error code_of_refusal (Tock_hw.Aes_engine.set_key hw k));
     aes_set_iv =
-      (fun iv -> Result.map_error err_of_string (Tock_hw.Aes_engine.set_iv hw iv));
+      (fun iv -> Result.map_error code_of_refusal (Tock_hw.Aes_engine.set_iv hw iv));
     aes_crypt =
       (fun mode sub ->
-        if not (Take_cell.is_none inflight) then Error (Error.BUSY, sub)
-        else
-          let hw_mode =
-            match mode with
-            | Hil.A_ctr -> Tock_hw.Aes_engine.Ctr
-            | Hil.A_ecb_encrypt -> Tock_hw.Aes_engine.Ecb_encrypt
-            | Hil.A_ecb_decrypt -> Tock_hw.Aes_engine.Ecb_decrypt
-          in
-          let off, len = Subslice.window sub in
-          match
-            Tock_hw.Aes_engine.crypt hw ~mode:hw_mode
-              ~src:(Subslice.underlying sub) ~off ~len
-          with
-          | Ok () ->
-              Take_cell.put inflight sub;
-              Ok ()
-          | Error e -> Error (err_of_string e, sub));
+        let mode =
+          match mode with
+          | Hil.A_ctr -> Tock_hw.Aes_engine.Ctr
+          | Hil.A_ecb_encrypt -> Tock_hw.Aes_engine.Ecb_encrypt
+          | Hil.A_ecb_decrypt -> Tock_hw.Aes_engine.Ecb_decrypt
+        in
+        inflight cell ~held:sub sub (fun () ->
+            let src, off, len = seg_of sub in
+            Tock_hw.Aes_engine.crypt hw ~mode ~src ~off ~len));
     aes_set_client = (fun fn -> client := fn);
   }
 
@@ -164,91 +150,56 @@ let pke (hw : Tock_hw.Pke_engine.t) : Hil.pke =
             Tock_crypto.Schnorr.signature_of_bytes signature )
         with
         | Some pk, Some s ->
-            Result.map_error err_of_string
+            Result.map_error code_of_refusal
               (Tock_hw.Pke_engine.verify hw ~pk ~msg ~signature:s)
         | _ -> Error Error.INVAL);
     pke_set_client = (fun fn -> Tock_hw.Pke_engine.set_client hw fn);
   }
 
 let flash (hw : Tock_hw.Flash_ctrl.t) : Hil.flash =
-  let inflight : Subslice.t Take_cell.t = Take_cell.empty () in
-  let iov_inflight : Subslice.t array Take_cell.t = Take_cell.empty () in
+  (* The event the write or program in flight completes with. *)
+  let cell : Hil.flash_event Take_cell.t = Take_cell.empty () in
   let client = ref (fun (_ : Hil.flash_event) -> ()) in
-  Tock_hw.Flash_ctrl.set_client hw (fun r ->
-      match r with
-      | Tock_hw.Flash_ctrl.Read_done b -> !client (`Read_done b)
-      | Tock_hw.Flash_ctrl.Write_done -> (
-          match Take_cell.take inflight with
-          | Some sub -> !client (`Write_done sub)
-          | None -> ())
-      | Tock_hw.Flash_ctrl.Program_done -> (
-          match Take_cell.take iov_inflight with
-          | Some iov -> !client (`Program_done iov)
-          | None -> ())
-      | Tock_hw.Flash_ctrl.Erase_done -> !client `Erase_done);
+  Tock_hw.Flash_ctrl.set_client hw (function
+    | Tock_hw.Flash_ctrl.Read_done b -> !client (`Read_done b)
+    | Tock_hw.Flash_ctrl.Write_done | Tock_hw.Flash_ctrl.Program_done -> (
+        match Take_cell.take cell with
+        | Some ev -> !client ev
+        | None -> ())
+    | Tock_hw.Flash_ctrl.Erase_done -> !client `Erase_done);
   {
     flash_pages = Tock_hw.Flash_ctrl.pages hw;
     flash_page_size = Tock_hw.Flash_ctrl.page_size hw;
     flash_read =
       (fun ~page ->
-        Result.map_error err_of_string (Tock_hw.Flash_ctrl.read_page hw ~page));
+        Result.map_error code_of_refusal (Tock_hw.Flash_ctrl.read_page hw ~page));
     flash_write =
       (fun ~page sub ->
-        if not (Take_cell.is_none inflight && Take_cell.is_none iov_inflight)
-        then Error (Error.BUSY, sub)
-        else begin
-          (* Pad the window to a full page, as the DMA engine requires. *)
-          let page_buf = Bytes.make (Tock_hw.Flash_ctrl.page_size hw) '\xff' in
-          let n = min (Subslice.length sub) (Bytes.length page_buf) in
-          Subslice.blit_to_bytes sub ~src_off:0 ~dst:page_buf ~dst_off:0 ~len:n;
-          match Tock_hw.Flash_ctrl.write_page hw ~page page_buf with
-          | Ok () ->
-              Take_cell.put inflight sub;
-              Ok ()
-          | Error e -> Error (err_of_string e, sub)
-        end);
+        inflight cell ~held:(`Write_done sub) sub (fun () ->
+            Tock_hw.Flash_ctrl.write_page hw ~page [ seg_of sub ]));
     flash_program =
       (fun ~page ~off iov ->
-        if not (Take_cell.is_none inflight && Take_cell.is_none iov_inflight)
-        then Error (Error.BUSY, iov)
-        else
-          match
-            Tock_hw.Flash_ctrl.program_region hw ~page ~off (segs_of_iov iov)
-          with
-          | Ok () ->
-              Take_cell.put iov_inflight iov;
-              Ok ()
-          | Error e -> Error (err_of_string e, iov));
+        inflight cell ~held:(`Program_done iov) iov (fun () ->
+            Tock_hw.Flash_ctrl.program_region hw ~page ~off (segs_of_iov iov)));
     flash_erase =
       (fun ~page ->
-        Result.map_error err_of_string (Tock_hw.Flash_ctrl.erase_page hw ~page));
+        Result.map_error code_of_refusal (Tock_hw.Flash_ctrl.erase_page hw ~page));
     flash_set_client = (fun fn -> client := fn);
     flash_read_sync = (fun ~page -> Tock_hw.Flash_ctrl.read_page_sync hw ~page);
   }
 
 let radio (hw : Tock_hw.Radio.t) : Hil.radio =
-  let inflight : Subslice.t array Take_cell.t = Take_cell.empty () in
+  let cell : Subslice.t array Take_cell.t = Take_cell.empty () in
   let tx_client = ref (fun (_ : Subslice.t array) -> ()) in
-  let map_err e =
-    match e with
-    | "radio off" -> Error.OFF
-    | "already transmitting" -> Error.BUSY
-    | _ -> Error.SIZE
-  in
   Tock_hw.Radio.set_transmit_client hw (fun () ->
-      match Take_cell.take inflight with
+      match Take_cell.take cell with
       | Some iov -> !tx_client iov
       | None -> ());
   {
     radio_transmit_iov =
       (fun ~dest iov ->
-        if not (Take_cell.is_none inflight) then Error (Error.BUSY, iov)
-        else
-          match Tock_hw.Radio.transmit_segs hw ~dest (segs_of_iov iov) with
-          | Ok () ->
-              Take_cell.put inflight iov;
-              Ok ()
-          | Error e -> Error (map_err e, iov));
+        inflight cell ~held:iov iov (fun () ->
+            Tock_hw.Radio.transmit_segs hw ~dest (segs_of_iov iov)));
     radio_set_transmit_iov_client = (fun fn -> tx_client := fn);
     radio_set_receive_client = (fun fn -> Tock_hw.Radio.set_receive_client hw fn);
     radio_start_listening = (fun () -> Tock_hw.Radio.start_listening hw);
@@ -257,39 +208,35 @@ let radio (hw : Tock_hw.Radio.t) : Hil.radio =
   }
 
 let spi_device (hw : Tock_hw.Spi.t) ~cs : Hil.spi_device =
-  let inflight : Subslice.t Take_cell.t = Take_cell.empty () in
+  let cell : Subslice.t Take_cell.t = Take_cell.empty () in
   let client = ref (fun (_ : Subslice.t) -> ()) in
-  (* The SPI controller has a single completion callback; each device view
-     re-registers on transfer start. The virtualizer above serializes. *)
+  let on_rx ~rx =
+    match Take_cell.take cell with
+    | Some s ->
+        let n = min (Bytes.length rx) (Subslice.length s) in
+        Subslice.blit_from_bytes ~src:rx ~src_off:0 s ~dst_off:0 ~len:n;
+        !client s
+    | None -> ()
+  in
   {
     spi_transfer =
       (fun sub ->
-        if not (Take_cell.is_none inflight) then Error (Error.BUSY, sub)
-        else begin
-          Tock_hw.Spi.set_client hw (fun ~rx ->
-              match Take_cell.take inflight with
-              | Some s ->
-                  let n = min (Bytes.length rx) (Subslice.length s) in
-                  Subslice.blit_from_bytes ~src:rx ~src_off:0 s ~dst_off:0 ~len:n;
-                  !client s
-              | None -> ());
-          let tx = Subslice.to_bytes sub in
-          match Tock_hw.Spi.read_write hw ~cs ~tx ~len:(Bytes.length tx) with
-          | Ok () ->
-              Take_cell.put inflight sub;
-              Ok ()
-          | Error e -> Error (err_of_string e, sub)
-        end);
+        inflight cell ~held:sub sub (fun () ->
+            (* The controller has one completion callback: the view
+               whose transfer it accepts claims it. *)
+            let r = Tock_hw.Spi.read_write hw ~cs [ seg_of sub ] in
+            if Result.is_ok r then Tock_hw.Spi.set_client hw on_rx;
+            r));
     spi_set_client = (fun fn -> client := fn);
   }
 
 let i2c_device (hw : Tock_hw.I2c.t) ~addr : Hil.i2c_device =
-  let inflight : Subslice.t Take_cell.t = Take_cell.empty () in
+  let cell : Subslice.t Take_cell.t = Take_cell.empty () in
   let client =
     ref (fun (_ : (Subslice.t, Error.t * Subslice.t) result) -> ())
   in
   let on_complete code rx =
-    match Take_cell.take inflight with
+    match Take_cell.take cell with
     | Some sub -> (
         match code with
         | Tock_hw.I2c.Done ->
@@ -300,32 +247,28 @@ let i2c_device (hw : Tock_hw.I2c.t) ~addr : Hil.i2c_device =
         | Tock_hw.I2c.Nack -> !client (Error (Error.NOACK, sub)))
     | None -> ()
   in
+  (* The bus has one completion callback: the view whose transaction it
+     accepts claims it. *)
   let start sub op =
-    if not (Take_cell.is_none inflight) then Error (Error.BUSY, sub)
-    else begin
-      Tock_hw.I2c.set_client hw on_complete;
-      match op () with
-      | Ok () ->
-          Take_cell.put inflight sub;
-          Ok ()
-      | Error e -> Error (err_of_string e, sub)
-    end
+    inflight cell ~held:sub sub (fun () ->
+        let r = op () in
+        if Result.is_ok r then Tock_hw.I2c.set_client hw on_complete;
+        r)
   in
   {
     i2c_write =
-      (fun sub ->
-        start sub (fun () -> Tock_hw.I2c.write hw ~addr (Subslice.to_bytes sub)));
+      (fun sub -> start sub (fun () -> Tock_hw.I2c.write hw ~addr [ seg_of sub ]));
     i2c_read =
       (fun sub ->
         start sub (fun () ->
             Tock_hw.I2c.read hw ~addr ~len:(Subslice.length sub)));
     i2c_write_read =
       (fun ~write_len sub ->
-        let wl = min write_len (Subslice.length sub) in
-        let prefix = Bytes.sub (Subslice.to_bytes sub) 0 wl in
+        let b, off, len = seg_of sub in
         start sub (fun () ->
-            Tock_hw.I2c.write_read hw ~addr prefix
-              ~read_len:(Subslice.length sub)));
+            Tock_hw.I2c.write_read hw ~addr
+              [ (b, off, min write_len len) ]
+              ~read_len:len));
     i2c_set_client = (fun fn -> client := fn);
   }
 
@@ -353,6 +296,6 @@ let adc (hw : Tock_hw.Adc.t) : Hil.adc =
     adc_channels = Tock_hw.Adc.channel_count hw;
     adc_sample =
       (fun ~channel ->
-        Result.map_error err_of_string (Tock_hw.Adc.sample hw ~channel));
+        Result.map_error code_of_refusal (Tock_hw.Adc.sample hw ~channel));
     adc_set_client = (fun fn -> Tock_hw.Adc.set_client hw fn);
   }

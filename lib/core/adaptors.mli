@@ -6,8 +6,13 @@
     the job of virtualizer capsules layered on top.
 
     This module is part of the kernel's trusted base (DESIGN.md §4): it
-    holds in-flight buffers in {!Cells.Take_cell}s and performs the
-    copies real DMA would. *)
+    holds in-flight buffers in {!Cells.Take_cell}s and hands the
+    hardware the DMA descriptors of their windows; the hardware latches
+    the bytes at start. *)
+
+val code_of_refusal : Tock_hw.Completion.refusal -> Error.t
+(** The one map from a hardware refusal to the code every adaptor
+    returns: [Busy] is BUSY, [Invalid] is INVAL, [Size] is SIZE. *)
 
 val alarm : Tock_hw.Hw_timer.t -> Hil.alarm
 

@@ -3,7 +3,6 @@ type alarm = {
   alarm_frequency_hz : int;
   alarm_set : reference:int -> dt:int -> unit;
   alarm_disarm : unit -> unit;
-  alarm_is_armed : unit -> bool;
   alarm_set_client : (unit -> unit) -> unit;
 }
 

@@ -9,6 +9,16 @@
     completion callback. Holding the buffer meanwhile is the adaptor's
     job, typically in a {!Cells.Take_cell}.
 
+    An operation either starts ([Ok ()], then exactly one client call)
+    or is refused, and then no client call follows. A second operation
+    while one is in flight is BUSY. A hardware refusal
+    ({!Tock_hw.Completion.refusal}) maps to one code in every record:
+    [Busy] → BUSY, [Invalid] (a bad page, channel, count, length, key,
+    IV, ECB length, missing key or range) → INVAL, [Size] (a radio frame
+    over 127 bytes) → SIZE. The hardware latches the window's bytes at
+    start, so the caller's bytes may change while the buffer is away
+    without changing what is sent, programmed or digested.
+
     Capsules must only touch hardware through these records — never
     through [Tock_hw] directly. That rule (checked by the test suite over
     the capsule sources) is the OCaml analogue of capsules being
@@ -19,7 +29,6 @@ type alarm = {
   alarm_frequency_hz : int;
   alarm_set : reference:int -> dt:int -> unit;
   alarm_disarm : unit -> unit;
-  alarm_is_armed : unit -> bool;
   alarm_set_client : (unit -> unit) -> unit;
 }
 
@@ -76,6 +85,8 @@ type flash = {
   flash_page_size : int;
   flash_read : page:int -> (unit, Error.t) result;
   flash_write : page:int -> Subslice.t -> (unit, Error.t * Subslice.t) result;
+      (** Program a whole page: the window must be exactly
+          [flash_page_size] bytes, anything else is INVAL. *)
   flash_program :
     page:int -> off:int -> Subslice.t array ->
     (unit, Error.t * Subslice.t array) result;

@@ -19,9 +19,9 @@ let set_client t fn =
   Completion.set_client t.op (fun (channel, value) -> fn ~channel ~value)
 
 let sample t ~channel =
-  if Completion.busy t.op then Error "adc busy"
+  if Completion.busy t.op then Error (Completion.Busy "adc busy")
   else if channel < 0 || channel >= Array.length t.channels then
-    Error "bad channel"
+    Error (Completion.Invalid "bad channel")
   else
     Completion.start t.op ~delay:t.cycles_per_sample (fun () ->
         let raw = t.channels.(channel) (Sim.now t.sim) in

@@ -14,8 +14,8 @@ val create :
 
 val channel_count : t -> int
 
-val sample : t -> channel:int -> (unit, string) result
-(** Start a conversion; fails while one is in flight or for a bad
-    channel. *)
+val sample : t -> channel:int -> (unit, Completion.refusal) result
+(** Start a conversion; [Busy] while one is in flight, [Invalid] for a
+    bad channel. *)
 
 val set_client : t -> (channel:int -> value:int -> unit) -> unit

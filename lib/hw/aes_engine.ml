@@ -16,16 +16,16 @@ let create sim irq ~irq_line ~cycles_per_block =
   }
 
 let set_key t kb =
-  if Completion.busy t.op then Error "aes engine busy"
-  else if Bytes.length kb <> 16 then Error "key must be 16 bytes"
+  if Completion.busy t.op then Error (Completion.Busy "aes engine busy")
+  else if Bytes.length kb <> 16 then Error (Completion.Invalid "key must be 16 bytes")
   else begin
     t.key <- Some (Tock_crypto.Aes128.expand_key kb);
     Ok ()
   end
 
 let set_iv t iv =
-  if Completion.busy t.op then Error "aes engine busy"
-  else if Bytes.length iv <> 16 then Error "iv must be 16 bytes"
+  if Completion.busy t.op then Error (Completion.Busy "aes engine busy")
+  else if Bytes.length iv <> 16 then Error (Completion.Invalid "iv must be 16 bytes")
   else begin
     t.iv <- Bytes.copy iv;
     Ok ()
@@ -34,16 +34,16 @@ let set_iv t iv =
 let set_client t fn = Completion.set_client t.op fn
 
 let crypt t ~mode ~src ~off ~len =
-  if Completion.busy t.op then Error "aes engine busy"
+  if Completion.busy t.op then Error (Completion.Busy "aes engine busy")
   else if off < 0 || len < 0 || off + len > Bytes.length src then
-    Error "bad range"
+    Error (Completion.Invalid "bad range")
   else
     match t.key with
-    | None -> Error "no key configured"
+    | None -> Error (Completion.Invalid "no key configured")
     | Some key -> (
         match mode with
         | Ecb_encrypt | Ecb_decrypt when len mod 16 <> 0 ->
-            Error "ECB needs a multiple of 16 bytes"
+            Error (Completion.Invalid "ECB needs a multiple of 16 bytes")
         | _ ->
             let input = Bytes.sub src off len in
             let out =

@@ -7,14 +7,14 @@ type aes_mode = Ctr | Ecb_encrypt | Ecb_decrypt
 
 val create : Sim.t -> Irq.t -> irq_line:int -> cycles_per_block:int -> t
 
-val set_key : t -> bytes -> (unit, string) result
-(** 16-byte key. Fails mid-operation. *)
+val set_key : t -> bytes -> (unit, Completion.refusal) result
+(** 16-byte key. [Busy] mid-operation. *)
 
-val set_iv : t -> bytes -> (unit, string) result
+val set_iv : t -> bytes -> (unit, Completion.refusal) result
 (** 16-byte IV/counter block (CTR mode only). *)
 
 val crypt :
-  t -> mode:aes_mode -> src:bytes -> off:int -> len:int -> (unit, string) result
+  t -> mode:aes_mode -> src:bytes -> off:int -> len:int -> (unit, Completion.refusal) result
 (** Transform [len] bytes; ECB modes require a multiple of 16. Result via
     the client callback. *)
 

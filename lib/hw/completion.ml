@@ -1,3 +1,7 @@
+type refusal = Busy of string | Invalid of string | Size of string
+
+let text (Busy s | Invalid s | Size s) = s
+
 type 'a t = {
   sim : Sim.t;
   irq : Irq.t;

@@ -9,7 +9,19 @@
     [start] schedules one {!Sim.at} event; when it fires, busy clears,
     the result is computed and stored, and the line is raised. The top
     half clears the stored result before it calls the client, so a
-    client may start the next operation from inside its callback. *)
+    client may start the next operation from inside its callback.
+
+    Every split-phase op of every engine either starts ([Ok ()], then
+    exactly one client call) or is refused and schedules nothing. It
+    consumes or latches its input before [start] returns (bytes used at
+    completion are copied at start through {!gather}), so the caller
+    may reuse its buffer as soon as the call returns. *)
+
+type refusal = Busy of string | Invalid of string | Size of string
+(** Why an op did not start, with the engine's own text: one is in
+    flight, the request is malformed, or it is more than the device takes. *)
+
+val text : refusal -> string
 
 type 'a t
 
@@ -22,7 +34,7 @@ val busy : 'a t -> bool
 val set_client : 'a t -> ('a -> unit) -> unit
 (** The completion callback (interrupt context). *)
 
-val start : 'a t -> delay:int -> (unit -> 'a) -> (unit, 'e) result
+val start : 'a t -> delay:int -> (unit -> 'a) -> (unit, refusal) result
 (** Mark busy and complete [delay] cycles from now; the thunk runs at
     completion. A result known at start is captured by the thunk.
     Always [Ok ()]: callers check {!busy} first. *)

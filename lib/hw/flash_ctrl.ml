@@ -75,13 +75,12 @@ let page_mut t page =
   else p
 
 let check_page t page =
-  if page < 0 || page >= t.pages then Error "bad page"
+  if page < 0 || page >= t.pages then Error (Completion.Invalid "bad page")
   else Ok ()
 
 let read_page_sync t ~page =
-  match check_page t page with
-  | Error e -> invalid_arg ("Flash_ctrl.read_page_sync: " ^ e)
-  | Ok () -> Bytes.copy (page_of t page)
+  if page < 0 || page >= t.pages then invalid_arg "Flash_ctrl.read_page_sync: bad page";
+  Bytes.copy (page_of t page)
 
 (* NOR-program [data] into [page] from byte [off]: bits only clear, so
    a write that wanted a 1 where a 0 is stored loses data and counts as
@@ -99,34 +98,36 @@ let nor_program t ~page ~off data =
   if !lost then t.dirty_writes <- t.dirty_writes + 1
 
 let read_page t ~page =
-  if Completion.busy t.op then Error "flash busy"
+  if Completion.busy t.op then Error (Completion.Busy "flash busy")
   else
     Result.bind (check_page t page) (fun () ->
         Completion.start t.op ~delay:t.read_cycles (fun () ->
             Read_done (Bytes.copy (page_of t page))))
 
-let write_page t ~page data =
-  if Completion.busy t.op then Error "flash busy"
-  else if Bytes.length data <> t.page_size then Error "bad page buffer size"
-  else
-    Result.bind (check_page t page) (fun () ->
-        Completion.start t.op ~delay:t.write_cycles (fun () ->
-            nor_program t ~page ~off:0 data;
-            Write_done))
-
-(* Scatter-gather partial-page program: the segments are gathered into
-   the write latch at start (DMA), then NOR-programmed into
-   [off, off+total) of the page, the rest of the page untouched.
-   Program time scales with the programmed span, so a log append pays
-   for the bytes it writes, not the whole page. *)
-let program_region t ~page ~off segs =
-  if Completion.busy t.op then Error "flash busy"
+let write_page t ~page segs =
+  if Completion.busy t.op then Error (Completion.Busy "flash busy")
   else
     match Completion.gather segs with
-    | None -> Error "bad segment"
+    | Some latch when Bytes.length latch = t.page_size ->
+        Result.bind (check_page t page) (fun () ->
+            Completion.start t.op ~delay:t.write_cycles (fun () ->
+                nor_program t ~page ~off:0 latch;
+                Write_done))
+    | Some _ | None -> Error (Completion.Invalid "bad page buffer size")
+
+(* Scatter-gather partial-page program: the latched segments are
+   NOR-programmed into [off, off+total) of the page, the rest of the
+   page untouched. Program time scales with the programmed span, so a
+   log append pays for the bytes it writes, not the whole page. *)
+let program_region t ~page ~off segs =
+  if Completion.busy t.op then Error (Completion.Busy "flash busy")
+  else
+    match Completion.gather segs with
+    | None -> Error (Completion.Invalid "bad segment")
     | Some latch ->
         let total = Bytes.length latch in
-        if off < 0 || off + total > t.page_size then Error "bad program range"
+        if off < 0 || off + total > t.page_size then
+          Error (Completion.Invalid "bad program range")
         else
           Result.bind (check_page t page) (fun () ->
               let delay = max 1 (t.write_cycles * total / t.page_size) in
@@ -135,7 +136,7 @@ let program_region t ~page ~off segs =
                   Program_done))
 
 let erase_page t ~page =
-  if Completion.busy t.op then Error "flash busy"
+  if Completion.busy t.op then Error (Completion.Busy "flash busy")
   else
     Result.bind (check_page t page) (fun () ->
         Completion.start t.op ~delay:t.erase_cycles (fun () ->

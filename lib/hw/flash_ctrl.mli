@@ -24,22 +24,21 @@ val page_size : t -> int
 val read_page_sync : t -> page:int -> bytes
 (** Synchronous memory-mapped read (fresh copy). *)
 
-val read_page : t -> page:int -> (unit, string) result
+val read_page : t -> page:int -> (unit, Completion.refusal) result
 (** Asynchronous read; result via client. *)
 
-val write_page : t -> page:int -> bytes -> (unit, string) result
-(** AND-writes the full page (buffer must be exactly [page_size]).
-    Completion via client. *)
+val write_page : t -> page:int -> (bytes * int * int) list -> (unit, Completion.refusal) result
+(** AND-writes the full page from the [(buf, off, len)] segments, which
+    must total exactly [page_size] bytes. Completion via client. *)
 
 val program_region :
-  t -> page:int -> off:int -> (bytes * int * int) list -> (unit, string) result
+  t -> page:int -> off:int -> (bytes * int * int) list -> (unit, Completion.refusal) result
 (** Scatter-gather partial-page program: the [(buf, off, len)] segments
-    are gathered into the write latch at start and AND-programmed back
-    to back into the page starting at byte [off]; the rest of the page
-    is untouched. Program time scales with the programmed span.
-    Completion via client ([Program_done]). *)
+    are AND-programmed back to back into the page starting at byte
+    [off]; the rest of the page is untouched. Program time scales with
+    the programmed span. Completion via client ([Program_done]). *)
 
-val erase_page : t -> page:int -> (unit, string) result
+val erase_page : t -> page:int -> (unit, Completion.refusal) result
 
 val set_client : t -> (op_result -> unit) -> unit
 

@@ -19,12 +19,14 @@ val add_device :
   unit
 (** [on_read n] must return exactly [n] bytes. *)
 
-val write : t -> addr:int -> bytes -> (unit, string) result
-(** Begin a write transaction; completion via client callback. *)
+val write : t -> addr:int -> (bytes * int * int) list -> (unit, Completion.refusal) result
+(** Begin a transaction writing the [(buf, off, len)] segments back to
+    back; completion via client callback. *)
 
-val read : t -> addr:int -> len:int -> (unit, string) result
+val read : t -> addr:int -> len:int -> (unit, Completion.refusal) result
 
-val write_read : t -> addr:int -> bytes -> read_len:int -> (unit, string) result
+val write_read :
+  t -> addr:int -> (bytes * int * int) list -> read_len:int -> (unit, Completion.refusal) result
 (** Combined write-then-read (repeated start). *)
 
 val set_client : t -> (result_code -> bytes -> unit) -> unit

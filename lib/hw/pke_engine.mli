@@ -16,7 +16,7 @@ val verify :
   pk:Tock_crypto.Schnorr.public_key ->
   msg:bytes ->
   signature:Tock_crypto.Schnorr.signature ->
-  (unit, string) result
+  (unit, Completion.refusal) result
 (** Start a verification; the boolean verdict arrives via the client. *)
 
 val set_client : t -> (bool -> unit) -> unit

@@ -111,55 +111,51 @@ let air_cycles t len =
   (* preamble + header ~ 12 bytes of overhead per frame *)
   (len + 12) * Sim.clock_hz t.sim / bytes_per_second
 
-(* [payload] is the frame as serialized onto the air: already a private
-   copy owned by the radio (the DMA latch), never aliased by software. *)
-let transmit_air t ~dest payload =
-  let ether = t.ether in
-  if Bytes.length payload > max_payload then Error "payload too long"
-  else
-    match t.r_state with
-    | Transmitting -> Error "already transmitting"
-    | (Off | Listening) as prior ->
-        (* Transmitting from Off powers the radio up for the frame and
-           drops back to Off afterwards. *)
-        t.resume_state <- prior;
-        let len = Bytes.length payload in
-        let air = air_cycles t len in
-        let now = Sim.now t.sim in
-        (* Collision: overlap with another in-flight transmission. *)
-        let collided = now < ether.last_tx_end in
-        if collided then ether.collisions <- ether.collisions + 1;
-        ether.last_tx_end <- max ether.last_tx_end (now + air);
-        set_state t Transmitting;
-        ignore
-          (Sim.at t.sim ~delay:air (fun () ->
-               set_state t t.resume_state;
-               t.pending_tx_done <- true;
-               Irq.set_pending t.irq ~line:t.irq_line;
-               if not collided then
-                 List.iter
-                   (fun (r : radio) ->
-                     if
-                       r != t && r.r_state = Listening
-                       && (dest = broadcast || dest = r.r_addr)
-                     then
-                       if
-                         Tock_crypto.Prng.float ether.e_rng < ether.loss_prob
-                       then ether.lost <- ether.lost + 1
-                       else begin
-                         ether.delivered <- ether.delivered + 1;
-                         r.pending_rx <- (t.r_addr, payload) :: r.pending_rx;
-                         Irq.set_pending r.irq ~line:r.irq_line
-                       end)
-                   ether.radios
-               else ether.lost <- ether.lost + 1));
-        Ok ()
-
 (* Scatter-gather transmit: the frame segments (header, payload window,
    trailer) are serialized straight into the air copy — the single DMA
-   gather the hardware performs — and sent as one frame with one
-   completion interrupt. *)
+   gather the hardware performs, never aliased by software — and sent
+   as one frame with one completion interrupt. *)
 let transmit_segs t ~dest segs =
+  let ether = t.ether in
   match Completion.gather segs with
-  | None -> Error "bad segment"
-  | Some air -> transmit_air t ~dest air
+  | None -> Error (Completion.Invalid "bad segment")
+  | Some payload when Bytes.length payload > max_payload ->
+      Error (Completion.Size "payload too long")
+  | Some payload -> (
+      match t.r_state with
+      | Transmitting -> Error (Completion.Busy "already transmitting")
+      | (Off | Listening) as prior ->
+          (* Transmitting from Off powers the radio up for the frame and
+             drops back to Off afterwards. *)
+          t.resume_state <- prior;
+          let len = Bytes.length payload in
+          let air = air_cycles t len in
+          let now = Sim.now t.sim in
+          (* Collision: overlap with another in-flight transmission. *)
+          let collided = now < ether.last_tx_end in
+          if collided then ether.collisions <- ether.collisions + 1;
+          ether.last_tx_end <- max ether.last_tx_end (now + air);
+          set_state t Transmitting;
+          ignore
+            (Sim.at t.sim ~delay:air (fun () ->
+                 set_state t t.resume_state;
+                 t.pending_tx_done <- true;
+                 Irq.set_pending t.irq ~line:t.irq_line;
+                 if not collided then
+                   List.iter
+                     (fun (r : radio) ->
+                       if
+                         r != t && r.r_state = Listening
+                         && (dest = broadcast || dest = r.r_addr)
+                       then
+                         if
+                           Tock_crypto.Prng.float ether.e_rng < ether.loss_prob
+                         then ether.lost <- ether.lost + 1
+                         else begin
+                           ether.delivered <- ether.delivered + 1;
+                           r.pending_rx <- (t.r_addr, payload) :: r.pending_rx;
+                           Irq.set_pending r.irq ~line:r.irq_line
+                         end)
+                     ether.radios
+                 else ether.lost <- ether.lost + 1));
+          Ok ())

@@ -40,13 +40,13 @@ val stop : t -> unit
 (** Power the radio off (also aborts listening). *)
 
 val transmit_segs :
-  t -> dest:int -> (bytes * int * int) list -> (unit, string) result
+  t -> dest:int -> (bytes * int * int) list -> (unit, Completion.refusal) result
 (** Send one frame ([dest] = 0xFFFF broadcasts): each [(buf, off, len)]
     segment is serialized in order into the frame's air copy (the
-    hardware's own DMA gather). Fails on a malformed segment, if the
-    total exceeds 127 bytes or if already transmitting. An [Off] radio
-    powers up for the frame and returns to [Off]; a listening radio
-    resumes listening. One completion, via [set_transmit_client]. *)
+    hardware's own DMA gather). [Invalid] on a malformed segment, [Size]
+    if the total exceeds 127 bytes, [Busy] if already transmitting. An
+    [Off] radio powers up for the frame and returns to [Off]; a listening
+    radio resumes listening. One completion, via [set_transmit_client]. *)
 
 val set_transmit_client : t -> (unit -> unit) -> unit
 

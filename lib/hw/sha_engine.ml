@@ -17,24 +17,21 @@ let create sim irq ~irq_line ~cycles_per_block =
     mode = Sha (Tock_crypto.Sha256.init ());
   }
 
-let set_mode_sha256 t =
-  if Completion.busy t.op then Error "sha engine busy"
+let set_mode t mode =
+  if Completion.busy t.op then Error (Completion.Busy "sha engine busy")
   else begin
-    t.mode <- Sha (Tock_crypto.Sha256.init ());
+    t.mode <- mode ();
     Ok ()
   end
 
-let set_mode_hmac t ~key =
-  if Completion.busy t.op then Error "sha engine busy"
-  else begin
-    t.mode <- Hmac (Tock_crypto.Hmac.init ~key);
-    Ok ()
-  end
+let set_mode_sha256 t = set_mode t (fun () -> Sha (Tock_crypto.Sha256.init ()))
+
+let set_mode_hmac t ~key = set_mode t (fun () -> Hmac (Tock_crypto.Hmac.init ~key))
 
 let add_data t b ~off ~len =
-  if Completion.busy t.op then Error "sha engine busy"
+  if Completion.busy t.op then Error (Completion.Busy "sha engine busy")
   else if off < 0 || len < 0 || off + len > Bytes.length b then
-    Error "bad range"
+    Error (Completion.Invalid "bad range")
   else begin
     (match t.mode with
     | Sha h -> Tock_crypto.Sha256.feed h b ~off ~len
@@ -45,7 +42,7 @@ let add_data t b ~off ~len =
   end
 
 let run t =
-  if Completion.busy t.op then Error "sha engine busy"
+  if Completion.busy t.op then Error (Completion.Busy "sha engine busy")
   else begin
     let digest =
       match t.mode with

@@ -10,18 +10,18 @@ type t
 
 val create : Sim.t -> Irq.t -> irq_line:int -> cycles_per_block:int -> t
 
-val set_mode_sha256 : t -> (unit, string) result
+val set_mode_sha256 : t -> (unit, Completion.refusal) result
 (** Plain digest mode. Fails if an operation is mid-flight. *)
 
-val set_mode_hmac : t -> key:bytes -> (unit, string) result
+val set_mode_hmac : t -> key:bytes -> (unit, Completion.refusal) result
 
 type completion = Data_done | Digest_done of bytes
 
-val add_data : t -> bytes -> off:int -> len:int -> (unit, string) result
+val add_data : t -> bytes -> off:int -> len:int -> (unit, Completion.refusal) result
 (** Feed a chunk; the client sees [Data_done] when the *chunk* is
     absorbed. Only one chunk may be in flight. *)
 
-val run : t -> (unit, string) result
+val run : t -> (unit, Completion.refusal) result
 (** Finalize; the client sees [Digest_done digest]. *)
 
 val set_client : t -> (completion -> unit) -> unit

@@ -56,22 +56,18 @@ let set_client t fn = Completion.set_client t.op (fun rx -> fn ~rx)
 
 let mispolarized_transfers t = t.mispolarized
 
-let read_write t ~cs ~tx ~len =
-  if len < 0 || len > Bytes.length tx then Error "bad length"
-  else if Completion.busy t.op then Error "spi busy"
-  else begin
-    let tx = Bytes.sub tx 0 len in
-    let driven = cs_polarity t ~cs in
-    let rx =
-      match List.find_opt (fun d -> d.cs = cs) t.devices with
-      | Some d when d.requires = driven -> d.transfer tx
-      | Some _ ->
-          (* Device never selected: bus floats high. *)
-          t.mispolarized <- t.mispolarized + 1;
-          Bytes.make len '\xff'
-      | None -> Bytes.make len '\xff'
-    in
-    let rx = if Bytes.length rx < len then Bytes.cat rx (Bytes.make (len - Bytes.length rx) '\xff')
-             else Bytes.sub rx 0 len in
-    Completion.start t.op ~delay:(len * t.cycles_per_byte) (fun () -> rx)
-  end
+let read_write t ~cs segs =
+  match Completion.gather segs with
+  | None -> Error (Completion.Invalid "bad length")
+  | Some _ when Completion.busy t.op -> Error (Completion.Busy "spi busy")
+  | Some tx ->
+      let len = Bytes.length tx in
+      (* With no device selected, or past a short answer, the bus floats high. *)
+      let rx = Bytes.make len '\xff' in
+      (match List.find_opt (fun d -> d.cs = cs) t.devices with
+      | Some d when d.requires = cs_polarity t ~cs ->
+          let answer = d.transfer tx in
+          Bytes.blit answer 0 rx 0 (min len (Bytes.length answer))
+      | Some _ -> t.mispolarized <- t.mispolarized + 1
+      | None -> ());
+      Completion.start t.op ~delay:(len * t.cycles_per_byte) (fun () -> rx)

@@ -39,8 +39,8 @@ val configure_cs : t -> cs:int -> polarity -> (unit, string) result
 
 val cs_polarity : t -> cs:int -> polarity
 
-val read_write : t -> cs:int -> tx:bytes -> len:int -> (unit, string) result
-(** Start a full-duplex transfer of [len] bytes. Fails if busy. The
+val read_write : t -> cs:int -> (bytes * int * int) list -> (unit, Completion.refusal) result
+(** Start a full-duplex transfer of the segments, back to back. The
     response arrives via the client callback after the wire time. If the
     CS polarity does not match what the device requires, the device never
     sees the transfer and the master reads back 0xFF bytes. *)

@@ -14,8 +14,8 @@ let create sim irq ~irq_line ~cycles_per_word =
 let set_client t fn = Completion.set_client t.op fn
 
 let request t ~count =
-  if Completion.busy t.op then Error "trng busy"
-  else if count <= 0 then Error "bad count"
+  if Completion.busy t.op then Error (Completion.Busy "trng busy")
+  else if count <= 0 then Error (Completion.Invalid "bad count")
   else
     Completion.start t.op ~delay:(count * t.cycles_per_word) (fun () ->
         Array.init count (fun _ ->

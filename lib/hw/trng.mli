@@ -9,8 +9,8 @@ type t
 
 val create : Sim.t -> Irq.t -> irq_line:int -> cycles_per_word:int -> t
 
-val request : t -> count:int -> (unit, string) result
-(** Ask for [count] 32-bit words; fails if a request is outstanding. *)
+val request : t -> count:int -> (unit, Completion.refusal) result
+(** Ask for [count] 32-bit words; [Busy] if a request is outstanding. *)
 
 val set_client : t -> (int array -> unit) -> unit
 (** Delivery callback (interrupt context). *)

@@ -84,8 +84,8 @@ let tx_busy t = t.tx_inflight
    interrupt, one completion, however many segments. *)
 let transmit_segs t segs =
   match Completion.gather segs with
-  | None -> Error "bad length"
-  | Some _ when t.tx_inflight -> Error "transmit busy"
+  | None -> Error (Completion.Invalid "bad length")
+  | Some _ when t.tx_inflight -> Error (Completion.Busy "transmit busy")
   | Some latch ->
       let total = Bytes.length latch in
       t.tx_inflight <- true;
@@ -98,9 +98,7 @@ let transmit_segs t segs =
              Irq.set_pending t.irq ~line:t.irq_line));
       Ok ()
 
-let transmit t buf ~len =
-  if len < 0 || len > Bytes.length buf then Error "bad length"
-  else transmit_segs t [ (buf, 0, len) ]
+let transmit t buf ~len = transmit_segs t [ (buf, 0, len) ]
 
 (* Try to satisfy a pending receive from the FIFO. *)
 let try_complete_rx t =
@@ -128,8 +126,8 @@ let rx_inject t data =
   try_complete_rx t
 
 let receive t ~len =
-  if len <= 0 then Error "bad length"
-  else if t.rx_pending <> None then Error "receive busy"
+  if len <= 0 then Error (Completion.Invalid "bad length")
+  else if t.rx_pending <> None then Error (Completion.Busy "receive busy")
   else begin
     t.rx_pending <- Some len;
     try_complete_rx t;

@@ -38,24 +38,21 @@ val overruns : t -> int
 
 (** {2 Driver side (split-phase)} *)
 
-val transmit :
-  t -> bytes -> len:int -> (unit, string) result
-(** Begin transmitting [len] bytes (copied out of the caller's buffer, as
-    DMA would). Fails if a transmit is already in flight. Completion is
-    signalled through the client callback. *)
+val transmit : t -> bytes -> len:int -> (unit, Completion.refusal) result
+(** [transmit_segs] of the buffer's first [len] bytes. *)
 
-val transmit_segs : t -> (bytes * int * int) list -> (unit, string) result
+val transmit_segs : t -> (bytes * int * int) list -> (unit, Completion.refusal) result
 (** Scatter-gather transmit: the [(buf, off, len)] segments are
     serialized back to back into the shift-register latch and clocked
     out as one operation — one completion callback for the whole batch,
-    with [len] = total bytes. Fails on a malformed segment or if a
-    transmit is in flight. *)
+    with [len] = total bytes. [Invalid] on a malformed segment, [Busy]
+    if a transmit is in flight. *)
 
 val set_transmit_client : t -> (len:int -> unit) -> unit
 (** Runs from interrupt context when a transmit completes. *)
 
-val receive : t -> len:int -> (unit, string) result
-(** Begin receiving exactly [len] bytes. Fails if a receive is already
+val receive : t -> len:int -> (unit, Completion.refusal) result
+(** Begin receiving exactly [len] bytes. [Busy] if a receive is already
     pending. *)
 
 val set_receive_client : t -> (bytes -> unit) -> unit

@@ -496,12 +496,12 @@ let test_flash_counters_survive_thaw () =
         ignore
           (Tock_boards.Board.run_until b (fun () ->
                not (Tock_hw.Flash_ctrl.busy flash)))
-    | Error e -> Alcotest.failf "flash: %s" e
+    | Error e -> Alcotest.failf "flash: %s" (Tock_hw.Completion.text e)
   in
-  settle (Tock_hw.Flash_ctrl.write_page flash ~page:100 (Bytes.make 512 '\x00'));
-  settle (Tock_hw.Flash_ctrl.write_page flash ~page:100 (Bytes.make 512 '\xff'));
+  settle (Tock_hw.Flash_ctrl.write_page flash ~page:100 [ (Bytes.make 512 '\x00', 0, 512) ]);
+  settle (Tock_hw.Flash_ctrl.write_page flash ~page:100 [ (Bytes.make 512 '\xff', 0, 512) ]);
   settle (Tock_hw.Flash_ctrl.erase_page flash ~page:100);
-  settle (Tock_hw.Flash_ctrl.write_page flash ~page:101 (Bytes.make 512 '\x5a'));
+  settle (Tock_hw.Flash_ctrl.write_page flash ~page:101 [ (Bytes.make 512 '\x5a', 0, 512) ]);
   let rec park () =
     let now = Tock_hw.Sim.now b.Tock_boards.Board.sim in
     match Tock.Kernel.run_to_deadline k ~cap ~deadline:(now + 10_000) with

@@ -26,10 +26,10 @@ let test_uart_tx () =
   Uart.set_transmit_client u (fun ~len -> done_len := len);
   (match Uart.transmit u (Bytes.of_string "hello") ~len:5 with
   | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Completion.text e));
   Alcotest.(check bool) "busy while sending" true (Uart.tx_busy u);
   (match Uart.transmit u (Bytes.of_string "x") ~len:1 with
-  | Error "transmit busy" -> ()
+  | Error (Completion.Busy "transmit busy") -> ()
   | _ -> Alcotest.fail "second transmit should be busy");
   let t0 = Sim.now sim in
   pump sim;
@@ -47,7 +47,7 @@ let test_uart_rx_and_overrun () =
   Uart.set_receive_client u (fun b -> got := b);
   (* Inject before any receive: bytes buffer in the 64-byte FIFO. *)
   Uart.rx_inject u (Bytes.of_string "abc");
-  (match Uart.receive u ~len:2 with Ok () -> () | Error e -> Alcotest.fail e);
+  (match Uart.receive u ~len:2 with Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   pump sim;
   ignore (Irq.service irq);
   Alcotest.(check string) "fifo satisfies receive" "ab" (Bytes.to_string !got);
@@ -86,14 +86,14 @@ let test_spi_polarity () =
   let got = ref Bytes.empty in
   Spi.set_client spi (fun ~rx -> got := rx);
   (* Good transfer to the active-low device. *)
-  (match Spi.read_write spi ~cs:0 ~tx:(Bytes.of_string "\x01\x02") ~len:2 with
-  | Ok () -> () | Error e -> Alcotest.fail e);
+  (match Spi.read_write spi ~cs:0 [ (Bytes.of_string "\x01\x02", 0, 2) ] with
+  | Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   pump sim;
   ignore (Irq.service irq);
   Alcotest.(check string) "device answered" "\xfe\xfd" (Bytes.to_string !got);
   (* Mis-polarized: device at cs 1 needs active-high, we drive low. *)
-  (match Spi.read_write spi ~cs:1 ~tx:(Bytes.of_string "\x55") ~len:1 with
-  | Ok () -> () | Error e -> Alcotest.fail e);
+  (match Spi.read_write spi ~cs:1 [ (Bytes.of_string "\x55", 0, 1) ] with
+  | Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   pump sim;
   ignore (Irq.service irq);
   Alcotest.(check string) "bus floats high" "\xff" (Bytes.to_string !got);
@@ -110,8 +110,8 @@ let test_i2c () =
     ~on_read:(fun n -> Bytes.make n 'r');
   let result = ref None in
   I2c.set_client bus (fun code rx -> result := Some (code, rx));
-  (match I2c.write_read bus ~addr:0x42 (Bytes.of_string "W") ~read_len:3 with
-  | Ok () -> () | Error e -> Alcotest.fail e);
+  (match I2c.write_read bus ~addr:0x42 [ (Bytes.of_string "W", 0, 1) ] ~read_len:3 with
+  | Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   pump sim;
   ignore (Irq.service irq);
   (match !result with
@@ -120,7 +120,7 @@ let test_i2c () =
       Alcotest.(check string) "wrote" "W" (Bytes.to_string !written)
   | _ -> Alcotest.fail "transaction failed");
   (* Missing device NACKs. *)
-  (match I2c.read bus ~addr:0x7F ~len:1 with Ok () -> () | Error e -> Alcotest.fail e);
+  (match I2c.read bus ~addr:0x7F ~len:1 with Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   pump sim;
   ignore (Irq.service irq);
   (match !result with
@@ -213,7 +213,7 @@ let test_trng () =
   let t = Trng.create sim irq ~irq_line:6 ~cycles_per_word:50 in
   let got = ref [||] in
   Trng.set_client t (fun w -> got := w);
-  (match Trng.request t ~count:4 with Ok () -> () | Error e -> Alcotest.fail e);
+  (match Trng.request t ~count:4 with Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   (match Trng.request t ~count:1 with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "busy accepted");
@@ -237,17 +237,17 @@ let test_flash_nor_semantics () =
     (Bytes.get (Flash_ctrl.read_page_sync f ~page:0) 0);
   let page = Bytes.make 64 '\xff' in
   Bytes.set page 0 '\x0f';
-  (match Flash_ctrl.write_page f ~page:0 page with Ok () -> () | Error e -> Alcotest.fail e);
+  (match Flash_ctrl.write_page f ~page:0 [ (page, 0, 64) ] with Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   pump sim; ignore (Irq.service irq);
   (* AND semantics: writing 0xf0 over 0x0f gives 0x00, and counts as a
      dirty write (data lost). *)
   Bytes.set page 0 '\xf0';
-  (match Flash_ctrl.write_page f ~page:0 page with Ok () -> () | Error e -> Alcotest.fail e);
+  (match Flash_ctrl.write_page f ~page:0 [ (page, 0, 64) ] with Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   pump sim; ignore (Irq.service irq);
   Alcotest.(check char) "AND write" '\x00'
     (Bytes.get (Flash_ctrl.read_page_sync f ~page:0) 0);
   Alcotest.(check int) "dirty writes counted" 1 (Flash_ctrl.dirty_writes f);
-  (match Flash_ctrl.erase_page f ~page:0 with Ok () -> () | Error e -> Alcotest.fail e);
+  (match Flash_ctrl.erase_page f ~page:0 with Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   pump sim; ignore (Irq.service irq);
   Alcotest.(check char) "erase restores" '\xff'
     (Bytes.get (Flash_ctrl.read_page_sync f ~page:0) 0);
@@ -266,7 +266,7 @@ let test_radio_delivery () =
   Radio.start_listening b;
   Radio.start_listening a;
   (match Radio.transmit_segs a ~dest:0xB [ (Bytes.of_string "ping", 0, 4) ] with
-  | Ok () -> () | Error e -> Alcotest.fail e);
+  | Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   Alcotest.(check bool) "transmitting" true (Radio.state a = Radio.Transmitting);
   pump sim;
   ignore (Irq.service irq_a);
@@ -278,14 +278,14 @@ let test_radio_delivery () =
   (* Unicast filtering: a frame to someone else is not delivered. *)
   got := None;
   (match Radio.transmit_segs a ~dest:0xC [ (Bytes.of_string "nope", 0, 4) ] with
-  | Ok () -> () | Error e -> Alcotest.fail e);
+  | Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   pump sim;
   ignore (Irq.service irq_b);
   Alcotest.(check bool) "filtered" true (!got = None);
   (* Off radio can still transmit (powers up for the frame). *)
   Radio.stop a;
   (match Radio.transmit_segs a ~dest:0xB [ (Bytes.of_string "x", 0, 1) ] with
-  | Ok () -> () | Error e -> Alcotest.fail e);
+  | Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   pump sim;
   Alcotest.(check bool) "back off after tx" true (Radio.state a = Radio.Off)
 
@@ -300,9 +300,9 @@ let test_sensors () =
   I2c.set_client bus (fun code rx -> result := Some (code, rx));
   (match
      I2c.write_read bus ~addr:(Sensors.i2c_addr Sensors.Temperature)
-       (Bytes.of_string "\x00") ~read_len:2
+       [ (Bytes.of_string "\x00", 0, 1) ] ~read_len:2
    with
-  | Ok () -> () | Error e -> Alcotest.fail e);
+  | Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   pump sim;
   ignore (Irq.service irq);
   match !result with
@@ -339,7 +339,7 @@ let engines_record () =
   in
   let result tag = function
     | Ok () -> log "%s ok" tag
-    | Error e -> log "%s error: %s" tag e
+    | Error e -> log "%s error: %s" tag (Completion.text e)
   in
   let digest b = Digest.to_hex (Digest.bytes b) in
   let steps : (unit -> int) Queue.t = Queue.create () in
@@ -364,7 +364,7 @@ let engines_record () =
         List.iter (fun (t, f) -> result (tag ^ " while busy: " ^ t) (f ())) again;
         1
     | Error e ->
-        log "%s error: %s" tag e;
+        log "%s error: %s" tag (Completion.text e);
         0
   in
   let step f = Queue.add f steps in
@@ -478,6 +478,7 @@ let engines_record () =
   Radio.set_receive_client rb (fun ~src b -> log "radio b rx %04x %S" src (Bytes.to_string b));
   Radio.set_receive_client ra (fun ~src b -> log "radio a rx %04x %S" src (Bytes.to_string b));
   let bytes_of s = Bytes.of_string s in
+  let seg s = [ (bytes_of s, 0, String.length s) ] in
   (* ADC: every channel, a bad channel, a sample while busy. *)
   for ch = 0 to 2 do
     step (fun () ->
@@ -528,13 +529,13 @@ let engines_record () =
         (fun () -> Flash_ctrl.read_page flash ~page:0)
         [ ("read", fun () -> Flash_ctrl.read_page flash ~page:1) ]);
   step (fun () ->
-      result "flash write short" (Flash_ctrl.write_page flash ~page:1 (bytes_of "x"));
-      result "flash write bad page" (Flash_ctrl.write_page flash ~page:4 page);
+      result "flash write short" (Flash_ctrl.write_page flash ~page:1 (seg "x"));
+      result "flash write bad page" (Flash_ctrl.write_page flash ~page:4 [ (page, 0, 64) ]);
       start "flash write 1"
-        (fun () -> Flash_ctrl.write_page flash ~page:1 page)
+        (fun () -> Flash_ctrl.write_page flash ~page:1 [ (page, 0, 64) ])
         [
           ("erase", fun () -> Flash_ctrl.erase_page flash ~page:1);
-          ("write", fun () -> Flash_ctrl.write_page flash ~page:2 page);
+          ("write", fun () -> Flash_ctrl.write_page flash ~page:2 [ (page, 0, 64) ]);
         ]);
   let segs = [ (bytes_of "\x0f\x1e\x2d", 0, 3); (bytes_of "abcdef", 1, 4) ] in
   step (fun () ->
@@ -555,7 +556,7 @@ let engines_record () =
         [ ("program", fun () -> Flash_ctrl.program_region flash ~page:2 ~off:0 segs) ]);
   step (fun () ->
       start "flash rewrite 1"
-        (fun () -> Flash_ctrl.write_page flash ~page:1 (Bytes.make 64 '\xff'))
+        (fun () -> Flash_ctrl.write_page flash ~page:1 [ (Bytes.make 64 '\xff', 0, 64) ])
         []);
   step (fun () ->
       start "flash erase 1"
@@ -567,16 +568,16 @@ let engines_record () =
     (fun addr ->
       step (fun () ->
           start (Printf.sprintf "i2c write %02x" addr)
-            (fun () -> I2c.write i2c ~addr (bytes_of "\x01\x02"))
+            (fun () -> I2c.write i2c ~addr (seg "\x01\x02"))
             [ ("read", fun () -> I2c.read i2c ~addr ~len:1) ]);
       step (fun () ->
           start (Printf.sprintf "i2c read %02x" addr)
             (fun () -> I2c.read i2c ~addr ~len:3)
-            [ ("write_read", fun () -> I2c.write_read i2c ~addr (bytes_of "\x00") ~read_len:1) ]);
+            [ ("write_read", fun () -> I2c.write_read i2c ~addr (seg "\x00") ~read_len:1) ]);
       step (fun () ->
           start (Printf.sprintf "i2c write_read %02x" addr)
-            (fun () -> I2c.write_read i2c ~addr (bytes_of "\x05\x06") ~read_len:2)
-            [ ("write", fun () -> I2c.write i2c ~addr (bytes_of "\x07")) ]))
+            (fun () -> I2c.write_read i2c ~addr (seg "\x05\x06") ~read_len:2)
+            [ ("write", fun () -> I2c.write i2c ~addr (seg "\x07")) ]))
     [ 0x42; 0x13 ];
   step (fun () -> start "i2c read 0" (fun () -> I2c.read i2c ~addr:0x42 ~len:0) []);
   (* PKE: a good and a bad signature. *)
@@ -626,8 +627,8 @@ let engines_record () =
     (fun (cs, len) ->
       step (fun () ->
           start (Printf.sprintf "spi cs%d len%d" cs len)
-            (fun () -> Spi.read_write spi ~cs ~tx ~len)
-            [ ("read_write", fun () -> Spi.read_write spi ~cs:0 ~tx ~len:1) ]))
+            (fun () -> Spi.read_write spi ~cs [ (tx, 0, len) ])
+            [ ("read_write", fun () -> Spi.read_write spi ~cs:0 [ (tx, 0, 1) ]) ]))
     [ (0, 4); (1, 4); (2, 4); (5, 2); (0, 9) ];
   (* TRNG *)
   step (fun () ->
@@ -672,10 +673,10 @@ let engines_record () =
           (fun () ->
             Aes_engine.crypt aes ~mode:Aes_engine.Ctr ~src:plain ~off:0 ~len:32);
           (fun () -> Flash_ctrl.program_region flash ~page:3 ~off:5 segs);
-          (fun () -> I2c.write i2c ~addr:0x42 (bytes_of "\x09"));
+          (fun () -> I2c.write i2c ~addr:0x42 (seg "\x09"));
           (fun () -> Pke_engine.verify pke ~pk ~msg ~signature);
           (fun () -> Sha_engine.add_data sha data ~off:0 ~len:128);
-          (fun () -> Spi.read_write spi ~cs:0 ~tx ~len:2);
+          (fun () -> Spi.read_write spi ~cs:0 [ (tx, 0, 2) ]);
           (fun () -> Trng.request trng ~count:2);
           (fun () -> Uart.transmit_segs uart segs);
           (fun () -> Radio.transmit_segs ra ~dest:0xB segs);
@@ -685,12 +686,12 @@ let engines_record () =
   step (fun () ->
       burst "tie"
         [
-          (fun () -> I2c.write i2c ~addr:0x42 (bytes_of "\x0a"));
+          (fun () -> I2c.write i2c ~addr:0x42 (seg "\x0a"));
           (fun () -> Adc.sample adc ~channel:0);
           (fun () -> Sha_engine.add_data sha data ~off:0 ~len:64);
           (fun () ->
             Aes_engine.crypt aes ~mode:Aes_engine.Ctr ~src:plain ~off:0 ~len:32);
-          (fun () -> Spi.read_write spi ~cs:0 ~tx ~len:4);
+          (fun () -> Spi.read_write spi ~cs:0 [ (tx, 0, 4) ]);
           (fun () -> Trng.request trng ~count:1);
         ]);
   advance ();
