@@ -4,6 +4,8 @@
    the role the hw engines play for the other primitives. *)
 open Cells
 
+(* The one map from a hardware refusal to the code every adaptor
+   returns. *)
 let code_of_refusal : Tock_hw.Completion.refusal -> Error.t = function
   | Busy _ -> Error.BUSY
   | Invalid _ -> Error.INVAL

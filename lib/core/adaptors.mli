@@ -10,10 +10,6 @@
     hardware the DMA descriptors of their windows; the hardware latches
     the bytes at start. *)
 
-val code_of_refusal : Tock_hw.Completion.refusal -> Error.t
-(** The one map from a hardware refusal to the code every adaptor
-    returns: [Busy] is BUSY, [Invalid] is INVAL, [Size] is SIZE. *)
-
 val alarm : Tock_hw.Hw_timer.t -> Hil.alarm
 
 val uart : Tock_hw.Uart.t -> Hil.uart

@@ -10,12 +10,15 @@
     job, typically in a {!Cells.Take_cell}.
 
     An operation either starts ([Ok ()], then exactly one client call)
-    or is refused, and then no client call follows. A second operation
-    while one is in flight is BUSY. A hardware refusal
+    or is refused, and then no client call follows. It is in flight
+    until its client call begins (or [uart_abort_receive] ends a
+    receive), and a second operation meanwhile is BUSY, also from
+    another view of the same SPI or I2C controller. A hardware refusal
     ({!Tock_hw.Completion.refusal}) maps to one code in every record:
     [Busy] → BUSY, [Invalid] (a bad page, channel, count, length, key,
-    IV, ECB length, missing key or range) → INVAL, [Size] (a radio frame
-    over 127 bytes) → SIZE. The hardware latches the window's bytes at
+    IV, ECB length, missing key or range, or a [flash_write] window that
+    is not exactly one page) → INVAL, [Size] (a radio frame over 127
+    bytes) → SIZE. The hardware latches the window's bytes at
     start, so the caller's bytes may change while the buffer is away
     without changing what is sent, programmed or digested.
 

@@ -15,21 +15,15 @@ let create sim irq ~irq_line ~cycles_per_block =
     iv = Bytes.make 16 '\x00';
   }
 
-let set_key t kb =
+(* Load a 16-byte key or IV ([what]) while no operation is in flight. *)
+let load t ~what b set =
   if Completion.busy t.op then Error (Completion.Busy "aes engine busy")
-  else if Bytes.length kb <> 16 then Error (Completion.Invalid "key must be 16 bytes")
-  else begin
-    t.key <- Some (Tock_crypto.Aes128.expand_key kb);
-    Ok ()
-  end
+  else if Bytes.length b <> 16 then Error (Completion.Invalid (what ^ " must be 16 bytes"))
+  else Ok (set b)
 
-let set_iv t iv =
-  if Completion.busy t.op then Error (Completion.Busy "aes engine busy")
-  else if Bytes.length iv <> 16 then Error (Completion.Invalid "iv must be 16 bytes")
-  else begin
-    t.iv <- Bytes.copy iv;
-    Ok ()
-  end
+let set_key t kb = load t ~what:"key" kb (fun kb -> t.key <- Some (Tock_crypto.Aes128.expand_key kb))
+
+let set_iv t iv = load t ~what:"iv" iv (fun iv -> t.iv <- Bytes.copy iv)
 
 let set_client t fn = Completion.set_client t.op fn
 

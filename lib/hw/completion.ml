@@ -19,6 +19,7 @@ let create sim irq ~line ~name =
       match t.completed with
       | Some r ->
           t.completed <- None;
+          t.busy <- false;
           t.client r
       | None -> ());
   Irq.enable irq ~line;
@@ -32,7 +33,6 @@ let start t ~delay result =
   t.busy <- true;
   ignore
     (Sim.at t.sim ~delay (fun () ->
-         t.busy <- false;
          t.completed <- Some (result ());
          Irq.set_pending t.irq ~line:t.line));
   Ok ()

@@ -6,16 +6,17 @@
     for every engine with one operation in flight: the busy flag, the
     result waiting for the top half, the client and the interrupt line.
 
-    [start] schedules one {!Sim.at} event; when it fires, busy clears,
-    the result is computed and stored, and the line is raised. The top
-    half clears the stored result before it calls the client, so a
-    client may start the next operation from inside its callback.
+    [start] schedules one {!Sim.at} event; when it fires, the result is
+    computed and stored and the line is raised. The top half clears the
+    result and busy before it calls the client, so a client may start
+    the next operation from inside its callback.
 
     Every split-phase op of every engine either starts ([Ok ()], then
-    exactly one client call) or is refused and schedules nothing. It
+    exactly one client call) or is refused and schedules nothing, and
+    until that client call begins a second op is refused [Busy]. It
     consumes or latches its input before [start] returns (bytes used at
-    completion are copied at start through {!gather}), so the caller
-    may reuse its buffer as soon as the call returns. *)
+    completion are copied at start through {!gather}), so the caller may
+    reuse its buffer as soon as the call returns. *)
 
 type refusal = Busy of string | Invalid of string | Size of string
 (** Why an op did not start, with the engine's own text: one is in
@@ -30,6 +31,7 @@ val create : Sim.t -> Irq.t -> line:int -> name:string -> 'a t
     series is [irq.<name>.serviced]). *)
 
 val busy : 'a t -> bool
+(** From {!start} until the top half takes the result. *)
 
 val set_client : 'a t -> ('a -> unit) -> unit
 (** The completion callback (interrupt context). *)

@@ -79,8 +79,9 @@ let check_page t page =
   else Ok ()
 
 let read_page_sync t ~page =
-  if page < 0 || page >= t.pages then invalid_arg "Flash_ctrl.read_page_sync: bad page";
-  Bytes.copy (page_of t page)
+  match check_page t page with
+  | Error r -> invalid_arg ("Flash_ctrl.read_page_sync: " ^ Completion.text r)
+  | Ok () -> Bytes.copy (page_of t page)
 
 (* NOR-program [data] into [page] from byte [off]: bits only clear, so
    a write that wanted a 1 where a 0 is stored loses data and counts as

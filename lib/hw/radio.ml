@@ -121,41 +121,37 @@ let transmit_segs t ~dest segs =
   | None -> Error (Completion.Invalid "bad segment")
   | Some payload when Bytes.length payload > max_payload ->
       Error (Completion.Size "payload too long")
-  | Some payload -> (
-      match t.r_state with
-      | Transmitting -> Error (Completion.Busy "already transmitting")
-      | (Off | Listening) as prior ->
-          (* Transmitting from Off powers the radio up for the frame and
-             drops back to Off afterwards. *)
-          t.resume_state <- prior;
-          let len = Bytes.length payload in
-          let air = air_cycles t len in
-          let now = Sim.now t.sim in
-          (* Collision: overlap with another in-flight transmission. *)
-          let collided = now < ether.last_tx_end in
-          if collided then ether.collisions <- ether.collisions + 1;
-          ether.last_tx_end <- max ether.last_tx_end (now + air);
-          set_state t Transmitting;
-          ignore
-            (Sim.at t.sim ~delay:air (fun () ->
-                 set_state t t.resume_state;
-                 t.pending_tx_done <- true;
-                 Irq.set_pending t.irq ~line:t.irq_line;
-                 if not collided then
-                   List.iter
-                     (fun (r : radio) ->
-                       if
-                         r != t && r.r_state = Listening
-                         && (dest = broadcast || dest = r.r_addr)
-                       then
-                         if
-                           Tock_crypto.Prng.float ether.e_rng < ether.loss_prob
-                         then ether.lost <- ether.lost + 1
-                         else begin
-                           ether.delivered <- ether.delivered + 1;
-                           r.pending_rx <- (t.r_addr, payload) :: r.pending_rx;
-                           Irq.set_pending r.irq ~line:r.irq_line
-                         end)
-                     ether.radios
-                 else ether.lost <- ether.lost + 1));
-          Ok ())
+  | Some _ when t.r_state = Transmitting || t.pending_tx_done ->
+      (* In the air, or sent with its completion awaiting the top half. *)
+      Error (Completion.Busy "already transmitting")
+  | Some payload ->
+      (* Transmitting from Off powers the radio up for the frame and
+         drops back to Off afterwards. *)
+      t.resume_state <- t.r_state;
+      let air = air_cycles t (Bytes.length payload) in
+      let now = Sim.now t.sim in
+      (* Collision: overlap with another in-flight transmission. *)
+      let collided = now < ether.last_tx_end in
+      if collided then ether.collisions <- ether.collisions + 1;
+      ether.last_tx_end <- max ether.last_tx_end (now + air);
+      set_state t Transmitting;
+      ignore
+        (Sim.at t.sim ~delay:air (fun () ->
+             set_state t t.resume_state;
+             t.pending_tx_done <- true;
+             Irq.set_pending t.irq ~line:t.irq_line;
+             if not collided then
+               List.iter
+                 (fun (r : radio) ->
+                   if r != t && r.r_state = Listening && (dest = broadcast || dest = r.r_addr)
+                   then
+                     if Tock_crypto.Prng.float ether.e_rng < ether.loss_prob then
+                       ether.lost <- ether.lost + 1
+                     else begin
+                       ether.delivered <- ether.delivered + 1;
+                       r.pending_rx <- (t.r_addr, payload) :: r.pending_rx;
+                       Irq.set_pending r.irq ~line:r.irq_line
+                     end)
+                 ether.radios
+             else ether.lost <- ether.lost + 1));
+      Ok ()

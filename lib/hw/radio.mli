@@ -44,9 +44,9 @@ val transmit_segs :
 (** Send one frame ([dest] = 0xFFFF broadcasts): each [(buf, off, len)]
     segment is serialized in order into the frame's air copy (the
     hardware's own DMA gather). [Invalid] on a malformed segment, [Size]
-    if the total exceeds 127 bytes, [Busy] if already transmitting. An
-    [Off] radio powers up for the frame and returns to [Off]; a listening
-    radio resumes listening. One completion, via [set_transmit_client]. *)
+    if the total exceeds 127 bytes, [Busy] until the last frame's top
+    half has run. An [Off] radio powers up for the frame and returns to
+    [Off], a listening one resumes. One completion, via [set_transmit_client]. *)
 
 val set_transmit_client : t -> (unit -> unit) -> unit
 

@@ -2,6 +2,10 @@ type parity = No_parity | Even | Odd
 
 let fifo_capacity = 64
 
+(* A receive, until its client call or abort: waiting for the FIFO to
+   hold the wanted length, for the last byte's wire time, for the top half. *)
+type rx = Rx_idle | Rx_waiting of int | Rx_arriving of Event_queue.handle | Rx_arrived of bytes
+
 type t = {
   sim : Sim.t;
   irq : Irq.t;
@@ -11,12 +15,11 @@ type t = {
   mutable tx_sink : bytes -> unit;
   mutable tx_client : len:int -> unit;
   mutable rx_client : bytes -> unit;
-  mutable tx_inflight : bool;
-  mutable rx_pending : int option; (* wanted length *)
+  mutable tx_inflight : bool; (* until the top half takes [completed_tx] *)
+  mutable rx : rx;
   fifo : Buffer.t;
   mutable overruns : int;
   mutable completed_tx : (int * bytes) option; (* len waiting for top half *)
-  mutable completed_rx : bytes option;
   meter : Sim.meter;
 }
 
@@ -32,11 +35,10 @@ let create sim irq ~irq_line ~name =
       tx_client = (fun ~len:_ -> ());
       rx_client = ignore;
       tx_inflight = false;
-      rx_pending = None;
+      rx = Rx_idle;
       fifo = Buffer.create fifo_capacity;
       overruns = 0;
       completed_tx = None;
-      completed_rx = None;
       meter = Sim.meter sim ~name;
     }
   in
@@ -44,14 +46,15 @@ let create sim irq ~irq_line ~name =
       (match t.completed_tx with
       | Some (len, data) ->
           t.completed_tx <- None;
+          t.tx_inflight <- false;
           t.tx_sink data;
           t.tx_client ~len
       | None -> ());
-      match t.completed_rx with
-      | Some data ->
-          t.completed_rx <- None;
+      match t.rx with
+      | Rx_arrived data ->
+          t.rx <- Rx_idle;
           t.rx_client data
-      | None -> ());
+      | Rx_idle | Rx_waiting _ | Rx_arriving _ -> ());
   Irq.enable irq ~line:irq_line;
   t
 
@@ -92,7 +95,6 @@ let transmit_segs t segs =
       Sim.meter_set_ua t.sim t.meter 1500;
       ignore
         (Sim.at t.sim ~delay:(total * cycles_per_byte t) (fun () ->
-             t.tx_inflight <- false;
              Sim.meter_set_ua t.sim t.meter 0;
              t.completed_tx <- Some (total, latch);
              Irq.set_pending t.irq ~line:t.irq_line));
@@ -100,21 +102,21 @@ let transmit_segs t segs =
 
 let transmit t buf ~len = transmit_segs t [ (buf, 0, len) ]
 
-(* Try to satisfy a pending receive from the FIFO. *)
+(* Try to satisfy a waiting receive from the FIFO. *)
 let try_complete_rx t =
-  match t.rx_pending with
-  | Some wanted when Buffer.length t.fifo >= wanted ->
+  match t.rx with
+  | Rx_waiting wanted when Buffer.length t.fifo >= wanted ->
       let all = Buffer.to_bytes t.fifo in
       let data = Bytes.sub all 0 wanted in
       let rest = Bytes.sub all wanted (Bytes.length all - wanted) in
       Buffer.clear t.fifo;
       Buffer.add_bytes t.fifo rest;
-      t.rx_pending <- None;
       (* Model the wire time of the last byte arriving. *)
-      ignore
-        (Sim.at t.sim ~delay:(cycles_per_byte t) (fun () ->
-             t.completed_rx <- Some data;
-             Irq.set_pending t.irq ~line:t.irq_line))
+      t.rx <-
+        Rx_arriving
+          (Sim.at t.sim ~delay:(cycles_per_byte t) (fun () ->
+               t.rx <- Rx_arrived data;
+               Irq.set_pending t.irq ~line:t.irq_line))
   | _ -> ()
 
 let rx_inject t data =
@@ -126,12 +128,14 @@ let rx_inject t data =
   try_complete_rx t
 
 let receive t ~len =
-  if len <= 0 then Error (Completion.Invalid "bad length")
-  else if t.rx_pending <> None then Error (Completion.Busy "receive busy")
-  else begin
-    t.rx_pending <- Some len;
-    try_complete_rx t;
-    Ok ()
-  end
+  match t.rx with
+  | _ when len <= 0 -> Error (Completion.Invalid "bad length")
+  | Rx_waiting _ | Rx_arriving _ | Rx_arrived _ -> Error (Completion.Busy "receive busy")
+  | Rx_idle ->
+      t.rx <- Rx_waiting len;
+      try_complete_rx t;
+      Ok ()
 
-let abort_receive t = t.rx_pending <- None
+let abort_receive t =
+  (match t.rx with Rx_arriving wire -> Sim.cancel t.sim wire | _ -> ());
+  t.rx <- Rx_idle

@@ -52,13 +52,15 @@ val set_transmit_client : t -> (len:int -> unit) -> unit
 (** Runs from interrupt context when a transmit completes. *)
 
 val receive : t -> len:int -> (unit, Completion.refusal) result
-(** Begin receiving exactly [len] bytes. [Busy] if a receive is already
-    pending. *)
+(** Begin receiving exactly [len] bytes. [Busy] from an accepted
+    receive until its client call begins or it is aborted. *)
 
 val set_receive_client : t -> (bytes -> unit) -> unit
 (** Runs from interrupt context with the received bytes. *)
 
 val abort_receive : t -> unit
-(** Cancel a pending receive; already-buffered bytes stay in the FIFO. *)
+(** Cancel the receive, if any, and its client call; bytes it already
+    took from the FIFO are dropped, the rest stay. *)
 
 val tx_busy : t -> bool
+(** From an accepted transmit until the top half takes its completion. *)

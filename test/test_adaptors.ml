@@ -173,12 +173,42 @@ let test_pke_adaptor_rejects_garbage () =
   | Error Error.INVAL -> ()
   | _ -> Alcotest.fail "malformed key must be INVAL"
 
+(* Two devices on one bus with no virtualizer: a second device's
+   transaction, started once the first one's completion has fired but
+   before its top half has run, is refused BUSY with its buffer back,
+   and the first device alone is called, with its own bytes. *)
+let test_i2c_devices_share_one_bus () =
+  let sim, irq = setup () in
+  let bus = Tock_hw.I2c.create sim irq ~irq_line:4 ~cycles_per_byte:20 in
+  let dev addr c =
+    Tock_hw.I2c.add_device bus ~addr ~on_write:ignore ~on_read:(fun n -> Bytes.make n c);
+    Adaptors.i2c_device bus ~addr
+  in
+  let a = dev 0x42 'A' and b = dev 0x43 'B' in
+  let got = ref [] in
+  let note who = function
+    | Ok s | Error (_, s) -> got := (who, Bytes.to_string (Subslice.to_bytes s)) :: !got
+  in
+  a.Hil.i2c_set_client (note "a");
+  b.Hil.i2c_set_client (note "b");
+  (match a.Hil.i2c_read (Subslice.create 2) with
+  | Ok () -> ()
+  | Error (e, _) -> Alcotest.failf "a: %s" (Error.to_string e));
+  ignore (Tock_hw.Sim.advance_to_next_event sim);
+  let w = Subslice.create 2 in
+  (match b.Hil.i2c_write w with
+  | Error (Error.BUSY, s) -> Alcotest.(check bool) "b's buffer back" true (s == w)
+  | Ok () -> Alcotest.fail "b's write accepted before a's top half"
+  | Error (e, _) -> Alcotest.failf "b: %s, not BUSY" (Error.to_string e));
+  ignore (Tock_hw.Irq.service irq);
+  pump sim irq;
+  Alcotest.(check (list (pair string string))) "a alone called" [ ("a", "AA") ] !got
+
 (* Every refusal an adaptor can return, with its code. Each row drives
    one [Hil] operation on fresh hardware into one refusal and reads the
    code it answers; a refused buffer must come back in the [Error]. A
    malformed segment or range cannot come from a window, so those rows
-   take the engine's refusal, check its text, and map it through
-   [Adaptors.code_of_refusal], the one map every adaptor answers with. *)
+   check the engine's refusal itself, its class and its text. *)
 let test_busy_engines_answer_busy () =
   let module Hw = Tock_hw in
   let hw () = setup () in
@@ -196,13 +226,6 @@ let test_busy_engines_answer_busy () =
     ignore (op (sub 8));
     let s = sub 8 in
     back s (op s)
-  in
-  (* An engine refusal: its text, then its code. *)
-  let engine text = function
-    | Ok () -> Alcotest.failf "%s: accepted" text
-    | Error r ->
-        Alcotest.(check string) "refusal text" text (Hw.Completion.text r);
-        Some (Adaptors.code_of_refusal r)
   in
   let aes_hw () =
     let sim, irq = hw () in
@@ -390,29 +413,6 @@ let test_busy_engines_answer_busy () =
        fun () ->
          let iov = [| sub 100; sub 28 |] in
          back iov ((radio ()).Hil.radio_transmit_iov ~dest:0xB iov));
-      (* Malformed segments and ranges, read off the engines. *)
-      ("radio bad segment", Error.INVAL,
-       fun () -> engine "bad segment" (Hw.Radio.transmit_segs (radio_hw ()) ~dest:0xB [ (Bytes.create 2, 1, 2) ]));
-      ("uart bad segment", Error.INVAL,
-       fun () -> engine "bad length" (Hw.Uart.transmit_segs (uart_hw ()) [ (Bytes.create 2, -1, 1) ]));
-      ("flash program bad segment", Error.INVAL,
-       fun () ->
-         engine "bad segment"
-           (Hw.Flash_ctrl.program_region (flash_hw ()) ~page:0 ~off:0 [ (Bytes.create 2, 2, 1) ]));
-      ("flash write bad segment", Error.INVAL,
-       fun () ->
-         engine "bad page buffer size"
-           (Hw.Flash_ctrl.write_page (flash_hw ()) ~page:0 [ (Bytes.create 64, 1, 64) ]));
-      ("spi bad segment", Error.INVAL,
-       fun () -> engine "bad length" (Hw.Spi.read_write (spi_hw ()) ~cs:0 [ (Bytes.create 2, 0, 3) ]));
-      ("i2c bad segment", Error.INVAL,
-       fun () -> engine "bad segment" (Hw.I2c.write (i2c_hw ()) ~addr:0x42 [ (Bytes.create 2, 0, -1) ]));
-      ("sha bad range", Error.INVAL,
-       fun () -> engine "bad range" (Hw.Sha_engine.add_data (sha_hw ()) (Bytes.create 4) ~off:2 ~len:4));
-      ("aes bad range", Error.INVAL,
-       fun () ->
-         engine "bad range"
-           (Hw.Aes_engine.crypt (aes_hw ()) ~mode:Hw.Aes_engine.Ctr ~src:(Bytes.create 4) ~off:3 ~len:2));
     ]
   in
   let wrong =
@@ -425,15 +425,52 @@ let test_busy_engines_answer_busy () =
       rows
   in
   if wrong <> [] then Alcotest.fail (String.concat "\n" wrong);
-  (* Once the operation completes, an engine accepts work again. *)
+  (* Malformed segments and ranges, read off the engines: all [Invalid]. *)
+  let refusal =
+    Alcotest.testable (fun ppf r -> Format.pp_print_string ppf (Hw.Completion.text r)) ( = )
+  in
+  List.iter
+    (fun (what, text, r) ->
+      Alcotest.(check (result unit refusal)) what (Error (Hw.Completion.Invalid text)) r)
+    [
+      ("radio bad segment", "bad segment",
+       Hw.Radio.transmit_segs (radio_hw ()) ~dest:0xB [ (Bytes.create 2, 1, 2) ]);
+      ("uart bad segment", "bad length", Hw.Uart.transmit_segs (uart_hw ()) [ (Bytes.create 2, -1, 1) ]);
+      ("flash program bad segment", "bad segment",
+       Hw.Flash_ctrl.program_region (flash_hw ()) ~page:0 ~off:0 [ (Bytes.create 2, 2, 1) ]);
+      ("flash write bad segment", "bad page buffer size",
+       Hw.Flash_ctrl.write_page (flash_hw ()) ~page:0 [ (Bytes.create 64, 1, 64) ]);
+      ("spi bad segment", "bad length", Hw.Spi.read_write (spi_hw ()) ~cs:0 [ (Bytes.create 2, 0, 3) ]);
+      ("i2c bad segment", "bad segment", Hw.I2c.write (i2c_hw ()) ~addr:0x42 [ (Bytes.create 2, 0, -1) ]);
+      ("sha bad range", "bad range", Hw.Sha_engine.add_data (sha_hw ()) (Bytes.create 4) ~off:2 ~len:4);
+      ("aes bad range", "bad range",
+       Hw.Aes_engine.crypt (aes_hw ()) ~mode:Hw.Aes_engine.Ctr ~src:(Bytes.create 4) ~off:3 ~len:2);
+    ];
+  (* Once the operations complete, every engine accepts work again. *)
   let sim, irq = hw () in
+  let ok what = function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %s" what (Error.to_string e)
+  in
   let a = Adaptors.aes (Hw.Aes_engine.create sim irq ~irq_line:1 ~cycles_per_block:10) in
-  ignore (a.Hil.aes_set_key (Bytes.make 16 'k'));
-  ignore (a.Hil.aes_crypt Hil.A_ctr (sub 16));
+  ok "aes_set_key" (a.Hil.aes_set_key (Bytes.make 16 'k'));
+  (match a.Hil.aes_crypt Hil.A_ctr (sub 16) with Ok () -> () | Error _ -> Alcotest.fail "aes_crypt");
+  let d = Adaptors.digest (Hw.Sha_engine.create sim irq ~irq_line:2 ~cycles_per_block:10) in
+  (match d.Hil.digest_add_data (sub 64) with Ok () -> () | Error _ -> Alcotest.fail "digest_add_data");
+  let p = Adaptors.pke (Hw.Pke_engine.create sim irq ~irq_line:3 ~cycles_per_verify:100) in
+  let rng = Tock_crypto.Prng.create ~seed:7L in
+  let sk, pk = Tock_crypto.Schnorr.keypair rng in
+  let msg = Bytes.of_string "m" in
+  let signature = Tock_crypto.Schnorr.signature_to_bytes (Tock_crypto.Schnorr.sign sk rng msg) in
+  let verify () = p.Hil.pke_verify ~pubkey:(Tock_crypto.Schnorr.public_key_to_bytes pk) ~msg ~signature in
+  ok "pke_verify" (verify ());
+  let adc = Adaptors.adc (Hw.Adc.create sim irq ~irq_line:4 ~channels:[| (fun _ -> 0) |] ~cycles_per_sample:10) in
+  ok "adc_sample" (adc.Hil.adc_sample ~channel:0);
   pump sim irq;
-  match a.Hil.aes_set_iv (Bytes.make 16 'i') with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "aes_set_iv after: %s" (Error.to_string e)
+  ok "aes_set_iv after" (a.Hil.aes_set_iv (Bytes.make 16 'i'));
+  ok "digest_set_mode after" (d.Hil.digest_set_mode Hil.D_sha256);
+  ok "pke_verify after" (verify ());
+  ok "adc_sample after" (adc.Hil.adc_sample ~channel:0)
 
 (* ---- the split-phase contract, one property over every operation ---- *)
 
@@ -441,8 +478,9 @@ let test_busy_engines_answer_busy () =
    second operation's bytes, the byte the caller overwrites its buffer
    with once the operation has started, where its bytes split into two
    segments or windows, the random stepping (true: fire the next [Sim]
-   event; false: service the pending interrupts), and the step at which
-   an adaptor-guarded second operation comes. *)
+   event; false: service the pending interrupts), and which of the
+   steps before the first operation's client call the second one comes
+   at. *)
 type input = {
   data : string;
   other : string;
@@ -459,15 +497,11 @@ type input = {
    overwrites its buffer, bytes arrive from outside); [calls] counts
    client calls; [check] compares what the operation delivered with
    the bytes as they were at start (through an adaptor: and the client
-   got the physically same buffer). An adaptor's [Take_cell] refuses a
-   second operation until the client call ([guarded]), so that one may
-   come at any step before it; anything else is refused only while the
-   engine is busy, so it comes right after start. *)
+   got the physically same buffer). *)
 type case = {
   name : string;
   sim : Tock_hw.Sim.t;
   irq : Tock_hw.Irq.t;
-  guarded : bool;
   start : unit -> bool;
   again : unit -> bool;
   after : unit -> unit;
@@ -480,22 +514,40 @@ let rec settle sim irq =
   let serviced = Tock_hw.Irq.service irq in
   if Tock_hw.Sim.advance_to_next_event sim || serviced > 0 then settle sim irq
 
-let run_case inp c =
-  let started = c.start () in
-  let refused = ref (c.guarded || c.again ()) in
+let step c fire =
+  if fire then ignore (Tock_hw.Sim.advance_to_next_event c.sim)
+  else ignore (Tock_hw.Irq.service c.irq)
+
+(* How many points in [inp.steps] (before the first, between two, after
+   the last) come before the operation's client call when it runs alone. *)
+let in_flight inp case =
+  let c = case () in
+  ignore (c.start ());
   c.after ();
-  let steps = List.length inp.steps in
-  let second_at = inp.second_at mod (steps + 1) in
-  let second i =
-    if c.guarded && i = second_at && c.calls () = 0 then refused := c.again ()
+  let rec go n = function
+    | _ when c.calls () > 0 -> n
+    | [] -> n + 1
+    | fire :: rest ->
+        step c fire;
+        go (n + 1) rest
   in
+  go 0 inp.steps
+
+(* Run the operation with the second one at a random one of those
+   points: right after start, mid-flight, or with the completion raised
+   and its top half not yet run. *)
+let run_case inp case =
+  let at = inp.second_at mod max 1 (in_flight inp case) in
+  let c = case () in
+  let started = c.start () in
+  c.after ();
+  let refused = ref false in
   List.iteri
     (fun i fire ->
-      second i;
-      if fire then ignore (Tock_hw.Sim.advance_to_next_event c.sim)
-      else ignore (Tock_hw.Irq.service c.irq))
+      if i = at then refused := c.again ();
+      step c fire)
     inp.steps;
-  second steps;
+  if at = List.length inp.steps then refused := c.again ();
   settle c.sim c.irq;
   started && !refused && c.calls () = 1 && c.check ()
 
@@ -632,7 +684,7 @@ let engine_cases inp =
   let module H = Tock_hw in
   let d = inp.data and n = String.length inp.data in
   let mk name (sim, irq) ~start ~again ?(after = ignore) got check =
-    { name; sim; irq; guarded = false; start = (fun () -> Result.is_ok (start ()));
+    { name; sim; irq; start = (fun () -> Result.is_ok (start ()));
       again = (fun () -> busy (again ())); after;
       calls = (fun () -> List.length (got ())); check = (fun () -> check (got ())) }
   in
@@ -835,8 +887,8 @@ let engine_cases inp =
 let hil_cases inp =
   let module H = Tock_hw in
   let d = inp.data and n = String.length inp.data in
-  let mk name (sim, irq) ~guarded ~start ~again ?(after = ignore) got check =
-    { name; sim; irq; guarded; start = (fun () -> Result.is_ok (start ())); again; after;
+  let mk name (sim, irq) ~start ~again ?(after = ignore) got check =
+    { name; sim; irq; start = (fun () -> Result.is_ok (start ())); again; after;
       calls = (fun () -> List.length (got ())); check = (fun () -> check (got ())) }
   in
   (* The physically same window came back, holding [s]. *)
@@ -876,7 +928,7 @@ let hil_cases inp =
       let note, got = recorder () in
       u.Hil.uart_set_transmit_client note;
       let w = window d and w' = window inp.other in
-      mk "uart_transmit" h ~guarded:true
+      mk "uart_transmit" h
         ~start:(fun () -> u.Hil.uart_transmit w)
         ~again:(fun () -> busy_back w' (u.Hil.uart_transmit w'))
         ~after:(scribble w)
@@ -888,7 +940,7 @@ let hil_cases inp =
       let note, got = recorder () in
       u.Hil.uart_set_receive_client note;
       let rx = window (String.make n '?') and w' = window inp.other in
-      mk "uart_receive" h ~guarded:true
+      mk "uart_receive" h
         ~start:(fun () -> u.Hil.uart_receive rx)
         ~again:(fun () -> busy_back w' (u.Hil.uart_receive w'))
         ~after:(fun () -> H.Uart.rx_inject hw (Bytes.of_string d))
@@ -900,7 +952,7 @@ let hil_cases inp =
       let note, got = recorder () in
       r.Hil.radio_set_transmit_iov_client note;
       let iov = windows d inp.split and iov' = windows inp.other 0 in
-      mk "radio_transmit_iov" h ~guarded:true
+      mk "radio_transmit_iov" h
         ~start:(fun () -> r.Hil.radio_transmit_iov ~dest:0xB iov)
         ~again:(fun () -> busy_back iov' (r.Hil.radio_transmit_iov ~dest:0xB iov'))
         ~after:(fun () -> Array.iter (fun w -> scribble w ()) iov)
@@ -908,7 +960,7 @@ let hil_cases inp =
     (fun () ->
       let h = hw () in
       let _, f, got = flash h in
-      mk "flash_read" h ~guarded:false
+      mk "flash_read" h
         ~start:(fun () -> f.Hil.flash_read ~page:1)
         ~again:(fun () -> busy_code (f.Hil.flash_read ~page:2))
         got (function [ `Read_done b ] -> Bytes.to_string b = page_of d | _ -> false));
@@ -916,7 +968,7 @@ let hil_cases inp =
       let h = hw () in
       let hw, f, got = flash h in
       let p = window (page_of inp.other) and p' = window (page_of d) in
-      mk "flash_write" h ~guarded:true
+      mk "flash_write" h
         ~start:(fun () -> f.Hil.flash_write ~page:2 p)
         ~again:(fun () -> busy_back p' (f.Hil.flash_write ~page:3 p'))
         ~after:(scribble p)
@@ -928,7 +980,7 @@ let hil_cases inp =
       let hw, f, got = flash h in
       let iov = windows d inp.split and iov' = windows inp.other 0 in
       let off = inp.split mod (64 - n + 1) in
-      mk "flash_program" h ~guarded:true
+      mk "flash_program" h
         ~start:(fun () -> f.Hil.flash_program ~page:2 ~off iov)
         ~again:(fun () -> busy_back iov' (f.Hil.flash_program ~page:3 ~off:0 iov'))
         ~after:(fun () -> Array.iter (fun w -> scribble w ()) iov)
@@ -938,7 +990,7 @@ let hil_cases inp =
     (fun () ->
       let h = hw () in
       let hw, f, got = flash h in
-      mk "flash_erase" h ~guarded:false
+      mk "flash_erase" h
         ~start:(fun () -> f.Hil.flash_erase ~page:1)
         ~again:(fun () -> busy_code (f.Hil.flash_erase ~page:2))
         got (fun r -> r = [ `Erase_done ] && page hw 1 = erased));
@@ -952,7 +1004,7 @@ let hil_cases inp =
           ignore (dg.Hil.digest_run ()));
       dg.Hil.digest_set_digest_client (fun b -> digests (Bytes.to_string b));
       let w = window d and w' = window inp.other in
-      mk "digest_add_data" h ~guarded:true
+      mk "digest_add_data" h
         ~start:(fun () -> dg.Hil.digest_add_data w)
         ~again:(fun () -> busy_back w' (dg.Hil.digest_add_data w'))
         ~after:(scribble w)
@@ -964,7 +1016,7 @@ let hil_cases inp =
       pump sim irq;
       let note, got = recorder () in
       dg.Hil.digest_set_digest_client (fun b -> note (Bytes.to_string b));
-      mk "digest_run" h ~guarded:false
+      mk "digest_run" h
         ~start:(fun () -> dg.Hil.digest_run ())
         ~again:(fun () -> busy_code (dg.Hil.digest_run ()))
         got (( = ) [ sha d ]));
@@ -974,7 +1026,7 @@ let hil_cases inp =
       let note, got = recorder () in
       a.Hil.aes_set_client note;
       let w = window d and w' = window inp.other in
-      mk "aes_crypt" h ~guarded:true
+      mk "aes_crypt" h
         ~start:(fun () -> a.Hil.aes_crypt Hil.A_ctr w)
         ~again:(fun () -> busy_back w' (a.Hil.aes_crypt Hil.A_ctr w'))
         ~after:(scribble w)
@@ -987,7 +1039,7 @@ let hil_cases inp =
       let pk, msg, signature = signed d in
       let pubkey = Tock_crypto.Schnorr.public_key_to_bytes pk in
       let signature = Tock_crypto.Schnorr.signature_to_bytes signature in
-      mk "pke_verify" h ~guarded:false
+      mk "pke_verify" h
         ~start:(fun () -> p.Hil.pke_verify ~pubkey ~msg ~signature)
         ~again:(fun () -> busy_code (p.Hil.pke_verify ~pubkey ~msg ~signature))
         ~after:(fill inp.scribble msg)
@@ -998,7 +1050,7 @@ let hil_cases inp =
       let note, got = recorder () in
       e.Hil.entropy_set_client (fun w -> note (Array.length w));
       let count = 1 + (inp.split mod 4) in
-      mk "entropy_request" h ~guarded:false
+      mk "entropy_request" h
         ~start:(fun () -> e.Hil.entropy_request ~count)
         ~again:(fun () -> busy_code (e.Hil.entropy_request ~count:1))
         got (( = ) [ count ]));
@@ -1007,7 +1059,7 @@ let hil_cases inp =
       let a = Adaptors.adc (adc_hw h) in
       let note, got = recorder () in
       a.Hil.adc_set_client (fun ~channel ~value -> note (channel, value));
-      mk "adc_sample" h ~guarded:false
+      mk "adc_sample" h
         ~start:(fun () -> a.Hil.adc_sample ~channel:1)
         ~again:(fun () -> busy_code (a.Hil.adc_sample ~channel:0))
         got (( = ) [ (1, 9) ]));
@@ -1015,7 +1067,7 @@ let hil_cases inp =
       let h = hw () in
       let _, dev, seen, got = spi h in
       let w = window d and w' = window inp.other in
-      mk "spi_transfer" h ~guarded:true
+      mk "spi_transfer" h
         ~start:(fun () -> dev.Hil.spi_transfer w)
         ~again:(fun () -> busy_back w' (dev.Hil.spi_transfer w'))
         ~after:(scribble w)
@@ -1030,7 +1082,7 @@ let hil_cases inp =
       let note2, got2 = recorder () in
       dev2.Hil.spi_set_client note2;
       let w = window d and w' = window inp.other in
-      mk "spi_transfer, second view" h ~guarded:false
+      mk "spi_transfer, second view" h
         ~start:(fun () -> dev.Hil.spi_transfer w)
         ~again:(fun () -> busy_back w' (dev2.Hil.spi_transfer w'))
         ~after:(scribble w)
@@ -1040,7 +1092,7 @@ let hil_cases inp =
       let h = hw () in
       let _, dev, writes, got = i2c h in
       let w = window d and w' = window inp.other in
-      mk "i2c_write" h ~guarded:true
+      mk "i2c_write" h
         ~start:(fun () -> dev.Hil.i2c_write w)
         ~again:(fun () -> busy_back w' (dev.Hil.i2c_write w'))
         ~after:(scribble w)
@@ -1049,7 +1101,7 @@ let hil_cases inp =
       let h = hw () in
       let _, dev, writes, got = i2c h in
       let w = window d and w' = window inp.other in
-      mk "i2c_read" h ~guarded:true
+      mk "i2c_read" h
         ~start:(fun () -> dev.Hil.i2c_read w)
         ~again:(fun () -> busy_back w' (dev.Hil.i2c_read w'))
         got (fun r -> same w (dev_read n) r && writes () = []));
@@ -1058,7 +1110,7 @@ let hil_cases inp =
       let _, dev, writes, got = i2c h in
       let w = window d and w' = window inp.other in
       let k = inp.split mod (n + 1) in
-      mk "i2c_write_read" h ~guarded:true
+      mk "i2c_write_read" h
         ~start:(fun () -> dev.Hil.i2c_write_read ~write_len:k w)
         ~again:(fun () -> busy_back w' (dev.Hil.i2c_write_read ~write_len:1 w'))
         ~after:(scribble w)
@@ -1071,7 +1123,7 @@ let hil_cases inp =
       let note2, got2 = recorder () in
       dev2.Hil.i2c_set_client (function Ok s | Error (_, s) -> note2 s);
       let w = window d and w' = window inp.other in
-      mk "i2c_write, second device" h ~guarded:false
+      mk "i2c_write, second device" h
         ~start:(fun () -> dev.Hil.i2c_write w)
         ~again:(fun () -> busy_back w' (dev2.Hil.i2c_write w'))
         ~after:(scribble w)
@@ -1096,8 +1148,9 @@ let print_input inp =
     inp.second_at
 
 (* The split-phase contract over every operation, at both levels: a
-   second operation while one is in flight is refused with Busy/BUSY,
-   its buffer comes back and no client call follows; the accepted one
+   second operation at any point before the first one's client call is
+   refused with Busy/BUSY, its buffer comes back and no client call
+   follows; the accepted one
    gives exactly one client call, with the physically same buffer; and
    overwriting the caller's buffer after start changes no payload, no
    device callback and no flash page. *)
@@ -1107,9 +1160,7 @@ let test_split_phase_contract =
        (fun inp ->
          let failed =
            List.filter_map
-             (fun case ->
-               let c = case () in
-               if run_case inp c then None else Some c.name)
+             (fun case -> if run_case inp case then None else Some (case ()).name)
              (engine_cases inp @ hil_cases inp)
          in
          failed = [] || QCheck2.Test.fail_reportf "broken: %s" (String.concat ", " failed)))
@@ -1123,6 +1174,7 @@ let suite =
     Alcotest.test_case "spi mux serializes" `Quick test_spi_mux_serializes;
     Alcotest.test_case "uart mux queues writers" `Quick test_uart_mux_queues_writers;
     Alcotest.test_case "pke rejects garbage" `Quick test_pke_adaptor_rejects_garbage;
+    Alcotest.test_case "i2c devices share one bus" `Quick test_i2c_devices_share_one_bus;
     Alcotest.test_case "busy engines answer BUSY" `Quick
       test_busy_engines_answer_busy;
     test_split_phase_contract;

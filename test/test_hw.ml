@@ -55,6 +55,37 @@ let test_uart_rx_and_overrun () =
   Uart.rx_inject u (Bytes.make 100 'z');
   Alcotest.(check bool) "overruns counted" true (Uart.overruns u > 0)
 
+(* A receive is in flight from [receive] until its client call: with
+   the bytes already in the FIFO, a second receive is refused, before
+   and after the completion fires, and one call delivers the first's
+   bytes. [abort_receive] ends it early: no call follows, and the next
+   receive gets the next bytes. *)
+let test_uart_rx_one_in_flight () =
+  let sim, irq = setup () in
+  let u = Uart.create sim irq ~irq_line:1 ~name:"u" in
+  let got = ref [] in
+  Uart.set_receive_client u (fun b -> got := Bytes.to_string b :: !got);
+  Uart.rx_inject u (Bytes.of_string "abcdef");
+  let receive () = Uart.receive u ~len:2 in
+  let busy what =
+    Alcotest.(check bool) what true (receive () = Error (Completion.Busy "receive busy"))
+  in
+  Alcotest.(check bool) "first accepted" true (Result.is_ok (receive ()));
+  busy "second refused mid-flight";
+  pump sim;
+  busy "second refused before the top half";
+  ignore (Irq.service irq);
+  Alcotest.(check (list string)) "one call, first bytes" [ "ab" ] !got;
+  (* This receive takes "cd", then is aborted. *)
+  ignore (receive ());
+  Uart.abort_receive u;
+  ignore (receive ());
+  ignore (Sim.advance_to_next_event sim);
+  ignore (Irq.service irq);
+  pump sim;
+  ignore (Irq.service irq);
+  Alcotest.(check (list string)) "aborted receive makes no call" [ "ef"; "ab" ] !got
+
 let test_uart_configure () =
   let sim, irq = setup () in
   let u = Uart.create sim irq ~irq_line:1 ~name:"u" in
@@ -280,6 +311,7 @@ let test_radio_delivery () =
   (match Radio.transmit_segs a ~dest:0xC [ (Bytes.of_string "nope", 0, 4) ] with
   | Ok () -> () | Error e -> Alcotest.fail (Completion.text e));
   pump sim;
+  ignore (Irq.service irq_a);
   ignore (Irq.service irq_b);
   Alcotest.(check bool) "filtered" true (!got = None);
   (* Off radio can still transmit (powers up for the frame). *)
@@ -719,6 +751,7 @@ let suite =
   [
     Alcotest.test_case "uart tx timing" `Quick test_uart_tx;
     Alcotest.test_case "uart rx + overrun" `Quick test_uart_rx_and_overrun;
+    Alcotest.test_case "uart one receive in flight" `Quick test_uart_rx_one_in_flight;
     Alcotest.test_case "uart configure" `Quick test_uart_configure;
     Alcotest.test_case "spi polarity" `Quick test_spi_polarity;
     Alcotest.test_case "i2c" `Quick test_i2c;
