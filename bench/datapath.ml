@@ -13,9 +13,14 @@
    - the MPU hit path performs no slot scans (Mpu.scan_count, both
      modes);
    - the syscall round trip on a live board: a bare LED command
-     allocates <= 16 minor words and yield_no_wait <= 10, and no call
+     allocates <= 16 minor words, yield_no_wait <= 10, an allow-ro +
+     unallow pair <= 24 and a subscribe + unsubscribe pair <= 24 (about
+     twice what a bare command cost before the tables and the upcall
+     queue stopped allocating: 62.5 and 37.5 words then), and no call
      changes the size of the app's upcall table (Gc.minor_words and
      Emu.upcall_fn_count, both modes);
+   - a 4-byte HMAC through the SHA engine under a warm key allocates
+     <= 120 minor words (its key's midstates are reused, both modes);
    - board construction allocates no per-board array straight in the
      major heap beyond the apps' memory: a fleet board (its three app
      mixes in turn) <= 3,000 such words per build and an 8-node radio
@@ -127,14 +132,14 @@ let syscall_round_trips h ~iters ~alloc_iters =
           Some 10.,
           fun () -> ignore (Libtock.yield_no_wait a) );
         ( "syscall/allow-ro+unallow",
-          None,
+          Some 24.,
           fun () ->
             ignore
               (Libtock.allow_ro a ~driver:Tock.Driver_num.console ~num:1
                  ~addr:buf ~len:16);
             Libtock.unallow_ro a ~driver:Tock.Driver_num.console ~num:1 );
         ( "syscall/subscribe+unsubscribe",
-          None,
+          Some 24.,
           fun () ->
             ignore (Libtock.subscribe a ~driver:Tock.Driver_num.alarm ~sub:0 cb);
             Libtock.unsubscribe a ~driver:Tock.Driver_num.alarm ~sub:0 );
@@ -168,6 +173,42 @@ let syscall_round_trips h ~iters ~alloc_iters =
   while not !finished do
     ignore (Tock.Kernel.step k ~cap)
   done
+
+(* ---- the digest engine ----
+
+   One HMAC of a 4-byte challenge, the root-of-trust token's op, through
+   the engine alone: set the key, feed, run, each completion fired and
+   its interrupt serviced. The key is the same every op, so after the
+   first the engine starts from its cached midstates. *)
+
+let bench_hmac h ~iters ~alloc_iters =
+  let sim = Tock_hw.Sim.create ~trace_capacity:0 () in
+  let irq = Tock_hw.Irq.create sim in
+  let sha = Tock_hw.Sha_engine.create sim irq ~irq_line:6 ~cycles_per_block:80 in
+  Tock_hw.Sha_engine.set_client sha (fun _ -> ());
+  let key = Bytes.of_string "\x10\x32\x54\x76\x98\xba\xdc\xfe\x01\x23\x45\x67\x89\xab\xcd\xef" in
+  let msg = Bytes.of_string "\x01\x10\x00\x00" in
+  let ok = function Ok () -> () | Error _ -> failwith "datapath: sha engine refused" in
+  let settle () =
+    while Tock_hw.Sim.advance_to_next_event sim do
+      ()
+    done;
+    ignore (Tock_hw.Irq.service irq)
+  in
+  let op () =
+    ok (Tock_hw.Sha_engine.set_mode_hmac sha ~key);
+    ok (Tock_hw.Sha_engine.add_data sha msg ~off:0 ~len:4);
+    settle ();
+    ok (Tock_hw.Sha_engine.run sha);
+    settle ()
+  in
+  op ();
+  let calls, per_op = Harness.passes iters op in
+  let words = Harness.words alloc_iters op /. float_of_int alloc_iters in
+  Harness.gate h "digest/hmac-4B words/op" words Harness.Le 120.;
+  ignore
+    (Harness.add h ~fields:[ ("minor_words_per_op", Json.Num words) ] "digest/hmac-4B"
+       ~iters ~calls per_op)
 
 (* ---- board construction ----
 
@@ -286,6 +327,7 @@ let run_mode ~full ~scale =
   ignore
     (time "sha256/4kB-ref" (it 1_000) (fun () -> ignore (Sha.Reference.digest_bytes data)));
   let frame = Bytes.init 111 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  bench_hmac h ~iters:(it 100_000) ~alloc_iters:(max 1_000 (it 20_000));
   let crc_fast =
     time "crc16/frame-fast" (it 500_000) (fun () ->
         ignore (Tock.Crc16.digest frame ~off:0 ~len:111))

@@ -22,7 +22,7 @@ let create ~cap:_ ~name ~size_bytes ~init =
 let name t = t.g_name
 
 let lookup t proc =
-  match Hashtbl.find_opt (Process.grant_table proc) t.gid with
+  match Int_hashtbl.Int.find_opt (Process.grant_table proc) t.gid with
   | Some packed -> Univ.project t.key packed
   | None -> None
 
@@ -33,7 +33,8 @@ let enter t proc f =
     | None ->
         if Process.allocate_grant_bytes proc t.size then begin
           let e = { value = t.init (); entered = false } in
-          Hashtbl.replace (Process.grant_table proc) t.gid (Univ.inject t.key e);
+          Int_hashtbl.Int.replace (Process.grant_table proc) t.gid
+            (Univ.inject t.key e);
           Some e
         end
         else None
@@ -77,7 +78,7 @@ let preallocate t proc =
   | Some _ -> true
   | None ->
       if Process.allocate_grant_bytes proc t.size then begin
-        Hashtbl.replace (Process.grant_table proc) t.gid
+        Int_hashtbl.Int.replace (Process.grant_table proc) t.gid
           (Univ.inject t.key { value = t.init (); entered = false });
         true
       end

@@ -12,11 +12,3 @@ module Int = Hashtbl.Make (struct
 
   let hash x = mix x
 end)
-
-module Pair = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal ((a, b) : t) ((c, d) : t) = a = c && b = d
-
-  let hash (a, b) = mix (mix a + b)
-end)

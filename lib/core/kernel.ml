@@ -75,6 +75,15 @@ type pentry = {
          returns; valid because a process always decodes a return before
          it can issue the syscall that would overwrite it. *)
   resume_ret : Process.resume_arg; (* [Rsyscall_ret ret_scratch], built once *)
+  stash_ret : Process.resume_arg option; (* [Some resume_ret], built once *)
+  upcall_frame : int array;
+      (* The upcall being delivered: fnptr, appdata and three arguments,
+         moved here out of the process's queue. Valid for the same reason
+         as [ret_scratch]. *)
+  resume_upcall : Process.resume_arg; (* [Rupcall upcall_frame], built once *)
+  stash_upcall : Process.resume_arg option; (* [Some resume_upcall] *)
+  mutable upcall_driver : int;
+      (* driver of the upcall in [upcall_frame], for its trace event *)
   c_cycles : Tock_obs.Metrics.counter;
       (* cycles attributed to this process's slices (app + syscall work) *)
   (* [process.<name>.*] gauges, resolved at creation and set by the
@@ -123,6 +132,10 @@ type t = {
   h_sys : Tock_obs.Metrics.histogram array; (* by Syscall.class_index *)
   drivers : driver_slot Int_hashtbl.Int.t; (* by driver number *)
   mutable table : pentry array; (* index = pid: ids are dense and never reused *)
+  mutable runnable : Process.t array;
+      (* The scheduler's view of one decision, rebuilt in place by each
+         loop iteration: the deliverable processes in ascending id
+         order, in its first slots. One slot per process. *)
   mutable next_pid : int;
   mutable ram_next : int; (* bump pointer into the RAM pool *)
   mutable fault_hook : Process.t -> Process.fault_reason -> unit;
@@ -177,6 +190,7 @@ let create ?config:(cfg = default_config ()) chip =
       h_sys;
       drivers = Int_hashtbl.Int.create 16;
       table = [||];
+      runnable = [||];
       next_pid = 0;
       ram_next = ram_base;
       fault_hook = (fun _ _ -> ());
@@ -326,14 +340,21 @@ let create_process t ~cap:_ ~name ~flash_base ~flash ~min_ram ?permissions
         Process.set_obs proc t.k_obs;
         let series = "process." ^ name ^ "." in
         let g stat = Tock_obs.Metrics.gauge t.k_reg (series ^ stat) in
-        let ret_scratch = Array.make 4 0 in
+        let ret_scratch = Array.make 4 0 and upcall_frame = Array.make 5 0 in
+        let resume_ret = Process.Rsyscall_ret ret_scratch in
+        let resume_upcall = Process.Rupcall upcall_frame in
         let pe =
           {
             proc;
             factory;
             pending_resume = Some Process.Rstart;
             ret_scratch;
-            resume_ret = Process.Rsyscall_ret ret_scratch;
+            resume_ret;
+            stash_ret = Some resume_ret;
+            upcall_frame;
+            resume_upcall;
+            stash_upcall = Some resume_upcall;
+            upcall_driver = -1;
             c_cycles = Tock_obs.Metrics.counter t.k_reg (series ^ "cycles");
             g_syscalls = g "syscalls";
             g_grant_enters = g "grant_enters";
@@ -344,6 +365,7 @@ let create_process t ~cap:_ ~name ~flash_base ~flash ~min_ram ?permissions
           }
         in
         t.table <- Array.append t.table [| pe |];
+        t.runnable <- Array.append t.runnable [| proc |];
         Ok proc
   end
 
@@ -396,32 +418,36 @@ let terminate_process t ~cap:_ pid =
       Process.set_state pe.proc (Process.Terminated { code = -1 });
       Ok ()
 
-(* ---- capsule-facing resources ---- *)
+(* ---- capsule-facing resources ----
+
+   Every capsule call names its process by id, so these index the table
+   directly: [entry]'s option would be an allocation per call. *)
+
+let live t pid = pid >= 0 && pid < Array.length t.table
 
 let schedule_upcall t pid ~driver ~subscribe_num ~args =
-  match entry t pid with
-  | None -> false
-  | Some pe ->
-      spend t (timing t).Tock_hw.Chip.upcall_push;
-      Process.enqueue_upcall pe.proc ~driver ~subscribe_num ~args
+  if not (live t pid) then false
+  else begin
+    spend t (timing t).Tock_hw.Chip.upcall_push;
+    Process.enqueue_upcall t.table.(pid).proc ~driver ~subscribe_num ~args
+  end
 
 let empty_subslice = Subslice.of_bytes Bytes.empty
 
 (* Zero-copy, zero-alloc fast path: the window was materialized (and the
-   range validated) at allow time, so the hit path is a hashtable lookup
+   range validated) at allow time, so the hit path is a table lookup
    plus a window reset — the reset restores the *base* window, i.e. the
    allowed range, so a previous borrower's narrowing never leaks and the
    capsule can never widen past what the process allowed (§5.1). *)
 let with_allow t pid ~kind ~driver ~allow_num f =
-  match entry t pid with
-  | None -> Error Error.NODEVICE
-  | Some pe -> (
-      let e = Process.allow_get pe.proc ~kind ~driver ~allow_num in
-      match e.Process.a_window with
-      | None -> Ok (f empty_subslice)
-      | Some w ->
-          Subslice.reset w;
-          Ok (f w))
+  if not (live t pid) then Error Error.NODEVICE
+  else
+    let e = Process.allow_get t.table.(pid).proc ~kind ~driver ~allow_num in
+    match e.Process.a_window with
+    | None -> Ok (f empty_subslice)
+    | Some w ->
+        Subslice.reset w;
+        Ok (f w)
 
 let with_allow_rw t pid ~driver ~allow_num f =
   with_allow t pid ~kind:`Rw ~driver ~allow_num f
@@ -434,22 +460,20 @@ let with_allow_ro t pid ~driver ~allow_num f =
    base bound but narrows independently, so in-flight I/O and the
    syscall-path borrows cannot disturb each other's windows. *)
 let allow_window t pid ~kind ~driver ~allow_num =
-  match entry t pid with
-  | None -> None
-  | Some pe -> (
-      match
-        (Process.allow_get pe.proc ~kind ~driver ~allow_num).Process.a_window
-      with
-      | None -> None
-      | Some w ->
-          let c = Subslice.clone w in
-          Subslice.reset c;
-          Some c)
+  if not (live t pid) then None
+  else
+    let e = Process.allow_get t.table.(pid).proc ~kind ~driver ~allow_num in
+    match e.Process.a_window with
+    | None -> None
+    | Some w ->
+        let c = Subslice.clone w in
+        Subslice.reset c;
+        Some c
 
 let allow_size t pid ~kind ~driver ~allow_num =
-  match entry t pid with
-  | None -> 0
-  | Some pe -> (Process.allow_get pe.proc ~kind ~driver ~allow_num).Process.a_len
+  if not (live t pid) then 0
+  else
+    (Process.allow_get t.table.(pid).proc ~kind ~driver ~allow_num).Process.a_len
 
 let process_ids t =
   Array.to_list (Array.map (fun pe -> Process.id pe.proc) t.table)
@@ -469,8 +493,9 @@ let process_name_of t pid = Option.map (fun pe -> Process.name pe.proc) (entry t
    the process is resumed: the app is suspended in the trap. *)
 
 (* What a dispatched call leaves for the resume. [Returned]: the return
-   registers are in [ret_scratch]. *)
-type outcome = Returned | Deliver of Process.pending_upcall | Blocked | Dead
+   registers are in [ret_scratch]; [Deliver]: the upcall is in
+   [upcall_frame]. *)
+type outcome = Returned | Deliver | Blocked | Dead
 
 let validate_allow t proc ~kind ~addr ~len =
   if len = 0 then begin
@@ -508,24 +533,26 @@ let handle_allow t proc ret ~kind ~driver ~allow_num ~addr ~len =
       match validate_allow t proc ~kind ~addr ~len with
       | Error e -> Syscall.set_failure_u32_u32 ret e addr len
       | Ok () -> (
-          (* Materialize the window once, at the allow boundary; every
-             later capsule access reuses it without translation. *)
-          match Process.make_allow_entry proc ~addr ~len with
-          | None -> Syscall.set_failure_u32_u32 ret Error.INVAL addr len
-          | Some entry -> (
-              let accepted =
-                match kind with
-                | `Rw -> slot.drv.Driver.allow_rw_hook proc ~allow_num entry
-                | `Ro -> Ok ()
-              in
-              match accepted with
-              | Error e -> Syscall.set_failure_u32_u32 ret e addr len
-              | Ok () ->
-                  let old =
-                    Process.allow_swap proc ~kind ~driver ~allow_num entry
-                  in
-                  Syscall.set_success_u32_u32 ret old.Process.a_addr
-                    old.Process.a_len))));
+          (* Materialize the window at the allow boundary, or reuse the
+             one this key last held over the same range; every later
+             capsule access reuses it without translation. *)
+          let entry =
+            Process.allow_entry proc ~kind ~driver ~allow_num ~addr ~len
+          in
+          if entry.Process.a_len < 0 then
+            Syscall.set_failure_u32_u32 ret Error.INVAL addr len
+          else
+            let accepted =
+              match kind with
+              | `Rw -> slot.drv.Driver.allow_rw_hook proc ~allow_num entry
+              | `Ro -> Ok ()
+            in
+            match accepted with
+            | Error e -> Syscall.set_failure_u32_u32 ret e addr len
+            | Ok () ->
+                let old = Process.allow_swap proc ~kind ~driver ~allow_num entry in
+                Syscall.set_success_u32_u32 ret old.Process.a_addr
+                  old.Process.a_len)));
   Returned
 
 let handle_memop proc ret ~op ~arg =
@@ -545,29 +572,34 @@ let handle_memop proc ret ~op ~arg =
    else set_failure ret Error.NOSUPPORT);
   Returned
 
-let deliver_of_pending t proc pu =
+(* Move the oldest queued upcall into [upcall_frame]; false if none. *)
+let pop_upcall pe =
+  let driver = Process.pop_upcall pe.proc pe.upcall_frame in
+  pe.upcall_driver <- driver;
+  driver >= 0
+
+(* Count and trace the upcall [pop_upcall] left in [upcall_frame]; the
+   process resumes with [resume_upcall]. *)
+let note_delivery t pe =
   Tock_obs.Metrics.incr t.kc.c_upcalls_delivered;
   let tr = Tock_hw.Sim.trace_events (sim t) in
   if Tock_obs.Trace.on tr then
     Tock_obs.Trace.emit tr
       ~ts:(Tock_hw.Sim.now (sim t))
-      ~tid:(Process.id proc) Tock_obs.Trace.Upcall Tock_obs.Trace.Instant
-      ~arg:pu.Process.pu_driver ~text:"";
-  let a0, a1, a2 = pu.Process.pu_args in
-  Process.Rupcall
-    {
-      fnptr = pu.Process.pu_upcall.Process.fnptr;
-      appdata = pu.Process.pu_upcall.Process.appdata;
-      arg0 = a0;
-      arg1 = a1;
-      arg2 = a2;
-    }
+      ~tid:(Process.id pe.proc) Tock_obs.Trace.Upcall Tock_obs.Trace.Instant
+      ~arg:pe.upcall_driver ~text:""
 
 (* A directly awaited completion (yield-wait-for, blocking command)
-   returns its upcall arguments in registers. *)
-let return_args ret pu =
-  let a0, a1, a2 = pu.Process.pu_args in
-  Syscall.set_success_u32_u32_u32 ret a0 a1 a2
+   returns its upcall arguments in registers: pluck it into
+   [upcall_frame] and copy them to [ret_scratch]. False if it has not
+   come. *)
+let take_awaited pe ~driver ~subscribe_num =
+  let f = pe.upcall_frame in
+  if not (Process.pop_upcall_for pe.proc ~driver ~subscribe_num f) then false
+  else begin
+    Syscall.set_success_u32_u32_u32 pe.ret_scratch f.(2) f.(3) f.(4);
+    true
+  end
 
 (* Run a driver command, attributing its wall cycles and call count to
    the driver's registry series. *)
@@ -597,36 +629,37 @@ let dispatch t pe idx regs =
   match idx with
   | 0 (* yield *) -> (
       match r0 with
-      | 0 (* no-wait *) -> (
-          match Process.pop_upcall proc with
-          | Some pu -> Deliver pu
-          | None ->
-              Syscall.set_success_u32 ret 0;
-              Returned)
-      | 1 (* wait *) -> (
-          match Process.pop_upcall proc with
-          | Some pu -> Deliver pu
-          | None ->
-              Process.set_state proc Process.Yielded;
-              Blocked)
-      | _ (* wait-for *) -> (
-          match Process.pop_upcall_for proc ~driver:r1 ~subscribe_num:r2 with
-          | Some pu ->
-              Tock_obs.Metrics.incr t.kc.c_upcalls_delivered;
-              return_args ret pu;
-              Returned
-          | None ->
-              Process.set_state proc
-                (Process.Yielded_for { driver = r1; subscribe_num = r2 });
-              Blocked))
+      | 0 (* no-wait *) ->
+          if pop_upcall pe then Deliver
+          else begin
+            Syscall.set_success_u32 ret 0;
+            Returned
+          end
+      | 1 (* wait *) ->
+          if pop_upcall pe then Deliver
+          else begin
+            Process.set_state proc Process.Yielded;
+            Blocked
+          end
+      | _ (* wait-for *) ->
+          if take_awaited pe ~driver:r1 ~subscribe_num:r2 then begin
+            Tock_obs.Metrics.incr t.kc.c_upcalls_delivered;
+            Returned
+          end
+          else begin
+            Process.set_state proc
+              (Process.Yielded_for { driver = r1; subscribe_num = r2 });
+            Blocked
+          end)
   | 1 (* subscribe: driver, subscribe_num, upcall_fn, appdata *) ->
       (if not (Int_hashtbl.Int.mem t.drivers r0) then
          Syscall.set_failure_u32_u32 ret Error.NODEVICE r2 r3
        else
-         let old =
-           Process.subscribe_swap proc ~driver:r0 ~subscribe_num:r1
-             { Process.fnptr = r2; appdata = r3 }
+         let up =
+           if r2 = 0 && r3 = 0 then Process.null_upcall
+           else { Process.fnptr = r2; appdata = r3 }
          in
+         let old = Process.subscribe_swap proc ~driver:r0 ~subscribe_num:r1 up in
          Syscall.set_success_u32_u32 ret old.Process.fnptr old.Process.appdata);
       Returned
   | 2 (* command: driver, command_num, arg1, arg2 *) ->
@@ -676,15 +709,12 @@ let dispatch t pe idx regs =
                 Syscall.encode_ret_into r ret;
                 Returned
               end
-              else
-                match Process.pop_upcall_for proc ~driver:r0 ~subscribe_num with
-                | Some pu ->
-                    return_args ret pu;
-                    Returned
-                | None ->
-                    Process.set_state proc
-                      (Process.Blocked_command { driver = r0; subscribe_num });
-                    Blocked))
+              else if take_awaited pe ~driver:r0 ~subscribe_num then Returned
+              else begin
+                Process.set_state proc
+                  (Process.Blocked_command { driver = r0; subscribe_num });
+                Blocked
+              end))
 
 let handle_fault t pe reason =
   let proc = pe.proc in
@@ -730,6 +760,91 @@ let has_work t =
   Tock_hw.Irq.has_pending t.k_chip.Tock_hw.Chip.irq
   || Array.exists deliverable t.table
 
+let charge t proc usage = t.k_config.scheduler.Scheduler.charge proc usage
+
+(* Resume [pe] with [arg] and keep it running through its syscalls until
+   it blocks, faults or spends its [remaining] fuel. Top-level and
+   tail-recursive, so a slice builds no closure. *)
+let rec run_from t pe arg remaining =
+  let proc = pe.proc in
+  let trap = Process.run proc ~fuel:remaining arg in
+  let used = Process.cycles_used proc in
+  spend t used;
+  Tock_obs.Metrics.add pe.c_cycles used;
+  let remaining = remaining - used in
+  match trap with
+  | Process.Trap_timeslice_expired ->
+      pe.pending_resume <- Some Process.Rcontinue;
+      charge t proc Scheduler.Used_full_slice
+  | Process.Trap_fault reason ->
+      handle_fault t pe reason;
+      charge t proc Scheduler.Yielded_early
+  | Process.Trap_syscall regs -> trap_syscall t pe regs remaining
+
+and trap_syscall t pe regs remaining =
+  let proc = pe.proc in
+  let pid = Process.id proc in
+  let tm = timing t in
+  let tr = Tock_hw.Sim.trace_events (sim t) in
+  Tock_obs.Metrics.incr t.kc.c_syscalls;
+  let sys_t0 = Tock_hw.Sim.now (sim t) in
+  spend t tm.Tock_hw.Chip.syscall_overhead;
+  let remaining = remaining - tm.Tock_hw.Chip.syscall_overhead in
+  (* Malformed frames take no per-class count; unknown classes do. *)
+  if Array.length regs = Syscall.registers then
+    Process.note_syscall proc ~class_num:(Array.unsafe_get regs 0);
+  let idx = Syscall.verdict regs in
+  if idx < 0 then begin
+    Syscall.set_failure pe.ret_scratch
+      (if idx = Syscall.verdict_inval then Error.INVAL else Error.NOSUPPORT);
+    continue_or_stash t pe remaining
+  end
+  else begin
+    if Tock_obs.Trace.on tr then
+      Tock_obs.Trace.emit tr ~ts:sys_t0 ~tid:pid Tock_obs.Trace.Syscall
+        Tock_obs.Trace.Begin ~arg:idx ~text:class_names.(idx);
+    (* A trace hook sees the call decoded before dispatch, while the
+       frame is still the trapped one. *)
+    let traced =
+      match t.trace_hook with
+      | None -> None
+      | Some _ -> Result.to_option (Syscall.decode_call regs)
+    in
+    let outcome = dispatch t pe idx regs in
+    (match (t.trace_hook, traced) with
+    | Some trace, Some call ->
+        trace proc call
+          (match outcome with
+          | Returned -> Result.to_option (Syscall.decode_ret pe.ret_scratch)
+          | Deliver | Blocked | Dead -> None)
+    | _ -> ());
+    (* Latency from trap entry to dispatch completion: includes the
+       architectural syscall overhead and any driver work. *)
+    let sys_end = Tock_hw.Sim.now (sim t) in
+    Tock_obs.Metrics.observe t.h_sys.(idx) (sys_end - sys_t0);
+    Tock_obs.Metrics.add pe.c_cycles (sys_end - sys_t0);
+    if Tock_obs.Trace.on tr then
+      Tock_obs.Trace.emit tr ~ts:sys_end ~tid:pid Tock_obs.Trace.Syscall
+        Tock_obs.Trace.End ~arg:idx ~text:class_names.(idx);
+    match outcome with
+    | Returned -> continue_or_stash t pe remaining
+    | Deliver ->
+        note_delivery t pe;
+        if remaining > 0 then run_from t pe pe.resume_upcall remaining
+        else begin
+          pe.pending_resume <- pe.stash_upcall;
+          charge t proc Scheduler.Used_full_slice
+        end
+    | Blocked | Dead -> charge t proc Scheduler.Yielded_early
+  end
+
+and continue_or_stash t pe remaining =
+  if remaining > 0 then run_from t pe pe.resume_ret remaining
+  else begin
+    pe.pending_resume <- pe.stash_ret;
+    charge t pe.proc Scheduler.Used_full_slice
+  end
+
 let run_slice t pe timeslice =
   let proc = pe.proc in
   let pid = Process.id proc in
@@ -748,18 +863,19 @@ let run_slice t pe timeslice =
         let a = Option.value pe.pending_resume ~default:Process.Rcontinue in
         pe.pending_resume <- None;
         a
-    | Process.Yielded -> (
-        match Process.pop_upcall proc with
-        | Some pu -> deliver_of_pending t proc pu
-        | None -> Process.Rcontinue (* raced away; treat as spurious wake *))
+    | Process.Yielded ->
+        if pop_upcall pe then begin
+          note_delivery t pe;
+          pe.resume_upcall
+        end
+        else Process.Rcontinue (* raced away; treat as spurious wake *)
     | Process.Yielded_for { driver; subscribe_num }
-    | Process.Blocked_command { driver; subscribe_num } -> (
-        match Process.pop_upcall_for proc ~driver ~subscribe_num with
-        | Some pu ->
-            Tock_obs.Metrics.incr t.kc.c_upcalls_delivered;
-            return_args pe.ret_scratch pu;
-            pe.resume_ret
-        | None -> Process.Rcontinue)
+    | Process.Blocked_command { driver; subscribe_num } ->
+        if take_awaited pe ~driver ~subscribe_num then begin
+          Tock_obs.Metrics.incr t.kc.c_upcalls_delivered;
+          pe.resume_ret
+        end
+        else Process.Rcontinue
     | _ -> Process.Rcontinue
   in
   Process.set_state proc Process.Runnable;
@@ -768,80 +884,7 @@ let run_slice t pe timeslice =
      rate (deadline checks, multi-board stepping); the cooperative
      scheduler is sticky, so no other process runs in between. *)
   let budget = match timeslice with Some n -> n | None -> 200_000 in
-  let rec go arg remaining =
-    let trap, used = Process.run proc ~fuel:remaining arg in
-    spend t used;
-    Tock_obs.Metrics.add pe.c_cycles used;
-    let remaining = remaining - used in
-    match trap with
-    | Process.Trap_timeslice_expired ->
-        pe.pending_resume <- Some Process.Rcontinue;
-        t.k_config.scheduler.Scheduler.charge proc Scheduler.Used_full_slice
-    | Process.Trap_fault reason ->
-        handle_fault t pe reason;
-        t.k_config.scheduler.Scheduler.charge proc Scheduler.Yielded_early
-    | Process.Trap_syscall regs -> (
-        Tock_obs.Metrics.incr t.kc.c_syscalls;
-        let sys_t0 = Tock_hw.Sim.now (sim t) in
-        spend t tm.Tock_hw.Chip.syscall_overhead;
-        let remaining = remaining - tm.Tock_hw.Chip.syscall_overhead in
-        (* Malformed frames take no per-class count; unknown classes do. *)
-        if Array.length regs = Syscall.registers then
-          Process.note_syscall proc ~class_num:(Array.unsafe_get regs 0);
-        let idx = Syscall.verdict regs in
-        if idx < 0 then begin
-          Syscall.set_failure pe.ret_scratch
-            (if idx = Syscall.verdict_inval then Error.INVAL else Error.NOSUPPORT);
-          continue_or_stash remaining
-        end
-        else begin
-          if Tock_obs.Trace.on tr then
-            Tock_obs.Trace.emit tr ~ts:sys_t0 ~tid:pid Tock_obs.Trace.Syscall
-              Tock_obs.Trace.Begin ~arg:idx ~text:class_names.(idx);
-          (* A trace hook sees the call decoded before dispatch, while the
-             frame is still the trapped one. *)
-          let traced =
-            match t.trace_hook with
-            | None -> None
-            | Some _ -> Result.to_option (Syscall.decode_call regs)
-          in
-          let outcome = dispatch t pe idx regs in
-          (match (t.trace_hook, traced) with
-          | Some trace, Some call ->
-              trace proc call
-                (match outcome with
-                | Returned -> Result.to_option (Syscall.decode_ret pe.ret_scratch)
-                | Deliver _ | Blocked | Dead -> None)
-          | _ -> ());
-          (* Latency from trap entry to dispatch completion: includes the
-             architectural syscall overhead and any driver work. *)
-          let sys_end = Tock_hw.Sim.now (sim t) in
-          Tock_obs.Metrics.observe t.h_sys.(idx) (sys_end - sys_t0);
-          Tock_obs.Metrics.add pe.c_cycles (sys_end - sys_t0);
-          if Tock_obs.Trace.on tr then
-            Tock_obs.Trace.emit tr ~ts:sys_end ~tid:pid Tock_obs.Trace.Syscall
-              Tock_obs.Trace.End ~arg:idx ~text:class_names.(idx);
-          match outcome with
-          | Returned -> continue_or_stash remaining
-          | Deliver pu ->
-              let arg = deliver_of_pending t proc pu in
-              if remaining > 0 then go arg remaining
-              else begin
-                pe.pending_resume <- Some arg;
-                t.k_config.scheduler.Scheduler.charge proc
-                  Scheduler.Used_full_slice
-              end
-          | Blocked | Dead ->
-              t.k_config.scheduler.Scheduler.charge proc Scheduler.Yielded_early
-        end)
-  and continue_or_stash remaining =
-    if remaining > 0 then go pe.resume_ret remaining
-    else begin
-      pe.pending_resume <- Some pe.resume_ret;
-      t.k_config.scheduler.Scheduler.charge pe.proc Scheduler.Used_full_slice
-    end
-  in
-  go initial_arg budget;
+  run_from t pe initial_arg budget;
   if Tock_obs.Trace.on tr then
     Tock_obs.Trace.emit tr
       ~ts:(Tock_hw.Sim.now (sim t))
@@ -851,32 +894,34 @@ let run_slice t pe timeslice =
 (* One loop iteration minus the idle policy: interrupts, then one
    process slice. [`Idle] means nothing ran — the caller decides
    whether to deep-sleep to the next event ({!step}) or hand the wake
-   deadline to an outer cross-board scheduler ({!run_to_deadline}). *)
+   deadline to an outer cross-board scheduler ({!run_to_deadline}). The
+   decision neither conses nor sorts: the deliverable processes go into
+   [t.runnable] in pid order, and the scheduler answers an index. *)
 let step_work t ~cap:_ =
   let tm = timing t in
   Tock_obs.Metrics.incr t.kc.c_loop_iterations;
   spend t tm.Tock_hw.Chip.kernel_loop_overhead;
   let irq = t.k_chip.Tock_hw.Chip.irq in
-  let worked = ref false in
-  if Tock_hw.Irq.has_pending irq then begin
-    let n = Tock_hw.Irq.service irq in
-    spend t (30 * n);
-    worked := true
-  end;
-  (* One backwards pass builds the runnable list in ascending-pid order
-     without the filter-then-map double traversal. *)
-  let runnable = ref [] in
-  for i = Array.length t.table - 1 downto 0 do
+  let worked = Tock_hw.Irq.has_pending irq in
+  if worked then spend t (30 * Tock_hw.Irq.service irq);
+  let runnable = t.runnable in
+  let n = ref 0 in
+  for i = 0 to Array.length t.table - 1 do
     let pe = t.table.(i) in
-    if deliverable pe then runnable := pe.proc :: !runnable
+    if deliverable pe then begin
+      runnable.(!n) <- pe.proc;
+      incr n
+    end
   done;
-  match t.k_config.scheduler.Scheduler.next !runnable with
-  | Scheduler.Run { proc; timeslice } ->
-      (match entry t (Process.id proc) with
-      | Some pe -> run_slice t pe timeslice
-      | None -> ());
-      `Worked
-  | Scheduler.Idle -> if !worked then `Worked else `Idle
+  let sched = t.k_config.scheduler in
+  let i = sched.Scheduler.next runnable !n in
+  if i >= 0 then begin
+    let proc = runnable.(i) in
+    run_slice t t.table.(Process.id proc) (sched.Scheduler.timeslice proc);
+    `Worked
+  end
+  else if worked then `Worked
+  else `Idle
 
 (* Metered idle sleep to an absolute time: power-model the CPU down,
    fire any events due in the interval at their own deadlines, count and

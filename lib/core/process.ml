@@ -29,29 +29,17 @@ type resume_arg =
   | Rstart
   | Rcontinue
   | Rsyscall_ret of int array
-  | Rupcall of {
-      fnptr : int;
-      appdata : int;
-      arg0 : int;
-      arg1 : int;
-      arg2 : int;
-    }
+  | Rupcall of int array (* fnptr, appdata, arg0, arg1, arg2 *)
 
 type execution = {
-  step : fuel:int -> resume_arg -> trap * int;
+  step : fuel:int -> resume_arg -> trap;
+  used : unit -> int;
   destroy : unit -> unit;
 }
 
 type upcall = { fnptr : int; appdata : int }
 
 let null_upcall = { fnptr = 0; appdata = 0 }
-
-type pending_upcall = {
-  pu_driver : int;
-  pu_subscribe : int;
-  pu_upcall : upcall;
-  pu_args : int * int * int;
-}
 
 (* An allowed buffer, materialized as a window over process memory at
    allow time (§4.2): [a_window] is a base-bounded Subslice the kernel
@@ -62,7 +50,62 @@ type allow_entry = { a_addr : int; a_len : int; a_window : Subslice.t option }
 
 let zero_allow = { a_addr = 0; a_len = 0; a_window = None }
 
-let some_zero_allow = Some zero_allow
+(* What [allow_entry] answers for a range outside process memory;
+   compared by address, never installed. *)
+let no_entry = { a_addr = -1; a_len = -1; a_window = None }
+
+(* ---- the subscribe and allow tables ----
+
+   A process holds a handful of (driver, num) keys per table, so each
+   table is a small array scanned linearly: a lookup compares ints and
+   allocates nothing, where a hash table would box a tuple key per
+   call. A key stays once added, until [clear_tables]: a null
+   subscription or a zero allow is state that freeze writes into the
+   witness. *)
+type 'a table = {
+  mutable keys : int array; (* driver at 2i, num at 2i + 1 *)
+  mutable vals : 'a array;
+  mutable size : int;
+}
+
+let empty_table () = { keys = [||]; vals = [||]; size = 0 }
+
+let rec index_from keys size driver num i =
+  if i >= size then -1
+  else if
+    Array.unsafe_get keys (2 * i) = driver
+    && Array.unsafe_get keys ((2 * i) + 1) = num
+  then i
+  else index_from keys size driver num (i + 1)
+
+let index tbl ~driver ~num = index_from tbl.keys tbl.size driver num 0
+
+let add tbl ~driver ~num v =
+  let i = tbl.size in
+  if i = Array.length tbl.vals then begin
+    let cap = max 4 (2 * i) in
+    let keys = Array.make (2 * cap) 0 and vals = Array.make cap v in
+    Array.blit tbl.keys 0 keys 0 (2 * i);
+    Array.blit tbl.vals 0 vals 0 i;
+    tbl.keys <- keys;
+    tbl.vals <- vals
+  end;
+  tbl.keys.(2 * i) <- driver;
+  tbl.keys.((2 * i) + 1) <- num;
+  tbl.vals.(i) <- v;
+  tbl.size <- i + 1
+
+(* Sorted (driver, num, value) triples: the witness's canonical order. *)
+let table_bindings tbl =
+  List.sort compare
+    (List.init tbl.size (fun i ->
+         (tbl.keys.(2 * i), tbl.keys.((2 * i) + 1), tbl.vals.(i))))
+
+(* One allow key: the entry installed now, and the last entry ever
+   installed under it other than the zero one. An allow of the range
+   [last] spans installs [last] again instead of building a new window:
+   the window over the same bytes and base is the same value. *)
+type allow_slot = { mutable cur : allow_entry; mutable last : allow_entry }
 
 (* Last-hit MPU access cache, one per access kind. The emulated data
    plane funnels every load/store through [check_access]; the common case
@@ -82,6 +125,10 @@ type access_cache = {
 let fresh_cache () = { c_gen = -1; c_lo = 0; c_hi = 0 }
 
 let upcall_queue_capacity = 16
+
+(* Ints per queued upcall: driver, subscribe number, fnptr, appdata and
+   the three arguments. *)
+let pending_width = 7
 
 (* ---- freeze/thaw bridge ----
 
@@ -125,11 +172,18 @@ type t = {
   cache_read : access_cache;
   cache_write : access_cache;
   cache_exec : access_cache;
-  upcall_slots : upcall Int_hashtbl.Pair.t; (* (driver, subscribe_num) *)
-  pending : pending_upcall Ring_buffer.t;
-  allows_rw : allow_entry Int_hashtbl.Pair.t; (* (driver, allow_num) *)
-  allows_ro : allow_entry Int_hashtbl.Pair.t;
-  grants : (int, Univ.t) Hashtbl.t;
+  upcall_slots : upcall table; (* (driver, subscribe_num) *)
+  pending : int array;
+      (* The upcall queue: a ring of [upcall_queue_capacity] entries of
+         [pending_width] ints, so queueing, delivering and plucking an
+         upcall allocate nothing. Overflow drops the new upcall and
+         counts it, as Tock does. *)
+  mutable pending_head : int; (* oldest entry *)
+  mutable pending_len : int;
+  mutable pending_drops : int;
+  allows_rw : allow_slot table; (* (driver, allow_num) *)
+  allows_ro : allow_slot table;
+  grants : Univ.t Int_hashtbl.Int.t; (* by grant id *)
   mutable grant_bytes : int;
   mutable exec : execution option;
   mutable p_state : state;
@@ -164,9 +218,6 @@ type t = {
   mutable p_bridge : bridge option;
 }
 
-let dummy_pending =
-  { pu_driver = 0; pu_subscribe = 0; pu_upcall = null_upcall; pu_args = (0, 0, 0) }
-
 let create ~id ~name ~ram_base ~ram_size ~initial_app_break ~flash_base ~flash
     ~mpu ~mpu_config ~permissions ~storage ~tbf_flags =
   let ram_end = ram_base + ram_size in
@@ -190,11 +241,14 @@ let create ~id ~name ~ram_base ~ram_size ~initial_app_break ~flash_base ~flash
     cache_read = fresh_cache ();
     cache_write = fresh_cache ();
     cache_exec = fresh_cache ();
-    upcall_slots = Int_hashtbl.Pair.create 16;
-    pending = Ring_buffer.create ~capacity:upcall_queue_capacity ~dummy:dummy_pending;
-    allows_rw = Int_hashtbl.Pair.create 16;
-    allows_ro = Int_hashtbl.Pair.create 16;
-    grants = Hashtbl.create 8;
+    upcall_slots = empty_table ();
+    pending = Array.make (upcall_queue_capacity * pending_width) 0;
+    pending_head = 0;
+    pending_len = 0;
+    pending_drops = 0;
+    allows_rw = empty_table ();
+    allows_ro = empty_table ();
+    grants = Int_hashtbl.Int.create 8;
     grant_bytes = 0;
     exec = None;
     p_state = Unstarted;
@@ -335,24 +389,47 @@ let check_access t ~addr ~len kind =
 
 (* ---- upcalls ---- *)
 
-(* Absent slots read as the null upcall / zero allow. [find] with a
-   handler rather than [find_opt]: these run on every subscribe, allow
-   and enqueue, and must not box their result. *)
-let find_or tbl key default =
-  match Int_hashtbl.Pair.find tbl key with
-  | v -> v
-  | exception Not_found -> default
-
 let subscribe_swap t ~driver ~subscribe_num up =
-  let key = (driver, subscribe_num) in
-  let old = find_or t.upcall_slots key null_upcall in
-  Int_hashtbl.Pair.replace t.upcall_slots key up;
-  old
+  let tbl = t.upcall_slots in
+  let i = index tbl ~driver ~num:subscribe_num in
+  if i < 0 then begin
+    add tbl ~driver ~num:subscribe_num up;
+    null_upcall
+  end
+  else begin
+    let old = tbl.vals.(i) in
+    tbl.vals.(i) <- up;
+    old
+  end
 
 let get_subscribed t ~driver ~subscribe_num =
-  find_or t.upcall_slots (driver, subscribe_num) null_upcall
+  let tbl = t.upcall_slots in
+  let i = index tbl ~driver ~num:subscribe_num in
+  if i < 0 then null_upcall else tbl.vals.(i)
 
-let enqueue_upcall t ~driver ~subscribe_num ~args =
+(* Offset of the [i]th oldest queued upcall in [t.pending]. *)
+let pending_at t i =
+  (t.pending_head + i) mod upcall_queue_capacity * pending_width
+
+let push_pending t ~driver ~subscribe_num ~fnptr ~appdata a0 a1 a2 =
+  if t.pending_len = upcall_queue_capacity then begin
+    t.pending_drops <- t.pending_drops + 1;
+    false
+  end
+  else begin
+    let q = t.pending and o = pending_at t t.pending_len in
+    q.(o) <- driver;
+    q.(o + 1) <- subscribe_num;
+    q.(o + 2) <- fnptr;
+    q.(o + 3) <- appdata;
+    q.(o + 4) <- a0;
+    q.(o + 5) <- a1;
+    q.(o + 6) <- a2;
+    t.pending_len <- t.pending_len + 1;
+    true
+  end
+
+let enqueue_upcall t ~driver ~subscribe_num ~args:(a0, a1, a2) =
   let up = get_subscribed t ~driver ~subscribe_num in
   (* A process parked in yield-wait-for or a blocking command receives the
      completion's arguments directly in registers — no upcall function is
@@ -366,26 +443,51 @@ let enqueue_upcall t ~driver ~subscribe_num ~args =
   in
   if up.fnptr = 0 && not directly_awaited then true
   else
-    Ring_buffer.push t.pending
-      { pu_driver = driver; pu_subscribe = subscribe_num; pu_upcall = up;
-        pu_args = args }
+    push_pending t ~driver ~subscribe_num ~fnptr:up.fnptr ~appdata:up.appdata
+      a0 a1 a2
 
-let pop_upcall t = Ring_buffer.pop t.pending
+(* Copy the [i]th oldest upcall into [frame] as fnptr, appdata and its
+   three arguments, then remove it; the others keep their order. *)
+let take_pending t i frame =
+  let q = t.pending in
+  let o = pending_at t i in
+  Array.blit q (o + 2) frame 0 5;
+  if i = 0 then t.pending_head <- (t.pending_head + 1) mod upcall_queue_capacity
+  else
+    for j = i to t.pending_len - 2 do
+      Array.blit q (pending_at t (j + 1)) q (pending_at t j) pending_width
+    done;
+  t.pending_len <- t.pending_len - 1
 
-let pop_upcall_for t ~driver ~subscribe_num =
-  Ring_buffer.find_remove t.pending (fun pu ->
-      pu.pu_driver = driver && pu.pu_subscribe = subscribe_num)
+let rec find_pending t ~driver ~subscribe_num i =
+  if i >= t.pending_len then -1
+  else
+    let o = pending_at t i in
+    if t.pending.(o) = driver && t.pending.(o + 1) = subscribe_num then i
+    else find_pending t ~driver ~subscribe_num (i + 1)
+
+let pop_upcall t frame =
+  if t.pending_len = 0 then -1
+  else begin
+    let driver = t.pending.(pending_at t 0) in
+    take_pending t 0 frame;
+    driver
+  end
+
+let pop_upcall_for t ~driver ~subscribe_num frame =
+  let i = find_pending t ~driver ~subscribe_num 0 in
+  if i < 0 then false
+  else begin
+    take_pending t i frame;
+    true
+  end
 
 let has_upcall_for t ~driver ~subscribe_num =
-  let found = ref false in
-  Ring_buffer.iter t.pending (fun pu ->
-      if pu.pu_driver = driver && pu.pu_subscribe = subscribe_num then
-        found := true);
-  !found
+  find_pending t ~driver ~subscribe_num 0 >= 0
 
-let has_pending_upcalls t = not (Ring_buffer.is_empty t.pending)
+let has_pending_upcalls t = t.pending_len > 0
 
-let upcalls_dropped t = Ring_buffer.drops t.pending
+let upcalls_dropped t = t.pending_drops
 
 (* ---- allows ---- *)
 
@@ -393,41 +495,67 @@ let allow_table t = function `Ro -> t.allows_ro | `Rw -> t.allows_rw
 
 let allow_swap t ~kind ~driver ~allow_num entry =
   let tbl = allow_table t kind in
-  let key = (driver, allow_num) in
-  let old = find_or tbl key zero_allow in
-  Int_hashtbl.Pair.replace tbl key entry;
-  old
+  let i = index tbl ~driver ~num:allow_num in
+  if i < 0 then begin
+    add tbl ~driver ~num:allow_num
+      { cur = entry; last = (if entry == zero_allow then no_entry else entry) };
+    zero_allow
+  end
+  else begin
+    let slot = tbl.vals.(i) in
+    let old = slot.cur in
+    slot.cur <- entry;
+    if entry != zero_allow then slot.last <- entry;
+    old
+  end
 
 let allow_get t ~kind ~driver ~allow_num =
-  find_or (allow_table t kind) (driver, allow_num) zero_allow
+  let tbl = allow_table t kind in
+  let i = index tbl ~driver ~num:allow_num in
+  if i < 0 then zero_allow else tbl.vals.(i).cur
+
+let rec overlaps_from slots size ~addr ~len i =
+  if i >= size then false
+  else
+    let e = (Array.unsafe_get slots i).cur in
+    (e.a_len > 0 && e.a_addr < addr + len && addr < e.a_addr + e.a_len)
+    || overlaps_from slots size ~addr ~len (i + 1)
 
 let allow_overlaps t ~kind ~addr ~len =
-  len > 0
-  && Int_hashtbl.Pair.fold
-       (fun _ e acc ->
-         acc
-         || (e.a_len > 0 && e.a_addr < addr + len && addr < e.a_addr + e.a_len))
-       (allow_table t kind) false
+  let tbl = allow_table t kind in
+  len > 0 && overlaps_from tbl.vals tbl.size ~addr ~len 0
 
-(* Materialize the window at allow time: this is the single point where
-   an (addr, len) pair crosses from process arithmetic into a checked
-   byte window, so every later capsule access is already bounds-safe. *)
-let make_allow_entry t ~addr ~len =
+(* Materialize the window: this is the single point where an (addr,
+   len) pair crosses from process arithmetic into a checked byte window,
+   so every later capsule access is already bounds-safe. *)
+let window t ~addr ~len =
   if len = 0 then
     (* Unallow (the zero buffer) is half of every allow pair. *)
-    if addr = 0 then some_zero_allow
-    else Some { a_addr = addr; a_len = 0; a_window = None }
-  else
-    match mem_view t ~addr ~len with
-    | Some (`Ram off) ->
-        Some
-          { a_addr = addr; a_len = len;
-            a_window = Some (Subslice.of_bytes_window t.ram ~pos:off ~len) }
-    | Some (`Flash off) ->
-        Some
-          { a_addr = addr; a_len = len;
-            a_window = Some (Subslice.of_bytes_window t.flash ~pos:off ~len) }
-    | None -> None
+    if addr = 0 then zero_allow
+    else { a_addr = addr; a_len = 0; a_window = None }
+  else if len < 0 then no_entry
+  else if addr >= t.p_ram_base && addr + len <= ram_end t then
+    let pos = addr - t.p_ram_base in
+    { a_addr = addr; a_len = len;
+      a_window = Some (Subslice.of_bytes_window t.ram ~pos ~len) }
+  else if addr >= t.p_flash_base && addr + len <= flash_end t then
+    let pos = addr - t.p_flash_base in
+    { a_addr = addr; a_len = len;
+      a_window = Some (Subslice.of_bytes_window t.flash ~pos ~len) }
+  else no_entry
+
+let make_allow_entry t ~addr ~len =
+  let e = window t ~addr ~len in
+  if e == no_entry then None else Some e
+
+(* The entry an allow of [addr, len] under this key installs: the key's
+   last entry if it spans the same range, so a buffer allowed and
+   revoked in a loop reuses one window. *)
+let allow_entry t ~kind ~driver ~allow_num ~addr ~len =
+  let tbl = allow_table t kind in
+  let i = index tbl ~driver ~num:allow_num in
+  let last = if i < 0 then no_entry else tbl.vals.(i).last in
+  if last.a_addr = addr && last.a_len = len then last else window t ~addr ~len
 
 (* ---- grants ---- *)
 
@@ -439,6 +567,8 @@ let run t ~fuel arg =
   match t.exec with
   | Some e -> e.step ~fuel arg
   | None -> invalid_arg "Process.run: no execution attached"
+
+let cycles_used t = match t.exec with Some e -> e.used () | None -> 0
 
 let destroy_execution t =
   (match t.exec with Some e -> e.destroy () | None -> ());
@@ -453,14 +583,15 @@ let restart_count t = t.restarts
 (* Drop subscriptions, queued upcalls and allows: restart does, and so
    does thaw before it restores the frozen tables. *)
 let clear_tables t =
-  Int_hashtbl.Pair.reset t.upcall_slots;
-  Ring_buffer.clear t.pending;
-  Int_hashtbl.Pair.reset t.allows_rw;
-  Int_hashtbl.Pair.reset t.allows_ro
+  t.upcall_slots.size <- 0;
+  t.pending_head <- 0;
+  t.pending_len <- 0;
+  t.allows_rw.size <- 0;
+  t.allows_ro.size <- 0
 
 let reset_syscall_state t =
   clear_tables t;
-  Hashtbl.reset t.grants;
+  Int_hashtbl.Int.reset t.grants;
   t.grant_bytes <- 0;
   t.app_break <- t.initial_app_break;
   t.kernel_break <- t.initial_kernel_break;
@@ -599,9 +730,9 @@ let encode_resume b = function
       add_i b 3;
       add_i b (Array.length regs);
       Array.iter (add_i b) regs
-  | Some (Rupcall { fnptr; appdata; arg0; arg1; arg2 }) ->
+  | Some (Rupcall frame) ->
       add_i b 4;
-      List.iter (add_i b) [ fnptr; appdata; arg0; arg1; arg2 ]
+      Array.iter (add_i b) frame
 
 (* Sparse RAM image: (offset, bytes) runs of interesting data. A run
    ends once more than [zero_fold] zeros follow its last nonzero byte
@@ -673,23 +804,26 @@ let add_image b t ~resume ~grants =
   Frame.add_list b (fun (c, n) -> add_i b c; add_i b n) (List.sort compare !classes);
   Frame.add_list b (add_s b) grants;
   Frame.add_list b
-    (fun (d, s, f, a) -> add_i b d; add_i b s; add_i b f; add_i b a)
-    (List.sort compare
-       (Int_hashtbl.Pair.fold
-          (fun (d, s) up acc -> (d, s, up.fnptr, up.appdata) :: acc)
-          t.upcall_slots []));
-  let allows k tbl acc =
-    Int_hashtbl.Pair.fold (fun (d, n) e acc -> (k, d, n, e.a_addr, e.a_len) :: acc) tbl acc
+    (fun (d, s, up) ->
+      add_i b d;
+      add_i b s;
+      add_i b up.fnptr;
+      add_i b up.appdata)
+    (table_bindings t.upcall_slots);
+  let allows k tbl =
+    List.map (fun (d, n, slot) -> (k, d, n, slot.cur.a_addr, slot.cur.a_len))
+      (table_bindings tbl)
   in
   Frame.add_list b
     (fun (k, d, n, addr, len) -> List.iter (add_i b) [ k; d; n; addr; len ])
-    (List.sort compare (allows 0 t.allows_rw (allows 1 t.allows_ro [])));
-  add_i b (Ring_buffer.length t.pending);
-  Ring_buffer.iter t.pending (fun pu ->
-      let a0, a1, a2 = pu.pu_args in
-      List.iter (add_i b)
-        [ pu.pu_driver; pu.pu_subscribe; pu.pu_upcall.fnptr;
-          pu.pu_upcall.appdata; a0; a1; a2 ]);
+    (allows 0 t.allows_rw @ allows 1 t.allows_ro);
+  add_i b t.pending_len;
+  for i = 0 to t.pending_len - 1 do
+    let o = pending_at t i in
+    for j = 0 to pending_width - 1 do
+      add_i b t.pending.(o + j)
+    done
+  done;
   encode_ram b t.ram
 
 type image = {
@@ -713,7 +847,7 @@ type image = {
   i_grants : string list;
   i_subs : (int * int * upcall) list;
   i_allows : ([ `Rw | `Ro ] * int * int * int * int) list;
-  i_pending : pending_upcall list;
+  i_pending : int array list; (* [pending_width] ints each, oldest first *)
   i_ram_len : int;
   i_ram_runs : (int * string) list;
 }
@@ -721,6 +855,8 @@ type image = {
 let image_name i = i.i_name
 let image_grants i = i.i_grants
 let image_resume i = i.i_resume
+let image_subscriptions i = i.i_subs
+let image_allows i = i.i_allows
 
 let rec decode_state r =
   match Frame.int r with
@@ -756,12 +892,7 @@ let decode_resume r =
       let n = Frame.int r in
       if n < 0 || n > 16 then Frame.fail "bad register count %d" n;
       Some (Rsyscall_ret (Array.init n (fun _ -> Frame.int r)))
-  | 4 ->
-      let fnptr = Frame.int r in
-      let appdata = Frame.int r in
-      let arg0 = Frame.int r in
-      let arg1 = Frame.int r in
-      Some (Rupcall { fnptr; appdata; arg0; arg1; arg2 = Frame.int r })
+  | 4 -> Some (Rupcall (Array.init 5 (fun _ -> Frame.int r)))
   | n -> Frame.fail "unknown resume tag %d" n
 
 let read_image r =
@@ -832,16 +963,8 @@ let read_image r =
         (kind, d, n, addr, Frame.int r))
   in
   let i_pending =
-    Frame.list r ~min:56 (fun r ->
-        let pu_driver = Frame.int r in
-        let pu_subscribe = Frame.int r in
-        let fnptr = Frame.int r in
-        let appdata = Frame.int r in
-        let a0 = Frame.int r in
-        let a1 = Frame.int r in
-        let a2 = Frame.int r in
-        { pu_driver; pu_subscribe; pu_upcall = { fnptr; appdata };
-          pu_args = (a0, a1, a2) })
+    Frame.list r ~min:(8 * pending_width) (fun r ->
+        Array.init pending_width (fun _ -> Frame.int r))
   in
   let i_ram_len = Frame.int r in
   if i_ram_len < 0 then Frame.fail "bad RAM size %d" i_ram_len;
@@ -916,7 +1039,8 @@ let thaw_patch t img =
       Array.fill t.class_counts 0 Syscall.classes 0;
       Int_hashtbl.Int.reset t.other_classes;
       List.iter
-        (fun (d, s, up) -> Int_hashtbl.Pair.replace t.upcall_slots (d, s) up)
+        (fun (driver, subscribe_num, up) ->
+          ignore (subscribe_swap t ~driver ~subscribe_num up))
         img.i_subs;
       let app_break = img.i_app_break and kernel_break = img.i_kernel_break in
       if
@@ -930,17 +1054,19 @@ let thaw_patch t img =
       t.kernel_break <- kernel_break;
       List.iter
         (fun (kind, driver, allow_num, addr, len) ->
-          match make_allow_entry t ~addr ~len with
-          | Some e ->
-              Int_hashtbl.Pair.replace (allow_table t kind) (driver, allow_num) e
-          | None ->
-              thaw_fail "process %s: allow %d/%d does not resolve" name driver
-                allow_num)
+          let e = window t ~addr ~len in
+          if e == no_entry then
+            thaw_fail "process %s: allow %d/%d does not resolve" name driver
+              allow_num;
+          ignore (allow_swap t ~kind ~driver ~allow_num e))
         img.i_allows;
       List.iter
-        (fun pu ->
-          if not (Ring_buffer.push t.pending pu) then
-            thaw_fail "process %s: pending-upcall overflow" name)
+        (fun u ->
+          if
+            not
+              (push_pending t ~driver:u.(0) ~subscribe_num:u.(1) ~fnptr:u.(2)
+                 ~appdata:u.(3) u.(4) u.(5) u.(6))
+          then thaw_fail "process %s: pending-upcall overflow" name)
         img.i_pending;
       let len = Bytes.length t.ram in
       if len <> img.i_ram_len then
@@ -966,7 +1092,7 @@ let thaw_patch t img =
       List.iter
         (fun (class_num, count) -> set_class_count t ~class_num ~count)
         img.i_classes;
-      Ring_buffer.set_drops t.pending img.i_upcall_drops;
+      t.pending_drops <- img.i_upcall_drops;
       (match (t.p_bridge, img.i_residue) with
       | Some br, Some res -> br.br_set_residue res
       | _, None -> ()

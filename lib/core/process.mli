@@ -57,29 +57,23 @@ type resume_arg =
       (** resume after timeslice expiry (the suspension point was not a
           syscall, so there is no value to deliver) *)
   | Rsyscall_ret of int array  (** 4 raw registers *)
-  | Rupcall of {
-      fnptr : int;
-      appdata : int;
-      arg0 : int;
-      arg1 : int;
-      arg2 : int;
-    }  (** deliver a queued upcall out of yield-wait *)
+  | Rupcall of int array
+      (** deliver a queued upcall out of yield-wait: fnptr, appdata and
+          the three arguments. Like [Rsyscall_ret], the array is the
+          kernel's per-process buffer, valid until the process traps
+          again. *)
 
 type execution = {
-  step : fuel:int -> resume_arg -> trap * int;
-      (** Run until trap or fuel exhaustion; returns (trap, cycles used). *)
+  step : fuel:int -> resume_arg -> trap;
+      (** Run until trap or fuel exhaustion. *)
+  used : unit -> int;
+      (** Cycles the last [step] consumed. A separate call, so a step
+          returns its trap without pairing it with a count. *)
   destroy : unit -> unit;
       (** Drop the suspended continuation (process kill/restart). *)
 }
 
 type upcall = { fnptr : int; appdata : int }
-
-type pending_upcall = {
-  pu_driver : int;
-  pu_subscribe : int;
-  pu_upcall : upcall;
-  pu_args : int * int * int;
-}
 
 type allow_entry = { a_addr : int; a_len : int; a_window : Subslice.t option }
 (** An allowed buffer. [a_window] is the zero-copy window over process
@@ -164,11 +158,19 @@ val ram_bytes : t -> bytes
 val check_access : t -> addr:int -> len:int -> [ `Read | `Write | `Execute ] -> bool
 (** The MPU check applied to app-mode accesses. *)
 
-(** {2 Syscall state: upcalls} *)
+(** {2 Syscall state: upcalls}
+
+    The subscribe table and both allow tables are small arrays scanned
+    by (driver, num), and the upcall queue is a ring of ints: no lookup,
+    swap, queueing or delivery allocates. A key stays in its table once
+    added, null or zero, until restart or thaw clears the tables:
+    freeze writes every key into the witness. *)
+
+val null_upcall : upcall
 
 val subscribe_swap : t -> driver:int -> subscribe_num:int -> upcall -> upcall
 (** Install an upcall, returning the previous one (Tock 2.0 swap
-    semantics; the first swap returns the null upcall, [fnptr = 0]). *)
+    semantics; the first swap returns {!null_upcall}, [fnptr = 0]). *)
 
 val enqueue_upcall :
   t -> driver:int -> subscribe_num:int -> args:int * int * int -> bool
@@ -176,9 +178,14 @@ val enqueue_upcall :
     null subscription silently succeeds without enqueueing (as in Tock).
     False only if the pending queue overflowed. *)
 
-val pop_upcall : t -> pending_upcall option
+val pop_upcall : t -> int array -> int
+(** Move the oldest queued upcall into the array, as fnptr, appdata and
+    its three arguments, and return the number of the driver that
+    scheduled it; -1 if none is queued. *)
 
-val pop_upcall_for : t -> driver:int -> subscribe_num:int -> pending_upcall option
+val pop_upcall_for : t -> driver:int -> subscribe_num:int -> int array -> bool
+(** {!pop_upcall} for the oldest upcall of one subscription; the other
+    queued upcalls keep their order. *)
 
 val has_upcall_for : t -> driver:int -> subscribe_num:int -> bool
 
@@ -198,6 +205,21 @@ val allow_swap :
 (** Swap semantics; the zero entry [{a_addr = 0; a_len = 0}] is the
     initial/revoked state. *)
 
+val allow_entry :
+  t ->
+  kind:[ `Ro | `Rw ] ->
+  driver:int ->
+  allow_num:int ->
+  addr:int ->
+  len:int ->
+  allow_entry
+(** The entry an allow of [addr, len] under this key would install:
+    the key's last installed entry if it spans the same range (a buffer
+    allowed and revoked in a loop reuses one window), else
+    {!make_allow_entry}'s. Its [a_len] is negative, and nothing may
+    install it, if the range escapes process memory: no option is
+    built on the syscall path. *)
+
 val allow_get : t -> kind:[ `Ro | `Rw ] -> driver:int -> allow_num:int -> allow_entry
 
 val allow_overlaps : t -> kind:[ `Ro | `Rw ] -> addr:int -> len:int -> bool
@@ -209,18 +231,23 @@ val make_allow_entry : t -> addr:int -> len:int -> allow_entry option
 (** Materialize an allow entry: resolve the range to process RAM or
     flash and build the base-bounded window capsules will operate on in
     place. [None] if the range escapes process memory; zero-length
-    ranges yield an entry with no window. The kernel calls this after
-    policy validation; it is also the unit the iopath micro-bench
-    measures as "allow-window setup". *)
+    ranges yield an entry with no window. This is what {!allow_entry}
+    builds on a miss, and the unit the datapath bench measures as
+    "allow-window setup". *)
 
 (** {2 Grant value store} *)
 
-val grant_table : t -> (int, Univ.t) Hashtbl.t
+val grant_table : t -> Univ.t Int_hashtbl.Int.t
+(** Grant instances by grant id; int-keyed, so a capsule's grant entry
+    hashes no key through the polymorphic primitive. *)
 
 (** {2 Execution} *)
 
-val run : t -> fuel:int -> resume_arg -> trap * int
+val run : t -> fuel:int -> resume_arg -> trap
 (** Resume; raises [Invalid_argument] if no execution is attached. *)
+
+val cycles_used : t -> int
+(** Cycles the last {!run} consumed. *)
 
 val destroy_execution : t -> unit
 
@@ -333,6 +360,15 @@ val read_images : Tock_obs.Frame.reader -> image list
 val image_name : image -> string
 val image_grants : image -> string list
 val image_resume : image -> resume_arg option
+
+val image_subscriptions : image -> (int * int * upcall) list
+(** The record's subscribe table: (driver, subscribe number, upcall),
+    sorted by key, null subscriptions included. *)
+
+val image_allows : image -> ([ `Rw | `Ro ] * int * int * int * int) list
+(** The record's allow tables: (kind, driver, allow number, address,
+    length), read-write first, each sorted by key, zero allows
+    included. *)
 
 val thaw_begin : t -> image -> (unit, string) result
 (** Thaw's first step, before the resume prologues run: restore the

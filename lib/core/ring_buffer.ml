@@ -11,8 +11,6 @@ let create ~capacity ~dummy =
 
 let length t = t.len
 
-let is_empty t = t.len = 0
-
 let is_full t = t.len = Array.length t.slots
 
 let push t v =
@@ -38,8 +36,6 @@ let pop t =
 let peek t = if t.len = 0 then None else Some t.slots.(t.head)
 
 let drops t = t.drops
-
-let set_drops t n = t.drops <- n
 
 let clear t =
   t.head <- 0;

@@ -1,7 +1,9 @@
 (** Fixed-capacity ring buffer (no heap growth — Tock is heapless).
 
-    Backs per-process upcall queues and the console; overflow drops the
-    *new* element and counts it, matching Tock's queue behaviour. *)
+    Overflow drops the *new* element and counts it, matching Tock's
+    queue behaviour. The per-process upcall queue is not built on it: it
+    keeps its entries as ints in {!Process}, so queueing and delivery
+    allocate nothing. *)
 
 type 'a t
 
@@ -9,8 +11,6 @@ val create : capacity:int -> dummy:'a -> 'a t
 (** [dummy] fills unused slots (never returned). *)
 
 val length : 'a t -> int
-
-val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> bool
 (** False (and counts a drop) if full. *)
@@ -20,12 +20,6 @@ val pop : 'a t -> 'a option
 val peek : 'a t -> 'a option
 
 val drops : 'a t -> int
-
-val set_drops : 'a t -> int -> unit
-(** Re-establish the drop counter from a board witness (freeze/thaw
-    support; never used on live queues). *)
-
-val clear : 'a t -> unit
 
 val iter : 'a t -> ('a -> unit) -> unit
 (** Oldest first; does not consume. *)

@@ -11,12 +11,11 @@
     - {!mlfq}: multi-level feedback queue — CPU hogs sink to longer,
       lower-priority slices; interactive processes stay responsive.
 
-    Schedulers see only process handles, never kernel internals. *)
-
-type decision =
-  | Run of { proc : Process.t; timeslice : int option }
-      (** [None] = run to block (cooperative). *)
-  | Idle
+    Schedulers see only process handles, never kernel internals. The
+    kernel asks for a decision on every loop iteration, so a decision
+    allocates nothing: the kernel passes its one reusable buffer of
+    runnable processes, already in ascending id order, and gets back an
+    index. *)
 
 type usage =
   | Used_full_slice  (** preempted by fuel exhaustion *)
@@ -24,8 +23,13 @@ type usage =
 
 type t = {
   sched_name : string;
-  next : Process.t list -> decision;
-      (** Pick among the runnable processes (never empty). *)
+  next : Process.t array -> int -> int;
+      (** [next runnable n] picks one of [runnable.(0) .. runnable.(n-1)],
+          which are in ascending id order, and returns its index; -1
+          (idle) iff [n = 0]. *)
+  timeslice : Process.t -> int option;
+      (** The slice of the process [next] just picked; [None] = run to
+          block (cooperative). *)
   charge : Process.t -> usage -> unit;
       (** Feedback after the slice. *)
 }

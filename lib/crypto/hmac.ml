@@ -2,30 +2,40 @@ let mac_length = 32
 
 let block_size = 64
 
-type t = { inner : Sha256.t; okey : bytes }
+(* The contexts after absorbing K0 xor ipad and K0 xor opad: every MAC
+   under the key starts from one and ends from the other, so each
+   costs the compressions of its message and one more. *)
+type key = { ipad : Sha256.t; opad : Sha256.t }
 
-let normalize_key key =
+type t = { inner : Sha256.t; key : key }
+
+let prepare key =
   let key =
     if Bytes.length key > block_size then Sha256.digest_bytes key else key
   in
-  let padded = Bytes.make block_size '\x00' in
-  Bytes.blit key 0 padded 0 (Bytes.length key);
-  padded
+  let n = Bytes.length key in
+  let pad = Bytes.create block_size in
+  let absorb x =
+    for i = 0 to block_size - 1 do
+      let k = if i < n then Char.code (Bytes.unsafe_get key i) else 0 in
+      Bytes.unsafe_set pad i (Char.unsafe_chr (k lxor x))
+    done;
+    let h = Sha256.init () in
+    Sha256.feed h pad ~off:0 ~len:block_size;
+    h
+  in
+  let ipad = absorb 0x36 in
+  { ipad; opad = absorb 0x5c }
 
-let init ~key =
-  let k0 = normalize_key key in
-  let ikey = Bytes.map (fun c -> Char.chr (Char.code c lxor 0x36)) k0 in
-  let okey = Bytes.map (fun c -> Char.chr (Char.code c lxor 0x5c)) k0 in
-  let inner = Sha256.init () in
-  Sha256.feed inner ikey ~off:0 ~len:block_size;
-  { inner; okey }
+let start key = { inner = Sha256.copy key.ipad; key }
+
+let init ~key = start (prepare key)
 
 let feed t b ~off ~len = Sha256.feed t.inner b ~off ~len
 
 let finalize t =
   let inner_digest = Sha256.finalize t.inner in
-  let outer = Sha256.init () in
-  Sha256.feed outer t.okey ~off:0 ~len:block_size;
+  let outer = Sha256.copy t.key.opad in
   Sha256.feed outer inner_digest ~off:0 ~len:(Bytes.length inner_digest);
   Sha256.finalize outer
 

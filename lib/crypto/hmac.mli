@@ -6,9 +6,20 @@
 type t
 (** A streaming MAC context. *)
 
-val init : key:bytes -> t
-(** Start a MAC computation. Keys longer than 64 bytes are hashed first,
-    per RFC 2104. *)
+type key
+(** A prepared key: the SHA-256 midstates after absorbing the padded key
+    xor ipad and xor opad. A MAC started from it skips the key
+    normalisation and those two compressions, so a short message costs
+    two compressions instead of four. Immutable: any number of MACs may
+    start from one, in turn or at once. *)
+
+val prepare : bytes -> key
+(** Normalise the key (keys longer than 64 bytes are hashed first, per
+    RFC 2104) and compute its two midstates. Later changes to the bytes
+    do not reach the prepared key. *)
+
+val start : key -> t
+(** Start a MAC computation under a prepared key. *)
 
 val feed : t -> bytes -> off:int -> len:int -> unit
 

@@ -21,7 +21,10 @@ type t = {
   block : bytes;            (* 64-byte partial block *)
   mutable fill : int;       (* bytes currently buffered in [block] *)
   mutable total : int;      (* total message bytes absorbed *)
-  w : int array;            (* 64-entry message schedule, reused *)
+  mutable w : int array;
+      (* The oracle's 64-entry message schedule, reused; empty until
+         [compress_ref] first runs on this context, since the fast path
+         never reads it. *)
 }
 
 let init () =
@@ -32,14 +35,19 @@ let init () =
     block = Bytes.create 64;
     fill = 0;
     total = 0;
-    w = Array.make 64 0;
+    w = [||];
   }
+
+let copy t =
+  { h = Array.copy t.h; block = Bytes.copy t.block; fill = t.fill;
+    total = t.total; w = [||] }
 
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
 (* Byte-wise/textbook compression — retained as the oracle for the
    unrolled fast path below (see {!Reference}). *)
 let compress_ref t block off =
+  if Array.length t.w = 0 then t.w <- Array.make 64 0;
   let w = t.w in
   for i = 0 to 15 do
     let j = off + (i * 4) in

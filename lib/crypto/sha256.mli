@@ -9,6 +9,10 @@ type t
 
 val init : unit -> t
 
+val copy : t -> t
+(** An independent context in the same state: a midstate to resume from
+    any number of times (HMAC keeps its key's two this way). *)
+
 val feed : t -> bytes -> off:int -> len:int -> unit
 (** Absorb [len] bytes of [b] starting at [off]. May be called repeatedly. *)
 

@@ -80,25 +80,26 @@ let has_pending t = t.pending_count > 0
 let service t =
   let ran = ref 0 in
   let tr = Sim.trace_events t.sim in
-  (* Keep sweeping until no enabled line is pending; handlers may assert
-     new lines. *)
+  let lines = t.lines in
+  (* Sweep the lines in order, wrapping, while an enabled line is
+     pending; handlers may assert new lines. Stopping as soon as none is
+     left services exactly what whole sweeps would, in the same order. *)
+  let i = ref 0 in
   while t.pending_count > 0 do
-    Array.iteri
-      (fun i l ->
-        if l.pending && l.enabled then begin
-          l.pending <- false;
-          t.pending_count <- t.pending_count - 1;
-          incr ran;
-          let now = Sim.now t.sim in
-          Tock_obs.Metrics.incr t.c_serviced;
-          (match l.ctr with Some c -> Tock_obs.Metrics.incr c | None -> ());
-          Tock_obs.Metrics.observe t.h_latency (now - l.raised_at);
-          if Tock_obs.Trace.on tr then
-            Tock_obs.Trace.emit tr ~ts:now ~tid:(-1)
-              Tock_obs.Trace.Irq_dispatch Tock_obs.Trace.Instant ~arg:i
-              ~text:l.name;
-          match l.handler with Some fn -> fn () | None -> ()
-        end)
-      t.lines
+    let l = lines.(!i) in
+    if l.pending && l.enabled then begin
+      l.pending <- false;
+      t.pending_count <- t.pending_count - 1;
+      incr ran;
+      let now = Sim.now t.sim in
+      Tock_obs.Metrics.incr t.c_serviced;
+      (match l.ctr with Some c -> Tock_obs.Metrics.incr c | None -> ());
+      Tock_obs.Metrics.observe t.h_latency (now - l.raised_at);
+      if Tock_obs.Trace.on tr then
+        Tock_obs.Trace.emit tr ~ts:now ~tid:(-1) Tock_obs.Trace.Irq_dispatch
+          Tock_obs.Trace.Instant ~arg:!i ~text:l.name;
+      match l.handler with Some fn -> fn () | None -> ()
+    end;
+    i := if !i + 1 = Array.length lines then 0 else !i + 1
   done;
   !ran

@@ -280,13 +280,18 @@ let gauge_value g = g.g_value
 let bucket_index v =
   if v <= 0 then 0
   else begin
-    (* floor(log2 v) + 1, clamped: v=1 -> 1, v in [2^(b-1), 2^b) -> b. *)
-    let i = ref 0 and v = ref v in
-    while !v > 0 do
-      i := !i + 1;
-      v := !v lsr 1
-    done;
-    if !i > buckets - 1 then buckets - 1 else !i
+    (* floor(log2 v) + 1, clamped: v=1 -> 1, v in [2^(b-1), 2^b) -> b.
+       A fixed binary search over the bit width, six shifts whatever the
+       value: every syscall, interrupt and fleet quantum lands a
+       sample. *)
+    let n = ref 1 and v = ref v in
+    if !v lsr 32 <> 0 then begin n := !n + 32; v := !v lsr 32 end;
+    if !v lsr 16 <> 0 then begin n := !n + 16; v := !v lsr 16 end;
+    if !v lsr 8 <> 0 then begin n := !n + 8; v := !v lsr 8 end;
+    if !v lsr 4 <> 0 then begin n := !n + 4; v := !v lsr 4 end;
+    if !v lsr 2 <> 0 then begin n := !n + 2; v := !v lsr 2 end;
+    if !v lsr 1 <> 0 then n := !n + 1;
+    if !n > buckets - 1 then buckets - 1 else !n
   end
 
 let bucket_lower_bound b =

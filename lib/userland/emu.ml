@@ -6,13 +6,19 @@
 open Effect
 open Effect.Deep
 
-type sys_resume =
-  [ `Regs of int array | `Upcall of int * int * int * int * int ]
+type sys_resume = [ `Regs of int array | `Upcall of int array ]
+
+type callback = int -> int -> int -> unit
 
 type app = {
   a_proc : Tock.Process.t;
   mutable alloc_next : int;
-  upcalls : (int -> int -> int -> unit) Tock.Int_hashtbl.Int.t;
+  mutable fn_ids : int array;
+  mutable fns : callback array;
+  mutable fn_count : int;
+      (* The upcall table: [fn_ids.(i)] runs [fns.(i)], for i below
+         [fn_count]. It holds only live subscriptions, a handful, so a
+         lookup scans it: no hashing, and no allocation. *)
   mutable next_fn : int;
   scratch : (string, int * int) Hashtbl.t; (* tag -> (addr, size) *)
   frame : int array;
@@ -24,6 +30,8 @@ type app = {
   mutable ret_regs : sys_resume;
       (* [`Regs ret_buf]: the kernel returns through one buffer per
          process, so the resume wraps it once, not per call *)
+  mutable up_buf : int array;
+  mutable up_regs : sys_resume; (* [`Upcall up_buf], likewise *)
 }
 
 type _ Effect.t +=
@@ -193,22 +201,65 @@ let get_buffer app ~tag ~size =
 
 (* ---- upcall function table ---- *)
 
+let rec fn_index ids n id i =
+  if i >= n then -1
+  else if Array.unsafe_get ids i = id then i
+  else fn_index ids n id (i + 1)
+
+let no_fn : callback = fun _ _ _ -> ()
+
+let add_fn app id fn =
+  let n = app.fn_count in
+  if n = Array.length app.fns then begin
+    let cap = max 4 (2 * n) in
+    let ids = Array.make cap 0 and fns = Array.make cap no_fn in
+    Array.blit app.fn_ids 0 ids 0 n;
+    Array.blit app.fns 0 fns 0 n;
+    app.fn_ids <- ids;
+    app.fns <- fns
+  end;
+  app.fn_ids.(n) <- id;
+  app.fns.(n) <- fn;
+  app.fn_count <- n + 1
+
 let register_upcall_fn app fn =
   let id = app.next_fn in
   app.next_fn <- id + 1;
-  Tock.Int_hashtbl.Int.replace app.upcalls id fn;
+  add_fn app id fn;
   id
 
-let remove_upcall_fn app id = Tock.Int_hashtbl.Int.remove app.upcalls id
+(* Order is not observable: ids are unique, so the last entry fills the
+   hole. *)
+let remove_upcall_fn app id =
+  let i = fn_index app.fn_ids app.fn_count id 0 in
+  if i >= 0 then begin
+    let last = app.fn_count - 1 in
+    app.fn_ids.(i) <- app.fn_ids.(last);
+    app.fns.(i) <- app.fns.(last);
+    app.fns.(last) <- no_fn;
+    app.fn_count <- last
+  end
 
-let upcall_fn_count app = Tock.Int_hashtbl.Int.length app.upcalls
+let upcall_fn_count app = app.fn_count
 
 (* Deliveries to a pointer with no closure (null, or swapped out and
    removed) are dropped, like a stale function pointer. *)
 let run_upcall app id a0 a1 a2 =
-  match Tock.Int_hashtbl.Int.find app.upcalls id with
-  | fn -> fn a0 a1 a2
-  | exception Not_found -> ()
+  let i = fn_index app.fn_ids app.fn_count id 0 in
+  if i >= 0 then app.fns.(i) a0 a1 a2
+
+(* Move the closure under [old_id] to [new_id], replacing whatever
+   [new_id] held. *)
+let remap_upcall_fn app ~old_id ~new_id =
+  let i = fn_index app.fn_ids app.fn_count old_id 0 in
+  if i < 0 then false
+  else begin
+    let fn = app.fns.(i) in
+    remove_upcall_fn app old_id;
+    remove_upcall_fn app new_id;
+    add_fn app new_id fn;
+    true
+  end
 
 (* ---- freeze/thaw: checkpoints and the kernel bridge ---- *)
 
@@ -245,13 +296,7 @@ let install_bridge app =
             (fun (tag, v) -> Hashtbl.replace app.scratch tag v)
             r.Tock.Process.er_scratch);
       br_remap_upcall =
-        (fun ~old_id ~new_id ->
-          match Tock.Int_hashtbl.Int.find app.upcalls old_id with
-          | exception Not_found -> false
-          | fn ->
-              Tock.Int_hashtbl.Int.remove app.upcalls old_id;
-              Tock.Int_hashtbl.Int.replace app.upcalls new_id fn;
-              true);
+        (fun ~old_id ~new_id -> remap_upcall_fn app ~old_id ~new_id);
     }
 
 (* ---- the execution harness ---- *)
@@ -273,19 +318,30 @@ let regs_of app buf =
   end;
   app.ret_regs
 
+let upcall_of app buf =
+  if buf != app.up_buf then begin
+    app.up_buf <- buf;
+    app.up_regs <- `Upcall buf
+  end;
+  app.up_regs
+
 let spawn main p =
   let frame = Array.make Tock.Syscall.registers 0 in
   let app =
     {
       a_proc = p;
       alloc_next = Tock.Process.ram_base p;
-      upcalls = Tock.Int_hashtbl.Int.create 16;
+      fn_ids = [||];
+      fns = [||];
+      fn_count = 0;
       next_fn = 1;
       scratch = Hashtbl.create 8;
       frame;
       sys = Sys frame;
       ret_buf = [||];
       ret_regs = `Regs [||];
+      up_buf = [||];
+      up_regs = `Upcall [||];
     }
   in
   install_bridge app;
@@ -361,9 +417,8 @@ let spawn main p =
           Tock.Process.Trap_fault (Tock.Process.App_panic "resumed dead process")
       | Not_started th, _ -> match_with th () handler
       | In_syscall k, Tock.Process.Rsyscall_ret regs -> continue k (regs_of app regs)
-      | In_syscall k, Tock.Process.Rupcall { fnptr; appdata; arg0; arg1; arg2 }
-        ->
-          continue k (`Upcall (fnptr, appdata, arg0, arg1, arg2))
+      | In_syscall k, Tock.Process.Rupcall frame ->
+          continue k (upcall_of app frame)
       | In_syscall k, (Tock.Process.Rstart | Tock.Process.Rcontinue) ->
           discontinue k (App_panic_exn "protocol: no syscall return delivered")
       | In_tick (k, leftover), _ ->
@@ -378,7 +433,7 @@ let spawn main p =
             Tock.Process.Trap_timeslice_expired
           end
     in
-    (trap, !used)
+    trap
   in
   let destroy () = state := Dead in
-  { Tock.Process.step; destroy }
+  { Tock.Process.step; used = (fun () -> !used); destroy }

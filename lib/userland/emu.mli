@@ -43,9 +43,11 @@ val proc_name : app -> string
 
 (** {2 Traps} *)
 
-type sys_resume = [ `Regs of int array | `Upcall of int * int * int * int * int ]
+type sys_resume = [ `Regs of int array | `Upcall of int array ]
 (** What a trap comes back with: return registers, or an upcall delivery
-    [(fnptr, appdata, a0, a1, a2)]. *)
+    [[| fnptr; appdata; a0; a1; a2 |]]. Both arrays are the kernel's
+    per-process buffers, valid until the app's next trap, and each is
+    wrapped once, so a resume allocates nothing. *)
 
 val trap : app -> int -> int -> int -> int -> int -> sys_resume
 (** [trap app cls r0 r1 r2 r3] performs a syscall through the app's one
@@ -129,6 +131,16 @@ val run_upcall : app -> int -> int -> int -> int -> unit
 
 val upcall_fn_count : app -> int
 (** Closures currently registered. *)
+
+val remap_upcall_fn : app -> old_id:int -> new_id:int -> bool
+(** Move the closure under [old_id] to [new_id], replacing any closure
+    [new_id] held; false (and no change) if [old_id] has none. Thaw
+    calls it through the process's bridge to rebind a re-registered
+    closure to the id the frozen image recorded.
+
+    The table is a small array scanned by id: it holds only live
+    subscriptions, so no lookup, registration or removal hashes or
+    allocates once it has grown to the app's working set. *)
 
 (** {2 Freeze/thaw checkpoints}
 

@@ -59,8 +59,10 @@ let unallow_rw app ~driver ~num =
 let unallow_ro app ~driver ~num =
   ignore (plain_call app Syscall.class_allow_ro driver num 0 0)
 
-let dispatch_upcall app (fnptr, _appdata, a0, a1, a2) =
-  Emu.run_upcall app fnptr a0 a1 a2
+(* [u] is the kernel's upcall frame: read it before the closure runs,
+   since the closure's own syscalls may reuse it. *)
+let dispatch_upcall app u =
+  Emu.run_upcall app u.(0) u.(2) u.(3) u.(4)
 
 let yield_wait app =
   match Emu.trap app Syscall.class_yield 1 0 0 0 with

@@ -1,7 +1,7 @@
 (* Shared helpers for the test suite. *)
 
-let qcheck ?count name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ?count ~name gen prop)
+let qcheck ?count ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ?count ?print ~name gen prop)
 
 let hex = Tock_crypto.Sha256.hex
 

@@ -99,6 +99,50 @@ let test_hmac_vectors () =
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
     (hex (Hmac.mac_string ~key:long_key "Test Using Larger Than Block-Size Key - Hash Key First"))
 
+(* HMAC written out over the byte-wise oracle: K0 = the key (hashed
+   first if longer than a block), zero-padded to 64 bytes;
+   H((K0 ^ opad) || H((K0 ^ ipad) || m)). *)
+let reference_hmac key msg =
+  let key = if Bytes.length key > 64 then Sha256.Reference.digest_bytes key else key in
+  let k0 = Bytes.make 64 '\x00' in
+  Bytes.blit key 0 k0 0 (Bytes.length key);
+  let pad x = Bytes.map (fun c -> Char.chr (Char.code c lxor x)) k0 in
+  Sha256.Reference.digest_bytes
+    (Bytes.cat (pad 0x5c) (Sha256.Reference.digest_bytes (Bytes.cat (pad 0x36) msg)))
+
+(* A MAC under a prepared key, its message fed in the given chunk
+   sizes (cycled). *)
+let mac_prepared k msg chunks =
+  let t = Hmac.start k in
+  let len = Bytes.length msg in
+  let rec go off i =
+    if off < len then begin
+      let n = min (List.nth chunks (i mod List.length chunks)) (len - off) in
+      Hmac.feed t msg ~off ~len:n;
+      go (off + n) (i + 1)
+    end
+  in
+  go 0 0;
+  Hmac.finalize t
+
+let hmac_prepared_prop =
+  qcheck ~count:200 "hmac: prepared key == mac_bytes == reference oracle"
+    QCheck2.Gen.(
+      triple
+        (map Bytes.of_string (string_size (0 -- 200)))
+        (map Bytes.of_string (string_size (0 -- 300)))
+        (list_size (1 -- 4) (int_range 1 80)))
+    (fun (key, msg, chunks) ->
+      let k = Hmac.prepare key in
+      let expect = reference_hmac key msg in
+      (* The prepared key is a value: later writes to the key bytes do
+         not reach it, and it serves any number of MACs. *)
+      Bytes.fill key 0 (Bytes.length key) '\xff';
+      Bytes.equal (mac_prepared k msg chunks) expect
+      && Bytes.equal (mac_prepared k msg [ 64 ]) expect
+      && Bytes.equal (Hmac.mac_bytes ~key:(Bytes.copy key) msg)
+           (reference_hmac key msg))
+
 let test_hmac_verify () =
   let key = Bytes.of_string "secret" and msg = Bytes.of_string "message" in
   let tag = Hmac.mac_bytes ~key msg in
@@ -246,6 +290,7 @@ let suite =
     sha_compress_equiv_prop;
     Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors;
     Alcotest.test_case "hmac verify" `Quick test_hmac_verify;
+    hmac_prepared_prop;
     Alcotest.test_case "aes fips vector" `Quick test_aes_vector;
     Alcotest.test_case "aes reference fips vector" `Quick
       test_aes_reference_vector;

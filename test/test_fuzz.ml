@@ -55,7 +55,7 @@ let fuzz_prop =
    sent, [decode_ret] of the registers the app got back. Frames that do
    not decode must come back as [decode_call]'s error. *)
 type fuzz_run = {
-  fr_results : (int array * [ `Regs of int array | `Upcall of int * int * int * int * int ]) list;
+  fr_results : (int array * [ `Regs of int array | `Upcall of int array ]) list;
       (* each returning frame, in order, with what it came back with *)
   fr_events : (Syscall.call * Syscall.ret option) list; (* the hook's, in order *)
   fr_states : Process.state list;
@@ -77,7 +77,7 @@ let run_fuzz ~hooked calls =
         let back =
           match Tock_userland.Emu.syscall a regs with
           | `Regs r -> `Regs (Array.copy r)
-          | `Upcall u -> `Upcall u
+          | `Upcall u -> `Upcall (Array.copy u)
         in
         results := (regs, back) :: !results)
       calls;

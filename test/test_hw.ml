@@ -747,6 +747,60 @@ let test_engines_golden () =
   if md5 <> engines_golden_md5 then prerr_string record;
   Alcotest.(check string) "engine record MD5" engines_golden_md5 md5
 
+(* ---- SHA engine: the HMAC key cache ----
+
+   One engine keeps the last HMAC key's midstates and compares each new
+   key with it byte for byte. Ops under alternating keys, under two
+   different keys of one length, and under one key buffer rewritten
+   between ops must each get their key's tag; and an op takes the same
+   simulated cycles whether its key was cached or not. *)
+
+let test_sha_key_cache () =
+  let sim, irq = setup () in
+  let sha = Sha_engine.create sim irq ~irq_line:6 ~cycles_per_block:80 in
+  let tag = ref Bytes.empty in
+  Sha_engine.set_client sha (function
+    | Sha_engine.Data_done -> ()
+    | Sha_engine.Digest_done d -> tag := d);
+  let ok what = function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %s" what (Completion.text e)
+  in
+  let settle () =
+    pump sim;
+    ignore (Irq.service irq)
+  in
+  let msg = Bytes.of_string "\x01\x10\x00\x00" in
+  (* One HMAC through the engine: its tag and the cycles it took. *)
+  let mac key =
+    let t0 = Sim.now sim in
+    ok "mode" (Sha_engine.set_mode_hmac sha ~key);
+    ok "data" (Sha_engine.add_data sha msg ~off:0 ~len:(Bytes.length msg));
+    settle ();
+    ok "run" (Sha_engine.run sha);
+    settle ();
+    (!tag, Sim.now sim - t0)
+  in
+  let expect key = Tock_crypto.Hmac.mac_bytes ~key msg in
+  let check what key (got, cycles) =
+    Alcotest.(check string) what (hex (expect key)) (hex got);
+    Alcotest.(check int) (what ^ ": cycles") 160 cycles
+  in
+  let k1 = Bytes.of_string "first key, 16 B" and k2 = Bytes.of_string "other key, 16 B" in
+  check "cold" k1 (mac k1);
+  check "warm" k1 (mac k1);
+  check "same length, other bytes" k2 (mac k2);
+  check "back to the first" k1 (mac k1);
+  check "a fresh buffer with the same bytes" k1 (mac (Bytes.copy k1));
+  (* The same buffer, rewritten: the cache must see the new bytes. *)
+  let buf = Bytes.copy k1 in
+  check "buffer before the rewrite" k1 (mac buf);
+  Bytes.set buf 3 'X';
+  check "buffer after the rewrite" buf (mac buf);
+  let long = Bytes.make 100 'L' in
+  check "a key longer than a block" long (mac long);
+  check "the empty key" Bytes.empty (mac Bytes.empty)
+
 let suite =
   [
     Alcotest.test_case "uart tx timing" `Quick test_uart_tx;
@@ -766,4 +820,5 @@ let suite =
     Alcotest.test_case "sensors" `Quick test_sensors;
     Alcotest.test_case "split-phase engines pinned by golden MD5" `Quick
       test_engines_golden;
+    Alcotest.test_case "sha hmac key cache" `Quick test_sha_key_cache;
   ]

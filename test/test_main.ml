@@ -10,6 +10,7 @@ let () =
       ("tbf", Test_tbf.suite);
       ("syscall", Test_syscall.suite);
       ("kernel", Test_kernel.suite);
+      ("tables", Test_tables.suite);
       ("alarm-mux", Test_alarm_mux.suite);
       ("loader", Test_loader.suite);
       ("capsules", Test_capsules.suite);

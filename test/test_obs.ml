@@ -37,6 +37,23 @@ let test_registry_basics () =
 
 (* ---- histograms ---- *)
 
+(* The log2 loop [bucket_index] replaced: one shift per loop turn. *)
+let bucket_by_loop v =
+  if v <= 0 then 0
+  else begin
+    let i = ref 0 and v = ref v in
+    while !v > 0 do
+      incr i;
+      v := !v lsr 1
+    done;
+    min !i (Metrics.buckets - 1)
+  end
+
+(* 0, negatives, max_int and every 2^k and 2^k - 1, then random ints. *)
+let bucket_edges =
+  0 :: -1 :: min_int :: max_int
+  :: List.concat_map (fun k -> [ 1 lsl k; (1 lsl k) - 1 ]) (List.init 63 Fun.id)
+
 let test_bucket_edges () =
   Alcotest.(check int) "v=0" 0 (Metrics.bucket_index 0);
   Alcotest.(check int) "v<0" 0 (Metrics.bucket_index (-7));
@@ -47,8 +64,16 @@ let test_bucket_edges () =
   (* OCaml ints are 63-bit: max_int = 2^62 - 1 lands in bucket 62; the
      64th bucket is the clamp for a hypothetical wider int. *)
   Alcotest.(check int) "v=max_int" 62 (Metrics.bucket_index max_int);
+  List.iter
+    (fun v -> Alcotest.(check int) (string_of_int v) (bucket_by_loop v) (Metrics.bucket_index v))
+    bucket_edges;
   Alcotest.(check int) "lb 1" 1 (Metrics.bucket_lower_bound 1);
   Alcotest.(check int) "lb 4" 8 (Metrics.bucket_lower_bound 4)
+
+let qcheck_bucket_matches_loop =
+  qcheck ~count:2000 "bucket_index matches the shift loop"
+    QCheck2.Gen.(frequency [ (1, oneofl bucket_edges); (2, int); (1, small_signed_int) ])
+    (fun v -> Metrics.bucket_index v = bucket_by_loop v)
 
 let qcheck_bucket_containment =
   qcheck "bucket_index places v within its bucket's bounds"
@@ -962,6 +987,7 @@ let suite =
   [
     Alcotest.test_case "registry basics" `Quick test_registry_basics;
     Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
+    qcheck_bucket_matches_loop;
     qcheck_bucket_containment;
     qcheck_bucket_monotone;
     qcheck_histogram_invariants;

@@ -9,14 +9,20 @@ let fake_procs board n =
   List.init n (fun i ->
       add_app_exn board ~name:(Printf.sprintf "p%d" i) Tock_userland.Apps.spinner)
 
+(* One decision over [runnable] (ascending ids), as the kernel asks for
+   it: the picked process and its slice, or [None] when idle. *)
+let decide s runnable =
+  let a = Array.of_list runnable in
+  match s.Scheduler.next a (Array.length a) with
+  | -1 -> None
+  | i -> Some (a.(i), s.Scheduler.timeslice a.(i))
+
 let test_rr_rotation () =
   let board = make_board () in
   let procs = fake_procs board 3 in
   let s = Scheduler.round_robin () in
   let pick () =
-    match s.Scheduler.next procs with
-    | Scheduler.Run { proc; _ } -> Process.id proc
-    | Scheduler.Idle -> -1
+    match decide s procs with Some (proc, _) -> Process.id proc | None -> -1
   in
   let seq = List.init 6 (fun _ -> pick ()) in
   Alcotest.(check (list int)) "rotates fairly" [ 0; 1; 2; 0; 1; 2 ] seq
@@ -25,18 +31,18 @@ let test_rr_skips_missing () =
   let board = make_board () in
   let procs = fake_procs board 3 in
   let s = Scheduler.round_robin () in
-  (match s.Scheduler.next procs with
-  | Scheduler.Run { proc; _ } -> Alcotest.(check int) "first" 0 (Process.id proc)
-  | Scheduler.Idle -> Alcotest.fail "idle");
+  (match decide s procs with
+  | Some (proc, _) -> Alcotest.(check int) "first" 0 (Process.id proc)
+  | None -> Alcotest.fail "idle");
   (* p1 blocks: only 0 and 2 runnable. *)
   let runnable = List.filteri (fun i _ -> i <> 1) procs in
-  match s.Scheduler.next runnable with
-  | Scheduler.Run { proc; _ } -> Alcotest.(check int) "skips blocked" 2 (Process.id proc)
-  | Scheduler.Idle -> Alcotest.fail "idle"
+  match decide s runnable with
+  | Some (proc, _) -> Alcotest.(check int) "skips blocked" 2 (Process.id proc)
+  | None -> Alcotest.fail "idle"
 
 let test_idle_when_empty () =
   let s = Scheduler.round_robin () in
-  Alcotest.(check bool) "idle" true (s.Scheduler.next [] = Scheduler.Idle)
+  Alcotest.(check int) "idle" (-1) (s.Scheduler.next [||] 0)
 
 let test_priority_strict () =
   let board = make_board () in
@@ -44,13 +50,13 @@ let test_priority_strict () =
   let s = Scheduler.priority () in
   (* Lowest id always wins while runnable. *)
   for _ = 1 to 3 do
-    match s.Scheduler.next procs with
-    | Scheduler.Run { proc; _ } -> Alcotest.(check int) "p0 wins" 0 (Process.id proc)
-    | Scheduler.Idle -> Alcotest.fail "idle"
+    match decide s procs with
+    | Some (proc, _) -> Alcotest.(check int) "p0 wins" 0 (Process.id proc)
+    | None -> Alcotest.fail "idle"
   done;
-  match s.Scheduler.next (List.tl procs) with
-  | Scheduler.Run { proc; _ } -> Alcotest.(check int) "then p1" 1 (Process.id proc)
-  | Scheduler.Idle -> Alcotest.fail "idle"
+  match decide s (List.tl procs) with
+  | Some (proc, _) -> Alcotest.(check int) "then p1" 1 (Process.id proc)
+  | None -> Alcotest.fail "idle"
 
 let test_mlfq_demotion () =
   let board = make_board () in
@@ -59,9 +65,7 @@ let test_mlfq_demotion () =
   let s = Scheduler.mlfq ~levels:3 ~base_slice:1000 ~boost_every:1000 () in
   (* p0 burns full slices -> sinks; p1 yields early -> stays on top. *)
   let slice_of p =
-    match s.Scheduler.next [ p ] with
-    | Scheduler.Run { timeslice = Some t; _ } -> t
-    | _ -> -1
+    match decide s [ p ] with Some (_, Some t) -> t | _ -> -1
   in
   Alcotest.(check int) "both start at base" 1000 (slice_of p0);
   s.Scheduler.charge p0 Scheduler.Used_full_slice;
@@ -73,10 +77,10 @@ let test_mlfq_demotion () =
   Alcotest.(check int) "bottom level caps" 4000 (slice_of p0);
   Alcotest.(check int) "interactive stays on top" 1000 (slice_of p1);
   (* With both runnable, the higher-priority (lower level) one is chosen. *)
-  match s.Scheduler.next procs with
-  | Scheduler.Run { proc; _ } ->
+  match decide s procs with
+  | Some (proc, _) ->
       Alcotest.(check int) "interactive preferred" 1 (Process.id proc)
-  | Scheduler.Idle -> Alcotest.fail "idle"
+  | None -> Alcotest.fail "idle"
 
 let test_mlfq_boost () =
   let board = make_board () in
@@ -87,11 +91,10 @@ let test_mlfq_boost () =
   s.Scheduler.charge p0 Scheduler.Used_full_slice;
   (* after boost_every decisions, everyone returns to the top level *)
   for _ = 1 to 6 do
-    ignore (s.Scheduler.next procs)
+    ignore (decide s procs)
   done;
-  match s.Scheduler.next procs with
-  | Scheduler.Run { timeslice = Some t; _ } ->
-      Alcotest.(check int) "boosted to base slice" 1000 t
+  match decide s procs with
+  | Some (_, Some t) -> Alcotest.(check int) "boosted to base slice" 1000 t
   | _ -> Alcotest.fail "idle"
 
 let test_cooperative_sticky () =
@@ -99,11 +102,11 @@ let test_cooperative_sticky () =
   let procs = fake_procs board 2 in
   let s = Scheduler.cooperative () in
   let pick runnable =
-    match s.Scheduler.next runnable with
-    | Scheduler.Run { proc; timeslice } ->
+    match decide s runnable with
+    | Some (proc, timeslice) ->
         Alcotest.(check bool) "no timeslice" true (timeslice = None);
         Process.id proc
-    | Scheduler.Idle -> -1
+    | None -> -1
   in
   Alcotest.(check int) "starts with p0" 0 (pick procs);
   (* Used_full_slice = still running: stays with p0. *)
