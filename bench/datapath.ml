@@ -16,11 +16,14 @@
      allocates <= 16 minor words, yield_no_wait <= 10, an allow-ro +
      unallow pair <= 24 and a subscribe + unsubscribe pair <= 24 (about
      twice what a bare command cost before the tables and the upcall
-     queue stopped allocating: 62.5 and 37.5 words then), and no call
-     changes the size of the app's upcall table (Gc.minor_words and
-     Emu.upcall_fn_count, both modes);
-   - a 4-byte HMAC through the SHA engine under a warm key allocates
-     <= 120 minor words (its key's midstates are reused, both modes);
+     queue stopped allocating: 62.5 and 37.5 words then), the allow pair
+     over a range that changes every op (so the window is built each
+     time) <= 40, and no call changes the size of the app's upcall
+     table (Gc.minor_words and Emu.upcall_fn_count, both modes);
+   - a 4-byte HMAC through the SHA engine allocates <= 120 minor words
+     under a warm key (its midstates are reused) and <= 240 with two
+     keys in turn (every op prepares its key; 371 before the engine
+     kept midstates), both modes;
    - board construction allocates no per-board array straight in the
      major heap beyond the apps' memory: a fleet board (its three app
      mixes in turn) <= 3,000 such words per build and an 8-node radio
@@ -119,6 +122,7 @@ let syscall_round_trips h ~iters ~alloc_iters =
   let app a =
     let buf = Emu.get_buffer a ~tag:"rt" ~size:16 in
     let cb _ _ _ = () in
+    let flip = ref false in
     (* name, words/op gate, op *)
     let ops =
       [
@@ -137,6 +141,16 @@ let syscall_round_trips h ~iters ~alloc_iters =
             ignore
               (Libtock.allow_ro a ~driver:Tock.Driver_num.console ~num:1
                  ~addr:buf ~len:16);
+            Libtock.unallow_ro a ~driver:Tock.Driver_num.console ~num:1 );
+        (* The same pair over a range that alternates, so the key's last
+           window never matches and every allow builds one. *)
+        ( "syscall/allow-ro-alternating+unallow",
+          Some 40.,
+          fun () ->
+            flip := not !flip;
+            ignore
+              (Libtock.allow_ro a ~driver:Tock.Driver_num.console ~num:1
+                 ~addr:buf ~len:(if !flip then 16 else 8));
             Libtock.unallow_ro a ~driver:Tock.Driver_num.console ~num:1 );
         ( "syscall/subscribe+unsubscribe",
           Some 24.,
@@ -178,8 +192,9 @@ let syscall_round_trips h ~iters ~alloc_iters =
 
    One HMAC of a 4-byte challenge, the root-of-trust token's op, through
    the engine alone: set the key, feed, run, each completion fired and
-   its interrupt serviced. The key is the same every op, so after the
-   first the engine starts from its cached midstates. *)
+   its interrupt serviced. With one key, every op after the first
+   starts from the engine's cached midstates; with two keys of one
+   length in turn, every op misses and prepares its key. *)
 
 let bench_hmac h ~iters ~alloc_iters =
   let sim = Tock_hw.Sim.create ~trace_capacity:0 () in
@@ -187,6 +202,7 @@ let bench_hmac h ~iters ~alloc_iters =
   let sha = Tock_hw.Sha_engine.create sim irq ~irq_line:6 ~cycles_per_block:80 in
   Tock_hw.Sha_engine.set_client sha (fun _ -> ());
   let key = Bytes.of_string "\x10\x32\x54\x76\x98\xba\xdc\xfe\x01\x23\x45\x67\x89\xab\xcd\xef" in
+  let key' = Bytes.map (fun c -> Char.chr (Char.code c lxor 0xa5)) key in
   let msg = Bytes.of_string "\x01\x10\x00\x00" in
   let ok = function Ok () -> () | Error _ -> failwith "datapath: sha engine refused" in
   let settle () =
@@ -195,20 +211,29 @@ let bench_hmac h ~iters ~alloc_iters =
     done;
     ignore (Tock_hw.Irq.service irq)
   in
-  let op () =
+  let mac key () =
     ok (Tock_hw.Sha_engine.set_mode_hmac sha ~key);
     ok (Tock_hw.Sha_engine.add_data sha msg ~off:0 ~len:4);
     settle ();
     ok (Tock_hw.Sha_engine.run sha);
     settle ()
   in
-  op ();
-  let calls, per_op = Harness.passes iters op in
-  let words = Harness.words alloc_iters op /. float_of_int alloc_iters in
-  Harness.gate h "digest/hmac-4B words/op" words Harness.Le 120.;
-  ignore
-    (Harness.add h ~fields:[ ("minor_words_per_op", Json.Num words) ] "digest/hmac-4B"
-       ~iters ~calls per_op)
+  let flip = ref false in
+  let two_keys () =
+    flip := not !flip;
+    mac (if !flip then key' else key) ()
+  in
+  (* name, words/op gate, op *)
+  List.iter
+    (fun (name, limit, op) ->
+      op ();
+      let calls, per_op = Harness.passes iters op in
+      let words = Harness.words alloc_iters op /. float_of_int alloc_iters in
+      Harness.gate h (name ^ " words/op") words Harness.Le limit;
+      ignore
+        (Harness.add h ~fields:[ ("minor_words_per_op", Json.Num words) ] name
+           ~iters ~calls per_op))
+    [ ("digest/hmac-4B", 120., mac key); ("digest/hmac-4B-two-keys", 240., two_keys) ]
 
 (* ---- board construction ----
 
@@ -348,11 +373,12 @@ let run_mode ~full ~scale =
          Tock.Subslice.slice sub ~pos:8 ~len:4000;
          Tock.Subslice.set_u8 sub 0 1;
          Tock.Subslice.reset sub));
-  let ring = Tock.Ring_buffer.create ~capacity:16 ~dummy:0 in
+  let ring = Tock.Ring_buffer.create ~capacity:16 ~width:1 in
   ignore
     (time "ring/push+pop" (it 2_000_000) (fun () ->
-         ignore (Tock.Ring_buffer.push ring 1);
-         ignore (Tock.Ring_buffer.pop ring)));
+         let o = Tock.Ring_buffer.push ring in
+         (Tock.Ring_buffer.data ring).(o) <- 1;
+         Tock.Ring_buffer.remove ring 0));
   let call = Tock.Syscall.Command { driver = 1; command_num = 2; arg1 = 3; arg2 = 4 } in
   ignore
     (time "syscall/encode+decode" (it 2_000_000) (fun () ->
@@ -386,14 +412,21 @@ let run_mode ~full ~scale =
          incr now;
          ignore (Tock_hw.Event_queue.schedule deep ~time:!now ignore);
          ignore (Tock_hw.Event_queue.run_due deep ~now:!now)));
-  (* The per-allow cost the zero-copy path moved to syscall time: resolve
-     the range against process memory, build the base-bounded window,
-     swap it into the allow table. *)
+  (* The per-allow cost the zero-copy path moved to syscall time, on a
+     miss: resolve the range against process memory, build the
+     base-bounded window, swap it into the allow table. The length
+     alternates, so the key's last window never spans the new range. *)
+  let flip = ref false in
   ignore
     (time "allow/window-setup" (it 500_000) (fun () ->
-         match Process.make_allow_entry p ~addr:(ram_base + 64) ~len:128 with
-         | Some e -> ignore (Process.allow_swap p ~kind:`Ro ~driver:1 ~allow_num:0 e)
-         | None -> failwith "datapath: allow window setup failed"));
+         flip := not !flip;
+         let len = if !flip then 128 else 64 in
+         let e =
+           Process.allow_entry p ~kind:`Ro ~driver:1 ~allow_num:0
+             ~addr:(ram_base + 64) ~len
+         in
+         if e.Process.a_len < 0 then failwith "datapath: allow window setup failed";
+         ignore (Process.allow_swap p ~kind:`Ro ~driver:1 ~allow_num:0 e)));
   (* One full simulated kernel step, including a process slice. *)
   let board = Tock_boards.Board.build (Tock_hw.Chip.sam4l_like (Tock_hw.Sim.create ())) in
   ignore (Tock_boards.Board.add_app board ~name:"spin" Tock_userland.Apps.spinner);

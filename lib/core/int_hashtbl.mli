@@ -1,7 +1,8 @@
 (** Hash tables keyed by [int], with int-only hashing and equality.
 
-    The syscall trap path looks up its driver on every call, and a
-    capsule's grant entry looks up the process's grant. The stdlib's
+    The syscall trap path looks up its driver on every call, a
+    capsule's grant entry looks up the process's grant, and an emulated
+    app looks up the closure behind each delivered upcall. The stdlib's
     polymorphic [Hashtbl] hashes and compares those keys through the
     generic C primitives; this instance does a few integer operations
     instead. Use [find] with a [Not_found] handler on hot paths:

@@ -506,11 +506,12 @@ let validate_allow t proc ~kind ~addr ~len =
     Ok ()
   end
   else begin
+    (* Subtract from the ends: [addr + len] could wrap past [max_int]. *)
     let in_app_ram =
-      addr >= Process.ram_base proc && addr + len <= Process.app_break proc
+      addr >= Process.ram_base proc && len <= Process.app_break proc - addr
     in
     let in_flash =
-      addr >= Process.flash_base proc && addr + len <= Process.flash_end proc
+      addr >= Process.flash_base proc && len <= Process.flash_end proc - addr
     in
     let region_ok = match kind with `Rw -> in_app_ram | `Ro -> in_app_ram || in_flash in
     if not region_ok then Error Error.INVAL

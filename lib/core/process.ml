@@ -173,14 +173,11 @@ type t = {
   cache_write : access_cache;
   cache_exec : access_cache;
   upcall_slots : upcall table; (* (driver, subscribe_num) *)
-  pending : int array;
-      (* The upcall queue: a ring of [upcall_queue_capacity] entries of
-         [pending_width] ints, so queueing, delivering and plucking an
-         upcall allocate nothing. Overflow drops the new upcall and
-         counts it, as Tock does. *)
-  mutable pending_head : int; (* oldest entry *)
-  mutable pending_len : int;
-  mutable pending_drops : int;
+  pending : Ring_buffer.t;
+      (* The upcall queue: [pending_width] ints per upcall, so once the
+         ring has grown to the queue's depth, queueing, delivering and
+         plucking one allocate nothing. Overflow drops the new upcall
+         and counts it, as Tock does. *)
   allows_rw : allow_slot table; (* (driver, allow_num) *)
   allows_ro : allow_slot table;
   grants : Univ.t Int_hashtbl.Int.t; (* by grant id *)
@@ -242,10 +239,8 @@ let create ~id ~name ~ram_base ~ram_size ~initial_app_break ~flash_base ~flash
     cache_write = fresh_cache ();
     cache_exec = fresh_cache ();
     upcall_slots = empty_table ();
-    pending = Array.make (upcall_queue_capacity * pending_width) 0;
-    pending_head = 0;
-    pending_len = 0;
-    pending_drops = 0;
+    pending =
+      Ring_buffer.create ~capacity:upcall_queue_capacity ~width:pending_width;
     allows_rw = empty_table ();
     allows_ro = empty_table ();
     grants = Int_hashtbl.Int.create 8;
@@ -331,13 +326,22 @@ let allocate_grant_bytes t n =
 
 let grant_bytes_used t = t.grant_bytes
 
+(* Where [addr, addr + len) lies. The end checks subtract from the end
+   rather than add [len] to an app-supplied address, which could wrap
+   past [max_int]. *)
+type region = In_ram | In_flash | Outside
+
+let region t ~addr ~len =
+  if len < 0 then Outside
+  else if addr >= t.p_ram_base && len <= ram_end t - addr then In_ram
+  else if addr >= t.p_flash_base && len <= flash_end t - addr then In_flash
+  else Outside
+
 let mem_view t ~addr ~len =
-  if len < 0 then None
-  else if addr >= t.p_ram_base && addr + len <= ram_end t then
-    Some (`Ram (addr - t.p_ram_base))
-  else if addr >= t.p_flash_base && addr + len <= flash_end t then
-    Some (`Flash (addr - t.p_flash_base))
-  else None
+  match region t ~addr ~len with
+  | In_ram -> Some (`Ram (addr - t.p_ram_base))
+  | In_flash -> Some (`Flash (addr - t.p_flash_base))
+  | Outside -> None
 
 let ram_bytes t = t.ram
 
@@ -352,7 +356,7 @@ let check_access t ~addr ~len kind =
       | `Execute -> t.cache_exec
     in
     let gen = Tock_hw.Mpu.generation t.mpu_config in
-    if c.c_gen = gen && addr >= c.c_lo && addr + len <= c.c_hi then true
+    if c.c_gen = gen && addr >= c.c_lo && len <= c.c_hi - addr then true
     else begin
       let granted =
         match
@@ -407,27 +411,20 @@ let get_subscribed t ~driver ~subscribe_num =
   let i = index tbl ~driver ~num:subscribe_num in
   if i < 0 then null_upcall else tbl.vals.(i)
 
-(* Offset of the [i]th oldest queued upcall in [t.pending]. *)
-let pending_at t i =
-  (t.pending_head + i) mod upcall_queue_capacity * pending_width
-
 let push_pending t ~driver ~subscribe_num ~fnptr ~appdata a0 a1 a2 =
-  if t.pending_len = upcall_queue_capacity then begin
-    t.pending_drops <- t.pending_drops + 1;
-    false
-  end
-  else begin
-    let q = t.pending and o = pending_at t t.pending_len in
-    q.(o) <- driver;
-    q.(o + 1) <- subscribe_num;
-    q.(o + 2) <- fnptr;
-    q.(o + 3) <- appdata;
-    q.(o + 4) <- a0;
-    q.(o + 5) <- a1;
-    q.(o + 6) <- a2;
-    t.pending_len <- t.pending_len + 1;
-    true
-  end
+  let o = Ring_buffer.push t.pending in
+  o >= 0
+  && begin
+       let q = Ring_buffer.data t.pending in
+       q.(o) <- driver;
+       q.(o + 1) <- subscribe_num;
+       q.(o + 2) <- fnptr;
+       q.(o + 3) <- appdata;
+       q.(o + 4) <- a0;
+       q.(o + 5) <- a1;
+       q.(o + 6) <- a2;
+       true
+     end
 
 let enqueue_upcall t ~driver ~subscribe_num ~args:(a0, a1, a2) =
   let up = get_subscribed t ~driver ~subscribe_num in
@@ -450,44 +447,32 @@ let enqueue_upcall t ~driver ~subscribe_num ~args:(a0, a1, a2) =
    three arguments, then remove it; the others keep their order. *)
 let take_pending t i frame =
   let q = t.pending in
-  let o = pending_at t i in
-  Array.blit q (o + 2) frame 0 5;
-  if i = 0 then t.pending_head <- (t.pending_head + 1) mod upcall_queue_capacity
-  else
-    for j = i to t.pending_len - 2 do
-      Array.blit q (pending_at t (j + 1)) q (pending_at t j) pending_width
-    done;
-  t.pending_len <- t.pending_len - 1
-
-let rec find_pending t ~driver ~subscribe_num i =
-  if i >= t.pending_len then -1
-  else
-    let o = pending_at t i in
-    if t.pending.(o) = driver && t.pending.(o + 1) = subscribe_num then i
-    else find_pending t ~driver ~subscribe_num (i + 1)
+  Array.blit (Ring_buffer.data q) (Ring_buffer.offset q i + 2) frame 0 5;
+  Ring_buffer.remove q i
 
 let pop_upcall t frame =
-  if t.pending_len = 0 then -1
+  let q = t.pending in
+  if Ring_buffer.length q = 0 then -1
   else begin
-    let driver = t.pending.(pending_at t 0) in
+    let driver = (Ring_buffer.data q).(Ring_buffer.offset q 0) in
     take_pending t 0 frame;
     driver
   end
 
 let pop_upcall_for t ~driver ~subscribe_num frame =
-  let i = find_pending t ~driver ~subscribe_num 0 in
-  if i < 0 then false
-  else begin
-    take_pending t i frame;
-    true
-  end
+  let i = Ring_buffer.find t.pending driver subscribe_num in
+  i >= 0
+  && begin
+       take_pending t i frame;
+       true
+     end
 
 let has_upcall_for t ~driver ~subscribe_num =
-  find_pending t ~driver ~subscribe_num 0 >= 0
+  Ring_buffer.find t.pending driver subscribe_num >= 0
 
-let has_pending_upcalls t = t.pending_len > 0
+let has_pending_upcalls t = Ring_buffer.length t.pending > 0
 
-let upcalls_dropped t = t.pending_drops
+let upcalls_dropped t = Ring_buffer.drops t.pending
 
 (* ---- allows ---- *)
 
@@ -533,20 +518,17 @@ let window t ~addr ~len =
     (* Unallow (the zero buffer) is half of every allow pair. *)
     if addr = 0 then zero_allow
     else { a_addr = addr; a_len = 0; a_window = None }
-  else if len < 0 then no_entry
-  else if addr >= t.p_ram_base && addr + len <= ram_end t then
-    let pos = addr - t.p_ram_base in
-    { a_addr = addr; a_len = len;
-      a_window = Some (Subslice.of_bytes_window t.ram ~pos ~len) }
-  else if addr >= t.p_flash_base && addr + len <= flash_end t then
-    let pos = addr - t.p_flash_base in
-    { a_addr = addr; a_len = len;
-      a_window = Some (Subslice.of_bytes_window t.flash ~pos ~len) }
-  else no_entry
-
-let make_allow_entry t ~addr ~len =
-  let e = window t ~addr ~len in
-  if e == no_entry then None else Some e
+  else
+    match region t ~addr ~len with
+    | In_ram ->
+        let pos = addr - t.p_ram_base in
+        { a_addr = addr; a_len = len;
+          a_window = Some (Subslice.of_bytes_window t.ram ~pos ~len) }
+    | In_flash ->
+        let pos = addr - t.p_flash_base in
+        { a_addr = addr; a_len = len;
+          a_window = Some (Subslice.of_bytes_window t.flash ~pos ~len) }
+    | Outside -> no_entry
 
 (* The entry an allow of [addr, len] under this key installs: the key's
    last entry if it spans the same range, so a buffer allowed and
@@ -584,8 +566,7 @@ let restart_count t = t.restarts
    does thaw before it restores the frozen tables. *)
 let clear_tables t =
   t.upcall_slots.size <- 0;
-  t.pending_head <- 0;
-  t.pending_len <- 0;
+  Ring_buffer.clear t.pending;
   t.allows_rw.size <- 0;
   t.allows_ro.size <- 0
 
@@ -817,11 +798,12 @@ let add_image b t ~resume ~grants =
   Frame.add_list b
     (fun (k, d, n, addr, len) -> List.iter (add_i b) [ k; d; n; addr; len ])
     (allows 0 t.allows_rw @ allows 1 t.allows_ro);
-  add_i b t.pending_len;
-  for i = 0 to t.pending_len - 1 do
-    let o = pending_at t i in
+  let q = t.pending in
+  add_i b (Ring_buffer.length q);
+  for i = 0 to Ring_buffer.length q - 1 do
+    let o = Ring_buffer.offset q i in
     for j = 0 to pending_width - 1 do
-      add_i b t.pending.(o + j)
+      add_i b (Ring_buffer.data q).(o + j)
     done
   done;
   encode_ram b t.ram
@@ -1092,7 +1074,7 @@ let thaw_patch t img =
       List.iter
         (fun (class_num, count) -> set_class_count t ~class_num ~count)
         img.i_classes;
-      t.pending_drops <- img.i_upcall_drops;
+      Ring_buffer.set_drops t.pending img.i_upcall_drops;
       (match (t.p_bridge, img.i_residue) with
       | Some br, Some res -> br.br_set_residue res
       | _, None -> ()

@@ -77,7 +77,7 @@ type upcall = { fnptr : int; appdata : int }
 
 type allow_entry = { a_addr : int; a_len : int; a_window : Subslice.t option }
 (** An allowed buffer. [a_window] is the zero-copy window over process
-    memory materialized at allow time ({!make_allow_entry}); [None] iff
+    memory materialized at allow time ({!allow_entry}); [None] iff
     the allow is zero-length (Tock 2.0 revocation). *)
 
 type t
@@ -149,8 +149,8 @@ val grant_bytes_used : t -> int
 
 val mem_view : t -> addr:int -> len:int -> [ `Ram of int | `Flash of int ] option
 (** Resolve an absolute address range to an offset in the process RAM or
-    flash image; [None] if it straddles or escapes both. This is the
-    kernel-side translation used to materialize allow buffers. *)
+    flash image; [None] if it straddles or escapes both, however close
+    to [max_int] the address is. Allow windows resolve by the same rule. *)
 
 val ram_bytes : t -> bytes
 (** Raw RAM backing store (trusted code only). *)
@@ -215,8 +215,10 @@ val allow_entry :
   allow_entry
 (** The entry an allow of [addr, len] under this key would install:
     the key's last installed entry if it spans the same range (a buffer
-    allowed and revoked in a loop reuses one window), else
-    {!make_allow_entry}'s. Its [a_len] is negative, and nothing may
+    allowed and revoked in a loop reuses one window), else a new one
+    that resolves the range to process RAM or flash and holds the
+    base-bounded window capsules operate on in place. A zero-length
+    range gets no window. Its [a_len] is negative, and nothing may
     install it, if the range escapes process memory: no option is
     built on the syscall path. *)
 
@@ -226,14 +228,6 @@ val allow_overlaps : t -> kind:[ `Ro | `Rw ] -> addr:int -> len:int -> bool
 (** Does the range overlap any currently-allowed buffer of that kind?
     Zero-length ranges overlap nothing. (Paper §5.1.1: mutable aliasing
     detection.) *)
-
-val make_allow_entry : t -> addr:int -> len:int -> allow_entry option
-(** Materialize an allow entry: resolve the range to process RAM or
-    flash and build the base-bounded window capsules will operate on in
-    place. [None] if the range escapes process memory; zero-length
-    ranges yield an entry with no window. This is what {!allow_entry}
-    builds on a miss, and the unit the datapath bench measures as
-    "allow-window setup". *)
 
 (** {2 Grant value store} *)
 

@@ -1,66 +1,74 @@
-type 'a t = {
-  slots : 'a array;
-  mutable head : int; (* next pop position *)
+type t = {
+  mutable slots : int array; (* entry i at [offset t i], [width] ints *)
+  mutable room : int; (* entries [slots] has room for *)
+  width : int;
+  capacity : int;
+  mutable head : int; (* oldest entry *)
   mutable len : int;
   mutable drops : int;
 }
 
-let create ~capacity ~dummy =
-  if capacity <= 0 then invalid_arg "Ring_buffer.create";
-  { slots = Array.make capacity dummy; head = 0; len = 0; drops = 0 }
+let create ~capacity ~width =
+  if capacity <= 0 || width <= 0 then invalid_arg "Ring_buffer.create";
+  { slots = [||]; room = 0; width; capacity; head = 0; len = 0; drops = 0 }
 
 let length t = t.len
 
-let is_full t = t.len = Array.length t.slots
+let data t = t.slots
 
-let push t v =
-  if is_full t then begin
+let offset t i = (t.head + i) mod t.room * t.width
+
+(* Double the room, up to [capacity], with the oldest entry moved to
+   slot 0: a queue that never holds more than a few entries keeps a
+   small array. *)
+let grow t =
+  let room = min t.capacity (max 2 (2 * t.room)) in
+  let slots = Array.make (room * t.width) 0 in
+  for i = 0 to t.len - 1 do
+    Array.blit t.slots (offset t i) slots (i * t.width) t.width
+  done;
+  t.slots <- slots;
+  t.room <- room;
+  t.head <- 0
+
+let push t =
+  if t.len = t.capacity then begin
     t.drops <- t.drops + 1;
-    false
+    -1
   end
   else begin
-    t.slots.((t.head + t.len) mod Array.length t.slots) <- v;
+    if t.len = t.room then grow t;
+    let o = offset t t.len in
     t.len <- t.len + 1;
-    true
+    o
   end
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let v = t.slots.(t.head) in
-    t.head <- (t.head + 1) mod Array.length t.slots;
-    t.len <- t.len - 1;
-    Some v
-  end
+let rec find_from t a b i =
+  if i >= t.len then -1
+  else
+    let o = offset t i in
+    if t.slots.(o) = a && t.slots.(o + 1) = b then i else find_from t a b (i + 1)
 
-let peek t = if t.len = 0 then None else Some t.slots.(t.head)
+let find t a b =
+  if t.width < 2 then invalid_arg "Ring_buffer.find";
+  find_from t a b 0
+
+let remove t i =
+  if i < 0 || i >= t.len then invalid_arg "Ring_buffer.remove";
+  if i = 0 then t.head <- (t.head + 1) mod t.room
+  else
+    for j = i to t.len - 2 do
+      Array.blit t.slots (offset t (j + 1)) t.slots (offset t j) t.width
+    done;
+  t.len <- t.len - 1
 
 let drops t = t.drops
+
+let set_drops t n = t.drops <- n
 
 let clear t =
   t.head <- 0;
   t.len <- 0
-
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.slots.((t.head + i) mod Array.length t.slots)
-  done
-
-let find_remove t pred =
-  let cap = Array.length t.slots in
-  let found = ref None in
-  let kept = ref [] in
-  for i = 0 to t.len - 1 do
-    let v = t.slots.((t.head + i) mod cap) in
-    if !found = None && pred v then found := Some v else kept := v :: !kept
-  done;
-  match !found with
-  | None -> None
-  | Some v ->
-      let kept = List.rev !kept in
-      clear t;
-      List.iter (fun x -> ignore (push t x)) kept;
-      Some v
 
 (* ---- byte ring with bulk transfers ---------------------------------- *)
 

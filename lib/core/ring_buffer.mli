@@ -1,36 +1,51 @@
-(** Fixed-capacity ring buffer (no heap growth — Tock is heapless).
+(** Fixed-capacity ring of fixed-width int records.
 
-    Overflow drops the *new* element and counts it, matching Tock's
-    queue behaviour. The per-process upcall queue is not built on it: it
-    keeps its entries as ints in {!Process}, so queueing and delivery
-    allocate nothing. *)
+    Each entry is [width] ints stored in place in one int array. The
+    array starts empty and doubles when full, up to [capacity] entries,
+    so a queue that only ever holds a few entries stays small; once it
+    has grown to its working depth, pushing, reading and removing an
+    entry allocate nothing. Overflow at [capacity] drops the *new*
+    entry and counts it, matching Tock's queue behaviour. Backs the
+    per-process upcall queue. *)
 
-type 'a t
+type t
 
-val create : capacity:int -> dummy:'a -> 'a t
-(** [dummy] fills unused slots (never returned). *)
+val create : capacity:int -> width:int -> t
+(** Holds up to [capacity] entries of [width] ints each. *)
 
-val length : 'a t -> int
+val length : t -> int
+(** Entries queued. *)
 
-val push : 'a t -> 'a -> bool
-(** False (and counts a drop) if full. *)
+val push : t -> int
+(** Append an entry and return the offset of its first int in {!data};
+    the caller writes its [width] ints there. [-1] (and counts a drop)
+    if full. *)
 
-val pop : 'a t -> 'a option
+val data : t -> int array
+(** The backing array: entry [i] (oldest first) is the [width] ints
+    from [offset t i]. A {!push} may replace it. *)
 
-val peek : 'a t -> 'a option
+val offset : t -> int -> int
+(** Offset in {!data} of the [i]th oldest entry, [i < length t]. *)
 
-val drops : 'a t -> int
+val find : t -> int -> int -> int
+(** Index of the oldest entry whose first two ints are [a] and [b], or
+    [-1]. Needs [width >= 2]. *)
 
-val iter : 'a t -> ('a -> unit) -> unit
-(** Oldest first; does not consume. *)
+val remove : t -> int -> unit
+(** Remove the [i]th oldest entry; the others keep their order. *)
 
-val find_remove : 'a t -> ('a -> bool) -> 'a option
-(** Remove and return the first (oldest) matching element, preserving the
-    order of the rest. Used by yield-waitfor to pluck a matching upcall
-    out of the queue. *)
+val drops : t -> int
 
-(** Fixed-capacity byte ring with bulk transfers: the element ring above
-    moves one value per call, this one moves whole spans (at most two
+val set_drops : t -> int -> unit
+(** Re-establish the drop counter from a board witness (freeze/thaw
+    support; never used on live queues). *)
+
+val clear : t -> unit
+(** Empty the ring; the drop counter stays. *)
+
+(** Fixed-capacity byte ring with bulk transfers: the entry ring above
+    moves one entry per call, this one moves whole spans (at most two
     blits each way, for the wrap), so a producer can batch many small
     writes into one hardware operation on drain. *)
 module Bytes_ring : sig

@@ -185,15 +185,16 @@ let check_with_range _t c ~addr ~len kind =
   else if len < 0 then None
   else begin
     c.scans <- c.scans + 1;
-    let lo = addr and hi = addr + len in
+    (* [len] is compared with the room left above [addr]: [addr + len]
+       could wrap past [max_int]. *)
     let n = Array.length c.slots in
     let rec slot i =
       if i >= n then None
       else
         match c.slots.(i) with
         | Some r
-          when lo >= r.region_start
-               && hi <= r.region_start + r.region_size
+          when addr >= r.region_start
+               && len <= r.region_start + r.region_size - addr
                && region_allows r kind ->
             Some (r.region_start, r.region_start + r.region_size)
         | _ -> slot (i + 1)
@@ -204,8 +205,8 @@ let check_with_range _t c ~addr ~len kind =
         match c.app with
         | Some app
           when (kind = `Read || kind = `Write)
-               && lo >= app.block_start
-               && hi <= app.block_start + app.accessible ->
+               && addr >= app.block_start
+               && len <= app.block_start + app.accessible - addr ->
             Some (app.block_start, app.block_start + app.accessible)
         | _ -> None)
   end

@@ -8,17 +8,10 @@ open Effect.Deep
 
 type sys_resume = [ `Regs of int array | `Upcall of int array ]
 
-type callback = int -> int -> int -> unit
-
 type app = {
   a_proc : Tock.Process.t;
   mutable alloc_next : int;
-  mutable fn_ids : int array;
-  mutable fns : callback array;
-  mutable fn_count : int;
-      (* The upcall table: [fn_ids.(i)] runs [fns.(i)], for i below
-         [fn_count]. It holds only live subscriptions, a handful, so a
-         lookup scans it: no hashing, and no allocation. *)
+  upcalls : (int -> int -> int -> unit) Tock.Int_hashtbl.Int.t;
   mutable next_fn : int;
   scratch : (string, int * int) Hashtbl.t; (* tag -> (addr, size) *)
   frame : int array;
@@ -79,7 +72,7 @@ let ram_offset app ~addr ~len kind =
    cached MPU check plus the byte accesses, like the hardware it models. *)
 
 let in_flash p ~addr ~len =
-  addr >= Tock.Process.flash_base p && addr + len <= Tock.Process.flash_end p
+  addr >= Tock.Process.flash_base p && len <= Tock.Process.flash_end p - addr
 
 (* Reads may also hit the process's own flash image (code constants). *)
 let read_u8 app ~addr =
@@ -201,65 +194,22 @@ let get_buffer app ~tag ~size =
 
 (* ---- upcall function table ---- *)
 
-let rec fn_index ids n id i =
-  if i >= n then -1
-  else if Array.unsafe_get ids i = id then i
-  else fn_index ids n id (i + 1)
-
-let no_fn : callback = fun _ _ _ -> ()
-
-let add_fn app id fn =
-  let n = app.fn_count in
-  if n = Array.length app.fns then begin
-    let cap = max 4 (2 * n) in
-    let ids = Array.make cap 0 and fns = Array.make cap no_fn in
-    Array.blit app.fn_ids 0 ids 0 n;
-    Array.blit app.fns 0 fns 0 n;
-    app.fn_ids <- ids;
-    app.fns <- fns
-  end;
-  app.fn_ids.(n) <- id;
-  app.fns.(n) <- fn;
-  app.fn_count <- n + 1
-
 let register_upcall_fn app fn =
   let id = app.next_fn in
   app.next_fn <- id + 1;
-  add_fn app id fn;
+  Tock.Int_hashtbl.Int.replace app.upcalls id fn;
   id
 
-(* Order is not observable: ids are unique, so the last entry fills the
-   hole. *)
-let remove_upcall_fn app id =
-  let i = fn_index app.fn_ids app.fn_count id 0 in
-  if i >= 0 then begin
-    let last = app.fn_count - 1 in
-    app.fn_ids.(i) <- app.fn_ids.(last);
-    app.fns.(i) <- app.fns.(last);
-    app.fns.(last) <- no_fn;
-    app.fn_count <- last
-  end
+let remove_upcall_fn app id = Tock.Int_hashtbl.Int.remove app.upcalls id
 
-let upcall_fn_count app = app.fn_count
+let upcall_fn_count app = Tock.Int_hashtbl.Int.length app.upcalls
 
 (* Deliveries to a pointer with no closure (null, or swapped out and
    removed) are dropped, like a stale function pointer. *)
 let run_upcall app id a0 a1 a2 =
-  let i = fn_index app.fn_ids app.fn_count id 0 in
-  if i >= 0 then app.fns.(i) a0 a1 a2
-
-(* Move the closure under [old_id] to [new_id], replacing whatever
-   [new_id] held. *)
-let remap_upcall_fn app ~old_id ~new_id =
-  let i = fn_index app.fn_ids app.fn_count old_id 0 in
-  if i < 0 then false
-  else begin
-    let fn = app.fns.(i) in
-    remove_upcall_fn app old_id;
-    remove_upcall_fn app new_id;
-    add_fn app new_id fn;
-    true
-  end
+  match Tock.Int_hashtbl.Int.find app.upcalls id with
+  | fn -> fn a0 a1 a2
+  | exception Not_found -> ()
 
 (* ---- freeze/thaw: checkpoints and the kernel bridge ---- *)
 
@@ -296,7 +246,13 @@ let install_bridge app =
             (fun (tag, v) -> Hashtbl.replace app.scratch tag v)
             r.Tock.Process.er_scratch);
       br_remap_upcall =
-        (fun ~old_id ~new_id -> remap_upcall_fn app ~old_id ~new_id);
+        (fun ~old_id ~new_id ->
+          match Tock.Int_hashtbl.Int.find app.upcalls old_id with
+          | exception Not_found -> false
+          | fn ->
+              Tock.Int_hashtbl.Int.remove app.upcalls old_id;
+              Tock.Int_hashtbl.Int.replace app.upcalls new_id fn;
+              true);
     }
 
 (* ---- the execution harness ---- *)
@@ -331,9 +287,7 @@ let spawn main p =
     {
       a_proc = p;
       alloc_next = Tock.Process.ram_base p;
-      fn_ids = [||];
-      fns = [||];
-      fn_count = 0;
+      upcalls = Tock.Int_hashtbl.Int.create 16;
       next_fn = 1;
       scratch = Hashtbl.create 8;
       frame;

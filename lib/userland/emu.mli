@@ -132,16 +132,6 @@ val run_upcall : app -> int -> int -> int -> int -> unit
 val upcall_fn_count : app -> int
 (** Closures currently registered. *)
 
-val remap_upcall_fn : app -> old_id:int -> new_id:int -> bool
-(** Move the closure under [old_id] to [new_id], replacing any closure
-    [new_id] held; false (and no change) if [old_id] has none. Thaw
-    calls it through the process's bridge to rebind a re-registered
-    closure to the id the frozen image recorded.
-
-    The table is a small array scanned by id: it holds only live
-    subscriptions, so no lookup, registration or removal hashes or
-    allocates once it has grown to the app's working set. *)
-
 (** {2 Freeze/thaw checkpoints}
 
     Effect continuations cannot be serialized, so a frozen board's apps

@@ -118,43 +118,79 @@ let test_subslice_copy () =
   Subslice.copy_within a b;
   Alcotest.(check string) "copy" "bcd\x00" (Bytes.to_string (Subslice.to_bytes b))
 
-(* ---- ring buffer ---- *)
+(* ---- entry ring ---- *)
+
+(* One-int entries: the value goes where [push] says. *)
+let push1 r v =
+  let o = Ring_buffer.push r in
+  if o >= 0 then (Ring_buffer.data r).(o) <- v;
+  o >= 0
+
+let oldest r = (Ring_buffer.data r).(Ring_buffer.offset r 0)
+
+let pop1 r =
+  if Ring_buffer.length r = 0 then None
+  else begin
+    let v = oldest r in
+    Ring_buffer.remove r 0;
+    Some v
+  end
 
 let test_ring_basic () =
-  let r = Ring_buffer.create ~capacity:3 ~dummy:0 in
-  Alcotest.(check bool) "push" true (Ring_buffer.push r 1);
-  ignore (Ring_buffer.push r 2);
-  ignore (Ring_buffer.push r 3);
-  Alcotest.(check bool) "full rejects" false (Ring_buffer.push r 4);
+  let r = Ring_buffer.create ~capacity:3 ~width:1 in
+  Alcotest.(check bool) "push" true (push1 r 1);
+  ignore (push1 r 2);
+  ignore (push1 r 3);
+  Alcotest.(check bool) "full rejects" false (push1 r 4);
   Alcotest.(check int) "drop counted" 1 (Ring_buffer.drops r);
-  Alcotest.(check (option int)) "fifo" (Some 1) (Ring_buffer.pop r);
-  ignore (Ring_buffer.push r 4);
-  Alcotest.(check (option int)) "peek" (Some 2) (Ring_buffer.peek r);
+  Alcotest.(check (option int)) "fifo" (Some 1) (pop1 r);
+  ignore (push1 r 4);
+  Alcotest.(check int) "peek" 2 (oldest r);
   Alcotest.(check int) "length" 3 (Ring_buffer.length r)
 
+(* Two-int entries keyed (v mod 3, v), laid across the wrap. *)
 let test_ring_find_remove () =
-  let r = Ring_buffer.create ~capacity:8 ~dummy:0 in
-  List.iter (fun v -> ignore (Ring_buffer.push r v)) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (option int)) "removes first match" (Some 3)
-    (Ring_buffer.find_remove r (fun v -> v mod 3 = 0));
-  let rest = ref [] in
-  Ring_buffer.iter r (fun v -> rest := v :: !rest);
-  Alcotest.(check (list int)) "order preserved" [ 1; 2; 4; 5 ] (List.rev !rest);
-  Alcotest.(check (option int)) "no match" None
-    (Ring_buffer.find_remove r (fun v -> v = 42))
+  let r = Ring_buffer.create ~capacity:8 ~width:2 in
+  let push v =
+    let o = Ring_buffer.push r in
+    (Ring_buffer.data r).(o) <- v mod 3;
+    (Ring_buffer.data r).(o + 1) <- v
+  in
+  List.iter push [ 1; 2; 3; 4; 5 ];
+  for _ = 1 to 3 do
+    Ring_buffer.remove r 0
+  done;
+  List.iter push [ 6; 7; 8; 9; 10 ];
+  let i = Ring_buffer.find r 0 9 in
+  Alcotest.(check int) "finds first match" 5 i;
+  Ring_buffer.remove r i;
+  let rest =
+    List.init (Ring_buffer.length r) (fun i ->
+        (Ring_buffer.data r).(Ring_buffer.offset r i + 1))
+  in
+  Alcotest.(check (list int)) "order preserved" [ 4; 5; 6; 7; 8; 10 ] rest;
+  Alcotest.(check int) "no match" (-1) (Ring_buffer.find r 0 42)
 
+(* Pushes ([Some x]) and pops ([None]) interleaved, so entries wrap and
+   the ring grows with entries queued: it must pop what a plain queue
+   pops. *)
 let ring_fifo_prop =
   qcheck "ring buffer: pops are pushes in order (within capacity)"
-    QCheck2.Gen.(list_size (0 -- 30) (int_range 0 100))
-    (fun xs ->
-      let r = Ring_buffer.create ~capacity:64 ~dummy:(-1) in
-      List.iter (fun x -> ignore (Ring_buffer.push r x)) xs;
-      let rec drain acc =
-        match Ring_buffer.pop r with
-        | Some v -> drain (v :: acc)
-        | None -> List.rev acc
-      in
-      drain [] = xs)
+    QCheck2.Gen.(list_size (0 -- 60) (option ~ratio:0.7 (int_range 0 100)))
+    (fun ops ->
+      let r = Ring_buffer.create ~capacity:64 ~width:1 in
+      let q = Queue.create () in
+      List.for_all
+        (function
+          | Some x ->
+              ignore (push1 r x);
+              Queue.push x q;
+              true
+          | None -> pop1 r = Queue.take_opt q)
+        ops
+      && List.of_seq (Queue.to_seq q)
+         = List.init (Ring_buffer.length r) (fun i ->
+               (Ring_buffer.data r).(Ring_buffer.offset r i)))
 
 (* ---- bytes ring (bulk byte FIFO for batched UART drains) ---- *)
 

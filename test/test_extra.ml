@@ -183,7 +183,9 @@ let test_mem_view_straddle () =
   Alcotest.(check bool) "straddling out the top" true
     (Process.mem_view p ~addr:(Process.ram_end p - 8) ~len:16 = None);
   Alcotest.(check bool) "negative length" true
-    (Process.mem_view p ~addr:base ~len:(-1) = None)
+    (Process.mem_view p ~addr:base ~len:(-1) = None);
+  Alcotest.(check bool) "address near max_int does not wrap" true
+    (Process.mem_view p ~addr:(max_int - 3) ~len:8 = None)
 
 let test_allow_size_tracks () =
   let board = make_board () in

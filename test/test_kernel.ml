@@ -206,6 +206,48 @@ let test_allow_swap_semantics () =
   | Process.Terminated { code = 0 } -> ()
   | _ -> Alcotest.fail "swap semantics assertion failed in-app"
 
+(* An address near [max_int] must not wrap the range checks: the
+   allow is refused with INVAL, and the kernel loop does not raise. *)
+let test_allow_near_max_int () =
+  let board = make_board () in
+  let app a =
+    let refused r =
+      match r with Error Error.INVAL -> true | Ok _ | Error _ -> false
+    in
+    let ro =
+      Tock_userland.Libtock.allow_ro a ~driver:Driver_num.console ~num:1
+        ~addr:max_int ~len:1
+    in
+    let rw =
+      Tock_userland.Libtock.allow_rw a ~driver:Driver_num.console ~num:1
+        ~addr:(max_int - 3) ~len:8
+    in
+    Tock_userland.Libtock.exit a (if refused ro && refused rw then 0 else 1)
+  in
+  let p = add_app_exn board ~name:"wrapper" app in
+  run_done board;
+  match Process.state p with
+  | Process.Terminated { code = 0 } -> ()
+  | _ -> Alcotest.fail "an allow near max_int was not refused with INVAL"
+
+(* The same for an emulated load: the MPU check must refuse it, so the
+   process faults with an MPU violation, not an out-of-bounds panic. *)
+let test_read_near_max_int () =
+  let board = make_board () in
+  let app a =
+    ignore (Tock_userland.Emu.read_u32 a ~addr:(max_int - 1));
+    Tock_userland.Libtock.exit a 0
+  in
+  let p = add_app_exn board ~name:"wrapper" app in
+  run_done board;
+  match Process.state p with
+  | Process.Faulted (Process.Mpu_violation _) -> ()
+  | s ->
+      Alcotest.failf "a read near max_int ended as %s"
+        (match s with
+        | Process.Faulted r -> Process.describe_fault r
+        | _ -> "no fault")
+
 let test_zero_len_allow_niche () =
   (* Zero-length allow with a non-zero address: accepted, but counted as a
      dynamic null-slice fix-up (paper §5.1.2). *)
@@ -337,6 +379,8 @@ let suite =
     Alcotest.test_case "exit-restart syscall" `Quick test_exit_restart_syscall;
     Alcotest.test_case "aliasing policies" `Quick test_aliasing_policies;
     Alcotest.test_case "allow swap semantics" `Quick test_allow_swap_semantics;
+    Alcotest.test_case "allow near max_int refused" `Quick test_allow_near_max_int;
+    Alcotest.test_case "read near max_int is an MPU fault" `Quick test_read_near_max_int;
     Alcotest.test_case "zero-length allow niche" `Quick test_zero_len_allow_niche;
     Alcotest.test_case "tbf permission filter" `Quick test_tbf_permission_filter;
     Alcotest.test_case "blocking command gate" `Quick test_blocking_command_gate;
