@@ -1,5 +1,5 @@
 (* The otock-lint rule set: one pass over one parse of every scanned
-   file, one resolver and one baseline. Its rules are grounded in the
+   file, one resolver and one suppression. Its rules are grounded in the
    paper:
 
    - layering (§4.1, Fig. 2): capsules reach hardware only through the
@@ -27,8 +27,8 @@
    itself a finding ([lint-parse]). Violations can be suppressed by an
    inline pragma carrying a justification (an [otock-lint:] comment, see
    {!Ast_extract.pragma}) on the same or previous line, or an
-   [allow-file] one for a whole file, or grandfathered in the committed
-   baseline (see Report). *)
+   [allow-file] one for a whole file; nothing else suppresses one (see
+   Report). *)
 
 type violation = {
   v_rule : string;

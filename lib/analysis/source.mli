@@ -16,7 +16,5 @@ val scan_dir : root:string -> string -> file list
 
 val count_lines : string -> int
 
-val read_file : string -> string
-
 val file : path:string -> content:string -> file
 (** Build an in-memory file (for tests); kind inferred from the path. *)

@@ -99,16 +99,21 @@ let create kernel vdev ~grant_cap =
             | _ -> next ())
       in
       next ());
-  Uart_mux.set_receive_client vdev (fun sub ->
+  Uart_mux.set_receive_client vdev (fun sub result ->
       (* The bytes already landed in the process's allow window — the
-         receive buffer IS that window, so delivery is just the upcall. *)
+         receive buffer IS that window, so delivery is just the upcall.
+         A cancelled receive (command 3) delivered no bytes and gets no
+         upcall. *)
       match t.rx_owner with
-      | Some (pid, wanted) ->
+      | Some (pid, wanted) -> (
           t.rx_owner <- None;
-          let delivered = min wanted (Subslice.length sub) in
-          ignore
-            (Kernel.schedule_upcall t.kernel pid ~driver:Driver_num.console
-               ~subscribe_num:sub_rx_done ~args:(delivered, 0, 0))
+          match result with
+          | Ok () ->
+              let delivered = min wanted (Subslice.length sub) in
+              ignore
+                (Kernel.schedule_upcall t.kernel pid ~driver:Driver_num.console
+                   ~subscribe_num:sub_rx_done ~args:(delivered, 0, 0))
+          | Error _ -> ())
       | None -> ());
   t
 
@@ -158,9 +163,7 @@ let command t proc ~command_num ~arg1 ~arg2:_ =
             end))
   | 3 ->
       (match t.rx_owner with
-      | Some (owner, _) when owner = pid ->
-          Uart_mux.abort_receive t.vdev;
-          t.rx_owner <- None
+      | Some (owner, _) when owner = pid -> Uart_mux.abort_receive t.vdev
       | _ -> ());
       Syscall.Success
   | _ -> Syscall.Failure Error.NOSUPPORT

@@ -2,36 +2,20 @@ open Tock
 
 let driver_num = 0x10002
 
-(* The v1-style stash: capsule-held raw buffer coordinates, captured at
-   allow time and used later regardless of revocation. *)
+(* The v1-style stash: capsule-held raw buffer coordinates, captured when
+   an operation starts and used later regardless of revocation. *)
 type stash = { s_pid : Process.id; s_addr : int; s_len : int }
 
 type t = {
   kernel : Kernel.t;
   valarm : Alarm_mux.valarm;
-  mutable latest_allow : stash option; (* what userspace last shared *)
   mutable stashed : stash option; (* captured at operation start (v1!) *)
   mutable stale : int;
   mutable writes : int;
 }
 
 let create kernel mux =
-  { kernel; valarm = Alarm_mux.new_alarm mux; latest_allow = None;
-    stashed = None; stale = 0; writes = 0 }
-
-(* V1 semantics: the capsule receives an owning wrapper at allow time. The
-   operation (command 1) captures whatever was shared then and holds it
-   across any later re-allow — the kernel cannot make it let go. *)
-let allow_hook t proc ~allow_num entry =
-  if allow_num = 0 then
-    t.latest_allow <-
-      Some
-        {
-          s_pid = Process.id proc;
-          s_addr = entry.Process.a_addr;
-          s_len = entry.Process.a_len;
-        };
-  Ok ()
+  { kernel; valarm = Alarm_mux.new_alarm mux; stashed = None; stale = 0; writes = 0 }
 
 let do_delayed_write t =
   match t.stashed with
@@ -66,13 +50,23 @@ let do_delayed_write t =
                  ~subscribe_num:0 ~args:(s.s_len, 0, 0))
           end)
 
-let command t _proc ~command_num ~arg1 ~arg2:_ =
+let command t proc ~command_num ~arg1 ~arg2:_ =
   match command_num with
   | 0 -> Syscall.Success
   | 1 ->
-      (* v1: take ownership of the currently-allowed buffer for the whole
-         (long-running) operation. *)
-      t.stashed <- t.latest_allow;
+      (* V1 semantics: the capsule held an owning wrapper to whatever was
+         shared when the operation started, and keeps it across any later
+         re-allow — the kernel cannot make it let go. *)
+      let shared =
+        Process.allow_get proc ~kind:`Rw ~driver:driver_num ~allow_num:0
+      in
+      t.stashed <-
+        Some
+          {
+            s_pid = Process.id proc;
+            s_addr = shared.Process.a_addr;
+            s_len = shared.Process.a_len;
+          };
       Alarm_mux.set_client t.valarm (fun () -> do_delayed_write t);
       Alarm_mux.set_relative t.valarm ~dt:(max 1 arg1);
       Syscall.Success
@@ -80,7 +74,6 @@ let command t _proc ~command_num ~arg1 ~arg2:_ =
 
 let driver t =
   Driver.make ~driver_num ~name:"legacy-console"
-    ~allow_rw_hook:(fun proc ~allow_num entry -> allow_hook t proc ~allow_num entry)
     (fun proc ~command_num ~arg1 ~arg2 -> command t proc ~command_num ~arg1 ~arg2)
 
 let stale_writes t = t.stale

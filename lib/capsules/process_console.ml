@@ -133,20 +133,23 @@ let rec arm_rx t =
           Subslice.reset sub;
           Cells.Take_cell.put t.rx sub)
 
-and on_rx t sub =
+and on_rx t sub result =
   let c = Subslice.get sub 0 in
   Subslice.reset sub;
   Cells.Take_cell.put t.rx sub;
-  if c = '\n' || c = '\r' then begin
-    let line = Buffer.contents t.line in
-    Buffer.clear t.line;
-    if String.trim line <> "" then handle_command t line
-  end
-  else Buffer.add_char t.line c;
-  arm_rx t
+  match result with
+  | Error _ -> () (* a cancelled receive carries no byte; listening stops *)
+  | Ok () ->
+      if c = '\n' || c = '\r' then begin
+        let line = Buffer.contents t.line in
+        Buffer.clear t.line;
+        if String.trim line <> "" then handle_command t line
+      end
+      else Buffer.add_char t.line c;
+      arm_rx t
 
 let start_listening t =
-  Uart_mux.set_receive_client t.vdev (fun sub -> on_rx t sub);
+  Uart_mux.set_receive_client t.vdev (fun sub result -> on_rx t sub result);
   arm_rx t
 
 let inject_line t line = handle_command t line

@@ -1,7 +1,7 @@
 type vdev = {
   mux : t;
   mutable tx_client : Tock.Subslice.t -> unit;
-  mutable rx_client : Tock.Subslice.t -> unit;
+  mutable rx_client : Tock.Subslice.t -> (unit, Tock.Error.t) result -> unit;
   mutable tx_queued : bool;
 }
 
@@ -41,11 +41,11 @@ let create hw =
           dev.tx_client buf;
           pump t
       | None -> ());
-  hw.Tock.Hil.uart_set_receive_client (fun buf ->
+  hw.Tock.Hil.uart_set_receive_client (fun buf result ->
       match t.rx_holder with
       | Some dev ->
           t.rx_holder <- None;
-          dev.rx_client buf
+          dev.rx_client buf result
       | None -> ());
   t
 
@@ -53,7 +53,7 @@ let new_device t =
   {
     mux = t;
     tx_client = (fun (_ : Tock.Subslice.t) -> ());
-    rx_client = (fun (_ : Tock.Subslice.t) -> ());
+    rx_client = (fun (_ : Tock.Subslice.t) _ -> ());
     tx_queued = false;
   }
 
@@ -81,10 +81,9 @@ let receive dev buf =
 
 let set_receive_client dev fn = dev.rx_client <- fn
 
+(* The aborted receive's CANCEL call comes back through [rx_holder],
+   which routes it to [dev] and frees the receive side. *)
 let abort_receive dev =
-  let t = dev.mux in
-  match t.rx_holder with
-  | Some d when d == dev ->
-      t.hw.Tock.Hil.uart_abort_receive ();
-      t.rx_holder <- None
+  match dev.mux.rx_holder with
+  | Some d when d == dev -> dev.mux.hw.Tock.Hil.uart_abort_receive ()
   | _ -> ()

@@ -22,6 +22,12 @@ val set_transmit_client : vdev -> (Tock.Subslice.t -> unit) -> unit
 val receive : vdev -> Tock.Subslice.t -> (unit, Tock.Error.t * Tock.Subslice.t) result
 (** BUSY if any device holds the receive side. *)
 
-val set_receive_client : vdev -> (Tock.Subslice.t -> unit) -> unit
+val set_receive_client :
+  vdev -> (Tock.Subslice.t -> (unit, Tock.Error.t) result -> unit) -> unit
+(** The buffer comes back with [Ok ()] when filled, or with
+    [Error CANCEL] when [abort_receive] ended the receive. *)
 
 val abort_receive : vdev -> unit
+(** End this device's receive, if it holds the receive side: its
+    receive client is called once, now, with the buffer and
+    [Error CANCEL]. *)

@@ -49,7 +49,7 @@ let uart (hw : Tock_hw.Uart.t) : Hil.uart =
   let tx_inflight : Subslice.t Take_cell.t = Take_cell.empty () in
   let rx_inflight : Subslice.t Take_cell.t = Take_cell.empty () in
   let tx_client = ref (fun (_ : Subslice.t) -> ()) in
-  let rx_client = ref (fun (_ : Subslice.t) -> ()) in
+  let rx_client = ref (fun (_ : Subslice.t) (_ : (unit, Error.t) result) -> ()) in
   Tock_hw.Uart.set_transmit_client hw (fun ~len:_ ->
       match Take_cell.take tx_inflight with
       | Some sub -> !tx_client sub
@@ -59,7 +59,7 @@ let uart (hw : Tock_hw.Uart.t) : Hil.uart =
       | Some sub ->
           let n = min (Bytes.length data) (Subslice.length sub) in
           Subslice.blit_from_bytes ~src:data ~src_off:0 sub ~dst_off:0 ~len:n;
-          !rx_client sub
+          !rx_client sub (Ok ())
       | None -> ());
   {
     uart_transmit =
@@ -75,7 +75,9 @@ let uart (hw : Tock_hw.Uart.t) : Hil.uart =
     uart_abort_receive =
       (fun () ->
         Tock_hw.Uart.abort_receive hw;
-        ignore (Take_cell.take rx_inflight));
+        match Take_cell.take rx_inflight with
+        | Some sub -> !rx_client sub (Error Error.CANCEL)
+        | None -> ());
   }
 
 let entropy (hw : Tock_hw.Trng.t) : Hil.entropy =

@@ -10,7 +10,7 @@ type uart = {
   uart_transmit : Subslice.t -> (unit, Error.t * Subslice.t) result;
   uart_set_transmit_client : (Subslice.t -> unit) -> unit;
   uart_receive : Subslice.t -> (unit, Error.t * Subslice.t) result;
-  uart_set_receive_client : (Subslice.t -> unit) -> unit;
+  uart_set_receive_client : (Subslice.t -> (unit, Error.t) result -> unit) -> unit;
   uart_abort_receive : unit -> unit;
 }
 

@@ -11,11 +11,11 @@
 
     An operation either starts ([Ok ()], then exactly one client call)
     or is refused, and then no client call follows. It is in flight
-    until its client call begins (or [uart_abort_receive] ends a
-    receive), and a second operation meanwhile is BUSY, also from
-    another view of the same SPI or I2C controller. A hardware refusal
-    ({!Tock_hw.Completion.refusal}) maps to one code in every record:
-    [Busy] → BUSY, [Invalid] (a bad page, channel, count, length, key,
+    until its client call begins, and a second operation meanwhile is
+    BUSY, also from another view of the same SPI or I2C controller. A
+    hardware refusal ({!Tock_hw.Completion.refusal}) maps to one code
+    in every record: [Busy] → BUSY, [Invalid] (a bad page, channel,
+    count, length, key,
     IV, ECB length, missing key or range, or a [flash_write] window that
     is not exactly one page) → INVAL, [Size] (a radio frame over 127
     bytes) → SIZE. The hardware latches the window's bytes at
@@ -42,8 +42,14 @@ type uart = {
       (** Buffer returned with its window intact. *)
   uart_receive : Subslice.t -> (unit, Error.t * Subslice.t) result;
       (** Receive exactly the window length. *)
-  uart_set_receive_client : (Subslice.t -> unit) -> unit;
+  uart_set_receive_client : (Subslice.t -> (unit, Error.t) result -> unit) -> unit;
+      (** The buffer comes back with [Ok ()] once its window is filled,
+          or with [Error CANCEL] when [uart_abort_receive] ended the
+          receive first; its bytes are then not received data. *)
   uart_abort_receive : unit -> unit;
+      (** End the receive in flight, if any, as Tock's [receive_abort]
+          does: its one client call, [Error CANCEL], happens now, and
+          the cancelled hardware completion calls nobody. *)
 }
 
 type entropy = {

@@ -530,10 +530,10 @@ let handle_allow t proc ret ~kind ~driver ~allow_num ~addr ~len =
   (match Int_hashtbl.Int.find t.drivers driver with
   | exception Not_found ->
       Syscall.set_failure_u32_u32 ret Error.NODEVICE addr len
-  | slot -> (
+  | _ -> (
       match validate_allow t proc ~kind ~addr ~len with
       | Error e -> Syscall.set_failure_u32_u32 ret e addr len
-      | Ok () -> (
+      | Ok () ->
           (* Materialize the window at the allow boundary, or reuse the
              one this key last held over the same range; every later
              capsule access reuses it without translation. *)
@@ -543,17 +543,9 @@ let handle_allow t proc ret ~kind ~driver ~allow_num ~addr ~len =
           if entry.Process.a_len < 0 then
             Syscall.set_failure_u32_u32 ret Error.INVAL addr len
           else
-            let accepted =
-              match kind with
-              | `Rw -> slot.drv.Driver.allow_rw_hook proc ~allow_num entry
-              | `Ro -> Ok ()
-            in
-            match accepted with
-            | Error e -> Syscall.set_failure_u32_u32 ret e addr len
-            | Ok () ->
-                let old = Process.allow_swap proc ~kind ~driver ~allow_num entry in
-                Syscall.set_success_u32_u32 ret old.Process.a_addr
-                  old.Process.a_len)));
+            let old = Process.allow_swap proc ~kind ~driver ~allow_num entry in
+            Syscall.set_success_u32_u32 ret old.Process.a_addr
+              old.Process.a_len));
   Returned
 
 let handle_memop proc ret ~op ~arg =

@@ -20,82 +20,62 @@ type summary = {
 
 let header_parse_cost = 400 (* cycles to walk and checksum one header *)
 
-let app_name tbf =
-  Option.value (Tock_tbf.Tbf.package_name tbf) ~default:"(unnamed)"
-
-let create_from_tbf kernel ~cap ~flash_base ~off ~raw_size tbf lookup =
-  ignore raw_size;
-  let name = app_name tbf in
-  match lookup name with
-  | None -> Rejected { app_name = name; reason = "no such app in registry" }
-  | Some factory -> (
-      let serialized = Tock_tbf.Tbf.serialize tbf in
-      match
-        Kernel.create_process kernel ~cap ~name ~flash_base:(flash_base + off)
-          ~flash:serialized
-          ~min_ram:(Tock_tbf.Tbf.minimum_ram tbf)
-          ?permissions:(Tock_tbf.Tbf.permissions tbf)
-          ?storage:(Tock_tbf.Tbf.storage_permissions tbf)
-          ~tbf_flags:tbf.Tock_tbf.Tbf.flags ~factory ()
-      with
-      | Ok proc -> Loaded proc
-      | Error e ->
-          Rejected { app_name = name; reason = Error.to_string e })
-
-let load_sync kernel ~cap ~flash_base ~flash ~lookup =
-  let apps, parse_error = Tock_tbf.Tbf.parse_all flash in
-  let outcomes =
-    List.map
-      (fun (tbf, off) ->
-        Tock_hw.Sim.spend (Kernel.sim kernel) header_parse_cost;
-        create_from_tbf kernel ~cap ~flash_base ~off
-          ~raw_size:(Tock_tbf.Tbf.total_size tbf) tbf lookup)
-      apps
-  in
-  { outcomes; parse_error; headers_parsed = List.length apps }
+(* The one per-image step of every path: charge the header walk, check
+   the credentials over the stored integrity region, then create the
+   process over the stored image. [k] gets the outcome once the
+   checker's verdict is in. *)
+let load_image kernel ~cap ~flash_base ~lookup ~checker
+    (image : Tock_tbf.Tbf.image) k =
+  let tbf = image.tbf in
+  let name = Option.value (Tock_tbf.Tbf.package_name tbf) ~default:"(unnamed)" in
+  let reject reason = k (Rejected { app_name = name; reason }) in
+  Tock_hw.Sim.spend (Kernel.sim kernel) header_parse_cost;
+  checker.check_credentials tbf
+    ~region:(Bytes.sub image.stored 0 image.integrity_end)
+    ~verdict:(fun (ok, why) ->
+      if not ok then reject why
+      else
+        match lookup name with
+        | None -> reject "no such app in registry"
+        | Some factory -> (
+            match
+              Kernel.create_process kernel ~cap ~name
+                ~flash_base:(flash_base + image.off) ~flash:image.stored
+                ~min_ram:(Tock_tbf.Tbf.minimum_ram tbf)
+                ?permissions:(Tock_tbf.Tbf.permissions tbf)
+                ?storage:(Tock_tbf.Tbf.storage_permissions tbf)
+                ~tbf_flags:tbf.Tock_tbf.Tbf.flags ~factory ()
+            with
+            | Ok proc -> k (Loaded proc)
+            | Error e -> reject (Error.to_string e)))
 
 (* The asynchronous loader is a state machine driven by checker verdicts:
    Parse -> Check(app0) -> Create(app0) -> Check(app1) -> ... -> Done.
    Verdicts arrive from interrupt context (crypto engine completions), so
    each transition happens as the kernel loop pumps events. *)
 let load_async kernel ~cap ~flash_base ~flash ~lookup ~checker ~on_done =
-  let apps, parse_error = Tock_tbf.Tbf.parse_all flash in
-  let headers_parsed = List.length apps in
-  let rec check_next pending acc =
-    match pending with
+  let images, parse_error = Tock_tbf.Tbf.parse_all flash in
+  let headers_parsed = List.length images in
+  let rec next acc = function
     | [] -> on_done { outcomes = List.rev acc; parse_error; headers_parsed }
-    | (tbf, off) :: rest -> (
-        Tock_hw.Sim.spend (Kernel.sim kernel) header_parse_cost;
-        match Tock_tbf.Tbf.integrity_region (Tock_tbf.Tbf.serialize tbf) with
-        | Error why ->
-            check_next rest
-              (Rejected { app_name = app_name tbf; reason = why } :: acc)
-        | Ok region ->
-            checker.check_credentials tbf ~region ~verdict:(fun (ok, why) ->
-                let outcome =
-                  if ok then
-                    create_from_tbf kernel ~cap ~flash_base ~off
-                      ~raw_size:(Tock_tbf.Tbf.total_size tbf) tbf lookup
-                  else Rejected { app_name = app_name tbf; reason = why }
-                in
-                check_next rest (outcome :: acc)))
+    | image :: rest ->
+        load_image kernel ~cap ~flash_base ~lookup ~checker image (fun o ->
+            next (o :: acc) rest)
   in
-  check_next apps []
+  next [] images
+
+(* The synchronous pass is the same walk with a checker that answers at
+   once, so [on_done] has fired before [load_async] returns. *)
+let load_sync kernel ~cap ~flash_base ~flash ~lookup =
+  let summary = ref None in
+  load_async kernel ~cap ~flash_base ~flash ~lookup ~checker:accept_all_checker
+    ~on_done:(fun s -> summary := Some s);
+  Option.get !summary
 
 let install kernel ~cap:_ ~pm_cap ~flash_base ~tbf ~lookup ~checker ~on_done =
   match Tock_tbf.Tbf.parse tbf ~off:0 with
   | Error e -> on_done (Error (Format.asprintf "%a" Tock_tbf.Tbf.pp_error e))
-  | Ok (parsed, _size) -> (
-      Tock_hw.Sim.spend (Kernel.sim kernel) header_parse_cost;
-      match Tock_tbf.Tbf.integrity_region (Tock_tbf.Tbf.serialize parsed) with
-      | Error why -> on_done (Error why)
-      | Ok region ->
-          checker.check_credentials parsed ~region ~verdict:(fun (ok, why) ->
-              if not ok then on_done (Error why)
-              else
-                match
-                  create_from_tbf kernel ~cap:pm_cap ~flash_base ~off:0
-                    ~raw_size:(Tock_tbf.Tbf.total_size parsed) parsed lookup
-                with
-                | Loaded p -> on_done (Ok p)
-                | Rejected { reason; _ } -> on_done (Error reason)))
+  | Ok image ->
+      load_image kernel ~cap:pm_cap ~flash_base ~lookup ~checker image (function
+        | Loaded p -> on_done (Ok p)
+        | Rejected { reason; _ } -> on_done (Error reason))

@@ -223,13 +223,13 @@ let write_cred buf off c =
   | Padding _ -> ());
   off + cred_size c
 
-let checksum_of buf hsize =
+let checksum_of buf ~off hsize =
   let x = ref 0 in
-  let off = ref 0 in
-  while !off + 4 <= hsize do
+  let i = ref 0 in
+  while !i + 4 <= hsize do
     (* Skip the checksum word itself at offset 12. *)
-    if !off <> 12 then x := !x lxor get_u32 buf !off;
-    off := !off + 4
+    if !i <> 12 then x := !x lxor get_u32 buf (off + !i);
+    i := !i + 4
   done;
   !x land 0xFFFFFFFF
 
@@ -244,7 +244,7 @@ let serialize t =
   let off = ref base_header_size in
   List.iter (fun e -> off := write_tlv buf !off e) t.elements;
   assert (!off = hsize);
-  put_u32 buf 12 (checksum_of buf hsize);
+  put_u32 buf 12 (checksum_of buf ~off:0 hsize);
   Bytes.blit t.binary 0 buf hsize (Bytes.length t.binary);
   (* Footers: real credentials, then one padding TLV for the rest. *)
   let foff = ref (binary_end t) in
@@ -258,68 +258,38 @@ let serialize t =
   end;
   buf
 
-let integrity_region buf =
-  if Bytes.length buf < base_header_size then Error "truncated"
-  else
-    let hsize = get_u16 buf 2 in
-    ignore hsize;
-    (* Find binary_end via the Program element; fall back to total size. *)
-    let tsize = get_u32 buf 4 in
-    if Bytes.length buf < tsize then Error "truncated"
-    else begin
-      let binary_end = ref tsize in
-      let off = ref base_header_size in
-      let hsize = get_u16 buf 2 in
-      (try
-         while !off + 4 <= hsize do
-           let tcode = get_u16 buf !off and len = get_u16 buf (!off + 2) in
-           if tcode = tlv_program then binary_end := get_u32 buf (!off + 4 + 12);
-           off := !off + 4 + align4 len
-         done
-       with Invalid_argument _ -> ());
-      Ok (Bytes.sub buf 0 !binary_end)
-    end
-
-let with_integrity t f =
-  match integrity_region (serialize t) with
-  | Ok region -> f region
-  | Error e -> invalid_arg ("Tbf: " ^ e)
-
-let check_reserve t c =
+let add_credential t c =
   let used =
     List.fold_left (fun acc c -> acc + cred_size c) 0
       (List.filter (function Padding _ -> false | _ -> true) t.footers)
   in
   if used + cred_size c > t.footer_space then
-    invalid_arg "Tbf: credential overflows footer reserve"
+    invalid_arg "Tbf: credential overflows footer reserve";
+  { t with footers = t.footers @ [ c ] }
+
+(* The bytes a credential covers: the header and binary as [serialize]
+   lays them out. *)
+let integrity t = Bytes.sub (serialize t) 0 (binary_end t)
 
 let add_sha256 t =
-  with_integrity t (fun region ->
-      let c = Sha256_digest (Tock_crypto.Sha256.digest_bytes region) in
-      check_reserve t c;
-      { t with footers = t.footers @ [ c ] })
+  add_credential t (Sha256_digest (Tock_crypto.Sha256.digest_bytes (integrity t)))
 
 let add_hmac t ~key_id ~key =
-  with_integrity t (fun region ->
-      let c = Hmac_cred { key_id; tag = Tock_crypto.Hmac.mac_bytes ~key region } in
-      check_reserve t c;
-      { t with footers = t.footers @ [ c ] })
+  add_credential t
+    (Hmac_cred { key_id; tag = Tock_crypto.Hmac.mac_bytes ~key (integrity t) })
 
 let add_schnorr t ~sk ~rng =
-  with_integrity t (fun region ->
-      let signature = Tock_crypto.Schnorr.sign sk rng region in
-      let _, _ = (signature.Tock_crypto.Schnorr.r, signature.Tock_crypto.Schnorr.s) in
-      let pk_y = Tock_crypto.Modmath.pow ~m:Tock_crypto.Modmath.p61
-          Tock_crypto.Schnorr.generator sk.Tock_crypto.Schnorr.x in
-      let c =
-        Schnorr_cred
-          {
-            pubkey = Tock_crypto.Schnorr.public_key_to_bytes { y = pk_y };
-            signature = Tock_crypto.Schnorr.signature_to_bytes signature;
-          }
-      in
-      check_reserve t c;
-      { t with footers = t.footers @ [ c ] })
+  let signature = Tock_crypto.Schnorr.sign sk rng (integrity t) in
+  let pk_y =
+    Tock_crypto.Modmath.pow ~m:Tock_crypto.Modmath.p61
+      Tock_crypto.Schnorr.generator sk.Tock_crypto.Schnorr.x
+  in
+  add_credential t
+    (Schnorr_cred
+       {
+         pubkey = Tock_crypto.Schnorr.public_key_to_bytes { y = pk_y };
+         signature = Tock_crypto.Schnorr.signature_to_bytes signature;
+       })
 
 (* ---- parsing ---- *)
 
@@ -339,21 +309,26 @@ let pp_error fmt = function
 
 let ( let* ) = Result.bind
 
+type image = { tbf : t; off : int; stored : bytes; integrity_end : int }
+
 let parse buf ~off =
   let len = Bytes.length buf in
   if off + base_header_size > len then Error Truncated
   else begin
-    let sub = Bytes.sub buf off (len - off) in
-    let version = get_u16 sub 0 in
+    let version = get_u16 buf off in
     if version <> 2 then Error (Bad_version version)
     else
-      let hsize = get_u16 sub 2 in
-      let tsize = get_u32 sub 4 in
-      let flags = get_u32 sub 8 in
-      if tsize > Bytes.length sub || hsize > tsize || hsize < base_header_size
+      let hsize = get_u16 buf (off + 2) in
+      let tsize = get_u32 buf (off + 4) in
+      let flags = get_u32 buf (off + 8) in
+      if tsize > len - off || hsize > tsize || hsize < base_header_size
       then Error Truncated
-      else if checksum_of sub hsize <> get_u32 sub 12 then Error Bad_checksum
+      else if checksum_of buf ~off hsize <> get_u32 buf (off + 12) then
+        Error Bad_checksum
       else begin
+        (* The image as stored: what credentials cover and what a loaded
+           process's flash holds. *)
+        let sub = Bytes.sub buf off tsize in
         (* Header TLVs *)
         let rec tlvs acc off =
           if off = hsize then Ok (List.rev acc)
@@ -484,16 +459,10 @@ let parse buf ~off =
                     creds acc pend
               in
               let* footers = creds [] bend in
-              Ok
-                ( {
-                    version;
-                    flags;
-                    elements;
-                    binary;
-                    footers;
-                    footer_space = tsize - bend;
-                  },
-                  tsize )
+              let tbf =
+                { version; flags; elements; binary; footers; footer_space = tsize - bend }
+              in
+              Ok { tbf; off; stored = sub; integrity_end = bend }
             end
       end
   end
@@ -507,7 +476,7 @@ let parse_all buf =
       if v = 0xFFFF || v = 0 then (List.rev acc, None)
       else
         match parse buf ~off with
-        | Ok (t, size) -> go ((t, off) :: acc) (off + align4 size)
+        | Ok image -> go (image :: acc) (off + align4 (Bytes.length image.stored))
         | Error e -> (List.rev acc, Some e)
   in
   go [] 0

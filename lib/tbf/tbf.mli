@@ -7,9 +7,12 @@
     that the asynchronous process loader checks before an app may run
     (paper §3.4).
 
-    The integrity region covered by credentials is [0, binary_end): the
-    header and the binary, but not the footers themselves (they could not
-    cover themselves).
+    The integrity region covered by credentials is [0, binary_end) of the
+    stored image: the header and the binary, but not the footers
+    themselves (they could not cover themselves). [parse] is the one
+    reader of stored bytes: it hands back the stored image and the binary
+    end it validated, so a credential is checked over exactly the bytes
+    it was computed over, unknown TLVs included.
 
     In this reproduction the "binary" payload is opaque bytes naming an
     app in the userland registry plus ballast, so loading, checksumming,
@@ -47,9 +50,9 @@ type t = {
   footers : credential list;
   footer_space : int;
       (** Bytes reserved for footers. Fixed at construction so that adding
-          credentials never changes [total_size] (which lives inside the
-          integrity region — real TBF reserves footer space up front for
-          the same reason). *)
+          credentials never changes the header's total size (which lives
+          inside the integrity region — real TBF reserves footer space up
+          front for the same reason). *)
 }
 
 val flag_enabled : int
@@ -77,8 +80,9 @@ val make :
     [Invalid_argument] if credentials later overflow the reserve. *)
 
 val add_sha256 : t -> t
-(** Append a SHA-256 digest credential (computed over the serialized
-    integrity region). *)
+(** Append a SHA-256 digest credential, computed over the first
+    [binary_end] bytes of [serialize t]; [add_hmac] and [add_schnorr]
+    cover the same bytes. *)
 
 val add_hmac : t -> key_id:int -> key:bytes -> t
 
@@ -91,9 +95,6 @@ val serialize : t -> bytes
 (** Render to bytes with a correct checksum. Total size is padded to a
     4-byte boundary. *)
 
-val integrity_region : bytes -> (bytes, string) result
-(** Given a serialized TBF, the slice credentials cover. *)
-
 (** {2 Parsing} *)
 
 type parse_error =
@@ -103,14 +104,27 @@ type parse_error =
   | Bad_tlv of string
   | Missing_program
 
-val parse : bytes -> off:int -> (t * int, parse_error) result
-(** Parse one TBF at [off]; returns the value and its total size (i.e.
-    the next app starts at [off + size]). *)
+type image = {
+  tbf : t;
+  off : int;  (** where the image starts in the parsed region *)
+  stored : bytes;
+      (** the bytes the header's total size spans, as stored, unknown
+          TLVs and all: what a loaded process's flash holds *)
+  integrity_end : int;
+      (** the binary end the header declares, checked to lie within
+          [stored]: credentials cover [stored]'s first [integrity_end]
+          bytes *)
+}
 
-val parse_all : bytes -> (t * int) list * parse_error option
+val parse : bytes -> off:int -> (image, parse_error) result
+(** Parse one TBF at [off]. Unknown header TLVs are skipped (forward
+    compatible) but stay in [stored]; the next app starts at
+    [off + Bytes.length stored]. *)
+
+val parse_all : bytes -> image list * parse_error option
 (** Walk a flash region of concatenated TBFs from offset 0; stops cleanly
-    at erased flash (0xFF) or zero padding. Returns [(tbf, offset)] pairs
-    and the error that stopped the walk, if any. *)
+    at erased flash (0xFF) or zero padding. Returns the images in flash
+    order and the error that stopped the walk, if any. *)
 
 val pp_error : Format.formatter -> parse_error -> unit
 
@@ -127,6 +141,3 @@ val permissions : t -> (int * int) list option
     default-open historical behaviour). *)
 
 val storage_permissions : t -> (int * int list) option
-
-val total_size : t -> int
-(** Size the serialized form will occupy. *)

@@ -46,7 +46,9 @@ let test_uart_adaptor_receive () =
   let hw = Tock_hw.Uart.create sim irq ~irq_line:1 ~name:"u" in
   let u = Adaptors.uart hw in
   let got = ref None in
-  u.Hil.uart_set_receive_client (fun sub -> got := Some (Subslice.to_bytes sub));
+  u.Hil.uart_set_receive_client (fun sub r ->
+      Alcotest.(check bool) "received" true (Result.is_ok r);
+      got := Some (Subslice.to_bytes sub));
   let buf = Subslice.create 4 in
   (match u.Hil.uart_receive buf with Ok () -> () | Error (e, _) -> Alcotest.failf "%s" (Error.to_string e));
   Tock_hw.Uart.rx_inject hw (Bytes.of_string "wxyz!");
@@ -938,13 +940,33 @@ let hil_cases inp =
       let hw, _ = uart_hw h in
       let u = Adaptors.uart hw in
       let note, got = recorder () in
-      u.Hil.uart_set_receive_client note;
+      u.Hil.uart_set_receive_client (fun w r -> if Result.is_ok r then note w);
       let rx = window (String.make n '?') and w' = window inp.other in
       mk "uart_receive" h
         ~start:(fun () -> u.Hil.uart_receive rx)
         ~again:(fun () -> busy_back w' (u.Hil.uart_receive w'))
         ~after:(fun () -> H.Uart.rx_inject hw (Bytes.of_string d))
         got (same rx d));
+    (fun () ->
+      (* Abort instead of a second operation: the receive ends with one
+         client call, the same window, untouched, and CANCEL; the
+         bytes' arrival calls nobody. *)
+      let h = hw () in
+      let hw, _ = uart_hw h in
+      let u = Adaptors.uart hw in
+      let note, got = recorder () in
+      u.Hil.uart_set_receive_client (fun w r -> note (w, r));
+      let waiting = String.make n '?' in
+      let rx = window waiting in
+      mk "uart_abort_receive" h
+        ~start:(fun () -> u.Hil.uart_receive rx)
+        ~again:(fun () ->
+          u.Hil.uart_abort_receive ();
+          true)
+        ~after:(fun () -> H.Uart.rx_inject hw (Bytes.of_string d))
+        got (function
+          | [ (w, Error Error.CANCEL) ] -> same rx waiting [ w ]
+          | _ -> false));
     (fun () ->
       let h = hw () in
       let a, frames = radio_hw h in

@@ -1,8 +1,8 @@
 (* otock-lint's one pass: synthetic fixtures exercising each
-   architecture rule, the pragma/baseline machinery, and live-repo
-   gates over one shared run asserting that the tree's violations
-   exactly match the committed baseline, that every pragma still
-   suppresses a finding and that an injected bug trips the gate —
+   architecture rule and the pragma machinery, and live-repo gates over
+   one shared run asserting that the tree has no unsuppressed finding,
+   that every pragma still suppresses a finding and that an injected bug
+   trips the gate —
    this is what makes the lint tier-1 under `dune runtest`. The
    dataflow rules' fixtures and gates are in test_check. *)
 
@@ -10,7 +10,6 @@ module Taxonomy = Tock_analysis.Taxonomy
 module Source = Tock_analysis.Source
 module Ast_extract = Tock_analysis.Ast_extract
 module Rules = Tock_analysis.Rules
-module Report = Tock_analysis.Report
 
 let file path content = Source.file ~path ~content
 
@@ -429,7 +428,7 @@ let test_scoped_open () =
        (with_open "open Tock\n\nlet f () = Syscall.yield ()\n"))
 
 (* Every position a path can be written in reaches the summary, once,
-   with its kind. With an empty baseline a lost path only means fewer
+   with its kind. A lost path would only mean fewer
    violations, so this pins what the front end extracts. *)
 let test_extraction_coverage () =
   let kind = function
@@ -559,53 +558,12 @@ let test_quoted_string_blindness () =
   Alcotest.(check (list string)) "no violations from quoted strings" []
     (rules_of files)
 
-(* --- baseline ratchet ------------------------------------------------- *)
-
-let test_baseline_ratchet () =
-  let viol rule f line =
-    {
-      Rules.v_rule = rule;
-      Rules.v_file = f;
-      Rules.v_line = line;
-      Rules.v_message = "m";
-    }
-  in
-  let current =
-    [ viol "r" "a.ml" 1; viol "r" "a.ml" 2; viol "s" "b.ml" 9 ]
-  in
-  let baseline = Report.of_violations current in
-  (* identical tree: nothing new, nothing stale *)
-  let d = Report.diff baseline current in
-  Alcotest.(check int) "no new" 0 (List.length d.Report.new_violations);
-  Alcotest.(check int) "all grandfathered" 3 d.Report.grandfathered;
-  Alcotest.(check int) "no stale" 0 (List.length d.Report.stale);
-  (* one more site in a baselined file: every site of that key is new *)
-  let d2 = Report.diff baseline (viol "r" "a.ml" 7 :: current) in
-  Alcotest.(check int) "regression detected" 3
-    (List.length d2.Report.new_violations);
-  (* a fixed site makes the baseline stale (ratchet down) *)
-  let d3 = Report.diff baseline [ viol "r" "a.ml" 1; viol "s" "b.ml" 9 ] in
-  Alcotest.(check int) "stale entry" 1 (List.length d3.Report.stale);
-  (* round-trip through the file format *)
-  match Report.baseline_of_string (Report.baseline_to_string baseline) with
-  | Ok b ->
-      Alcotest.(check int) "round-trip" (List.length baseline) (List.length b)
-  | Error e -> Alcotest.fail e
-
 (* --- the live repository ---------------------------------------------- *)
 
 let live_root () =
   match Source.find_root () with
   | Some r -> r
   | None -> Alcotest.fail "cannot locate repository root from test cwd"
-
-let baseline root =
-  match
-    Report.baseline_of_string
-      (Source.read_file (Filename.concat root "lint_baseline.txt"))
-  with
-  | Ok b -> b
-  | Error e -> Alcotest.fail e
 
 (* The live tree through the one pass, run once and shared by every
    live-tree gate here and in test_check. *)
@@ -617,31 +575,20 @@ let live =
      let files = Source.scan ~root in
      { root; files; result = Rules.run files })
 
-(* The live tree's findings match the committed baseline exactly, both
-   ways: no new violation of any rule and no stale entry, whatever rule
-   id it names. *)
+(* The live tree's baseline is zero: no unsuppressed finding of any
+   rule. The in-source pragma is the only suppression. *)
 let test_live_repo_matches_baseline () =
-  let { root; files; result = r } = Lazy.force live in
+  let { files; result = r; _ } = Lazy.force live in
   Alcotest.(check bool) "scan finds the tree" true (List.length files > 100);
-  let d = Report.diff (baseline root) r.Rules.violations in
   Alcotest.(check (list string))
-    "no violations beyond the committed baseline (fix it or allowlist with \
-     a justification; see DESIGN.md)"
+    "no unsuppressed violation (fix it or allowlist it in source with a \
+     justification; see DESIGN.md)"
     []
     (List.map
        (fun (v : Rules.violation) ->
          Printf.sprintf "%s:%d [%s] %s" v.Rules.v_file v.Rules.v_line
            v.Rules.v_rule v.Rules.v_message)
-       d.Report.new_violations);
-  Alcotest.(check (list string))
-    "baseline is not stale (a grandfathered violation was fixed: ratchet \
-     down with `dune exec bin/otock_lint.exe -- --write-baseline`)"
-    []
-    (List.map
-       (fun (e : Report.entry) ->
-         Printf.sprintf "%d %s %s" e.Report.b_count e.Report.b_rule
-           e.Report.b_file)
-       d.Report.stale)
+       r.Rules.violations)
 
 let test_no_stale_pragmas () =
   (* Every pragma must still suppress a finding: an allowlist entry
@@ -676,11 +623,11 @@ let test_no_stale_pragmas () =
 (* The acceptance scenario, through the one entry point: the real tree
    with a capsule->hw reference, a forged mint and a window-stashing
    capsule dropped in, its stash reachable from fleet.ml as shared
-   state. The rule ids it adds beyond the baseline, run once and shared
+   state. The rule ids of its unsuppressed findings, run once and shared
    by the injection gates here and in test_check. *)
 let injected_new_rules =
   lazy
-    (let { root; files; _ } = Lazy.force live in
+    (let { files; _ } = Lazy.force live in
      let with_bad =
        List.map
          (fun (f : Source.file) ->
@@ -701,13 +648,10 @@ let injected_new_rules =
               val stash : 'a -> 'b -> unit\n";
          ]
      in
-     let d =
-       Report.diff (baseline root) (Rules.run with_bad).Rules.violations
-     in
      List.sort_uniq compare
        (List.map
           (fun (v : Rules.violation) -> v.Rules.v_rule)
-          d.Report.new_violations))
+          (Rules.run with_bad).Rules.violations))
 
 let check_injection_trips rules =
   let new_rules = Lazy.force injected_new_rules in
@@ -872,7 +816,6 @@ let suite =
     Alcotest.test_case "lint parse failure" `Quick test_lint_parse;
     Alcotest.test_case "quoted-string blindness" `Quick
       test_quoted_string_blindness;
-    Alcotest.test_case "baseline ratchet" `Quick test_baseline_ratchet;
     Alcotest.test_case "live repo matches baseline" `Quick
       test_live_repo_matches_baseline;
     Alcotest.test_case "gate trips on injection" `Quick

@@ -20,6 +20,34 @@ let test_console_readback () =
   run_done board;
   Alcotest.(check string) "read" "input" (Bytes.to_string !got)
 
+(* Command 3 ends a pending read: SUCCESS, no read upcall, and bytes that
+   arrive later are left for the next read. *)
+let test_console_read_abort () =
+  let board = make_board () in
+  let console = Driver_num.console in
+  let upcalls = ref 0 and aborted = ref None and got = ref Bytes.empty in
+  let app a =
+    let addr = Tock_userland.Emu.alloc a 16 in
+    ignore (Tock_userland.Libtock.allow_rw a ~driver:console ~num:1 ~addr ~len:4);
+    ignore
+      (Tock_userland.Libtock.subscribe a ~driver:console ~sub:2 (fun _ _ _ ->
+           incr upcalls));
+    ignore (Tock_userland.Libtock.command a ~driver:console ~cmd:2 ~arg1:4 ~arg2:0);
+    aborted := Some (Tock_userland.Libtock.command a ~driver:console ~cmd:3 ~arg1:0 ~arg2:0);
+    (* A stray read upcall would run the callback while the app sleeps. *)
+    Tock_userland.Libtock_sync.sleep_ticks a 60;
+    got := Tock_userland.Libtock_sync.console_read a 4;
+    Tock_userland.Libtock.exit a 0
+  in
+  ignore (add_app_exn board ~name:"reader" app);
+  Tock_boards.Board.run_cycles board 200_000;
+  Tock_hw.Uart.rx_inject board.Tock_boards.Board.chip.Tock_hw.Chip.uart0
+    (Bytes.of_string "next");
+  run_done board;
+  Alcotest.(check bool) "abort answers SUCCESS" true (!aborted = Some Syscall.Success);
+  Alcotest.(check int) "no read upcall" 0 !upcalls;
+  Alcotest.(check string) "next read" "next" (Bytes.to_string !got)
+
 let test_console_multiwriter_interleave () =
   let board = make_board () in
   for i = 1 to 3 do
@@ -250,6 +278,7 @@ let suite =
     Alcotest.test_case "ipc pair" `Quick test_ipc_pair;
     Alcotest.test_case "radio driver (two boards)" `Quick test_radio_driver_two_boards;
     Alcotest.test_case "legacy v1 stale write" `Quick test_legacy_capsule_stale_write;
+    Alcotest.test_case "console read abort" `Quick test_console_read_abort;
     Alcotest.test_case "grant reentrancy" `Quick test_grant_reentrancy_refused;
     Alcotest.test_case "grant accounting + reset" `Quick test_grant_accounting_and_reset;
     Alcotest.test_case "capability minting" `Quick test_capability_mint_count;

@@ -2,7 +2,7 @@
    kernel, the mutable-state inventory, the domain-safety reachability
    analysis, the allow-window escape analysis and the dead-export rule;
    live-repo gates, over the live run test_analysis shares, assert the
-   real tree matches the one baseline and that an injected bug trips
+   real tree has no unsuppressed finding and that an injected bug trips
    these rules. *)
 
 open! Helpers
@@ -497,7 +497,7 @@ let suite =
       test_dead_comment_string;
     Alcotest.test_case "pragma + parse failure" `Quick
       test_check_pragma_and_parse;
-    (* one pass, one baseline: the same gate as the analysis suite's *)
+    (* one pass, one suppression: the same gate as the analysis suite's *)
     Alcotest.test_case "live repo matches check baseline" `Quick
       Test_analysis.test_live_repo_matches_baseline;
     Alcotest.test_case "check gate trips on injection" `Quick

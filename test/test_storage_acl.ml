@@ -129,7 +129,7 @@ let test_tbf_roundtrip_storage () =
       ~storage:(0x11, [ 0x22; 0x33 ]) ()
   in
   match Tock_tbf.Tbf.parse (Tock_tbf.Tbf.serialize t) ~off:0 with
-  | Ok (t', _) ->
+  | Ok { Tock_tbf.Tbf.tbf = t'; _ } ->
       Alcotest.(check bool) "roundtrip" true
         (Tock_tbf.Tbf.storage_permissions t' = Some (0x11, [ 0x22; 0x33 ]))
   | Error e -> Alcotest.failf "parse: %a" Tock_tbf.Tbf.pp_error e

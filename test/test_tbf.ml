@@ -21,8 +21,9 @@ let roundtrip_prop =
       let raw = Tbf.serialize t in
       match Tbf.parse raw ~off:0 with
       | Error _ -> false
-      | Ok (t', size) ->
-          size = Bytes.length raw
+      | Ok { Tbf.tbf = t'; stored; _ } ->
+          Bytes.equal stored raw
+          && Bytes.equal (Tbf.serialize t') raw
           && Tbf.package_name t' = Some name
           && Tbf.minimum_ram t' = min_ram
           && Tbf.permissions t' = Some [ (0x1, 0b11); (0x40003, 0b10) ]
@@ -63,9 +64,9 @@ let test_parse_all () =
   Alcotest.(check bool) "no error" true (err = None);
   Alcotest.(check (list (option string))) "names"
     [ Some "one"; Some "two"; Some "three" ]
-    (List.map (fun (t, _) -> Tbf.package_name t) apps);
+    (List.map (fun (i : Tbf.image) -> Tbf.package_name i.Tbf.tbf) apps);
   (* offsets are increasing and aligned *)
-  List.iter (fun (_, off) -> Alcotest.(check int) "aligned" 0 (off mod 4)) apps
+  List.iter (fun (i : Tbf.image) -> Alcotest.(check int) "aligned" 0 (i.Tbf.off mod 4)) apps
 
 let test_parse_all_stops_at_garbage () =
   let mk name = Tbf.serialize (Tbf.make ~name ~binary:Bytes.empty ()) in
@@ -83,15 +84,12 @@ let test_credentials () =
   let t = Tbf.add_hmac t ~key_id:1 ~key:(Bytes.of_string "hmac-key") in
   let t = Tbf.add_schnorr t ~sk ~rng in
   let raw = Tbf.serialize t in
-  (* Parse back and verify every credential against the integrity region. *)
-  let region =
-    match Tbf.integrity_region raw with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
+  (* Parse back and verify every credential against the integrity region
+     parse reports. *)
   match Tbf.parse raw ~off:0 with
   | Error e -> Alcotest.failf "parse: %a" Tbf.pp_error e
-  | Ok (t', _) ->
+  | Ok { Tbf.tbf = t'; stored; integrity_end; _ } ->
+      let region = Bytes.sub stored 0 integrity_end in
       let seen_sha = ref false and seen_hmac = ref false and seen_sig = ref false in
       List.iter
         (function
@@ -127,9 +125,9 @@ let test_credential_invalidated_by_tamper () =
   (* Tamper with a binary byte (not the header, so checksum still ok). *)
   let hsize = Char.code (Bytes.get raw 2) lor (Char.code (Bytes.get raw 3) lsl 8) in
   Bytes.set raw hsize 'X';
-  let region = match Tbf.integrity_region raw with Ok r -> r | Error e -> Alcotest.fail e in
   match Tbf.parse raw ~off:0 with
-  | Ok (t', _) ->
+  | Ok { Tbf.tbf = t'; stored; integrity_end; _ } ->
+      let region = Bytes.sub stored 0 integrity_end in
       List.iter
         (function
           | Tbf.Sha256_digest d ->
@@ -150,7 +148,7 @@ let test_flags () =
   Alcotest.(check bool) "enabled" true (Tbf.enabled t);
   let raw = Tbf.serialize t in
   match Tbf.parse raw ~off:0 with
-  | Ok (t', _) ->
+  | Ok { Tbf.tbf = t'; _ } ->
       Alcotest.(check int) "flags preserved"
         (Tbf.flag_enabled lor Tbf.flag_sticky) t'.Tbf.flags
   | Error e -> Alcotest.failf "parse: %a" Tbf.pp_error e

@@ -86,7 +86,7 @@ let tbf_concat_prop =
       in
       let apps, err = Tock_tbf.Tbf.parse_all (Bytes.concat Bytes.empty tbfs) in
       err = None
-      && List.map (fun (t, _) -> Tock_tbf.Tbf.package_name t) apps
+      && List.map (fun (i : Tock_tbf.Tbf.image) -> Tock_tbf.Tbf.package_name i.tbf) apps
          = List.map (fun (n, _) -> Some n) specs)
 
 let net_frame_prop =
