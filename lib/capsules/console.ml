@@ -162,6 +162,7 @@ let command t proc ~command_num ~arg1 ~arg2:_ =
               | Error (e, _w) -> Syscall.Failure e
             end))
   | 3 ->
+      (* The read stays the caller's until its CANCEL call comes back. *)
       (match t.rx_owner with
       | Some (owner, _) when owner = pid -> Uart_mux.abort_receive t.vdev
       | _ -> ());

@@ -29,5 +29,5 @@ val set_receive_client :
 
 val abort_receive : vdev -> unit
 (** End this device's receive, if it holds the receive side: its
-    receive client is called once, now, with the buffer and
-    [Error CANCEL]. *)
+    receive client is called once, later, with the buffer and
+    [Error CANCEL]; until then the device keeps the receive side. *)

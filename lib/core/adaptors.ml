@@ -55,12 +55,13 @@ let uart (hw : Tock_hw.Uart.t) : Hil.uart =
       | Some sub -> !tx_client sub
       | None -> ());
   Tock_hw.Uart.set_receive_client hw (fun data ->
-      match Take_cell.take rx_inflight with
-      | Some sub ->
+      match (Take_cell.take rx_inflight, data) with
+      | Some sub, Some data ->
           let n = min (Bytes.length data) (Subslice.length sub) in
           Subslice.blit_from_bytes ~src:data ~src_off:0 sub ~dst_off:0 ~len:n;
           !rx_client sub (Ok ())
-      | None -> ());
+      | Some sub, None -> !rx_client sub (Error Error.CANCEL)
+      | None, _ -> ());
   {
     uart_transmit =
       (fun sub ->
@@ -72,12 +73,7 @@ let uart (hw : Tock_hw.Uart.t) : Hil.uart =
         inflight rx_inflight ~held:sub sub (fun () ->
             Tock_hw.Uart.receive hw ~len:(Subslice.length sub)));
     uart_set_receive_client = (fun fn -> rx_client := fn);
-    uart_abort_receive =
-      (fun () ->
-        Tock_hw.Uart.abort_receive hw;
-        match Take_cell.take rx_inflight with
-        | Some sub -> !rx_client sub (Error Error.CANCEL)
-        | None -> ());
+    uart_abort_receive = (fun () -> Tock_hw.Uart.abort_receive hw);
   }
 
 let entropy (hw : Tock_hw.Trng.t) : Hil.entropy =

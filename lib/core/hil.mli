@@ -12,10 +12,11 @@
     An operation either starts ([Ok ()], then exactly one client call)
     or is refused, and then no client call follows. It is in flight
     until its client call begins, and a second operation meanwhile is
-    BUSY, also from another view of the same SPI or I2C controller. A
-    hardware refusal ({!Tock_hw.Completion.refusal}) maps to one code
-    in every record: [Busy] → BUSY, [Invalid] (a bad page, channel,
-    count, length, key,
+    BUSY, also from another view of the same SPI or I2C controller.
+    Every client call comes from a completion's top half, never from
+    inside a call on the record. A hardware refusal
+    ({!Tock_hw.Completion.refusal}) maps to one code in every record:
+    [Busy] → BUSY, [Invalid] (a bad page, channel, count, length, key,
     IV, ECB length, missing key or range, or a [flash_write] window that
     is not exactly one page) → INVAL, [Size] (a radio frame over 127
     bytes) → SIZE. The hardware latches the window's bytes at
@@ -47,9 +48,11 @@ type uart = {
           or with [Error CANCEL] when [uart_abort_receive] ended the
           receive first; its bytes are then not received data. *)
   uart_abort_receive : unit -> unit;
-      (** End the receive in flight, if any, as Tock's [receive_abort]
-          does: its one client call, [Error CANCEL], happens now, and
-          the cancelled hardware completion calls nobody. *)
+      (** End the receive in flight, if any. Its one client call,
+          [Error CANCEL], comes later from the UART's top half, as
+          Tock's [receive_abort] answers BUSY and calls back; until
+          then the receive is still in flight. The hardware completion
+          it cancelled calls nobody. *)
 }
 
 type entropy = {

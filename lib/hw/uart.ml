@@ -2,9 +2,10 @@ type parity = No_parity | Even | Odd
 
 let fifo_capacity = 64
 
-(* A receive, until its client call or abort: waiting for the FIFO to
-   hold the wanted length, for the last byte's wire time, for the top half. *)
-type rx = Rx_idle | Rx_waiting of int | Rx_arriving of Event_queue.handle | Rx_arrived of bytes
+(* A receive, until its client call: waiting for the FIFO to hold the
+   wanted length, for the last byte's wire time, for the top half (with
+   the bytes, or [None] once aborted). *)
+type rx = Rx_idle | Rx_waiting of int | Rx_arriving of Event_queue.handle | Rx_done of bytes option
 
 type t = {
   sim : Sim.t;
@@ -14,7 +15,7 @@ type t = {
   mutable bits_per_byte : int; (* start + data + parity + stop *)
   mutable tx_sink : bytes -> unit;
   mutable tx_client : len:int -> unit;
-  mutable rx_client : bytes -> unit;
+  mutable rx_client : bytes option -> unit;
   mutable tx_inflight : bool; (* until the top half takes [completed_tx] *)
   mutable rx : rx;
   fifo : Buffer.t;
@@ -51,7 +52,7 @@ let create sim irq ~irq_line ~name =
           t.tx_client ~len
       | None -> ());
       match t.rx with
-      | Rx_arrived data ->
+      | Rx_done data ->
           t.rx <- Rx_idle;
           t.rx_client data
       | Rx_idle | Rx_waiting _ | Rx_arriving _ -> ());
@@ -115,7 +116,7 @@ let try_complete_rx t =
       t.rx <-
         Rx_arriving
           (Sim.at t.sim ~delay:(cycles_per_byte t) (fun () ->
-               t.rx <- Rx_arrived data;
+               t.rx <- Rx_done (Some data);
                Irq.set_pending t.irq ~line:t.irq_line))
   | _ -> ()
 
@@ -130,12 +131,16 @@ let rx_inject t data =
 let receive t ~len =
   match t.rx with
   | _ when len <= 0 -> Error (Completion.Invalid "bad length")
-  | Rx_waiting _ | Rx_arriving _ | Rx_arrived _ -> Error (Completion.Busy "receive busy")
+  | Rx_waiting _ | Rx_arriving _ | Rx_done _ -> Error (Completion.Busy "receive busy")
   | Rx_idle ->
       t.rx <- Rx_waiting len;
       try_complete_rx t;
       Ok ()
 
 let abort_receive t =
-  (match t.rx with Rx_arriving wire -> Sim.cancel t.sim wire | _ -> ());
-  t.rx <- Rx_idle
+  match t.rx with
+  | Rx_idle | Rx_done None -> ()
+  | Rx_waiting _ | Rx_arriving _ | Rx_done (Some _) ->
+      (match t.rx with Rx_arriving wire -> Sim.cancel t.sim wire | _ -> ());
+      t.rx <- Rx_done None;
+      Irq.set_pending t.irq ~line:t.irq_line

@@ -53,14 +53,17 @@ val set_transmit_client : t -> (len:int -> unit) -> unit
 
 val receive : t -> len:int -> (unit, Completion.refusal) result
 (** Begin receiving exactly [len] bytes. [Busy] from an accepted
-    receive until its client call begins or it is aborted. *)
+    receive until its client call begins, also once it is aborted. *)
 
-val set_receive_client : t -> (bytes -> unit) -> unit
-(** Runs from interrupt context with the received bytes. *)
+val set_receive_client : t -> (bytes option -> unit) -> unit
+(** Runs from interrupt context with the received bytes, or with
+    [None] for an aborted receive. *)
 
 val abort_receive : t -> unit
-(** Cancel the receive, if any, and its client call; bytes it already
-    took from the FIFO are dropped, the rest stay. *)
+(** End the receive, if any, early: its pending completion is cancelled
+    and the line raised, so its one client call, [None], comes from the
+    top half, never from inside this call. Bytes it already took from
+    the FIFO are dropped, the rest stay. *)
 
 val tx_busy : t -> bool
 (** From an accepted transmit until the top half takes its completion. *)

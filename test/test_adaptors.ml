@@ -46,15 +46,14 @@ let test_uart_adaptor_receive () =
   let hw = Tock_hw.Uart.create sim irq ~irq_line:1 ~name:"u" in
   let u = Adaptors.uart hw in
   let got = ref None in
-  u.Hil.uart_set_receive_client (fun sub r ->
-      Alcotest.(check bool) "received" true (Result.is_ok r);
-      got := Some (Subslice.to_bytes sub));
+  u.Hil.uart_set_receive_client (fun sub r -> got := Some (Subslice.to_bytes sub, r));
   let buf = Subslice.create 4 in
   (match u.Hil.uart_receive buf with Ok () -> () | Error (e, _) -> Alcotest.failf "%s" (Error.to_string e));
   Tock_hw.Uart.rx_inject hw (Bytes.of_string "wxyz!");
   pump sim irq;
   match !got with
-  | Some b -> Alcotest.(check string) "window filled" "wxyz" (Bytes.to_string b)
+  | Some (b, Ok ()) -> Alcotest.(check string) "window filled" "wxyz" (Bytes.to_string b)
+  | Some (_, Error e) -> Alcotest.failf "rx completion %s" (Error.to_string e)
   | None -> Alcotest.fail "no rx completion"
 
 let test_digest_adaptor_chunks () =
@@ -864,12 +863,12 @@ let engine_cases inp =
       let h = hw () in
       let u, _ = uart_hw h in
       let note, got = recorder () in
-      H.Uart.set_receive_client u (fun b -> note (Bytes.to_string b));
+      H.Uart.set_receive_client u (fun b -> note (Option.map Bytes.to_string b));
       mk "Uart.receive" h
         ~start:(fun () -> H.Uart.receive u ~len:n)
         ~again:(fun () -> H.Uart.receive u ~len:1)
         ~after:(fun () -> H.Uart.rx_inject u (Bytes.of_string d))
-        got (( = ) [ d ]));
+        got (( = ) [ Some d ]));
     (fun () ->
       let h = hw () in
       let a, frames = radio_hw h in
@@ -940,17 +939,17 @@ let hil_cases inp =
       let hw, _ = uart_hw h in
       let u = Adaptors.uart hw in
       let note, got = recorder () in
-      u.Hil.uart_set_receive_client (fun w r -> if Result.is_ok r then note w);
+      u.Hil.uart_set_receive_client (fun w r -> note (w, r));
       let rx = window (String.make n '?') and w' = window inp.other in
       mk "uart_receive" h
         ~start:(fun () -> u.Hil.uart_receive rx)
         ~again:(fun () -> busy_back w' (u.Hil.uart_receive w'))
         ~after:(fun () -> H.Uart.rx_inject hw (Bytes.of_string d))
-        got (same rx d));
+        got (function [ (w, Ok ()) ] -> same rx d [ w ] | _ -> false));
     (fun () ->
-      (* Abort instead of a second operation: the receive ends with one
-         client call, the same window, untouched, and CANCEL; the
-         bytes' arrival calls nobody. *)
+      (* Abort instead of a second operation: it calls nobody itself;
+         the receive ends with one later client call, the same window,
+         untouched, and CANCEL; the bytes' arrival calls nobody. *)
       let h = hw () in
       let hw, _ = uart_hw h in
       let u = Adaptors.uart hw in
@@ -962,7 +961,7 @@ let hil_cases inp =
         ~start:(fun () -> u.Hil.uart_receive rx)
         ~again:(fun () ->
           u.Hil.uart_abort_receive ();
-          true)
+          got () = [])
         ~after:(fun () -> H.Uart.rx_inject hw (Bytes.of_string d))
         got (function
           | [ (w, Error Error.CANCEL) ] -> same rx waiting [ w ]
